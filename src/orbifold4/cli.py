@@ -21,8 +21,7 @@ from .groups import (UnitaryGroup, Unsupported, NotFiniteWithinBound, builtin_gr
 from .invariants import NotReflectionGroup, fundamental_invariants, molien
 from .isotropy import (BUILTIN_SPECS, OrbifoldSpec, builtin_product, delta_set,
                        load_spec, spec_to_json, validate_spec)
-from .resolution import (Incomplete, euler_char_resolution, exceptional_betti,
-                         hj_resolve, resolution_betti)
+from .resolution import Incomplete, euler_characteristic, hj_resolve, resolution_betti
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -112,6 +111,8 @@ def cmd_group_classify(args) -> dict:
 
 
 def cmd_group_invariants(args) -> dict:
+    if args.degree < 0:
+        raise CliError("--degree must be nonnegative", EXIT_INVALID)
     G = _load_group(args)
     series = molien(G, args.degree)
     results = {"order": G.order, "molien": series.coefficients}
@@ -174,8 +175,11 @@ def _load_spec(args) -> OrbifoldSpec:
         name = args.example.replace("-", "_")
         if name == "product":
             m2 = [args.m2] if args.m2 else []
-            return builtin_product([args.m] if args.m else [],
-                                   m2, symmetric=args.symmetric)
+            try:
+                return builtin_product([args.m] if args.m else [],
+                                       m2, symmetric=args.symmetric)
+            except ValueError as exc:
+                raise CliError(str(exc), EXIT_INVALID)
         if name in BUILTIN_SPECS:
             return BUILTIN_SPECS[name]()
         raise CliError(f"unknown example {args.example!r}", EXIT_INVALID)
@@ -199,7 +203,7 @@ def cmd_orbifold_resolve(args) -> dict:
         profile = resolution_betti(spec)
     except Unsupported as exc:
         raise CliError(f"unsupported: {exc.reason}", EXIT_UNSUPPORTED)
-    chi = euler_char_resolution(spec)
+    chi = euler_characteristic(spec, profile)
     results = {
         "delta": list(delta_set(spec).labels),
         "contributing_points": [
@@ -220,10 +224,17 @@ def cmd_orbifold_resolve(args) -> dict:
     }
 
 
+def _check_grid(args) -> None:
+    """A certificate needs at least two samples per grid axis."""
+    if args.grid < 2:
+        raise CliError("--grid must be at least 2", EXIT_INVALID)
+
+
 def cmd_verify_tameness(args) -> dict:
     import numpy as np
     from .sympverify import (LocalModel, eval_omega_a, standard_acs, tameness_min)
 
+    _check_grid(args)
     if args.model == "degenerate-fixture":
         rank2 = np.zeros((4, 4))
         rank2[0, 1], rank2[1, 0] = 1.0, -1.0
@@ -232,23 +243,16 @@ def cmd_verify_tameness(args) -> dict:
             lambda q: np.broadcast_to(rank2, np.asarray(q).shape[:-1] + (4, 4)),
             standard_acs, pts, region="degenerate fixture", grid="200 random samples",
         )
-    elif args.model == "flat":
-        model = LocalModel(m=args.m, a=args.a, delta0=1.0, delta2=args.delta2)
-        ax = np.linspace(-model.delta2, model.delta2, args.grid)
-        pts = np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
-        cert = tameness_min(
-            lambda q: eval_omega_a(model, q, resolved=args.resolved),
-            standard_acs, pts,
-            region=f"cube side 2*{model.delta2}",
-            grid=f"{args.grid}^4",
-        )
     else:
-        try:
-            with open(args.model) as fh:
-                obj = json.load(fh)
-            model = LocalModel(**obj)
-        except (OSError, TypeError, ValueError) as exc:
-            raise CliError(f"invalid model: {exc}", EXIT_INVALID)
+        if args.model == "flat":
+            model = LocalModel(m=args.m, a=args.a, delta0=1.0, delta2=args.delta2)
+        else:
+            try:
+                with open(args.model) as fh:
+                    obj = json.load(fh)
+                model = LocalModel(**obj)
+            except (OSError, TypeError, ValueError) as exc:
+                raise CliError(f"invalid model: {exc}", EXIT_INVALID)
         ax = np.linspace(-model.delta2, model.delta2, args.grid)
         pts = np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
         cert = tameness_min(
@@ -272,6 +276,7 @@ def cmd_verify_gluing(args) -> dict:
     from .sympverify.fixtures import pipeline_problem
     from .sympverify.forms import PreconditionFailure, glue_forms
 
+    _check_grid(args)
     if args.problem:
         try:
             with open(args.problem) as fh:
@@ -312,6 +317,7 @@ def cmd_verify_gluing(args) -> dict:
 def cmd_verify_blowup(args) -> dict:
     from .sympverify.blowup import ChartOverlapError, blowup_model_check
 
+    _check_grid(args)
     try:
         rep = blowup_model_check(args.m, args.lam, grid_n=args.grid)
     except ChartOverlapError as exc:
@@ -339,7 +345,6 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="emit a deterministic JSON report")
     common.add_argument("--quiet", action="store_true")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=0, help="0 = all cores (advisory)")
     return common
 
 

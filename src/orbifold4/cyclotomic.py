@@ -14,6 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+class SelfCheckFailed(RuntimeError):
+    """An exact internal consistency check failed: a defect of the library,
+    never a property of the input."""
+
+
 def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     num = list(num)
     q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
@@ -42,7 +47,8 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     for d in range(1, n):
         if n % d == 0:
             num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert all(c == 0 for c in rem)
+            if any(rem):
+                raise SelfCheckFailed(f"Phi_{d} does not divide x^{n} - 1")
     return tuple(num)
 
 
@@ -164,7 +170,7 @@ class CyclotomicScalar:
             if sol is not None:
                 self._min = (d, _reduce_mod_phi(sol, d))
                 return self._min
-        raise AssertionError("unreachable: element lies in its own field")
+        raise SelfCheckFailed("element lies in no subfield of its own field")
 
     # -- arithmetic ----------------------------------------------------
 

@@ -8,10 +8,9 @@ the cyclic action data (m, q) induced on the invariant coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
-from .cyclotomic import CyclotomicScalar, root_of_unity_log
+from .cyclotomic import CyclotomicScalar, SelfCheckFailed, root_of_unity_log
 from .unitary import UMat2
 
 
@@ -55,13 +54,14 @@ class CyclicActionData:
 
 @dataclass
 class CosetGroup:
-    """An abstract finite group given by a multiplication table.
+    """A finite group given by its multiplication table.
 
-    Element 0 is the identity; table[i][j] is the product of elements i, j.
+    Element 0 is the identity; table[i][j] is the index of the product of
+    elements i and j.  Every derived fact is read off the table by integer
+    lookups.
     """
 
     table: list[list[int]]
-    labels: list = field(default_factory=list)
 
     @property
     def order(self) -> int:
@@ -82,7 +82,7 @@ class CosetGroup:
         return k
 
     def inverse(self, i: int) -> int:
-        return next(j for j in range(self.order) if self.table[i][j] == 0)
+        return self.table[i].index(0)
 
     def subgroup_generated(self, gens: list[int]) -> set[int]:
         got = {0}
@@ -96,34 +96,39 @@ class CosetGroup:
                     frontier.append(y)
         return got
 
+    def is_normal(self, subgroup: set[int]) -> bool:
+        """Whether g s g^-1 lies in the subgroup for every element g and s in it."""
+        t = self.table
+        for g in range(self.order):
+            g_inv = self.inverse(g)
+            if any(t[t[g][s]][g_inv] not in subgroup for s in subgroup):
+                return False
+        return True
+
+    def conjugacy_classes(self) -> list[set[int]]:
+        """The conjugacy classes, ordered by their smallest element."""
+        t = self.table
+        inverses = [self.inverse(g) for g in range(self.order)]
+        classes: list[set[int]] = []
+        seen: set[int] = set()
+        for x in range(self.order):
+            if x not in seen:
+                cls = {t[t[g][x]][g_inv] for g, g_inv in enumerate(inverses)}
+                classes.append(cls)
+                seen |= cls
+        return classes
+
     def quotient_by(self, subgroup: set[int]) -> "CosetGroup":
-        # assumes subgroup normal (always used with abelian groups here)
-        cosets: list[frozenset[int]] = []
-        index: dict[int, int] = {}
+        """Table of the quotient by a normal subgroup; coset k is the k-th
+        coset met in index order, so the identity coset is 0."""
+        coset_of: dict[int, int] = {}
+        reps: list[int] = []
         for i in range(self.order):
-            if i in index:
-                continue
-            cs = frozenset(self.table[i][h] for h in subgroup)
-            k = len(cosets)
-            cosets.append(cs)
-            for x in cs:
-                index[x] = k
-        # identity coset first
-        id_pos = index[0]
-        if id_pos != 0:
-            order_map = {id_pos: 0, 0: id_pos}
-            remap = [order_map.get(i, i) for i in range(len(cosets))]
-        else:
-            remap = list(range(len(cosets)))
-        reps = [None] * len(cosets)
-        for i in range(self.order):
-            reps[remap[index[i]]] = reps[remap[index[i]]] if reps[remap[index[i]]] is not None else i
-        k = len(cosets)
-        table = [[0] * k for _ in range(k)]
-        for a in range(k):
-            for b in range(k):
-                table[a][b] = remap[index[self.table[reps[a]][reps[b]]]]
-        return CosetGroup(table)
+            if i not in coset_of:
+                for h in subgroup:
+                    coset_of[self.table[i][h]] = len(reps)
+                reps.append(i)
+        return CosetGroup([[coset_of[self.table[a][b]] for b in reps] for a in reps])
 
     def abelian_invariants(self) -> list[int]:
         """Invariant factors d1 | d2 | ... (each > 1) of an abelian group."""
@@ -139,28 +144,40 @@ class CosetGroup:
         return rest + [e]
 
 
-class UnitaryGroup:
-    """A finite subgroup of U(2), closed under product and inverse."""
+class UnitaryGroup(CosetGroup):
+    """A finite subgroup of U(2): a multiplication table whose index i stands
+    for the exact matrix elements[i].matrix.  Indices follow the order in
+    which the closure discovered the elements, and iteration follows it too.
 
-    def __init__(self, conductor: int, elements: dict, generators: list[GroupElement]):
+    gamma_star is the set of indices of the subgroup generated by the complex
+    reflections, gamma_prime the table of the quotient by it.
+    """
+
+    # identity semantics, so the frozen point records holding a group stay hashable
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, conductor: int, table: list[list[int]], matrices: list[UMat2],
+                 generators: list[int]):
+        super().__init__(table)
         self.conductor = conductor
-        self.elements: dict[tuple, GroupElement] = elements
-        self.generators = generators
-        self._classes: dict[tuple, ElementClass] = {}
-        self.reflections = [g for g in self if classify_element(g).kind == "reflection"]
-        self.gamma_star, self.gamma_star_normal = _reflection_subgroup(self)
-        self.gamma_prime = _quotient_table(self, self.gamma_star)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+        self.elements = [GroupElement(m, self.element_order(i), m.canonical_key(conductor))
+                         for i, m in enumerate(matrices)]
+        self.index = {g.canonical_key: i for i, g in enumerate(self.elements)}
+        self.generators = [self.elements[i] for i in generators]
+        reflections = [i for i, g in enumerate(self.elements)
+                       if classify_element(g).kind == "reflection"]
+        self.reflections = [self.elements[i] for i in reflections]
+        self.gamma_star = frozenset(self.subgroup_generated(reflections))
+        self.gamma_star_normal = self.is_normal(self.gamma_star)
+        self.gamma_prime = self.quotient_by(self.gamma_star)
 
     def __iter__(self):
-        return iter(self.elements.values())
+        return iter(self.elements)
 
     def __contains__(self, g) -> bool:
         if isinstance(g, GroupElement):
-            return g.canonical_key in self.elements
+            return g.canonical_key in self.index
         if isinstance(g, UMat2):
             # an entry may be declared over a field that does not embed in
             # the group's; compare via the minimal subfield of each entry
@@ -176,28 +193,22 @@ class UnitaryGroup:
             if self.conductor % need != 0:
                 return False
             lifted = UMat2(entries, check=False)
-            return lifted.canonical_key(self.conductor) in self.elements
+            return lifted.canonical_key(self.conductor) in self.index
         return False
 
     def identity(self) -> GroupElement:
-        return self.elements[UMat2.identity(self.conductor).canonical_key(self.conductor)]
-
-    def element_list(self) -> list[GroupElement]:
-        return sorted(self.elements.values(), key=lambda g: (g.order, g.canonical_key))
-
-
-def _element_order(m: UMat2, conductor: int, bound: int) -> int:
-    ident = UMat2.identity(conductor)
-    x = m
-    for k in range(1, bound + 1):
-        if x == ident:
-            return k
-        x = x @ m
-    raise NotFiniteWithinBound(f"element order exceeds bound {bound}")
+        return self.elements[0]
 
 
 def generate_group(gens: list[UMat2], max_order: int = 512) -> UnitaryGroup:
-    """Worklist closure of the subgroup generated by unitary matrices."""
+    """Worklist closure of the subgroup generated by unitary matrices.
+
+    The closure multiplies each element once by each generator, recording
+    the Schreier graph: right[k][x] is the index of x * gens[k], and each
+    element other than the identity remembers the (parent, k) it was first
+    found as.  The Cayley table then follows by integer lookups alone:
+    x * y = (x * parent(y)) * gens[k].
+    """
     conductor = 1
     for g in gens:
         for i in range(2):
@@ -207,29 +218,41 @@ def generate_group(gens: list[UMat2], max_order: int = 512) -> UnitaryGroup:
     gens_n = [g.to_conductor(conductor) for g in gens]
     ident = UMat2.identity(conductor)
 
-    def make(m: UMat2) -> GroupElement:
-        return GroupElement(m, _element_order(m, conductor, max_order + 1), m.canonical_key(conductor))
+    matrices = [ident]
+    index = {ident.canonical_key(conductor): 0}
+    parent = [(0, 0)]
 
-    elements: dict[tuple, GroupElement] = {ident.canonical_key(conductor): make(ident)}
-    frontier = [ident]
-    gen_elements = []
-    for g in gens_n:
+    def add(m: UMat2, key, x: int, k: int) -> int:
+        index[key] = len(matrices)
+        matrices.append(m)
+        parent.append((x, k))
+        return index[key]
+
+    gen_indices = []
+    for k, g in enumerate(gens_n):
         key = g.canonical_key(conductor)
-        if key not in elements:
-            elements[key] = make(g)
-            frontier.append(g)
-        gen_elements.append(elements[key])
+        if key not in index:
+            add(g, key, 0, k)
+        gen_indices.append(index[key])
+    right: list[dict[int, int]] = [{} for _ in gens_n]
+    frontier = list(range(len(matrices)))
     while frontier:
         x = frontier.pop()
-        for g in gens_n:
-            y = x @ g
+        for k, g in enumerate(gens_n):
+            y = matrices[x] @ g
             key = y.canonical_key(conductor)
-            if key not in elements:
-                if len(elements) >= max_order:
+            if key not in index:
+                if len(matrices) >= max_order:
                     raise NotFiniteWithinBound(f"closure exceeds max_order={max_order}")
-                elements[key] = make(y)
-                frontier.append(y)
-    return UnitaryGroup(conductor, elements, gen_elements)
+                frontier.append(add(y, key, x, k))
+            right[k][x] = index[key]
+
+    # column y of the table, filled in discovery order so parent(y) comes first
+    columns = [list(range(len(matrices)))]
+    for x, k in parent[1:]:
+        columns.append([right[k][z] for z in columns[x]])
+    table = [list(row) for row in zip(*columns)]
+    return UnitaryGroup(conductor, table, matrices, gen_indices)
 
 
 def classify_element(g: GroupElement) -> ElementClass:
@@ -266,34 +289,9 @@ def _normalize_line(v) -> tuple:
     return (v0._minimal(), v1._minimal())
 
 
-def _reflection_subgroup(G: UnitaryGroup):
-    refl = [g for g in G if classify_element(g).kind == "reflection"]
-    sub = _closure_within(G, refl)
-    normal = all(
-        (gamma.matrix @ s.matrix @ gamma.matrix.inverse()).canonical_key(G.conductor) in sub
-        for gamma in G
-        for s in sub.values()
-    )
-    return sub, normal
-
-
-def _closure_within(G: UnitaryGroup, gens: list[GroupElement]) -> dict:
-    ident = UMat2.identity(G.conductor)
-    got = {ident.canonical_key(G.conductor): G.elements[ident.canonical_key(G.conductor)]}
-    frontier = [ident]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x @ g.matrix
-            key = y.canonical_key(G.conductor)
-            if key not in got:
-                got[key] = G.elements[key]
-                frontier.append(y)
-    return got
-
-
 def reflection_subgroup(G: UnitaryGroup):
-    """The subgroup generated by all complex reflections, plus its normality."""
+    """The indices of the subgroup generated by all complex reflections,
+    plus its normality."""
     return G.gamma_star, G.gamma_star_normal
 
 
@@ -301,45 +299,13 @@ class NotNormalError(ValueError):
     pass
 
 
-def _quotient_table(G: UnitaryGroup, subgroup_elements: dict) -> CosetGroup:
-    sub_keys = set(subgroup_elements.keys())
-    cosets: list[frozenset] = []
-    index: dict[tuple, int] = {}
-    ident_key = UMat2.identity(G.conductor).canonical_key(G.conductor)
-    ordering = [ident_key] + [k for k in sorted(G.elements) if k != ident_key]
-    reps: list[tuple] = []
-    for k in ordering:
-        if k in index:
-            continue
-        g = G.elements[k].matrix
-        cs = frozenset((g @ s.matrix).canonical_key(G.conductor) for s in subgroup_elements.values())
-        idx = len(cosets)
-        cosets.append(cs)
-        reps.append(k)
-        for x in cs:
-            index[x] = idx
-    n = len(cosets)
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            prod = G.elements[reps[a]].matrix @ G.elements[reps[b]].matrix
-            table[a][b] = index[prod.canonical_key(G.conductor)]
-    return CosetGroup(table, labels=reps)
-
-
 def quotient_group(G: UnitaryGroup, N) -> CosetGroup:
     """Coset table of G/N; N given as a dict of elements or a list of them."""
-    if isinstance(N, dict):
-        sub = N
-    else:
-        sub = {g.canonical_key: g for g in N}
-    keys = set(sub.keys())
-    for gamma in G:
-        for s in sub.values():
-            conj = gamma.matrix @ s.matrix @ gamma.matrix.inverse()
-            if conj.canonical_key(G.conductor) not in keys:
-                raise NotNormalError("subgroup is not normal in G")
-    return _quotient_table(G, sub)
+    elements = N.values() if isinstance(N, dict) else N
+    sub = {G.index[g.canonical_key] for g in elements}
+    if not G.is_normal(sub):
+        raise NotNormalError("subgroup is not normal in G")
+    return G.quotient_by(sub)
 
 
 def stratum_class(G: UnitaryGroup) -> str:
@@ -352,11 +318,6 @@ def stratum_class(G: UnitaryGroup) -> str:
     if len(lines) == 1:
         return "SigmaStar"
     return "Sigma1"
-
-
-def _is_abelian(G: UnitaryGroup) -> bool:
-    els = list(G)
-    return all((a.matrix @ b.matrix) == (b.matrix @ a.matrix) for i, a in enumerate(els) for b in els[:i])
 
 
 def _eigen_split(m: UMat2, conductor: int):
@@ -429,12 +390,9 @@ def _diagonalize(G: UnitaryGroup):
 def induced_cyclic_data(G: UnitaryGroup) -> CyclicActionData:
     """Normal form (m, q) of the action induced by G/Gamma* on the invariant
     coordinates (z^a, w^b) of the reflection subgroup."""
-    if not _is_abelian(G):
+    if not G.is_abelian():
         raise Unsupported("non-abelian isotropy group", order=G.order, abelian=False)
     diag_all = _diagonalize(G)
-    els = list(G)
-    star_keys = set(G.gamma_star.keys())
-    star_diag = [d for g, d in zip(els, diag_all) if g.canonical_key in star_keys]
 
     # torsion exponent bookkeeping in zeta_M with M the field's full torsion
     def log(u: CyclotomicScalar) -> tuple[int, int]:
@@ -444,11 +402,11 @@ def induced_cyclic_data(G: UnitaryGroup) -> CyclicActionData:
     exps = []
     for alpha, beta in diag_all:
         (m1, e1), (m2, e2) = log(alpha), log(beta)
-        mm = m1  # root_of_unity_log fixes M by the field, identical across calls
-        assert m1 == m2
-        modulus = mm
+        if m1 != m2:  # root_of_unity_log fixes M by the field, identical across calls
+            raise SelfCheckFailed("torsion orders of the two diagonal entries differ")
+        modulus = m1
         exps.append((e1, e2))
-    star_exps = [exps[i] for i, g in enumerate(els) if g.canonical_key in star_keys]
+    star_exps = [exps[i] for i in G.gamma_star]
 
     a = len({e1 % modulus for (e1, e2) in star_exps if e2 % modulus == 0})
     b = len({e2 % modulus for (e1, e2) in star_exps if e1 % modulus == 0})
@@ -465,7 +423,7 @@ def induced_cyclic_data(G: UnitaryGroup) -> CyclicActionData:
                 image.add(y)
                 frontier.append(y)
     m = len(image)
-    if m != G.order // len(star_keys):
+    if m != G.order // len(G.gamma_star):
         raise Unsupported("induced action is not faithful on the invariant coordinates")
     if m == 1:
         return CyclicActionData(1, 0)  # manifold point sentinel
@@ -484,7 +442,8 @@ def induced_cyclic_data(G: UnitaryGroup) -> CyclicActionData:
     # gen acts as (zeta_M^g1, zeta_M^g2); rescale to order-m roots
     g1 = gen[0] * m // modulus if (gen[0] * m) % modulus == 0 else None
     g2 = gen[1] * m // modulus if (gen[1] * m) % modulus == 0 else None
-    assert g1 is not None and g2 is not None  # orders divide m by construction
+    if g1 is None or g2 is None:  # orders divide m by construction
+        raise SelfCheckFailed("induced generator order does not divide m")
     if math.gcd(g1, m) != 1:
         raise Unsupported("induced action fixes the first invariant axis: not free off 0")
     # normalize the generator so the first weight is 1

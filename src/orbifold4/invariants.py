@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicScalar
-from .groups import UnitaryGroup, _closure_within
+from .cyclotomic import CyclotomicScalar, SelfCheckFailed
+from .groups import UnitaryGroup
 
 
 class NotReflectionGroup(ValueError):
@@ -179,7 +179,7 @@ def molien(G: UnitaryGroup, D: int) -> MolienSeries:
     for t in totals:
         v = (t * Fraction(1, G.order)).rational_value()
         if v.denominator != 1 or v < 0:
-            raise AssertionError("Molien average is not a nonnegative integer")
+            raise SelfCheckFailed("Molien average is not a nonnegative integer")
         coeffs.append(int(v))
     return MolienSeries(coeffs)
 
@@ -274,8 +274,7 @@ def _independent(f: Poly2, g: Poly2) -> bool:
 
 def fundamental_invariants(G_star: UnitaryGroup) -> InvariantBasis:
     """Free generators (f, g) of the invariant algebra of a reflection group."""
-    closure = _closure_within(G_star, G_star.reflections)
-    if len(closure) != G_star.order:
+    if len(G_star.gamma_star) != G_star.order:
         raise NotReflectionGroup("group is not generated by its complex reflections")
     d1, d2 = _reflection_degrees(G_star)
 
@@ -291,9 +290,9 @@ def fundamental_invariants(G_star: UnitaryGroup) -> InvariantBasis:
     f = next((c for c in candidates(d1) if _independent(c, g)), None)
     if f is None:
         raise NotReflectionGroup("no algebraically independent second invariant found")
-    basis = InvariantBasis(f, g, (d1, d2), G_star.order)
-    assert is_invariant(G_star, f) and is_invariant(G_star, g)
-    return basis
+    if not (is_invariant(G_star, f) and is_invariant(G_star, g)):
+        raise SelfCheckFailed("a fundamental invariant is not invariant under the generators")
+    return InvariantBasis(f, g, (d1, d2), G_star.order)
 
 
 def h_map_eval(basis: InvariantBasis, point) -> tuple[complex, complex]:
@@ -320,6 +319,6 @@ def embedding_basis(G: UnitaryGroup, D: int | None = None) -> list[Poly2]:
             if not img.is_zero() and reducer.add(img):
                 picked.append(img.normalized())
         if len(picked) != series.coefficients[d]:
-            raise AssertionError(f"degree {d}: spanning set disagrees with Molien dimension")
+            raise SelfCheckFailed(f"degree {d}: spanning set disagrees with Molien dimension")
         out.extend(picked)
     return out

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groups import UnitaryGroup, Unsupported, induced_cyclic_data, _is_abelian
+from .cyclotomic import SelfCheckFailed
+from .groups import UnitaryGroup, Unsupported, induced_cyclic_data
 from .isotropy import OrbifoldSpec, delta_set, validate_spec
 
 
@@ -35,34 +36,16 @@ class HJChain:
         return mat
 
     def is_negative_definite(self) -> bool:
-        mat = self.intersection_matrix()
-        k = len(mat)
-        from fractions import Fraction
-        for size in range(1, k + 1):
-            sub = [[Fraction(mat[i][j]) for j in range(size)] for i in range(size)]
-            det = _exact_det(sub)
-            if det * (-1) ** size <= 0:
+        """Sylvester's criterion: the k-th leading minor D_k of the
+        tridiagonal intersection matrix has sign (-1)^k for every k.  The
+        minors obey the continuant recurrence D_k = -a_k D_{k-1} - D_{k-2}
+        with D_0 = 1 and D_{-1} = 0."""
+        d_prev, d = 0, 1
+        for k, a in enumerate(self.coeffs, 1):
+            d_prev, d = d, -a * d - d_prev
+            if (-1) ** k * d <= 0:
                 return False
         return True
-
-
-def _exact_det(rows):
-    from fractions import Fraction
-    n = len(rows)
-    rows = [row[:] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            det = -det
-        det *= rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] / rows[c][c]
-            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
 
 
 def hj_resolve(m: int, q: int) -> HJChain:
@@ -76,9 +59,10 @@ def hj_resolve(m: int, q: int) -> HJChain:
         coeffs.append(a)
         mm, qq = qq, a * qq - mm
     chain = HJChain(m, q, coeffs)
-    num, den = _hj_reconstruct(coeffs)
-    assert (num, den) == (m, q), "continued-fraction round trip failed"
-    assert chain.is_negative_definite()
+    if _hj_reconstruct(coeffs) != (m, q):
+        raise SelfCheckFailed("continued-fraction round trip failed")
+    if not chain.is_negative_definite():
+        raise SelfCheckFailed("intersection matrix is not negative definite")
     return chain
 
 
@@ -89,20 +73,6 @@ def _hj_reconstruct(coeffs: list[int]) -> tuple[int, int]:
     return num, den
 
 
-def _conjugacy_class_count(G: UnitaryGroup) -> int:
-    els = list(G)
-    seen = set()
-    count = 0
-    for g in els:
-        if g.canonical_key in seen:
-            continue
-        count += 1
-        for h in els:
-            conj = h.matrix @ g.matrix @ h.matrix.inverse()
-            seen.add(conj.canonical_key(G.conductor))
-    return count
-
-
 def exceptional_betti(G: UnitaryGroup) -> tuple[int, int, int]:
     """(b0, b1, b2) of the exceptional set resolving C^2/G at the origin.
 
@@ -110,12 +80,11 @@ def exceptional_betti(G: UnitaryGroup) -> tuple[int, int, int]:
     non-abelian determinant-one groups contribute one rational curve per
     nontrivial irreducible representation.  Anything else is Unsupported.
     """
-    if _is_abelian(G):
+    if G.is_abelian():
         data = induced_cyclic_data(G)  # raises Unsupported when not free off 0
         if data.m == 1:
             return (1, 0, 0)
         return (1, 0, hj_resolve(data.m, data.q).curve_count)
-    one = None
     for g in G:
         d = g.matrix.det()
         if not (d.is_rational() and d.rational_value() == 1):
@@ -124,7 +93,7 @@ def exceptional_betti(G: UnitaryGroup) -> tuple[int, int, int]:
                 order=G.order, abelian=False,
             )
     # class count equals irreducible count; drop the trivial representation
-    return (1, 0, _conjugacy_class_count(G) - 1)
+    return (1, 0, len(G.conjugacy_classes()) - 1)
 
 
 @dataclass
@@ -169,14 +138,18 @@ class Incomplete:
         return f"Incomplete({self.reason!r})"
 
 
-def euler_char_resolution(spec: OrbifoldSpec):
-    """Euler characteristic of the resolution, or Incomplete when a base
-    Betti number still carries its unexamined default."""
+def euler_characteristic(spec: OrbifoldSpec, profile: CohomologyProfile):
+    """Euler characteristic of the resolution: the alternating sum of the
+    profile's Betti numbers, or Incomplete when a base Betti number of spec
+    still carries its unexamined default."""
     if any(p == "user-default" for p in spec.betti_provenance):
         return Incomplete("a base Betti number is a user-default placeholder")
-    profile = resolution_betti(spec)
-    chi = sum((-1) ** k * b for k, b in enumerate(spec.base_betti))
-    return chi + sum(eb[2] for _, eb in profile.contributing_points)
+    return sum((-1) ** k * b for k, b in enumerate(profile.betti))
+
+
+def euler_char_resolution(spec: OrbifoldSpec):
+    """Euler characteristic of the resolution of spec; see euler_characteristic."""
+    return euler_characteristic(spec, resolution_betti(spec))
 
 
 # -- mapping-torus fundamental groups --------------------------------------

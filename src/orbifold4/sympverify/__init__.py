@@ -1,7 +1,7 @@
 """Numerical verification of symplectic-form constructions on local models."""
 
 from .profiles import (RadialProfile, f_smoothing, f_resolved, h_ramp,
-                       rho_bump, H_cutoff, identity_profile, constant_profile)
+                       rho_bump, H_cutoff, identity_profile)
 from .localmodel import (LocalModel, OutOfDomainError, SingularEvaluationError,
                          eval_omega0, eval_omega_a)
 from .forms import (TamenessCertificate, GluingProblem, InstabilityError,
@@ -17,7 +17,7 @@ from .blowup import (BlowupReport, ChartOverlapError, blowup_model_check,
 
 __all__ = [
     "RadialProfile", "f_smoothing", "f_resolved", "h_ramp", "rho_bump",
-    "H_cutoff", "identity_profile", "constant_profile",
+    "H_cutoff", "identity_profile",
     "LocalModel", "OutOfDomainError", "SingularEvaluationError",
     "eval_omega0", "eval_omega_a",
     "TamenessCertificate", "GluingProblem", "InstabilityError",

@@ -72,15 +72,6 @@ def identity_profile() -> RadialProfile:
     )
 
 
-def constant_profile(c: float) -> RadialProfile:
-    return RadialProfile(
-        "constant", {"c": c},
-        lambda x: np.full_like(np.asarray(x, dtype=float), c),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-
-
 def _smoothstep(s):
     """Quintic smoothstep: 0 below 0, 1 above 1, C^2 across both ends."""
     s = np.clip(s, 0.0, 1.0)

@@ -164,3 +164,17 @@ def test_spec_file_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "orbifold", "resolve", "--spec", str(path), "--json")
     assert code == 0
     assert json.loads(out)["results"]["betti"] == [1, 0, 7, 0, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "tameness", "--model", "flat", "--grid", "0"),
+    ("verify", "tameness", "--model", "flat", "--grid", "1"),
+    ("verify", "gluing", "--grid", "1"),
+    ("verify", "blowup", "--grid", "1"),
+    ("group", "invariants", "--builtin", "klein_four", "--degree", "-1"),
+    ("orbifold", "resolve", "--example", "product", "--m", "3", "--symmetric"),
+])
+def test_invalid_input_exits_2_with_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")

@@ -155,3 +155,63 @@ def test_membership_and_identity():
     assert UMat2.diagonal(-1 * _one(), _one()) in G
     assert UMat2.diagonal(_zeta(4), _one()) not in G
     assert G.identity().order == 1
+
+
+def _c4xc4():
+    return generate_group([UMat2.diagonal(_zeta(4), _one()), UMat2.diagonal(_one(), _zeta(4))])
+
+
+def _binary_dihedral4():
+    zero = CyclotomicScalar.zero()
+    swap = UMat2([[zero, _one()], [-1 * _one(), zero]])
+    return generate_group([UMat2.diagonal(_zeta(8), _zeta(8, 7)), swap])
+
+
+def _quaternion8_times_zeta3():
+    zero = CyclotomicScalar.zero()
+    swap = UMat2([[zero, _zeta(12, 6)], [_one(), zero]])
+    return generate_group([swap, UMat2.diagonal(_zeta(12, 3), _zeta(12, 9)),
+                           UMat2.diagonal(_zeta(12, 4), _zeta(12, 4))])
+
+
+@pytest.mark.parametrize("build,order,classes", [
+    (_c4xc4, 16, 16),
+    (_binary_dihedral4, 16, 7),
+    (_quaternion8, 8, 5),
+    (_quaternion8_times_zeta3, 24, 15),
+])
+def test_table_agrees_with_matrix_products(build, order, classes):
+    G = build()
+    mats = [g.matrix for g in G]
+    key = {m.canonical_key(G.conductor): i for i, m in enumerate(mats)}
+
+    def idx(m):
+        return key[m.canonical_key(G.conductor)]
+
+    ident = UMat2.identity(G.conductor)
+    assert G.order == order and idx(ident) == 0
+    for i, a in enumerate(mats):
+        assert [G.table[i][j] for j in range(order)] == [idx(a @ b) for b in mats]
+        k, power = 1, a
+        while power != ident:
+            power, k = power @ a, k + 1
+        assert G.elements[i].order == G.element_order(i) == k
+        assert G.inverse(i) == idx(a.inverse())
+
+    conjugacy = {frozenset(idx(h @ a @ h.inverse()) for h in mats) for a in mats}
+    assert len(conjugacy) == len(G.conjugacy_classes()) == classes
+    assert {frozenset(c) for c in G.conjugacy_classes()} == conjugacy
+
+    star = {0}
+    frontier = [ident]
+    while frontier:
+        x = frontier.pop()
+        for r in G.reflections:
+            y = x @ r.matrix
+            if idx(y) not in star:
+                star.add(idx(y))
+                frontier.append(y)
+    assert G.gamma_star == star
+    normal = all(idx(h @ mats[s] @ h.inverse()) in star for h in mats for s in star)
+    assert reflection_subgroup(G) == (star, normal)
+    assert G.gamma_prime.order == order // len(star)

@@ -51,6 +51,14 @@ def test_chain_against_continued_fraction_oracle(m, q):
     assert np.all(np.linalg.eigvalsh(np.array(chain.intersection_matrix(), float)) < 0)
 
 
+@pytest.mark.parametrize("coeffs", [[1], [2], [1, 1], [1, 2], [2, 1, 2], [3, 1, 3],
+                                    [2, 1, 1, 2], [2, 2, 1, 5, 1], [2] * 40])
+def test_negative_definite_against_eigenvalues(coeffs):
+    chain = HJChain(0, 0, coeffs)
+    eig = np.linalg.eigvalsh(np.array(chain.intersection_matrix(), float))
+    assert chain.is_negative_definite() == bool(np.all(eig < -1e-9))
+
+
 @pytest.mark.parametrize("m,q", [(5, 2), (7, 3), (12, 5), (11, 8)])
 def test_chain_duality(m, q):
     qp = pow(q, -1, m)
