@@ -3,8 +3,7 @@ resolution topology, and numerical certification of symplectic forms on
 local models."""
 
 from .cyclotomic import CyclotomicScalar, cyclotomic_polynomial, root_of_unity_log
-from .unitary import (OMEGA0, J0, UMat2, NotUnitaryError, NotSymplecticError,
-                      compatible_acs, realify, unitary_retract)
+from .unitary import UMat2, NotUnitaryError
 from .groups import (GroupElement, UnitaryGroup, CosetGroup, Unsupported,
                      NotFiniteWithinBound, builtin_group, classify_element,
                      generate_group, induced_cyclic_data, quotient_group,

@@ -13,15 +13,13 @@ import argparse
 import json
 import sys
 
-from .cyclotomic import CyclotomicScalar
 from .unitary import UMat2, NotUnitaryError
 from .groups import (UnitaryGroup, Unsupported, NotFiniteWithinBound, builtin_group,
-                     classify_element, generate_group, induced_cyclic_data,
-                     stratum_class)
+                     generate_group, induced_cyclic_data, stratum_class)
 from .invariants import NotReflectionGroup, fundamental_invariants, molien
-from .isotropy import (BUILTIN_SPECS, OrbifoldSpec, builtin_product, delta_set,
-                       load_spec, spec_to_json, validate_spec)
-from .resolution import Incomplete, euler_characteristic, hj_resolve, resolution_betti
+from .isotropy import BUILTIN_SPECS, OrbifoldSpec, builtin_product, load_spec
+from .resolution import (Incomplete, SpecInvalid, euler_characteristic, hj_resolve,
+                         resolution_betti)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -88,8 +86,8 @@ def _load_group(args) -> UnitaryGroup:
 def cmd_group_classify(args) -> dict:
     G = _load_group(args)
     kinds = {}
-    for g in G:
-        kinds[classify_element(g).kind] = kinds.get(classify_element(g).kind, 0) + 1
+    for c in G.classes:
+        kinds[c.kind] = kinds.get(c.kind, 0) + 1
     results = {
         "order": G.order,
         "stratum": stratum_class(G),
@@ -193,19 +191,15 @@ def _load_spec(args) -> OrbifoldSpec:
 
 def cmd_orbifold_resolve(args) -> dict:
     spec = _load_spec(args)
-    report = validate_spec(spec)
-    if not report.valid:
-        raise CliError(
-            "spec invalid: " + "; ".join(report.structural_errors + report.semantic_errors),
-            EXIT_INVALID,
-        )
     try:
         profile = resolution_betti(spec)
+    except SpecInvalid as exc:
+        raise CliError(str(exc), EXIT_INVALID)
     except Unsupported as exc:
         raise CliError(f"unsupported: {exc.reason}", EXIT_UNSUPPORTED)
     chi = euler_characteristic(spec, profile)
     results = {
-        "delta": list(delta_set(spec).labels),
+        "delta": list(profile.delta),
         "contributing_points": [
             {"label": lbl, "exceptional_betti": list(eb)}
             for lbl, eb in profile.contributing_points

@@ -149,8 +149,9 @@ class UnitaryGroup(CosetGroup):
     for the exact matrix elements[i].matrix.  Indices follow the order in
     which the closure discovered the elements, and iteration follows it too.
 
-    gamma_star is the set of indices of the subgroup generated by the complex
-    reflections, gamma_prime the table of the quotient by it.
+    classes[i] is the ElementClass of element i.  gamma_star is the set of
+    indices of the subgroup generated by the complex reflections, gamma_prime
+    the table of the quotient by it.
     """
 
     # identity semantics, so the frozen point records holding a group stay hashable
@@ -165,8 +166,8 @@ class UnitaryGroup(CosetGroup):
                          for i, m in enumerate(matrices)]
         self.index = {g.canonical_key: i for i, g in enumerate(self.elements)}
         self.generators = [self.elements[i] for i in generators]
-        reflections = [i for i, g in enumerate(self.elements)
-                       if classify_element(g).kind == "reflection"]
+        self.classes = [classify_element(g) for g in self.elements]
+        reflections = [i for i, c in enumerate(self.classes) if c.kind == "reflection"]
         self.reflections = [self.elements[i] for i in reflections]
         self.gamma_star = frozenset(self.subgroup_generated(reflections))
         self.gamma_star_normal = self.is_normal(self.gamma_star)
@@ -312,7 +313,7 @@ def stratum_class(G: UnitaryGroup) -> str:
     """Which stratum a point with isotropy G belongs to."""
     if G.order == 1:
         return "Manifold"
-    lines = {classify_element(g).fixed_line for g in G.reflections}
+    lines = {c.fixed_line for c in G.classes if c.kind == "reflection"}
     if not lines:
         return "Sigma0"
     if len(lines) == 1:
@@ -372,13 +373,13 @@ def _diagonalize(G: UnitaryGroup):
     det = v1[0] * v2[1] - v2[0] * v1[1]
     if det.is_zero():
         raise Unsupported("eigenvectors are not independent over the declared field")
+    inv = det.inverse()
+    p = [[v1[0], v2[0]], [v1[1], v2[1]]]
+    pinv = [[p[1][1] * inv, (-1) * p[0][1] * inv], [(-1) * p[1][0] * inv, p[0][0] * inv]]
     out = []
     for g in els:
         e = g.matrix.entries
         # P^-1 g P, computed entrywise
-        inv = det.inverse()
-        p = [[v1[0], v2[0]], [v1[1], v2[1]]]
-        pinv = [[p[1][1] * inv, (-1) * p[0][1] * inv], [(-1) * p[1][0] * inv, p[0][0] * inv]]
         gp = [[sum((e[i][k] * p[k][j] for k in range(2)), CyclotomicScalar.zero()) for j in range(2)] for i in range(2)]
         res = [[sum((pinv[i][k] * gp[k][j] for k in range(2)), CyclotomicScalar.zero()) for j in range(2)] for i in range(2)]
         if not (res[0][1].is_zero() and res[1][0].is_zero()):
@@ -411,32 +412,16 @@ def induced_cyclic_data(G: UnitaryGroup) -> CyclicActionData:
     a = len({e1 % modulus for (e1, e2) in star_exps if e2 % modulus == 0})
     b = len({e2 % modulus for (e1, e2) in star_exps if e1 % modulus == 0})
 
-    # induced action on (z^a, w^b): exponent pairs mod the torsion order
-    image = {(0, 0)}
+    # induced action on (z^a, w^b): exponent pairs mod the torsion order.  They
+    # are the image of the homomorphism g -> (a e1, b e2), hence a subgroup.
     pairs = sorted({((e1 * a) % modulus, (e2 * b) % modulus) for (e1, e2) in exps})
-    frontier = list(image)
-    while frontier:
-        x = frontier.pop()
-        for p in pairs:
-            y = ((x[0] + p[0]) % modulus, (x[1] + p[1]) % modulus)
-            if y not in image:
-                image.add(y)
-                frontier.append(y)
-    m = len(image)
-    if m != G.order // len(G.gamma_star):
+    m = len(pairs)
+    if m != G.gamma_prime.order:
         raise Unsupported("induced action is not faithful on the invariant coordinates")
     if m == 1:
         return CyclicActionData(1, 0)  # manifold point sentinel
 
-    def pair_order(p):
-        k = 1
-        x = p
-        while x != (0, 0):
-            x = ((x[0] + p[0]) % modulus, (x[1] + p[1]) % modulus)
-            k += 1
-        return k
-
-    gen = next((p for p in sorted(image) if pair_order(p) == m), None)
+    gen = next((p for p in pairs if modulus // math.gcd(modulus, *p) == m), None)
     if gen is None:
         raise Unsupported("induced quotient action is not cyclic, hence not free off 0")
     # gen acts as (zeta_M^g1, zeta_M^g2); rescale to order-m roots

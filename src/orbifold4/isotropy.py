@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import CyclotomicScalar
 from .unitary import UMat2
-from .groups import UnitaryGroup, generate_group, builtin_group, classify_element, stratum_class
+from .groups import UnitaryGroup, generate_group, builtin_group, stratum_class
 
 PROVENANCE = ("asserted", "computed", "user-asserted", "user-default")
 
@@ -101,7 +101,7 @@ def validate_spec(spec: OrbifoldSpec) -> ValidationReport:
         cls = stratum_class(c.group)
         if cls != "Sigma1":
             semantic.append(f"corner point {c.label!r}: group classifies as {cls}, not Sigma1")
-        lines = {classify_element(g).fixed_line for g in c.group.reflections}
+        lines = {k.fixed_line for k in c.group.classes if k.kind == "reflection"}
         needed = len(set(c.incident_surfaces))
         if len(lines) < needed:
             semantic.append(

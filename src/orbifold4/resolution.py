@@ -96,21 +96,27 @@ def exceptional_betti(G: UnitaryGroup) -> tuple[int, int, int]:
     return (1, 0, len(G.conjugacy_classes()) - 1)
 
 
+class SpecInvalid(ValueError):
+    """A spec that fails validation; the message lists every error found."""
+
+
 @dataclass
 class CohomologyProfile:
     betti: tuple[int, int, int, int, int]
     provenance: tuple[str, ...]
     contributing_points: list[tuple[str, tuple[int, int, int]]]
+    delta: tuple[str, ...]  # labels of the Delta set, see isotropy.delta_set
 
 
 def resolution_betti(spec: OrbifoldSpec) -> CohomologyProfile:
     """Betti numbers of the resolution: base plus, for k > 0, the exceptional
     contributions of the isolated points and of the corner points whose
-    reflection quotient is nontrivial."""
+    reflection quotient is nontrivial.  Raises SpecInvalid unless the spec
+    validates."""
     report = validate_spec(spec)
     if not report.valid:
-        raise ValueError("spec invalid: " + "; ".join(report.structural_errors + report.semantic_errors))
-    delta = set(delta_set(spec).labels)
+        raise SpecInvalid("spec invalid: " + "; ".join(report.structural_errors + report.semantic_errors))
+    delta = delta_set(spec).labels
     contributing = [p for p in spec.isolated_points] + [
         c for c in spec.corner_points if c.label in delta
     ]
@@ -127,7 +133,7 @@ def resolution_betti(spec: OrbifoldSpec) -> CohomologyProfile:
             if eb[k]:
                 betti[k] += eb[k]
                 prov[k] = "computed"
-    return CohomologyProfile(tuple(betti), tuple(prov), table)
+    return CohomologyProfile(tuple(betti), tuple(prov), table, delta)
 
 
 class Incomplete:

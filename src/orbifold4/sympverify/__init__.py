@@ -1,13 +1,14 @@
-"""Numerical verification of symplectic-form constructions on local models."""
+"""Numerical verification of symplectic-form constructions on local models:
+the numerical half of orbifold4, and its only package that imports numpy."""
 
 from .profiles import (RadialProfile, f_smoothing, f_resolved, h_ramp,
                        rho_bump, H_cutoff, identity_profile)
 from .localmodel import (LocalModel, OutOfDomainError, SingularEvaluationError,
                          eval_omega0, eval_omega_a)
-from .forms import (TamenessCertificate, GluingProblem, InstabilityError,
-                    NotAlmostComplexError, PreconditionFailure, ball_grid,
-                    complex_gradient_fd, complex_hessian_fd, ddbar_fd,
-                    exterior_derivative_fd, form_from_hermitian, glue_forms,
+from .forms import (TamenessCertificate, GluingProblem, NotAlmostComplexError,
+                    PreconditionFailure, ball_grid, complex_gradient_fd,
+                    complex_hessian_fd, ddbar_fd, exterior_derivative_fd,
+                    form_from_hermitian, glue_forms,
                     radial_potential_form, semipositive_compose, standard_acs,
                     taming_quotients, tameness_min)
 from .pushforward import PushforwardReport, pushforward_check, sample_points
@@ -20,8 +21,8 @@ __all__ = [
     "H_cutoff", "identity_profile",
     "LocalModel", "OutOfDomainError", "SingularEvaluationError",
     "eval_omega0", "eval_omega_a",
-    "TamenessCertificate", "GluingProblem", "InstabilityError",
-    "NotAlmostComplexError", "PreconditionFailure", "ball_grid",
+    "TamenessCertificate", "GluingProblem", "NotAlmostComplexError",
+    "PreconditionFailure", "ball_grid",
     "complex_gradient_fd", "complex_hessian_fd", "ddbar_fd",
     "exterior_derivative_fd", "form_from_hermitian", "glue_forms",
     "radial_potential_form", "semipositive_compose", "standard_acs",

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..unitary import OMEGA0
 from .forms import GluingProblem, radial_potential_form
+from .linear import OMEGA0
 from .profiles import H_cutoff, RadialProfile, f_resolved, h_ramp, rho_bump
 
 

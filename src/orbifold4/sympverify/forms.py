@@ -13,15 +13,11 @@ from typing import Callable
 
 import numpy as np
 
-from ..unitary import J0, OMEGA0
+from .linear import J0, OMEGA0
 from .profiles import RadialProfile
 
 # rows: the complex differentials dz, dw expressed in real components
 _DZ = np.array([[1.0, 1.0j, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0j]])
-
-
-class InstabilityError(ValueError):
-    pass
 
 
 class NotAlmostComplexError(ValueError):
@@ -91,17 +87,9 @@ def form_from_hermitian(coeff):
     return np.real(mat)
 
 
-def ddbar_fd(F, points, h: float = 1e-3, check_stability: bool = False,
-             stability_factor: float = 10.0):
+def ddbar_fd(F, points, h: float = 1e-3):
     """(i/2) ddbar F assembled from mixed complex second differences."""
-    out = form_from_hermitian(complex_hessian_fd(F, points, h))
-    if check_stability:
-        fine = form_from_hermitian(complex_hessian_fd(F, points, h / 2.0))
-        scale = max(1.0, float(np.max(np.abs(out))))
-        if float(np.max(np.abs(out - fine))) > stability_factor * h * h * scale:
-            raise InstabilityError("second differences unstable under step halving")
-        out = fine
-    return out
+    return form_from_hermitian(complex_hessian_fd(F, points, h))
 
 
 def exterior_derivative_fd(form_eval, points, h: float = 1e-3) -> float:

@@ -1,31 +1,14 @@
-"""2x2 unitary matrices over cyclotomic fields and their 4x4 real avatars.
+"""2x2 unitary matrices with exact cyclotomic entries.
 
-Complex coordinates (z, w) correspond to real coordinates (x1, y1, x2, y2).
-OMEGA0 is the matrix of the standard symplectic form dx1^dy1 + dx2^dy2 and
-J0 the standard complex structure in these coordinates.
+Their real 4x4 avatars live in `orbifold4.sympverify.linear`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cyclotomic import CyclotomicScalar
-
-OMEGA0 = np.array([
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [0.0, 0.0, -1.0, 0.0],
-])
-
-J0 = -OMEGA0  # multiplication by i in (x1,y1,x2,y2) coordinates
 
 
 class NotUnitaryError(ValueError):
-    pass
-
-
-class NotSymplecticError(ValueError):
     pass
 
 
@@ -80,11 +63,6 @@ class UMat2:
     def trace(self) -> CyclotomicScalar:
         return self.entries[0][0] + self.entries[1][1]
 
-    def apply(self, v):
-        """Act on an exact vector (pair of CyclotomicScalar)."""
-        e = self.entries
-        return (e[0][0] * v[0] + e[0][1] * v[1], e[1][0] * v[0] + e[1][1] * v[1])
-
     def to_conductor(self, n: int) -> "UMat2":
         return UMat2(
             [[self.entries[i][j].to_conductor(n) for j in range(2)] for i in range(2)],
@@ -100,13 +78,11 @@ class UMat2:
             return NotImplemented
         return all(self.entries[i][j] == other.entries[i][j] for i in range(2) for j in range(2))
 
-    def __hash__(self) -> int:
-        return hash(tuple(self.entries[i][j] for i in range(2) for j in range(2)))
-
     def __repr__(self) -> str:
         return f"UMat2({self.entries!r})"
 
-    def to_complex(self) -> np.ndarray:
+    def to_complex(self):
+        import numpy as np
         return np.array([[self.entries[i][j].to_complex() for j in range(2)] for i in range(2)])
 
     def to_json(self) -> list:
@@ -122,89 +98,3 @@ def _scalar(x) -> CyclotomicScalar:
         return x
     return CyclotomicScalar.from_rational(x)
 
-
-def realify(u: UMat2) -> np.ndarray:
-    """The 4x4 real matrix of u acting on (x1,y1,x2,y2)."""
-    c = u.to_complex()
-    out = np.zeros((4, 4))
-    for i in range(2):
-        for j in range(2):
-            re, im = c[i, j].real, c[i, j].imag
-            out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = [[re, -im], [im, re]]
-    return out
-
-
-def is_orthogonal(a: np.ndarray, tol: float = 1e-10) -> bool:
-    return float(np.max(np.abs(a.T @ a - np.eye(4)))) <= tol
-
-
-def is_symplectic(a: np.ndarray, tol: float = 1e-10) -> bool:
-    return float(np.max(np.abs(a.T @ OMEGA0 @ a - OMEGA0))) <= tol
-
-
-class NearSingularError(ValueError):
-    def __init__(self, smallest_eigenvalue: float):
-        self.smallest_eigenvalue = smallest_eigenvalue
-        super().__init__(f"matrix nearly singular: smallest eigenvalue {smallest_eigenvalue:.3e}")
-
-
-def matrix_inv_sqrt(s: np.ndarray, eig_floor: float = 1e-12) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix."""
-    s = np.asarray(s, dtype=float)
-    if np.max(np.abs(s - s.T)) > 1e-10:
-        raise ValueError("input is not symmetric")
-    vals, vecs = np.linalg.eigh(s)
-    if vals[0] <= eig_floor:
-        raise NearSingularError(float(vals[0]))
-    return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
-
-
-def unitary_retract(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Retraction of a symplectic matrix onto the realified unitary group."""
-    a = np.asarray(a, dtype=float)
-    if not is_symplectic(a, tol=tol):
-        raise NotSymplecticError("input matrix is not symplectic")
-    return a @ matrix_inv_sqrt(a.T @ a)
-
-
-class DegenerateFormError(ValueError):
-    pass
-
-
-def compatible_acs(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Almost-complex structure J compatible with the 2-form w, built from the
-    auxiliary metric g via the polar factor of the g-normalized form matrix.
-
-    Post-conditions: J^2 = -I, (u,v) -> w(u, Jv) is symmetric positive
-    definite, and w(Ju, Jv) = w(u, v).
-    """
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if abs(np.linalg.det(w)) <= 1e-12:
-        raise DegenerateFormError("form is degenerate")
-    g_inv_sqrt = matrix_inv_sqrt(g)
-    g_sqrt = np.linalg.inv(g_inv_sqrt)
-    b = g_inv_sqrt @ w @ g_inv_sqrt
-    b = 0.5 * (b - b.T)  # exact antisymmetry against roundoff
-    j_tilde = -b @ matrix_inv_sqrt(b.T @ b)
-    return g_inv_sqrt @ j_tilde @ g_sqrt
-
-
-class PreconditionError(ValueError):
-    pass
-
-
-def retract_equivariance_check(a: UMat2, c: UMat2, b: np.ndarray,
-                               pre_tol: float = 1e-10, post_tol: float = 1e-8) -> bool:
-    """Check that conjugation relations survive the unitary retraction.
-
-    Requires realify(a) = B^-1 realify(c) B; returns whether the same holds
-    with B replaced by its retraction r(B).
-    """
-    ra, rc = realify(a), realify(c)
-    b = np.asarray(b, dtype=float)
-    b_inv = np.linalg.inv(b)
-    if np.max(np.abs(ra - b_inv @ rc @ b)) > pre_tol:
-        raise PreconditionError("realify(a) != B^-1 realify(c) B within tolerance")
-    rb = unitary_retract(b)
-    return bool(np.max(np.abs(ra - np.linalg.inv(rb) @ rc @ rb)) <= post_tol)

@@ -5,6 +5,7 @@ import pytest
 
 from orbifold4.sympverify import (blowup_model_check, chart_form, chart_grid,
                                   chart_potential, exceptional_area, transition)
+from orbifold4.sympverify.blowup import closedness_residual
 from orbifold4.sympverify.forms import ddbar_fd
 
 
@@ -62,3 +63,24 @@ def test_blowup_model_check_rejects_bad_parameters():
         blowup_model_check(1, 0.1)
     with pytest.raises(ValueError):
         blowup_model_check(2, 0.0)
+
+
+@pytest.mark.parametrize("n", range(18, 25))
+@pytest.mark.parametrize("m", [2, 3])
+def test_blowup_closedness_check_does_not_depend_on_the_grid(m, n):
+    assert blowup_model_check(m, 0.1, grid_n=n).ok
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_closedness_residual_rejects_a_non_closed_form(m):
+    omega = chart_form(m, 0.1)
+
+    def perturbed(points):
+        # the dy1 ^ dx2 coefficient scaled by (1 + 0.001 x1): d(omega) != 0
+        w = omega(points).copy()
+        f = 1.0 + 0.001 * np.asarray(points)[..., 0]
+        w[..., 1, 2] *= f
+        w[..., 2, 1] *= f
+        return w
+
+    assert closedness_residual(omega) <= 1e-5 < closedness_residual(perturbed)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic JSON."""
 
 import json
+import sys
 
 import pytest
 
@@ -178,3 +179,42 @@ def test_invalid_input_exits_2_with_error_line(capsys, argv):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap the orbifold4 function `name` wherever a module holds it; the
+    returned list collects one entry per call."""
+    calls = []
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "orbifold4"]
+    fn = next(getattr(m, name) for m in modules if hasattr(m, name))
+    for module in modules:
+        if getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_group_classify_classifies_each_element_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "classify_element")
+    code, out, _ = run(capsys, "group", "classify", "--builtin", "klein_four", "--json")
+    assert code == 0
+    assert json.loads(out)["results"]["element_kinds"] == {"identity": 1, "reflection": 2,
+                                                           "free": 1}
+    assert len(calls) == 4
+
+
+def test_orbifold_resolve_validates_the_spec_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "validate_spec")
+    code, out, _ = run(capsys, "orbifold", "resolve", "--example", "mapping-torus", "--json")
+    assert code == 0 and json.loads(out)["results"]["delta"] == []
+    assert len(calls) == 1
+
+def test_orbifold_resolve_invalid_spec_exits_2(capsys, tmp_path):
+    from orbifold4 import builtin_mapping_torus, spec_to_json
+    obj = spec_to_json(builtin_mapping_torus())
+    obj["surfaces"][0]["m"] = 1
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "orbifold", "resolve", "--spec", str(path), "--json")
+    assert code == 2 and out == ""
+    assert err == "error: spec invalid: surface 'S_phi': transverse isotropy order 1 < 2\n"

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from orbifold4 import OMEGA0
 from orbifold4.sympverify import GluingProblem, glue_forms, rho_bump
 from orbifold4.sympverify.fixtures import (flat_form, pipeline_problem,
                                            smoothing_excess_max,
                                            standard_primitive)
 from orbifold4.sympverify.forms import PreconditionFailure, ball_grid
+from orbifold4.sympverify.linear import OMEGA0
 
 
 def test_standard_primitive_differentiates_to_flat_form():

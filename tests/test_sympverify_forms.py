@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from orbifold4 import OMEGA0, J0
 from orbifold4.sympverify import (NotAlmostComplexError, PreconditionFailure,
                                   ball_grid, complex_gradient_fd,
                                   complex_hessian_fd, ddbar_fd,
@@ -11,6 +10,7 @@ from orbifold4.sympverify import (NotAlmostComplexError, PreconditionFailure,
                                   h_ramp, radial_potential_form, rho_bump,
                                   semipositive_compose, standard_acs,
                                   taming_quotients, tameness_min)
+from orbifold4.sympverify.linear import OMEGA0, J0
 from orbifold4.sympverify.profiles import RadialProfile, f_smoothing
 
 

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from orbifold4 import OMEGA0
 from orbifold4.sympverify import (LocalModel, OutOfDomainError,
                                   SingularEvaluationError, eval_omega0,
                                   eval_omega_a, exterior_derivative_fd,
                                   pushforward_check, sample_points,
                                   standard_acs, tameness_min)
+from orbifold4.sympverify.linear import OMEGA0
 from orbifold4.sympverify.profiles import H_cutoff, f_resolved, f_smoothing
 
 

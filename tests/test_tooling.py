@@ -1,7 +1,11 @@
-"""Source-tree rules that keep correctness gates from being stripped."""
+"""Source-tree rules: correctness gates that `python -O` cannot strip, and
+an exact half that starts without numpy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import orbifold4
 
@@ -24,3 +28,12 @@ def test_no_assert_gates_in_library():
     found = [f"{path.relative_to(SRC)}:{line}"
              for path in sorted(SRC.rglob("*.py")) for line in _assertion_gates(path)]
     assert found == []
+
+
+def test_exact_commands_start_without_numpy():
+    # only orbifold4.sympverify imports numpy at module level
+    code = "import sys, orbifold4.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from orbifold4 import (OMEGA0, J0, CyclotomicScalar, NotUnitaryError,
-                       NotSymplecticError, UMat2, compatible_acs, realify,
-                       unitary_retract)
-from orbifold4.unitary import (DegenerateFormError, is_orthogonal, is_symplectic,
-                               matrix_inv_sqrt, retract_equivariance_check)
+from orbifold4 import CyclotomicScalar, NotUnitaryError, UMat2
+from orbifold4.sympverify.linear import (OMEGA0, J0, DegenerateFormError,
+                                         NotSymplecticError, compatible_acs,
+                                         is_orthogonal, is_symplectic,
+                                         matrix_inv_sqrt, realify,
+                                         retract_equivariance_check,
+                                         unitary_retract)
 
 
 def _hadamard():
