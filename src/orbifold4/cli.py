@@ -76,7 +76,7 @@ def _load_group(args) -> UnitaryGroup:
                 obj = json.load(fh)
             gens = [UMat2.from_json(g) for g in obj["generators"]]
             return generate_group(gens, max_order=obj.get("max_order", 512))
-        except (OSError, KeyError, ValueError, NotUnitaryError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, NotUnitaryError) as exc:
             raise CliError(f"invalid group file: {exc}", EXIT_INVALID)
         except NotFiniteWithinBound as exc:
             raise CliError(str(exc), EXIT_INVALID)
@@ -172,9 +172,9 @@ def _load_spec(args) -> OrbifoldSpec:
     if getattr(args, "example", None):
         name = args.example.replace("-", "_")
         if name == "product":
-            m2 = [args.m2] if args.m2 else []
+            m2 = [args.m2] if args.m2 is not None else []
             try:
-                return builtin_product([args.m] if args.m else [],
+                return builtin_product([args.m] if args.m is not None else [],
                                        m2, symmetric=args.symmetric)
             except ValueError as exc:
                 raise CliError(str(exc), EXIT_INVALID)
@@ -184,7 +184,7 @@ def _load_spec(args) -> OrbifoldSpec:
     if getattr(args, "spec", None):
         try:
             return load_spec(args.spec)
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise CliError(f"invalid spec file: {exc}", EXIT_INVALID)
     raise CliError("need --example or --spec", EXIT_INVALID)
 
@@ -227,9 +227,13 @@ def _check_grid(args) -> None:
 def cmd_verify_tameness(args) -> dict:
     import numpy as np
     from .sympverify import (LocalModel, eval_omega_a, standard_acs, tameness_min)
+    from .sympverify.forms import TAMENESS_TOL
+    from .sympverify.localmodel import SingularEvaluationError
 
     _check_grid(args)
     if args.model == "degenerate-fixture":
+        if args.seed < 0:
+            raise CliError("--seed must be nonnegative", EXIT_INVALID)
         rank2 = np.zeros((4, 4))
         rank2[0, 1], rank2[1, 0] = 1.0, -1.0
         pts = np.random.default_rng(args.seed).uniform(-0.3, 0.3, (200, 4))
@@ -238,26 +242,28 @@ def cmd_verify_tameness(args) -> dict:
             standard_acs, pts, region="degenerate fixture", grid="200 random samples",
         )
     else:
-        if args.model == "flat":
-            model = LocalModel(m=args.m, a=args.a, delta0=1.0, delta2=args.delta2)
-        else:
-            try:
+        try:
+            if args.model == "flat":
+                model = LocalModel(m=args.m, a=args.a, delta0=1.0, delta2=args.delta2)
+            else:
                 with open(args.model) as fh:
-                    obj = json.load(fh)
-                model = LocalModel(**obj)
-            except (OSError, TypeError, ValueError) as exc:
-                raise CliError(f"invalid model: {exc}", EXIT_INVALID)
+                    model = LocalModel(**json.load(fh))
+        except (OSError, TypeError, ValueError) as exc:
+            raise CliError(f"invalid model: {exc}", EXIT_INVALID)
         ax = np.linspace(-model.delta2, model.delta2, args.grid)
         pts = np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
-        cert = tameness_min(
-            lambda q: eval_omega_a(model, q, resolved=args.resolved),
-            standard_acs, pts,
-            region=f"cube side 2*{model.delta2}", grid=f"{args.grid}^4",
-        )
+        try:
+            cert = tameness_min(
+                lambda q: eval_omega_a(model, q, resolved=args.resolved),
+                standard_acs, pts,
+                region=f"cube side 2*{model.delta2}", grid=f"{args.grid}^4",
+            )
+        except SingularEvaluationError as exc:
+            raise CliError(f"the grid meets a singular point: {exc}", EXIT_INVALID)
     report = {
         "command": "verify tameness",
         "results": {"certificate": cert.to_json(),
-                    "tolerance": 1e-9},
+                    "tolerance": TAMENESS_TOL},
         "checks": [{"name": "tameness certificate",
                     "status": "pass" if cert.tame else "fail",
                     "min_quotient": cert.min_quotient}],
@@ -275,6 +281,8 @@ def cmd_verify_gluing(args) -> dict:
         try:
             with open(args.problem) as fh:
                 obj = json.load(fh)
+            if not isinstance(obj, dict):
+                raise ValueError("the top level must be a JSON object")
         except (OSError, ValueError) as exc:
             raise CliError(f"invalid problem file: {exc}", EXIT_INVALID)
     else:
@@ -287,12 +295,14 @@ def cmd_verify_gluing(args) -> dict:
     }
     try:
         problem = pipeline_problem(**params)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError(str(exc), EXIT_INVALID)
     try:
         delta, _, cert = glue_forms(problem, grid_n=args.grid)
     except PreconditionFailure as exc:
         raise CliError(f"precondition failed: {exc}", EXIT_FAILED_CERT)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_INVALID)
     return {
         "command": "verify gluing",
         "results": {

@@ -67,9 +67,6 @@ class CosetGroup:
     def order(self) -> int:
         return len(self.table)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def is_abelian(self) -> bool:
         n = self.order
         return all(self.table[i][j] == self.table[j][i] for i in range(n) for j in range(i))

@@ -1,8 +1,11 @@
 """Invariant rings of finite unitary groups acting on C^2.
 
-Reynolds averaging, Molien series, fundamental invariants of reflection
-groups, the evaluation map H = (f, g), and spanning sets of invariants for
-embedding quotients by isolated-fixed-point groups.
+Reynolds averaging as one matrix per degree, R_d = (1/|G|) sum_g Sym^d(g),
+Molien series, fundamental invariants of reflection groups, the evaluation
+map H = (f, g), and spanning sets of invariants for embedding quotients by
+isolated-fixed-point groups.  Ranks, fundamental invariants and spanning sets
+are all read off the rank-raising rows of R_d (`reynolds_basis`); the Molien
+series checks them independently.
 """
 
 from __future__ import annotations
@@ -74,14 +77,7 @@ class Poly2:
 
     def compose_linear(self, m) -> "Poly2":
         """Substitute (z, w) -> (m00 z + m01 w, m10 z + m11 w)."""
-        e = m.entries if hasattr(m, "entries") else m
-        out = Poly2.zero()
-        for (a, b), c in self.terms.items():
-            term = Poly2({(0, 0): c})
-            term = term * _linear_power(e[0][0], e[0][1], a)
-            term = term * _linear_power(e[1][0], e[1][1], b)
-            out = out + term
-        return out
+        return _apply_by_degree(self, lambda d: sym_power(m, d))
 
     def dz(self) -> "Poly2":
         return Poly2({(a - 1, b): c * a for (a, b), c in self.terms.items() if a > 0})
@@ -125,22 +121,40 @@ class Poly2:
         return Poly2({(t["ze"], t["we"]): CyclotomicScalar.from_json(t["coeff"]) for t in obj})
 
 
-def _linear_power(c0: CyclotomicScalar, c1: CyclotomicScalar, n: int) -> Poly2:
-    """(c0 z + c1 w)^n expanded by the binomial theorem."""
-    t = {}
-    for k in range(n + 1):
-        coeff = c0 ** (n - k) * c1 ** k * math.comb(n, k)
-        if not coeff.is_zero():
-            t[(n - k, k)] = coeff
-    return Poly2(t)
+def sym_power(m, d: int) -> list[Poly2]:
+    """Sym^d(m): row k is the image of z^(d-k) w^k under `compose_linear(m)`,
+    the product (m00 z + m01 w)^(d-k) (m10 z + m11 w)^k."""
+    e = m.entries if hasattr(m, "entries") else m
+    zf = Poly2({(1, 0): e[0][0], (0, 1): e[0][1]})
+    wf = Poly2({(1, 0): e[1][0], (0, 1): e[1][1]})
+    zp, wp = [Poly2.monomial(0, 0)], [Poly2.monomial(0, 0)]
+    for _ in range(d):
+        zp.append(zp[-1] * zf)
+        wp.append(wp[-1] * wf)
+    return [zp[d - k] * wp[k] for k in range(d + 1)]
+
+
+def _apply_by_degree(p: Poly2, matrix_of_degree) -> Poly2:
+    """Send each term c z^a w^b of p to c times row b of matrix_of_degree(a + b)."""
+    out, rows = Poly2.zero(), {}
+    for (a, b), c in p.terms.items():
+        if a + b not in rows:
+            rows[a + b] = matrix_of_degree(a + b)
+        out = out + rows[a + b][b].scale(c)
+    return out
+
+
+def reynolds_matrix(G: UnitaryGroup, d: int) -> list[Poly2]:
+    """R_d = (1/|G|) sum_g Sym^d(g); row k is the group average of z^(d-k) w^k."""
+    rows = [Poly2.zero()] * (d + 1)
+    for g in G:
+        rows = [r + s for r, s in zip(rows, sym_power(g.matrix, d))]
+    return [r.scale(Fraction(1, G.order)) for r in rows]
 
 
 def reynolds(G: UnitaryGroup, p: Poly2) -> Poly2:
     """Group average of p over G; the projection onto invariants."""
-    out = Poly2.zero()
-    for g in G:
-        out = out + p.compose_linear(g.matrix)
-    return out.scale(Fraction(1, G.order))
+    return _apply_by_degree(p, lambda d: reynolds_matrix(G, d))
 
 
 def is_invariant(G: UnitaryGroup, p: Poly2) -> bool:
@@ -150,10 +164,6 @@ def is_invariant(G: UnitaryGroup, p: Poly2) -> bool:
 @dataclass
 class MolienSeries:
     coefficients: list[int]
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coefficients) - 1
 
 
 def molien(G: UnitaryGroup, D: int) -> MolienSeries:
@@ -184,51 +194,34 @@ def molien(G: UnitaryGroup, D: int) -> MolienSeries:
     return MolienSeries(coeffs)
 
 
-def _monomials(d: int):
-    """Degree-d monomials in lexicographic order, z before w."""
-    return [Poly2.monomial(d - k, k) for k in range(d + 1)]
-
-
-class _ExactRowReducer:
-    """Incremental Gaussian elimination over a cyclotomic field."""
-
-    def __init__(self):
-        self.pivot_rows: list[tuple[tuple, dict]] = []  # (pivot key, reduced terms)
-
-    def reduce(self, p: Poly2) -> Poly2:
-        terms = dict(p.terms)
-        for key, row in self.pivot_rows:
-            if key in terms:
-                f = terms[key]
-                for k2, c2 in row.items():
-                    v = terms.get(k2, CyclotomicScalar.zero()) - f * c2
-                    if v.is_zero():
-                        terms.pop(k2, None)
-                    else:
-                        terms[k2] = v
-        return Poly2(terms)
-
-    def add(self, p: Poly2) -> bool:
-        """Reduce p and absorb it; True if it increased the rank."""
-        red = self.reduce(p)
-        if red.is_zero():
-            return False
-        key = red.lex_first()
-        row = red.normalized().terms
-        self.pivot_rows.append((key, row))
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
+def reynolds_basis(G: UnitaryGroup, d: int) -> list[Poly2]:
+    """The rows of R_d that raise the rank of the rows before them, in
+    monomial order (z^d first), each normalized: a basis of the degree-d
+    invariants, found by incremental Gaussian elimination."""
+    pivots: list[tuple[tuple, dict]] = []  # (pivot key, reduced normalized terms)
+    basis = []
+    for row in reynolds_matrix(G, d):
+        terms = dict(row.terms)
+        for key, pivot in pivots:
+            f = terms.get(key)
+            if f is None:
+                continue
+            for k2, c2 in pivot.items():
+                v = terms[k2] - f * c2 if k2 in terms else -(f * c2)
+                if v.is_zero():
+                    terms.pop(k2, None)
+                else:
+                    terms[k2] = v
+        if terms:
+            red = Poly2(terms)
+            pivots.append((red.lex_first(), red.normalized().terms))
+            basis.append(row.normalized())
+    return basis
 
 
 def invariant_dimension_bruteforce(G: UnitaryGroup, d: int) -> int:
     """Rank of the Reynolds image on the degree-d monomial basis."""
-    reducer = _ExactRowReducer()
-    for mono in _monomials(d):
-        reducer.add(reynolds(G, mono))
-    return reducer.rank
+    return len(reynolds_basis(G, d))
 
 
 @dataclass
@@ -278,16 +271,10 @@ def fundamental_invariants(G_star: UnitaryGroup) -> InvariantBasis:
         raise NotReflectionGroup("group is not generated by its complex reflections")
     d1, d2 = _reflection_degrees(G_star)
 
-    def candidates(d: int):
-        seen = _ExactRowReducer()
-        for mono in _monomials(d):
-            img = reynolds(G_star, mono)
-            if not img.is_zero() and seen.add(img):
-                yield img.normalized()
-
+    picks = {d: reynolds_basis(G_star, d) for d in {d1, d2}}
     # pick the lower degree first: its invariant may divide higher-degree ones
-    g = next(candidates(d2))
-    f = next((c for c in candidates(d1) if _independent(c, g)), None)
+    g = picks[d2][0]
+    f = next((c for c in picks[d1] if _independent(c, g)), None)
     if f is None:
         raise NotReflectionGroup("no algebraically independent second invariant found")
     if not (is_invariant(G_star, f) and is_invariant(G_star, g)):
@@ -312,12 +299,7 @@ def embedding_basis(G: UnitaryGroup, D: int | None = None) -> list[Poly2]:
     series = molien(G, D)
     out: list[Poly2] = []
     for d in range(1, D + 1):
-        reducer = _ExactRowReducer()
-        picked = []
-        for mono in _monomials(d):
-            img = reynolds(G, mono)
-            if not img.is_zero() and reducer.add(img):
-                picked.append(img.normalized())
+        picked = reynolds_basis(G, d)
         if len(picked) != series.coefficients[d]:
             raise SelfCheckFailed(f"degree {d}: spanning set disagrees with Molien dimension")
         out.extend(picked)

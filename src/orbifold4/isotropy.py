@@ -50,13 +50,6 @@ class OrbifoldSpec:
     betti_provenance: tuple[str, ...] = ("asserted",) * 5
     name: str = ""
 
-    def labels(self) -> set[str]:
-        return (
-            {p.label for p in self.isolated_points}
-            | {s.label for s in self.surfaces}
-            | {c.label for c in self.corner_points}
-        )
-
 
 @dataclass
 class ValidationReport:

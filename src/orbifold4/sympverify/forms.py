@@ -19,6 +19,9 @@ from .profiles import RadialProfile
 # rows: the complex differentials dz, dw expressed in real components
 _DZ = np.array([[1.0, 1.0j, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0j]])
 
+# a form is tame when its smallest taming quotient exceeds this
+TAMENESS_TOL = 1e-9
+
 
 class NotAlmostComplexError(ValueError):
     pass
@@ -139,7 +142,7 @@ def taming_quotients(forms, acs):
 
 
 def tameness_min(form_eval, acs_eval, points, region: str = "", grid: str = "",
-                 tol: float = 1e-9) -> TamenessCertificate:
+                 tol: float = TAMENESS_TOL) -> TamenessCertificate:
     """Certify min over samples of the taming quotient omega(u, Ju)/|u|^2."""
     p = np.asarray(points, dtype=float).reshape(-1, 4)
     acs = np.asarray(acs_eval(p), dtype=float)
@@ -276,6 +279,9 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
             value=float(np.max(np.abs(w1_inner))),
         )
     mid_pts = ball_grid(e2, grid_n, inner=e1)
+    outer_pts = ball_grid(e3, grid_n, inner=e2 * (1 + 1e-9))
+    if not (len(mid_pts) and len(outer_pts)):
+        raise ValueError(f"a {grid_n}^4 grid has no sample on an annulus; use a finer grid")
     q_mid = taming_quotients(problem.omega1(mid_pts), standard_acs(mid_pts))
     if float(np.min(q_mid)) < -tol:
         idx = int(np.argmin(q_mid))
@@ -283,7 +289,6 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
             "omega1 not semipositive on the middle annulus",
             worst_sample=tuple(mid_pts[idx]), value=float(np.min(q_mid)),
         )
-    outer_pts = ball_grid(e3, grid_n, inner=e2 * (1 + 1e-9))
     q_outer = taming_quotients(problem.omega1(outer_pts), standard_acs(outer_pts))
     C = float(np.min(q_outer))
     if C <= 0:

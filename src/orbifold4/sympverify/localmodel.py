@@ -37,8 +37,13 @@ class LocalModel:
     kappa: float = 0.0
 
     def __post_init__(self):
+        reals = (self.a, self.delta0, self.delta2, self.eps_p, self.eps0, self.kappa, *self.nu)
+        if len(self.nu) != 2 or not np.all(np.isfinite(reals)):
+            raise ValueError("model parameters must be finite reals, nu a pair")
         if self.m < 1 or self.a < 0:
             raise ValueError("need m >= 1 and a >= 0")
+        if not self.delta2 > 0:
+            raise ValueError("need delta2 > 0")
         if not self.delta0 > 3 * self.delta2:
             raise ValueError("need delta0 > 3*delta2")
         if self.base not in ("disc", "torus"):

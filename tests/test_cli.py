@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, exit codes, deterministic JSON."""
 
+import argparse
 import json
+import pathlib
+import random
 import sys
 
 import pytest
 
-from orbifold4.cli import main
+from orbifold4.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -174,11 +177,94 @@ def test_spec_file_round_trip(capsys, tmp_path):
     ("verify", "blowup", "--grid", "1"),
     ("group", "invariants", "--builtin", "klein_four", "--degree", "-1"),
     ("orbifold", "resolve", "--example", "product", "--m", "3", "--symmetric"),
+    ("verify", "tameness", "--model", "flat", "--m", "0"),
+    ("verify", "tameness", "--model", "flat", "--a", "-1"),
+    ("verify", "tameness", "--model", "flat", "--delta2", "0.5"),
+    ("verify", "tameness", "--model", "flat", "--delta2", "-0.1"),
+    ("verify", "gluing", "--m", "0"),
+    ("verify", "gluing", "--a", "0"),
+    ("verify", "gluing", "--eps1", "0.25", "--eps3", "2", "--grid", "2"),
+    ("verify", "tameness", "--model", "flat", "--a", "0", "--grid", "5"),
+    ("verify", "tameness", "--model", "flat", "--a", "nan"),
+    ("verify", "tameness", "--model", "degenerate-fixture", "--seed", "-1"),
+    ("verify", "blowup", "--lam", "inf"),
+    ("orbifold", "resolve", "--example", "product", "--m", "0", "--m2", "3"),
+    ("orbifold", "resolve", "--example", "product", "--m", "3", "--m2", "0"),
 ])
 def test_invalid_input_exits_2_with_error_line(capsys, argv):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,content", [
+    (("group", "classify", "--file"), "[1, 2]"),
+    (("orbifold", "resolve", "--spec"), "[1, 2]"),
+    (("verify", "gluing", "--problem"), "[1, 2]"),
+    (("verify", "gluing", "--problem"), '{"m": "2"}'),
+    (("verify", "tameness", "--model"), "[1, 2]"),
+    (("verify", "tameness", "--model"), '{"kappa": NaN}'),
+    (("verify", "tameness", "--model"), '{"nu": [1]}'),
+])
+def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    code, out, err = run(capsys, *argv, str(path), "--json")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
+# the named choices of the options that take a name rather than a file
+NAMES = {"--model": ["flat", "degenerate-fixture"],
+         "--builtin": ["klein_four", "minus_identity", "dihedral"],
+         "--example": ["mapping-torus", "product", "klein"]}
+INT_LIMITS = {"--grid": (-1, 6), "--degree": (-2, 8)}
+
+
+def _leaf_parsers(parser, path=()):
+    """(subcommand path, parser) for every command of the parser tree."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+def _random_argv(rng, path, parser):
+    paths = [str(p) for p in sorted(EXAMPLES.glob("*"))] + [str(EXAMPLES / "missing.json")]
+    argv = list(path)
+    for action in parser._actions:
+        flag = action.option_strings[-1] if action.option_strings else None
+        if flag in (None, "--help") or rng.random() < (0.05 if action.required else 0.5):
+            continue
+        argv.append(flag)
+        if action.nargs == 0:
+            continue
+        if action.type is int:
+            value = rng.randint(*INT_LIMITS.get(flag, (-2, 8)))
+        elif action.type is float:
+            value = rng.choice([-1.0, -0.1, 0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0])
+        else:
+            value = rng.choice(NAMES.get(flag, []) + paths)
+        argv.append(str(value))
+    return argv
+
+
+def test_random_argv_exits_cleanly():
+    # every input ends in exit 0, 2, 3 or 4, never in a traceback
+    rng = random.Random(20201)
+    commands = list(_leaf_parsers(build_parser()))
+    for _ in range(200):
+        argv = _random_argv(rng, *rng.choice(commands))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses malformed argv with exit 2
+            code = exc.code
+        except Exception as exc:
+            raise AssertionError(f"traceback for {argv}") from exc
+        assert code in (0, 2, 3, 4), argv
 
 
 

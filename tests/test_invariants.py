@@ -7,7 +7,8 @@ import pytest
 from orbifold4 import (CyclotomicScalar, NotReflectionGroup, Poly2, UMat2,
                        builtin_group, embedding_basis, fundamental_invariants,
                        generate_group, h_map_eval, molien, reynolds)
-from orbifold4.invariants import invariant_dimension_bruteforce, is_invariant
+from orbifold4.invariants import (invariant_dimension_bruteforce, is_invariant,
+                                  reynolds_matrix)
 
 
 def _zeta(n, k=1):
@@ -47,6 +48,32 @@ def test_poly2_compose_linear_against_direct_substitution():
     q = Poly2.monomial(1, 1)
     g = UMat2.diagonal(_zeta(4), _zeta(4, 3))
     assert (p * q).compose_linear(g) == p.compose_linear(g) * q.compose_linear(g)
+
+
+def _quaternion_group():
+    """The order-8 group <diag(i, -i), [[0, 1], [-1, 0]]>; not diagonal."""
+    zero = CyclotomicScalar.zero()
+    return generate_group([UMat2.diagonal(_zeta(4), _zeta(4, 3)),
+                           UMat2([[zero, _one()], [-1 * _one(), zero]])])
+
+
+def test_poly2_compose_linear_is_a_right_action():
+    # (p o g) o h = p o (g h), with g and h not diagonal
+    g = UMat2([[_zeta(8), 0], [0, _zeta(8, 3)]]) @ UMat2(
+        [[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])
+    h = UMat2([[CyclotomicScalar.zero(), _zeta(3)], [_one(), CyclotomicScalar.zero()]])
+    p = Poly2({(3, 1): _zeta(4), (2, 2): Fraction(-2, 3), (0, 4): 1, (1, 0): _zeta(3)})
+    assert p.compose_linear(g).compose_linear(h) == p.compose_linear(g @ h)
+    assert p.compose_linear(h).compose_linear(g) == p.compose_linear(h @ g)
+
+
+def test_reynolds_matrix_rows_are_invariant_and_fixed():
+    G = _quaternion_group()
+    for d in range(7):
+        rows = reynolds_matrix(G, d)
+        assert len(rows) == d + 1
+        for row in rows:
+            assert is_invariant(G, row) and reynolds(G, row) == row
 
 
 def test_poly2_derivatives_and_evaluation():
