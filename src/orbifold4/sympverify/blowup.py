@@ -8,10 +8,11 @@ u2 = 1/u1, v2 = u1^m v1.  The candidate symplectic form is
 
 whose first term is the pullback of the flat quotient form (via the
 invariant radius) and whose second is the pulled-back Fubini-Study-type
-form, scaled by lambda.  The potential's complex Hessian is closed-form;
-`chart_potential` keeps the potential so that finite differences (`ddbar_fd`)
-can cross-check it.  Grids avoid v = 0, where
-the pulled-back quotient form is continuous but not smooth for m >= 2.
+form, scaled by lambda.  The potential is written once, as a function of
+(|u|^2, |v|^2): its complex Hessian comes from second-order jets, and
+`chart_potential` evaluates the same definition so that finite differences
+(`ddbar_fd`) can cross-check it.  Grids avoid v = 0, where the pulled-back
+quotient form is continuous but not smooth for m >= 2.
 """
 
 from __future__ import annotations
@@ -21,33 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import (TamenessCertificate, exterior_derivative_fd,
-                    form_from_hermitian, standard_acs, tameness_min)
-
-
-def chart_potential(m: int, lam: float):
-    def F(points):
-        p = np.asarray(points, dtype=float)
-        s = p[..., 0] ** 2 + p[..., 1] ** 2
-        t = p[..., 2] ** 2 + p[..., 3] ** 2
-        return t ** (1.0 / m) * (1.0 + s) + lam * np.log1p(s)
-    return F
+                    invariant_potential_form, standard_acs, tameness_min)
+from .jet import log1p
 
 
 def chart_form(m: int, lam: float):
-    """Analytic (i/2) ddbar of the chart potential; valid for v != 0."""
-    def omega(points):
-        p = np.asarray(points, dtype=float)
-        u = p[..., 0] + 1j * p[..., 1]
-        v = p[..., 2] + 1j * p[..., 3]
-        s = np.abs(u) ** 2
-        t = np.abs(v) ** 2
-        c = np.zeros(p.shape[:-1] + (2, 2), dtype=complex)
-        c[..., 0, 0] = t ** (1.0 / m) + lam / (1.0 + s) ** 2
-        c[..., 0, 1] = np.conj(u) * (1.0 / m) * t ** (1.0 / m - 1.0) * v
-        c[..., 1, 0] = np.conj(c[..., 0, 1])
-        c[..., 1, 1] = (1.0 + s) * (1.0 / (m * m)) * t ** (1.0 / m - 1.0)
-        return form_from_hermitian(c)
-    return omega
+    """(i/2) ddbar of the chart potential; valid for v != 0."""
+    return invariant_potential_form(
+        lambda s, t: t ** (1.0 / m) * (1.0 + s) + lam * log1p(s))
+
+
+def chart_potential(m: int, lam: float):
+    return chart_form(m, lam).potential
 
 
 def transition(points, m: int):

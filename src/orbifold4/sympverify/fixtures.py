@@ -47,12 +47,7 @@ def pipeline_problem(m: int = 2, a: float = 0.1,
         raise ValueError(f"radii leave no ramp window: t0={t0:.4f} >= t1={t1:.4f}")
     # cutoff of the smoothing correction beyond the certified ball
     H = H_cutoff(m, a, lo=1.5 * eps3 ** 2, hi=3.0 * eps3 ** 2, resolved=True)
-    g = RadialProfile(
-        "g_smoothed", {"m": m, "a": a},
-        lambda x: np.asarray(x, float) + H.value(x),
-        lambda x: 1.0 + H.d1(x),
-        lambda x: H.d2(x),
-    )
+    g = RadialProfile("g_smoothed", {"m": m, "a": a}, lambda x: x + H(x))
     omega1 = radial_potential_form(g, h_ramp(t0, t1))
     return GluingProblem(
         eps1, eps2, eps3,

@@ -1,4 +1,5 @@
-"""Finite-difference Kähler calculus and tameness certification.
+"""Kähler forms of invariant potentials, finite-difference cross-checks and
+tameness certification.
 
 Potentials F are scalar fields on R^4 = C^2, vectorized over point arrays of
 shape (..., 4).  2-forms are antisymmetric 4x4 coefficient matrices in the
@@ -13,11 +14,9 @@ from typing import Callable
 
 import numpy as np
 
+from .jet import Jet
 from .linear import J0, OMEGA0
 from .profiles import RadialProfile
-
-# rows: the complex differentials dz, dw expressed in real components
-_DZ = np.array([[1.0, 1.0j, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0j]])
 
 # a form is tame when its smallest taming quotient exceeds this
 TAMENESS_TOL = 1e-9
@@ -40,6 +39,14 @@ def _shift(points, i, h):
     return p
 
 
+def _central_differences(fn, p, h):
+    """(fn(p + h e_i) - fn(p - h e_i)) / 2h for the four axes i, stacked on a
+    new axis after the point axes of p."""
+    return np.stack([(np.asarray(fn(_shift(p, i, h)), float)
+                      - np.asarray(fn(_shift(p, i, -h)), float)) / (2.0 * h)
+                     for i in range(4)], axis=p.ndim - 1)
+
+
 def complex_hessian_fd(F, points, h: float = 1e-3):
     """The 2x2 matrix of d^2 F / dz_i dzbar_j by central differences."""
     p = np.asarray(points, dtype=float)
@@ -55,39 +62,28 @@ def complex_hessian_fd(F, points, h: float = 1e-3):
                 + F(_shift(_shift(p, i, -h), j, -h))
             ) / (4.0 * h * h)
             d2[..., i, j] = d2[..., j, i] = val
-    hess = np.zeros(p.shape[:-1] + (2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
-            hess[..., i, j] = 0.25 * (
-                d2[..., xi, xj] + d2[..., yi, yj]
-                + 1.0j * (d2[..., xi, yj] - d2[..., yi, xj])
-            )
-    return hess
+    x, y = slice(0, 4, 2), slice(1, 4, 2)
+    return 0.25 * (d2[..., x, x] + d2[..., y, y] + 1.0j * (d2[..., x, y] - d2[..., y, x]))
 
 
 def complex_gradient_fd(F, points, h: float = 1e-3):
     """(dF/dz, dF/dw) by central differences."""
-    p = np.asarray(points, dtype=float)
-    grad = np.zeros(p.shape[:-1] + (2,), dtype=complex)
-    for i in range(2):
-        dx = (F(_shift(p, 2 * i, h)) - F(_shift(p, 2 * i, -h))) / (2.0 * h)
-        dy = (F(_shift(p, 2 * i + 1, h)) - F(_shift(p, 2 * i + 1, -h))) / (2.0 * h)
-        grad[..., i] = 0.5 * (dx - 1.0j * dy)
-    return grad
+    d = _central_differences(F, np.asarray(points, dtype=float), h)
+    return 0.5 * (d[..., 0::2] - 1.0j * d[..., 1::2])
 
 
 def form_from_hermitian(coeff):
-    """Real matrix of (i/2) sum coeff_ij dz_i ^ dzbar_j."""
-    coeff = np.asarray(coeff, dtype=complex)
-    dz = _DZ
-    dzb = np.conj(_DZ)
-    # (i/2) * sum_ij coeff_ij (dz_i[k] dzb_j[l] - dz_i[l] dzb_j[k])
-    mat = 0.5j * (
-        np.einsum("...ij,ik,jl->...kl", coeff, dz, dzb)
-        - np.einsum("...ij,il,jk->...kl", coeff, dz, dzb)
-    )
-    return np.real(mat)
+    """Real matrix of (i/2) sum coeff_ij dz_i ^ dzbar_j, from Re and Im of coeff."""
+    c = np.asarray(coeff, dtype=complex)
+    re, im = c.real, c.imag
+    out = np.zeros(c.shape[:-2] + (4, 4))
+    out[..., 0, 1] = re[..., 0, 0]
+    out[..., 2, 3] = re[..., 1, 1]
+    out[..., 0, 3] = 0.5 * (re[..., 0, 1] + re[..., 1, 0])
+    out[..., 1, 2] = -out[..., 0, 3]
+    out[..., 0, 2] = out[..., 1, 3] = 0.5 * (im[..., 1, 0] - im[..., 0, 1])
+    out -= np.swapaxes(out, -1, -2)
+    return out
 
 
 def ddbar_fd(F, points, h: float = 1e-3):
@@ -97,17 +93,10 @@ def ddbar_fd(F, points, h: float = 1e-3):
 
 def exterior_derivative_fd(form_eval, points, h: float = 1e-3) -> float:
     """Max component of the finite-difference exterior derivative d(omega)."""
-    p = np.asarray(points, dtype=float)
-    grad = np.zeros(p.shape[:-1] + (4, 4, 4))  # d/dx_i of M[k,l]
-    for i in range(4):
-        grad[..., i, :, :] = (form_eval(_shift(p, i, h)) - form_eval(_shift(p, i, -h))) / (2.0 * h)
-    worst = 0.0
-    for k in range(4):
-        for l in range(k + 1, 4):
-            for n in range(l + 1, 4):
-                res = grad[..., k, l, n] - grad[..., l, k, n] + grad[..., n, k, l]
-                worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    grad = _central_differences(form_eval, np.asarray(points, dtype=float), h)  # d/dx_i of M[k,l]
+    k, l, n = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T  # k < l < n
+    res = grad[..., k, l, n] - grad[..., l, k, n] + grad[..., n, k, l]
+    return float(np.max(np.abs(res)))
 
 
 def standard_acs(points):
@@ -163,8 +152,8 @@ def semipositive_compose(F, h_profile: RadialProfile, points, step: float = 1e-3
     on the sampled range of F.
     """
     p = np.asarray(points, dtype=float)
-    fv = np.asarray(F(p), dtype=float)
-    h1, h2 = h_profile.d1(fv), h_profile.d2(fv)
+    hj = h_profile.jet(np.asarray(F(p), dtype=float))
+    h1, h2 = hj.grad[0], hj.hess[0, 0]
     if np.any(h1 < 0) or np.any(h2 < 0):
         raise PreconditionFailure("profile has negative h' or h'' on the sampled range")
     grad = complex_gradient_fd(F, p, step)
@@ -177,41 +166,40 @@ def semipositive_compose(F, h_profile: RadialProfile, points, step: float = 1e-3
     return forms, bool(min_eig >= -tol), min_eig
 
 
-def radial_potential_form(g: RadialProfile, h: RadialProfile | None = None):
-    """Exact (i/2) ddbar of h(|z|^2 + g(|w|^2)) from closed-form derivatives.
+def invariant_potential_form(phi):
+    """(i/2) ddbar of phi(s, t), s = |z|^2, t = |w|^2, phi written over arrays or jets.
 
-    With h omitted the outer profile is the identity.  Returns an evaluator
-    over (..., 4) point arrays; use ddbar_fd on the same potential as an
-    independent cross-check.
+    The jet of phi in (s, t) gives the complex Hessian c00 = phi_s + s phi_ss,
+    c01 = zbar w phi_st, c11 = phi_t + t phi_tt.  The evaluator's `potential`
+    attribute evaluates phi itself, for ddbar_fd cross-checks.
     """
-
-    def F(points):
-        p = np.asarray(points, dtype=float)
-        return p[..., 0] ** 2 + p[..., 1] ** 2 + g.value(p[..., 2] ** 2 + p[..., 3] ** 2)
 
     def omega(points):
         p = np.asarray(points, dtype=float)
-        x = p[..., 2] ** 2 + p[..., 3] ** 2
-        g1 = g.d1(x)
-        hess = np.zeros(p.shape[:-1] + (2, 2), dtype=complex)
-        hess[..., 0, 0] = 1.0
-        hess[..., 1, 1] = g1 + x * g.d2(x)
-        if h is None:
-            return form_from_hermitian(hess)
-        fv = F(p)
-        grad = np.stack(
-            [p[..., 0] - 1j * p[..., 1], g1 * (p[..., 2] - 1j * p[..., 3])], axis=-1
-        )
-        outer = grad[..., :, None] * np.conj(grad[..., None, :])
-        coeff = h.d2(fv)[..., None, None] * outer + h.d1(fv)[..., None, None] * hess
-        return form_from_hermitian(coeff)
+        s, t = _radii(p)
+        j = phi(Jet.variable(s, 0, 2), Jet.variable(t, 1, 2))
+        c = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
+        c[..., 0, 0] = j.grad[0] + s * j.hess[0, 0]
+        c[..., 0, 1] = (p[..., 0] - 1j * p[..., 1]) * (p[..., 2] + 1j * p[..., 3]) * j.hess[0, 1]
+        c[..., 1, 0] = np.conj(c[..., 0, 1])
+        c[..., 1, 1] = j.grad[1] + t * j.hess[1, 1]
+        return form_from_hermitian(c)
 
     def potential(points):
-        fv = F(points)
-        return fv if h is None else h.value(fv)
+        return phi(*_radii(np.asarray(points, dtype=float)))
 
     omega.potential = potential
     return omega
+
+
+def _radii(p):
+    return p[..., 0] ** 2 + p[..., 1] ** 2, p[..., 2] ** 2 + p[..., 3] ** 2
+
+
+def radial_potential_form(g: RadialProfile, h: RadialProfile | None = None):
+    """(i/2) ddbar of h(|z|^2 + g(|w|^2)); with h omitted the outer profile is
+    the identity.  See invariant_potential_form."""
+    return invariant_potential_form(lambda s, t: s + g(t) if h is None else h(s + g(t)))
 
 
 # -- gluing -----------------------------------------------------------------
@@ -248,8 +236,8 @@ def _d_rho_beta(problem: GluingProblem, points):
     n = p / np.maximum(r, 1e-300)[..., None]
     b = np.asarray(problem.beta(p), dtype=float)
     dr_beta = n[..., :, None] * b[..., None, :] - b[..., :, None] * n[..., None, :]
-    rho, drho = problem.rho.value(r), problem.rho.d1(r)
-    return drho[..., None, None] * dr_beta, rho[..., None, None] * np.asarray(problem.omega2(p), float), dr_beta
+    rho = problem.rho.jet(r)
+    return rho.grad[0][..., None, None] * dr_beta, rho.value[..., None, None] * np.asarray(problem.omega2(p), float), dr_beta
 
 
 def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
@@ -318,11 +306,6 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
 
 def _dbeta_residual(problem: GluingProblem, points, h: float = 1e-4) -> float:
     p = np.asarray(points, dtype=float)
-    grad = np.zeros(p.shape[:-1] + (4, 4))
-    for i in range(4):
-        grad[..., i, :] = (
-            np.asarray(problem.beta(_shift(p, i, h)), float)
-            - np.asarray(problem.beta(_shift(p, i, -h)), float)
-        ) / (2.0 * h)
+    grad = _central_differences(problem.beta, p, h)
     dbeta = grad - np.swapaxes(grad, -1, -2)
     return float(np.max(np.abs(dbeta - np.asarray(problem.omega2(p), float))))

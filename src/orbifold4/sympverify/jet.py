@@ -1,0 +1,96 @@
+"""Second-order forward-mode jets over numpy arrays.
+
+A Jet in n variables holds value (...), grad (n, ...) and hess (n, n, ...);
+plain numbers and arrays act as constants.  `log`, `log1p` and `clip` take a
+plain array or a Jet, so one definition of a function evaluates either way.
+At the kinks of `clip` a jet carries the right derivative.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+class Jet:
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators
+
+    def __init__(self, value, grad, hess):
+        self.value, self.grad, self.hess = value, grad, hess
+
+    @classmethod
+    def variable(cls, value, i: int = 0, n: int = 1) -> "Jet":
+        """The i-th of n independent variables, at the given values."""
+        value = np.asarray(value, dtype=float)
+        grad = np.zeros((n,) + value.shape)
+        grad[i] = 1.0
+        return cls(value, grad, np.zeros((n, n) + value.shape))
+
+    def apply(self, f0, f1, f2) -> "Jet":
+        """f(self), given f, f' and f'' at self.value (the chain rule)."""
+        g = self.grad
+        return Jet(f0, f1 * g, f2 * (g[:, None] * g[None]) + f1 * self.hess)
+
+    def __add__(self, o):
+        if isinstance(o, Jet):
+            return Jet(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        return Jet(self.value + o, self.grad, self.hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.value, -self.grad, -self.hess)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(self.value * o, self.grad * o, self.hess * o)
+        g, h = self.grad, o.grad
+        cross = g[:, None] * h[None]
+        return Jet(self.value * o.value, g * o.value + self.value * h,
+                   self.hess * o.value + cross + np.swapaxes(cross, 0, 1)
+                   + self.value * o.hess)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, Jet):
+            return self * o ** -1
+        return Jet(self.value / o, self.grad / o, self.hess / o)
+
+    def __rtruediv__(self, o):
+        return self ** -1 * o
+
+    def __pow__(self, p):
+        """self**p for a constant p.  A zero coefficient p or p(p-1) gives an
+        exactly zero derivative, so x**1 and x**2 are exact at x = 0."""
+        v = self.value
+        d1 = p * v ** (p - 1) if p != 0 else np.zeros_like(v)
+        d2 = p * (p - 1) * v ** (p - 2) if p * (p - 1) != 0 else np.zeros_like(v)
+        return self.apply(v ** p, d1, d2)
+
+
+def log(x):
+    if not isinstance(x, Jet):
+        return np.log(x)
+    r = 1.0 / x.value
+    return x.apply(np.log(x.value), r, -r * r)
+
+
+def log1p(x):
+    if not isinstance(x, Jet):
+        return np.log1p(x)
+    r = 1.0 / (1.0 + x.value)
+    return x.apply(np.log1p(x.value), r, -r * r)
+
+
+def clip(x, lo: float, hi: float):
+    """x clipped to [lo, hi]; use np.inf for a missing bound."""
+    if not isinstance(x, Jet):
+        return np.clip(x, lo, hi)
+    inside = (x.value >= lo) & (x.value < hi)
+    return Jet(np.clip(x.value, lo, hi), x.grad * inside, x.hess * inside)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import RadialProfile, f_smoothing, f_resolved, identity_profile
+from .profiles import f_smoothing, f_resolved
 
 
 class OutOfDomainError(ValueError):
@@ -40,6 +40,8 @@ class LocalModel:
         reals = (self.a, self.delta0, self.delta2, self.eps_p, self.eps0, self.kappa, *self.nu)
         if len(self.nu) != 2 or not np.all(np.isfinite(reals)):
             raise ValueError("model parameters must be finite reals, nu a pair")
+        if isinstance(self.m, bool) or not isinstance(self.m, int):
+            raise ValueError("m must be an integer")
         if self.m < 1 or self.a < 0:
             raise ValueError("need m >= 1 and a >= 0")
         if not self.delta2 > 0:
@@ -90,8 +92,7 @@ def eval_omega0(model: LocalModel, points):
     return _assemble(1.0 + 0.5 * x * model.kappa, np.ones(p.shape[:-1]), p, n1, n2)
 
 
-def eval_omega_a(model: LocalModel, points, resolved: bool = False,
-                 profile: RadialProfile | None = None):
+def eval_omega_a(model: LocalModel, points, resolved: bool = False):
     """The smoothed form built from f(x) = (x^m + a^2)^(1/m) at x = r^2:
 
         base area + (1/2) x f'(x) * kappa dx1^dy1 + (x f''(x) + f'(x)) r dr^eta.
@@ -101,16 +102,14 @@ def eval_omega_a(model: LocalModel, points, resolved: bool = False,
     """
     p, x = _split(points)
     _check_domain(model, x)
-    if profile is None:
-        if model.a == 0.0:
-            if model.m > 1 and np.any(x == 0.0):
-                raise SingularEvaluationError("r = 0 with a = 0 and m > 1")
-            profile = identity_profile() if model.m == 1 else f_smoothing(model.m, 0.0)
-        else:
-            profile = f_resolved(model.m, model.a) if resolved else f_smoothing(model.m, model.a)
+    if model.a == 0.0 and model.m > 1 and np.any(x == 0.0):
+        raise SingularEvaluationError("r = 0 with a = 0 and m > 1")
+    # with a = 0 the resolved side also uses f(x) = (x^m)^(1/m) = x
+    profile = f_resolved if resolved and model.a != 0.0 else f_smoothing
     scale = float(model.m) if resolved else 1.0
     n1, n2 = _nu_at(model, p, scale=scale)
-    d1 = profile.d1(x)
-    vert = x * profile.d2(x) + d1
+    f = profile(model.m, model.a).jet(x)
+    d1 = f.grad[0]
+    vert = x * f.hess[0, 0] + d1
     base = 1.0 + 0.5 * x * d1 * (scale * model.kappa)
     return _assemble(base, vert, p, n1, n2)

@@ -71,12 +71,19 @@ def test_orbifold_resolve_unknown_example(capsys):
     assert code == 2
 
 
-def test_verify_tameness_flat_passes(capsys):
-    code, out, _ = run(capsys, "verify", "tameness", "--model", "flat",
-                       "--m", "2", "--a", "0.1", "--grid", "6", "--json")
+@pytest.mark.parametrize("argv,min_quotient", [
+    (("--m", "2", "--a", "0.1", "--grid", "6"), None),
+    # m = 1 is the flat form itself; odd grids meet r = 0
+    (("--m", "1", "--a", "0.1", "--grid", "21"), 1.0),
+    (("--m", "1", "--a", "0", "--grid", "21"), 1.0),
+], ids=["m2-grid6", "m1-a0.1-grid21", "m1-a0-grid21"])
+def test_verify_tameness_flat_passes(capsys, argv, min_quotient):
+    code, out, _ = run(capsys, "verify", "tameness", "--model", "flat", *argv, "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["results"]["certificate"]["tame"] is True
+    if min_quotient is not None:
+        assert payload["results"]["certificate"]["min_quotient"] == min_quotient
 
 
 def test_verify_tameness_degenerate_fails_with_exit_4(capsys):
@@ -205,6 +212,8 @@ def test_invalid_input_exits_2_with_error_line(capsys, argv):
     (("verify", "tameness", "--model"), "[1, 2]"),
     (("verify", "tameness", "--model"), '{"kappa": NaN}'),
     (("verify", "tameness", "--model"), '{"nu": [1]}'),
+    (("verify", "tameness", "--model"), '{"m": 2.5}'),
+    (("verify", "tameness", "--model"), '{"m": true}'),
 ])
 def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content):
     path = tmp_path / "input.json"

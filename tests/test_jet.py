@@ -1,0 +1,91 @@
+"""Second-order jets: every operation's gradient and Hessian against central
+differences of the same definition evaluated on plain arrays."""
+
+import numpy as np
+import pytest
+
+from orbifold4.sympverify.jet import Jet, clip, log, log1p
+from orbifold4.sympverify.profiles import f_smoothing, h_ramp
+
+# functions written once, evaluated on arrays or jets; arguments stay in (0.2, 1.4)
+ONE = {
+    "add": lambda x: x + 0.3 + x,
+    "sub": lambda x: 2.0 - x - (x - 0.5),
+    "mul": lambda x: 3.0 * x * x * 0.5,
+    "div": lambda x: x / 0.7 + 2.0 / x + x / (x + 1.0),
+    "neg": lambda x: -x,
+    "pow": lambda x: x ** 3 + x ** 0.5 + x ** -1.5 + x ** 0 * 2.0,
+    "log": lambda x: log(x),
+    "log1p": lambda x: log1p(x * x),
+    "clip_inside": lambda x: clip(x, 0.0, 2.0) ** 2,
+    "clip_below": lambda x: clip(x - 2.0, 0.0, 1.0) + x,
+    "clip_above": lambda x: clip(x, -1.0, 0.1) * x,
+    "profile": lambda x: h_ramp(0.3, 0.9)(x) + f_smoothing(3, 0.2)(x),
+}
+TWO = {
+    "add": lambda x, y: x + y + 1.0,
+    "sub": lambda x, y: x - y - (y - 2.0 * x),
+    "mul": lambda x, y: x * y * x,
+    "div": lambda x, y: x / y + y / (x * x),
+    "pow": lambda x, y: (x * y) ** 1.5 + (x + y) ** 2,
+    "log": lambda x, y: log(x * y + y),
+    "log1p": lambda x, y: log1p(x / y) * y,
+    "clip": lambda x, y: clip(x * y, 0.1, 0.5) + clip(x + y, 5.0, 6.0) * x,
+    "profile": lambda x, y: f_smoothing(2, 0.1)(x * y) + h_ramp(0.2, 0.8)(x + y),
+}
+
+
+def _fd(fn, pts, h):
+    """Central-difference gradient and Hessian of fn at pts (shape (n, N))."""
+    n = len(pts)
+    e = np.eye(n)[:, :, None] * h
+    grad = np.array([(fn(*(pts + e[i])) - fn(*(pts - e[i]))) / (2 * h) for i in range(n)])
+    hess = np.array([[(fn(*(pts + e[i] + e[j])) - fn(*(pts + e[i] - e[j]))
+                       - fn(*(pts - e[i] + e[j])) + fn(*(pts - e[i] - e[j]))) / (4 * h * h)
+                      for j in range(n)] for i in range(n)])
+    return grad, hess
+
+
+def _check(fn, pts):
+    n = len(pts)
+    jet = fn(*[Jet.variable(pts[i], i, n) for i in range(n)])
+    assert np.allclose(jet.value, fn(*pts), rtol=1e-14, atol=0)
+    grad, _ = _fd(fn, pts, 1e-6)
+    _, hess = _fd(fn, pts, 1e-4)
+    assert np.allclose(jet.grad, grad, rtol=1e-6, atol=1e-7)
+    assert np.allclose(jet.hess, hess, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("name", sorted(ONE))
+def test_one_variable_jet_matches_central_differences(name):
+    _check(ONE[name], np.linspace(0.2, 1.4, 13)[None])
+
+
+@pytest.mark.parametrize("name", sorted(TWO))
+def test_two_variable_jet_matches_central_differences(name):
+    rng = np.random.default_rng(3)
+    _check(TWO[name], rng.uniform(0.2, 1.4, (2, 40)))
+
+
+def test_clip_passes_derivatives_only_inside_its_bounds():
+    x = Jet.variable(np.array([-1.0, 0.5, 2.0]))
+    out = clip(x * x, 0.0, 1.0)
+    assert np.array_equal(out.value, [1.0, 0.25, 1.0])
+    assert np.array_equal(out.grad[0], [0.0, 1.0, 0.0])
+    assert np.array_equal(out.hess[0, 0], [0.0, 2.0, 0.0])
+
+
+def test_integer_powers_are_exact_at_zero():
+    # p(p-1) x^(p-2) alone is 0 * inf = NaN at x = 0 for p = 1
+    x = Jet.variable(np.array([0.0, 1.5]))
+    one, two = x ** 1, x ** 2
+    assert np.array_equal(one.grad[0], [1.0, 1.0]) and np.array_equal(one.hess[0, 0], [0.0, 0.0])
+    assert np.array_equal(two.grad[0], [0.0, 3.0]) and np.array_equal(two.hess[0, 0], [2.0, 2.0])
+    m1 = f_smoothing(1, 0.1).jet(np.array([0.0]))
+    assert m1.grad[0][0] == 1.0 and m1.hess[0, 0][0] == 0.0
+
+
+def test_numpy_operands_defer_to_the_jet():
+    x = Jet.variable(np.array([0.5, 1.0]))
+    for out in (np.float64(2.0) * x, np.array([2.0, 2.0]) * x):
+        assert isinstance(out, Jet) and np.array_equal(out.grad[0], [2.0, 2.0])

@@ -134,9 +134,7 @@ def test_semipositive_compose():
                                                _sample_points(60, seed=17))
     assert psd and min_eig >= -1e-8
     # a profile violating convexity is rejected
-    bad = RadialProfile("bad", {}, lambda x: -np.asarray(x, float),
-                        lambda x: -np.ones_like(np.asarray(x, float)),
-                        lambda x: np.zeros_like(np.asarray(x, float)))
+    bad = RadialProfile("bad", {}, lambda x: -x)
     with pytest.raises(PreconditionFailure):
         semipositive_compose(_flat_potential, bad, _sample_points(10))
 

@@ -1,15 +1,20 @@
-"""Source-tree rules: correctness gates that `python -O` cannot strip, and
-an exact half that starts without numpy."""
+"""Source-tree rules: correctness gates that `python -O` cannot strip, an
+exact half that starts without numpy, and a benchmark tracer that still
+wraps the program."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import orbifold4
 
 SRC = pathlib.Path(orbifold4.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _assertion_gates(path):
@@ -37,3 +42,23 @@ def test_exact_commands_start_without_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "tameness", "--model", "flat", "--grid", "4"),
+    ("verify", "gluing", "--problem", str(ROOT / "docs" / "examples" / "problem.json"),
+     "--grid", "8"),
+    ("verify", "blowup", "--grid", "4"),
+])
+def test_tracer_runs_verify_commands(tmp_path, argv):
+    # the tracer wraps every layer and rebinds RadialProfile.value/d1/d2 per
+    # instance; a profile whose derivatives it cannot rebind stops it
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace),
+                           *argv, "--json"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(trace.read_text())["calls"]
+    assert any(name.startswith("sympverify.jet.") for name in calls)
+    if "blowup" not in argv:  # the chart potential uses no radial profile
+        assert any(name.startswith("sympverify.profiles.") for name in calls)
