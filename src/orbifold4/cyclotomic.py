@@ -1,9 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are represented by rational coefficient vectors in the power basis
-1, zeta, ..., zeta^(d-1) with d = deg Phi_N, reduced modulo the N-th
-cyclotomic polynomial.  All ring operations are exact; floats appear only in
-the complex embedding `to_complex`.
+An element is a conductor N, an integer numerator vector `num` in the power
+basis 1, zeta, ..., zeta^(d-1) with d = deg Phi_N, and one positive integer
+denominator `den` with gcd(den, *num) = 1.  Phi_N is monic with integer
+coefficients, so reducing modulo it needs no division, and every element has
+exactly one (num, den) in its field.  The Galois automorphisms
+zeta -> zeta^k, gcd(k, N) = 1, permute the powers of zeta: complex
+conjugation is k = -1, and the inverse is the product of the other conjugates
+over the rational norm.  Floats appear only in the complex embedding
+`to_complex`.
 """
 
 from __future__ import annotations
@@ -19,66 +24,39 @@ class SelfCheckFailed(RuntimeError):
     never a property of the input."""
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    dlead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / dlead
-        q[i] = c
+def _divmod_monic(poly, monic) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (ascending degree) by a
+    monic divisor; the remainder has exactly deg(monic) coefficients."""
+    rem = list(poly)
+    d = len(monic) - 1
+    q = [0] * max(1, len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
         if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    rem = num[: len(den) - 1]
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return q, rem
+            q[i - d] = c
+            for j in range(d):
+                if monic[j]:
+                    rem[i - d + j] -= c * monic[j]
+    return q, rem[:d] + [0] * (d - len(rem))
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending degree."""
-    if n == 1:
-        return (Fraction(-1), Fraction(1))
     # x^n - 1 divided by the product of Phi_d over proper divisors d of n
-    num = [Fraction(0)] * (n + 1)
-    num[0] = Fraction(-1)
-    num[n] = Fraction(1)
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
+            num, rem = _divmod_monic(num, cyclotomic_polynomial(d))
             if any(rem):
                 raise SelfCheckFailed(f"Phi_{d} does not divide x^{n} - 1")
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
-def _phi_degree(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    phi = list(cyclotomic_polynomial(n))
-    d = len(phi) - 1
-    if len(coeffs) <= d:
-        return tuple(coeffs) + (Fraction(0),) * (d - len(coeffs))
-    _, rem = _poly_divmod(list(coeffs), phi)
-    return tuple(rem) + (Fraction(0),) * (d - len(rem))
-
-
-@lru_cache(maxsize=None)
-def _power_reduced(n: int, k: int) -> tuple[Fraction, ...]:
-    """zeta_n^k reduced mod Phi_n, as a coefficient tuple."""
-    k %= n
-    coeffs = [Fraction(0)] * (k + 1)
-    coeffs[k] = Fraction(1)
-    return _reduce_mod_phi(coeffs, n)
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+def _solve_exact(rows: list, rhs: list) -> list[Fraction] | None:
     """Solve an exact linear system; None if inconsistent."""
     m, ncols = len(rows), len(rows[0]) if rows else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -106,27 +84,40 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 
 
 class CyclotomicScalar:
-    """An element of Q(zeta_N), reduced modulo Phi_N."""
+    """An element num/den of Q(zeta_N), num reduced modulo Phi_N."""
 
-    __slots__ = ("conductor", "coeffs", "_min")
+    __slots__ = ("conductor", "num", "den", "_min")
 
-    def __init__(self, conductor: int, coeffs) -> None:
+    def __init__(self, conductor: int, num, den: int = 1) -> None:
         if conductor < 1:
             raise ValueError("conductor must be positive")
+        phi = cyclotomic_polynomial(conductor)
+        if len(num) != len(phi) - 1:
+            _, num = _divmod_monic(num, phi)
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
         self.conductor = conductor
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        self.coeffs = _reduce_mod_phi(cs, conductor)
+        self.num = tuple(num) if g == 1 else tuple(c // g for c in num)
+        self.den = den // g
         self._min = None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _from_fractions(conductor: int, coeffs: list[Fraction]) -> "CyclotomicScalar":
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return CyclotomicScalar(conductor, [c.numerator * (den // c.denominator) for c in coeffs],
+                                den)
+
+    @staticmethod
     def from_rational(q, conductor: int = 1) -> "CyclotomicScalar":
-        return CyclotomicScalar(conductor, [Fraction(q)])
+        q = Fraction(q)
+        return CyclotomicScalar(conductor, [q.numerator], q.denominator)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "CyclotomicScalar":
-        return CyclotomicScalar(n, _power_reduced(n, k))
+        return CyclotomicScalar(n, [0] * (k % n) + [1])
 
     @staticmethod
     def zero(conductor: int = 1) -> "CyclotomicScalar":
@@ -134,7 +125,7 @@ class CyclotomicScalar:
 
     @staticmethod
     def one(conductor: int = 1) -> "CyclotomicScalar":
-        return CyclotomicScalar(conductor, [Fraction(1)])
+        return CyclotomicScalar(conductor, [1])
 
     # -- conductor handling -------------------------------------------
 
@@ -146,29 +137,27 @@ class CyclotomicScalar:
         if m % n != 0:
             raise ValueError(f"{m} is not a multiple of conductor {n}")
         step = m // n
-        out = [Fraction(0)] * m
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[(k * step) % m] += c
-        return CyclotomicScalar(m, out)
+        out = [0] * ((len(self.num) - 1) * step + 1)
+        out[::step] = self.num
+        return CyclotomicScalar(m, out, self.den)
 
-    def _minimal(self) -> tuple[int, tuple[Fraction, ...]]:
-        """Canonical form over the smallest cyclotomic subfield containing self."""
+    def _minimal(self) -> tuple[int, tuple[int, ...], int]:
+        """(d, num, den) of self over the smallest cyclotomic subfield
+        Q(zeta_d) containing it."""
         if self._min is not None:
             return self._min
         n = self.conductor
-        target = list(self.coeffs)
-        for d in sorted(k for k in range(1, n + 1) if n % k == 0):
+        target = [Fraction(c, self.den) for c in self.num]
+        for d in range(1, n + 1):
+            if n % d:
+                continue
             # basis of Q(zeta_d) lifted into Q(zeta_n)
-            step = n // d
-            deg = _phi_degree(d)
-            cols = []
-            for k in range(deg):
-                cols.append(list(_power_reduced(n, k * step)))
-            rows = [[cols[j][i] for j in range(deg)] for i in range(len(target))]
-            sol = _solve_exact(rows, target)
+            cols = [CyclotomicScalar.zeta(n, k * (n // d)).num
+                    for k in range(len(cyclotomic_polynomial(d)) - 1)]
+            sol = _solve_exact(list(zip(*cols)), target)
             if sol is not None:
-                self._min = (d, _reduce_mod_phi(sol, d))
+                m = CyclotomicScalar._from_fractions(d, sol)
+                self._min = (d, m.num, m.den)
                 return self._min
         raise SelfCheckFailed("element lies in no subfield of its own field")
 
@@ -176,77 +165,70 @@ class CyclotomicScalar:
 
     def _pair(self, other):
         if not isinstance(other, CyclotomicScalar):
-            other = CyclotomicScalar.from_rational(other)
-        n = self.conductor
-        m = other.conductor
+            return self, CyclotomicScalar.from_rational(other, self.conductor)
+        n, m = self.conductor, other.conductor
         if n == m:
             return self, other
-        l = n * m // math.gcd(n, m)
-        return self.to_conductor(l), other.to_conductor(l)
+        lcm = math.lcm(n, m)
+        return self.to_conductor(lcm), other.to_conductor(lcm)
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return CyclotomicScalar(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return CyclotomicScalar(a.conductor, [x * b.den + y * a.den for x, y in zip(a.num, b.num)],
+                                a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicScalar(self.conductor, [-x for x in self.coeffs])
+        return CyclotomicScalar(self.conductor, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return CyclotomicScalar(a.conductor, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return CyclotomicScalar(a.conductor, [x * b.den - y * a.den for x, y in zip(a.num, b.num)],
+                                a.den * b.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         a, b = self._pair(other)
-        ac, bc = a.coeffs, b.coeffs
-        prod = [Fraction(0)] * (len(ac) + len(bc) - 1)
-        for i, x in enumerate(ac):
+        prod = [0] * (len(a.num) + len(b.num) - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(bc):
-                    if y:
-                        prod[i + j] += x * y
-        return CyclotomicScalar(a.conductor, prod)
+                for j, y in enumerate(b.num):
+                    prod[i + j] += x * y
+        return CyclotomicScalar(a.conductor, prod, a.den * b.den)
 
     __rmul__ = __mul__
 
+    def galois(self, k: int) -> "CyclotomicScalar":
+        """The automorphism zeta -> zeta^k of Q(zeta_N), for k prime to N."""
+        n = self.conductor
+        if math.gcd(k, n) != 1:
+            raise ValueError(f"{k} is not prime to the conductor {n}")
+        out = [0] * n
+        for j, c in enumerate(self.num):
+            out[j * k % n] = c
+        return CyclotomicScalar(n, out, self.den)
+
+    def conjugate(self) -> "CyclotomicScalar":
+        """Complex conjugation: zeta -> zeta^(-1)."""
+        return self.galois(-1)
+
     def inverse(self) -> "CyclotomicScalar":
+        """1/x = rest / N(x), where rest is the product of the conjugates
+        sigma_k(x), k != 1, and the norm N(x) = x * rest is rational."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
-        # extended Euclid of self (as a polynomial) and Phi_n over Q
         n = self.conductor
-        a = list(cyclotomic_polynomial(n))
-        b = [c for c in self.coeffs]
-        while len(b) > 1 and b[-1] == 0:
-            b.pop()
-        # invariants: s*self + t*phi = r  (t not tracked)
-        r0, r1 = a, b
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            if len(r1) == 1 and r1[0] != 0:
-                inv = [c / r1[0] for c in s1]
-                return CyclotomicScalar(n, inv)
-            q, r = _poly_divmod(r0, r1)
-            # s = s0 - q*s1
-            qs = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        if y:
-                            qs[i + j] += x * y
-            s = [Fraction(0)] * max(len(s0), len(qs))
-            for i, x in enumerate(s0):
-                s[i] += x
-            for i, x in enumerate(qs):
-                s[i] -= x
-            while len(s) > 1 and s[-1] == 0:
-                s.pop()
-            r0, r1, s0, s1 = r1, r, s1, s
-            if len(r1) == 1 and r1[0] == 0:
-                raise ZeroDivisionError("element not invertible")
+        rest = CyclotomicScalar.one(n)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                rest = rest * self.galois(k)
+        norm = self * rest
+        if not norm.is_rational():
+            raise SelfCheckFailed("the norm of a cyclotomic element is not rational")
+        return CyclotomicScalar(n, [c * norm.den for c in rest.num], rest.den * norm.num[0])
 
     def __truediv__(self, other):
         if not isinstance(other, CyclotomicScalar):
@@ -265,62 +247,54 @@ class CyclotomicScalar:
             k >>= 1
         return out
 
-    def conjugate(self) -> "CyclotomicScalar":
-        """Complex conjugation: zeta -> zeta^(-1)."""
-        n = self.conductor
-        out = [Fraction(0)] * n
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[(-k) % n] += c
-        return CyclotomicScalar(n, out)
-
     # -- predicates & conversions ---------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def to_complex(self) -> complex:
         n = self.conductor
         z = 0j
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.num):
             if c:
-                z += float(c) * cmath.exp(2j * cmath.pi * k / n)
+                z += (c / self.den) * cmath.exp(2j * cmath.pi * k / n)
         return z
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicScalar.from_rational(other)
+            other = CyclotomicScalar.from_rational(other, self.conductor)
         if not isinstance(other, CyclotomicScalar):
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self) -> int:
         return hash(self._minimal())
 
     def __repr__(self) -> str:
-        return f"CyclotomicScalar({self.conductor}, {[str(c) for c in self.coeffs]})"
+        return f"CyclotomicScalar({self.conductor}, {list(self.num)}, {self.den})"
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
+        gcds = [math.gcd(c, self.den) for c in self.num]
         return {
             "conductor": self.conductor,
-            "coeffs": [[c.numerator, c.denominator] for c in self.coeffs],
+            "coeffs": [[c // g, self.den // g] for c, g in zip(self.num, gcds)],
         }
 
     @staticmethod
     def from_json(obj: dict) -> "CyclotomicScalar":
         coeffs = [Fraction(num, den) for num, den in obj["coeffs"]]
-        return CyclotomicScalar(obj["conductor"], coeffs)
+        return CyclotomicScalar._from_fractions(obj["conductor"], coeffs)
 
 
 def root_of_unity_log(u: CyclotomicScalar) -> tuple[int, int]:

@@ -184,9 +184,9 @@ class UnitaryGroup(CosetGroup):
             for i in range(2):
                 row = []
                 for j in range(2):
-                    d, coeffs = g.entries[i][j]._minimal()
+                    d, num, den = g.entries[i][j]._minimal()
                     need = need * d // math.gcd(need, d)
-                    row.append(CyclotomicScalar(d, coeffs))
+                    row.append(CyclotomicScalar(d, num, den))
                 entries.append(row)
             if self.conductor % need != 0:
                 return False

@@ -46,7 +46,7 @@ class OrbifoldSpec:
     isolated_points: list[IsolatedPoint] = field(default_factory=list)
     surfaces: list[Surface] = field(default_factory=list)
     corner_points: list[CornerPoint] = field(default_factory=list)
-    # one provenance flag per Betti entry; b3 defaults to a user-default 0
+    # one provenance flag per Betti entry; every entry defaults to "asserted"
     betti_provenance: tuple[str, ...] = ("asserted",) * 5
     name: str = ""
 

@@ -3,8 +3,7 @@ the numerical half of orbifold4, and its only package that imports numpy."""
 
 from .profiles import (RadialProfile, f_smoothing, f_resolved, h_ramp,
                        rho_bump, H_cutoff, identity_profile)
-from .localmodel import (LocalModel, OutOfDomainError, SingularEvaluationError,
-                         eval_omega0, eval_omega_a)
+from .localmodel import LocalModel, OutOfDomainError, eval_omega0, eval_omega_a
 from .forms import (TamenessCertificate, GluingProblem, NotAlmostComplexError,
                     PreconditionFailure, ball_grid, complex_gradient_fd,
                     complex_hessian_fd, ddbar_fd, exterior_derivative_fd,
@@ -19,7 +18,7 @@ from .blowup import (BlowupReport, ChartOverlapError, blowup_model_check,
 __all__ = [
     "RadialProfile", "f_smoothing", "f_resolved", "h_ramp", "rho_bump",
     "H_cutoff", "identity_profile",
-    "LocalModel", "OutOfDomainError", "SingularEvaluationError",
+    "LocalModel", "OutOfDomainError",
     "eval_omega0", "eval_omega_a",
     "TamenessCertificate", "GluingProblem", "NotAlmostComplexError",
     "PreconditionFailure", "ball_grid",

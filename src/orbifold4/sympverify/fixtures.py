@@ -39,6 +39,8 @@ def pipeline_problem(m: int = 2, a: float = 0.1,
                      eps1: float = 0.5, eps2: float = 0.8, eps3: float = 1.0,
                      margin: float = 0.01) -> GluingProblem:
     """Gluing fixture: smoothed-potential form against the flat form."""
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValueError("m must be an integer")
     if m < 1 or not a > 0:
         raise ValueError("need m >= 1 and a > 0")
     t0 = eps1 ** 2 + smoothing_excess_max(m, a, eps1 ** 2) + margin

@@ -13,14 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiles import f_smoothing, f_resolved
+from .profiles import f_smoothing, f_resolved, identity_profile
 
 
 class OutOfDomainError(ValueError):
-    pass
-
-
-class SingularEvaluationError(ValueError):
     pass
 
 
@@ -102,13 +98,14 @@ def eval_omega_a(model: LocalModel, points, resolved: bool = False):
     """
     p, x = _split(points)
     _check_domain(model, x)
-    if model.a == 0.0 and model.m > 1 and np.any(x == 0.0):
-        raise SingularEvaluationError("r = 0 with a = 0 and m > 1")
-    # with a = 0 the resolved side also uses f(x) = (x^m)^(1/m) = x
-    profile = f_resolved if resolved and model.a != 0.0 else f_smoothing
+    # with a = 0 both sides have f(x) = (x^m)^(1/m) = x
+    if model.a == 0.0:
+        profile = identity_profile()
+    else:
+        profile = (f_resolved if resolved else f_smoothing)(model.m, model.a)
     scale = float(model.m) if resolved else 1.0
     n1, n2 = _nu_at(model, p, scale=scale)
-    f = profile(model.m, model.a).jet(x)
+    f = profile.jet(x)
     d1 = f.grad[0]
     vert = x * f.hess[0, 0] + d1
     base = 1.0 + 0.5 * x * d1 * (scale * model.kappa)

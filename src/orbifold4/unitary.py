@@ -71,7 +71,7 @@ class UMat2:
 
     def canonical_key(self, conductor: int | None = None):
         m = self if conductor is None else self.to_conductor(conductor)
-        return tuple(m.entries[i][j].coeffs for i in range(2) for j in range(2))
+        return tuple(c for row in m.entries for e in row for c in (*e.num, e.den))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UMat2):

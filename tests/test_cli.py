@@ -76,7 +76,9 @@ def test_orbifold_resolve_unknown_example(capsys):
     # m = 1 is the flat form itself; odd grids meet r = 0
     (("--m", "1", "--a", "0.1", "--grid", "21"), 1.0),
     (("--m", "1", "--a", "0", "--grid", "21"), 1.0),
-], ids=["m2-grid6", "m1-a0.1-grid21", "m1-a0-grid21"])
+    # a = 0 is the flat form for every m, also where the grid meets r = 0
+    (("--m", "2", "--a", "0", "--grid", "5"), 1.0),
+], ids=["m2-grid6", "m1-a0.1-grid21", "m1-a0-grid21", "m2-a0-grid5"])
 def test_verify_tameness_flat_passes(capsys, argv, min_quotient):
     code, out, _ = run(capsys, "verify", "tameness", "--model", "flat", *argv, "--json")
     assert code == 0
@@ -191,7 +193,6 @@ def test_spec_file_round_trip(capsys, tmp_path):
     ("verify", "gluing", "--m", "0"),
     ("verify", "gluing", "--a", "0"),
     ("verify", "gluing", "--eps1", "0.25", "--eps3", "2", "--grid", "2"),
-    ("verify", "tameness", "--model", "flat", "--a", "0", "--grid", "5"),
     ("verify", "tameness", "--model", "flat", "--a", "nan"),
     ("verify", "tameness", "--model", "degenerate-fixture", "--seed", "-1"),
     ("verify", "blowup", "--lam", "inf"),
@@ -214,6 +215,8 @@ def test_invalid_input_exits_2_with_error_line(capsys, argv):
     (("verify", "tameness", "--model"), '{"nu": [1]}'),
     (("verify", "tameness", "--model"), '{"m": 2.5}'),
     (("verify", "tameness", "--model"), '{"m": true}'),
+    (("verify", "gluing", "--problem"), '{"m": 2.5, "a": 0.1}'),
+    (("verify", "gluing", "--problem"), '{"m": true, "a": 0.1}'),
 ])
 def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content):
     path = tmp_path / "input.json"

@@ -1,6 +1,8 @@
 """Exact cyclotomic arithmetic, checked against independent identities."""
 
 import cmath
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ def test_cyclotomic_polynomial_known_values():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12])
 def test_degree_is_euler_totient(n):
-    phi = sum(1 for k in range(1, n + 1) if __import__("math").gcd(k, n) == 1)
+    phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
     assert len(cyclotomic_polynomial(n)) - 1 == phi
 
 
@@ -102,3 +104,125 @@ def test_root_of_unity_log_odd_conductor_doubles_torsion():
 def test_root_of_unity_log_rejects_non_roots():
     with pytest.raises(ValueError):
         root_of_unity_log(CyclotomicScalar.from_rational(Fraction(1, 2)))
+
+
+# -- the integer representation, on seeded random elements --------------------
+
+CONDUCTORS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24]
+
+
+def _random_element(rng, n, terms=3):
+    """A sum of rational multiples of powers of zeta_n, with a denominator."""
+    x = CyclotomicScalar.from_rational(Fraction(rng.randint(-3, 3), rng.randint(2, 6)), n)
+    for _ in range(terms):
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 6))
+        x = x + CyclotomicScalar.zeta(n, rng.randrange(n)) * c
+    return x
+
+
+def _elements(n, count=4, nonzero=False):
+    rng = random.Random(f"cyclotomic:{n}")
+    out = []
+    while len(out) < count:
+        x = _random_element(rng, n)
+        if not (nonzero and x.is_zero()):
+            out.append(x)
+    return out
+
+
+def _units(n):
+    return [k for k in range(1, max(n, 2)) if math.gcd(k, n) == 1]
+
+
+def _close(got, ref):
+    return cmath.isclose(got, ref, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_representation_is_reduced(n):
+    for x in _elements(n):
+        assert len(x.num) == len(cyclotomic_polynomial(n)) - 1
+        assert all(isinstance(c, int) for c in x.num) and isinstance(x.den, int)
+        assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert any(x.den > 1 for x in _elements(n))
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_galois_is_a_ring_homomorphism(n):
+    a, b, c, _ = _elements(n)
+    for k in _units(n):
+        assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+        assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+        assert (a - c).galois(k) == a.galois(k) - c.galois(k)
+        assert CyclotomicScalar.one(n).galois(k) == 1
+    assert a.galois(-1) == a.conjugate()
+    assert _close(a.conjugate().to_complex(), a.to_complex().conjugate())
+    if n > 1:
+        with pytest.raises(ValueError):
+            a.galois(n)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_inverse_is_exact(n):
+    for x in _elements(n, nonzero=True):
+        prod = x * x.inverse()
+        assert prod == 1
+        assert (prod.num, prod.den) == ((1,) + (0,) * (len(x.num) - 1), 1)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_one_representation_per_element(n):
+    a, b, c, d = _elements(n)
+    if b.is_zero():
+        b = b + 1
+    # the same element by two routes has the same (num, den)
+    for x, y in [((a * b) / b, a), ((a + c) - c, a), (a * (c + d), a * c + a * d)]:
+        assert (x.conductor, x.num, x.den) == (y.conductor, y.num, y.den)
+    # a lift equals the element rebuilt from powers of zeta_{2n} in the larger field
+    m = 2 * n
+    lifted = a.to_conductor(m)
+    rebuilt = CyclotomicScalar.zero(m)
+    for k, coeff in enumerate(a.num):
+        rebuilt = rebuilt + CyclotomicScalar.zeta(m, 2 * k) * Fraction(coeff, a.den)
+    assert (lifted.num, lifted.den) == (rebuilt.num, rebuilt.den)
+
+
+@pytest.mark.parametrize("n", [k for k in CONDUCTORS if k > 2])
+def test_subfield_elements_agree_across_conductors(n):
+    for d in (d for d in range(1, n) if n % d == 0):
+        for x in _elements(d, count=2):
+            y = x.to_conductor(n)
+            z = CyclotomicScalar.zero(n)
+            for k, coeff in enumerate(x.num):
+                z = z + CyclotomicScalar.zeta(n, k * (n // d)) * Fraction(coeff, x.den)
+            assert x == y == z and y == x and z == x
+            assert hash(x) == hash(y) == hash(z)
+            assert x._minimal() == y._minimal()
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_json_round_trip_is_exact(n):
+    for x in _elements(n):
+        obj = x.to_json()
+        assert all(q > 0 and math.gcd(p, q) == 1 for p, q in obj["coeffs"])
+        back = CyclotomicScalar.from_json(obj)
+        assert (back.conductor, back.num, back.den) == (x.conductor, x.num, x.den)
+
+
+@pytest.mark.parametrize("n,m", [(n, CONDUCTORS[(i + 5) % len(CONDUCTORS)])
+                                 for i, n in enumerate(CONDUCTORS)])
+def test_every_operation_matches_complex_embedding(n, m):
+    a, _, c, _ = _elements(n, nonzero=True)
+    b, d = _elements(m, count=2, nonzero=True)
+    za, zb, zc = a.to_complex(), b.to_complex(), c.to_complex()
+    k = _units(n)[-1]
+    cases = [
+        (a + b, za + zb), (a - b, za - zb), (a * b, za * zb), (a / b, za / zb),
+        (-a, -za), (a ** 3, za ** 3), (b ** -2, zb ** -2), (a.inverse(), 1 / za),
+        (a.conjugate(), za.conjugate()), (a * Fraction(2, 7) + 3, za * 2 / 7 + 3),
+        (a.galois(k), sum(coeff / a.den * cmath.exp(2j * cmath.pi * j * k / n)
+                          for j, coeff in enumerate(a.num))),
+        (a * c + d, za * zc + d.to_complex()),
+    ]
+    for got, ref in cases:
+        assert _close(got.to_complex(), ref)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orbifold4.sympverify import (LocalModel, OutOfDomainError,
-                                  SingularEvaluationError, eval_omega0,
+                                  eval_omega0,
                                   eval_omega_a, exterior_derivative_fd,
                                   pushforward_check, sample_points,
                                   standard_acs, tameness_min)
@@ -59,9 +59,9 @@ def test_domain_and_singularity_guards():
     far = np.array([[0.0, 0.0, 2.0, 0.0]])
     with pytest.raises(OutOfDomainError):
         eval_omega_a(model, far)
+    # with a = 0 the profile is x itself, so the fiber origin is no singularity
     origin = np.array([[0.1, 0.0, 0.0, 0.0]])
-    with pytest.raises(SingularEvaluationError):
-        eval_omega_a(model, origin)
+    assert np.array_equal(eval_omega_a(model, origin), eval_omega0(model, origin))
 
 
 def test_resolved_profile_is_positive_at_fiber_origin():

@@ -44,6 +44,16 @@ def test_exact_commands_start_without_numpy():
     assert out.strip() == "False"
 
 
+def _traced_calls(tmp_path, argv) -> dict:
+    """Run one CLI command under perfbench/tracer.py; the calls per span name."""
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace),
+                           *argv, "--json"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(trace.read_text())["calls"]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "tameness", "--model", "flat", "--grid", "4"),
     ("verify", "gluing", "--problem", str(ROOT / "docs" / "examples" / "problem.json"),
@@ -53,12 +63,14 @@ def test_exact_commands_start_without_numpy():
 def test_tracer_runs_verify_commands(tmp_path, argv):
     # the tracer wraps every layer and rebinds RadialProfile.value/d1/d2 per
     # instance; a profile whose derivatives it cannot rebind stops it
-    trace = tmp_path / "trace.json"
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace),
-                           *argv, "--json"], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    calls = json.loads(trace.read_text())["calls"]
+    calls = _traced_calls(tmp_path, argv)
     assert any(name.startswith("sympverify.jet.") for name in calls)
     if "blowup" not in argv:  # the chart potential uses no radial profile
         assert any(name.startswith("sympverify.profiles.") for name in calls)
+
+
+def test_tracer_counts_scalars_on_exact_commands(tmp_path):
+    # the benchmark's cyclotomic.scalars_built counts CyclotomicScalar.__init__
+    # calls, so every scalar must be built through __init__
+    calls = _traced_calls(tmp_path, ("group", "invariants", "--builtin", "klein_four"))
+    assert calls.get("cyclotomic.CyclotomicScalar.__init__", 0) > 0
