@@ -227,7 +227,7 @@ def _check_grid(args) -> None:
 def cmd_verify_tameness(args) -> dict:
     import numpy as np
     from .sympverify import (LocalModel, eval_omega_a, standard_acs, tameness_min)
-    from .sympverify.forms import TAMENESS_TOL
+    from .sympverify.forms import TAMENESS_TOL, cube_grid
 
     _check_grid(args)
     if args.model == "degenerate-fixture":
@@ -250,7 +250,7 @@ def cmd_verify_tameness(args) -> dict:
         except (OSError, TypeError, ValueError) as exc:
             raise CliError(f"invalid model: {exc}", EXIT_INVALID)
         ax = np.linspace(-model.delta2, model.delta2, args.grid)
-        pts = np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 4)
+        pts = cube_grid(ax, ax, ax, ax)
         cert = tameness_min(
             lambda q: eval_omega_a(model, q, resolved=args.resolved),
             standard_acs, pts,

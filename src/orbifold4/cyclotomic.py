@@ -293,6 +293,8 @@ class CyclotomicScalar:
 
     @staticmethod
     def from_json(obj: dict) -> "CyclotomicScalar":
+        if any(den == 0 for _, den in obj["coeffs"]):
+            raise ValueError("a coefficient [num, den] needs den != 0")
         coeffs = [Fraction(num, den) for num, den in obj["coeffs"]]
         return CyclotomicScalar._from_fractions(obj["conductor"], coeffs)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import (TamenessCertificate, exterior_derivative_fd,
+from .forms import (TamenessCertificate, cube_grid, exterior_derivative_fd,
                     invariant_potential_form, standard_acs, tameness_min)
 from .jet import log1p
 
@@ -64,7 +64,7 @@ def _put_block(jac, i, j, dc):
 def chart_grid(n: int, u_max: float = 1.2, v_min: float = 0.05, v_max: float = 0.8):
     ax_u = np.linspace(-u_max, u_max, n)
     ax_v = np.linspace(-v_max, v_max, n)
-    pts = np.stack(np.meshgrid(ax_u, ax_u, ax_v, ax_v, indexing="ij"), axis=-1).reshape(-1, 4)
+    pts = cube_grid(ax_u, ax_u, ax_v, ax_v)
     t = pts[:, 2] ** 2 + pts[:, 3] ** 2
     return pts[t >= v_min ** 2]
 
@@ -75,7 +75,7 @@ def closedness_residual(omega) -> float:
     plus 8 points on |v| = 0.05, where derivatives peak, above each grid u."""
     ax_u = np.linspace(-1.2, 1.2, 5)
     theta = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    u = np.stack(np.meshgrid(ax_u, ax_u, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+    u = cube_grid(ax_u, ax_u).reshape(-1, 1, 2)
     v = 0.05 * np.stack([np.cos(theta), np.sin(theta)], axis=-1)[None]
     ring = np.concatenate(np.broadcast_arrays(u, v), axis=-1).reshape(-1, 4)
     return exterior_derivative_fd(omega, np.concatenate([chart_grid(5), ring]), h=1e-5)

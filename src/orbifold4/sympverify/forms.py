@@ -21,6 +21,10 @@ from .profiles import RadialProfile
 # a form is tame when its smallest taming quotient exceeds this
 TAMENESS_TOL = 1e-9
 
+# points per block of a grid evaluation: the per-sample 4x4 arrays of one
+# block are alive at a time, whatever the size of the grid
+CHUNK = 2 ** 14
+
 
 class NotAlmostComplexError(ValueError):
     pass
@@ -123,22 +127,38 @@ class TamenessCertificate:
         }
 
 
+def blockwise(fn, points):
+    """fn over consecutive CHUNK-point slices of an (N, 4) points array, its
+    per-sample values joined into one array of length N."""
+    return np.concatenate([np.empty(0)] + [fn(points[i:i + CHUNK])
+                                           for i in range(0, len(points), CHUNK)])
+
+
 def taming_quotients(forms, acs):
     """Smallest eigenvalue of (1/2)(Omega J + (Omega J)^T) per sample."""
-    oj = np.einsum("...ij,...jk->...ik", np.asarray(forms, float), np.asarray(acs, float))
+    oj = np.asarray(forms, float) @ np.asarray(acs, float)
     sym = 0.5 * (oj + np.swapaxes(oj, -1, -2))
     return np.linalg.eigvalsh(sym)[..., 0]
 
 
+def _quotients_of(form_eval):
+    """The taming quotients of form_eval against the standard structure."""
+    return lambda q: taming_quotients(form_eval(q), standard_acs(q))
+
+
 def tameness_min(form_eval, acs_eval, points, region: str = "", grid: str = "",
                  tol: float = TAMENESS_TOL) -> TamenessCertificate:
-    """Certify min over samples of the taming quotient omega(u, Ju)/|u|^2."""
+    """Certify min over samples of the taming quotient omega(u, Ju)/|u|^2,
+    checking J^2 = -I at every sample; evaluated CHUNK samples at a time."""
     p = np.asarray(points, dtype=float).reshape(-1, 4)
-    acs = np.asarray(acs_eval(p), dtype=float)
-    j2 = np.einsum("...ij,...jk->...ik", acs, acs)
-    if float(np.max(np.abs(j2 + np.eye(4)))) > 1e-8:
-        raise NotAlmostComplexError("J^2 != -I at a sample")
-    quot = taming_quotients(form_eval(p), acs)
+
+    def quotients(q):
+        acs = np.asarray(acs_eval(q), dtype=float)
+        if float(np.max(np.abs(acs @ acs + np.eye(4)))) > 1e-8:
+            raise NotAlmostComplexError("J^2 != -I at a sample")
+        return taming_quotients(form_eval(q), acs)
+
+    quot = blockwise(quotients, p)
     idx = int(np.argmin(quot))
     mq = float(quot[idx])
     return TamenessCertificate(region, grid, mq, mq > tol, tuple(p[idx]))
@@ -202,13 +222,22 @@ def radial_potential_form(g: RadialProfile, h: RadialProfile | None = None):
     return invariant_potential_form(lambda s, t: s + g(t) if h is None else h(s + g(t)))
 
 
+def cube_grid(*axes):
+    """The product grid of the axes as an (N, len(axes)) array of points, in
+    the order of np.meshgrid(*axes, indexing="ij"), filled in place."""
+    out = np.empty(tuple(len(a) for a in axes) + (len(axes),))
+    for i, a in enumerate(axes):
+        out[..., i] = np.reshape(a, (-1,) + (1,) * (len(axes) - 1 - i))
+    return out.reshape(-1, len(axes))
+
+
 # -- gluing -----------------------------------------------------------------
 
 
 def ball_grid(radius: float, n: int, inner: float = 0.0):
     """Deterministic grid on the radius-ball of R^4 (annulus if inner > 0)."""
     axis = np.linspace(-radius, radius, n)
-    pts = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 4)
+    pts = cube_grid(axis, axis, axis, axis)
     r = np.linalg.norm(pts, axis=-1)
     return pts[(r <= radius) & (r >= inner)]
 
@@ -229,15 +258,29 @@ class GluingProblem:
             raise ValueError("need 0 < eps1 < eps2 < eps3")
 
 
+def _radial_frame(problem: GluingProblem, p):
+    """r = |p|, the unit radial vector n and the covector beta at p."""
+    r = np.linalg.norm(p, axis=-1)
+    return r, p / np.maximum(r, 1e-300)[..., None], np.asarray(problem.beta(p), dtype=float)
+
+
 def _d_rho_beta(problem: GluingProblem, points):
     """Matrix of d(rho(r) beta) = rho'(r) dr ^ beta + rho(r) d(beta)."""
     p = np.asarray(points, dtype=float)
-    r = np.linalg.norm(p, axis=-1)
-    n = p / np.maximum(r, 1e-300)[..., None]
-    b = np.asarray(problem.beta(p), dtype=float)
+    r, n, b = _radial_frame(problem, p)
     dr_beta = n[..., :, None] * b[..., None, :] - b[..., :, None] * n[..., None, :]
     rho = problem.rho.jet(r)
     return rho.grad[0][..., None, None] * dr_beta, rho.value[..., None, None] * np.asarray(problem.omega2(p), float), dr_beta
+
+
+def _dr_beta_norm(problem: GluingProblem, points):
+    """||rho'(r) dr ^ beta||_2 per sample, as |rho'(r)| |beta - (n.beta) n|:
+    with |n| = 1 the rank-2 matrix n beta^T - beta n^T has both nonzero
+    singular values equal to the length of beta's component normal to n."""
+    p = np.asarray(points, dtype=float)
+    r, n, b = _radial_frame(problem, p)
+    normal = b - np.sum(n * b, axis=-1)[..., None] * n
+    return np.abs(problem.rho.jet(r).grad[0]) * np.linalg.norm(normal, axis=-1)
 
 
 def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
@@ -258,26 +301,26 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
         raise PreconditionFailure(f"d(beta) != omega2: residual {dbeta_err:.3e}")
 
     inner_pts = ball_grid(e1 * 0.999, grid_n)
-    w1_inner = np.asarray(problem.omega1(inner_pts), float)
-    if w1_inner.size and float(np.max(np.abs(w1_inner))) > tol:
-        idx = np.unravel_index(np.argmax(np.abs(w1_inner)), w1_inner.shape)
+    w1_inner = blockwise(
+        lambda q: np.max(np.abs(np.asarray(problem.omega1(q), float)), axis=(-2, -1)), inner_pts)
+    if w1_inner.size and float(np.max(w1_inner)) > tol:
+        idx = int(np.argmax(w1_inner))
         raise PreconditionFailure(
             "omega1 does not vanish on the inner ball",
-            worst_sample=tuple(inner_pts[idx[0]]),
-            value=float(np.max(np.abs(w1_inner))),
+            worst_sample=tuple(inner_pts[idx]), value=float(w1_inner[idx]),
         )
     mid_pts = ball_grid(e2, grid_n, inner=e1)
     outer_pts = ball_grid(e3, grid_n, inner=e2 * (1 + 1e-9))
     if not (len(mid_pts) and len(outer_pts)):
         raise ValueError(f"a {grid_n}^4 grid has no sample on an annulus; use a finer grid")
-    q_mid = taming_quotients(problem.omega1(mid_pts), standard_acs(mid_pts))
+    q_mid = blockwise(_quotients_of(problem.omega1), mid_pts)
     if float(np.min(q_mid)) < -tol:
         idx = int(np.argmin(q_mid))
         raise PreconditionFailure(
             "omega1 not semipositive on the middle annulus",
             worst_sample=tuple(mid_pts[idx]), value=float(np.min(q_mid)),
         )
-    q_outer = taming_quotients(problem.omega1(outer_pts), standard_acs(outer_pts))
+    q_outer = blockwise(_quotients_of(problem.omega1), outer_pts)
     C = float(np.min(q_outer))
     if C <= 0:
         idx = int(np.argmin(q_outer))
@@ -286,9 +329,8 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
             worst_sample=tuple(outer_pts[idx]), value=C,
         )
 
-    drb_pts = ball_grid(e3, grid_n, inner=1e-6)
-    drb, _, _ = _d_rho_beta(problem, drb_pts)
-    norm = float(np.max(np.linalg.norm(drb, ord=2, axis=(-2, -1))))
+    ball = ball_grid(e3, grid_n, inner=1e-6)
+    norm = float(np.max(blockwise(lambda q: _dr_beta_norm(problem, q), ball)))
     delta = C / (2.0 * (norm + 1.0))
 
     def glued(points):
@@ -296,9 +338,8 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
         term1, term2, _ = _d_rho_beta(problem, p)
         return np.asarray(problem.omega1(p), float) + delta * (term1 + term2)
 
-    all_pts = ball_grid(e3, grid_n, inner=1e-6)
     cert = tameness_min(
-        glued, standard_acs, all_pts,
+        glued, standard_acs, ball,
         region=f"ball radius {e3}", grid=f"{grid_n}^4 cubic grid",
     )
     return delta, glued, cert

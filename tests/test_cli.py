@@ -205,6 +205,10 @@ def test_invalid_input_exits_2_with_error_line(capsys, argv):
     assert out == "" and err.startswith("error: ")
 
 
+# a scalar whose only coefficient [num, den] has den = 0
+ZERO_DEN = '{"conductor": 1, "coeffs": [[1, 0]]}'
+
+
 @pytest.mark.parametrize("argv,content", [
     (("group", "classify", "--file"), "[1, 2]"),
     (("orbifold", "resolve", "--spec"), "[1, 2]"),
@@ -217,6 +221,11 @@ def test_invalid_input_exits_2_with_error_line(capsys, argv):
     (("verify", "tameness", "--model"), '{"m": true}'),
     (("verify", "gluing", "--problem"), '{"m": 2.5, "a": 0.1}'),
     (("verify", "gluing", "--problem"), '{"m": true, "a": 0.1}'),
+    (("group", "classify", "--file"),
+     '{"generators": [[[%s, %s], [%s, %s]]]}' % ((ZERO_DEN,) * 4)),
+    (("orbifold", "resolve", "--spec"),
+     '{"base_betti": [1, 0, 0, 0, 1], "isolated_points": [{"label": "C1", "group": '
+     '{"generators": [[[%s, %s], [%s, %s]]]}}]}' % ((ZERO_DEN,) * 4)),
 ])
 def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content):
     path = tmp_path / "input.json"

@@ -1,15 +1,18 @@
 """Finite-difference Kähler calculus and tameness certification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from orbifold4.sympverify import (NotAlmostComplexError, PreconditionFailure,
+from orbifold4.sympverify import (LocalModel, NotAlmostComplexError, PreconditionFailure,
                                   ball_grid, complex_gradient_fd,
                                   complex_hessian_fd, ddbar_fd,
                                   exterior_derivative_fd, form_from_hermitian,
-                                  h_ramp, radial_potential_form, rho_bump,
+                                  eval_omega_a, h_ramp, radial_potential_form, rho_bump,
                                   semipositive_compose, standard_acs,
                                   taming_quotients, tameness_min)
+from orbifold4.sympverify.forms import CHUNK
 from orbifold4.sympverify.linear import OMEGA0, J0
 from orbifold4.sympverify.profiles import RadialProfile, f_smoothing
 
@@ -164,3 +167,58 @@ def test_profiles_calculus():
     bump = rho_bump(0.3, 0.9)
     assert np.allclose(bump.value([0.0, 0.3]), 1.0)
     assert np.allclose(bump.value([0.9, 2.0]), 0.0)
+
+
+def _scaled_flat(q):
+    """x1 * OMEGA0, whose taming quotient against J0 is x1 at every sample."""
+    return np.asarray(q, dtype=float)[:, 0, None, None] * OMEGA0
+
+
+def _numbered_points(n):
+    """n samples with x1 = 1.5 and y1 = the sample's index."""
+    pts = np.zeros((n, 4))
+    pts[:, 0], pts[:, 1] = 1.5, np.arange(n)
+    return pts
+
+
+@pytest.mark.parametrize("ties", [(), (CHUNK - 1, CHUNK)],
+                         ids=["min-in-last-block", "tie-across-block-boundary"])
+def test_tameness_min_across_blocks_matches_whole_array_argmin(ties):
+    n = 2 * CHUNK + 7
+    pts = _numbered_points(n)
+    pts[:, 0] += np.random.default_rng(3).uniform(-0.4, 0.4, n)
+    pts[[2 * CHUNK + 3, *ties], 0] = 0.5
+    quot = taming_quotients(_scaled_flat(pts), standard_acs(pts))
+    idx = int(np.argmin(quot))
+    assert idx == (ties[0] if ties else 2 * CHUNK + 3)
+    cert = tameness_min(_scaled_flat, standard_acs, pts)
+    assert cert.min_quotient == quot[idx]
+    assert cert.worst_sample == tuple(pts[idx])
+
+
+def test_tameness_min_checks_the_acs_in_the_last_block():
+    n = 2 * CHUNK + 7
+
+    def acs(q):
+        out = np.array(standard_acs(q))
+        out[q[:, 1] == n - 1] = np.eye(4)
+        return out
+
+    with pytest.raises(NotAlmostComplexError):
+        tameness_min(_scaled_flat, acs, _numbered_points(n))
+
+
+def test_tameness_min_peak_memory_is_flat_in_grid_size():
+    # tracemalloc sees numpy's buffers; the points exist before tracing starts
+    model = LocalModel(m=2, a=0.1)
+
+    def peak(n):
+        pts = np.random.default_rng(0).uniform(-0.25, 0.25, (n, 4))
+        tracemalloc.start()
+        try:
+            tameness_min(lambda q: eval_omega_a(model, q), standard_acs, pts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8 * CHUNK) < 2 * peak(2 * CHUNK)

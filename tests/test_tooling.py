@@ -44,14 +44,19 @@ def test_exact_commands_start_without_numpy():
     assert out.strip() == "False"
 
 
-def _traced_calls(tmp_path, argv) -> dict:
-    """Run one CLI command under perfbench/tracer.py; the calls per span name."""
+def _trace(tmp_path, argv) -> dict:
+    """Run one CLI command under perfbench/tracer.py; the trace it writes."""
     trace = tmp_path / "trace.json"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace),
                            *argv, "--json"], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(trace.read_text())["calls"]
+    return json.loads(trace.read_text())
+
+
+def _traced_calls(tmp_path, argv) -> dict:
+    """The calls per span name of one traced CLI command."""
+    return _trace(tmp_path, argv)["calls"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -74,3 +79,13 @@ def test_tracer_counts_scalars_on_exact_commands(tmp_path):
     # calls, so every scalar must be built through __init__
     calls = _traced_calls(tmp_path, ("group", "invariants", "--builtin", "klein_four"))
     assert calls.get("cyclotomic.CyclotomicScalar.__init__", 0) > 0
+
+
+def test_tracer_counts_every_point_of_a_blockwise_grid(tmp_path):
+    # sympverify evaluates a grid in CHUNK-point blocks; the benchmark's point
+    # counters must still add up to the whole 12^4 grid, more than one block
+    from orbifold4.sympverify.forms import CHUNK
+    assert 12 ** 4 > CHUNK
+    counts = _trace(tmp_path, ("verify", "tameness", "--model", "flat", "--grid", "12"))["counts"]
+    assert counts["points.tameness_min"] == 12 ** 4
+    assert counts["points.eval_omega_a"] == 12 ** 4
