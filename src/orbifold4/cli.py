@@ -315,13 +315,11 @@ def cmd_verify_gluing(args) -> dict:
 
 
 def cmd_verify_blowup(args) -> dict:
-    from .sympverify.blowup import ChartOverlapError, blowup_model_check
+    from .sympverify.blowup import blowup_model_check
 
     _check_grid(args)
     try:
         rep = blowup_model_check(args.m, args.lam, grid_n=args.grid)
-    except ChartOverlapError as exc:
-        raise CliError(str(exc), EXIT_FAILED_CERT)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_INVALID)
     return {

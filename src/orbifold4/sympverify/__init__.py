@@ -11,9 +11,8 @@ from .forms import (TamenessCertificate, GluingProblem, NotAlmostComplexError,
                     radial_potential_form, semipositive_compose, standard_acs,
                     taming_quotients, tameness_min)
 from .pushforward import PushforwardReport, pushforward_check, sample_points
-from .blowup import (BlowupReport, ChartOverlapError, blowup_model_check,
-                     chart_form, chart_potential, chart_grid, exceptional_area,
-                     transition)
+from .blowup import (BlowupReport, blowup_model_check, chart_form,
+                     chart_potential, chart_grid, exceptional_area, transition)
 
 __all__ = [
     "RadialProfile", "f_smoothing", "f_resolved", "h_ramp", "rho_bump",
@@ -27,6 +26,6 @@ __all__ = [
     "radial_potential_form", "semipositive_compose", "standard_acs",
     "taming_quotients", "tameness_min",
     "PushforwardReport", "pushforward_check", "sample_points",
-    "BlowupReport", "ChartOverlapError", "blowup_model_check", "chart_form",
+    "BlowupReport", "blowup_model_check", "chart_form",
     "chart_potential", "chart_grid", "exceptional_area", "transition",
 ]

@@ -141,11 +141,6 @@ def taming_quotients(forms, acs):
     return np.linalg.eigvalsh(sym)[..., 0]
 
 
-def _quotients_of(form_eval):
-    """The taming quotients of form_eval against the standard structure."""
-    return lambda q: taming_quotients(form_eval(q), standard_acs(q))
-
-
 def tameness_min(form_eval, acs_eval, points, region: str = "", grid: str = "",
                  tol: float = TAMENESS_TOL) -> TamenessCertificate:
     """Certify min over samples of the taming quotient omega(u, Ju)/|u|^2,
@@ -313,21 +308,15 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
     outer_pts = ball_grid(e3, grid_n, inner=e2 * (1 + 1e-9))
     if not (len(mid_pts) and len(outer_pts)):
         raise ValueError(f"a {grid_n}^4 grid has no sample on an annulus; use a finer grid")
-    q_mid = blockwise(_quotients_of(problem.omega1), mid_pts)
-    if float(np.min(q_mid)) < -tol:
-        idx = int(np.argmin(q_mid))
-        raise PreconditionFailure(
-            "omega1 not semipositive on the middle annulus",
-            worst_sample=tuple(mid_pts[idx]), value=float(np.min(q_mid)),
-        )
-    q_outer = blockwise(_quotients_of(problem.omega1), outer_pts)
-    C = float(np.min(q_outer))
+    mid = tameness_min(problem.omega1, standard_acs, mid_pts)
+    if mid.min_quotient < -tol:
+        raise PreconditionFailure("omega1 not semipositive on the middle annulus",
+                                  worst_sample=mid.worst_sample, value=mid.min_quotient)
+    outer = tameness_min(problem.omega1, standard_acs, outer_pts)
+    C = outer.min_quotient
     if C <= 0:
-        idx = int(np.argmin(q_outer))
-        raise PreconditionFailure(
-            "omega1 not positive outside eps2",
-            worst_sample=tuple(outer_pts[idx]), value=C,
-        )
+        raise PreconditionFailure("omega1 not positive outside eps2",
+                                  worst_sample=outer.worst_sample, value=C)
 
     ball = ball_grid(e3, grid_n, inner=1e-6)
     norm = float(np.max(blockwise(lambda q: _dr_beta_norm(problem, q), ball)))

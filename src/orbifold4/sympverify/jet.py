@@ -3,7 +3,9 @@
 A Jet in n variables holds value (...), grad (n, ...) and hess (n, n, ...);
 plain numbers and arrays act as constants.  `log`, `log1p` and `clip` take a
 plain array or a Jet, so one definition of a function evaluates either way.
-At the kinks of `clip` a jet carries the right derivative.
+At the kinks of `clip` a jet carries the right derivative.  Variables may
+take complex values: a holomorphic function's jet then carries its complex
+derivatives.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ class Jet:
 
     @classmethod
     def variable(cls, value, i: int = 0, n: int = 1) -> "Jet":
-        """The i-th of n independent variables, at the given values."""
-        value = np.asarray(value, dtype=float)
-        grad = np.zeros((n,) + value.shape)
+        """The i-th of n independent variables, at the given real or complex values."""
+        value = np.asarray(value, dtype=complex if np.iscomplexobj(value) else float)
+        grad = np.zeros((n,) + value.shape, dtype=value.dtype)
         grad[i] = 1.0
-        return cls(value, grad, np.zeros((n, n) + value.shape))
+        return cls(value, grad, np.zeros((n, n) + value.shape, dtype=value.dtype))
 
     def apply(self, f0, f1, f2) -> "Jet":
         """f(self), given f, f' and f'' at self.value (the chain rule)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..unitary import UMat2
+from .jet import Jet
 
 OMEGA0 = np.array([
     [0.0, 1.0, 0.0, 0.0],
@@ -25,15 +26,34 @@ class NotSymplecticError(ValueError):
     pass
 
 
-def realify(u: UMat2) -> np.ndarray:
-    """The 4x4 real matrix of u acting on (x1,y1,x2,y2)."""
-    c = u.to_complex()
-    out = np.zeros((4, 4))
-    for i in range(2):
-        for j in range(2):
-            re, im = c[i, j].real, c[i, j].imag
-            out[2 * i:2 * i + 2, 2 * j:2 * j + 2] = [[re, -im], [im, re]]
+def realify(u) -> np.ndarray:
+    """The real matrix acting on (x1,y1,x2,y2) of an exact UMat2 or of a
+    (..., 2, 2) complex array: entry a + ib becomes the block [[a, -b], [b, a]]."""
+    c = u.to_complex() if isinstance(u, UMat2) else np.asarray(u, dtype=complex)
+    out = np.empty(c.shape[:-2] + (4, 4))
+    out[..., 0::2, 0::2] = out[..., 1::2, 1::2] = c.real
+    out[..., 1::2, 0::2] = c.imag
+    out[..., 0::2, 1::2] = -c.imag
     return out
+
+
+def holomorphic_map(f, points):
+    """Image points and real Jacobians of the holomorphic map (z, w) -> f(z, w)
+    of C^2, with f written once over two complex jets."""
+    p = np.asarray(points, dtype=float)
+    image = f(Jet.variable(p[..., 0] + 1j * p[..., 1], 0, 2),
+              Jet.variable(p[..., 2] + 1j * p[..., 3], 1, 2))
+    values = np.stack([c.value for c in image], axis=-1)
+    out = np.empty(p.shape)
+    out[..., 0::2], out[..., 1::2] = values.real, values.imag
+    # d image_i / d variable_j on the last two axes
+    jac = np.moveaxis(np.array([c.grad for c in image]), (0, 1), (-2, -1))
+    return out, realify(jac)
+
+
+def pullback(jac, form):
+    """J^T omega J: the pullback of the 2-form matrices along the Jacobians."""
+    return np.swapaxes(jac, -1, -2) @ form @ jac
 
 
 def is_orthogonal(a: np.ndarray, tol: float = 1e-10) -> bool:

@@ -26,14 +26,11 @@ class LocalModel:
     a: float = 0.0
     delta0: float = 1.0   # model radius
     delta2: float = 0.25  # smoothing radius; delta0 > 3*delta2
-    eps_p: float = 0.05
-    eps0: float = 0.5
-    base: str = "disc"    # "disc" or "torus"
     nu: tuple[float, float] = (0.0, 0.0)
     kappa: float = 0.0
 
     def __post_init__(self):
-        reals = (self.a, self.delta0, self.delta2, self.eps_p, self.eps0, self.kappa, *self.nu)
+        reals = (self.a, self.delta0, self.delta2, self.kappa, *self.nu)
         if len(self.nu) != 2 or not np.all(np.isfinite(reals)):
             raise ValueError("model parameters must be finite reals, nu a pair")
         if isinstance(self.m, bool) or not isinstance(self.m, int):
@@ -44,8 +41,6 @@ class LocalModel:
             raise ValueError("need delta2 > 0")
         if not self.delta0 > 3 * self.delta2:
             raise ValueError("need delta0 > 3*delta2")
-        if self.base not in ("disc", "torus"):
-            raise ValueError("base must be 'disc' or 'torus'")
 
 
 def _split(points):

@@ -3,7 +3,8 @@
 The orbifold-side form built from f(x) = (x^m + a^2)^(1/m) must equal the
 pullback of the smooth-side form built from fhat(x) = (x + a^2)^(1/m) with
 the connection scaled by m.  The radial relation |w^m| = |w|^m is exact.
-"""
+The map is written once over complex jets (`linear.holomorphic_map`), which
+gives its real Jacobian, and `linear.pullback` pulls the form back."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linear import holomorphic_map, pullback
 from .localmodel import LocalModel, eval_omega_a
 
 
@@ -29,19 +31,7 @@ class PushforwardReport:
 
 def _fiber_power(points, m: int):
     """(x1,y1,x2,y2) -> (x1,y1, Re w^m, Im w^m) and the real 4x4 Jacobian."""
-    p = np.asarray(points, dtype=float)
-    w = p[..., 2] + 1j * p[..., 3]
-    wm = w ** m
-    out = np.array(p)
-    out[..., 2], out[..., 3] = wm.real, wm.imag
-    dw = m * w ** (m - 1)  # holomorphic derivative
-    jac = np.zeros(p.shape[:-1] + (4, 4))
-    jac[..., 0, 0] = jac[..., 1, 1] = 1.0
-    jac[..., 2, 2] = dw.real
-    jac[..., 2, 3] = -dw.imag
-    jac[..., 3, 2] = dw.imag
-    jac[..., 3, 3] = dw.real
-    return out, jac
+    return holomorphic_map(lambda z, w: (z, w ** m), points)
 
 
 def sample_points(model: LocalModel, count: int, seed: int = 0,
@@ -72,7 +62,6 @@ def pushforward_check(m: int, model: LocalModel, samples: int = 1000,
 
     orb = eval_omega_a(model, pts)
     smooth = eval_omega_a(model, image, resolved=True)
-    pulled = np.einsum("...ki,...kl,...lj->...ij", jac, smooth, jac)
-    diff = np.abs(pulled - orb).max(axis=(-2, -1))
+    diff = np.abs(pullback(jac, smooth) - orb).max(axis=(-2, -1))
     idx = int(np.argmax(diff))
     return PushforwardReport(m, samples, float(diff[idx]), tuple(pts[idx]), radial_exact)

@@ -5,8 +5,14 @@ import pytest
 
 from orbifold4.sympverify import (blowup_model_check, chart_form, chart_grid,
                                   chart_potential, exceptional_area, transition)
+from orbifold4.sympverify import blowup
 from orbifold4.sympverify.blowup import closedness_residual
 from orbifold4.sympverify.forms import ddbar_fd
+from orbifold4.sympverify.linear import holomorphic_map
+from orbifold4.sympverify.pushforward import _fiber_power
+
+# holomorphic maps of C^2 with their real Jacobians
+MAPS = {"transition": lambda p: transition(p, 2), "fiber-power": lambda p: _fiber_power(p, 3)}
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -25,16 +31,18 @@ def test_transition_is_an_involution_on_the_overlap():
     assert np.allclose(back, pts, atol=1e-12)
 
 
-def test_transition_jacobian_against_fd():
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_transition_jacobian_against_fd(name):
+    fmap = MAPS[name]
     pts = np.array([[0.9, 0.4, 0.3, -0.1]])
-    _, jac = transition(pts, 2)
+    _, jac = fmap(pts)
     h = 1e-6
     for i in range(4):
         dp = pts.copy()
         dp[0, i] += h
         dm = pts.copy()
         dm[0, i] -= h
-        col = (transition(dp, 2)[0] - transition(dm, 2)[0]) / (2 * h)
+        col = (fmap(dp)[0] - fmap(dm)[0]) / (2 * h)
         assert np.allclose(jac[0, :, i], col[0], atol=1e-6)
 
 
@@ -56,6 +64,22 @@ def test_blowup_model_check(m):
     assert report.certificate.tame and report.certificate.min_quotient > 0
     assert report.closedness_residual <= 1e-5
     assert report.overlap_max_diff <= 1e-8
+
+
+@pytest.mark.parametrize("lam", [1e7, 1e8])
+@pytest.mark.parametrize("m", [2, 3])
+def test_blowup_gates_are_relative_to_lambda(m, lam):
+    # omega_lambda is closed and chart-compatible for every lambda > 0, while
+    # its finite-difference and pullback residuals grow with lambda
+    assert blowup_model_check(m, lam, grid_n=6).ok
+
+
+def test_a_wrong_chart_transition_fails_the_report(monkeypatch):
+    monkeypatch.setattr(blowup, "transition", lambda points, m: holomorphic_map(
+        lambda u, v: (1 / u, u ** (m + 1) * v), points))
+    report = blowup_model_check(2, 0.1, grid_n=6)
+    assert report.ok is False and report.overlap_max_diff > 1e-8
+    assert report.certificate.tame and report.closedness_residual <= 1e-5
 
 
 def test_blowup_model_check_rejects_bad_parameters():

@@ -128,6 +128,18 @@ def test_verify_blowup(capsys):
     assert json.loads(out)["results"]["certificate"]["tame"] is True
 
 
+def test_verify_blowup_failure_prints_the_full_report(capsys, monkeypatch):
+    from orbifold4.sympverify import blowup
+    from orbifold4.sympverify.linear import holomorphic_map
+    monkeypatch.setattr(blowup, "transition", lambda points, m: holomorphic_map(
+        lambda u, v: (1 / u, u ** (m + 1) * v), points))
+    code, out, err = run(capsys, "verify", "blowup", "--grid", "6", "--json")
+    assert code == 4 and err == ""
+    payload = json.loads(out)
+    assert payload["checks"][0]["status"] == "fail"
+    assert payload["results"]["overlap_max_diff"] > 1e-8
+
+
 def test_verify_blowup_invalid(capsys):
     code, _, err = run(capsys, "verify", "blowup", "--m", "1")
     assert code == 2
@@ -226,6 +238,7 @@ ZERO_DEN = '{"conductor": 1, "coeffs": [[1, 0]]}'
     (("orbifold", "resolve", "--spec"),
      '{"base_betti": [1, 0, 0, 0, 1], "isolated_points": [{"label": "C1", "group": '
      '{"generators": [[[%s, %s], [%s, %s]]]}}]}' % ((ZERO_DEN,) * 4)),
+    (("verify", "tameness", "--model"), '{"m": 2, "a": 0.1, "base": "disc"}'),
 ])
 def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content):
     path = tmp_path / "input.json"

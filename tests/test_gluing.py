@@ -7,7 +7,8 @@ from orbifold4.sympverify import GluingProblem, glue_forms, rho_bump
 from orbifold4.sympverify.fixtures import (flat_form, pipeline_problem,
                                            smoothing_excess_max,
                                            standard_primitive)
-from orbifold4.sympverify.forms import PreconditionFailure, ball_grid
+from orbifold4.sympverify.forms import (PreconditionFailure, ball_grid, standard_acs,
+                                        taming_quotients)
 from orbifold4.sympverify.linear import OMEGA0
 
 
@@ -38,7 +39,6 @@ def test_pipeline_problem_geometry():
     assert float(np.max(np.abs(prob.omega1(pts)))) < 1e-12
     # and is nondegenerate on the outer annulus
     outer = ball_grid(prob.eps3, 9, inner=prob.eps2 * 1.001)
-    from orbifold4.sympverify.forms import standard_acs, taming_quotients
     assert float(np.min(taming_quotients(prob.omega1(outer), standard_acs(outer)))) > 0
 
 
@@ -81,3 +81,25 @@ def test_glue_forms_rejects_wrong_primitive():
                         base.rho)
     with pytest.raises(PreconditionFailure):
         glue_forms(bad, grid_n=7)
+
+
+def test_glue_forms_reports_the_worst_annulus_sample():
+    base = pipeline_problem(m=2, a=0.1)
+
+    def problem(omega1):
+        return GluingProblem(base.eps1, base.eps2, base.eps3, omega1, base.omega2,
+                             base.beta, base.rho)
+
+    def negated(p):
+        return -np.asarray(base.omega1(p), float)
+
+    mid = ball_grid(base.eps2, 9, inner=base.eps1)
+    q = taming_quotients(negated(mid), standard_acs(mid))
+    with pytest.raises(PreconditionFailure, match="middle annulus") as exc:
+        glue_forms(problem(negated), grid_n=9)
+    assert exc.value.value == q.min() and exc.value.worst_sample == tuple(mid[np.argmin(q)])
+
+    outer = ball_grid(base.eps3, 9, inner=base.eps2 * (1 + 1e-9))
+    with pytest.raises(PreconditionFailure, match="outside eps2") as exc:
+        glue_forms(problem(lambda p: np.zeros(np.shape(p)[:-1] + (4, 4))), grid_n=9)
+    assert exc.value.value == 0.0 and exc.value.worst_sample == tuple(outer[0])

@@ -33,10 +33,16 @@ TWO = {
     "clip": lambda x, y: clip(x * y, 0.1, 0.5) + clip(x + y, 5.0, 6.0) * x,
     "profile": lambda x, y: f_smoothing(2, 0.1)(x * y) + h_ramp(0.2, 0.8)(x + y),
 }
+# holomorphic functions of two complex variables
+COMPLEX = {
+    "inverse": lambda z, w: 1 / z,
+    "cube_times": lambda z, w: z ** 3 * w,
+}
 
 
 def _fd(fn, pts, h):
-    """Central-difference gradient and Hessian of fn at pts (shape (n, N))."""
+    """Central-difference gradient and Hessian of fn at pts (shape (n, N)); a
+    complex step h differentiates a holomorphic fn along h."""
     n = len(pts)
     e = np.eye(n)[:, :, None] * h
     grad = np.array([(fn(*(pts + e[i])) - fn(*(pts - e[i]))) / (2 * h) for i in range(n)])
@@ -46,12 +52,12 @@ def _fd(fn, pts, h):
     return grad, hess
 
 
-def _check(fn, pts):
+def _check(fn, pts, unit=1.0):
     n = len(pts)
     jet = fn(*[Jet.variable(pts[i], i, n) for i in range(n)])
     assert np.allclose(jet.value, fn(*pts), rtol=1e-14, atol=0)
-    grad, _ = _fd(fn, pts, 1e-6)
-    _, hess = _fd(fn, pts, 1e-4)
+    grad, _ = _fd(fn, pts, 1e-6 * unit)
+    _, hess = _fd(fn, pts, 1e-4 * unit)
     assert np.allclose(jet.grad, grad, rtol=1e-6, atol=1e-7)
     assert np.allclose(jet.hess, hess, rtol=1e-5, atol=1e-5)
 
@@ -65,6 +71,14 @@ def test_one_variable_jet_matches_central_differences(name):
 def test_two_variable_jet_matches_central_differences(name):
     rng = np.random.default_rng(3)
     _check(TWO[name], rng.uniform(0.2, 1.4, (2, 40)))
+
+
+@pytest.mark.parametrize("unit", [1.0, 1j], ids=["real-step", "imaginary-step"])
+@pytest.mark.parametrize("name", sorted(COMPLEX))
+def test_complex_variable_jet_matches_complex_central_differences(name, unit):
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(0.5, 1.4, (2, 40)) * np.exp(2j * np.pi * rng.uniform(size=(2, 40)))
+    _check(COMPLEX[name], pts, unit)
 
 
 def test_clip_passes_derivatives_only_inside_its_bounds():

@@ -17,8 +17,6 @@ def test_model_parameter_validation():
         LocalModel(m=0)
     with pytest.raises(ValueError):
         LocalModel(delta0=0.5, delta2=0.2)  # needs delta0 > 3*delta2
-    with pytest.raises(ValueError):
-        LocalModel(base="sphere")
 
 
 def test_trivial_model_is_flat():

@@ -46,6 +46,16 @@ def test_realify_is_a_homomorphism():
     assert np.allclose(realify(a) @ J0, J0 @ realify(a), atol=1e-12)
 
 
+def test_realify_of_a_complex_array_matches_each_exact_matrix():
+    z8 = CyclotomicScalar.zeta(8)
+    mats = [_hadamard(), UMat2.diagonal(z8, z8 ** 7),
+            UMat2.diagonal(CyclotomicScalar.zeta(4), CyclotomicScalar.from_rational(-1))]
+    stacked = realify(np.array([u.to_complex() for u in mats]))
+    assert stacked.shape == (3, 4, 4)
+    for r, u in zip(stacked, mats):
+        assert np.array_equal(r, realify(u))
+
+
 def test_group_ops_exact():
     a = UMat2.diagonal(CyclotomicScalar.zeta(6), CyclotomicScalar.zeta(6, 5))
     assert a @ a.inverse() == UMat2.identity()
