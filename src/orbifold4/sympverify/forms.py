@@ -21,6 +21,11 @@ from .profiles import RadialProfile
 # a form is tame when its smallest taming quotient exceeds this
 TAMENESS_TOL = 1e-9
 
+# worst_sample is the first sample in grid order whose quotient lies within
+# this relative distance of the minimum, so that samples tied by a symmetry
+# of the model are not told apart by rounding in the last bit
+WORST_SAMPLE_RTOL = 1e-13
+
 # points per block of a grid evaluation: the per-sample 4x4 arrays of one
 # block are alive at a time, whatever the size of the grid
 CHUNK = 2 ** 14
@@ -111,6 +116,10 @@ def standard_acs(points):
 
 @dataclass
 class TamenessCertificate:
+    """Minimum taming quotient over the samples of a grid.  worst_sample is
+    the first sample in grid order whose quotient is within WORST_SAMPLE_RTOL
+    * max(1, |min_quotient|) of the minimum, stored as Python floats."""
+
     region: str
     grid: str
     min_quotient: float
@@ -135,28 +144,63 @@ def blockwise(fn, points):
 
 
 def taming_quotients(forms, acs):
-    """Smallest eigenvalue of (1/2)(Omega J + (Omega J)^T) per sample."""
+    """Smallest eigenvalue of S = (1/2)(Omega J + (Omega J)^T) per sample, in
+    closed form, for an antisymmetric Omega and an orthogonal almost-complex
+    structure J (J^2 = -I and J^T = -J, as J0 is).
+
+    For such a J, (Omega J)^T = J Omega, so S = (1/2)(Omega J + J Omega)
+    commutes with J.  In a unitary frame (e1, J e1, f, J f), with e1 the
+    first coordinate vector, S is then the realification of a Hermitian 2x2
+    matrix [[alpha, beta], [conj(beta), delta]], and each of its two
+    eigenvalues appears twice:
+
+        alpha = S00,   alpha + delta = tr S / 2,
+        |beta|^2 = |S e1|^2 - alpha^2 - (J e1 . S e1)^2 = S10^2 + S20^2 + S30^2,
+
+    where (J e1 . S e1) vanishes because J S is antisymmetric.  So
+
+        lambda_min = (alpha + delta)/2 - hypot((alpha - delta)/2, |beta|).
+
+    Only the diagonal, the first row and the first column of Omega J are
+    read; S itself is never formed.  Each term is scaled down before it is
+    added and |beta| is a nested hypot, so forms with entries near the
+    largest double give a finite result.  For a J that is not orthogonal S
+    need not commute with J, its spectrum need not pair up and the formula
+    is wrong; tameness_min refuses such a J.
+    """
     oj = np.asarray(forms, float) @ np.asarray(acs, float)
-    sym = 0.5 * (oj + np.swapaxes(oj, -1, -2))
-    return np.linalg.eigvalsh(sym)[..., 0]
+    quarter = 0.25 * np.diagonal(oj, axis1=-2, axis2=-1)
+    mean = quarter[..., 0] + quarter[..., 1] + quarter[..., 2] + quarter[..., 3]
+    beta = 0.5 * oj[..., 1:, 0] + 0.5 * oj[..., 0, 1:]
+    beta_abs = np.hypot(np.hypot(beta[..., 0], beta[..., 1]), beta[..., 2])
+    return mean - np.hypot(oj[..., 0, 0] - mean, beta_abs)
 
 
 def tameness_min(form_eval, acs_eval, points, region: str = "", grid: str = "",
                  tol: float = TAMENESS_TOL) -> TamenessCertificate:
     """Certify min over samples of the taming quotient omega(u, Ju)/|u|^2,
-    checking J^2 = -I at every sample; evaluated CHUNK samples at a time."""
+    checking J^2 = -I and J^T = -J at every sample (taming_quotients holds
+    for an orthogonal J only); evaluated CHUNK samples at a time.
+
+    min_quotient is the true minimum.  worst_sample is the first sample in
+    grid order whose quotient is <= min + WORST_SAMPLE_RTOL * max(1, |min|).
+    """
     p = np.asarray(points, dtype=float).reshape(-1, 4)
 
     def quotients(q):
         acs = np.asarray(acs_eval(q), dtype=float)
         if float(np.max(np.abs(acs @ acs + np.eye(4)))) > 1e-8:
             raise NotAlmostComplexError("J^2 != -I at a sample")
+        if float(np.max(np.abs(acs + np.swapaxes(acs, -1, -2)))) > 1e-8:
+            raise NotAlmostComplexError("J^T != -J at a sample")
         return taming_quotients(form_eval(q), acs)
 
     quot = blockwise(quotients, p)
     idx = int(np.argmin(quot))
     mq = float(quot[idx])
-    return TamenessCertificate(region, grid, mq, mq > tol, tuple(p[idx]))
+    if np.isfinite(mq):
+        idx = int(np.argmax(quot <= mq + WORST_SAMPLE_RTOL * max(1.0, abs(mq))))
+    return TamenessCertificate(region, grid, mq, mq > tol, tuple(p[idx].tolist()))
 
 
 def semipositive_compose(F, h_profile: RadialProfile, points, step: float = 1e-3,
@@ -302,7 +346,7 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
         idx = int(np.argmax(w1_inner))
         raise PreconditionFailure(
             "omega1 does not vanish on the inner ball",
-            worst_sample=tuple(inner_pts[idx]), value=float(w1_inner[idx]),
+            worst_sample=tuple(inner_pts[idx].tolist()), value=float(w1_inner[idx]),
         )
     mid_pts = ball_grid(e2, grid_n, inner=e1)
     outer_pts = ball_grid(e3, grid_n, inner=e2 * (1 + 1e-9))

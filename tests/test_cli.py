@@ -2,9 +2,11 @@
 
 import argparse
 import json
+import math
 import pathlib
 import random
 import sys
+import warnings
 
 import pytest
 
@@ -106,6 +108,18 @@ def test_verify_tameness_model_file(tmp_path, capsys):
     assert json.loads(out)["results"]["certificate"]["tame"] is True
 
 
+def test_verify_tameness_of_a_huge_model_stays_finite(tmp_path, capsys):
+    # entries near the largest double: the taming quotient must not overflow
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"m": 2, "a": 0.1, "kappa": 1e308, "nu": [1e308, 1e308]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "tameness", "--model", str(path),
+                             "--grid", "4", "--json")
+    assert code == 4 and err == "" and not caught
+    assert math.isfinite(json.loads(out)["results"]["certificate"]["min_quotient"])
+
+
 def test_verify_tameness_bad_model_file(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"m": 0}))
@@ -143,6 +157,17 @@ def test_verify_blowup_failure_prints_the_full_report(capsys, monkeypatch):
 def test_verify_blowup_invalid(capsys):
     code, _, err = run(capsys, "verify", "blowup", "--m", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("tameness", "--model", "flat", "--grid", "4"),
+    ("gluing", "--grid", "8"),
+    ("blowup", "--grid", "6"),
+], ids=["tameness", "gluing", "blowup"])
+def test_plain_verify_output_prints_plain_numbers(capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert "worst_sample" in out and "np." not in out
 
 
 def test_json_output_is_byte_identical_across_runs(capsys):

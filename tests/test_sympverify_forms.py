@@ -12,7 +12,8 @@ from orbifold4.sympverify import (LocalModel, NotAlmostComplexError, Preconditio
                                   eval_omega_a, h_ramp, radial_potential_form, rho_bump,
                                   semipositive_compose, standard_acs,
                                   taming_quotients, tameness_min)
-from orbifold4.sympverify.forms import CHUNK
+from orbifold4.sympverify.blowup import chart_form, chart_grid
+from orbifold4.sympverify.forms import CHUNK, cube_grid
 from orbifold4.sympverify.linear import OMEGA0, J0
 from orbifold4.sympverify.profiles import RadialProfile, f_smoothing
 
@@ -222,3 +223,90 @@ def test_tameness_min_peak_memory_is_flat_in_grid_size():
             tracemalloc.stop()
 
     assert peak(8 * CHUNK) < 2 * peak(2 * CHUNK)
+
+
+def test_worst_sample_is_the_first_sample_tied_with_the_minimum():
+    # quotients 1 + 1e-12, 1 and 1 - 1ulp in grid order: the last is the
+    # minimum, the second lies within the tie tolerance of it, the first not
+    pts = _numbered_points(3)
+    pts[:, 0] = [1.0 + 1e-12, 1.0, np.nextafter(1.0, 0.0)]
+    cert = tameness_min(_scaled_flat, standard_acs, pts)
+    assert cert.min_quotient == np.nextafter(1.0, 0.0)
+    assert cert.worst_sample == tuple(pts[1])
+    assert all(type(x) is float for x in cert.worst_sample)
+
+
+def _frobenius(s):
+    """Frobenius norm per sample, scaled so that entries near 1e300 do not overflow."""
+    scale = np.max(np.abs(s), axis=(-2, -1))
+    scale = np.where(scale > 0, scale, 1.0)
+    return scale * np.linalg.norm(s / scale[..., None, None], axis=(-2, -1))
+
+
+def _random_orthogonal_acs(rng, n):
+    """P J0 P^T for orthogonal P from the QR factorisation of Gaussian matrices."""
+    p, _ = np.linalg.qr(rng.normal(size=(n, 4, 4)))
+    return p @ J0 @ np.swapaxes(p, -1, -2)
+
+
+def _random_forms(rng, kind, acs):
+    n = len(acs)
+    if kind == "rank-2":
+        a, b = rng.normal(size=(2, n, 4))
+        return a[:, :, None] * b[:, None, :] - b[:, :, None] * a[:, None, :]
+    g = rng.normal(size=(n, 4, 4))
+    g -= np.swapaxes(g, -1, -2)
+    if kind == "pure-(2,0)+(0,2)":
+        # the part with J^T Omega J = -Omega, whose taming quotient is 0
+        g = 0.5 * (g - np.swapaxes(acs, -1, -2) @ g @ acs)
+    return g
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8, 1e300])
+@pytest.mark.parametrize("kind", ["generic", "pure-(2,0)+(0,2)", "rank-2"])
+@pytest.mark.parametrize("structure", ["J0", "orthogonal"])
+def test_taming_quotients_match_eigvalsh(structure, kind, scale):
+    rng = np.random.default_rng(23)
+    n = 500
+    acs = (np.broadcast_to(J0, (n, 4, 4)) if structure == "J0"
+           else _random_orthogonal_acs(rng, n))
+    forms = scale * _random_forms(rng, kind, acs)
+    with np.errstate(all="raise"):
+        closed = taming_quotients(forms, acs)
+    oj = forms @ acs
+    sym = 0.5 * oj + 0.5 * np.swapaxes(oj, -1, -2)
+    reference = np.linalg.eigvalsh(sym)[:, 0]
+    assert np.all(np.isfinite(closed))
+    if kind == "pure-(2,0)+(0,2)":
+        # S is rounding noise here, so the bound is relative to Omega's size
+        bound = 1e-14 * np.maximum(1.0, _frobenius(forms))
+        assert np.all(np.abs(closed) <= bound) and np.all(np.abs(reference) <= bound)
+    else:
+        bound = 1e-14 * np.maximum(1.0, _frobenius(sym))
+    assert np.all(np.abs(closed - reference) <= bound)
+
+
+def test_tameness_rejects_a_non_orthogonal_acs():
+    # A J0 A^-1 squares to -I but is not antisymmetric, so S = sym(Omega J)
+    # need not commute with J and the closed form does not apply
+    a = np.eye(4)
+    a[0, 2], a[1, 0] = 0.5, 0.3
+    acs = a @ J0 @ np.linalg.inv(a)
+    assert np.allclose(acs @ acs, -np.eye(4)) and not np.allclose(acs, -acs.T)
+    with pytest.raises(NotAlmostComplexError, match="J\\^T"):
+        tameness_min(lambda p: np.broadcast_to(OMEGA0, np.asarray(p).shape[:-1] + (4, 4)),
+                     lambda p: np.broadcast_to(acs, np.asarray(p).shape[:-1] + (4, 4)),
+                     _sample_points())
+
+
+def test_tameness_min_takes_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen- or singular-value decomposition on the tameness path")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    blowup = tameness_min(chart_form(2, 1.0), standard_acs, chart_grid(6))
+    model = LocalModel(m=2, a=0.1)
+    ax = np.linspace(-model.delta2, model.delta2, 6)
+    flat = tameness_min(lambda q: eval_omega_a(model, q), standard_acs, cube_grid(ax, ax, ax, ax))
+    assert blowup.tame and flat.tame
