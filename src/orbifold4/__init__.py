@@ -6,8 +6,8 @@ from .cyclotomic import CyclotomicScalar, cyclotomic_polynomial, root_of_unity_l
 from .unitary import UMat2, NotUnitaryError
 from .groups import (GroupElement, UnitaryGroup, CosetGroup, Unsupported,
                      NotFiniteWithinBound, builtin_group, classify_element,
-                     generate_group, induced_cyclic_data, quotient_group,
-                     reflection_subgroup, stratum_class)
+                     generate_group, group_from_json, induced_cyclic_data,
+                     stratum_class)
 from .invariants import (InvariantBasis, MolienSeries, NotReflectionGroup, Poly2,
                          embedding_basis, fundamental_invariants, h_map_eval,
                          molien, reynolds)
@@ -15,7 +15,7 @@ from .isotropy import (CornerPoint, DeltaSet, IsolatedPoint, OrbifoldSpec, Surfa
                        builtin_mapping_torus, builtin_product, delta_set,
                        load_spec, spec_from_json, spec_to_json, validate_spec)
 from .resolution import (AbelianInvariants, CohomologyProfile, GroupPresentation,
-                         HJChain, Incomplete, abelianize, euler_char_resolution,
+                         HJChain, Incomplete, abelianize, euler_characteristic,
                          exceptional_betti, hj_resolve, mapping_torus_pi1,
                          resolution_betti, smith_normal_form)
 

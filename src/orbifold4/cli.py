@@ -13,9 +13,9 @@ import argparse
 import json
 import sys
 
-from .unitary import UMat2, NotUnitaryError
+from .unitary import NotUnitaryError
 from .groups import (UnitaryGroup, Unsupported, NotFiniteWithinBound, builtin_group,
-                     generate_group, induced_cyclic_data, stratum_class)
+                     group_from_json, induced_cyclic_data, stratum_class)
 from .invariants import NotReflectionGroup, fundamental_invariants, molien
 from .isotropy import BUILTIN_SPECS, OrbifoldSpec, builtin_product, load_spec
 from .resolution import (Incomplete, SpecInvalid, euler_characteristic, hj_resolve,
@@ -73,9 +73,7 @@ def _load_group(args) -> UnitaryGroup:
     if getattr(args, "file", None):
         try:
             with open(args.file) as fh:
-                obj = json.load(fh)
-            gens = [UMat2.from_json(g) for g in obj["generators"]]
-            return generate_group(gens, max_order=obj.get("max_order", 512))
+                return group_from_json(json.load(fh))
         except (OSError, KeyError, TypeError, ValueError, NotUnitaryError) as exc:
             raise CliError(f"invalid group file: {exc}", EXIT_INVALID)
         except NotFiniteWithinBound as exc:

@@ -93,15 +93,6 @@ class CosetGroup:
                     frontier.append(y)
         return got
 
-    def is_normal(self, subgroup: set[int]) -> bool:
-        """Whether g s g^-1 lies in the subgroup for every element g and s in it."""
-        t = self.table
-        for g in range(self.order):
-            g_inv = self.inverse(g)
-            if any(t[t[g][s]][g_inv] not in subgroup for s in subgroup):
-                return False
-        return True
-
     def conjugacy_classes(self) -> list[set[int]]:
         """The conjugacy classes, ordered by their smallest element."""
         t = self.table
@@ -147,8 +138,9 @@ class UnitaryGroup(CosetGroup):
     which the closure discovered the elements, and iteration follows it too.
 
     classes[i] is the ElementClass of element i.  gamma_star is the set of
-    indices of the subgroup generated by the complex reflections, gamma_prime
-    the table of the quotient by it.
+    indices of the subgroup generated by the complex reflections, normal
+    because conjugation maps reflections to reflections; gamma_prime is the
+    table of the quotient by it.
     """
 
     # identity semantics, so the frozen point records holding a group stay hashable
@@ -161,41 +153,15 @@ class UnitaryGroup(CosetGroup):
         self.conductor = conductor
         self.elements = [GroupElement(m, self.element_order(i), m.canonical_key(conductor))
                          for i, m in enumerate(matrices)]
-        self.index = {g.canonical_key: i for i, g in enumerate(self.elements)}
         self.generators = [self.elements[i] for i in generators]
         self.classes = [classify_element(g) for g in self.elements]
         reflections = [i for i, c in enumerate(self.classes) if c.kind == "reflection"]
         self.reflections = [self.elements[i] for i in reflections]
         self.gamma_star = frozenset(self.subgroup_generated(reflections))
-        self.gamma_star_normal = self.is_normal(self.gamma_star)
         self.gamma_prime = self.quotient_by(self.gamma_star)
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __contains__(self, g) -> bool:
-        if isinstance(g, GroupElement):
-            return g.canonical_key in self.index
-        if isinstance(g, UMat2):
-            # an entry may be declared over a field that does not embed in
-            # the group's; compare via the minimal subfield of each entry
-            need = 1
-            entries = []
-            for i in range(2):
-                row = []
-                for j in range(2):
-                    d, num, den = g.entries[i][j]._minimal()
-                    need = need * d // math.gcd(need, d)
-                    row.append(CyclotomicScalar(d, num, den))
-                entries.append(row)
-            if self.conductor % need != 0:
-                return False
-            lifted = UMat2(entries, check=False)
-            return lifted.canonical_key(self.conductor) in self.index
-        return False
-
-    def identity(self) -> GroupElement:
-        return self.elements[0]
 
 
 def generate_group(gens: list[UMat2], max_order: int = 512) -> UnitaryGroup:
@@ -287,25 +253,6 @@ def _normalize_line(v) -> tuple:
     return (v0._minimal(), v1._minimal())
 
 
-def reflection_subgroup(G: UnitaryGroup):
-    """The indices of the subgroup generated by all complex reflections,
-    plus its normality."""
-    return G.gamma_star, G.gamma_star_normal
-
-
-class NotNormalError(ValueError):
-    pass
-
-
-def quotient_group(G: UnitaryGroup, N) -> CosetGroup:
-    """Coset table of G/N; N given as a dict of elements or a list of them."""
-    elements = N.values() if isinstance(N, dict) else N
-    sub = {G.index[g.canonical_key] for g in elements}
-    if not G.is_normal(sub):
-        raise NotNormalError("subgroup is not normal in G")
-    return G.quotient_by(sub)
-
-
 def stratum_class(G: UnitaryGroup) -> str:
     """Which stratum a point with isotropy G belongs to."""
     if G.order == 1:
@@ -371,14 +318,13 @@ def _diagonalize(G: UnitaryGroup):
     if det.is_zero():
         raise Unsupported("eigenvectors are not independent over the declared field")
     inv = det.inverse()
-    p = [[v1[0], v2[0]], [v1[1], v2[1]]]
-    pinv = [[p[1][1] * inv, (-1) * p[0][1] * inv], [(-1) * p[1][0] * inv, p[0][0] * inv]]
+    # P and P^-1 need not be unitary, hence check=False
+    p = UMat2([[v1[0], v2[0]], [v1[1], v2[1]]], check=False)
+    pinv = UMat2([[v2[1] * inv, (-1) * v2[0] * inv], [(-1) * v1[1] * inv, v1[0] * inv]],
+                 check=False)
     out = []
     for g in els:
-        e = g.matrix.entries
-        # P^-1 g P, computed entrywise
-        gp = [[sum((e[i][k] * p[k][j] for k in range(2)), CyclotomicScalar.zero()) for j in range(2)] for i in range(2)]
-        res = [[sum((pinv[i][k] * gp[k][j] for k in range(2)), CyclotomicScalar.zero()) for j in range(2)] for i in range(2)]
+        res = (pinv @ g.matrix @ p).entries
         if not (res[0][1].is_zero() and res[1][0].is_zero()):
             raise Unsupported("group is not simultaneously diagonalizable in the eigenbasis")
         out.append((res[0][0], res[1][1]))
@@ -434,6 +380,13 @@ def induced_cyclic_data(G: UnitaryGroup) -> CyclicActionData:
     if math.gcd(q, m) != 1:
         raise Unsupported("induced action fixes the second invariant axis: not free off 0")
     return CyclicActionData(m, q)
+
+
+def group_from_json(obj: dict) -> UnitaryGroup:
+    """The group of a JSON object {"generators": [...], "max_order": n}, the
+    format of group files and of spec groups."""
+    gens = [UMat2.from_json(g) for g in obj["generators"]]
+    return generate_group(gens, max_order=obj.get("max_order", 512))
 
 
 # named built-in groups for specs and the CLI

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from .cyclotomic import CyclotomicScalar
 from .unitary import UMat2
-from .groups import UnitaryGroup, generate_group, builtin_group, stratum_class
+from .groups import (UnitaryGroup, builtin_group, generate_group, group_from_json,
+                     stratum_class)
 
 PROVENANCE = ("asserted", "computed", "user-asserted", "user-default")
 
@@ -58,6 +59,10 @@ class ValidationReport:
     semantic_errors: list[str]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_spec(spec: OrbifoldSpec) -> ValidationReport:
     structural: list[str] = []
     semantic: list[str] = []
@@ -76,13 +81,15 @@ def validate_spec(spec: OrbifoldSpec) -> ValidationReport:
         for s in c.incident_surfaces:
             if s not in surface_labels:
                 structural.append(f"corner {c.label!r} references unknown surface {s!r}")
-    if len(spec.base_betti) != 5 or any(b < 0 for b in spec.base_betti):
+    if len(spec.base_betti) != 5 or not all(_is_int(b) and b >= 0 for b in spec.base_betti):
         structural.append("base_betti must be five nonnegative integers")
     if len(spec.betti_provenance) != 5 or any(p not in PROVENANCE for p in spec.betti_provenance):
         structural.append("betti_provenance must be five known flags")
 
     for s in spec.surfaces:
-        if s.m < 2:
+        if not _is_int(s.m):
+            semantic.append(f"surface {s.label!r}: transverse isotropy order {s.m!r} is not an integer")
+        elif s.m < 2:
             semantic.append(f"surface {s.label!r}: transverse isotropy order {s.m} < 2")
         if not s.compact:
             semantic.append(f"surface {s.label!r}: closure not compact")
@@ -235,8 +242,7 @@ def _group_to_json(g: UnitaryGroup) -> dict:
 def _group_from_json(obj) -> UnitaryGroup:
     if isinstance(obj, str):
         return builtin_group(obj)
-    gens = [UMat2.from_json(g) for g in obj["generators"]]
-    return generate_group(gens, max_order=obj.get("max_order", 512))
+    return group_from_json(obj)
 
 
 def spec_to_json(spec: OrbifoldSpec) -> dict:

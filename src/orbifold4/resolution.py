@@ -153,11 +153,6 @@ def euler_characteristic(spec: OrbifoldSpec, profile: CohomologyProfile):
     return sum((-1) ** k * b for k, b in enumerate(profile.betti))
 
 
-def euler_char_resolution(spec: OrbifoldSpec):
-    """Euler characteristic of the resolution of spec; see euler_characteristic."""
-    return euler_characteristic(spec, resolution_betti(spec))
-
-
 # -- mapping-torus fundamental groups --------------------------------------
 
 

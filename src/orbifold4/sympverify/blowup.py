@@ -13,7 +13,8 @@ form, scaled by lambda.  The potential is written once, as a function of
 (|u|^2, |v|^2): its complex Hessian comes from second-order jets, and
 `chart_potential` evaluates the same definition so that finite differences
 (`ddbar_fd`) can cross-check it.  Grids avoid v = 0, where the pulled-back
-quotient form is continuous but not smooth for m >= 2."""
+quotient form is continuous but not smooth for m >= 2; the area of the zero
+section is read off the same potential restricted to v = 0."""
 
 from __future__ import annotations
 
@@ -21,16 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import (TamenessCertificate, cube_grid, exterior_derivative_fd,
+from .forms import (TamenessCertificate, blockwise, cube_grid, exterior_derivative_fd,
                     invariant_potential_form, standard_acs, tameness_min)
 from .jet import log1p
 from .linear import holomorphic_map, pullback
 
 
+def _phi(m: int, lam: float):
+    """The chart potential as a function of s = |u|^2 and t = |v|^2."""
+    return lambda s, t: t ** (1.0 / m) * (1.0 + s) + lam * log1p(s)
+
+
 def chart_form(m: int, lam: float):
     """(i/2) ddbar of the chart potential; valid for v != 0."""
-    return invariant_potential_form(
-        lambda s, t: t ** (1.0 / m) * (1.0 + s) + lam * log1p(s))
+    return invariant_potential_form(_phi(m, lam))
 
 
 def chart_potential(m: int, lam: float):
@@ -65,11 +70,18 @@ def closedness_residual(omega) -> float:
 def exceptional_area(m: int, lam: float, n: int = 20000) -> float:
     """Area of the form restricted to the zero section, by radial quadrature.
 
-    On v = 0 the only surviving coefficient is lam/(1+|u|^2)^2; the radial
-    integral is compactified by rho = tan(theta)."""
+    The form of the potential restricted to v = 0 is evaluated at (rho, 0, 0, 0);
+    its du^dubar coefficient is the (0, 1) entry.  t = 0.0 enters as a plain
+    float, so |v|^(2/m) is the constant 0 and the jets in s stay finite.  The
+    radial integral is compactified by rho = tan(theta)."""
+    phi = _phi(m, lam)
+    zero_section = invariant_potential_form(lambda s, t: phi(s, 0.0))
     theta = np.linspace(0.0, np.pi / 2.0, n)
     rho = np.tan(theta[:-1])
-    integrand = 2.0 * np.pi * lam * rho / (1.0 + rho ** 2) ** 2 * (1.0 + rho ** 2)
+    pts = np.zeros((n - 1, 4))
+    pts[:, 0] = rho
+    density = blockwise(lambda p: zero_section(p)[:, 0, 1], pts)
+    integrand = 2.0 * np.pi * rho * density * (1.0 + rho ** 2)
     integrand = np.append(integrand, 0.0)  # rho -> inf limit
     return float(np.trapezoid(integrand, theta))
 

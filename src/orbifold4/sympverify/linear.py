@@ -22,10 +22,6 @@ OMEGA0 = np.array([
 J0 = -OMEGA0  # multiplication by i in (x1,y1,x2,y2) coordinates
 
 
-class NotSymplecticError(ValueError):
-    pass
-
-
 def realify(u) -> np.ndarray:
     """The real matrix acting on (x1,y1,x2,y2) of an exact UMat2 or of a
     (..., 2, 2) complex array: entry a + ib becomes the block [[a, -b], [b, a]]."""
@@ -54,79 +50,3 @@ def holomorphic_map(f, points):
 def pullback(jac, form):
     """J^T omega J: the pullback of the 2-form matrices along the Jacobians."""
     return np.swapaxes(jac, -1, -2) @ form @ jac
-
-
-def is_orthogonal(a: np.ndarray, tol: float = 1e-10) -> bool:
-    return float(np.max(np.abs(a.T @ a - np.eye(4)))) <= tol
-
-
-def is_symplectic(a: np.ndarray, tol: float = 1e-10) -> bool:
-    return float(np.max(np.abs(a.T @ OMEGA0 @ a - OMEGA0))) <= tol
-
-
-class NearSingularError(ValueError):
-    def __init__(self, smallest_eigenvalue: float):
-        self.smallest_eigenvalue = smallest_eigenvalue
-        super().__init__(f"matrix nearly singular: smallest eigenvalue {smallest_eigenvalue:.3e}")
-
-
-def matrix_inv_sqrt(s: np.ndarray, eig_floor: float = 1e-12) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix."""
-    s = np.asarray(s, dtype=float)
-    if np.max(np.abs(s - s.T)) > 1e-10:
-        raise ValueError("input is not symmetric")
-    vals, vecs = np.linalg.eigh(s)
-    if vals[0] <= eig_floor:
-        raise NearSingularError(float(vals[0]))
-    return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
-
-
-def unitary_retract(a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Retraction of a symplectic matrix onto the realified unitary group."""
-    a = np.asarray(a, dtype=float)
-    if not is_symplectic(a, tol=tol):
-        raise NotSymplecticError("input matrix is not symplectic")
-    return a @ matrix_inv_sqrt(a.T @ a)
-
-
-class DegenerateFormError(ValueError):
-    pass
-
-
-def compatible_acs(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Almost-complex structure J compatible with the 2-form w, built from the
-    auxiliary metric g via the polar factor of the g-normalized form matrix.
-
-    Post-conditions: J^2 = -I, (u,v) -> w(u, Jv) is symmetric positive
-    definite, and w(Ju, Jv) = w(u, v).
-    """
-    g = np.asarray(g, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if abs(np.linalg.det(w)) <= 1e-12:
-        raise DegenerateFormError("form is degenerate")
-    g_inv_sqrt = matrix_inv_sqrt(g)
-    g_sqrt = np.linalg.inv(g_inv_sqrt)
-    b = g_inv_sqrt @ w @ g_inv_sqrt
-    b = 0.5 * (b - b.T)  # exact antisymmetry against roundoff
-    j_tilde = -b @ matrix_inv_sqrt(b.T @ b)
-    return g_inv_sqrt @ j_tilde @ g_sqrt
-
-
-class PreconditionError(ValueError):
-    pass
-
-
-def retract_equivariance_check(a: UMat2, c: UMat2, b: np.ndarray,
-                               pre_tol: float = 1e-10, post_tol: float = 1e-8) -> bool:
-    """Check that conjugation relations survive the unitary retraction.
-
-    Requires realify(a) = B^-1 realify(c) B; returns whether the same holds
-    with B replaced by its retraction r(B).
-    """
-    ra, rc = realify(a), realify(c)
-    b = np.asarray(b, dtype=float)
-    b_inv = np.linalg.inv(b)
-    if np.max(np.abs(ra - b_inv @ rc @ b)) > pre_tol:
-        raise PreconditionError("realify(a) != B^-1 realify(c) B within tolerance")
-    rb = unitary_retract(b)
-    return bool(np.max(np.abs(ra - np.linalg.inv(rb) @ rc @ rb)) <= post_tol)

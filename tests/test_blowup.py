@@ -5,7 +5,7 @@ import pytest
 
 from orbifold4.sympverify import (blowup_model_check, chart_form, chart_grid,
                                   chart_potential, exceptional_area, transition)
-from orbifold4.sympverify import blowup
+from orbifold4.sympverify import blowup, jet
 from orbifold4.sympverify.blowup import closedness_residual
 from orbifold4.sympverify.forms import ddbar_fd
 from orbifold4.sympverify.linear import holomorphic_map
@@ -80,6 +80,15 @@ def test_a_wrong_chart_transition_fails_the_report(monkeypatch):
     report = blowup_model_check(2, 0.1, grid_n=6)
     assert report.ok is False and report.overlap_max_diff > 1e-8
     assert report.certificate.tame and report.closedness_residual <= 1e-5
+
+
+def test_the_area_is_read_off_the_chart_potential(monkeypatch):
+    # 2 lambda log(1+|u|^2) gives the zero section the area 2 lambda pi, so
+    # the report, which expects lambda pi, must fail
+    monkeypatch.setattr(blowup, "log1p", lambda x: 2 * jet.log1p(x))
+    report = blowup_model_check(2, 0.1, grid_n=8)
+    assert abs(report.area - 2 * 0.1 * np.pi) < 1e-8
+    assert report.ok is False
 
 
 def test_blowup_model_check_rejects_bad_parameters():

@@ -363,3 +363,23 @@ def test_orbifold_resolve_invalid_spec_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "orbifold", "resolve", "--spec", str(path), "--json")
     assert code == 2 and out == ""
     assert err == "error: spec invalid: surface 'S_phi': transverse isotropy order 1 < 2\n"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("base_betti", "abcde"),
+    ("base_betti", [1, 0, 2.5, 0, 1]),
+    ("m", "2"),
+    ("m", 2.5),
+])
+def test_orbifold_resolve_refuses_non_integer_spec_fields(capsys, tmp_path, field, value):
+    from orbifold4 import builtin_mapping_torus, spec_to_json
+    obj = spec_to_json(builtin_mapping_torus())
+    if field == "m":
+        obj["surfaces"][0]["m"] = value
+    else:
+        obj[field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "orbifold", "resolve", "--spec", str(path), "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: spec invalid: ")

@@ -9,7 +9,7 @@ import pytest
 from orbifold4 import (AbelianInvariants, CyclotomicScalar, HJChain, Incomplete,
                        UMat2, Unsupported, abelianize, builtin_group,
                        builtin_mapping_torus, builtin_product,
-                       euler_char_resolution, exceptional_betti, generate_group,
+                       euler_characteristic, exceptional_betti, generate_group,
                        hj_resolve, mapping_torus_pi1, resolution_betti,
                        smith_normal_form)
 
@@ -104,7 +104,8 @@ def test_resolution_betti_mapping_torus():
     assert profile.betti == (1, 0, 7, 0, 1)
     assert [eb for _, eb in profile.contributing_points] == [(1, 0, 1)] * 5
     assert profile.provenance[2] == "computed"
-    chi = euler_char_resolution(builtin_mapping_torus())
+    spec = builtin_mapping_torus()
+    chi = euler_characteristic(spec, resolution_betti(spec))
     assert isinstance(chi, Incomplete)  # b3 still carries its default
 
 
@@ -113,7 +114,7 @@ def test_resolution_betti_product():
     profile = resolution_betti(spec)
     # the corner group is a reflection group: no exceptional contribution
     assert profile.betti == (1, 0, 2, 0, 1)
-    assert euler_char_resolution(spec) == 4
+    assert euler_characteristic(spec, resolution_betti(spec)) == 4
 
 
 def test_smith_normal_form_properties():

@@ -89,3 +89,21 @@ def test_tracer_counts_every_point_of_a_blockwise_grid(tmp_path):
     counts = _trace(tmp_path, ("verify", "tameness", "--model", "flat", "--grid", "12"))["counts"]
     assert counts["points.tameness_min"] == 12 ** 4
     assert counts["points.eval_omega_a"] == 12 ** 4
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("verify", "blowup", "--grid", "4"), 0),
+    (("verify", "blowup", "--m", "3", "--lam", "0.4322", "--grid", "6"), 0),
+    (("verify", "tameness", "--model", "flat", "--grid", "4"), 0),
+    (("verify", "tameness", "--model", "flat", "--grid", "4", "--resolved"), 0),
+    (("verify", "tameness", "--model", "flat", "--grid", "4", "--a", "0"), 0),
+    (("verify", "gluing", "--grid", "8"), 0),
+    (("verify", "tameness", "--model", "degenerate-fixture"), 4),
+])
+def test_verify_commands_write_no_warnings(argv, code):
+    # under -W error a numpy or Python warning becomes a traceback on stderr
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "orbifold4.cli", *argv, "--json"],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert json.loads(proc.stdout)["exit_status"] == code

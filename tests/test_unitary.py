@@ -1,15 +1,10 @@
-"""Exact unitary matrices, realification, retraction, compatible structures."""
+"""Exact unitary matrices, their realification, and the standard J0 and Omega0."""
 
 import numpy as np
 import pytest
 
 from orbifold4 import CyclotomicScalar, NotUnitaryError, UMat2
-from orbifold4.sympverify.linear import (OMEGA0, J0, DegenerateFormError,
-                                         NotSymplecticError, compatible_acs,
-                                         is_orthogonal, is_symplectic,
-                                         matrix_inv_sqrt, realify,
-                                         retract_equivariance_check,
-                                         unitary_retract)
+from orbifold4.sympverify.linear import OMEGA0, J0, realify
 
 
 def _hadamard():
@@ -35,7 +30,8 @@ def test_unitarity_is_verified():
 def test_hadamard_is_unitary_and_realifies_correctly():
     h = _hadamard()
     r = realify(h)
-    assert is_orthogonal(r) and is_symplectic(r)
+    assert np.max(np.abs(r.T @ r - np.eye(4))) <= 1e-10  # orthogonal
+    assert np.max(np.abs(r.T @ OMEGA0 @ r - OMEGA0)) <= 1e-10  # symplectic
     assert np.allclose(r @ r, np.eye(4))  # the Hadamard matrix is an involution
 
 
@@ -66,60 +62,3 @@ def test_group_ops_exact():
 def test_json_round_trip():
     a = UMat2.diagonal(CyclotomicScalar.zeta(8, 3), CyclotomicScalar.zeta(8, 5))
     assert UMat2.from_json(a.to_json()) == a
-
-
-def test_matrix_inv_sqrt_oracle():
-    rng = np.random.default_rng(0)
-    b = rng.normal(size=(4, 4))
-    s = b @ b.T + 4 * np.eye(4)
-    r = matrix_inv_sqrt(s)
-    assert np.allclose(r @ s @ r, np.eye(4), atol=1e-10)
-    with pytest.raises(ValueError):
-        matrix_inv_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_unitary_retract_fixes_unitaries_and_repairs_symplectics():
-    u = realify(_hadamard())
-    assert np.allclose(unitary_retract(u), u, atol=1e-12)
-    # a genuinely non-orthogonal symplectic matrix: symplectic shear
-    shear = np.eye(4)
-    shear[0, 1] = 0.3
-    r = unitary_retract(shear)
-    assert is_orthogonal(r) and is_symplectic(r)
-    with pytest.raises(NotSymplecticError):
-        unitary_retract(2.0 * np.eye(4))
-
-
-def test_compatible_acs_postconditions():
-    rng = np.random.default_rng(1)
-    b = rng.normal(size=(4, 4)) * 0.2 + np.eye(4)
-    g = b @ b.T  # generic metric
-    w = OMEGA0 + 0.05 * (lambda m: m - m.T)(rng.normal(size=(4, 4)))
-    j = compatible_acs(g, w)
-    assert np.allclose(j @ j, -np.eye(4), atol=1e-9)
-    sym = w @ j
-    assert np.allclose(sym, sym.T, atol=1e-9)
-    assert np.all(np.linalg.eigvalsh(0.5 * (sym + sym.T)) > 0)
-    assert np.allclose(j.T @ w @ j, w, atol=1e-9)
-
-
-def test_compatible_acs_standard_pair_recovers_j0():
-    assert np.allclose(compatible_acs(np.eye(4), OMEGA0), J0, atol=1e-12)
-
-
-def test_compatible_acs_degenerate_form():
-    w = np.zeros((4, 4))
-    w[0, 1], w[1, 0] = 1.0, -1.0
-    with pytest.raises(DegenerateFormError):
-        compatible_acs(np.eye(4), w)
-
-
-def test_retract_equivariance():
-    a = UMat2.diagonal(CyclotomicScalar.zeta(4), CyclotomicScalar.zeta(4, 3))
-    h = _hadamard()
-    c = h @ a @ h.inverse()
-    # conjugating matrix: the realified Hadamard perturbed by a symplectic shear
-    shear = np.eye(4)
-    shear[2, 3] = 1e-12
-    b = realify(h) @ shear
-    assert retract_equivariance_check(a, c, b)
