@@ -4,7 +4,8 @@ Subcommands: `group classify|invariants`, `singularity resolve`,
 `orbifold resolve`, `verify tameness|gluing|blowup`.  Every command supports
 `--json` (deterministic payload: sorted keys, 17-significant-digit floats)
 and `--quiet`.  Exit codes: 0 success, 2 invalid input, 3 unsupported math,
-4 failed certificate.
+4 failed certificate.  Each command imports the modules it uses, so a
+`verify` command loads numpy and sympverify and none of the exact half.
 """
 
 from __future__ import annotations
@@ -12,14 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from .unitary import NotUnitaryError
-from .groups import (UnitaryGroup, Unsupported, NotFiniteWithinBound, builtin_group,
-                     group_from_json, induced_cyclic_data, stratum_class)
-from .invariants import NotReflectionGroup, fundamental_invariants, molien
-from .isotropy import BUILTIN_SPECS, OrbifoldSpec, builtin_product, load_spec
-from .resolution import (Incomplete, SpecInvalid, euler_characteristic, hj_resolve,
-                         resolution_betti)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -64,7 +57,10 @@ def emit(report: dict, args) -> None:
         print(f"{key}: {val}")
 
 
-def _load_group(args) -> UnitaryGroup:
+def _load_group(args):
+    from .groups import NotFiniteWithinBound, builtin_group, group_from_json
+    from .unitary import NotUnitaryError
+
     if getattr(args, "builtin", None):
         try:
             return builtin_group(args.builtin)
@@ -82,6 +78,8 @@ def _load_group(args) -> UnitaryGroup:
 
 
 def cmd_group_classify(args) -> dict:
+    from .groups import Unsupported, induced_cyclic_data, stratum_class
+
     G = _load_group(args)
     kinds = {}
     for c in G.classes:
@@ -107,6 +105,8 @@ def cmd_group_classify(args) -> dict:
 
 
 def cmd_group_invariants(args) -> dict:
+    from .invariants import NotReflectionGroup, fundamental_invariants, molien
+
     if args.degree < 0:
         raise CliError("--degree must be nonnegative", EXIT_INVALID)
     G = _load_group(args)
@@ -145,6 +145,8 @@ def _poly_str(p) -> str:
 
 
 def cmd_singularity_resolve(args) -> dict:
+    from .resolution import hj_resolve
+
     try:
         chain = hj_resolve(args.m, args.q)
     except ValueError as exc:
@@ -166,7 +168,9 @@ def cmd_singularity_resolve(args) -> dict:
     }
 
 
-def _load_spec(args) -> OrbifoldSpec:
+def _load_spec(args):
+    from .isotropy import BUILTIN_SPECS, builtin_product, load_spec
+
     if getattr(args, "example", None):
         name = args.example.replace("-", "_")
         if name == "product":
@@ -188,6 +192,9 @@ def _load_spec(args) -> OrbifoldSpec:
 
 
 def cmd_orbifold_resolve(args) -> dict:
+    from .groups import Unsupported
+    from .resolution import Incomplete, SpecInvalid, euler_characteristic, resolution_betti
+
     spec = _load_spec(args)
     try:
         profile = resolution_betti(spec)
@@ -224,8 +231,9 @@ def _check_grid(args) -> None:
 
 def cmd_verify_tameness(args) -> dict:
     import numpy as np
-    from .sympverify import (LocalModel, eval_omega_a, standard_acs, tameness_min)
+    from .sympverify import LocalModel, eval_omega_a, tameness_min
     from .sympverify.forms import TAMENESS_TOL, cube_grid
+    from .sympverify.linear import J0
 
     _check_grid(args)
     if args.model == "degenerate-fixture":
@@ -236,7 +244,7 @@ def cmd_verify_tameness(args) -> dict:
         pts = np.random.default_rng(args.seed).uniform(-0.3, 0.3, (200, 4))
         cert = tameness_min(
             lambda q: np.broadcast_to(rank2, np.asarray(q).shape[:-1] + (4, 4)),
-            standard_acs, pts, region="degenerate fixture", grid="200 random samples",
+            J0, pts, region="degenerate fixture", grid="200 random samples",
         )
     else:
         try:
@@ -251,7 +259,7 @@ def cmd_verify_tameness(args) -> dict:
         pts = cube_grid(ax, ax, ax, ax)
         cert = tameness_min(
             lambda q: eval_omega_a(model, q, resolved=args.resolved),
-            standard_acs, pts,
+            J0, pts,
             region=f"cube side 2*{model.delta2}", grid=f"{args.grid}^4",
         )
     report = {
@@ -407,7 +415,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except Unsupported as exc:
+    except Exception as exc:
+        # only a command that has imported groups can raise its Unsupported
+        groups = sys.modules.get(f"{__package__}.groups")
+        if groups is None or not isinstance(exc, groups.Unsupported):
+            raise
         print(f"unsupported: {exc.reason}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     emit(report, args)

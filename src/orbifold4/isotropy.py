@@ -91,7 +91,11 @@ def validate_spec(spec: OrbifoldSpec) -> ValidationReport:
             semantic.append(f"surface {s.label!r}: transverse isotropy order {s.m!r} is not an integer")
         elif s.m < 2:
             semantic.append(f"surface {s.label!r}: transverse isotropy order {s.m} < 2")
-        if not s.compact:
+        if not (_is_int(s.genus) and s.genus >= 0):
+            semantic.append(f"surface {s.label!r}: genus {s.genus!r} is not a nonnegative integer")
+        if not isinstance(s.compact, bool):
+            semantic.append(f"surface {s.label!r}: compact {s.compact!r} is not a boolean")
+        elif not s.compact:
             semantic.append(f"surface {s.label!r}: closure not compact")
     for p in spec.isolated_points:
         cls = stratum_class(p.group)

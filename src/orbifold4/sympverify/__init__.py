@@ -8,7 +8,7 @@ from .forms import (TamenessCertificate, GluingProblem, NotAlmostComplexError,
                     PreconditionFailure, ball_grid, complex_gradient_fd,
                     complex_hessian_fd, ddbar_fd, exterior_derivative_fd,
                     form_from_hermitian, glue_forms,
-                    radial_potential_form, semipositive_compose, standard_acs,
+                    radial_potential_form, semipositive_compose,
                     taming_quotients, tameness_min)
 from .pushforward import PushforwardReport, pushforward_check, sample_points
 from .blowup import (BlowupReport, blowup_model_check, chart_form,
@@ -23,7 +23,7 @@ __all__ = [
     "PreconditionFailure", "ball_grid",
     "complex_gradient_fd", "complex_hessian_fd", "ddbar_fd",
     "exterior_derivative_fd", "form_from_hermitian", "glue_forms",
-    "radial_potential_form", "semipositive_compose", "standard_acs",
+    "radial_potential_form", "semipositive_compose",
     "taming_quotients", "tameness_min",
     "PushforwardReport", "pushforward_check", "sample_points",
     "BlowupReport", "blowup_model_check", "chart_form",

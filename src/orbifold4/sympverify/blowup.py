@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import (TamenessCertificate, blockwise, cube_grid, exterior_derivative_fd,
-                    invariant_potential_form, standard_acs, tameness_min)
+                    invariant_potential_form, tameness_min)
 from .jet import log1p
-from .linear import holomorphic_map, pullback
+from .linear import J0, holomorphic_map, pullback
 
 
 def _phi(m: int, lam: float):
@@ -118,7 +118,7 @@ def blowup_model_check(m: int, lam: float, grid_n: int = 12) -> BlowupReport:
 
     pts = chart_grid(grid_n)
     cert = tameness_min(
-        omega, standard_acs, pts,
+        omega, J0, pts,
         region=f"two charts, |u|<=1.2, 0.05<=|v|<=0.8 (m={m}, lambda={lam})",
         grid=f"{grid_n}^4 per chart, v=0 excluded",
     )

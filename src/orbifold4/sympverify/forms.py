@@ -108,12 +108,6 @@ def exterior_derivative_fd(form_eval, points, h: float = 1e-3) -> float:
     return float(np.max(np.abs(res)))
 
 
-def standard_acs(points):
-    """The constant standard almost-complex structure at each point."""
-    p = np.asarray(points, dtype=float)
-    return np.broadcast_to(J0, p.shape[:-1] + (4, 4))
-
-
 @dataclass
 class TamenessCertificate:
     """Minimum taming quotient over the samples of a grid.  worst_sample is
@@ -176,26 +170,26 @@ def taming_quotients(forms, acs):
     return mean - np.hypot(oj[..., 0, 0] - mean, beta_abs)
 
 
-def tameness_min(form_eval, acs_eval, points, region: str = "", grid: str = "",
+def tameness_min(form_eval, acs, points, region: str = "", grid: str = "",
                  tol: float = TAMENESS_TOL) -> TamenessCertificate:
-    """Certify min over samples of the taming quotient omega(u, Ju)/|u|^2,
-    checking J^2 = -I and J^T = -J at every sample (taming_quotients holds
-    for an orthogonal J only); evaluated CHUNK samples at a time.
+    """Certify min over samples of the taming quotient omega(u, Ju)/|u|^2 for
+    one constant almost-complex structure J (a 4x4 matrix, J0 for every model
+    here), evaluated CHUNK samples at a time.  J^2 = -I and J^T = -J are
+    checked once, before any form is evaluated: taming_quotients holds for an
+    orthogonal J only, and a non-finite J fails both checks.
 
     min_quotient is the true minimum.  worst_sample is the first sample in
     grid order whose quotient is <= min + WORST_SAMPLE_RTOL * max(1, |min|).
     """
+    acs = np.asarray(acs, dtype=float)
+    if acs.shape != (4, 4):
+        raise NotAlmostComplexError(f"J must be one 4x4 matrix, not of shape {acs.shape}")
+    if not float(np.max(np.abs(acs @ acs + np.eye(4)))) <= 1e-8:
+        raise NotAlmostComplexError("J^2 != -I")
+    if not float(np.max(np.abs(acs + acs.T))) <= 1e-8:
+        raise NotAlmostComplexError("J^T != -J")
     p = np.asarray(points, dtype=float).reshape(-1, 4)
-
-    def quotients(q):
-        acs = np.asarray(acs_eval(q), dtype=float)
-        if float(np.max(np.abs(acs @ acs + np.eye(4)))) > 1e-8:
-            raise NotAlmostComplexError("J^2 != -I at a sample")
-        if float(np.max(np.abs(acs + np.swapaxes(acs, -1, -2)))) > 1e-8:
-            raise NotAlmostComplexError("J^T != -J at a sample")
-        return taming_quotients(form_eval(q), acs)
-
-    quot = blockwise(quotients, p)
+    quot = blockwise(lambda q: taming_quotients(form_eval(q), acs), p)
     idx = int(np.argmin(quot))
     mq = float(quot[idx])
     if np.isfinite(mq):
@@ -220,7 +214,7 @@ def semipositive_compose(F, h_profile: RadialProfile, points, step: float = 1e-3
     hess = complex_hessian_fd(F, p, step)
     coeff = h2[..., None, None] * outer + h1[..., None, None] * hess
     forms = form_from_hermitian(coeff)
-    quot = taming_quotients(forms, standard_acs(p))
+    quot = taming_quotients(forms, J0)
     min_eig = float(np.min(quot))
     return forms, bool(min_eig >= -tol), min_eig
 
@@ -352,11 +346,11 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
     outer_pts = ball_grid(e3, grid_n, inner=e2 * (1 + 1e-9))
     if not (len(mid_pts) and len(outer_pts)):
         raise ValueError(f"a {grid_n}^4 grid has no sample on an annulus; use a finer grid")
-    mid = tameness_min(problem.omega1, standard_acs, mid_pts)
+    mid = tameness_min(problem.omega1, J0, mid_pts)
     if mid.min_quotient < -tol:
         raise PreconditionFailure("omega1 not semipositive on the middle annulus",
                                   worst_sample=mid.worst_sample, value=mid.min_quotient)
-    outer = tameness_min(problem.omega1, standard_acs, outer_pts)
+    outer = tameness_min(problem.omega1, J0, outer_pts)
     C = outer.min_quotient
     if C <= 0:
         raise PreconditionFailure("omega1 not positive outside eps2",
@@ -372,7 +366,7 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
         return np.asarray(problem.omega1(p), float) + delta * (term1 + term2)
 
     cert = tameness_min(
-        glued, standard_acs, ball,
+        glued, J0, ball,
         region=f"ball radius {e3}", grid=f"{grid_n}^4 cubic grid",
     )
     return delta, glued, cert

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..unitary import UMat2
 from .jet import Jet
 
 OMEGA0 = np.array([
@@ -23,9 +22,10 @@ J0 = -OMEGA0  # multiplication by i in (x1,y1,x2,y2) coordinates
 
 
 def realify(u) -> np.ndarray:
-    """The real matrix acting on (x1,y1,x2,y2) of an exact UMat2 or of a
-    (..., 2, 2) complex array: entry a + ib becomes the block [[a, -b], [b, a]]."""
-    c = u.to_complex() if isinstance(u, UMat2) else np.asarray(u, dtype=complex)
+    """The real matrix acting on (x1,y1,x2,y2) of a (..., 2, 2) complex array
+    (of an exact UMat2, its `to_complex()`): entry a + ib becomes the block
+    [[a, -b], [b, a]]."""
+    c = np.asarray(u, dtype=complex)
     out = np.empty(c.shape[:-2] + (4, 4))
     out[..., 0::2, 0::2] = out[..., 1::2, 1::2] = c.real
     out[..., 1::2, 0::2] = c.imag

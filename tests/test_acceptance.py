@@ -17,10 +17,10 @@ from orbifold4 import (CyclotomicScalar, UMat2, abelianize, builtin_group,
 from orbifold4.invariants import invariant_dimension_bruteforce
 from orbifold4.sympverify import (LocalModel, ddbar_fd, eval_omega_a,
                                   blowup_model_check, glue_forms,
-                                  pushforward_check, standard_acs,
-                                  taming_quotients, tameness_min)
+                                  pushforward_check, taming_quotients, tameness_min)
 from orbifold4.sympverify.fixtures import pipeline_problem
 from orbifold4.sympverify.forms import ball_grid, _d_rho_beta
+from orbifold4.sympverify.linear import J0
 from orbifold4.sympverify.profiles import f_smoothing
 from orbifold4.sympverify.pushforward import sample_points
 
@@ -163,7 +163,7 @@ def test_criterion_08_tameness_certification():
             grid = np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"),
                             axis=-1).reshape(-1, 4)
             cert = tameness_min(lambda p, _m=model: eval_omega_a(_m, p),
-                                standard_acs, grid)
+                                J0, grid)
             ok = ok and cert.tame and cert.min_quotient > 0
             details.append(f"m={m},a={a}:{cert.min_quotient:.1e}")
             # vertical coefficient positivity from the closed-form derivatives
@@ -184,8 +184,7 @@ def test_criterion_09_gluing_executor():
         problem = pipeline_problem(m=2, a=0.1, eps1=e1, eps2=e2, eps3=e3)
         delta, _, cert = glue_forms(problem, grid_n=15)
         outer = ball_grid(e3, 15, inner=e2 * (1 + 1e-9))
-        C = float(np.min(taming_quotients(problem.omega1(outer),
-                                          standard_acs(outer))))
+        C = float(np.min(taming_quotients(problem.omega1(outer), J0)))
         drb, _, _ = _d_rho_beta(problem, ball_grid(e3, 15, inner=1e-6))
         norm = float(np.max(np.linalg.norm(drb, ord=2, axis=(-2, -1))))
         ok = ok and delta * (norm + 1.0) < C and cert.tame

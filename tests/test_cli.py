@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, deterministic JSON."""
 
 import argparse
+import importlib
 import json
 import math
 import pathlib
@@ -194,13 +195,12 @@ def test_quiet_suppresses_output(capsys):
 
 def test_unsupported_math_exit_code(capsys, monkeypatch, tmp_path):
     # the refusal path maps to exit 3
-    import orbifold4.cli as cli
     from orbifold4 import Unsupported, builtin_mapping_torus, spec_to_json
 
     def refuse(spec):
         raise Unsupported("deliberately refused in test")
 
-    monkeypatch.setattr(cli, "resolution_betti", refuse)
+    monkeypatch.setattr("orbifold4.resolution.resolution_betti", refuse)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec_to_json(builtin_mapping_torus())))
     code, _, err = run(capsys, "orbifold", "resolve", "--spec", str(path))
@@ -327,12 +327,14 @@ def test_random_argv_exits_cleanly():
 
 
 
-def _count_calls(monkeypatch, name):
-    """Wrap the orbifold4 function `name` wherever a module holds it; the
-    returned list collects one entry per call."""
+def _count_calls(monkeypatch, module, name):
+    """Wrap the function `name` of the orbifold4 module `module` wherever a
+    module holds it; the returned list collects one entry per call.  The
+    defining module is imported first, since the CLI imports it only when a
+    command needs it."""
     calls = []
+    fn = getattr(importlib.import_module(module), name)
     modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "orbifold4"]
-    fn = next(getattr(m, name) for m in modules if hasattr(m, name))
     for module in modules:
         if getattr(module, name, None) is fn:
             monkeypatch.setattr(module, name, lambda *a: calls.append(a) or fn(*a))
@@ -340,7 +342,7 @@ def _count_calls(monkeypatch, name):
 
 
 def test_group_classify_classifies_each_element_once(capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, "classify_element")
+    calls = _count_calls(monkeypatch, "orbifold4.groups", "classify_element")
     code, out, _ = run(capsys, "group", "classify", "--builtin", "klein_four", "--json")
     assert code == 0
     assert json.loads(out)["results"]["element_kinds"] == {"identity": 1, "reflection": 2,
@@ -349,7 +351,7 @@ def test_group_classify_classifies_each_element_once(capsys, monkeypatch):
 
 
 def test_orbifold_resolve_validates_the_spec_once(capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, "validate_spec")
+    calls = _count_calls(monkeypatch, "orbifold4.isotropy", "validate_spec")
     code, out, _ = run(capsys, "orbifold", "resolve", "--example", "mapping-torus", "--json")
     assert code == 0 and json.loads(out)["results"]["delta"] == []
     assert len(calls) == 1
@@ -383,3 +385,19 @@ def test_orbifold_resolve_refuses_non_integer_spec_fields(capsys, tmp_path, fiel
     code, out, err = run(capsys, "orbifold", "resolve", "--spec", str(path), "--json")
     assert code == 2 and out == ""
     assert err.startswith("error: spec invalid: ")
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("compact", "no", "compact 'no' is not a boolean"),
+    ("genus", "x", "genus 'x' is not a nonnegative integer"),
+    ("genus", -3, "genus -3 is not a nonnegative integer"),
+], ids=["compact-string", "genus-string", "genus-negative"])
+def test_orbifold_resolve_refuses_ill_typed_surface_fields(capsys, tmp_path, key, value, message):
+    from orbifold4 import builtin_mapping_torus, spec_to_json
+    obj = spec_to_json(builtin_mapping_torus())
+    obj["surfaces"][0][key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "orbifold", "resolve", "--spec", str(path), "--json")
+    assert code == 2 and out == ""
+    assert err == f"error: spec invalid: surface 'S_phi': {message}\n"

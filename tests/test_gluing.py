@@ -7,9 +7,8 @@ from orbifold4.sympverify import GluingProblem, glue_forms, rho_bump
 from orbifold4.sympverify.fixtures import (flat_form, pipeline_problem,
                                            smoothing_excess_max,
                                            standard_primitive)
-from orbifold4.sympverify.forms import (PreconditionFailure, ball_grid, standard_acs,
-                                        taming_quotients)
-from orbifold4.sympverify.linear import OMEGA0
+from orbifold4.sympverify.forms import PreconditionFailure, ball_grid, taming_quotients
+from orbifold4.sympverify.linear import J0, OMEGA0
 
 
 def test_standard_primitive_differentiates_to_flat_form():
@@ -39,7 +38,7 @@ def test_pipeline_problem_geometry():
     assert float(np.max(np.abs(prob.omega1(pts)))) < 1e-12
     # and is nondegenerate on the outer annulus
     outer = ball_grid(prob.eps3, 9, inner=prob.eps2 * 1.001)
-    assert float(np.min(taming_quotients(prob.omega1(outer), standard_acs(outer)))) > 0
+    assert float(np.min(taming_quotients(prob.omega1(outer), J0))) > 0
 
 
 def test_pipeline_problem_rejects_radii_without_ramp_window():
@@ -94,7 +93,7 @@ def test_glue_forms_reports_the_worst_annulus_sample():
         return -np.asarray(base.omega1(p), float)
 
     mid = ball_grid(base.eps2, 9, inner=base.eps1)
-    q = taming_quotients(negated(mid), standard_acs(mid))
+    q = taming_quotients(negated(mid), J0)
     with pytest.raises(PreconditionFailure, match="middle annulus") as exc:
         glue_forms(problem(negated), grid_n=9)
     assert exc.value.value == q.min() and exc.value.worst_sample == tuple(mid[np.argmin(q)])

@@ -10,8 +10,7 @@ from orbifold4.sympverify import (LocalModel, NotAlmostComplexError, Preconditio
                                   complex_hessian_fd, ddbar_fd,
                                   exterior_derivative_fd, form_from_hermitian,
                                   eval_omega_a, h_ramp, radial_potential_form, rho_bump,
-                                  semipositive_compose, standard_acs,
-                                  taming_quotients, tameness_min)
+                                  semipositive_compose, taming_quotients, tameness_min)
 from orbifold4.sympverify.blowup import chart_form, chart_grid
 from orbifold4.sympverify.forms import CHUNK, cube_grid
 from orbifold4.sympverify.linear import OMEGA0, J0
@@ -77,11 +76,10 @@ def test_complex_hessian_pluriharmonic_vanishes():
 
 def test_tameness_of_standard_pair():
     pts = _sample_points()
-    quot = taming_quotients(np.broadcast_to(OMEGA0, (len(pts), 4, 4)),
-                            standard_acs(pts))
+    quot = taming_quotients(np.broadcast_to(OMEGA0, (len(pts), 4, 4)), J0)
     assert np.allclose(quot, 1.0)
     cert = tameness_min(lambda p: np.broadcast_to(OMEGA0, np.asarray(p).shape[:-1] + (4, 4)),
-                        standard_acs, pts)
+                        J0, pts)
     assert cert.tame and abs(cert.min_quotient - 1.0) < 1e-12
 
 
@@ -89,20 +87,19 @@ def test_tameness_detects_degenerate_form():
     rank2 = np.zeros((4, 4))
     rank2[0, 1], rank2[1, 0] = 1.0, -1.0
     cert = tameness_min(lambda p: np.broadcast_to(rank2, np.asarray(p).shape[:-1] + (4, 4)),
-                        standard_acs, _sample_points())
+                        J0, _sample_points())
     assert not cert.tame and abs(cert.min_quotient) < 1e-12
 
 
 def test_tameness_rejects_bad_acs():
     with pytest.raises(NotAlmostComplexError):
         tameness_min(lambda p: np.broadcast_to(OMEGA0, np.asarray(p).shape[:-1] + (4, 4)),
-                     lambda p: np.broadcast_to(np.eye(4), np.asarray(p).shape[:-1] + (4, 4)),
-                     _sample_points())
+                     np.eye(4), _sample_points())
 
 
 def test_certificate_serialization():
     cert = tameness_min(lambda p: np.broadcast_to(OMEGA0, np.asarray(p).shape[:-1] + (4, 4)),
-                        standard_acs, _sample_points(), region="r", grid="g")
+                        J0, _sample_points(), region="r", grid="g")
     obj = cert.to_json()
     assert obj["region"] == "r" and obj["tame"] is True
     assert len(obj["worst_sample"]) == 4
@@ -189,24 +186,35 @@ def test_tameness_min_across_blocks_matches_whole_array_argmin(ties):
     pts = _numbered_points(n)
     pts[:, 0] += np.random.default_rng(3).uniform(-0.4, 0.4, n)
     pts[[2 * CHUNK + 3, *ties], 0] = 0.5
-    quot = taming_quotients(_scaled_flat(pts), standard_acs(pts))
+    quot = taming_quotients(_scaled_flat(pts), J0)
     idx = int(np.argmin(quot))
     assert idx == (ties[0] if ties else 2 * CHUNK + 3)
-    cert = tameness_min(_scaled_flat, standard_acs, pts)
+    cert = tameness_min(_scaled_flat, J0, pts)
     assert cert.min_quotient == quot[idx]
     assert cert.worst_sample == tuple(pts[idx])
 
 
-def test_tameness_min_checks_the_acs_in_the_last_block():
-    n = 2 * CHUNK + 7
+def _j0_with_nan(entry):
+    acs = J0.copy()
+    acs[entry] = np.nan
+    return acs
 
-    def acs(q):
-        out = np.array(standard_acs(q))
-        out[q[:, 1] == n - 1] = np.eye(4)
-        return out
+
+@pytest.mark.parametrize("acs", [np.eye(4), _j0_with_nan((slice(None), slice(None))),
+                                 _j0_with_nan((0, 1))],
+                         ids=["identity", "all-nan", "one-nan-entry"])
+def test_tameness_min_checks_the_acs_before_any_form_is_evaluated(acs):
+    # J is checked once, up front; max|J^2 + I| > tol is False for NaN, so a
+    # non-finite J is refused only by a check written as not(err <= tol)
+    evaluated = []
+
+    def form_eval(q):
+        evaluated.append(len(q))
+        return _scaled_flat(q)
 
     with pytest.raises(NotAlmostComplexError):
-        tameness_min(_scaled_flat, acs, _numbered_points(n))
+        tameness_min(form_eval, acs, _numbered_points(2 * CHUNK + 7))
+    assert evaluated == []
 
 
 def test_tameness_min_peak_memory_is_flat_in_grid_size():
@@ -217,7 +225,7 @@ def test_tameness_min_peak_memory_is_flat_in_grid_size():
         pts = np.random.default_rng(0).uniform(-0.25, 0.25, (n, 4))
         tracemalloc.start()
         try:
-            tameness_min(lambda q: eval_omega_a(model, q), standard_acs, pts)
+            tameness_min(lambda q: eval_omega_a(model, q), J0, pts)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -230,7 +238,7 @@ def test_worst_sample_is_the_first_sample_tied_with_the_minimum():
     # minimum, the second lies within the tie tolerance of it, the first not
     pts = _numbered_points(3)
     pts[:, 0] = [1.0 + 1e-12, 1.0, np.nextafter(1.0, 0.0)]
-    cert = tameness_min(_scaled_flat, standard_acs, pts)
+    cert = tameness_min(_scaled_flat, J0, pts)
     assert cert.min_quotient == np.nextafter(1.0, 0.0)
     assert cert.worst_sample == tuple(pts[1])
     assert all(type(x) is float for x in cert.worst_sample)
@@ -295,8 +303,7 @@ def test_tameness_rejects_a_non_orthogonal_acs():
     assert np.allclose(acs @ acs, -np.eye(4)) and not np.allclose(acs, -acs.T)
     with pytest.raises(NotAlmostComplexError, match="J\\^T"):
         tameness_min(lambda p: np.broadcast_to(OMEGA0, np.asarray(p).shape[:-1] + (4, 4)),
-                     lambda p: np.broadcast_to(acs, np.asarray(p).shape[:-1] + (4, 4)),
-                     _sample_points())
+                     acs, _sample_points())
 
 
 def test_tameness_min_takes_no_eigendecomposition(monkeypatch):
@@ -305,8 +312,8 @@ def test_tameness_min_takes_no_eigendecomposition(monkeypatch):
 
     for name in ("eigvalsh", "eigh", "eig", "eigvals", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    blowup = tameness_min(chart_form(2, 1.0), standard_acs, chart_grid(6))
+    blowup = tameness_min(chart_form(2, 1.0), J0, chart_grid(6))
     model = LocalModel(m=2, a=0.1)
     ax = np.linspace(-model.delta2, model.delta2, 6)
-    flat = tameness_min(lambda q: eval_omega_a(model, q), standard_acs, cube_grid(ax, ax, ax, ax))
+    flat = tameness_min(lambda q: eval_omega_a(model, q), J0, cube_grid(ax, ax, ax, ax))
     assert blowup.tame and flat.tame

@@ -7,8 +7,8 @@ from orbifold4.sympverify import (LocalModel, OutOfDomainError,
                                   eval_omega0,
                                   eval_omega_a, exterior_derivative_fd,
                                   pushforward_check, sample_points,
-                                  standard_acs, tameness_min)
-from orbifold4.sympverify.linear import OMEGA0
+                                  tameness_min)
+from orbifold4.sympverify.linear import J0, OMEGA0
 from orbifold4.sympverify.profiles import H_cutoff, f_resolved, f_smoothing
 
 
@@ -42,7 +42,7 @@ def test_omega_a_is_closed_and_tame():
     model = LocalModel(m=2, a=0.1, kappa=0.5, nu=(0.1, 0.0))
     pts = np.random.default_rng(2).uniform(-0.2, 0.2, (30, 4))
     assert exterior_derivative_fd(lambda p: eval_omega_a(model, p), pts[:10], h=1e-4) < 1e-6
-    cert = tameness_min(lambda p: eval_omega_a(model, p), standard_acs, pts)
+    cert = tameness_min(lambda p: eval_omega_a(model, p), J0, pts)
     assert cert.tame
 
 

@@ -1,5 +1,6 @@
 """Source-tree rules: correctness gates that `python -O` cannot strip, an
-exact half that starts without numpy, and a benchmark tracer that still
+exact half that starts without numpy, verify commands that start without the
+exact half, a public API that resolves lazily, and a benchmark tracer that still
 wraps the program."""
 
 import ast
@@ -42,6 +43,50 @@ def test_exact_commands_start_without_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+EXACT_HALF = {"orbifold4." + name for name in
+              ("cyclotomic", "unitary", "groups", "invariants", "isotropy", "resolution")}
+
+# the names `orbifold4` exported when its __init__ imported them eagerly
+PUBLIC_NAMES = """
+    CyclotomicScalar cyclotomic_polynomial root_of_unity_log UMat2 NotUnitaryError
+    GroupElement UnitaryGroup CosetGroup Unsupported NotFiniteWithinBound builtin_group
+    classify_element generate_group group_from_json induced_cyclic_data stratum_class
+    InvariantBasis MolienSeries NotReflectionGroup Poly2 embedding_basis
+    fundamental_invariants h_map_eval molien reynolds
+    CornerPoint DeltaSet IsolatedPoint OrbifoldSpec Surface builtin_mapping_torus
+    builtin_product delta_set load_spec spec_from_json spec_to_json validate_spec
+    AbelianInvariants CohomologyProfile GroupPresentation HJChain Incomplete abelianize
+    euler_characteristic exceptional_betti hj_resolve mapping_torus_pi1 resolution_betti
+    smith_normal_form __version__
+""".split()
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "tameness", "--model", "flat", "--grid", "4"),
+    ("verify", "gluing", "--grid", "8"),
+    ("verify", "blowup", "--grid", "4"),
+], ids=["tameness", "gluing", "blowup"])
+def test_verify_commands_load_none_of_the_exact_half(argv):
+    # a verify job pays for numpy and sympverify only
+    code = ("import sys; from orbifold4.cli import main; code = main(sys.argv[1:]); "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('orbifold4'))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--quiet"], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "orbifold4.sympverify.forms" in loaded
+    assert loaded & EXACT_HALF == set()
+
+
+def test_every_public_name_still_imports_from_the_package():
+    namespace = {}
+    exec(f"from orbifold4 import {', '.join(PUBLIC_NAMES)}", namespace)
+    assert all(name in namespace for name in PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) - {"__version__"} <= set(orbifold4.__all__)
+    with pytest.raises(AttributeError):
+        orbifold4.no_such_name
 
 
 def _trace(tmp_path, argv) -> dict:
