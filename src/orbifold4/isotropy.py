@@ -63,6 +63,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_labels(x) -> bool:
+    return isinstance(x, tuple) and all(isinstance(s, str) for s in x)
+
+
 def validate_spec(spec: OrbifoldSpec) -> ValidationReport:
     structural: list[str] = []
     semantic: list[str] = []
@@ -78,6 +82,10 @@ def validate_spec(spec: OrbifoldSpec) -> ValidationReport:
         seen.add(lbl)
     surface_labels = {s.label for s in spec.surfaces}
     for c in spec.corner_points:
+        if not _is_labels(c.incident_surfaces):
+            structural.append(
+                f"corner {c.label!r}: incident_surfaces must be a list of surface labels")
+            continue
         for s in c.incident_surfaces:
             if s not in surface_labels:
                 structural.append(f"corner {c.label!r} references unknown surface {s!r}")
@@ -105,6 +113,8 @@ def validate_spec(spec: OrbifoldSpec) -> ValidationReport:
         cls = stratum_class(c.group)
         if cls != "Sigma1":
             semantic.append(f"corner point {c.label!r}: group classifies as {cls}, not Sigma1")
+        if not _is_labels(c.incident_surfaces):
+            continue
         lines = {k.fixed_line for k in c.group.classes if k.kind == "reflection"}
         needed = len(set(c.incident_surfaces))
         if len(lines) < needed:
@@ -272,6 +282,12 @@ def spec_to_json(spec: OrbifoldSpec) -> dict:
     }
 
 
+def _labels(value):
+    """A JSON list as a tuple; anything else, a string included, is kept for
+    validate_spec to refuse rather than split into characters."""
+    return tuple(value) if isinstance(value, list) else value
+
+
 def spec_from_json(obj: dict) -> OrbifoldSpec:
     return OrbifoldSpec(
         base_betti=tuple(obj["base_betti"]),
@@ -284,7 +300,7 @@ def spec_from_json(obj: dict) -> OrbifoldSpec:
             for s in obj.get("surfaces", [])
         ],
         corner_points=[
-            CornerPoint(c["label"], _group_from_json(c["group"]), tuple(c["incident_surfaces"]))
+            CornerPoint(c["label"], _group_from_json(c["group"]), _labels(c["incident_surfaces"]))
             for c in obj.get("corner_points", [])
         ],
         betti_provenance=tuple(obj.get("betti_provenance", ("asserted",) * 5)),

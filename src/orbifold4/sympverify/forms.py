@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .jet import Jet
-from .linear import J0, OMEGA0
+from .linear import J0, antisymmetric
 from .profiles import RadialProfile
 
 # a form is tame when its smallest taming quotient exceeds this
@@ -85,14 +85,9 @@ def form_from_hermitian(coeff):
     """Real matrix of (i/2) sum coeff_ij dz_i ^ dzbar_j, from Re and Im of coeff."""
     c = np.asarray(coeff, dtype=complex)
     re, im = c.real, c.imag
-    out = np.zeros(c.shape[:-2] + (4, 4))
-    out[..., 0, 1] = re[..., 0, 0]
-    out[..., 2, 3] = re[..., 1, 1]
-    out[..., 0, 3] = 0.5 * (re[..., 0, 1] + re[..., 1, 0])
-    out[..., 1, 2] = -out[..., 0, 3]
-    out[..., 0, 2] = out[..., 1, 3] = 0.5 * (im[..., 1, 0] - im[..., 0, 1])
-    out -= np.swapaxes(out, -1, -2)
-    return out
+    w03 = 0.5 * (re[..., 0, 1] + re[..., 1, 0])
+    w02 = 0.5 * (im[..., 1, 0] - im[..., 0, 1])
+    return antisymmetric(re[..., 0, 0], w02, w03, -w03, w02, re[..., 1, 1])
 
 
 def ddbar_fd(F, points, h: float = 1e-3):
@@ -156,18 +151,27 @@ def taming_quotients(forms, acs):
         lambda_min = (alpha + delta)/2 - hypot((alpha - delta)/2, |beta|).
 
     Only the diagonal, the first row and the first column of Omega J are
-    read; S itself is never formed.  Each term is scaled down before it is
-    added and |beta| is a nested hypot, so forms with entries near the
-    largest double give a finite result.  For a J that is not orthogonal S
-    need not commute with J, its spectrum need not pair up and the formula
-    is wrong; tameness_min refuses such a J.
+    read, each entry as (Omega J)_ab = sum of Omega_ak J_kb over the k with
+    J_kb != 0: for J0 a single entry of Omega, up to sign.  Neither Omega J
+    nor S is formed.  Each term is scaled down before it is added and |beta|
+    is a nested hypot, so forms with entries near the largest double give a
+    finite result.  For a J that is not orthogonal S need not commute with
+    J, its spectrum need not pair up and the formula is wrong; tameness_min
+    refuses such a J.  acs is one constant 4x4 matrix.
     """
-    oj = np.asarray(forms, float) @ np.asarray(acs, float)
-    quarter = 0.25 * np.diagonal(oj, axis1=-2, axis2=-1)
-    mean = quarter[..., 0] + quarter[..., 1] + quarter[..., 2] + quarter[..., 3]
-    beta = 0.5 * oj[..., 1:, 0] + 0.5 * oj[..., 0, 1:]
-    beta_abs = np.hypot(np.hypot(beta[..., 0], beta[..., 1]), beta[..., 2])
-    return mean - np.hypot(oj[..., 0, 0] - mean, beta_abs)
+    acs = np.asarray(acs, dtype=float)
+    if acs.shape != (4, 4):
+        raise NotAlmostComplexError(f"J must be one 4x4 matrix, not of shape {acs.shape}")
+    forms = np.asarray(forms, dtype=float)
+
+    def oj(a, b):
+        terms = [forms[..., a, k] * acs[k, b] for k in np.flatnonzero(acs[:, b])]
+        return sum(terms[1:], terms[0]) if terms else np.zeros(forms.shape[:-2])
+
+    d0, d1, d2, d3 = (oj(i, i) for i in range(4))
+    mean = 0.25 * d0 + 0.25 * d1 + 0.25 * d2 + 0.25 * d3
+    beta1, beta2, beta3 = (0.5 * oj(i, 0) + 0.5 * oj(0, i) for i in (1, 2, 3))
+    return mean - np.hypot(d0 - mean, np.hypot(np.hypot(beta1, beta2), beta3))
 
 
 def tameness_min(form_eval, acs, points, region: str = "", grid: str = "",
@@ -301,7 +305,8 @@ def _d_rho_beta(problem: GluingProblem, points):
     """Matrix of d(rho(r) beta) = rho'(r) dr ^ beta + rho(r) d(beta)."""
     p = np.asarray(points, dtype=float)
     r, n, b = _radial_frame(problem, p)
-    dr_beta = n[..., :, None] * b[..., None, :] - b[..., :, None] * n[..., None, :]
+    dr_beta = antisymmetric(*(n[..., i] * b[..., j] - b[..., i] * n[..., j]
+                              for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))))
     rho = problem.rho.jet(r)
     return rho.grad[0][..., None, None] * dr_beta, rho.value[..., None, None] * np.asarray(problem.omega2(p), float), dr_beta
 

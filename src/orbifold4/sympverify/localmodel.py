@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linear import antisymmetric
 from .profiles import f_smoothing, f_resolved, identity_profile
 
 
@@ -59,15 +60,8 @@ def _nu_at(model: LocalModel, p, scale: float = 1.0):
 def _assemble(base_coeff, vert_coeff, p, n1, n2):
     """base*dx1^dy1 + vert*(dx2^dy2 + (x2 dx2 + y2 dy2)^nu) as a matrix."""
     x2, y2 = p[..., 2], p[..., 3]
-    out = np.zeros(p.shape[:-1] + (4, 4))
-    out[..., 0, 1] = base_coeff
-    out[..., 2, 3] = vert_coeff
-    out[..., 0, 2] = -vert_coeff * x2 * n1
-    out[..., 1, 2] = -vert_coeff * x2 * n2
-    out[..., 0, 3] = -vert_coeff * y2 * n1
-    out[..., 1, 3] = -vert_coeff * y2 * n2
-    out -= np.swapaxes(out, -1, -2)
-    return out
+    return antisymmetric(base_coeff, -vert_coeff * x2 * n1, -vert_coeff * y2 * n1,
+                         -vert_coeff * x2 * n2, -vert_coeff * y2 * n2, vert_coeff)
 
 
 def _check_domain(model: LocalModel, x):
@@ -80,7 +74,7 @@ def eval_omega0(model: LocalModel, points):
     p, x = _split(points)
     _check_domain(model, x)
     n1, n2 = _nu_at(model, p)
-    return _assemble(1.0 + 0.5 * x * model.kappa, np.ones(p.shape[:-1]), p, n1, n2)
+    return _assemble(1.0 + 0.5 * x * model.kappa, 1.0, p, n1, n2)
 
 
 def eval_omega_a(model: LocalModel, points, resolved: bool = False):

@@ -401,3 +401,19 @@ def test_orbifold_resolve_refuses_ill_typed_surface_fields(capsys, tmp_path, key
     code, out, err = run(capsys, "orbifold", "resolve", "--spec", str(path), "--json")
     assert code == 2 and out == ""
     assert err == f"error: spec invalid: surface 'S_phi': {message}\n"
+
+
+@pytest.mark.parametrize("value", ["S_phiS_xi_1", [["S_phi"]], {"S_phi": 1}],
+                         ids=["string", "nested-list", "object"])
+def test_orbifold_resolve_refuses_incident_surfaces_that_are_not_a_list_of_labels(
+        capsys, tmp_path, value):
+    # a string is not split into one-character labels, and an unhashable
+    # label is refused instead of raising TypeError
+    obj = json.loads((EXAMPLES / "orbifold-spec.json").read_text())
+    obj["corner_points"][0]["incident_surfaces"] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "orbifold", "resolve", "--spec", str(path), "--json")
+    assert code == 2 and out == ""
+    assert err == ("error: spec invalid: corner 'A0': incident_surfaces must be a list"
+                   " of surface labels\n")

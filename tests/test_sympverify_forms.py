@@ -9,9 +9,11 @@ from orbifold4.sympverify import (LocalModel, NotAlmostComplexError, Preconditio
                                   ball_grid, complex_gradient_fd,
                                   complex_hessian_fd, ddbar_fd,
                                   exterior_derivative_fd, form_from_hermitian,
-                                  eval_omega_a, h_ramp, radial_potential_form, rho_bump,
+                                  eval_omega0, eval_omega_a, glue_forms, h_ramp,
+                                  radial_potential_form, rho_bump,
                                   semipositive_compose, taming_quotients, tameness_min)
 from orbifold4.sympverify.blowup import chart_form, chart_grid
+from orbifold4.sympverify.fixtures import pipeline_problem
 from orbifold4.sympverify.forms import CHUNK, cube_grid
 from orbifold4.sympverify.linear import OMEGA0, J0
 from orbifold4.sympverify.profiles import RadialProfile, f_smoothing
@@ -279,8 +281,11 @@ def test_taming_quotients_match_eigvalsh(structure, kind, scale):
     acs = (np.broadcast_to(J0, (n, 4, 4)) if structure == "J0"
            else _random_orthogonal_acs(rng, n))
     forms = scale * _random_forms(rng, kind, acs)
+    # taming_quotients takes one constant J: J0 for the whole batch, and a
+    # call of its own for each form with its own P J0 P^T
     with np.errstate(all="raise"):
-        closed = taming_quotients(forms, acs)
+        closed = (taming_quotients(forms, J0) if structure == "J0"
+                  else np.array([taming_quotients(f, j) for f, j in zip(forms, acs)]))
     oj = forms @ acs
     sym = 0.5 * oj + 0.5 * np.swapaxes(oj, -1, -2)
     reference = np.linalg.eigvalsh(sym)[:, 0]
@@ -292,6 +297,14 @@ def test_taming_quotients_match_eigvalsh(structure, kind, scale):
     else:
         bound = 1e-14 * np.maximum(1.0, _frobenius(sym))
     assert np.all(np.abs(closed - reference) <= bound)
+
+
+@pytest.mark.parametrize("acs", [np.broadcast_to(J0, (3, 4, 4)), J0[:2, :2], J0.ravel()],
+                         ids=["per-sample", "2x2", "flat"])
+def test_taming_quotients_take_one_4x4_acs(acs):
+    forms = np.broadcast_to(OMEGA0, (3, 4, 4))
+    with pytest.raises(NotAlmostComplexError, match="one 4x4 matrix"):
+        taming_quotients(forms, acs)
 
 
 def test_tameness_rejects_a_non_orthogonal_acs():
@@ -317,3 +330,59 @@ def test_tameness_min_takes_no_eigendecomposition(monkeypatch):
     ax = np.linspace(-model.delta2, model.delta2, 6)
     flat = tameness_min(lambda q: eval_omega_a(model, q), J0, cube_grid(ax, ax, ax, ax))
     assert blowup.tame and flat.tame
+
+
+def _form_outputs():
+    """The forms of every constructor at fixed points, by name."""
+    model = LocalModel(m=2, a=0.1, nu=(0.05, -0.08), kappa=0.4)
+    pts = _sample_points(40, seed=5, scale=0.2)
+    g = np.random.default_rng(5).normal(size=(2, 40, 2, 2))
+    coeff = g[0] + 1j * g[1]
+    _, glued, _ = glue_forms(pipeline_problem(2), grid_n=8)
+    return {
+        "eval_omega0": eval_omega0(model, pts),
+        "eval_omega_a": eval_omega_a(model, pts),
+        "eval_omega_a-resolved": eval_omega_a(model, pts, resolved=True),
+        "form_from_hermitian": form_from_hermitian(coeff + np.conj(np.swapaxes(coeff, -1, -2))),
+        "chart_form": chart_form(2, 0.7)(chart_grid(5)),
+        "glued": glued(ball_grid(1.0, 8, inner=1e-6)),
+    }
+
+
+def test_every_entry_of_a_form_is_written(monkeypatch):
+    # np.empty hands out NaN-filled memory, so an entry left unwritten, the
+    # diagonal included, shows up as a NaN
+    want = _form_outputs()
+    real_empty = np.empty
+
+    def nan_empty(shape, dtype=float, *args, **kwargs):
+        out = real_empty(shape, dtype, *args, **kwargs)
+        if out.dtype.kind in "fc":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    got = _form_outputs()
+    for name, form in got.items():
+        assert np.all(np.isfinite(form)), name
+        assert np.array_equal(form, -np.swapaxes(form, -1, -2)), name
+        assert np.all(np.diagonal(form, axis1=-2, axis2=-1) == 0.0), name
+        assert np.array_equal(form, want[name]), name
+
+
+@pytest.mark.parametrize("entry", [None, (0, 2)], ids=["nan-at-one-sample", "inf-in-omega02"])
+def test_a_non_finite_form_is_never_certified(entry):
+    pts = _numbered_points(20)
+
+    def form_eval(q):
+        out = _scaled_flat(q)
+        bad = q[:, 1] == 7.0
+        if entry is None:
+            out[bad] = np.nan
+        else:
+            out[bad, entry[0], entry[1]] = np.inf
+            out[bad, entry[1], entry[0]] = -np.inf
+        return out
+
+    assert tameness_min(_scaled_flat, J0, pts).tame
+    assert not tameness_min(form_eval, J0, pts).tame
