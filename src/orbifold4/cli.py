@@ -96,10 +96,13 @@ def cmd_group_classify(args) -> dict:
         results["induced_cyclic"] = {"m": data.m, "q": data.q}
     except Unsupported as exc:
         results["induced_cyclic"] = {"unsupported": exc.reason}
+    # a finite group's table has each element once in every row
+    indices = set(range(G.order))
+    closed = all(len(row) == G.order and set(row) == indices for row in G.table)
     return {
         "command": "group classify",
         "results": results,
-        "checks": [{"name": "group finite and closed", "status": "pass"}],
+        "checks": [{"name": "group finite and closed", "status": "pass" if closed else "fail"}],
         "exit_status": EXIT_OK,
     }
 
@@ -145,7 +148,7 @@ def _poly_str(p) -> str:
 
 
 def cmd_singularity_resolve(args) -> dict:
-    from .resolution import hj_resolve
+    from .resolution import _hj_reconstruct, hj_resolve
 
     try:
         chain = hj_resolve(args.m, args.q)
@@ -160,7 +163,8 @@ def cmd_singularity_resolve(args) -> dict:
             "intersection_matrix": chain.intersection_matrix(),
         },
         "checks": [
-            {"name": "continued fraction round trip", "status": "pass"},
+            {"name": "continued fraction round trip",
+             "status": "pass" if _hj_reconstruct(chain.coeffs) == (args.m, args.q) else "fail"},
             {"name": "intersection matrix negative definite",
              "status": "pass" if chain.is_negative_definite() else "fail"},
         ],

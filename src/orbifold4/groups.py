@@ -8,7 +8,7 @@ the cyclic action data (m, q) induced on the invariant coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclotomic import CyclotomicScalar, SelfCheckFailed, root_of_unity_log
 from .unitary import UMat2
@@ -27,11 +27,11 @@ class Unsupported(Exception):
         super().__init__(reason)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    matrix: UMat2
-    order: int
-    canonical_key: tuple
+class GroupElement(namedtuple("GroupElement", "matrix order canonical_key")):
+    """An element of a UnitaryGroup, equal to another exactly when their
+    canonical keys agree."""
+
+    __slots__ = ()
 
     def __hash__(self):
         return hash(self.canonical_key)
@@ -39,20 +39,16 @@ class GroupElement:
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.canonical_key == other.canonical_key
 
-
-@dataclass(frozen=True)
-class ElementClass:
-    kind: str  # "identity" | "reflection" | "free"
-    fixed_line: tuple | None = None  # normalized projective pair for reflections
+    def __ne__(self, other):  # tuple.__ne__ would compare the fields
+        return not self == other
 
 
-@dataclass(frozen=True)
-class CyclicActionData:
-    m: int
-    q: int
+# kind is "identity" | "reflection" | "free"; fixed_line is the normalized
+# projective pair of a reflection's fixed line
+ElementClass = namedtuple("ElementClass", "kind fixed_line", defaults=(None,))
+CyclicActionData = namedtuple("CyclicActionData", "m q")
 
 
-@dataclass
 class CosetGroup:
     """A finite group given by its multiplication table.
 
@@ -61,7 +57,8 @@ class CosetGroup:
     lookups.
     """
 
-    table: list[list[int]]
+    def __init__(self, table: list[list[int]]):
+        self.table = table
 
     @property
     def order(self) -> int:
@@ -142,10 +139,6 @@ class UnitaryGroup(CosetGroup):
     because conjugation maps reflections to reflections; gamma_prime is the
     table of the quotient by it.
     """
-
-    # identity semantics, so the frozen point records holding a group stay hashable
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
     def __init__(self, conductor: int, table: list[list[int]], matrices: list[UMat2],
                  generators: list[int]):

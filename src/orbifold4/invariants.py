@@ -11,7 +11,7 @@ series checks them independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicScalar, SelfCheckFailed
@@ -161,9 +161,7 @@ def is_invariant(G: UnitaryGroup, p: Poly2) -> bool:
     return all(p.compose_linear(g.matrix) == p for g in G.generators)
 
 
-@dataclass
-class MolienSeries:
-    coefficients: list[int]
+MolienSeries = namedtuple("MolienSeries", "coefficients")
 
 
 def molien(G: UnitaryGroup, D: int) -> MolienSeries:
@@ -224,12 +222,7 @@ def invariant_dimension_bruteforce(G: UnitaryGroup, d: int) -> int:
     return len(reynolds_basis(G, d))
 
 
-@dataclass
-class InvariantBasis:
-    f: Poly2
-    g: Poly2
-    degrees: tuple[int, int]
-    group_order: int
+InvariantBasis = namedtuple("InvariantBasis", "f g degrees group_order")
 
 
 def _reflection_degrees(G_star: UnitaryGroup) -> tuple[int, int]:

@@ -10,7 +10,7 @@ is nontrivial (the ones contributing exceptional cohomology beyond surfaces).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .cyclotomic import CyclotomicScalar
 from .unitary import UMat2
@@ -20,43 +20,16 @@ from .groups import (UnitaryGroup, builtin_group, generate_group, group_from_jso
 PROVENANCE = ("asserted", "computed", "user-asserted", "user-default")
 
 
-@dataclass(frozen=True)
-class IsolatedPoint:
-    label: str
-    group: UnitaryGroup
-
-
-@dataclass(frozen=True)
-class Surface:
-    label: str
-    genus: int
-    m: int  # order of the transverse cyclic isotropy
-    compact: bool = True
-
-
-@dataclass(frozen=True)
-class CornerPoint:
-    label: str
-    group: UnitaryGroup
-    incident_surfaces: tuple[str, ...]
-
-
-@dataclass
-class OrbifoldSpec:
-    base_betti: tuple[int, int, int, int, int]
-    isolated_points: list[IsolatedPoint] = field(default_factory=list)
-    surfaces: list[Surface] = field(default_factory=list)
-    corner_points: list[CornerPoint] = field(default_factory=list)
-    # one provenance flag per Betti entry; every entry defaults to "asserted"
-    betti_provenance: tuple[str, ...] = ("asserted",) * 5
-    name: str = ""
-
-
-@dataclass
-class ValidationReport:
-    valid: bool
-    structural_errors: list[str]
-    semantic_errors: list[str]
+IsolatedPoint = namedtuple("IsolatedPoint", "label group")
+# m is the order of the transverse cyclic isotropy
+Surface = namedtuple("Surface", "label genus m compact", defaults=(True,))
+CornerPoint = namedtuple("CornerPoint", "label group incident_surfaces")
+# betti_provenance holds one flag per Betti entry, each "asserted" by default
+OrbifoldSpec = namedtuple(
+    "OrbifoldSpec",
+    "base_betti isolated_points surfaces corner_points betti_provenance name",
+    defaults=((), (), (), ("asserted",) * 5, ""))
+ValidationReport = namedtuple("ValidationReport", "valid structural_errors semantic_errors")
 
 
 def _is_int(x) -> bool:
@@ -124,9 +97,7 @@ def validate_spec(spec: OrbifoldSpec) -> ValidationReport:
     return ValidationReport(not structural and not semantic, structural, semantic)
 
 
-@dataclass
-class DeltaSet:
-    labels: tuple[str, ...]
+DeltaSet = namedtuple("DeltaSet", "labels")
 
 
 def delta_set(spec: OrbifoldSpec) -> DeltaSet:

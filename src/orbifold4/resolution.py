@@ -9,18 +9,13 @@ mapping-torus fundamental groups, and abelianization by Smith normal form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclotomic import SelfCheckFailed
-from .groups import UnitaryGroup, Unsupported, induced_cyclic_data
-from .isotropy import OrbifoldSpec, delta_set, validate_spec
 
 
-@dataclass
-class HJChain:
-    m: int
-    q: int
-    coeffs: list[int]
+class HJChain(namedtuple("HJChain", "m q coeffs")):
+    __slots__ = ()
 
     @property
     def curve_count(self) -> int:
@@ -73,13 +68,17 @@ def _hj_reconstruct(coeffs: list[int]) -> tuple[int, int]:
     return num, den
 
 
-def exceptional_betti(G: UnitaryGroup) -> tuple[int, int, int]:
-    """(b0, b1, b2) of the exceptional set resolving C^2/G at the origin.
+def exceptional_betti(G) -> tuple[int, int, int]:
+    """(b0, b1, b2) of the exceptional set resolving C^2/G at the origin, for
+    a UnitaryGroup G.
 
     Cyclic actions resolve to a Hirzebruch-Jung chain of rational curves;
     non-abelian determinant-one groups contribute one rational curve per
     nontrivial irreducible representation.  Anything else is Unsupported.
     """
+    # imported here, so `singularity resolve` loads no group code
+    from .groups import Unsupported, induced_cyclic_data
+
     if G.is_abelian():
         data = induced_cyclic_data(G)  # raises Unsupported when not free off 0
         if data.m == 1:
@@ -100,19 +99,19 @@ class SpecInvalid(ValueError):
     """A spec that fails validation; the message lists every error found."""
 
 
-@dataclass
-class CohomologyProfile:
-    betti: tuple[int, int, int, int, int]
-    provenance: tuple[str, ...]
-    contributing_points: list[tuple[str, tuple[int, int, int]]]
-    delta: tuple[str, ...]  # labels of the Delta set, see isotropy.delta_set
+# contributing_points pairs each label with its exceptional Betti numbers;
+# delta holds the labels of the Delta set, see isotropy.delta_set
+CohomologyProfile = namedtuple("CohomologyProfile", "betti provenance contributing_points delta")
 
 
-def resolution_betti(spec: OrbifoldSpec) -> CohomologyProfile:
-    """Betti numbers of the resolution: base plus, for k > 0, the exceptional
-    contributions of the isolated points and of the corner points whose
-    reflection quotient is nontrivial.  Raises SpecInvalid unless the spec
-    validates."""
+def resolution_betti(spec) -> CohomologyProfile:
+    """Betti numbers of the resolution of an OrbifoldSpec: base plus, for
+    k > 0, the exceptional contributions of the isolated points and of the
+    corner points whose reflection quotient is nontrivial.  Raises
+    SpecInvalid unless the spec validates."""
+    from .groups import Unsupported
+    from .isotropy import delta_set, validate_spec
+
     report = validate_spec(spec)
     if not report.valid:
         raise SpecInvalid("spec invalid: " + "; ".join(report.structural_errors + report.semantic_errors))
@@ -144,7 +143,7 @@ class Incomplete:
         return f"Incomplete({self.reason!r})"
 
 
-def euler_characteristic(spec: OrbifoldSpec, profile: CohomologyProfile):
+def euler_characteristic(spec, profile: CohomologyProfile):
     """Euler characteristic of the resolution: the alternating sum of the
     profile's Betti numbers, or Incomplete when a base Betti number of spec
     still carries its unexamined default."""
@@ -156,16 +155,10 @@ def euler_characteristic(spec: OrbifoldSpec, profile: CohomologyProfile):
 # -- mapping-torus fundamental groups --------------------------------------
 
 
-@dataclass
-class GroupPresentation:
-    generators: int
-    relators: list[list[int]]  # words in signed 1-based generator indices
-
-
-@dataclass
-class AbelianInvariants:
-    free_rank: int
-    torsion: list[int]  # each divides the next
+# relators are words in signed 1-based generator indices
+GroupPresentation = namedtuple("GroupPresentation", "generators relators")
+# each torsion coefficient divides the next
+AbelianInvariants = namedtuple("AbelianInvariants", "free_rank torsion")
 
 
 def mapping_torus_pi1(action) -> GroupPresentation:

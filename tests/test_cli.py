@@ -46,6 +46,40 @@ def test_singularity_resolve(capsys):
     assert payload["results"]["intersection_matrix"][0] == [-2, 1, 0]
 
 
+def _statuses(out) -> dict:
+    return {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+
+
+def test_group_classify_reads_closure_off_the_table(capsys, monkeypatch):
+    # a table row that repeats an element is not a group's: the check fails
+    from orbifold4 import groups
+    real = groups.builtin_group
+
+    def broken(name):
+        G = real(name)
+        G.table[1] = [1, 1, 3, 2]
+        return G
+
+    code, out, _ = run(capsys, "group", "classify", "--builtin", "klein_four", "--json")
+    assert code == 0 and _statuses(out)["group finite and closed"] == "pass"
+    monkeypatch.setattr(groups, "builtin_group", broken)
+    _, out, _ = run(capsys, "group", "classify", "--builtin", "klein_four", "--json")
+    assert _statuses(out)["group finite and closed"] == "fail"
+
+
+def test_singularity_resolve_checks_the_round_trip(capsys, monkeypatch):
+    # a chain that does not reconstruct (m, q) fails the round trip
+    from orbifold4 import resolution
+
+    code, out, _ = run(capsys, "singularity", "resolve", "--m", "12", "--q", "7", "--json")
+    assert code == 0 and _statuses(out)["continued fraction round trip"] == "pass"
+    monkeypatch.setattr(resolution, "hj_resolve", lambda m, q: resolution.HJChain(m, q, [2]))
+    _, out, _ = run(capsys, "singularity", "resolve", "--m", "12", "--q", "7", "--json")
+    statuses = _statuses(out)
+    assert statuses["continued fraction round trip"] == "fail"
+    assert statuses["intersection matrix negative definite"] == "pass"
+
+
 def test_singularity_resolve_invalid_input(capsys):
     code, _, err = run(capsys, "singularity", "resolve", "--m", "4", "--q", "2")
     assert code == 2 and "invalid" in err

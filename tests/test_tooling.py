@@ -1,7 +1,7 @@
 """Source-tree rules: correctness gates that `python -O` cannot strip, an
-exact half that starts without numpy, verify commands that start without the
-exact half, a public API that resolves lazily, and a benchmark tracer that still
-wraps the program."""
+exact half that starts without numpy or dataclasses, commands that load only
+the modules they use, a public API that resolves lazily, and a benchmark
+tracer that still wraps the program."""
 
 import ast
 import json
@@ -63,6 +63,20 @@ PUBLIC_NAMES = """
 """.split()
 
 
+def _modules_after(code, *argv) -> set:
+    """The modules an interpreter holds after running `code` with argv."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code + "; print(' '.join(sys.modules))", *argv],
+                          env=env, capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def _loaded_modules(argv) -> set:
+    """The modules an interpreter holds after running one CLI command."""
+    return _modules_after("import sys; from orbifold4.cli import main; main(sys.argv[1:])",
+                          *argv, "--quiet")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "tameness", "--model", "flat", "--grid", "4"),
     ("verify", "gluing", "--grid", "8"),
@@ -70,14 +84,27 @@ PUBLIC_NAMES = """
 ], ids=["tameness", "gluing", "blowup"])
 def test_verify_commands_load_none_of_the_exact_half(argv):
     # a verify job pays for numpy and sympverify only
-    code = ("import sys; from orbifold4.cli import main; code = main(sys.argv[1:]); "
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('orbifold4'))))")
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", code, *argv, "--quiet"], env=env,
-                          capture_output=True, text=True, check=True)
-    loaded = set(proc.stdout.split())
+    loaded = _loaded_modules(argv)
     assert "orbifold4.sympverify.forms" in loaded
     assert loaded & EXACT_HALF == set()
+
+
+def test_singularity_resolve_loads_only_integer_code():
+    # a chain job needs no group, spec or invariant code
+    loaded = _loaded_modules(("singularity", "resolve", "--m", "12", "--q", "7"))
+    assert {m for m in loaded if m.startswith("orbifold4")} == {
+        "orbifold4", "orbifold4.cli", "orbifold4.cyclotomic", "orbifold4.resolution"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "classify", "--builtin", "klein_four"),
+    ("group", "invariants", "--builtin", "klein_four"),
+    ("orbifold", "resolve", "--spec", str(ROOT / "docs" / "examples" / "orbifold-spec.json")),
+], ids=["classify", "invariants", "resolve"])
+def test_exact_commands_import_no_dataclasses(argv):
+    # the exact half's records are namedtuples: `dataclasses` and the
+    # `inspect` it imports would cost an exact job more than its arithmetic
+    assert "dataclasses" not in _loaded_modules(argv) - _modules_after("import sys")
 
 
 def test_every_public_name_still_imports_from_the_package():
@@ -117,6 +144,22 @@ def test_tracer_runs_verify_commands(tmp_path, argv):
     assert any(name.startswith("sympverify.jet.") for name in calls)
     if "blowup" not in argv:  # the chart potential uses no radial profile
         assert any(name.startswith("sympverify.profiles.") for name in calls)
+
+
+def test_tracer_counts_the_resolve_commands(tmp_path):
+    # resolution imports groups and isotropy inside its functions; the
+    # benchmark's resolution, isotropy and groups counters must still see
+    # every call through the names the tracer rebinds
+    calls = _traced_calls(tmp_path, ("singularity", "resolve", "--m", "12", "--q", "7"))
+    assert calls["resolution.hj_resolve"] == 1
+    assert calls["resolution.HJChain.is_negative_definite"] == 2
+    spec = str(ROOT / "docs" / "examples" / "orbifold-spec.json")
+    calls = _traced_calls(tmp_path, ("orbifold", "resolve", "--spec", spec))
+    assert calls["resolution.resolution_betti"] == 1
+    assert calls["isotropy.validate_spec"] == 1
+    for name in ("groups.induced_cyclic_data", "resolution.hj_resolve",
+                 "resolution.exceptional_betti"):
+        assert calls[name] == 5, name
 
 
 def test_tracer_counts_scalars_on_exact_commands(tmp_path):
