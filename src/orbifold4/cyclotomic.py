@@ -53,40 +53,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _solve_exact(rows: list, rhs: list) -> list[Fraction] | None:
-    """Solve an exact linear system; None if inconsistent."""
-    m, ncols = len(rows), len(rows[0]) if rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][-1]
-    return sol
-
-
 class CyclotomicScalar:
     """An element num/den of Q(zeta_N), num reduced modulo Phi_N."""
 
-    __slots__ = ("conductor", "num", "den", "_min")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, num, den: int = 1) -> None:
         if conductor < 1:
@@ -100,7 +70,6 @@ class CyclotomicScalar:
         self.conductor = conductor
         self.num = tuple(num) if g == 1 else tuple(c // g for c in num)
         self.den = den // g
-        self._min = None
 
     # -- constructors -------------------------------------------------
 
@@ -140,26 +109,6 @@ class CyclotomicScalar:
         out = [0] * ((len(self.num) - 1) * step + 1)
         out[::step] = self.num
         return CyclotomicScalar(m, out, self.den)
-
-    def _minimal(self) -> tuple[int, tuple[int, ...], int]:
-        """(d, num, den) of self over the smallest cyclotomic subfield
-        Q(zeta_d) containing it."""
-        if self._min is not None:
-            return self._min
-        n = self.conductor
-        target = [Fraction(c, self.den) for c in self.num]
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            # basis of Q(zeta_d) lifted into Q(zeta_n)
-            cols = [CyclotomicScalar.zeta(n, k * (n // d)).num
-                    for k in range(len(cyclotomic_polynomial(d)) - 1)]
-            sol = _solve_exact(list(zip(*cols)), target)
-            if sol is not None:
-                m = CyclotomicScalar._from_fractions(d, sol)
-                self._min = (d, m.num, m.den)
-                return self._min
-        raise SelfCheckFailed("element lies in no subfield of its own field")
 
     # -- arithmetic ----------------------------------------------------
 
@@ -276,8 +225,9 @@ class CyclotomicScalar:
         a, b = self._pair(other)
         return a.num == b.num and a.den == b.den
 
-    def __hash__(self) -> int:
-        return hash(self._minimal())
+    # unhashable: == compares across fields, where equal elements differ in
+    # (conductor, num, den)
+    __hash__ = None
 
     def __repr__(self) -> str:
         return f"CyclotomicScalar({self.conductor}, {list(self.num)}, {self.den})"

@@ -43,8 +43,8 @@ class GroupElement(namedtuple("GroupElement", "matrix order canonical_key")):
         return not self == other
 
 
-# kind is "identity" | "reflection" | "free"; fixed_line is the normalized
-# projective pair of a reflection's fixed line
+# kind is "identity" | "reflection" | "free"; fixed_line keys a reflection's
+# fixed line in the group's field (`_normalize_line`)
 ElementClass = namedtuple("ElementClass", "kind fixed_line", defaults=(None,))
 CyclicActionData = namedtuple("CyclicActionData", "m q")
 
@@ -236,14 +236,14 @@ def classify_element(g: GroupElement) -> ElementClass:
 
 
 def _normalize_line(v) -> tuple:
-    """Canonical representative of a projective pair of cyclotomic coordinates."""
+    """Key of the projective line (v0 : v1) in the field of its coordinates,
+    as canonical_key keys a matrix: (1, num, den) of v1 / v0, or (0,) for
+    the line (0 : 1)."""
     v0, v1 = v
-    if not v0.is_zero():
-        v1 = v1 / v0
-        v0 = CyclotomicScalar.one()
-    else:
-        v1 = CyclotomicScalar.one()
-    return (v0._minimal(), v1._minimal())
+    if v0.is_zero():
+        return (0,)
+    x = v1 / v0
+    return (1, x.num, x.den)
 
 
 def stratum_class(G: UnitaryGroup) -> str:

@@ -85,12 +85,6 @@ class Poly2:
     def dw(self) -> "Poly2":
         return Poly2({(a, b - 1): c * b for (a, b), c in self.terms.items() if b > 0})
 
-    def eval_exact(self, z: CyclotomicScalar, w: CyclotomicScalar) -> CyclotomicScalar:
-        out = CyclotomicScalar.zero()
-        for (a, b), c in self.terms.items():
-            out = out + c * z ** a * w ** b
-        return out
-
     def eval_complex(self, z: complex, w: complex) -> complex:
         return sum(c.to_complex() * z ** a * w ** b for (a, b), c in self.terms.items())
 
@@ -235,26 +229,13 @@ def _reflection_degrees(G_star: UnitaryGroup) -> tuple[int, int]:
     return ((s + root) // 2, (s - root) // 2)
 
 
-_JACOBIAN_POINTS = [
-    (Fraction(1, 2), Fraction(1, 3)),
-    (Fraction(2, 3), Fraction(3, 5)),
-    (Fraction(-1, 2), Fraction(2, 7)),
-    (Fraction(3, 4), Fraction(-2, 3)),
-    (Fraction(5, 7), Fraction(4, 9)),
-]
-
-
 def _jacobian_det(f: Poly2, g: Poly2) -> Poly2:
     return f.dz() * g.dw() - f.dw() * g.dz()
 
 
 def _independent(f: Poly2, g: Poly2) -> bool:
-    for zq, wq in _JACOBIAN_POINTS:
-        z = CyclotomicScalar.from_rational(zq)
-        w = CyclotomicScalar.from_rational(wq)
-        jz = _jacobian_det(f, g).eval_exact(z, w)
-        if not jz.is_zero():
-            return True
+    """Two polynomials are algebraically independent exactly when their
+    Jacobian determinant is not the zero polynomial."""
     return not _jacobian_det(f, g).is_zero()
 
 

@@ -275,7 +275,10 @@ def ball_grid(radius: float, n: int, inner: float = 0.0):
     """Deterministic grid on the radius-ball of R^4 (annulus if inner > 0)."""
     axis = np.linspace(-radius, radius, n)
     pts = cube_grid(axis, axis, axis, axis)
-    r = np.linalg.norm(pts, axis=-1)
+    # np.linalg.norm(pts, axis=-1) in its own order of operations, without
+    # its (N, 4) array of squares
+    x = pts.T
+    r = np.sqrt(((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2]) + x[3] * x[3])
     return pts[(r <= radius) & (r >= inner)]
 
 

@@ -63,8 +63,9 @@ def test_group_classify_reads_closure_off_the_table(capsys, monkeypatch):
     code, out, _ = run(capsys, "group", "classify", "--builtin", "klein_four", "--json")
     assert code == 0 and _statuses(out)["group finite and closed"] == "pass"
     monkeypatch.setattr(groups, "builtin_group", broken)
-    _, out, _ = run(capsys, "group", "classify", "--builtin", "klein_four", "--json")
+    code, out, _ = run(capsys, "group", "classify", "--builtin", "klein_four", "--json")
     assert _statuses(out)["group finite and closed"] == "fail"
+    assert code == 4 and json.loads(out)["exit_status"] == 4
 
 
 def test_singularity_resolve_checks_the_round_trip(capsys, monkeypatch):
@@ -74,10 +75,33 @@ def test_singularity_resolve_checks_the_round_trip(capsys, monkeypatch):
     code, out, _ = run(capsys, "singularity", "resolve", "--m", "12", "--q", "7", "--json")
     assert code == 0 and _statuses(out)["continued fraction round trip"] == "pass"
     monkeypatch.setattr(resolution, "hj_resolve", lambda m, q: resolution.HJChain(m, q, [2]))
-    _, out, _ = run(capsys, "singularity", "resolve", "--m", "12", "--q", "7", "--json")
+    code, out, _ = run(capsys, "singularity", "resolve", "--m", "12", "--q", "7", "--json")
     statuses = _statuses(out)
     assert statuses["continued fraction round trip"] == "fail"
     assert statuses["intersection matrix negative definite"] == "pass"
+    assert code == 4 and json.loads(out)["exit_status"] == 4
+
+
+def test_group_invariants_checks_the_molien_prefix(capsys, monkeypatch):
+    # a reflection group's series is 1/((1 - t^d1)(1 - t^d2)); a wrong
+    # coefficient fails the check and the command
+    from orbifold4 import invariants
+    real = invariants.molien
+    argv = ("group", "invariants", "--builtin", "klein_four", "--degree", "6", "--json")
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and _statuses(out)["molien prefix through degree 6"] == "pass"
+    monkeypatch.setattr(invariants, "molien", lambda G, D: invariants.MolienSeries(
+        real(G, D).coefficients[:-1] + [5]))
+    code, out, _ = run(capsys, *argv)
+    assert _statuses(out)["molien prefix through degree 6"] == "fail"
+    assert code == 4 and json.loads(out)["exit_status"] == 4
+
+
+def test_group_invariants_of_a_non_reflection_group_reports_integrality(capsys):
+    code, out, _ = run(capsys, "group", "invariants", "--builtin", "minus_identity", "--json")
+    assert code == 0
+    assert _statuses(out) == {"molien integrality through degree 8": "pass"}
 
 
 def test_singularity_resolve_invalid_input(capsys):
@@ -265,7 +289,7 @@ def test_spec_file_round_trip(capsys, tmp_path):
     ("verify", "gluing", "--a", "0"),
     ("verify", "gluing", "--eps1", "0.25", "--eps3", "2", "--grid", "2"),
     ("verify", "tameness", "--model", "flat", "--a", "nan"),
-    ("verify", "tameness", "--model", "degenerate-fixture", "--seed", "-1"),
+    ("group", "classify", "--builtin", "no_such_group"),
     ("verify", "blowup", "--lam", "inf"),
     ("orbifold", "resolve", "--example", "product", "--m", "0", "--m2", "3"),
     ("orbifold", "resolve", "--example", "product", "--m", "3", "--m2", "0"),
@@ -274,6 +298,29 @@ def test_invalid_input_exits_2_with_error_line(capsys, argv):
     code, out, err = run(capsys, *argv, "--json")
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+# one argv that every command accepts
+VALID_ARGV = {
+    ("group", "classify"): ("--builtin", "klein_four"),
+    ("group", "invariants"): ("--builtin", "klein_four"),
+    ("singularity", "resolve"): ("--m", "4", "--q", "3"),
+    ("orbifold", "resolve"): ("--example", "mapping-torus"),
+    ("verify", "tameness"): ("--model", "degenerate-fixture"),
+    ("verify", "gluing"): (),
+    ("verify", "blowup"): (),
+}
+
+
+def test_every_command_refuses_seed(capsys):
+    parser = build_parser()
+    assert {path for path, _ in _leaf_parsers(parser)} == set(VALID_ARGV)
+    for path, argv in VALID_ARGV.items():
+        parser.parse_args([*path, *argv])
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*path, *argv, "--seed", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 # a scalar whose only coefficient [num, den] has den = 0

@@ -5,6 +5,7 @@ import pytest
 from orbifold4 import (CornerPoint, IsolatedPoint, OrbifoldSpec, Surface,
                        builtin_group, builtin_mapping_torus, builtin_product,
                        delta_set, spec_from_json, spec_to_json, validate_spec)
+from orbifold4.isotropy import _swap_corner_group
 
 
 def test_mapping_torus_spec_is_valid():
@@ -43,6 +44,13 @@ def test_symmetric_product_spec():
     # the swap-stabilized corners have order 2*m^2
     swap_corner = next(c for c in spec.corner_points if c.label == "P2P2")
     assert swap_corner.group.order == 2 * 3 * 3
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_swap_corner_group_has_m_plus_2_reflection_lines(m):
+    # the two axes, and the line (1 : zeta^k) of each swap-type reflection
+    G = _swap_corner_group(m)
+    assert len({c.fixed_line for c in G.classes if c.kind == "reflection"}) == m + 2
 
 
 def test_symmetric_product_rejects_mismatched_factors():

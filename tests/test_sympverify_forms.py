@@ -151,6 +151,27 @@ def test_ball_grid_geometry():
     assert np.all(r >= 0.5) and len(ann) < len(pts)
 
 
+@pytest.mark.parametrize("radius,n,inner", [(1.0, 22, 1e-6), (0.8061, 22, 0.4982),
+                                            (1.0, 7, 1e-3), (0.25, 15, 0.0)])
+def test_ball_grid_keeps_the_points_np_linalg_norm_keeps(radius, n, inner):
+    axis = np.linspace(-radius, radius, n)
+    pts = cube_grid(axis, axis, axis, axis)
+    r = np.linalg.norm(pts, axis=-1)
+    assert np.array_equal(ball_grid(radius, n, inner), pts[(r <= radius) & (r >= inner)])
+
+
+def test_ball_grid_makes_no_array_of_squares():
+    # the cube of points plus per-coordinate temporaries, not a second (N, 4)
+    n = 22
+    tracemalloc.start()
+    try:
+        ball_grid(1.0, n, inner=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n ** 4 * 4 * 8
+
+
 def test_profiles_calculus():
     # derivative consistency of every closed-form profile, by central FD
     for prof in [f_smoothing(3, 0.2), h_ramp(0.2, 0.7), rho_bump(0.3, 0.9)]:
