@@ -231,7 +231,8 @@ def _check_grid(args) -> None:
 def cmd_verify_tameness(args) -> dict:
     import numpy as np
     from .sympverify import LocalModel, eval_omega_a, tameness_min
-    from .sympverify.forms import TAMENESS_TOL, cube_grid
+    from .sympverify.forms import TAMENESS_TOL
+    from .sympverify.localmodel import cube_orbits
     from .sympverify.linear import J0
 
     _check_grid(args)
@@ -252,11 +253,9 @@ def cmd_verify_tameness(args) -> dict:
                     model = LocalModel(**json.load(fh))
         except (OSError, TypeError, ValueError) as exc:
             raise CliError(f"invalid model: {exc}", EXIT_INVALID)
-        ax = np.linspace(-model.delta2, model.delta2, args.grid)
-        pts = cube_grid(ax, ax, ax, ax)
         cert = tameness_min(
             lambda q: eval_omega_a(model, q, resolved=args.resolved),
-            J0, pts,
+            J0, cube_orbits(np.linspace(-model.delta2, model.delta2, args.grid)),
             region=f"cube side 2*{model.delta2}", grid=f"{args.grid}^4",
         )
     return _report("verify tameness",

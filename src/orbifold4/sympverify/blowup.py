@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import (TamenessCertificate, blockwise, cube_grid, exterior_derivative_fd,
-                    invariant_potential_form, tameness_min)
+                    first_of_each, invariant_potential_form, orbit_grid, plane,
+                    tameness_min)
 from .jet import log1p
 from .linear import J0, holomorphic_map, pullback
 
@@ -53,6 +54,15 @@ def chart_grid(n: int, u_max: float = 1.2, v_min: float = 0.05, v_max: float = 0
     pts = cube_grid(ax_u, ax_u, ax_v, ax_v)
     t = pts[:, 2] ** 2 + pts[:, 3] ** 2
     return pts[t >= v_min ** 2]
+
+
+def chart_orbits(n: int, u_max: float = 1.2, v_min: float = 0.05, v_max: float = 0.8):
+    """The points of chart_grid, one per (|u|^2, |v|^2) orbit (see
+    forms.orbit_grid): the chart form is a potential form, invariant under
+    the torus that rotates u and v."""
+    u, s = plane(np.linspace(-u_max, u_max, n))
+    v, t = plane(np.linspace(-v_max, v_max, n))
+    return orbit_grid(u[first_of_each(s)], v[t >= v_min ** 2])
 
 
 def closedness_residual(omega) -> float:
@@ -116,9 +126,8 @@ def blowup_model_check(m: int, lam: float, grid_n: int = 12) -> BlowupReport:
         raise ValueError("need m >= 2 and a finite lambda > 0")
     omega = chart_form(m, lam)
 
-    pts = chart_grid(grid_n)
     cert = tameness_min(
-        omega, J0, pts,
+        omega, J0, chart_orbits(grid_n),
         region=f"two charts, |u|<=1.2, 0.05<=|v|<=0.8 (m={m}, lambda={lam})",
         grid=f"{grid_n}^4 per chart, v=0 excluded",
     )

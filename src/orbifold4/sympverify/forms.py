@@ -75,12 +75,6 @@ def complex_hessian_fd(F, points, h: float = 1e-3):
     return 0.25 * (d2[..., x, x] + d2[..., y, y] + 1.0j * (d2[..., x, y] - d2[..., y, x]))
 
 
-def complex_gradient_fd(F, points, h: float = 1e-3):
-    """(dF/dz, dF/dw) by central differences."""
-    d = _central_differences(F, np.asarray(points, dtype=float), h)
-    return 0.5 * (d[..., 0::2] - 1.0j * d[..., 1::2])
-
-
 def form_from_hermitian(coeff):
     """Real matrix of (i/2) sum coeff_ij dz_i ^ dzbar_j, from Re and Im of coeff."""
     c = np.asarray(coeff, dtype=complex)
@@ -107,19 +101,23 @@ def exterior_derivative_fd(form_eval, points, h: float = 1e-3) -> float:
 class TamenessCertificate:
     """Minimum taming quotient over the samples of a grid.  worst_sample is
     the first sample in grid order whose quotient is within WORST_SAMPLE_RTOL
-    * max(1, |min_quotient|) of the minimum, stored as Python floats."""
+    * max(1, |min_quotient|) of the minimum, stored as Python floats.  grid
+    names the grid whose points are covered and orbits counts the samples
+    evaluated, one per torus orbit of its points (see orbit_grid)."""
 
     region: str
     grid: str
     min_quotient: float
     tame: bool
     worst_sample: tuple
+    orbits: int
 
     def to_json(self) -> dict:
         return {
             "region": self.region,
             "grid": self.grid,
             "min_quotient": self.min_quotient,
+            "orbits": self.orbits,
             "tame": self.tame,
             "worst_sample": list(self.worst_sample),
         }
@@ -143,21 +141,29 @@ def taming_quotients(forms, acs):
     matrix [[alpha, beta], [conj(beta), delta]], and each of its two
     eigenvalues appears twice:
 
-        alpha = S00,   alpha + delta = tr S / 2,
+        alpha = S00,   delta = (S11 - S00)/2 + (S22 + S33)/2,
         |beta|^2 = |S e1|^2 - alpha^2 - (J e1 . S e1)^2 = S10^2 + S20^2 + S30^2,
 
-    where (J e1 . S e1) vanishes because J S is antisymmetric.  So
-
-        lambda_min = (alpha + delta)/2 - hypot((alpha - delta)/2, |beta|).
+    where delta is tr S / 2 - alpha and (J e1 . S e1) vanishes because J S
+    is antisymmetric.  For J0, S11 = S00 = Omega01 and S22 = S33 = Omega23,
+    so alpha and delta are each read off their own entry of Omega, exactly.
+    The larger eigenvalue (alpha + delta)/2 + hypot((alpha - delta)/2, |beta|)
+    has no cancellation when alpha + delta > 0, and the smaller is then
+    (alpha delta - |beta|^2) / lambda_max, the determinant over the larger
+    eigenvalue; (alpha + delta)/2 - hypot(...) would lose the digits of a
+    small eigenvalue next to a large one.  When alpha + delta <= 0 the
+    difference itself has no cancellation.
 
     Only the diagonal, the first row and the first column of Omega J are
     read, each entry as (Omega J)_ab = sum of Omega_ak J_kb over the k with
     J_kb != 0: for J0 a single entry of Omega, up to sign.  Neither Omega J
-    nor S is formed.  Each term is scaled down before it is added and |beta|
-    is a nested hypot, so forms with entries near the largest double give a
-    finite result.  For a J that is not orthogonal S need not commute with
-    J, its spectrum need not pair up and the formula is wrong; tameness_min
-    refuses such a J.  acs is one constant 4x4 matrix.
+    nor S is formed.  alpha, delta and |beta| (a nested hypot) are divided by
+    the power of two just above their largest magnitude before any product,
+    so forms with entries near the largest double give a finite result, and
+    a sample with a non-finite one gives NaN, which is never tame.  For
+    a J that is not orthogonal S need not commute with J, its spectrum need
+    not pair up and the formula is wrong; tameness_min refuses such a J.
+    acs is one constant 4x4 matrix.
     """
     acs = np.asarray(acs, dtype=float)
     if acs.shape != (4, 4):
@@ -169,17 +175,27 @@ def taming_quotients(forms, acs):
         return sum(terms[1:], terms[0]) if terms else np.zeros(forms.shape[:-2])
 
     d0, d1, d2, d3 = (oj(i, i) for i in range(4))
-    mean = 0.25 * d0 + 0.25 * d1 + 0.25 * d2 + 0.25 * d3
     beta1, beta2, beta3 = (0.5 * oj(i, 0) + 0.5 * oj(0, i) for i in (1, 2, 3))
-    return mean - np.hypot(d0 - mean, np.hypot(np.hypot(beta1, beta2), beta3))
+    alpha, delta = d0, (0.5 * d1 - 0.5 * d0) + (0.5 * d2 + 0.5 * d3)
+    beta = np.hypot(np.hypot(beta1, beta2), beta3)
+    top = np.maximum(np.maximum(np.abs(alpha), np.abs(delta)), beta)
+    finite, exp = np.isfinite(top), np.frexp(top)[1]
+    a, d, b = (np.where(finite, np.ldexp(x, -exp), 0.0) for x in (alpha, delta, beta))
+    half_sum, radius = 0.5 * a + 0.5 * d, np.hypot(0.5 * a - 0.5 * d, b)
+    positive = half_sum > 0
+    lam_max = np.where(positive, half_sum + radius, 1.0)
+    lam_min = np.where(positive, (a * d - b * b) / lam_max, half_sum - radius)
+    return np.where(finite, np.ldexp(lam_min, exp), np.nan)
 
 
 def tameness_min(form_eval, acs, points, region: str = "", grid: str = "",
                  tol: float = TAMENESS_TOL) -> TamenessCertificate:
     """Certify min over samples of the taming quotient omega(u, Ju)/|u|^2 for
     one constant almost-complex structure J (a 4x4 matrix, J0 for every model
-    here), evaluated CHUNK samples at a time.  J^2 = -I and J^T = -J are
-    checked once, before any form is evaluated: taming_quotients holds for an
+    here), evaluated CHUNK samples at a time.  The commands pass one sample
+    per torus orbit of their grid (see orbit_grid), and the certificate
+    counts the samples as its orbits.  J^2 = -I and J^T = -J are checked
+    once, before any form is evaluated: taming_quotients holds for an
     orthogonal J only, and a non-finite J fails both checks.
 
     min_quotient is the true minimum.  worst_sample is the first sample in
@@ -198,29 +214,7 @@ def tameness_min(form_eval, acs, points, region: str = "", grid: str = "",
     mq = float(quot[idx])
     if np.isfinite(mq):
         idx = int(np.argmax(quot <= mq + WORST_SAMPLE_RTOL * max(1.0, abs(mq))))
-    return TamenessCertificate(region, grid, mq, mq > tol, tuple(p[idx].tolist()))
-
-
-def semipositive_compose(F, h_profile: RadialProfile, points, step: float = 1e-3,
-                         tol: float = 1e-8):
-    """(i/2) ddbar (h o F) = (i/2) h''(F) dF ^ dbarF + h'(F) (i/2) ddbar F.
-
-    Returns (forms, psd_flag, min_eigenvalue).  Requires h' >= 0, h'' >= 0
-    on the sampled range of F.
-    """
-    p = np.asarray(points, dtype=float)
-    hj = h_profile.jet(np.asarray(F(p), dtype=float))
-    h1, h2 = hj.grad[0], hj.hess[0, 0]
-    if np.any(h1 < 0) or np.any(h2 < 0):
-        raise PreconditionFailure("profile has negative h' or h'' on the sampled range")
-    grad = complex_gradient_fd(F, p, step)
-    outer = grad[..., :, None] * np.conj(grad[..., None, :])
-    hess = complex_hessian_fd(F, p, step)
-    coeff = h2[..., None, None] * outer + h1[..., None, None] * hess
-    forms = form_from_hermitian(coeff)
-    quot = taming_quotients(forms, J0)
-    min_eig = float(np.min(quot))
-    return forms, bool(min_eig >= -tol), min_eig
+    return TamenessCertificate(region, grid, mq, mq > tol, tuple(p[idx].tolist()), len(p))
 
 
 def invariant_potential_form(phi):
@@ -268,18 +262,85 @@ def cube_grid(*axes):
     return out.reshape(-1, len(axes))
 
 
+def plane(axis):
+    """The ij grid of one axis in a coordinate plane, as (n*n, 2) points, and
+    the squared radius x*x + y*y of each point."""
+    pts = cube_grid(axis, axis)
+    return pts, pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1]
+
+
+def first_of_each(values):
+    """Ascending indices of the first occurrence of each distinct value: over
+    the squared radii of a plane grid, the first grid point on each circle."""
+    return np.sort(np.unique(values, return_index=True)[1])
+
+
+def orbit_grid(heads, tails, inside=None):
+    """One sample per torus orbit of a region of a 4-D product grid, each the
+    first grid point of its orbit, in grid order.
+
+    The grid is the product of a grid of the (x0, x1) plane and a grid of the
+    (x2, x3) plane, in grid order by the (x0, x1) point first.  heads are
+    (A, 2) points of the first plane in grid order, each the first point of
+    its orbit there; tails are (B, 2) points of the second plane in grid
+    order, whose orbits are the circles t = x2^2 + x3^2.  The region is the
+    (head, tail) pairs with inside(s, x2, x3), where s = x0^2 + x1^2 of the
+    head comes as an (A, 1) column and the tails' coordinates as (B,) rows;
+    without inside it is every pair.  inside depends on a head only through
+    s, so it decides alike for every point of a head's orbit; for a given s
+    it may decide differently for tails on one circle, and a circle keeps
+    its first tail that lies inside.  A form invariant under the torus takes
+    each of its values on the region at one of the samples.
+    """
+    t = tails[:, 0] * tails[:, 0] + tails[:, 1] * tails[:, 1]
+    if inside is None:
+        circles = first_of_each(t)
+        rows = np.repeat(np.arange(len(heads)), len(circles))
+        cols = np.tile(circles, len(heads))
+    else:
+        s = heads[:, :1] * heads[:, :1] + heads[:, 1:] * heads[:, 1:]
+        circle = np.unique(t, return_inverse=True)[1]
+        order = np.argsort(circle, kind="stable")
+        starts = np.flatnonzero(np.diff(circle[order], prepend=-1))
+        # per head, the least tail index inside the region on each circle
+        # (n where none is): a minimum over each circle's run of columns
+        n = len(tails)
+        index = np.where(inside(s, tails[:, 0], tails[:, 1]), np.arange(n), n)
+        first = np.sort(np.minimum.reduceat(index[:, order], starts, axis=1), axis=1)
+        rows, k = np.nonzero(first < n)
+        cols = first[rows, k]
+    out = np.empty((len(rows), 4))
+    out[:, :2], out[:, 2:] = heads[rows], tails[cols]
+    return out
+
+
 # -- gluing -----------------------------------------------------------------
+
+
+def _in_ball(radius: float, inner: float):
+    """Whether r lies in [inner, radius], from s = x0^2 + x1^2, x2 and x3,
+    with r = sqrt(((x0^2 + x1^2) + x2^2) + x3^2) in the order of operations
+    of np.linalg.norm."""
+    def inside(s, x2, x3):
+        r = np.sqrt((s + x2 * x2) + x3 * x3)
+        return (r <= radius) & (r >= inner)
+    return inside
 
 
 def ball_grid(radius: float, n: int, inner: float = 0.0):
     """Deterministic grid on the radius-ball of R^4 (annulus if inner > 0)."""
     axis = np.linspace(-radius, radius, n)
     pts = cube_grid(axis, axis, axis, axis)
-    # np.linalg.norm(pts, axis=-1) in its own order of operations, without
-    # its (N, 4) array of squares
+    # without np.linalg.norm's (N, 4) array of squares
     x = pts.T
-    r = np.sqrt(((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2]) + x[3] * x[3])
-    return pts[(r <= radius) & (r >= inner)]
+    return pts[_in_ball(radius, inner)(x[0] * x[0] + x[1] * x[1], x[2], x[3])]
+
+
+def ball_orbits(radius: float, n: int, inner: float = 0.0):
+    """The points of ball_grid(radius, n, inner), one per (|z|^2, |w|^2) orbit
+    (see orbit_grid); a sample lies in the ball exactly when ball_grid keeps it."""
+    pts, s = plane(np.linspace(-radius, radius, n))
+    return orbit_grid(pts[first_of_each(s)], pts, _in_ball(radius, inner))
 
 
 @dataclass
@@ -331,6 +392,10 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
     sampled positivity constant C of omega1 on the outer annulus and the
     sampled sup-norm of d(rho) ^ beta.
 
+    omega1, omega2 and beta must be invariant under the torus that rotates
+    z and w, as the pipeline problem's are: every check but the d(beta)
+    probe runs on one sample per orbit of its ball or annulus (ball_orbits).
+
     Returns (delta, glued evaluator, certificate over the eps3-ball).
     """
     e1, e2, e3 = problem.eps1, problem.eps2, problem.eps3
@@ -341,17 +406,19 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
     if dbeta_err > fd_tol:
         raise PreconditionFailure(f"d(beta) != omega2: residual {dbeta_err:.3e}")
 
-    inner_pts = ball_grid(e1 * 0.999, grid_n)
+    # the Frobenius norm, the taming quotient and ||d(rho) ^ beta|| are
+    # constant on orbits; the largest entry of a form is not
+    inner_pts = ball_orbits(e1 * 0.999, grid_n)
     w1_inner = blockwise(
-        lambda q: np.max(np.abs(np.asarray(problem.omega1(q), float)), axis=(-2, -1)), inner_pts)
+        lambda q: np.linalg.norm(np.asarray(problem.omega1(q), float), axis=(-2, -1)), inner_pts)
     if w1_inner.size and float(np.max(w1_inner)) > tol:
         idx = int(np.argmax(w1_inner))
         raise PreconditionFailure(
             "omega1 does not vanish on the inner ball",
             worst_sample=tuple(inner_pts[idx].tolist()), value=float(w1_inner[idx]),
         )
-    mid_pts = ball_grid(e2, grid_n, inner=e1)
-    outer_pts = ball_grid(e3, grid_n, inner=e2 * (1 + 1e-9))
+    mid_pts = ball_orbits(e2, grid_n, inner=e1)
+    outer_pts = ball_orbits(e3, grid_n, inner=e2 * (1 + 1e-9))
     if not (len(mid_pts) and len(outer_pts)):
         raise ValueError(f"a {grid_n}^4 grid has no sample on an annulus; use a finer grid")
     mid = tameness_min(problem.omega1, J0, mid_pts)
@@ -364,7 +431,7 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
         raise PreconditionFailure("omega1 not positive outside eps2",
                                   worst_sample=outer.worst_sample, value=C)
 
-    ball = ball_grid(e3, grid_n, inner=1e-6)
+    ball = ball_orbits(e3, grid_n, inner=1e-6)
     norm = float(np.max(blockwise(lambda q: _dr_beta_norm(problem, q), ball)))
     delta = C / (2.0 * (norm + 1.0))
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forms import cube_grid, orbit_grid
 from .linear import antisymmetric
 from .profiles import f_smoothing, f_resolved, identity_profile
 
@@ -67,6 +68,17 @@ def _assemble(base_coeff, vert_coeff, p, n1, n2):
 def _check_domain(model: LocalModel, x):
     if np.any(np.sqrt(x) > model.delta0 + 1e-12):
         raise OutOfDomainError("fiber radius exceeds the model radius delta0")
+
+
+def cube_orbits(axis):
+    """The points of the cube axis^4, one per orbit of the models' symmetry
+    (see forms.orbit_grid).  The forms do not depend on y1 and are invariant
+    under rotations of the fiber plane, which commute with J0, so each
+    (x1, r^2) is sampled once: at y1 = axis[0], on the first fiber point of
+    its circle."""
+    axis = np.asarray(axis, dtype=float)
+    heads = np.stack([axis, np.full(len(axis), axis[0])], axis=-1)
+    return orbit_grid(heads, cube_grid(axis, axis))
 
 
 def eval_omega0(model: LocalModel, points):

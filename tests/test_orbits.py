@@ -1,0 +1,125 @@
+"""Certificates on the orbit space: each `verify` certificate evaluates one
+grid point per torus orbit of its region, and reaches the minimum, the
+worst sample and the gluing constant of the whole 4-D grid."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from orbifold4.cli import main
+from orbifold4.sympverify import LocalModel, eval_omega_a
+from orbifold4.sympverify.blowup import blowup_model_check, chart_form, chart_grid, chart_orbits
+from orbifold4.sympverify.fixtures import pipeline_problem
+from orbifold4.sympverify.forms import (_dr_beta_norm, ball_grid, ball_orbits, cube_grid,
+                                        glue_forms, tameness_min)
+from orbifold4.sympverify.linear import J0
+from orbifold4.sympverify.localmodel import cube_orbits
+
+PROBLEM = pipeline_problem()
+
+
+def _cube(n):
+    ax = np.linspace(-0.25, 0.25, n)
+    return cube_orbits(ax), cube_grid(ax, ax, ax, ax)
+
+
+def _ball(radius, inner):
+    return lambda n: (ball_orbits(radius, n, inner), ball_grid(radius, n, inner))
+
+
+# the tameness cube, the blow-up chart grid, and the balls and annuli on
+# which glue_forms checks omega1, sizes delta and certifies the glued form
+REGIONS = {
+    "cube": _cube,
+    "chart": lambda n: (chart_orbits(n), chart_grid(n)),
+    "inner-ball": _ball(PROBLEM.eps1 * 0.999, 0.0),
+    "middle-annulus": _ball(PROBLEM.eps2, PROBLEM.eps1),
+    "outer-annulus": _ball(PROBLEM.eps3, PROBLEM.eps2 * (1 + 1e-9)),
+    "ball": _ball(PROBLEM.eps3, 1e-6),
+}
+
+
+def _orbit(kind, p):
+    """A point's orbit: (x1, r^2) in the cube, whose forms do not depend on
+    y1, and (|z|^2, |w|^2) elsewhere."""
+    fibre = p[2] * p[2] + p[3] * p[3]
+    return (p[0], fibre) if kind == "cube" else (p[0] * p[0] + p[1] * p[1], fibre)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("kind", sorted(REGIONS))
+def test_orbit_samples_are_the_first_point_of_each_orbit_of_the_region(kind, n):
+    samples, region = REGIONS[kind](n)
+    index = {p: i for i, p in enumerate(map(tuple, region.tolist()))}
+    first = {}
+    for i, p in enumerate(region.tolist()):
+        first.setdefault(_orbit(kind, p), i)
+    at = [index.get(p) for p in map(tuple, samples.tolist())]
+    keys = [_orbit(kind, p) for p in samples.tolist()]
+    assert None not in at  # every sample is a point of the region
+    assert at == sorted(set(at))  # in grid order, each once
+    assert len(set(keys)) == len(keys)  # one per orbit
+    assert set(keys) == set(first)  # and every orbit of the region
+    assert at == sorted(first.values())  # each the first grid point of its orbit
+
+
+def _model(resolved=False, **connection):
+    model = LocalModel(m=2, a=0.1, **connection)
+    return lambda q: eval_omega_a(model, q, resolved=resolved)
+
+
+CONNECTION = {"nu": (0.05, -0.08), "kappa": 0.4}
+CERTIFICATES = {
+    "flat": (_model(), _cube),
+    "connection": (_model(**CONNECTION), _cube),
+    "connection-resolved": (_model(resolved=True, **CONNECTION), _cube),
+    "blowup-m2": (chart_form(2, 0.1), REGIONS["chart"]),
+    "blowup-m3": (chart_form(3, 0.4322), REGIONS["chart"]),
+}
+
+
+def _assert_same_certificate(got, want):
+    assert abs(got.min_quotient - want.min_quotient) <= 1e-13 * abs(want.min_quotient)
+    assert got.worst_sample == want.worst_sample
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+@pytest.mark.parametrize("kind", sorted(CERTIFICATES))
+def test_orbit_certificate_matches_the_whole_grid(kind, n):
+    form, region = CERTIFICATES[kind]
+    samples, grid = region(n)
+    got = tameness_min(form, J0, samples)
+    assert got.orbits == len(samples) < len(grid)
+    _assert_same_certificate(got, tameness_min(form, J0, grid))
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_glue_forms_on_orbits_matches_the_whole_grid(n):
+    e2, e3 = PROBLEM.eps2, PROBLEM.eps3
+    delta, glued, cert = glue_forms(PROBLEM, grid_n=n)
+    ball = ball_grid(e3, n, inner=1e-6)
+    _assert_same_certificate(cert, tameness_min(glued, J0, ball))
+    C = tameness_min(PROBLEM.omega1, J0, ball_grid(e3, n, inner=e2 * (1 + 1e-9))).min_quotient
+    want = C / (2.0 * (float(np.max(_dr_beta_norm(PROBLEM, ball))) + 1.0))
+    assert abs(delta - want) <= 1e-13 * want
+
+
+def _peak(fn) -> int:
+    fn()  # imports and first-call set-up stay outside the measurement
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_certificate_builds_its_4d_grid(capsys):
+    # tracemalloc sees numpy's buffers: each command's peak stays below the
+    # (N, 4) float array of the 4-D points its region is cut from
+    point = 4 * 8
+    assert _peak(lambda: blowup_model_check(3, 0.4322, 24)) < len(chart_grid(24)) * point
+    flat = ["verify", "tameness", "--model", "flat", "--grid", "24", "--json"]
+    assert _peak(lambda: main(flat)) < 24 ** 4 * point
+    assert _peak(lambda: glue_forms(PROBLEM, grid_n=22)) < 22 ** 4 * point

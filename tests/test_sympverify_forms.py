@@ -1,22 +1,23 @@
 """Finite-difference Kähler calculus and tameness certification."""
 
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from orbifold4.sympverify import (LocalModel, NotAlmostComplexError, PreconditionFailure,
-                                  ball_grid, complex_gradient_fd,
-                                  complex_hessian_fd, ddbar_fd,
+from orbifold4.sympverify import (LocalModel, NotAlmostComplexError,
+                                  ball_grid, complex_hessian_fd, ddbar_fd,
                                   exterior_derivative_fd, form_from_hermitian,
                                   eval_omega0, eval_omega_a, glue_forms, h_ramp,
                                   radial_potential_form, rho_bump,
-                                  semipositive_compose, taming_quotients, tameness_min)
-from orbifold4.sympverify.blowup import chart_form, chart_grid
+                                  taming_quotients, tameness_min)
+from orbifold4.sympverify.blowup import blowup_model_check, chart_form, chart_grid
 from orbifold4.sympverify.fixtures import pipeline_problem
 from orbifold4.sympverify.forms import CHUNK, cube_grid
 from orbifold4.sympverify.linear import OMEGA0, J0
-from orbifold4.sympverify.profiles import RadialProfile, f_smoothing
+from orbifold4.sympverify.profiles import f_smoothing
 
 
 def _flat_potential(p):
@@ -53,18 +54,6 @@ def test_ddbar_second_order_convergence():
     e1 = np.max(np.abs(ddbar_fd(F, pts, h=4e-3) - ref))
     e2 = np.max(np.abs(ddbar_fd(F, pts, h=2e-3) - ref))
     assert 3.0 < e1 / e2 < 5.0  # ratio ~4 for a second-order scheme
-
-
-def test_complex_gradient_fd():
-    # F = |z|^2 + Re(w): dF/dz = zbar, dF/dw = 1/2
-    def F(p):
-        p = np.asarray(p, dtype=float)
-        return p[..., 0] ** 2 + p[..., 1] ** 2 + p[..., 2]
-    pts = _sample_points(20, seed=5)
-    grad = complex_gradient_fd(F, pts)
-    zbar = pts[:, 0] - 1j * pts[:, 1]
-    assert np.max(np.abs(grad[:, 0] - zbar)) < 1e-9
-    assert np.max(np.abs(grad[:, 1] - 0.5)) < 1e-9
 
 
 def test_complex_hessian_pluriharmonic_vanishes():
@@ -129,17 +118,6 @@ def test_radial_potential_form_without_outer_profile():
     from orbifold4.sympverify.profiles import identity_profile
     omega = radial_potential_form(identity_profile())
     assert np.allclose(omega(_sample_points(10)), OMEGA0)
-
-
-def test_semipositive_compose():
-    h = h_ramp(0.1, 0.5)
-    forms, psd, min_eig = semipositive_compose(_flat_potential, h,
-                                               _sample_points(60, seed=17))
-    assert psd and min_eig >= -1e-8
-    # a profile violating convexity is rejected
-    bad = RadialProfile("bad", {}, lambda x: -x)
-    with pytest.raises(PreconditionFailure):
-        semipositive_compose(_flat_potential, bad, _sample_points(10))
 
 
 def test_ball_grid_geometry():
@@ -318,6 +296,31 @@ def test_taming_quotients_match_eigvalsh(structure, kind, scale):
     else:
         bound = 1e-14 * np.maximum(1.0, _frobenius(sym))
     assert np.all(np.abs(closed - reference) <= bound)
+
+
+def _exact_taming_quotient(w) -> Decimal:
+    """The smaller eigenvalue of [[alpha, beta], [conj(beta), delta]] for J0,
+    from the entries of w read as exact rationals, to 40 digits."""
+    e = {(i, j): Fraction(float(w[i, j])) for i in range(4) for j in range(i + 1, 4)}
+    trace = e[0, 1] + e[2, 3]
+    det = e[0, 1] * e[2, 3] - ((e[0, 2] + e[1, 3]) ** 2 + (e[0, 3] - e[1, 2]) ** 2) / 4
+    with localcontext() as ctx:
+        ctx.prec = 40
+        dec = [Decimal(q.numerator) / Decimal(q.denominator) for q in (trace, det)]
+        root = (dec[0] * dec[0] - 4 * dec[1]).sqrt()
+        return 2 * dec[1] / (dec[0] + root) if dec[0] > 0 else (dec[0] - root) / 2
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e8, 1e12, 1e16])
+@pytest.mark.parametrize("m", [2, 3])
+def test_taming_quotients_match_an_exact_reference(m, lam):
+    # lambda scales the u-direction only: a quotient of order 1 next to an
+    # eigenvalue of order lambda, which (alpha + delta)/2 - hypot(...) loses
+    forms = chart_form(m, lam)(chart_grid(8))
+    got = taming_quotients(forms, J0)
+    want = [_exact_taming_quotient(w) for w in forms]
+    assert max(abs(Decimal(float(g)) - x) / abs(x) for g, x in zip(got, want)) <= Decimal("1e-14")
+    assert blowup_model_check(m, lam, grid_n=8).certificate.tame
 
 
 @pytest.mark.parametrize("acs", [np.broadcast_to(J0, (3, 4, 4)), J0[:2, :2], J0.ravel()],

@@ -169,14 +169,18 @@ def test_tracer_counts_scalars_on_exact_commands(tmp_path):
     assert calls.get("cyclotomic.CyclotomicScalar.__init__", 0) > 0
 
 
-def test_tracer_counts_every_point_of_a_blockwise_grid(tmp_path):
-    # sympverify evaluates a grid in CHUNK-point blocks; the benchmark's point
-    # counters must still add up to the whole 12^4 grid, more than one block
-    from orbifold4.sympverify.forms import CHUNK
-    assert 12 ** 4 > CHUNK
-    counts = _trace(tmp_path, ("verify", "tameness", "--model", "flat", "--grid", "12"))["counts"]
-    assert counts["points.tameness_min"] == 12 ** 4
-    assert counts["points.eval_omega_a"] == 12 ** 4
+def test_tracer_counts_every_point_of_a_blockwise_grid(tmp_path, capsys):
+    # a certificate evaluates one sample per orbit of its 12^4 grid, in
+    # CHUNK-point blocks; the benchmark's point counters must add up to
+    # exactly the samples the certificate counts
+    from orbifold4.cli import main
+    argv = ("verify", "tameness", "--model", "flat", "--grid", "12")
+    counts = _trace(tmp_path, argv)["counts"]
+    assert main([*argv, "--json"]) == 0
+    orbits = json.loads(capsys.readouterr().out)["results"]["certificate"]["orbits"]
+    assert 0 < orbits < 12 ** 4
+    assert counts["points.tameness_min"] == orbits
+    assert counts["points.eval_omega_a"] == orbits
 
 
 @pytest.mark.parametrize("argv,code", [
