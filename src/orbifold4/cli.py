@@ -2,17 +2,21 @@
 
 Subcommands: `group classify|invariants`, `singularity resolve`,
 `orbifold resolve`, `verify tameness|gluing|blowup`.  Every command supports
-`--json` (deterministic payload: sorted keys, 17-significant-digit floats)
-and `--quiet`.  Exit codes: 0 success, 2 invalid input, 3 unsupported math,
-4 a failed check (every report check passes on exit 0).  Each command imports
-the modules it uses, so a `verify` command loads numpy and sympverify and
-none of the exact half.
+`--json` (deterministic payload: sorted keys, 17-significant-digit floats,
+a non-finite float as null) and `--quiet`.  Exit codes: 0 success, 2 invalid
+input, 3 unsupported math, 4 a failed check (every report check passes on
+exit 0).  Each command imports the modules it uses, so a `verify` command
+loads numpy and the sympverify modules it runs and none of the exact half.
+`run` is the process entry point: `main`, then the exit path.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import math
+import os
 import sys
 
 EXIT_OK = 0
@@ -31,7 +35,11 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, ".17g")
+        if not math.isfinite(value):
+            return "null"
+        # an integral float keeps a point or an exponent, so it reads back as a float
+        text = format(value, ".17g")
+        return text if "." in text or "e" in text else repr(float(value))
     if isinstance(value, int):
         return str(value)
     if value is None:
@@ -231,7 +239,7 @@ def _check_grid(args) -> None:
 def cmd_verify_tameness(args) -> dict:
     import numpy as np
     from .sympverify import LocalModel, eval_omega_a, tameness_min
-    from .sympverify.forms import TAMENESS_TOL
+    from .sympverify.forms import TAMENESS_TOL, cube_grid
     from .sympverify.localmodel import cube_orbits
     from .sympverify.linear import J0
 
@@ -239,10 +247,10 @@ def cmd_verify_tameness(args) -> dict:
     if args.model == "degenerate-fixture":
         rank2 = np.zeros((4, 4))
         rank2[0, 1], rank2[1, 0] = 1.0, -1.0
-        pts = np.random.default_rng(0).uniform(-0.3, 0.3, (200, 4))
+        axis = np.linspace(-0.3, 0.3, 4)
         cert = tameness_min(
             lambda q: np.broadcast_to(rank2, np.asarray(q).shape[:-1] + (4, 4)),
-            J0, pts, region="degenerate fixture", grid="200 random samples",
+            J0, cube_grid(axis, axis, axis, axis), region="degenerate fixture", grid="4^4",
         )
     else:
         try:
@@ -394,9 +402,28 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    emit(report, args)
+    try:
+        emit(report, args)
+    except BrokenPipeError:
+        pass  # a reader that closes stdout early does not change the status
     return report["exit_status"]
 
 
+def run() -> int:
+    """The process entry point: the `orbifold4` script and `python -m
+    orbifold4.cli`.  Runs main() and flushes stdout; when the reader has
+    closed stdout, points it at os.devnull so that the interpreter's last
+    flush stays quiet.  Then freezes the heap: its objects live until exit,
+    and frozen objects are skipped by the full collections of interpreter
+    teardown."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,30 +1,29 @@
 """Numerical verification of symplectic-form constructions on local models:
-the numerical half of orbifold4, and its only package that imports numpy."""
+the numerical half of orbifold4, and its only package that imports numpy.
 
-from .profiles import (RadialProfile, f_smoothing, f_resolved, h_ramp,
-                       rho_bump, H_cutoff, identity_profile)
-from .localmodel import LocalModel, OutOfDomainError, eval_omega0, eval_omega_a
-from .forms import (TamenessCertificate, GluingProblem, NotAlmostComplexError,
-                    PreconditionFailure, ball_grid, complex_hessian_fd,
-                    ddbar_fd, exterior_derivative_fd, form_from_hermitian,
-                    glue_forms, radial_potential_form, taming_quotients,
-                    tameness_min)
-from .pushforward import PushforwardReport, pushforward_check, sample_points
-from .blowup import (BlowupReport, blowup_model_check, chart_form,
-                     chart_potential, chart_grid, exceptional_area, transition)
+The public names below are resolved on first use (PEP 562), so a command
+loads only the submodules it runs."""
 
-__all__ = [
-    "RadialProfile", "f_smoothing", "f_resolved", "h_ramp", "rho_bump",
-    "H_cutoff", "identity_profile",
-    "LocalModel", "OutOfDomainError",
-    "eval_omega0", "eval_omega_a",
-    "TamenessCertificate", "GluingProblem", "NotAlmostComplexError",
-    "PreconditionFailure", "ball_grid",
-    "complex_hessian_fd", "ddbar_fd",
-    "exterior_derivative_fd", "form_from_hermitian", "glue_forms",
-    "radial_potential_form",
-    "taming_quotients", "tameness_min",
-    "PushforwardReport", "pushforward_check", "sample_points",
-    "BlowupReport", "blowup_model_check", "chart_form",
-    "chart_potential", "chart_grid", "exceptional_area", "transition",
-]
+import importlib
+
+_EXPORTS = {
+    "profiles": ("RadialProfile", "f_smoothing", "f_resolved", "h_ramp", "rho_bump",
+                 "H_cutoff", "identity_profile"),
+    "localmodel": ("LocalModel", "OutOfDomainError", "eval_omega0", "eval_omega_a"),
+    "forms": ("TamenessCertificate", "GluingProblem", "NotAlmostComplexError",
+              "PreconditionFailure", "ball_grid", "exterior_derivative_fd",
+              "form_from_hermitian", "glue_forms", "radial_potential_form",
+              "taming_quotients", "tameness_min"),
+    "pushforward": ("PushforwardReport", "pushforward_check", "sample_points"),
+    "blowup": ("BlowupReport", "blowup_model_check", "chart_form", "chart_potential",
+               "chart_grid", "exceptional_area", "transition"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

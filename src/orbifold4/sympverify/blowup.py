@@ -12,19 +12,18 @@ invariant radius) and whose second is the pulled-back Fubini-Study-type
 form, scaled by lambda.  The potential is written once, as a function of
 (|u|^2, |v|^2): its complex Hessian comes from second-order jets, and
 `chart_potential` evaluates the same definition so that finite differences
-(`ddbar_fd`) can cross-check it.  Grids avoid v = 0, where the pulled-back
-quotient form is continuous but not smooth for m >= 2; the area of the zero
-section is read off the same potential restricted to v = 0."""
+(the tests' `ddbar_fd`) can cross-check it.  Grids avoid v = 0, where the
+pulled-back quotient form is continuous but not smooth for m >= 2; the area
+of the zero section is read off the same potential restricted to v = 0."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .forms import (TamenessCertificate, blockwise, cube_grid, exterior_derivative_fd,
-                    first_of_each, invariant_potential_form, orbit_grid, plane,
-                    tameness_min)
+from .forms import (blockwise, cube_grid, exterior_derivative_fd, first_of_each,
+                    invariant_potential_form, orbit_grid, plane, tameness_min)
 from .jet import log1p
 from .linear import J0, holomorphic_map, pullback
 
@@ -77,6 +76,18 @@ def closedness_residual(omega) -> float:
     return exterior_derivative_fd(omega, np.concatenate([chart_grid(5), ring]), h=1e-5)
 
 
+def overlap_probe():
+    """Points of the chart overlap, |u| in [0.5, 2] and |v| in [0.05, 0.5],
+    fixed whatever the certification grid: 4 radii spanning each range, on 5
+    angles of u and 3 of v, each set offset by half its step; 240 points."""
+    def polar(lo, hi, k):
+        r = np.linspace(lo, hi, 4)[:, None]
+        theta = (np.arange(k) + 0.5) * (2.0 * np.pi / k)
+        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1).reshape(-1, 2)
+    u, v = polar(0.5, 2.0, 5)[:, None], polar(0.05, 0.5, 3)[None]
+    return np.concatenate(np.broadcast_arrays(u, v), axis=-1).reshape(-1, 4)
+
+
 def exceptional_area(m: int, lam: float, n: int = 20000) -> float:
     """Area of the form restricted to the zero section, by radial quadrature.
 
@@ -96,13 +107,11 @@ def exceptional_area(m: int, lam: float, n: int = 20000) -> float:
     return float(np.trapezoid(integrand, theta))
 
 
-@dataclass
-class BlowupReport:
-    certificate: TamenessCertificate
-    closedness_residual: float
-    overlap_max_diff: float
-    area: float
-    lam: float
+class BlowupReport(namedtuple("BlowupReport",
+                              "certificate closedness_residual overlap_max_diff area lam")):
+    """certificate is a TamenessCertificate over chart_orbits."""
+
+    __slots__ = ()
 
     @property
     def area_expected(self) -> float:
@@ -134,15 +143,8 @@ def blowup_model_check(m: int, lam: float, grid_n: int = 12) -> BlowupReport:
 
     closed = closedness_residual(omega)
 
-    # chart compatibility on the overlap |u| in [0.5, 2]
-    rng = np.random.default_rng(7)
-    ov = np.zeros((200, 4))
-    ru = rng.uniform(0.5, 2.0, 200)
-    au = rng.uniform(0, 2 * np.pi, 200)
-    ov[:, 0], ov[:, 1] = ru * np.cos(au), ru * np.sin(au)
-    rv = rng.uniform(0.05, 0.5, 200)
-    av = rng.uniform(0, 2 * np.pi, 200)
-    ov[:, 2], ov[:, 3] = rv * np.cos(av), rv * np.sin(av)
+    # chart compatibility on the overlap
+    ov = overlap_probe()
     image, jac = transition(ov, m)
     overlap = float(np.max(np.abs(pullback(jac, omega(image)) - omega(ov))))
 

@@ -1,5 +1,5 @@
-"""Kähler forms of invariant potentials, finite-difference cross-checks and
-tameness certification.
+"""Kähler forms of invariant potentials, the finite-difference exterior
+derivative and tameness certification.
 
 Potentials F are scalar fields on R^4 = C^2, vectorized over point arrays of
 shape (..., 4).  2-forms are antisymmetric 4x4 coefficient matrices in the
@@ -9,14 +9,12 @@ w = x2 + i y2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import namedtuple
 
 import numpy as np
 
 from .jet import Jet
 from .linear import J0, antisymmetric
-from .profiles import RadialProfile
 
 # a form is tame when its smallest taming quotient exceeds this
 TAMENESS_TOL = 1e-9
@@ -56,25 +54,6 @@ def _central_differences(fn, p, h):
                      for i in range(4)], axis=p.ndim - 1)
 
 
-def complex_hessian_fd(F, points, h: float = 1e-3):
-    """The 2x2 matrix of d^2 F / dz_i dzbar_j by central differences."""
-    p = np.asarray(points, dtype=float)
-    f0 = np.asarray(F(p), dtype=float)
-    d2 = np.zeros(p.shape[:-1] + (4, 4))
-    for i in range(4):
-        d2[..., i, i] = (F(_shift(p, i, h)) - 2.0 * f0 + F(_shift(p, i, -h))) / (h * h)
-        for j in range(i + 1, 4):
-            val = (
-                F(_shift(_shift(p, i, h), j, h))
-                - F(_shift(_shift(p, i, h), j, -h))
-                - F(_shift(_shift(p, i, -h), j, h))
-                + F(_shift(_shift(p, i, -h), j, -h))
-            ) / (4.0 * h * h)
-            d2[..., i, j] = d2[..., j, i] = val
-    x, y = slice(0, 4, 2), slice(1, 4, 2)
-    return 0.25 * (d2[..., x, x] + d2[..., y, y] + 1.0j * (d2[..., x, y] - d2[..., y, x]))
-
-
 def form_from_hermitian(coeff):
     """Real matrix of (i/2) sum coeff_ij dz_i ^ dzbar_j, from Re and Im of coeff."""
     c = np.asarray(coeff, dtype=complex)
@@ -82,11 +61,6 @@ def form_from_hermitian(coeff):
     w03 = 0.5 * (re[..., 0, 1] + re[..., 1, 0])
     w02 = 0.5 * (im[..., 1, 0] - im[..., 0, 1])
     return antisymmetric(re[..., 0, 0], w02, w03, -w03, w02, re[..., 1, 1])
-
-
-def ddbar_fd(F, points, h: float = 1e-3):
-    """(i/2) ddbar F assembled from mixed complex second differences."""
-    return form_from_hermitian(complex_hessian_fd(F, points, h))
 
 
 def exterior_derivative_fd(form_eval, points, h: float = 1e-3) -> float:
@@ -97,20 +71,15 @@ def exterior_derivative_fd(form_eval, points, h: float = 1e-3) -> float:
     return float(np.max(np.abs(res)))
 
 
-@dataclass
-class TamenessCertificate:
+class TamenessCertificate(namedtuple("TamenessCertificate",
+                                     "region grid min_quotient tame worst_sample orbits")):
     """Minimum taming quotient over the samples of a grid.  worst_sample is
     the first sample in grid order whose quotient is within WORST_SAMPLE_RTOL
     * max(1, |min_quotient|) of the minimum, stored as Python floats.  grid
     names the grid whose points are covered and orbits counts the samples
     evaluated, one per torus orbit of its points (see orbit_grid)."""
 
-    region: str
-    grid: str
-    min_quotient: float
-    tame: bool
-    worst_sample: tuple
-    orbits: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -222,7 +191,7 @@ def invariant_potential_form(phi):
 
     The jet of phi in (s, t) gives the complex Hessian c00 = phi_s + s phi_ss,
     c01 = zbar w phi_st, c11 = phi_t + t phi_tt.  The evaluator's `potential`
-    attribute evaluates phi itself, for ddbar_fd cross-checks.
+    attribute evaluates phi itself, for finite-difference cross-checks.
     """
 
     def omega(points):
@@ -247,9 +216,10 @@ def _radii(p):
     return p[..., 0] ** 2 + p[..., 1] ** 2, p[..., 2] ** 2 + p[..., 3] ** 2
 
 
-def radial_potential_form(g: RadialProfile, h: RadialProfile | None = None):
-    """(i/2) ddbar of h(|z|^2 + g(|w|^2)); with h omitted the outer profile is
-    the identity.  See invariant_potential_form."""
+def radial_potential_form(g, h=None):
+    """(i/2) ddbar of h(|z|^2 + g(|w|^2)) for radial profiles g and h (see
+    profiles.RadialProfile); with h omitted the outer profile is the
+    identity.  See invariant_potential_form."""
     return invariant_potential_form(lambda s, t: s + g(t) if h is None else h(s + g(t)))
 
 
@@ -343,20 +313,19 @@ def ball_orbits(radius: float, n: int, inner: float = 0.0):
     return orbit_grid(pts[first_of_each(s)], pts, _in_ball(radius, inner))
 
 
-@dataclass
-class GluingProblem:
-    eps1: float
-    eps2: float
-    eps3: float
-    omega1: Callable      # form evaluator
-    omega2: Callable      # form evaluator
-    beta: Callable        # 1-form (covector) evaluator with d(beta) = omega2
-    rho: RadialProfile    # cutoff in r: 1 below eps2, 0 above eps3
-    description: str = ""
+class GluingProblem(namedtuple("GluingProblem", "eps1 eps2 eps3 omega1 omega2 beta rho description",
+                               defaults=("",))):
+    """Radii 0 < eps1 < eps2 < eps3; omega1 and omega2 form evaluators; beta
+    a 1-form (covector) evaluator with d(beta) = omega2; rho a RadialProfile,
+    the cutoff in r: 1 below eps2, 0 above eps3."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.eps1 < self.eps2 < self.eps3:
             raise ValueError("need 0 < eps1 < eps2 < eps3")
+        return self
 
 
 def _radial_frame(problem: GluingProblem, p):

@@ -9,7 +9,7 @@ matrices, vectorized over arrays of points of shape (..., 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -22,16 +22,15 @@ class OutOfDomainError(ValueError):
     pass
 
 
-@dataclass
-class LocalModel:
-    m: int = 1
-    a: float = 0.0
-    delta0: float = 1.0   # model radius
-    delta2: float = 0.25  # smoothing radius; delta0 > 3*delta2
-    nu: tuple[float, float] = (0.0, 0.0)
-    kappa: float = 0.0
+class LocalModel(namedtuple("LocalModel", "m a delta0 delta2 nu kappa",
+                            defaults=(1, 0.0, 1.0, 0.25, (0.0, 0.0), 0.0))):
+    """The model radius delta0, the smoothing radius delta2 (delta0 >
+    3*delta2), the connection (nu1, nu2) and the curvature kappa."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         reals = (self.a, self.delta0, self.delta2, self.kappa, *self.nu)
         if len(self.nu) != 2 or not np.all(np.isfinite(reals)):
             raise ValueError("model parameters must be finite reals, nu a pair")
@@ -43,6 +42,7 @@ class LocalModel:
             raise ValueError("need delta2 > 0")
         if not self.delta0 > 3 * self.delta2:
             raise ValueError("need delta0 > 3*delta2")
+        return self
 
 
 def _split(points):

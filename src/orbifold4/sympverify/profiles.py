@@ -8,19 +8,18 @@ independent cross-checks.  All callables are vectorized over numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .jet import Jet, clip
 
 
-@dataclass
 class RadialProfile:
-    tag: str
-    params: dict
-    fn: Callable  # one definition, over arrays or jets
+    """A profile named by its tag and params; fn is its one definition, over
+    arrays or jets.  A plain class: its instances take attributes, as the
+    benchmark tracer rebinds value, d1 and d2 on each."""
+
+    def __init__(self, tag: str, params: dict, fn):
+        self.tag, self.params, self.fn = tag, params, fn
 
     def jet(self, x) -> Jet:
         """Value, first and second derivative at x as a one-variable jet."""

@@ -8,7 +8,7 @@ gives its real Jacobian, and `linear.pullback` pulls the form back."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -16,13 +16,9 @@ from .linear import holomorphic_map, pullback
 from .localmodel import LocalModel, eval_omega_a
 
 
-@dataclass
-class PushforwardReport:
-    m: int
-    samples: int
-    max_discrepancy: float
-    worst_sample: tuple
-    radial_exact: bool
+class PushforwardReport(namedtuple("PushforwardReport",
+                                   "m samples max_discrepancy worst_sample radial_exact")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

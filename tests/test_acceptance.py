@@ -15,7 +15,8 @@ from orbifold4 import (CyclotomicScalar, UMat2, abelianize, builtin_group,
                        generate_group, hj_resolve, induced_cyclic_data,
                        mapping_torus_pi1, molien, resolution_betti, delta_set)
 from orbifold4.invariants import invariant_dimension_bruteforce
-from orbifold4.sympverify import (LocalModel, ddbar_fd, eval_omega_a,
+from fd_oracles import ddbar_fd
+from orbifold4.sympverify import (LocalModel, eval_omega_a,
                                   blowup_model_check, glue_forms,
                                   pushforward_check, taming_quotients, tameness_min)
 from orbifold4.sympverify.fixtures import pipeline_problem

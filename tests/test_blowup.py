@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from fd_oracles import ddbar_fd
 from orbifold4.sympverify import (blowup_model_check, chart_form, chart_grid,
                                   chart_potential, exceptional_area, transition)
 from orbifold4.sympverify import blowup, jet
-from orbifold4.sympverify.blowup import closedness_residual
-from orbifold4.sympverify.forms import ddbar_fd
+from orbifold4.sympverify.blowup import closedness_residual, overlap_probe
 from orbifold4.sympverify.linear import holomorphic_map
 from orbifold4.sympverify.pushforward import _fiber_power
 
@@ -44,6 +44,15 @@ def test_transition_jacobian_against_fd(name):
         dm[0, i] -= h
         col = (fmap(dp)[0] - fmap(dm)[0]) / (2 * h)
         assert np.allclose(jac[0, :, i], col[0], atol=1e-6)
+
+
+def test_the_overlap_probe_spans_the_overlap_annulus():
+    # at least 200 points, the same whatever the grid, reaching both ends of
+    # |u| in [0.5, 2] and |v| in [0.05, 0.5], and no two alike
+    pts = overlap_probe()
+    ru, rv = np.hypot(pts[:, 0], pts[:, 1]), np.hypot(pts[:, 2], pts[:, 3])
+    assert len(pts) >= 200 and len(np.unique(pts.round(12), axis=0)) == len(pts)
+    assert np.allclose([ru.min(), ru.max(), rv.min(), rv.max()], [0.5, 2.0, 0.05, 0.5])
 
 
 def test_chart_grid_avoids_fiber_origin():

@@ -1,17 +1,20 @@
 """Command-line interface: subcommands, exit codes, deterministic JSON."""
 
 import argparse
+import gc
 import importlib
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
 import sys
 import warnings
 
 import pytest
 
-from orbifold4.cli import build_parser, main
+from orbifold4.cli import _fmt, build_parser, main
 
 
 def run(capsys, *argv):
@@ -498,3 +501,99 @@ def test_orbifold_resolve_refuses_incident_surfaces_that_are_not_a_list_of_label
     assert code == 2 and out == ""
     assert err == ("error: spec invalid: corner 'A0': incident_surfaces must be a list"
                    " of surface labels\n")
+
+
+@pytest.mark.parametrize("value,text", [
+    (0.0, "0.0"), (-0.0, "-0.0"), (2.0, "2.0"), (-7.0, "-7.0"), (1e16, "1e+16"),
+    (1e200, "9.9999999999999997e+199"), (0.1, "0.10000000000000001"), (1.5e-300, "1.5000000000000001e-300"),
+    (float("inf"), "null"), (float("-inf"), "null"), (float("nan"), "null"),
+    (3, "3"), (True, "true"),
+])
+def test_fmt_writes_json_numbers(value, text):
+    # a float reads back as a float of the same value; a non-finite one is null
+    assert _fmt(value) == text
+    back = json.loads(text)
+    if isinstance(value, float) and math.isfinite(value):
+        assert type(back) is float and back == value
+        assert math.copysign(1.0, back) == math.copysign(1.0, value)
+
+
+def test_fmt_of_a_numpy_float_matches_the_float():
+    import numpy as np
+    for value in (0.0, 2.0, 0.25, 1e16, float("inf")):
+        assert _fmt(np.float64(value)) == _fmt(value)
+    assert _fmt({"a": [np.float64(1.0), None]}) == '{"a": [1.0, null]}'
+
+
+def test_an_integral_min_quotient_prints_as_a_float(capsys):
+    code, out, _ = run(capsys, "verify", "tameness", "--model", "flat", "--a", "1e200",
+                       "--grid", "4", "--json")
+    assert code == 4
+    payload = json.loads(out)
+    assert type(payload["results"]["certificate"]["min_quotient"]) is float
+    assert payload["checks"][0]["min_quotient"] == 0.0
+
+
+def test_a_non_finite_area_prints_as_null(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow is the point
+        code, out, _ = run(capsys, "verify", "blowup", "--lam", "1e308", "--grid", "4", "--json")
+    assert code == 4
+    payload = json.loads(out)
+    assert payload["results"]["exceptional_area"] is None
+    assert payload["checks"][0]["status"] == "fail"
+
+
+def _refused_spec(tmp_path):
+    """A spec whose isolated point has Q8 x <zeta_3>: refused with exit 3."""
+    from orbifold4 import CyclotomicScalar
+    z, o = (lambda k: CyclotomicScalar.zeta(12, k).to_json()), CyclotomicScalar.zero(12).to_json()
+    group = {"generators": [[[o, z(6)], [z(0), o]], [[z(3), o], [o, z(9)]],
+                            [[z(4), o], [o, z(4)]]]}
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps({
+        "name": "refused", "base_betti": [1, 0, 2, 0, 1], "betti_provenance": ["asserted"] * 5,
+        "isolated_points": [{"label": "R", "group": group}], "surfaces": [],
+        "corner_points": []}))
+    return path
+
+
+def _cli_process(*argv, stdout=subprocess.PIPE):
+    """`python -m orbifold4.cli` with argv, the way the script runs."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, "-m", "orbifold4.cli", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("verify", "tameness", "--model", "flat", "--grid", "4", "--json"), 0),
+    (("singularity", "resolve", "--m", "4", "--q", "2", "--json"), 2),
+    (("orbifold", "resolve", "--spec", "REFUSED", "--json"), 3),
+    (("verify", "tameness", "--model", "degenerate-fixture", "--json"), 4),
+], ids=["exit0", "exit2", "exit3", "exit4"])
+def test_the_process_entry_point_matches_main(capsys, tmp_path, argv, code):
+    # run() adds only the exit path to main(): the same output and status,
+    # and an in-process main() leaves the garbage collector unfrozen
+    argv = [str(_refused_spec(tmp_path)) if a == "REFUSED" else a for a in argv]
+    frozen = gc.get_freeze_count()
+    in_process = run(capsys, *argv)
+    assert gc.get_freeze_count() == frozen
+    assert in_process[0] == code
+    proc = _cli_process(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("verify", "tameness", "--model", "flat", "--m", "2", "--a", "0.1898", "--delta2",
+      "0.2246", "--grid", "21", "--json"), 4),
+    # a report larger than the stdout buffer breaks the pipe inside emit
+    (("singularity", "resolve", "--m", "200", "--q", "199", "--json"), 0),
+], ids=["at-exit", "in-emit"])
+def test_a_closed_stdout_ends_without_a_traceback(argv, code):
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the command writes
+    try:
+        proc = _cli_process(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")

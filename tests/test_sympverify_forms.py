@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbifold4.sympverify import (LocalModel, NotAlmostComplexError,
-                                  ball_grid, complex_hessian_fd, ddbar_fd,
+from fd_oracles import complex_hessian_fd, ddbar_fd
+from orbifold4.sympverify import (LocalModel, NotAlmostComplexError, ball_grid,
                                   exterior_derivative_fd, form_from_hermitian,
                                   eval_omega0, eval_omega_a, glue_forms, h_ramp,
                                   radial_potential_form, rho_bump,

@@ -1,6 +1,6 @@
 """Source-tree rules: correctness gates that `python -O` cannot strip, an
 exact half that starts without numpy or dataclasses, commands that load only
-the modules they use, a public API that resolves lazily, and a benchmark
+the modules they use, public APIs that resolve lazily, and a benchmark
 tracer that still wraps the program."""
 
 import ast
@@ -89,6 +89,25 @@ def test_verify_commands_load_none_of_the_exact_half(argv):
     assert loaded & EXACT_HALF == set()
 
 
+TAMENESS_MODULES = {"forms", "localmodel", "profiles", "jet", "linear"}
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (("verify", "tameness", "--model", "flat", "--grid", "4"), TAMENESS_MODULES),
+    (("verify", "tameness", "--model", "degenerate-fixture"), TAMENESS_MODULES),
+    (("verify", "gluing", "--grid", "8"), {"forms", "fixtures", "profiles", "jet", "linear"}),
+    (("verify", "blowup", "--grid", "4"), {"forms", "blowup", "jet", "linear"}),
+], ids=["tameness-flat", "tameness-degenerate", "gluing", "blowup"])
+def test_verify_commands_load_only_what_they_run(argv, modules):
+    # sympverify resolves its names lazily: a verify job compiles only the
+    # submodules it runs (never pushforward, which no command calls), draws
+    # no random points and builds its records without the dataclass generator
+    loaded = _loaded_modules(argv)
+    assert {m for m in loaded if m.startswith("orbifold4.sympverify.")} == {
+        f"orbifold4.sympverify.{name}" for name in modules}
+    assert loaded & {"numpy.random", "dataclasses", "orbifold4.sympverify.pushforward"} == set()
+
+
 def test_singularity_resolve_loads_only_integer_code():
     # a chain job needs no group, spec or invariant code
     loaded = _loaded_modules(("singularity", "resolve", "--m", "12", "--q", "7"))
@@ -114,6 +133,30 @@ def test_every_public_name_still_imports_from_the_package():
     assert set(PUBLIC_NAMES) - {"__version__"} <= set(orbifold4.__all__)
     with pytest.raises(AttributeError):
         orbifold4.no_such_name
+
+
+# the names `orbifold4.sympverify` exported when its __init__ imported them
+# eagerly, but for the finite-difference oracles, which moved to the tests
+SYMPVERIFY_NAMES = """
+    RadialProfile f_smoothing f_resolved h_ramp rho_bump H_cutoff identity_profile
+    LocalModel OutOfDomainError eval_omega0 eval_omega_a
+    TamenessCertificate GluingProblem NotAlmostComplexError PreconditionFailure ball_grid
+    exterior_derivative_fd form_from_hermitian glue_forms radial_potential_form
+    taming_quotients tameness_min
+    PushforwardReport pushforward_check sample_points
+    BlowupReport blowup_model_check chart_form chart_potential chart_grid
+    exceptional_area transition
+""".split()
+
+
+def test_every_sympverify_name_still_imports_from_the_package():
+    from orbifold4 import sympverify
+    namespace = {}
+    exec(f"from orbifold4.sympverify import {', '.join(SYMPVERIFY_NAMES)}", namespace)
+    assert all(name in namespace for name in SYMPVERIFY_NAMES)
+    assert sorted(sympverify.__all__) == sorted(SYMPVERIFY_NAMES)
+    with pytest.raises(AttributeError):
+        sympverify.ddbar_fd
 
 
 def _trace(tmp_path, argv) -> dict:
