@@ -243,7 +243,6 @@ def cmd_verify_tameness(args) -> dict:
     from .sympverify.localmodel import cube_orbits
     from .sympverify.linear import J0
 
-    _check_grid(args)
     if args.model == "degenerate-fixture":
         rank2 = np.zeros((4, 4))
         rank2[0, 1], rank2[1, 0] = 1.0, -1.0
@@ -253,6 +252,7 @@ def cmd_verify_tameness(args) -> dict:
             J0, cube_grid(axis, axis, axis, axis), region="degenerate fixture", grid="4^4",
         )
     else:
+        _check_grid(args)
         try:
             if args.model == "flat":
                 model = LocalModel(m=args.m, a=args.a, delta0=1.0, delta2=args.delta2)

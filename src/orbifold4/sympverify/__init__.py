@@ -11,9 +11,8 @@ _EXPORTS = {
                  "H_cutoff", "identity_profile"),
     "localmodel": ("LocalModel", "OutOfDomainError", "eval_omega0", "eval_omega_a"),
     "forms": ("TamenessCertificate", "GluingProblem", "NotAlmostComplexError",
-              "PreconditionFailure", "ball_grid", "exterior_derivative_fd",
-              "form_from_hermitian", "glue_forms", "radial_potential_form",
-              "taming_quotients", "tameness_min"),
+              "PreconditionFailure", "exterior_derivative_fd", "form_from_hermitian",
+              "glue_forms", "taming_quotients", "tameness_min"),
     "pushforward": ("PushforwardReport", "pushforward_check", "sample_points"),
     "blowup": ("BlowupReport", "blowup_model_check", "chart_form", "chart_potential",
                "chart_grid", "exceptional_area", "transition"),

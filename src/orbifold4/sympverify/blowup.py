@@ -131,21 +131,28 @@ class BlowupReport(namedtuple("BlowupReport",
 
 
 def blowup_model_check(m: int, lam: float, grid_n: int = 12) -> BlowupReport:
+    """Refuses (ValueError) a lambda for which a float of the model
+    overflows, as it does from lambda = 1e307: no report holds an area or a
+    quotient computed past the largest double."""
     if m < 2 or not 0 < lam < np.inf:
         raise ValueError("need m >= 2 and a finite lambda > 0")
-    omega = chart_form(m, lam)
+    try:
+        with np.errstate(over="raise"):
+            omega = chart_form(m, lam)
 
-    cert = tameness_min(
-        omega, J0, chart_orbits(grid_n),
-        region=f"two charts, |u|<=1.2, 0.05<=|v|<=0.8 (m={m}, lambda={lam})",
-        grid=f"{grid_n}^4 per chart, v=0 excluded",
-    )
+            cert = tameness_min(
+                omega, J0, chart_orbits(grid_n),
+                region=f"two charts, |u|<=1.2, 0.05<=|v|<=0.8 (m={m}, lambda={lam})",
+                grid=f"{grid_n}^4 per chart, v=0 excluded",
+            )
 
-    closed = closedness_residual(omega)
+            closed = closedness_residual(omega)
 
-    # chart compatibility on the overlap
-    ov = overlap_probe()
-    image, jac = transition(ov, m)
-    overlap = float(np.max(np.abs(pullback(jac, omega(image)) - omega(ov))))
+            # chart compatibility on the overlap
+            ov = overlap_probe()
+            image, jac = transition(ov, m)
+            overlap = float(np.max(np.abs(pullback(jac, omega(image)) - omega(ov))))
 
-    return BlowupReport(cert, closed, overlap, exceptional_area(m, lam), lam)
+            return BlowupReport(cert, closed, overlap, exceptional_area(m, lam), lam)
+    except FloatingPointError as exc:
+        raise ValueError(f"lambda={lam} overflows the blow-up model: {exc}") from None

@@ -12,20 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forms import GluingProblem, radial_potential_form
-from .linear import OMEGA0
+from .forms import GluingProblem
 from .profiles import H_cutoff, RadialProfile, f_resolved, h_ramp, rho_bump
-
-
-def standard_primitive(points):
-    """beta = (1/2)(x1 dy1 - y1 dx1 + x2 dy2 - y2 dx2); d(beta) is the flat form."""
-    p = np.asarray(points, dtype=float)
-    return 0.5 * np.stack([-p[..., 1], p[..., 0], -p[..., 3], p[..., 2]], axis=-1)
-
-
-def flat_form(points):
-    p = np.asarray(points, dtype=float)
-    return np.broadcast_to(OMEGA0, p.shape[:-1] + (4, 4)).copy()
 
 
 def smoothing_excess_max(m: int, a: float, x_max: float) -> float:
@@ -50,10 +38,8 @@ def pipeline_problem(m: int = 2, a: float = 0.1,
     # cutoff of the smoothing correction beyond the certified ball
     H = H_cutoff(m, a, lo=1.5 * eps3 ** 2, hi=3.0 * eps3 ** 2, resolved=True)
     g = RadialProfile("g_smoothed", {"m": m, "a": a}, lambda x: x + H(x))
-    omega1 = radial_potential_form(g, h_ramp(t0, t1))
+    h = h_ramp(t0, t1)
     return GluingProblem(
-        eps1, eps2, eps3,
-        omega1, flat_form, standard_primitive,
-        rho_bump(eps2, eps3),
+        eps1, eps2, eps3, lambda s, t: h(s + g(t)), rho_bump(eps2, eps3),
         description=f"pipeline m={m} a={a} ramp=({t0:.4f},{t1:.4f})",
     )

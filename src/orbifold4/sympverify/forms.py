@@ -19,6 +19,10 @@ from .linear import J0, antisymmetric
 # a form is tame when its smallest taming quotient exceeds this
 TAMENESS_TOL = 1e-9
 
+# glue_forms' bound on omega1's norm on the inner ball and on how far below
+# 0 its taming quotient may reach on the middle annulus
+GLUING_TOL = 1e-7
+
 # worst_sample is the first sample in grid order whose quotient lies within
 # this relative distance of the minimum, so that samples tied by a symmetry
 # of the model are not told apart by rounding in the last bit
@@ -216,13 +220,6 @@ def _radii(p):
     return p[..., 0] ** 2 + p[..., 1] ** 2, p[..., 2] ** 2 + p[..., 3] ** 2
 
 
-def radial_potential_form(g, h=None):
-    """(i/2) ddbar of h(|z|^2 + g(|w|^2)) for radial profiles g and h (see
-    profiles.RadialProfile); with h omitted the outer profile is the
-    identity.  See invariant_potential_form."""
-    return invariant_potential_form(lambda s, t: s + g(t) if h is None else h(s + g(t)))
-
-
 def cube_grid(*axes):
     """The product grid of the axes as an (N, len(axes)) array of points, in
     the order of np.meshgrid(*axes, indexing="ij"), filled in place."""
@@ -297,27 +294,19 @@ def _in_ball(radius: float, inner: float):
     return inside
 
 
-def ball_grid(radius: float, n: int, inner: float = 0.0):
-    """Deterministic grid on the radius-ball of R^4 (annulus if inner > 0)."""
-    axis = np.linspace(-radius, radius, n)
-    pts = cube_grid(axis, axis, axis, axis)
-    # without np.linalg.norm's (N, 4) array of squares
-    x = pts.T
-    return pts[_in_ball(radius, inner)(x[0] * x[0] + x[1] * x[1], x[2], x[3])]
-
-
 def ball_orbits(radius: float, n: int, inner: float = 0.0):
-    """The points of ball_grid(radius, n, inner), one per (|z|^2, |w|^2) orbit
-    (see orbit_grid); a sample lies in the ball exactly when ball_grid keeps it."""
+    """The points of the n^4 cubic grid of [-radius, radius]^4 with
+    inner <= r <= radius, one per (|z|^2, |w|^2) orbit (see orbit_grid); a
+    grid point is kept exactly when np.linalg.norm puts it in that range."""
     pts, s = plane(np.linspace(-radius, radius, n))
     return orbit_grid(pts[first_of_each(s)], pts, _in_ball(radius, inner))
 
 
-class GluingProblem(namedtuple("GluingProblem", "eps1 eps2 eps3 omega1 omega2 beta rho description",
+class GluingProblem(namedtuple("GluingProblem", "eps1 eps2 eps3 phi1 rho description",
                                defaults=("",))):
-    """Radii 0 < eps1 < eps2 < eps3; omega1 and omega2 form evaluators; beta
-    a 1-form (covector) evaluator with d(beta) = omega2; rho a RadialProfile,
-    the cutoff in r: 1 below eps2, 0 above eps3."""
+    """Radii 0 < eps1 < eps2 < eps3; phi1 the potential of omega1 as a
+    function of (s, t) = (|z|^2, |w|^2), written over arrays or jets; rho a
+    RadialProfile, the cutoff in r: 1 below eps2, 0 above eps3."""
 
     __slots__ = ()
 
@@ -327,60 +316,50 @@ class GluingProblem(namedtuple("GluingProblem", "eps1 eps2 eps3 omega1 omega2 be
             raise ValueError("need 0 < eps1 < eps2 < eps3")
         return self
 
-
-def _radial_frame(problem: GluingProblem, p):
-    """r = |p|, the unit radial vector n and the covector beta at p."""
-    r = np.linalg.norm(p, axis=-1)
-    return r, p / np.maximum(r, 1e-300)[..., None], np.asarray(problem.beta(p), dtype=float)
+    @property
+    def omega1(self):
+        return invariant_potential_form(self.phi1)
 
 
-def _d_rho_beta(problem: GluingProblem, points):
-    """Matrix of d(rho(r) beta) = rho'(r) dr ^ beta + rho(r) d(beta)."""
-    p = np.asarray(points, dtype=float)
-    r, n, b = _radial_frame(problem, p)
-    dr_beta = antisymmetric(*(n[..., i] * b[..., j] - b[..., i] * n[..., j]
-                              for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))))
-    rho = problem.rho.jet(r)
-    return rho.grad[0][..., None, None] * dr_beta, rho.value[..., None, None] * np.asarray(problem.omega2(p), float), dr_beta
+def _cutoff_potential(rho):
+    """G(R) with G'(R) = rho(sqrt R), over a jet R: (i/2) ddbar G(|p|^2) is
+    d(rho(r) beta) for the primitive beta = (1/4) d^c |p|^2 of the flat form.
+    G'' = rho'(r) / 2r is formed directly, not by the chain rule through
+    sqrt R, whose two rho / 2R terms would cancel; it is 0 where rho' is,
+    so r = 0 gives no 0/0.  No form reads G's value, which is NaN, as it is
+    over arrays: the glued potential has no plausible wrong value."""
+    def G(R):
+        if not isinstance(R, Jet):
+            return np.full(np.shape(R), np.nan)
+        r = np.sqrt(R.value)
+        j = rho.jet(r)
+        d1 = j.grad[0]
+        d2 = np.divide(d1, 2.0 * r, out=np.zeros_like(r), where=d1 != 0)
+        return R.apply(np.full_like(r, np.nan), j.value, d2)
+    return G
 
 
-def _dr_beta_norm(problem: GluingProblem, points):
-    """||rho'(r) dr ^ beta||_2 per sample, as |rho'(r)| |beta - (n.beta) n|:
-    with |n| = 1 the rank-2 matrix n beta^T - beta n^T has both nonzero
-    singular values equal to the length of beta's component normal to n."""
-    p = np.asarray(points, dtype=float)
-    r, n, b = _radial_frame(problem, p)
-    normal = b - np.sum(n * b, axis=-1)[..., None] * n
-    return np.abs(problem.rho.jet(r).grad[0]) * np.linalg.norm(normal, axis=-1)
+def glue_forms(problem: GluingProblem, grid_n: int = 15):
+    """Glue omega1 (vanishing near 0) to a multiple of the flat form near 0:
+    omega_delta = omega1 + delta * d(rho beta), the form of the potential
+    phi1(s, t) + delta G(s + t) (see _cutoff_potential), with delta chosen
+    from the sampled positivity constant C of omega1 on the outer annulus
+    and the sampled sup-norm |rho'(r)| r / 2 of d(rho) ^ beta: beta is
+    normal to the radius, with |beta| = r / 2.
 
-
-def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
-               fd_tol: float = 1e-5):
-    """Glue omega1 (vanishing near 0) to a multiple of omega2 near 0:
-    omega_delta = omega1 + delta * d(rho beta), with delta chosen from the
-    sampled positivity constant C of omega1 on the outer annulus and the
-    sampled sup-norm of d(rho) ^ beta.
-
-    omega1, omega2 and beta must be invariant under the torus that rotates
-    z and w, as the pipeline problem's are: every check but the d(beta)
-    probe runs on one sample per orbit of its ball or annulus (ball_orbits).
+    Every check runs on one sample per torus orbit of its ball or annulus
+    (ball_orbits), as every form here is a potential form in (s, t).
 
     Returns (delta, glued evaluator, certificate over the eps3-ball).
     """
     e1, e2, e3 = problem.eps1, problem.eps2, problem.eps3
+    omega1 = problem.omega1
 
-    # d(beta) = omega2 by finite differences
-    probe = ball_grid(e3, 7, inner=1e-3)[::7]
-    dbeta_err = _dbeta_residual(problem, probe)
-    if dbeta_err > fd_tol:
-        raise PreconditionFailure(f"d(beta) != omega2: residual {dbeta_err:.3e}")
-
-    # the Frobenius norm, the taming quotient and ||d(rho) ^ beta|| are
-    # constant on orbits; the largest entry of a form is not
+    # the Frobenius norm and the taming quotient are constant on orbits;
+    # the largest entry of a form is not
     inner_pts = ball_orbits(e1 * 0.999, grid_n)
-    w1_inner = blockwise(
-        lambda q: np.linalg.norm(np.asarray(problem.omega1(q), float), axis=(-2, -1)), inner_pts)
-    if w1_inner.size and float(np.max(w1_inner)) > tol:
+    w1_inner = blockwise(lambda q: np.linalg.norm(omega1(q), axis=(-2, -1)), inner_pts)
+    if w1_inner.size and float(np.max(w1_inner)) > GLUING_TOL:
         idx = int(np.argmax(w1_inner))
         raise PreconditionFailure(
             "omega1 does not vanish on the inner ball",
@@ -390,34 +369,25 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15, tol: float = 1e-7,
     outer_pts = ball_orbits(e3, grid_n, inner=e2 * (1 + 1e-9))
     if not (len(mid_pts) and len(outer_pts)):
         raise ValueError(f"a {grid_n}^4 grid has no sample on an annulus; use a finer grid")
-    mid = tameness_min(problem.omega1, J0, mid_pts)
-    if mid.min_quotient < -tol:
+    mid = tameness_min(omega1, J0, mid_pts)
+    if mid.min_quotient < -GLUING_TOL:
         raise PreconditionFailure("omega1 not semipositive on the middle annulus",
                                   worst_sample=mid.worst_sample, value=mid.min_quotient)
-    outer = tameness_min(problem.omega1, J0, outer_pts)
+    outer = tameness_min(omega1, J0, outer_pts)
     C = outer.min_quotient
     if C <= 0:
         raise PreconditionFailure("omega1 not positive outside eps2",
                                   worst_sample=outer.worst_sample, value=C)
 
     ball = ball_orbits(e3, grid_n, inner=1e-6)
-    norm = float(np.max(blockwise(lambda q: _dr_beta_norm(problem, q), ball)))
+    r = np.linalg.norm(ball, axis=-1)
+    norm = float(np.max(np.abs(problem.rho.jet(r).grad[0]) * r / 2.0))
     delta = C / (2.0 * (norm + 1.0))
 
-    def glued(points):
-        p = np.asarray(points, dtype=float)
-        term1, term2, _ = _d_rho_beta(problem, p)
-        return np.asarray(problem.omega1(p), float) + delta * (term1 + term2)
-
+    G, phi1 = _cutoff_potential(problem.rho), problem.phi1
+    glued = invariant_potential_form(lambda s, t: phi1(s, t) + delta * G(s + t))
     cert = tameness_min(
         glued, J0, ball,
         region=f"ball radius {e3}", grid=f"{grid_n}^4 cubic grid",
     )
     return delta, glued, cert
-
-
-def _dbeta_residual(problem: GluingProblem, points, h: float = 1e-4) -> float:
-    p = np.asarray(points, dtype=float)
-    grad = _central_differences(problem.beta, p, h)
-    dbeta = grad - np.swapaxes(grad, -1, -2)
-    return float(np.max(np.abs(dbeta - np.asarray(problem.omega2(p), float))))

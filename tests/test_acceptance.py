@@ -15,12 +15,11 @@ from orbifold4 import (CyclotomicScalar, UMat2, abelianize, builtin_group,
                        generate_group, hj_resolve, induced_cyclic_data,
                        mapping_torus_pi1, molien, resolution_betti, delta_set)
 from orbifold4.invariants import invariant_dimension_bruteforce
-from fd_oracles import ddbar_fd
+from fd_oracles import ball_grid, ddbar_fd, dr_beta
 from orbifold4.sympverify import (LocalModel, eval_omega_a,
                                   blowup_model_check, glue_forms,
                                   pushforward_check, taming_quotients, tameness_min)
 from orbifold4.sympverify.fixtures import pipeline_problem
-from orbifold4.sympverify.forms import ball_grid, _d_rho_beta
 from orbifold4.sympverify.linear import J0
 from orbifold4.sympverify.profiles import f_smoothing
 from orbifold4.sympverify.pushforward import sample_points
@@ -186,7 +185,7 @@ def test_criterion_09_gluing_executor():
         delta, _, cert = glue_forms(problem, grid_n=15)
         outer = ball_grid(e3, 15, inner=e2 * (1 + 1e-9))
         C = float(np.min(taming_quotients(problem.omega1(outer), J0)))
-        drb, _, _ = _d_rho_beta(problem, ball_grid(e3, 15, inner=1e-6))
+        drb = dr_beta(problem.rho, ball_grid(e3, 15, inner=1e-6))
         norm = float(np.max(np.linalg.norm(drb, ord=2, axis=(-2, -1))))
         ok = ok and delta * (norm + 1.0) < C and cert.tame
         details.append(f"({e1},{e2},{e3}):delta={delta:.3f}")

@@ -534,14 +534,29 @@ def test_an_integral_min_quotient_prints_as_a_float(capsys):
     assert payload["checks"][0]["min_quotient"] == 0.0
 
 
-def test_a_non_finite_area_prints_as_null(capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow is the point
-        code, out, _ = run(capsys, "verify", "blowup", "--lam", "1e308", "--grid", "4", "--json")
-    assert code == 4
-    payload = json.loads(out)
-    assert payload["results"]["exceptional_area"] is None
-    assert payload["checks"][0]["status"] == "fail"
+def test_a_lambda_that_overflows_the_blowup_model_is_refused(capsys):
+    # refused with one error line, not certified on overflowed floats
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "blowup", "--lam", "1e308", "--grid", "4", "--json")
+    assert code == 2 and out == "" and not caught
+    assert err.startswith("error: lambda=1e+308 overflows the blow-up model") and err.count("\n") == 1
+
+
+def test_a_large_lambda_below_overflow_is_certified(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "blowup", "--lam", "1e300", "--grid", "4", "--json")
+    assert code == 0 and err == "" and not caught
+    assert json.loads(out)["checks"][0]["status"] == "pass"
+
+
+def test_the_degenerate_fixture_ignores_grid(capsys):
+    # it certifies its own fixed 4^4 grid, so --grid 1 is not refused
+    want = run(capsys, "verify", "tameness", "--model", "degenerate-fixture", "--json")
+    got = run(capsys, "verify", "tameness", "--model", "degenerate-fixture", "--grid", "1",
+              "--json")
+    assert got == want and got[0] == 4
 
 
 def _refused_spec(tmp_path):

@@ -3,26 +3,27 @@
 import numpy as np
 import pytest
 
+from fd_oracles import (ball_grid, d_rho_beta, dbeta_residual, flat_form,
+                        standard_primitive)
 from orbifold4.sympverify import GluingProblem, glue_forms, rho_bump
-from orbifold4.sympverify.fixtures import (flat_form, pipeline_problem,
-                                           smoothing_excess_max,
-                                           standard_primitive)
-from orbifold4.sympverify.forms import PreconditionFailure, ball_grid, taming_quotients
+from orbifold4.sympverify.fixtures import pipeline_problem, smoothing_excess_max
+from orbifold4.sympverify.forms import PreconditionFailure, taming_quotients
 from orbifold4.sympverify.linear import J0, OMEGA0
 
 
+def _flat(s, t):
+    """The potential s + t = |p|^2 of the flat form."""
+    return s + t
+
+
 def test_standard_primitive_differentiates_to_flat_form():
-    from orbifold4.sympverify.forms import _dbeta_residual
-    prob = GluingProblem(0.3, 0.6, 0.9, flat_form, flat_form,
-                         standard_primitive, rho_bump(0.6, 0.9))
     pts = np.random.default_rng(0).uniform(-0.5, 0.5, (40, 4))
-    assert _dbeta_residual(prob, pts) < 1e-9
+    assert dbeta_residual(standard_primitive, flat_form, pts) < 1e-9
 
 
 def test_problem_radius_validation():
     with pytest.raises(ValueError):
-        GluingProblem(0.8, 0.5, 1.0, flat_form, flat_form,
-                      standard_primitive, rho_bump(0.5, 1.0))
+        GluingProblem(0.8, 0.5, 1.0, _flat, rho_bump(0.5, 1.0))
 
 
 def test_smoothing_excess_max():
@@ -50,8 +51,9 @@ def test_glue_forms_certificate_and_delta_bound():
     prob = pipeline_problem(m=2, a=0.1)
     delta, glued, cert = glue_forms(prob, grid_n=11)
     assert cert.tame and delta > 0
-    # near the origin the glued form is delta times the flat form
-    near = np.random.default_rng(1).uniform(-0.05, 0.05, (20, 4))
+    # near the origin the glued form is delta times the flat form, and at it:
+    # rho' = 0 there, so G'' = rho'(r) / 2r is 0, not 0/0
+    near = np.vstack([np.random.default_rng(1).uniform(-0.05, 0.05, (20, 4)), np.zeros((1, 4))])
     assert np.max(np.abs(glued(near) - delta * OMEGA0)) < 1e-9
     # outside eps3 the cutoff is gone and the glued form equals omega1
     far = ball_grid(prob.eps3, 7, inner=prob.eps3 * 0.999)
@@ -67,38 +69,43 @@ def test_glue_forms_determinism():
 
 def test_glue_forms_rejects_nonvanishing_omega1():
     # gluing the flat form to itself violates the inner-ball precondition
-    prob = GluingProblem(0.3, 0.6, 0.9, flat_form, flat_form,
-                         standard_primitive, rho_bump(0.6, 0.9))
+    prob = GluingProblem(0.3, 0.6, 0.9, _flat, rho_bump(0.6, 0.9))
     with pytest.raises(PreconditionFailure):
         glue_forms(prob, grid_n=7)
-
-
-def test_glue_forms_rejects_wrong_primitive():
-    base = pipeline_problem(m=2, a=0.1)
-    bad = GluingProblem(base.eps1, base.eps2, base.eps3, base.omega1,
-                        flat_form, lambda p: 3.0 * standard_primitive(p),
-                        base.rho)
-    with pytest.raises(PreconditionFailure):
-        glue_forms(bad, grid_n=7)
 
 
 def test_glue_forms_reports_the_worst_annulus_sample():
     base = pipeline_problem(m=2, a=0.1)
 
-    def problem(omega1):
-        return GluingProblem(base.eps1, base.eps2, base.eps3, omega1, base.omega2,
-                             base.beta, base.rho)
-
-    def negated(p):
-        return -np.asarray(base.omega1(p), float)
+    def problem(phi1):
+        return GluingProblem(base.eps1, base.eps2, base.eps3, phi1, base.rho)
 
     mid = ball_grid(base.eps2, 9, inner=base.eps1)
-    q = taming_quotients(negated(mid), J0)
+    q = taming_quotients(-base.omega1(mid), J0)
     with pytest.raises(PreconditionFailure, match="middle annulus") as exc:
-        glue_forms(problem(negated), grid_n=9)
+        glue_forms(problem(lambda s, t: -base.phi1(s, t)), grid_n=9)
     assert exc.value.value == q.min() and exc.value.worst_sample == tuple(mid[np.argmin(q)])
 
     outer = ball_grid(base.eps3, 9, inner=base.eps2 * (1 + 1e-9))
     with pytest.raises(PreconditionFailure, match="outside eps2") as exc:
-        glue_forms(problem(lambda p: np.zeros(np.shape(p)[:-1] + (4, 4))), grid_n=9)
+        glue_forms(problem(lambda s, t: 0.0 * s), grid_n=9)
     assert exc.value.value == 0.0 and exc.value.worst_sample == tuple(outer[0])
+
+
+@pytest.mark.parametrize("radii", [(0.5, 0.8, 1.0), (0.4, 0.7, 0.9), (0.6, 0.9, 1.1)])
+def test_glued_form_is_omega1_plus_delta_d_rho_beta(radii):
+    # the one potential phi1 + delta G(s + t) against beta's explicit formula
+    problem = pipeline_problem(2, 0.1, *radii)
+    delta, glued, _ = glue_forms(problem, grid_n=15)
+    ball = ball_grid(problem.eps3, 15, inner=1e-6)
+    want = problem.omega1(ball) + delta * d_rho_beta(problem.rho, ball)
+    assert float(np.max(np.abs(glued(ball) - want))) <= 1e-13
+
+
+def test_the_glued_potential_has_no_value():
+    # only the derivatives of the cutoff's potential G enter the glued form
+    _, glued, _ = glue_forms(pipeline_problem(), grid_n=8)
+    pts = ball_grid(1.0, 5, inner=1e-6)
+    assert np.all(np.isnan(glued.potential(pts)))
+    assert np.all(np.isfinite(glued(pts)))
+

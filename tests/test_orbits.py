@@ -7,12 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fd_oracles import ball_grid, dr_beta
 from orbifold4.cli import main
 from orbifold4.sympverify import LocalModel, eval_omega_a
 from orbifold4.sympverify.blowup import blowup_model_check, chart_form, chart_grid, chart_orbits
 from orbifold4.sympverify.fixtures import pipeline_problem
-from orbifold4.sympverify.forms import (_dr_beta_norm, ball_grid, ball_orbits, cube_grid,
-                                        glue_forms, tameness_min)
+from orbifold4.sympverify.forms import ball_orbits, cube_grid, glue_forms, tameness_min
 from orbifold4.sympverify.linear import J0
 from orbifold4.sympverify.localmodel import cube_orbits
 
@@ -101,7 +101,8 @@ def test_glue_forms_on_orbits_matches_the_whole_grid(n):
     ball = ball_grid(e3, n, inner=1e-6)
     _assert_same_certificate(cert, tameness_min(glued, J0, ball))
     C = tameness_min(PROBLEM.omega1, J0, ball_grid(e3, n, inner=e2 * (1 + 1e-9))).min_quotient
-    want = C / (2.0 * (float(np.max(_dr_beta_norm(PROBLEM, ball))) + 1.0))
+    norm = float(np.max(np.linalg.norm(dr_beta(PROBLEM.rho, ball), ord=2, axis=(-2, -1))))
+    want = C / (2.0 * (norm + 1.0))
     assert abs(delta - want) <= 1e-13 * want
 
 

@@ -7,15 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fd_oracles import complex_hessian_fd, ddbar_fd
-from orbifold4.sympverify import (LocalModel, NotAlmostComplexError, ball_grid,
+from fd_oracles import ball_grid, complex_hessian_fd, ddbar_fd
+from orbifold4.sympverify import (LocalModel, NotAlmostComplexError,
                                   exterior_derivative_fd, form_from_hermitian,
                                   eval_omega0, eval_omega_a, glue_forms, h_ramp,
-                                  radial_potential_form, rho_bump,
-                                  taming_quotients, tameness_min)
+                                  rho_bump, taming_quotients, tameness_min)
 from orbifold4.sympverify.blowup import blowup_model_check, chart_form, chart_grid
 from orbifold4.sympverify.fixtures import pipeline_problem
-from orbifold4.sympverify.forms import CHUNK, cube_grid
+from orbifold4.sympverify.forms import CHUNK, cube_grid, invariant_potential_form
 from orbifold4.sympverify.linear import OMEGA0, J0
 from orbifold4.sympverify.profiles import f_smoothing
 
@@ -97,7 +96,8 @@ def test_certificate_serialization():
 
 
 def test_exterior_derivative_of_exact_form_vanishes():
-    omega = radial_potential_form(f_smoothing(2, 0.1))
+    g = f_smoothing(2, 0.1)
+    omega = invariant_potential_form(lambda s, t: s + g(t))
     pts = _sample_points(20, seed=11, scale=0.3)
     pts[:, 2:] += 0.2  # keep away from the fiber origin
     assert exterior_derivative_fd(omega, pts, h=1e-4) < 1e-6
@@ -106,7 +106,7 @@ def test_exterior_derivative_of_exact_form_vanishes():
 def test_radial_potential_form_matches_fd():
     g = f_smoothing(2, 0.1)
     h = h_ramp(0.05, 0.4)
-    omega = radial_potential_form(g, h)
+    omega = invariant_potential_form(lambda s, t: h(s + g(t)))
     pts = _sample_points(40, seed=13, scale=0.35)
     pts[:, 2:] += 0.15
     fd = ddbar_fd(omega.potential, pts, h=1e-3)
@@ -116,7 +116,8 @@ def test_radial_potential_form_matches_fd():
 
 def test_radial_potential_form_without_outer_profile():
     from orbifold4.sympverify.profiles import identity_profile
-    omega = radial_potential_form(identity_profile())
+    g = identity_profile()
+    omega = invariant_potential_form(lambda s, t: s + g(t))
     assert np.allclose(omega(_sample_points(10)), OMEGA0)
 
 

@@ -136,13 +136,14 @@ def test_every_public_name_still_imports_from_the_package():
 
 
 # the names `orbifold4.sympverify` exported when its __init__ imported them
-# eagerly, but for the finite-difference oracles, which moved to the tests
+# eagerly, but for the references that moved to the tests (the
+# finite-difference oracles and ball_grid) and radial_potential_form, which
+# only tests called
 SYMPVERIFY_NAMES = """
     RadialProfile f_smoothing f_resolved h_ramp rho_bump H_cutoff identity_profile
     LocalModel OutOfDomainError eval_omega0 eval_omega_a
-    TamenessCertificate GluingProblem NotAlmostComplexError PreconditionFailure ball_grid
-    exterior_derivative_fd form_from_hermitian glue_forms radial_potential_form
-    taming_quotients tameness_min
+    TamenessCertificate GluingProblem NotAlmostComplexError PreconditionFailure
+    exterior_derivative_fd form_from_hermitian glue_forms taming_quotients tameness_min
     PushforwardReport pushforward_check sample_points
     BlowupReport blowup_model_check chart_form chart_potential chart_grid
     exceptional_area transition
