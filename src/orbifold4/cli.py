@@ -276,25 +276,21 @@ def cmd_verify_gluing(args) -> dict:
     from .sympverify.forms import PreconditionFailure, glue_forms
 
     _check_grid(args)
+    keys, obj = ("m", "a", "eps1", "eps2", "eps3"), {}
     if args.problem:
         try:
             with open(args.problem) as fh:
                 obj = json.load(fh)
             if not isinstance(obj, dict):
                 raise ValueError("the top level must be a JSON object")
+            unknown = sorted(set(obj) - set(keys))
+            if unknown:
+                raise ValueError(f"unknown keys {unknown}")
         except (OSError, ValueError) as exc:
             raise CliError(f"invalid problem file: {exc}", EXIT_INVALID)
-    else:
-        obj = {}
-    params = {
-        "m": obj.get("m", args.m), "a": obj.get("a", args.a),
-        "eps1": obj.get("eps1", args.eps1),
-        "eps2": obj.get("eps2", args.eps2),
-        "eps3": obj.get("eps3", args.eps3),
-    }
     try:
-        problem = pipeline_problem(**params)
-    except (TypeError, ValueError) as exc:
+        problem = pipeline_problem(**{key: obj.get(key, getattr(args, key)) for key in keys})
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(str(exc), EXIT_INVALID)
     try:
         delta, _, cert = glue_forms(problem, grid_n=args.grid)

@@ -91,17 +91,22 @@ def overlap_probe():
 def exceptional_area(m: int, lam: float, n: int = 20000) -> float:
     """Area of the form restricted to the zero section, by radial quadrature.
 
-    The form of the potential restricted to v = 0 is evaluated at (rho, 0, 0, 0);
-    its du^dubar coefficient is the (0, 1) entry.  t = 0.0 enters as a plain
-    float, so |v|^(2/m) is the constant 0 and the jets in s stay finite.  The
-    radial integral is compactified by rho = tan(theta)."""
+    The form of the potential restricted to v = 0 is evaluated at
+    (rho, 0, 0, 0), one block of rho at a time; its du^dubar coefficient is
+    the (0, 1) entry.  t = 0.0 enters as a plain float, so |v|^(2/m) is the
+    constant 0 and the jets in s stay finite.  The radial integral is
+    compactified by rho = tan(theta)."""
     phi = _phi(m, lam)
     zero_section = invariant_potential_form(lambda s, t: phi(s, 0.0))
     theta = np.linspace(0.0, np.pi / 2.0, n)
     rho = np.tan(theta[:-1])
-    pts = np.zeros((n - 1, 4))
-    pts[:, 0] = rho
-    density = blockwise(lambda p: zero_section(p)[:, 0, 1], pts)
+
+    def du_dubar(r):
+        pts = np.zeros((len(r), 4))
+        pts[:, 0] = r
+        return zero_section(pts)[:, 0, 1]
+
+    density = blockwise(du_dubar, rho)
     integrand = 2.0 * np.pi * rho * density * (1.0 + rho ** 2)
     integrand = np.append(integrand, 0.0)  # rho -> inf limit
     return float(np.trapezoid(integrand, theta))

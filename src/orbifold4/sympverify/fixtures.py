@@ -31,6 +31,10 @@ def pipeline_problem(m: int = 2, a: float = 0.1,
         raise ValueError("m must be an integer")
     if m < 1 or not a > 0:
         raise ValueError("need m >= 1 and a > 0")
+    # the cutoff window reaches 3*eps3^2; a radius whose square overflows
+    # would end in an OverflowError of Python float arithmetic
+    if not all(3.0 * e * e < np.inf for e in (eps1, eps2, eps3)):
+        raise ValueError("need radii with 3*eps^2 finite")
     t0 = eps1 ** 2 + smoothing_excess_max(m, a, eps1 ** 2) + margin
     t1 = eps2 ** 2 - margin
     if not t0 < t1:

@@ -29,8 +29,10 @@ GLUING_TOL = 1e-7
 WORST_SAMPLE_RTOL = 1e-13
 
 # points per block of a grid evaluation: the per-sample 4x4 arrays of one
-# block are alive at a time, whatever the size of the grid
-CHUNK = 2 ** 14
+# block are alive at a time, whatever the size of the grid.  A block's forms
+# take 256 KiB; larger blocks lift a verify job's peak RSS above what its
+# imports need (README.md, design notes)
+CHUNK = 2 ** 11
 
 
 class NotAlmostComplexError(ValueError):
@@ -97,10 +99,14 @@ class TamenessCertificate(namedtuple("TamenessCertificate",
 
 
 def blockwise(fn, points):
-    """fn over consecutive CHUNK-point slices of an (N, 4) points array, its
-    per-sample values joined into one array of length N."""
-    return np.concatenate([np.empty(0)] + [fn(points[i:i + CHUNK])
-                                           for i in range(0, len(points), CHUNK)])
+    """fn over consecutive CHUNK-row slices of an (N, ...) array of points,
+    its one float per row written into one preallocated array of length N.
+    No block's result outlives its block: a result that is a view into a
+    block's buffer (a form entry, say) would otherwise pin that buffer."""
+    out = np.empty(len(points))
+    for i in range(0, len(points), CHUNK):
+        out[i:i + CHUNK] = fn(points[i:i + CHUNK])
+    return out
 
 
 def taming_quotients(forms, acs):
@@ -251,33 +257,39 @@ def orbit_grid(heads, tails, inside=None):
     (A, 2) points of the first plane in grid order, each the first point of
     its orbit there; tails are (B, 2) points of the second plane in grid
     order, whose orbits are the circles t = x2^2 + x3^2.  The region is the
-    (head, tail) pairs with inside(s, x2, x3), where s = x0^2 + x1^2 of the
-    head comes as an (A, 1) column and the tails' coordinates as (B,) rows;
-    without inside it is every pair.  inside depends on a head only through
-    s, so it decides alike for every point of a head's orbit; for a given s
-    it may decide differently for tails on one circle, and a circle keeps
-    its first tail that lies inside.  A form invariant under the torus takes
-    each of its values on the region at one of the samples.
+    (head, tail) pairs with inside(s, x2, x3), where s = x0^2 + x1^2 of a
+    block of heads comes as a column and the tails' coordinates as (B,)
+    rows; without inside it is every pair.  inside depends on a head only
+    through s, so it decides alike for every point of a head's orbit; for a
+    given s it may decide differently for tails on one circle, and a circle
+    keeps its first tail that lies inside.  A form invariant under the torus
+    takes each of its values on the region at one of the samples.
     """
     t = tails[:, 0] * tails[:, 0] + tails[:, 1] * tails[:, 1]
     if inside is None:
-        circles = first_of_each(t)
-        rows = np.repeat(np.arange(len(heads)), len(circles))
-        cols = np.tile(circles, len(heads))
-    else:
-        s = heads[:, :1] * heads[:, :1] + heads[:, 1:] * heads[:, 1:]
-        circle = np.unique(t, return_inverse=True)[1]
-        order = np.argsort(circle, kind="stable")
-        starts = np.flatnonzero(np.diff(circle[order], prepend=-1))
-        # per head, the least tail index inside the region on each circle
-        # (n where none is): a minimum over each circle's run of columns
-        n = len(tails)
-        index = np.where(inside(s, tails[:, 0], tails[:, 1]), np.arange(n), n)
-        first = np.sort(np.minimum.reduceat(index[:, order], starts, axis=1), axis=1)
-        rows, k = np.nonzero(first < n)
-        cols = first[rows, k]
+        circles = tails[first_of_each(t)]
+        out = np.empty((len(heads), len(circles), 4))
+        out[..., :2], out[..., 2:] = heads[:, None], circles
+        return out.reshape(-1, 4)
+    circle = np.unique(t, return_inverse=True)[1]
+    order = np.argsort(circle, kind="stable")
+    starts = np.flatnonzero(np.diff(circle[order], prepend=-1))
+    # per head, the least tail index inside the region on each circle (n
+    # where none is): a minimum over each circle's run of columns, decided
+    # for one block of heads at a time
+    n = len(tails)
+    x2, x3, index = tails[order, 0], tails[order, 1], np.arange(n)[order]
+    step = max(1, CHUNK // max(n, 1))
+    first = np.empty((len(heads), len(starts)), dtype=index.dtype)
+    for i in range(0, len(heads), step):
+        h = heads[i:i + step]
+        s = h[:, :1] * h[:, :1] + h[:, 1:] * h[:, 1:]
+        first[i:i + step] = np.minimum.reduceat(np.where(inside(s, x2, x3), index, n),
+                                                starts, axis=1)
+    first.sort(axis=1)
+    rows, k = np.nonzero(first < n)
     out = np.empty((len(rows), 4))
-    out[:, :2], out[:, 2:] = heads[rows], tails[cols]
+    out[:, :2], out[:, 2:] = heads[rows], tails[first[rows, k]]
     return out
 
 

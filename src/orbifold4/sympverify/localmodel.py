@@ -25,7 +25,8 @@ class OutOfDomainError(ValueError):
 class LocalModel(namedtuple("LocalModel", "m a delta0 delta2 nu kappa",
                             defaults=(1, 0.0, 1.0, 0.25, (0.0, 0.0), 0.0))):
     """The model radius delta0, the smoothing radius delta2 (delta0 >
-    3*delta2), the connection (nu1, nu2) and the curvature kappa."""
+    3*delta2, and r^2 = 2*delta2^2 at the corners of the cube [-delta2,
+    delta2]^4 finite), the connection (nu1, nu2) and the curvature kappa."""
 
     __slots__ = ()
 
@@ -40,6 +41,8 @@ class LocalModel(namedtuple("LocalModel", "m a delta0 delta2 nu kappa",
             raise ValueError("need m >= 1 and a >= 0")
         if not self.delta2 > 0:
             raise ValueError("need delta2 > 0")
+        if not 2.0 * self.delta2 * self.delta2 < np.inf:
+            raise ValueError("the cube's corner radius r^2 = 2*delta2^2 overflows")
         if not self.delta0 > 3 * self.delta2:
             raise ValueError("need delta0 > 3*delta2")
         return self

@@ -296,6 +296,8 @@ def test_spec_file_round_trip(capsys, tmp_path):
     ("verify", "blowup", "--lam", "inf"),
     ("orbifold", "resolve", "--example", "product", "--m", "0", "--m2", "3"),
     ("orbifold", "resolve", "--example", "product", "--m", "3", "--m2", "0"),
+    ("verify", "gluing", "--eps3", "1e300"),
+    ("verify", "gluing", "--eps1", "1e200", "--eps2", "2e200", "--eps3", "3e200"),
 ])
 def test_invalid_input_exits_2_with_error_line(capsys, argv):
     code, out, err = run(capsys, *argv, "--json")
@@ -326,6 +328,8 @@ def test_every_command_refuses_seed(capsys):
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
+
 # a scalar whose only coefficient [num, den] has den = 0
 ZERO_DEN = '{"conductor": 1, "coeffs": [[1, 0]]}'
 
@@ -348,6 +352,10 @@ ZERO_DEN = '{"conductor": 1, "coeffs": [[1, 0]]}'
      '{"base_betti": [1, 0, 0, 0, 1], "isolated_points": [{"label": "C1", "group": '
      '{"generators": [[[%s, %s], [%s, %s]]]}}]}' % ((ZERO_DEN,) * 4)),
     (("verify", "tameness", "--model"), '{"m": 2, "a": 0.1, "base": "disc"}'),
+    (("verify", "tameness", "--model"), '{"m": 2, "a": 0.1, "delta0": 1e308, "delta2": 1e300}'),
+    (("verify", "gluing", "--problem"), '{"m": 2, "a": 0.1, "esp1": 0.45}'),
+    (("verify", "gluing", "--problem"), (EXAMPLES / "group.json").read_text()),
+    (("verify", "gluing", "--problem"), '{"eps3": 1%s}' % ("0" * 400)),
 ])
 def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content):
     path = tmp_path / "input.json"
@@ -357,7 +365,6 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content):
     assert out == "" and err.startswith("error: ")
 
 
-EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
 # the named choices of the options that take a name rather than a file
 NAMES = {"--model": ["flat", "degenerate-fixture"],
          "--builtin": ["klein_four", "minus_identity", "dihedral"],
@@ -388,7 +395,8 @@ def _random_argv(rng, path, parser):
         if action.type is int:
             value = rng.randint(*INT_LIMITS.get(flag, (-2, 8)))
         elif action.type is float:
-            value = rng.choice([-1.0, -0.1, 0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0])
+            value = rng.choice([-1.0, -0.1, 0.0, 1e-300, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0,
+                                1e200, 1e300])
         else:
             value = rng.choice(NAMES.get(flag, []) + paths)
         argv.append(str(value))

@@ -37,6 +37,7 @@ NUMERIC_CASES = {
     "verify-tameness-flat-8-resolved": ("verify", "tameness", "--model", "flat", "--grid", "8",
                                         "--resolved"),
     "verify-gluing-8": ("verify", "gluing", "--grid", "8"),
+    "verify-blowup-8": ("verify", "blowup", "--grid", "8"),
 }
 
 FLOAT_RTOL = 1e-13

@@ -12,9 +12,10 @@ from orbifold4.sympverify import (LocalModel, NotAlmostComplexError,
                                   exterior_derivative_fd, form_from_hermitian,
                                   eval_omega0, eval_omega_a, glue_forms, h_ramp,
                                   rho_bump, taming_quotients, tameness_min)
-from orbifold4.sympverify.blowup import blowup_model_check, chart_form, chart_grid
+from orbifold4.sympverify.blowup import (blowup_model_check, chart_form, chart_grid,
+                                        exceptional_area)
 from orbifold4.sympverify.fixtures import pipeline_problem
-from orbifold4.sympverify.forms import CHUNK, cube_grid, invariant_potential_form
+from orbifold4.sympverify.forms import CHUNK, blockwise, cube_grid, invariant_potential_form
 from orbifold4.sympverify.linear import OMEGA0, J0
 from orbifold4.sympverify.profiles import f_smoothing
 
@@ -233,6 +234,42 @@ def test_tameness_min_peak_memory_is_flat_in_grid_size():
             tracemalloc.stop()
 
     assert peak(8 * CHUNK) < 2 * peak(2 * CHUNK)
+
+
+def _traced_peak(fn):
+    """tracemalloc's peak of numpy's and Python's buffers over one call of
+    fn, after one untraced call that leaves any first-call state behind."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_blockwise_drops_each_block_result_before_the_next():
+    # fn returns a view into its block's (rows, 64) buffer, as a form entry
+    # is a view into its block's forms; a result kept past its block would
+    # keep its whole buffer alive
+    pts = np.zeros((8 * CHUNK, 4))
+
+    def entry(q):
+        return np.ones((len(q), 64))[:, 0]
+
+    buffer, out = CHUNK * 64 * 8, len(pts) * 8
+    assert _traced_peak(lambda: blockwise(entry, pts)) < 2 * buffer + out
+
+
+@pytest.mark.parametrize("call,limit_mb", [
+    (lambda: blowup_model_check(3, 0.4322, 24), 2.5),
+    (lambda: exceptional_area(3, 0.4322), 2.0),
+    (lambda: glue_forms(pipeline_problem(), grid_n=24), 2.5),
+], ids=["blowup-24", "exceptional-area", "gluing-24"])
+def test_certification_peak_memory(call, limit_mb):
+    # one block of temporaries beyond the samples: the blow-up's 16,704
+    # orbits and the area's 19,999 radii are each a few blocks
+    assert _traced_peak(call) < limit_mb * 2 ** 20
 
 
 def test_worst_sample_is_the_first_sample_tied_with_the_minimum():
