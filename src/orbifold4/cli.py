@@ -6,7 +6,8 @@ Subcommands: `group classify|invariants`, `singularity resolve`,
 a non-finite float as null) and `--quiet`.  Exit codes: 0 success, 2 invalid
 input, 3 unsupported math, 4 a failed check (every report check passes on
 exit 0).  Each command imports the modules it uses, so a `verify` command
-loads numpy and the sympverify modules it runs and none of the exact half.
+loads the sympverify modules it runs and none of the exact half, and only
+`verify gluing` and `verify blowup` load numpy.
 `run` is the process entry point: `main`, then the exit path.
 """
 
@@ -237,21 +238,18 @@ def _check_grid(args) -> None:
 
 
 def cmd_verify_tameness(args) -> dict:
-    import numpy as np
-    from .sympverify import LocalModel, eval_omega_a, tameness_min
-    from .sympverify.forms import TAMENESS_TOL, cube_grid
-    from .sympverify.localmodel import cube_orbits
-    from .sympverify.linear import J0
+    from .sympverify.taming import TAMENESS_TOL, certify, linspace, quotient
 
     if args.model == "degenerate-fixture":
-        rank2 = np.zeros((4, 4))
-        rank2[0, 1], rank2[1, 0] = 1.0, -1.0
-        axis = np.linspace(-0.3, 0.3, 4)
-        cert = tameness_min(
-            lambda q: np.broadcast_to(rank2, np.asarray(q).shape[:-1] + (4, 4)),
-            J0, cube_grid(axis, axis, axis, axis), region="degenerate fixture", grid="4^4",
-        )
+        from itertools import product
+
+        # the rank-2 form dx1^dy1: taming data a = 1, d = |b| = 0 everywhere
+        q, axis = quotient(1.0, 0.0, 0.0), linspace(-0.3, 0.3, 4)
+        cert = certify(((p, q) for p in product(axis, repeat=4)),
+                       region="degenerate fixture", grid="4^4")
     else:
+        from .sympverify.localmodel import LocalModel, cube_samples
+
         _check_grid(args)
         try:
             if args.model == "flat":
@@ -259,13 +257,10 @@ def cmd_verify_tameness(args) -> dict:
             else:
                 with open(args.model) as fh:
                     model = LocalModel(**json.load(fh))
-        except (OSError, TypeError, ValueError) as exc:
+        except (OSError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"invalid model: {exc}", EXIT_INVALID)
-        cert = tameness_min(
-            lambda q: eval_omega_a(model, q, resolved=args.resolved),
-            J0, cube_orbits(np.linspace(-model.delta2, model.delta2, args.grid)),
-            region=f"cube side 2*{model.delta2}", grid=f"{args.grid}^4",
-        )
+        cert = certify(cube_samples(model, args.grid, resolved=args.resolved),
+                       region=f"cube side 2*{model.delta2}", grid=f"{args.grid}^4")
     return _report("verify tameness",
                    {"certificate": cert.to_json(), "tolerance": TAMENESS_TOL},
                    [("tameness certificate", cert.tame, {"min_quotient": cert.min_quotient})])

@@ -1,5 +1,7 @@
 """Numerical verification of symplectic-form constructions on local models:
 the numerical half of orbifold4, and its only package that imports numpy.
+The array APIs import it; `taming`, `jet`, `profiles` and `localmodel`
+import without it, and the local model's certificate runs in Python floats.
 
 The public names below are resolved on first use (PEP 562), so a command
 loads only the submodules it runs."""
@@ -9,8 +11,9 @@ import importlib
 _EXPORTS = {
     "profiles": ("RadialProfile", "f_smoothing", "f_resolved", "h_ramp", "rho_bump",
                  "H_cutoff", "identity_profile"),
-    "localmodel": ("LocalModel", "OutOfDomainError", "eval_omega0", "eval_omega_a"),
-    "forms": ("TamenessCertificate", "GluingProblem", "NotAlmostComplexError",
+    "localmodel": ("LocalModel", "OutOfDomainError", "eval_omega_a"),
+    "taming": ("TamenessCertificate",),
+    "forms": ("GluingProblem", "NotAlmostComplexError",
               "PreconditionFailure", "exterior_derivative_fd", "form_from_hermitian",
               "glue_forms", "taming_quotients", "tameness_min"),
     "pushforward": ("PushforwardReport", "pushforward_check", "sample_points"),

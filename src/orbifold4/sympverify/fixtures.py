@@ -35,6 +35,12 @@ def pipeline_problem(m: int = 2, a: float = 0.1,
     # would end in an OverflowError of Python float arithmetic
     if not all(3.0 * e * e < np.inf for e in (eps1, eps2, eps3)):
         raise ValueError("need radii with 3*eps^2 finite")
+    # fhat''(0) = (1/m)(1/m - 1) a^(2/m - 4) overflows for a tiny a (m = 2:
+    # a below about 1e-103), and a grid point with |w| = 0 would read NaN
+    try:
+        f_resolved(m, a).float_jet(0.0)
+    except ArithmeticError:
+        raise ValueError(f"a={a} is too small: fhat''(0) overflows") from None
     t0 = eps1 ** 2 + smoothing_excess_max(m, a, eps1 ** 2) + margin
     t1 = eps2 ** 2 - margin
     if not t0 < t1:

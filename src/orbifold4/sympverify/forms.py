@@ -15,18 +15,11 @@ import numpy as np
 
 from .jet import Jet
 from .linear import J0, antisymmetric
-
-# a form is tame when its smallest taming quotient exceeds this
-TAMENESS_TOL = 1e-9
+from .taming import TAMENESS_TOL, WORST_SAMPLE_RTOL, TamenessCertificate
 
 # glue_forms' bound on omega1's norm on the inner ball and on how far below
 # 0 its taming quotient may reach on the middle annulus
 GLUING_TOL = 1e-7
-
-# worst_sample is the first sample in grid order whose quotient lies within
-# this relative distance of the minimum, so that samples tied by a symmetry
-# of the model are not told apart by rounding in the last bit
-WORST_SAMPLE_RTOL = 1e-13
 
 # points per block of a grid evaluation: the per-sample 4x4 arrays of one
 # block are alive at a time, whatever the size of the grid.  A block's forms
@@ -75,27 +68,6 @@ def exterior_derivative_fd(form_eval, points, h: float = 1e-3) -> float:
     k, l, n = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T  # k < l < n
     res = grad[..., k, l, n] - grad[..., l, k, n] + grad[..., n, k, l]
     return float(np.max(np.abs(res)))
-
-
-class TamenessCertificate(namedtuple("TamenessCertificate",
-                                     "region grid min_quotient tame worst_sample orbits")):
-    """Minimum taming quotient over the samples of a grid.  worst_sample is
-    the first sample in grid order whose quotient is within WORST_SAMPLE_RTOL
-    * max(1, |min_quotient|) of the minimum, stored as Python floats.  grid
-    names the grid whose points are covered and orbits counts the samples
-    evaluated, one per torus orbit of its points (see orbit_grid)."""
-
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {
-            "region": self.region,
-            "grid": self.grid,
-            "min_quotient": self.min_quotient,
-            "orbits": self.orbits,
-            "tame": self.tame,
-            "worst_sample": list(self.worst_sample),
-        }
 
 
 def blockwise(fn, points):

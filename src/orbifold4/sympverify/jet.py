@@ -1,16 +1,37 @@
-"""Second-order forward-mode jets over numpy arrays.
+"""Second-order forward-mode jets over numpy arrays or Python floats.
 
 A Jet in n variables holds value (...), grad (n, ...) and hess (n, n, ...);
-plain numbers and arrays act as constants.  `log`, `log1p` and `clip` take a
-plain array or a Jet, so one definition of a function evaluates either way.
-At the kinks of `clip` a jet carries the right derivative.  Variables may
-take complex values: a holomorphic function's jet then carries its complex
-derivatives.
+plain numbers and arrays act as constants.  A jet of one float variable
+(`Jet.float_variable`) holds three floats: the value and the first and
+second derivative, with no variable axis, and takes the arithmetic
+operators only; it never imports numpy.  `log`, `log1p` and `clip` take a
+plain array or an array Jet, so one definition of a function evaluates
+either way.  At the kinks of `clip` a jet carries the right derivative.
+Variables may take complex values: a holomorphic function's jet then
+carries its complex derivatives.
 """
 
 from __future__ import annotations
 
-import numpy as np
+# the values of a float jet: complex once a power leaves the reals
+_SCALARS = (float, complex)
+
+
+def _outer(g, h):
+    """g_i h_j: the outer product of two gradients, of two floats their product."""
+    return g * h if isinstance(g, _SCALARS) else g[:, None] * h[None]
+
+
+def _symmetrized(cross):
+    """cross_ij + cross_ji."""
+    return cross + (cross if isinstance(cross, _SCALARS) else cross.swapaxes(0, 1))
+
+
+def _zero_like(v):
+    if isinstance(v, _SCALARS):
+        return 0.0
+    import numpy as np
+    return np.zeros_like(v)
 
 
 class Jet:
@@ -22,15 +43,23 @@ class Jet:
     @classmethod
     def variable(cls, value, i: int = 0, n: int = 1) -> "Jet":
         """The i-th of n independent variables, at the given real or complex values."""
+        import numpy as np
         value = np.asarray(value, dtype=complex if np.iscomplexobj(value) else float)
         grad = np.zeros((n,) + value.shape, dtype=value.dtype)
         grad[i] = 1.0
         return cls(value, grad, np.zeros((n, n) + value.shape, dtype=value.dtype))
 
+    @classmethod
+    def float_variable(cls, value: float) -> "Jet":
+        """The one variable at a real value, as a jet of Python floats.  Float
+        arithmetic raises where numpy's warns: ZeroDivisionError for 0.0 ** -p
+        and OverflowError for an overflowing power."""
+        return cls(float(value), 1.0, 0.0)
+
     def apply(self, f0, f1, f2) -> "Jet":
         """f(self), given f, f' and f'' at self.value (the chain rule)."""
         g = self.grad
-        return Jet(f0, f1 * g, f2 * (g[:, None] * g[None]) + f1 * self.hess)
+        return Jet(f0, f1 * g, f2 * _outer(g, g) + f1 * self.hess)
 
     def __add__(self, o):
         if isinstance(o, Jet):
@@ -52,10 +81,8 @@ class Jet:
         if not isinstance(o, Jet):
             return Jet(self.value * o, self.grad * o, self.hess * o)
         g, h = self.grad, o.grad
-        cross = g[:, None] * h[None]
         return Jet(self.value * o.value, g * o.value + self.value * h,
-                   self.hess * o.value + cross + np.swapaxes(cross, 0, 1)
-                   + self.value * o.hess)
+                   self.hess * o.value + _symmetrized(_outer(g, h)) + self.value * o.hess)
 
     __rmul__ = __mul__
 
@@ -71,12 +98,13 @@ class Jet:
         """self**p for a constant p.  A zero coefficient p or p(p-1) gives an
         exactly zero derivative, so x**1 and x**2 are exact at x = 0."""
         v = self.value
-        d1 = p * v ** (p - 1) if p != 0 else np.zeros_like(v)
-        d2 = p * (p - 1) * v ** (p - 2) if p * (p - 1) != 0 else np.zeros_like(v)
+        d1 = p * v ** (p - 1) if p != 0 else _zero_like(v)
+        d2 = p * (p - 1) * v ** (p - 2) if p * (p - 1) != 0 else _zero_like(v)
         return self.apply(v ** p, d1, d2)
 
 
 def log(x):
+    import numpy as np
     if not isinstance(x, Jet):
         return np.log(x)
     r = 1.0 / x.value
@@ -84,6 +112,7 @@ def log(x):
 
 
 def log1p(x):
+    import numpy as np
     if not isinstance(x, Jet):
         return np.log1p(x)
     r = 1.0 / (1.0 + x.value)
@@ -92,6 +121,7 @@ def log1p(x):
 
 def clip(x, lo: float, hi: float):
     """x clipped to [lo, hi]; use np.inf for a missing bound."""
+    import numpy as np
     if not isinstance(x, Jet):
         return np.clip(x, lo, hi)
     inside = (x.value >= lo) & (x.value < hi)

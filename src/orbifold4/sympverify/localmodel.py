@@ -1,21 +1,22 @@
-"""Local models of an isotropy-surface neighborhood and their 2-forms.
+"""Local models of an isotropy-surface neighborhood, their 2-forms and the
+taming data of the smoothed form.
 
 Coordinates are (x1, y1, x2, y2): (x1, y1) on the base disc/torus, (x2, y2)
 on the fiber, r^2 = x2^2 + y2^2.  The connection 1-form is
 eta = dtheta + pi*nu with nu = nu1 dx1 + (nu2 + kappa*x1) dy1, so
-d(eta) = kappa dx1^dy1.  Forms are returned as antisymmetric 4x4 coefficient
-matrices, vectorized over arrays of points of shape (..., 4).
+d(eta) = kappa dx1^dy1.  `eval_omega_a` returns forms as antisymmetric 4x4
+coefficient matrices, vectorized over numpy arrays of points of shape
+(..., 4), and imports numpy when called; the taming data and the cube's
+certificate are Python floats.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
-import numpy as np
-
-from .forms import cube_grid, orbit_grid
-from .linear import antisymmetric
 from .profiles import f_smoothing, f_resolved, identity_profile
+from .taming import linspace, quotient
 
 
 class OutOfDomainError(ValueError):
@@ -33,7 +34,7 @@ class LocalModel(namedtuple("LocalModel", "m a delta0 delta2 nu kappa",
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         reals = (self.a, self.delta0, self.delta2, self.kappa, *self.nu)
-        if len(self.nu) != 2 or not np.all(np.isfinite(reals)):
+        if len(self.nu) != 2 or not all(map(math.isfinite, reals)):
             raise ValueError("model parameters must be finite reals, nu a pair")
         if isinstance(self.m, bool) or not isinstance(self.m, int):
             raise ValueError("m must be an integer")
@@ -41,76 +42,104 @@ class LocalModel(namedtuple("LocalModel", "m a delta0 delta2 nu kappa",
             raise ValueError("need m >= 1 and a >= 0")
         if not self.delta2 > 0:
             raise ValueError("need delta2 > 0")
-        if not 2.0 * self.delta2 * self.delta2 < np.inf:
+        if not 2.0 * self.delta2 * self.delta2 < math.inf:
             raise ValueError("the cube's corner radius r^2 = 2*delta2^2 overflows")
         if not self.delta0 > 3 * self.delta2:
             raise ValueError("need delta0 > 3*delta2")
         return self
 
 
-def _split(points):
-    p = np.asarray(points, dtype=float)
-    if p.shape[-1] != 4:
-        raise ValueError("points must have 4 coordinates")
-    return p, p[..., 2] ** 2 + p[..., 3] ** 2
-
-
-def _nu_at(model: LocalModel, p, scale: float = 1.0):
-    n1 = np.full(p.shape[:-1], scale * model.nu[0])
-    n2 = scale * (model.nu[1] + model.kappa * p[..., 0])
-    return n1, n2
-
-
-def _assemble(base_coeff, vert_coeff, p, n1, n2):
-    """base*dx1^dy1 + vert*(dx2^dy2 + (x2 dx2 + y2 dy2)^nu) as a matrix."""
-    x2, y2 = p[..., 2], p[..., 3]
-    return antisymmetric(base_coeff, -vert_coeff * x2 * n1, -vert_coeff * y2 * n1,
-                         -vert_coeff * x2 * n2, -vert_coeff * y2 * n2, vert_coeff)
-
-
-def _check_domain(model: LocalModel, x):
-    if np.any(np.sqrt(x) > model.delta0 + 1e-12):
-        raise OutOfDomainError("fiber radius exceeds the model radius delta0")
-
-
-def cube_orbits(axis):
-    """The points of the cube axis^4, one per orbit of the models' symmetry
-    (see forms.orbit_grid).  The forms do not depend on y1 and are invariant
-    under rotations of the fiber plane, which commute with J0, so each
-    (x1, r^2) is sampled once: at y1 = axis[0], on the first fiber point of
-    its circle."""
-    axis = np.asarray(axis, dtype=float)
-    heads = np.stack([axis, np.full(len(axis), axis[0])], axis=-1)
-    return orbit_grid(heads, cube_grid(axis, axis))
-
-
-def eval_omega0(model: LocalModel, points):
-    """The reference form: base area + r dr^eta + (r^2/2) d(eta)."""
-    p, x = _split(points)
-    _check_domain(model, x)
-    n1, n2 = _nu_at(model, p)
-    return _assemble(1.0 + 0.5 * x * model.kappa, 1.0, p, n1, n2)
+def _profile(model: LocalModel, resolved: bool):
+    """f(x) = (x^m + a^2)^(1/m), or fhat(x) = (x + a^2)^(1/m) on the resolved
+    side; with a = 0 both are f(x) = (x^m)^(1/m) = x."""
+    if model.a == 0.0:
+        return identity_profile()
+    return (f_resolved if resolved else f_smoothing)(model.m, model.a)
 
 
 def eval_omega_a(model: LocalModel, points, resolved: bool = False):
     """The smoothed form built from f(x) = (x^m + a^2)^(1/m) at x = r^2:
 
-        base area + (1/2) x f'(x) * kappa dx1^dy1 + (x f''(x) + f'(x)) r dr^eta.
+        base area + (1/2) x f'(x) * kappa dx1^dy1 + (x f''(x) + f'(x)) r dr^eta,
 
+    that is base dx1^dy1 + vert (dx2^dy2 + (x2 dx2 + y2 dy2)^nu).  At a = 0
+    it is the reference form omega0 = base area + r dr^eta + (r^2/2) d(eta).
     With resolved=True the evaluation is in the coordinates (z, w^m) of the
     smooth model: profile fhat(x) = (x + a^2)^(1/m) and connection scaled by m.
     """
-    p, x = _split(points)
-    _check_domain(model, x)
-    # with a = 0 both sides have f(x) = (x^m)^(1/m) = x
-    if model.a == 0.0:
-        profile = identity_profile()
-    else:
-        profile = (f_resolved if resolved else f_smoothing)(model.m, model.a)
+    import numpy as np
+    from .linear import antisymmetric
+
+    p = np.asarray(points, dtype=float)
+    if p.shape[-1] != 4:
+        raise ValueError("points must have 4 coordinates")
+    x = p[..., 2] ** 2 + p[..., 3] ** 2
+    if np.any(np.sqrt(x) > model.delta0 + 1e-12):
+        raise OutOfDomainError("fiber radius exceeds the model radius delta0")
     scale = float(model.m) if resolved else 1.0
-    n1, n2 = _nu_at(model, p, scale=scale)
-    f = profile.jet(x)
+    n1 = np.full(p.shape[:-1], scale * model.nu[0])
+    n2 = scale * (model.nu[1] + model.kappa * p[..., 0])
+    f = _profile(model, resolved).jet(x)
     d1 = f.grad[0]
     vert = x * f.hess[0, 0] + d1
     base = 1.0 + 0.5 * x * d1 * (scale * model.kappa)
-    return _assemble(base, vert, p, n1, n2)
+    x2, y2 = p[..., 2], p[..., 3]
+    return antisymmetric(base, -vert * x2 * n1, -vert * y2 * n1,
+                         -vert * x2 * n2, -vert * y2 * n2, vert)
+
+
+def _circles(axis) -> dict:
+    """The circles x = x2^2 + y2^2 of the plane grid axis^2, each with its
+    first grid point (x2, y2), in grid order."""
+    first = {}
+    for x2 in axis:
+        for y2 in axis:
+            first.setdefault(x2 * x2 + y2 * y2, (x2, y2))
+    return first
+
+
+def _derivatives(profile, x: float):
+    """f'(x) and f''(x) off one float jet of the profile's definition; NaN
+    where Python's float arithmetic cannot compute them (0.0 ** -p, an
+    overflowing power, or a power that leaves the reals)."""
+    try:
+        f = profile.float_jet(x)
+    except ArithmeticError:
+        return math.nan, math.nan
+    if isinstance(f.grad, complex) or isinstance(f.hess, complex):
+        return math.nan, math.nan
+    return f.grad, f.hess
+
+
+def cube_samples(model: LocalModel, n: int, resolved: bool = False):
+    """(point, taming quotient) of the smoothed form for one point per
+    (x1, r^2) orbit of the n^4 grid of the cube [-delta2, delta2]^4, in grid
+    order.  The form does not depend on y1 and its taming quotient is
+    invariant under rotations of the fiber plane, so each orbit is sampled
+    at its first grid point: y1 = axis[0], the first fiber point of its
+    circle.
+
+    The quotient is that of the form's 2x2 Hermitian block for J0, whose
+    entries are the form's taming data at x = r^2, with s = m on the
+    resolved side and 1 otherwise:
+
+        a = 1 + (1/2) x f'(x) s kappa,   d = x f''(x) + f'(x),
+        |b| = (1/2) |d| sqrt(x) hypot(s nu1, s (nu2 + kappa x1)).
+
+    f' and f'' are read off one float jet per circle; the cube lies inside
+    the model radius, as delta0 > 3*delta2.
+    """
+    axis = linspace(-model.delta2, model.delta2, n)
+    profile = _profile(model, resolved)
+    scale = float(model.m) if resolved else 1.0
+    fibre = []
+    for x, (x2, y2) in _circles(axis).items():
+        d1, d2 = _derivatives(profile, x)
+        vert = x * d2 + d1
+        base = 1.0 + 0.5 * x * d1 * (scale * model.kappa)
+        fibre.append((x2, y2, base, vert, 0.5 * abs(vert) * math.sqrt(x)))
+    nu1 = scale * model.nu[0]
+    for x1 in axis:
+        nu = math.hypot(nu1, scale * (model.nu[1] + model.kappa * x1))
+        for x2, y2, base, vert, half in fibre:
+            yield (x1, axis[0], x2, y2), quotient(base, vert, half * nu)

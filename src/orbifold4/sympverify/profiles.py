@@ -3,12 +3,14 @@
 A profile's function is written over numpy arrays and jets (`jet.Jet`) alike:
 values are read off a plain evaluation, and the first two derivatives off
 one evaluation on a one-variable jet.  Finite differences are reserved for
-independent cross-checks.  All callables are vectorized over numpy arrays.
+independent cross-checks.  All callables are vectorized over numpy arrays;
+`float_jet` evaluates one float without numpy, for the profiles written
+with arithmetic operators only.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .jet import Jet, clip
 
@@ -25,7 +27,12 @@ class RadialProfile:
         """Value, first and second derivative at x as a one-variable jet."""
         return self.fn(Jet.variable(x))
 
+    def float_jet(self, x: float) -> Jet:
+        """Value, first and second derivative at one float, as Python floats."""
+        return self.fn(Jet.float_variable(x))
+
     def value(self, x):
+        import numpy as np
         return self.fn(np.asarray(x, dtype=float))
 
     def d1(self, x):
@@ -66,7 +73,7 @@ def _smoothstep(s):
 def _smoothstep_integral(s):
     """Antiderivative of the quintic smoothstep, zero at 0; equals s - 1/2 above 1."""
     s_c = clip(s, 0.0, 1.0)
-    return s_c ** 4 * (s_c * s_c - 3.0 * s_c + 2.5) + (clip(s, 1.0, np.inf) - 1.0)
+    return s_c ** 4 * (s_c * s_c - 3.0 * s_c + 2.5) + (clip(s, 1.0, math.inf) - 1.0)
 
 
 def h_ramp(t0: float, t1: float) -> RadialProfile:

@@ -298,6 +298,9 @@ def test_spec_file_round_trip(capsys, tmp_path):
     ("orbifold", "resolve", "--example", "product", "--m", "3", "--m2", "0"),
     ("verify", "gluing", "--eps3", "1e300"),
     ("verify", "gluing", "--eps1", "1e200", "--eps2", "2e200", "--eps3", "3e200"),
+    ("verify", "gluing", "--a", "1e-150", "--grid", "15"),
+    ("verify", "gluing", "--a", "1e-150", "--grid", "16"),
+    ("verify", "gluing", "--a", "1e-300"),
 ])
 def test_invalid_input_exits_2_with_error_line(capsys, argv):
     code, out, err = run(capsys, *argv, "--json")
@@ -356,6 +359,7 @@ ZERO_DEN = '{"conductor": 1, "coeffs": [[1, 0]]}'
     (("verify", "gluing", "--problem"), '{"m": 2, "a": 0.1, "esp1": 0.45}'),
     (("verify", "gluing", "--problem"), (EXAMPLES / "group.json").read_text()),
     (("verify", "gluing", "--problem"), '{"eps3": 1%s}' % ("0" * 400)),
+    (("verify", "tameness", "--model"), '{"kappa": 1%s}' % ("0" * 400)),
 ])
 def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content):
     path = tmp_path / "input.json"

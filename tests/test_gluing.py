@@ -47,6 +47,20 @@ def test_pipeline_problem_rejects_radii_without_ramp_window():
         pipeline_problem(m=2, a=0.5, eps1=0.7, eps2=0.75)
 
 
+@pytest.mark.parametrize("m,a_min", [(2, 1.8e-103), (3, 3.4e-93), (5, 2.4e-86)])
+def test_pipeline_problem_refuses_an_a_whose_fhat_second_derivative_overflows(m, a_min):
+    # fhat''(0) = (1/m)(1/m - 1) a^(2/m - 4); below a_min (docs/file-formats.md)
+    # it overflows, and a grid point with |w| = 0 would read NaN
+    eps1 = 0.5 if m == 2 else 0.2
+    with pytest.raises(ValueError, match="too small"):
+        pipeline_problem(m=m, a=a_min / 2, eps1=eps1)
+    with pytest.raises(ValueError, match="too small"):
+        pipeline_problem(m=m, a=1e-300, eps1=eps1)  # a^2 underflows to 0
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        _, _, cert = glue_forms(pipeline_problem(m=m, a=a_min, eps1=eps1), grid_n=7)
+    assert cert.tame
+
+
 def test_glue_forms_certificate_and_delta_bound():
     prob = pipeline_problem(m=2, a=0.1)
     delta, glued, cert = glue_forms(prob, grid_n=11)

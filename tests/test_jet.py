@@ -103,3 +103,26 @@ def test_numpy_operands_defer_to_the_jet():
     x = Jet.variable(np.array([0.5, 1.0]))
     for out in (np.float64(2.0) * x, np.array([2.0, 2.0]) * x):
         assert isinstance(out, Jet) and np.array_equal(out.grad[0], [2.0, 2.0])
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "neg", "pow", "smoothing"])
+def test_float_jet_matches_the_array_jet(name):
+    # the arithmetic operators on a jet of Python floats give the array
+    # jet's value and derivatives, up to numpy's own rounding of powers (the
+    # smoothing profile's f'' cancels, and shows it)
+    fn = {**ONE, "smoothing": lambda x: f_smoothing(3, 0.2).fn(x)}[name]
+    xs = np.linspace(0.2, 1.4, 13)
+    want = fn(Jet.variable(xs))
+    for i, x in enumerate(xs.tolist()):
+        got = fn(Jet.float_variable(x))
+        assert all(type(v) is float for v in (got.value, got.grad, got.hess))
+        for g, w in ((got.value, want.value[i]), (got.grad, want.grad[0, i]),
+                     (got.hess, want.hess[0, 0, i])):
+            assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (x, g, w)
+
+
+def test_float_jet_raises_where_numpy_warns():
+    with pytest.raises(ZeroDivisionError):
+        Jet.float_variable(0.0) ** 0.5
+    with pytest.raises(OverflowError):
+        Jet.float_variable(1e100) ** 4

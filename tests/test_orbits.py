@@ -14,14 +14,15 @@ from orbifold4.sympverify.blowup import blowup_model_check, chart_form, chart_gr
 from orbifold4.sympverify.fixtures import pipeline_problem
 from orbifold4.sympverify.forms import ball_orbits, cube_grid, glue_forms, tameness_min
 from orbifold4.sympverify.linear import J0
-from orbifold4.sympverify.localmodel import cube_orbits
+from orbifold4.sympverify.localmodel import cube_samples
 
 PROBLEM = pipeline_problem()
 
 
 def _cube(n):
     ax = np.linspace(-0.25, 0.25, n)
-    return cube_orbits(ax), cube_grid(ax, ax, ax, ax)
+    samples = np.array([p for p, _ in cube_samples(LocalModel(delta2=0.25), n)])
+    return samples, cube_grid(ax, ax, ax, ax)
 
 
 def _ball(radius, inner):

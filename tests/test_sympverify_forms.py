@@ -10,7 +10,7 @@ import pytest
 from fd_oracles import ball_grid, complex_hessian_fd, ddbar_fd
 from orbifold4.sympverify import (LocalModel, NotAlmostComplexError,
                                   exterior_derivative_fd, form_from_hermitian,
-                                  eval_omega0, eval_omega_a, glue_forms, h_ramp,
+                                  eval_omega_a, glue_forms, h_ramp,
                                   rho_bump, taming_quotients, tameness_min)
 from orbifold4.sympverify.blowup import (blowup_model_check, chart_form, chart_grid,
                                         exceptional_area)
@@ -402,7 +402,7 @@ def _form_outputs():
     coeff = g[0] + 1j * g[1]
     _, glued, _ = glue_forms(pipeline_problem(2), grid_n=8)
     return {
-        "eval_omega0": eval_omega0(model, pts),
+        "eval_omega_a-a0": eval_omega_a(model._replace(a=0.0), pts),
         "eval_omega_a": eval_omega_a(model, pts),
         "eval_omega_a-resolved": eval_omega_a(model, pts, resolved=True),
         "form_from_hermitian": form_from_hermitian(coeff + np.conj(np.swapaxes(coeff, -1, -2))),

@@ -1,15 +1,28 @@
-"""Local models: reference and smoothed forms, domains, fiber-power maps."""
+"""Local models: reference and smoothed forms, domains, fiber-power maps,
+and the certificate of the cube from the taming data in floats."""
+
+import math
 
 import numpy as np
 import pytest
 
 from orbifold4.sympverify import (LocalModel, OutOfDomainError,
-                                  eval_omega0,
                                   eval_omega_a, exterior_derivative_fd,
                                   pushforward_check, sample_points,
                                   tameness_min)
-from orbifold4.sympverify.linear import J0, OMEGA0
-from orbifold4.sympverify.profiles import H_cutoff, f_resolved, f_smoothing
+from orbifold4.sympverify.forms import cube_grid
+from orbifold4.sympverify.linear import J0, OMEGA0, antisymmetric
+from orbifold4.sympverify.localmodel import _derivatives, cube_samples
+from orbifold4.sympverify.profiles import H_cutoff, RadialProfile, f_resolved, f_smoothing
+from orbifold4.sympverify.taming import certify
+
+
+def _omega0(model, pts):
+    """The reference form base area + r dr^eta + (r^2/2) d(eta), entry by entry."""
+    x1, x2, y2 = pts[:, 0], pts[:, 2], pts[:, 3]
+    n1, n2 = model.nu[0], model.nu[1] + model.kappa * x1
+    return antisymmetric(1.0 + 0.5 * (x2 * x2 + y2 * y2) * model.kappa,
+                         -x2 * n1, -y2 * n1, -x2 * n2, -y2 * n2, 1.0)
 
 
 def test_model_parameter_validation():
@@ -22,20 +35,20 @@ def test_model_parameter_validation():
 def test_trivial_model_is_flat():
     model = LocalModel()  # m=1, a=0, no connection
     pts = np.random.default_rng(0).uniform(-0.3, 0.3, (40, 4))
-    assert np.allclose(eval_omega0(model, pts), OMEGA0)
     assert np.allclose(eval_omega_a(model, pts), OMEGA0)
 
 
 def test_omega0_with_curvature():
+    # at a = 0 the smoothed form is the reference form
     model = LocalModel(kappa=2.0, nu=(0.3, -0.1))
     pts = np.random.default_rng(1).uniform(-0.2, 0.2, (30, 4))
-    forms = eval_omega0(model, pts)
+    forms = eval_omega_a(model, pts)
     assert np.allclose(forms, -np.swapaxes(forms, -1, -2))
     x = pts[:, 2] ** 2 + pts[:, 3] ** 2
     assert np.allclose(forms[:, 0, 1], 1.0 + 0.5 * x * model.kappa)
     assert np.allclose(forms[:, 2, 3], 1.0)
     # the reference form is closed
-    assert exterior_derivative_fd(lambda p: eval_omega0(model, p), pts[:10], h=1e-4) < 1e-8
+    assert exterior_derivative_fd(lambda p: eval_omega_a(model, p), pts[:10], h=1e-4) < 1e-8
 
 
 def test_omega_a_is_closed_and_tame():
@@ -46,10 +59,11 @@ def test_omega_a_is_closed_and_tame():
     assert cert.tame
 
 
-def test_omega_a_reduces_to_omega0_for_trivial_smoothing():
-    model = LocalModel(m=1, a=0.0, kappa=1.0, nu=(0.2, 0.1))
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_omega_a_reduces_to_omega0_for_trivial_smoothing(m):
+    model = LocalModel(m=m, a=0.0, kappa=1.0, nu=(0.2, 0.1))
     pts = np.random.default_rng(3).uniform(-0.2, 0.2, (25, 4))
-    assert np.allclose(eval_omega_a(model, pts), eval_omega0(model, pts))
+    assert np.allclose(eval_omega_a(model, pts), _omega0(model, pts), rtol=1e-15, atol=1e-16)
 
 
 def test_domain_and_singularity_guards():
@@ -59,7 +73,7 @@ def test_domain_and_singularity_guards():
         eval_omega_a(model, far)
     # with a = 0 the profile is x itself, so the fiber origin is no singularity
     origin = np.array([[0.1, 0.0, 0.0, 0.0]])
-    assert np.array_equal(eval_omega_a(model, origin), eval_omega0(model, origin))
+    assert np.array_equal(eval_omega_a(model, origin), _omega0(model, origin))
 
 
 def test_resolved_profile_is_positive_at_fiber_origin():
@@ -109,3 +123,46 @@ def test_smoothing_profiles_asymptotics():
     assert np.max(np.abs(f.value(x) - x)) < 1e-3  # f(x) -> x far out
     fr = f_resolved(2, 0.1)
     assert np.allclose(fr.value(x ** 2), f.value(x))  # fhat(x^m) = f(x)
+
+
+CONNECTIONS = {"flat": {}, "connection": {"nu": (0.05, -0.08), "kappa": 0.4},
+               "strong-connection": {"nu": (0.3, -0.7), "kappa": -1.9}}
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("resolved", [False, True], ids=["orbifold", "resolved"])
+@pytest.mark.parametrize("connection", sorted(CONNECTIONS))
+@pytest.mark.parametrize("a", [0.0, 0.05, 0.2])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_float_certificate_matches_the_4x4_forms_on_the_whole_grid(m, a, connection,
+                                                                  resolved, n):
+    # the taming data in floats against eval_omega_a + tameness_min on every
+    # point of the n^4 cube; odd grids meet r = 0, where the quotient is 0
+    model = LocalModel(m=m, a=a, **CONNECTIONS[connection])
+    got = certify(cube_samples(model, n, resolved=resolved))
+    ax = np.linspace(-model.delta2, model.delta2, n)
+    grid = cube_grid(ax, ax, ax, ax)
+    want = tameness_min(lambda q: eval_omega_a(model, q, resolved=resolved), J0, grid)
+    assert abs(got.min_quotient - want.min_quotient) <= 1e-13 * abs(want.min_quotient)
+    assert (got.worst_sample, got.tame) == (want.worst_sample, want.tame)
+    orbits = set(zip(grid[:, 0].tolist(), (grid[:, 2] ** 2 + grid[:, 3] ** 2).tolist()))
+    assert got.orbits == len(orbits)
+
+
+@pytest.mark.parametrize("model,n,resolved,worst", [
+    (LocalModel(m=2, a=1e-200), 21, False, (-0.25, -0.25, 0.0, 0.0)),
+    (LocalModel(m=2, a=1e-200), 21, True, (-0.25, -0.25, 0.0, 0.0)),
+    (LocalModel(m=8, a=0.1, delta0=1e60, delta2=1e50), 6, False, (-1e50,) * 4),
+], ids=["zero-to-a-negative-power", "resolved", "overflowing-power"])
+def test_taming_data_that_floats_cannot_compute_read_nan(model, n, resolved, worst):
+    # a^2 underflows, so the grid's r = 0 meets 0.0 ** -p; or x ** m
+    # overflows: numpy read NaN there, with a warning, and so do the floats
+    cert = certify(cube_samples(model, n, resolved=resolved))
+    assert math.isnan(cert.min_quotient) and not cert.tame
+    assert cert.worst_sample == worst
+
+
+def test_a_profile_that_leaves_the_reals_reads_nan():
+    sqrt_below_one = RadialProfile("test", {}, lambda x: (x - 1.0) ** 0.5)
+    assert all(map(math.isnan, _derivatives(sqrt_below_one, 0.5)))
+    assert _derivatives(sqrt_below_one, 2.0) == (0.5, -0.25)

@@ -83,29 +83,37 @@ def _loaded_modules(argv) -> set:
     ("verify", "blowup", "--grid", "4"),
 ], ids=["tameness", "gluing", "blowup"])
 def test_verify_commands_load_none_of_the_exact_half(argv):
-    # a verify job pays for numpy and sympverify only
+    # a verify job pays for sympverify (and numpy, but for tameness) only
     loaded = _loaded_modules(argv)
-    assert "orbifold4.sympverify.forms" in loaded
+    assert "orbifold4.sympverify.taming" in loaded
     assert loaded & EXACT_HALF == set()
 
 
-TAMENESS_MODULES = {"forms", "localmodel", "profiles", "jet", "linear"}
+TAMENESS_MODULES = {"taming", "localmodel", "profiles", "jet"}
+ARRAY_MODULES = {"forms", "taming", "jet", "linear"}
 
 
 @pytest.mark.parametrize("argv,modules", [
     (("verify", "tameness", "--model", "flat", "--grid", "4"), TAMENESS_MODULES),
-    (("verify", "tameness", "--model", "degenerate-fixture"), TAMENESS_MODULES),
-    (("verify", "gluing", "--grid", "8"), {"forms", "fixtures", "profiles", "jet", "linear"}),
-    (("verify", "blowup", "--grid", "4"), {"forms", "blowup", "jet", "linear"}),
-], ids=["tameness-flat", "tameness-degenerate", "gluing", "blowup"])
+    (("verify", "tameness", "--model", "flat", "--grid", "4", "--resolved"),
+     TAMENESS_MODULES),
+    (("verify", "tameness", "--model", str(ROOT / "docs" / "examples" / "model.json")),
+     TAMENESS_MODULES),
+    (("verify", "tameness", "--model", "degenerate-fixture"), {"taming"}),
+    (("verify", "gluing", "--grid", "8"), ARRAY_MODULES | {"fixtures", "profiles"}),
+    (("verify", "blowup", "--grid", "4"), ARRAY_MODULES | {"blowup"}),
+], ids=["tameness-flat", "tameness-resolved", "tameness-model", "tameness-degenerate",
+        "gluing", "blowup"])
 def test_verify_commands_load_only_what_they_run(argv, modules):
     # sympverify resolves its names lazily: a verify job compiles only the
     # submodules it runs (never pushforward, which no command calls), draws
-    # no random points and builds its records without the dataclass generator
+    # no random points and builds its records without the dataclass
+    # generator; the local model's certificate runs in floats, without numpy
     loaded = _loaded_modules(argv)
     assert {m for m in loaded if m.startswith("orbifold4.sympverify.")} == {
         f"orbifold4.sympverify.{name}" for name in modules}
     assert loaded & {"numpy.random", "dataclasses", "orbifold4.sympverify.pushforward"} == set()
+    assert ("numpy" in loaded) == ("tameness" not in argv)
 
 
 def test_singularity_resolve_loads_only_integer_code():
@@ -137,11 +145,11 @@ def test_every_public_name_still_imports_from_the_package():
 
 # the names `orbifold4.sympverify` exported when its __init__ imported them
 # eagerly, but for the references that moved to the tests (the
-# finite-difference oracles and ball_grid) and radial_potential_form, which
-# only tests called
+# finite-difference oracles and ball_grid), radial_potential_form, which
+# only tests called, and eval_omega0, which was eval_omega_a at a = 0
 SYMPVERIFY_NAMES = """
     RadialProfile f_smoothing f_resolved h_ramp rho_bump H_cutoff identity_profile
-    LocalModel OutOfDomainError eval_omega0 eval_omega_a
+    LocalModel OutOfDomainError eval_omega_a
     TamenessCertificate GluingProblem NotAlmostComplexError PreconditionFailure
     exterior_derivative_fd form_from_hermitian glue_forms taming_quotients tameness_min
     PushforwardReport pushforward_check sample_points
@@ -214,17 +222,17 @@ def test_tracer_counts_scalars_on_exact_commands(tmp_path):
 
 
 def test_tracer_counts_every_point_of_a_blockwise_grid(tmp_path, capsys):
-    # a certificate evaluates one sample per orbit of its 12^4 grid, in
-    # CHUNK-point blocks; the benchmark's point counters must add up to
-    # exactly the samples the certificate counts
+    # the blow-up certificate evaluates one sample per orbit of its two 16^4
+    # chart grids, in CHUNK-point blocks; the benchmark's point counter must
+    # add up to exactly the samples the certificate counts
     from orbifold4.cli import main
-    argv = ("verify", "tameness", "--model", "flat", "--grid", "12")
+    from orbifold4.sympverify.forms import CHUNK
+    argv = ("verify", "blowup", "--grid", "16")
     counts = _trace(tmp_path, argv)["counts"]
     assert main([*argv, "--json"]) == 0
     orbits = json.loads(capsys.readouterr().out)["results"]["certificate"]["orbits"]
-    assert 0 < orbits < 12 ** 4
+    assert 2 * CHUNK < orbits < 2 * 16 ** 4
     assert counts["points.tameness_min"] == orbits
-    assert counts["points.eval_omega_a"] == orbits
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -235,9 +243,19 @@ def test_tracer_counts_every_point_of_a_blockwise_grid(tmp_path, capsys):
     (("verify", "tameness", "--model", "flat", "--grid", "4", "--a", "0"), 0),
     (("verify", "gluing", "--grid", "8"), 0),
     (("verify", "tameness", "--model", "degenerate-fixture"), 4),
+    # a^2 underflows, and the grid meets r = 0, where 0.0 ** -p has no float
+    (("verify", "tameness", "--model", "flat", "--a", "1e-200", "--grid", "21"), 4),
+    (("verify", "tameness", "--model", "flat", "--a", "1e-200", "--grid", "21",
+      "--resolved"), 4),
+    # x ** m overflows on the cube
+    (("verify", "tameness", "--model", "{huge}", "--grid", "6"), 4),
 ])
-def test_verify_commands_write_no_warnings(argv, code):
-    # under -W error a numpy or Python warning becomes a traceback on stderr
+def test_verify_commands_write_no_warnings(argv, code, tmp_path):
+    # under -W error a numpy or Python warning becomes a traceback on stderr;
+    # a sample whose taming data float arithmetic cannot compute reads NaN
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"m": 8, "a": 0.1, "delta0": 1e60, "delta2": 1e50}))
+    argv = [str(huge) if arg == "{huge}" else arg for arg in argv]
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "orbifold4.cli", *argv, "--json"],
                           env=env, capture_output=True, text=True)
