@@ -7,7 +7,7 @@ a non-finite float as null) and `--quiet`.  Exit codes: 0 success, 2 invalid
 input, 3 unsupported math, 4 a failed check (every report check passes on
 exit 0).  Each command imports the modules it uses, so a `verify` command
 loads the sympverify modules it runs and none of the exact half, and only
-`verify gluing` and `verify blowup` load numpy.
+`verify gluing` loads numpy.  A `verify` grid lies in [2, MAX_GRID].
 `run` is the process entry point: `main`, then the exit path.
 """
 
@@ -231,10 +231,21 @@ def cmd_orbifold_resolve(args) -> dict:
     return _report("orbifold resolve", results, [("spec validation", True)])
 
 
+# the largest --grid a verify command accepts.  At 100 points per axis the
+# blow-up certificate has 6.2 million orbits, seconds of float arithmetic,
+# and the gluing's table of first samples per (head, circle) of a region
+# takes about 50 MB.  The cost grows as the fourth power of the grid, and
+# a grid of 10^8 would ask numpy or a list for more memory than there is
+MAX_GRID = 100
+
+
 def _check_grid(args) -> None:
-    """A certificate needs at least two samples per grid axis."""
+    """A certificate needs at least two samples per grid axis, and at most
+    MAX_GRID; checked before any grid is built."""
     if args.grid < 2:
         raise CliError("--grid must be at least 2", EXIT_INVALID)
+    if args.grid > MAX_GRID:
+        raise CliError(f"--grid must be at most {MAX_GRID}", EXIT_INVALID)
 
 
 def cmd_verify_tameness(args) -> dict:

@@ -1,7 +1,8 @@
 """Numerical verification of symplectic-form constructions on local models:
 the numerical half of orbifold4, and its only package that imports numpy.
-The array APIs import it; `taming`, `jet`, `profiles` and `localmodel`
-import without it, and the local model's certificate runs in Python floats.
+The array APIs import it; `taming`, `jet`, `profiles`, `localmodel` and
+`blowup` import without it, and the certificates of the local model and of
+the blow-up model run in Python floats.
 
 The public names below are resolved on first use (PEP 562), so a command
 loads only the submodules it runs."""
@@ -14,11 +15,11 @@ _EXPORTS = {
     "localmodel": ("LocalModel", "OutOfDomainError", "eval_omega_a"),
     "taming": ("TamenessCertificate",),
     "forms": ("GluingProblem", "NotAlmostComplexError",
-              "PreconditionFailure", "exterior_derivative_fd", "form_from_hermitian",
+              "PreconditionFailure", "form_from_hermitian",
               "glue_forms", "taming_quotients", "tameness_min"),
     "pushforward": ("PushforwardReport", "pushforward_check", "sample_points"),
-    "blowup": ("BlowupReport", "blowup_model_check", "chart_form", "chart_potential",
-               "chart_grid", "exceptional_area", "transition"),
+    "blowup": ("BlowupReport", "blowup_model_check", "chart_form", "exceptional_area",
+               "transition"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,115 +1,205 @@
-"""Two-chart model of the resolved cyclic singularity C^2/<zeta_m * Id>.
+"""Two-chart model of the resolved cyclic singularity C^2/<zeta_m * Id>, in
+Python floats.
 
 The resolution is the total space of the degree -m line bundle over the
-projective line, covered by charts with coordinates (u, v), transition
+projective line, covered by charts with coordinates (u, v) and transition
 (u, v) -> (1/u, u^m v), written once over complex jets so that its Jacobian
-comes from `linear.holomorphic_map`.  The candidate symplectic form is
+comes from jets of one variable each.  The candidate symplectic form is
 
     omega_lambda = (i/2) ddbar [ |v|^(2/m) (1+|u|^2) + lambda log(1+|u|^2) ]
 
 whose first term is the pullback of the flat quotient form (via the
 invariant radius) and whose second is the pulled-back Fubini-Study-type
-form, scaled by lambda.  The potential is written once, as a function of
-(|u|^2, |v|^2): its complex Hessian comes from second-order jets, and
-`chart_potential` evaluates the same definition so that finite differences
-(the tests' `ddbar_fd`) can cross-check it.  Grids avoid v = 0, where the
-pulled-back quotient form is continuous but not smooth for m >= 2; the area
-of the zero section is read off the same potential restricted to v = 0."""
+form, scaled by lambda.  In s = |u|^2 and t = |v|^2 the potential is
+phi = T(t) (1 + s) + lambda L(s), with the 1-D pieces T(t) = t^(1/m) and
+L = log1p, and its complex Hessian (see forms.invariant_potential_form) is
+
+    c00 = phi_s + s phi_ss = T + lambda L' + s lambda L'',
+    c11 = phi_t + t phi_tt = T' (1 + s) + t T'' (1 + s),
+    c01 = conj(u) v phi_st = conj(u) v T'.
+
+T' and T'' come from `jet.power_rule`, L' and L'' from `jet.log1p_rule`,
+each evaluated once per distinct t or s.  The taming data of an orbit are
+a = c00, d = c11 and |b| = sqrt(s t) |T'|; the closedness and overlap
+cross-checks read the form's six entries above the diagonal.  Grids avoid
+v = 0, where the pulled-back quotient form is continuous but not smooth for
+m >= 2; the area of the zero section integrates c00 at t = 0, where T = 0.
+"""
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
-import numpy as np
+from .jet import Jet, log1p_rule, power_rule
+from .taming import certify, circles, linspace, quotient
 
-from .forms import (blockwise, cube_grid, exterior_derivative_fd, first_of_each,
-                    invariant_potential_form, orbit_grid, plane, tameness_min)
-from .jet import log1p
-from .linear import J0, holomorphic_map, pullback
-
-
-def _phi(m: int, lam: float):
-    """The chart potential as a function of s = |u|^2 and t = |v|^2."""
-    return lambda s, t: t ** (1.0 / m) * (1.0 + s) + lam * log1p(s)
+# the entries (k, l), k < l, of a 2-form above the diagonal, in the order of
+# the tuples chart_form returns; d(omega) has one component per k < l < n
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_ENTRY = {pair: i for i, pair in enumerate(PAIRS)}
+_TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
 def chart_form(m: int, lam: float):
-    """(i/2) ddbar of the chart potential; valid for v != 0."""
-    return invariant_potential_form(_phi(m, lam))
+    """The chart form at one point (x1, y1, x2, y2) as its entries above the
+    diagonal, (w01, w02, w03, w12, w13, w23): w01 = c00, w23 = c11,
+    w03 = Re c01 = -w12 and w02 = -Im c01 = w13, as
+    forms.form_from_hermitian writes them.  Valid for v != 0."""
+    p = 1.0 / m
+
+    def form(point):
+        x1, y1, x2, y2 = point
+        s, t = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+        d1, d2 = power_rule(t, p)
+        l1, l2 = log1p_rule(s)
+        one_s = 1.0 + s
+        re, im = (x1 * x2 + y1 * y2) * d1, (x1 * y2 - y1 * x2) * d1
+        return ((t ** p + lam * l1) + s * (lam * l2), -im, re, -re, -im,
+                d1 * one_s + t * (d2 * one_s))
+    return form
 
 
-def chart_potential(m: int, lam: float):
-    return chart_form(m, lam).potential
+def transition(u, v, m: int):
+    """The chart change (u, v) -> (1/u, u^m v), over complex numbers or jets."""
+    return 1 / u, u ** m * v
 
 
-def transition(points, m: int):
-    """Chart-1 -> chart-2 coordinates and the real Jacobian of the map."""
-    return holomorphic_map(lambda u, v: (1 / u, u ** m * v), points)
+def _realified_jacobian(f, z: complex, w: complex, m: int):
+    """f(z, w, m) as a point (x1, y1, x2, y2) and the real 4x4 Jacobian of
+    the holomorphic map (z, w) -> f(z, w, m), from one complex float jet per
+    variable: a complex derivative a + ib is the block [[a, -b], [b, a]]."""
+    by_z = f(Jet.float_variable(z), w, m)
+    by_w = f(z, Jet.float_variable(w), m)
+    values = [c.value if isinstance(c, Jet) else c for c in by_z]
+    grad = [[c.grad if isinstance(c, Jet) else 0.0 for c in col] for col in (by_z, by_w)]
+    jac = [[0.0] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(2):
+            g = complex(grad[j][i])
+            jac[2 * i][2 * j], jac[2 * i][2 * j + 1] = g.real, -g.imag
+            jac[2 * i + 1][2 * j], jac[2 * i + 1][2 * j + 1] = g.imag, g.real
+    point = (values[0].real, values[0].imag, values[1].real, values[1].imag)
+    return point, jac
 
 
-def chart_grid(n: int, u_max: float = 1.2, v_min: float = 0.05, v_max: float = 0.8):
-    ax_u = np.linspace(-u_max, u_max, n)
-    ax_v = np.linspace(-v_max, v_max, n)
-    pts = cube_grid(ax_u, ax_u, ax_v, ax_v)
-    t = pts[:, 2] ** 2 + pts[:, 3] ** 2
-    return pts[t >= v_min ** 2]
+def _pullback(jac, w):
+    """The entries above the diagonal of jac^T omega jac, omega given by its
+    entries above the diagonal: sum over a < b of
+    omega_ab (jac_ak jac_bl - jac_bk jac_al) for each k < l."""
+    return [sum(w_ab * (jac[a][k] * jac[b][l] - jac[b][k] * jac[a][l])
+                for (a, b), w_ab in zip(PAIRS, w)) for k, l in PAIRS]
+
+
+def _largest(values) -> float:
+    """max |x| over a list of floats, or inf when one of them is not finite:
+    max() alone may pass over a NaN."""
+    if not all(map(math.isfinite, values)):
+        return math.inf
+    return max(map(abs, values))
 
 
 def chart_orbits(n: int, u_max: float = 1.2, v_min: float = 0.05, v_max: float = 0.8):
-    """The points of chart_grid, one per (|u|^2, |v|^2) orbit (see
-    forms.orbit_grid): the chart form is a potential form, invariant under
-    the torus that rotates u and v."""
-    u, s = plane(np.linspace(-u_max, u_max, n))
-    v, t = plane(np.linspace(-v_max, v_max, n))
-    return orbit_grid(u[first_of_each(s)], v[t >= v_min ** 2])
+    """The circles of the u plane's grid and of the v plane's grid with
+    |v| >= v_min, each {squared radius: first grid point} (taming.circles).
+    The chart form is invariant under the torus that rotates u and v, so a
+    u circle and a v circle, each at its first point, make the first grid
+    point of one orbit of the n^4 chart grid; head-major, the pairs are in
+    grid order."""
+    heads = circles(linspace(-u_max, u_max, n))
+    tails = {t: v for t, v in circles(linspace(-v_max, v_max, n)).items() if t >= v_min ** 2}
+    return heads, tails
 
 
-def closedness_residual(omega) -> float:
-    """Max component of d(omega) by central differences with step 1e-5 at
-    probe points fixed whatever the certification grid: the 5^4 chart grid
-    plus 8 points on |v| = 0.05, where derivatives peak, above each grid u."""
-    ax_u = np.linspace(-1.2, 1.2, 5)
-    theta = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    u = cube_grid(ax_u, ax_u).reshape(-1, 1, 2)
-    v = 0.05 * np.stack([np.cos(theta), np.sin(theta)], axis=-1)[None]
-    ring = np.concatenate(np.broadcast_arrays(u, v), axis=-1).reshape(-1, 4)
-    return exterior_derivative_fd(omega, np.concatenate([chart_grid(5), ring]), h=1e-5)
+def taming_data(m: int, lam: float, heads: dict, tails: dict):
+    """(point, a, d, |b|) of the chart form per orbit, head-major over the
+    circles of chart_orbits: T's pieces once per v circle, L's once per u
+    circle."""
+    p = 1.0 / m
+    fibre = []
+    for t, v in tails.items():
+        d1, d2 = power_rule(t, p)
+        fibre.append((v, t, t ** p, d1, d2, math.sqrt(t) * abs(d1)))
+    for s, u in heads.items():
+        l1, l2 = log1p_rule(s)
+        base, curve, one_s, root = lam * l1, s * (lam * l2), 1.0 + s, math.sqrt(s)
+        for v, t, tp, d1, d2, b in fibre:
+            yield u + v, (tp + base) + curve, d1 * one_s + t * (d2 * one_s), root * b
 
 
-def overlap_probe():
+def closedness_residual(form, h: float = 1e-5) -> float:
+    """Max component of d(omega) by central differences with step h at probe
+    points fixed whatever the certification grid: the 5^4 chart grid with
+    |v| >= 0.05 plus 8 points on |v| = 0.05, where derivatives peak, above
+    each of its u.  form maps a point to the six entries above the diagonal."""
+    heads, tails = linspace(-1.2, 1.2, 5), linspace(-0.8, 0.8, 5)
+    grid = [(x1, y1, x2, y2) for x1 in heads for y1 in heads for x2 in tails for y2 in tails
+            if x2 * x2 + y2 * y2 >= 0.05 ** 2]
+    step = 2.0 * math.pi / 8
+    ring = [(x1, y1, 0.05 * math.cos(k * step), 0.05 * math.sin(k * step))
+            for x1 in heads for y1 in heads for k in range(8)]
+    two_h, residuals = 2.0 * h, []
+    for point in grid + ring:
+        grad = []
+        for i in range(4):
+            plus, minus = list(point), list(point)
+            plus[i] += h
+            minus[i] -= h
+            grad.append([(a - b) / two_h for a, b in zip(form(plus), form(minus))])
+        # d(omega)_kln = d_k omega_ln - d_l omega_kn + d_n omega_kl
+        residuals += [grad[k][_ENTRY[l, n]] - grad[l][_ENTRY[k, n]] + grad[n][_ENTRY[k, l]]
+                      for k, l, n in _TRIPLES]
+    return _largest(residuals)
+
+
+def overlap_probe() -> list:
     """Points of the chart overlap, |u| in [0.5, 2] and |v| in [0.05, 0.5],
     fixed whatever the certification grid: 4 radii spanning each range, on 5
     angles of u and 3 of v, each set offset by half its step; 240 points."""
     def polar(lo, hi, k):
-        r = np.linspace(lo, hi, 4)[:, None]
-        theta = (np.arange(k) + 0.5) * (2.0 * np.pi / k)
-        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1).reshape(-1, 2)
-    u, v = polar(0.5, 2.0, 5)[:, None], polar(0.05, 0.5, 3)[None]
-    return np.concatenate(np.broadcast_arrays(u, v), axis=-1).reshape(-1, 4)
+        step = 2.0 * math.pi / k
+        return [(r * math.cos((j + 0.5) * step), r * math.sin((j + 0.5) * step))
+                for r in linspace(lo, hi, 4) for j in range(k)]
+    return [u + v for u in polar(0.5, 2.0, 5) for v in polar(0.05, 0.5, 3)]
+
+
+def overlap_max_diff(form, m: int) -> float:
+    """Max entry of the chart form pulled back along the transition minus
+    the chart form, over overlap_probe: the two charts' forms agree."""
+    diffs = []
+    for point in overlap_probe():
+        image, jac = _realified_jacobian(transition, complex(*point[:2]), complex(*point[2:]), m)
+        diffs += [a - b for a, b in zip(_pullback(jac, form(image)), form(point))]
+    return _largest(diffs)
+
+
+def area_density(m: int, lam: float, s: float) -> float:
+    """c00 on the zero section, at s = |u|^2: T(0) + lambda L'(s) +
+    s lambda L''(s), with T(0) = 0^(1/m) = 0."""
+    l1, l2 = log1p_rule(s)
+    return (0.0 ** (1.0 / m) + lam * l1) + s * (lam * l2)
 
 
 def exceptional_area(m: int, lam: float, n: int = 20000) -> float:
     """Area of the form restricted to the zero section, by radial quadrature.
 
-    The form of the potential restricted to v = 0 is evaluated at
-    (rho, 0, 0, 0), one block of rho at a time; its du^dubar coefficient is
-    the (0, 1) entry.  t = 0.0 enters as a plain float, so |v|^(2/m) is the
-    constant 0 and the jets in s stay finite.  The radial integral is
-    compactified by rho = tan(theta)."""
-    phi = _phi(m, lam)
-    zero_section = invariant_potential_form(lambda s, t: phi(s, 0.0))
-    theta = np.linspace(0.0, np.pi / 2.0, n)
-    rho = np.tan(theta[:-1])
-
-    def du_dubar(r):
-        pts = np.zeros((len(r), 4))
-        pts[:, 0] = r
-        return zero_section(pts)[:, 0, 1]
-
-    density = blockwise(du_dubar, rho)
-    integrand = 2.0 * np.pi * rho * density * (1.0 + rho ** 2)
-    integrand = np.append(integrand, 0.0)  # rho -> inf limit
-    return float(np.trapezoid(integrand, theta))
+    The density is area_density at s = rho^2, the zero section's point
+    (rho, 0, 0, 0).  The radial integral is compactified by rho = tan(theta)
+    and summed by the trapezoid rule in theta: math.fsum of np.trapezoid's
+    terms.  The potential grows with s, and of the points a report samples
+    it is largest here, at the last radius, where it is lambda log1p(s); an
+    OverflowError refuses a lambda for which that is no double."""
+    theta = linspace(0.0, math.pi / 2.0, n)
+    two_pi, y = 2.0 * math.pi, []
+    for th in theta[:-1]:
+        rho = math.tan(th)
+        s = rho * rho
+        y.append(two_pi * rho * area_density(m, lam, s) * (1.0 + s))
+    if not math.isfinite(lam * math.log1p(s)):
+        raise OverflowError("the potential overflows on the zero section")
+    y.append(0.0)  # rho -> inf limit
+    return math.fsum((t1 - t0) * (y1 + y0) / 2.0
+                     for t0, t1, y0, y1 in zip(theta, theta[1:], y, y[1:]))
 
 
 class BlowupReport(namedtuple("BlowupReport",
@@ -120,7 +210,7 @@ class BlowupReport(namedtuple("BlowupReport",
 
     @property
     def area_expected(self) -> float:
-        return self.lam * np.pi
+        return self.lam * math.pi
 
     @property
     def ok(self) -> bool:
@@ -136,28 +226,33 @@ class BlowupReport(namedtuple("BlowupReport",
 
 
 def blowup_model_check(m: int, lam: float, grid_n: int = 12) -> BlowupReport:
-    """Refuses (ValueError) a lambda for which a float of the model
-    overflows, as it does from lambda = 1e307: no report holds an area or a
-    quotient computed past the largest double."""
-    if m < 2 or not 0 < lam < np.inf:
+    """The certificate over chart_orbits(grid_n), the closedness and overlap
+    cross-checks and the exceptional area, in Python floats.
+
+    Refuses (ValueError) an m and a lambda for which a float of the model
+    overflows, naming both, since either may be the cause: from
+    lambda = 9.5e306 the potential on the zero section, and from m = 253 the
+    overlap's T'' = p(p - 1) t^(p - 2) at a tiny t = |u^m v|^2.  A power
+    overflows with an OverflowError (or a ZeroDivisionError, once u^m v
+    underflows to 0), a product to inf, which leaves a number of the report
+    non-finite: no report holds an area or a quotient computed past the
+    largest double."""
+    if m < 2 or not 0 < lam < math.inf:
         raise ValueError("need m >= 2 and a finite lambda > 0")
+    refusal = f"the blow-up model overflows a double at m={m}, lambda={lam}"
     try:
-        with np.errstate(over="raise"):
-            omega = chart_form(m, lam)
-
-            cert = tameness_min(
-                omega, J0, chart_orbits(grid_n),
-                region=f"two charts, |u|<=1.2, 0.05<=|v|<=0.8 (m={m}, lambda={lam})",
-                grid=f"{grid_n}^4 per chart, v=0 excluded",
-            )
-
-            closed = closedness_residual(omega)
-
-            # chart compatibility on the overlap
-            ov = overlap_probe()
-            image, jac = transition(ov, m)
-            overlap = float(np.max(np.abs(pullback(jac, omega(image)) - omega(ov))))
-
-            return BlowupReport(cert, closed, overlap, exceptional_area(m, lam), lam)
-    except FloatingPointError as exc:
-        raise ValueError(f"lambda={lam} overflows the blow-up model: {exc}") from None
+        form = chart_form(m, lam)
+        samples = ((point, quotient(a, d, b))
+                   for point, a, d, b in taming_data(m, lam, *chart_orbits(grid_n)))
+        cert = certify(samples,
+                       region=f"two charts, |u|<=1.2, 0.05<=|v|<=0.8 (m={m}, lambda={lam})",
+                       grid=f"{grid_n}^4 per chart, v=0 excluded")
+        report = BlowupReport(cert, closedness_residual(form), overlap_max_diff(form, m),
+                              exceptional_area(m, lam), lam)
+    except ArithmeticError as exc:  # a power's OverflowError carries (errno, message)
+        raise ValueError(f"{refusal}: {exc.args[-1]}") from None
+    numbers = (cert.min_quotient, report.closedness_residual, report.overlap_max_diff,
+               report.area, report.area_expected)
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError(f"{refusal}: a number of the report is not finite")
+    return report

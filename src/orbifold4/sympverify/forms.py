@@ -1,5 +1,5 @@
-"""Kähler forms of invariant potentials, the finite-difference exterior
-derivative and tameness certification.
+"""Kähler forms of invariant potentials, tameness certification over arrays
+of 4x4 forms, and the gluing.
 
 Potentials F are scalar fields on R^4 = C^2, vectorized over point arrays of
 shape (..., 4).  2-forms are antisymmetric 4x4 coefficient matrices in the
@@ -39,20 +39,6 @@ class PreconditionFailure(ValueError):
         super().__init__(message)
 
 
-def _shift(points, i, h):
-    p = np.array(points, dtype=float)
-    p[..., i] += h
-    return p
-
-
-def _central_differences(fn, p, h):
-    """(fn(p + h e_i) - fn(p - h e_i)) / 2h for the four axes i, stacked on a
-    new axis after the point axes of p."""
-    return np.stack([(np.asarray(fn(_shift(p, i, h)), float)
-                      - np.asarray(fn(_shift(p, i, -h)), float)) / (2.0 * h)
-                     for i in range(4)], axis=p.ndim - 1)
-
-
 def form_from_hermitian(coeff):
     """Real matrix of (i/2) sum coeff_ij dz_i ^ dzbar_j, from Re and Im of coeff."""
     c = np.asarray(coeff, dtype=complex)
@@ -60,14 +46,6 @@ def form_from_hermitian(coeff):
     w03 = 0.5 * (re[..., 0, 1] + re[..., 1, 0])
     w02 = 0.5 * (im[..., 1, 0] - im[..., 0, 1])
     return antisymmetric(re[..., 0, 0], w02, w03, -w03, w02, re[..., 1, 1])
-
-
-def exterior_derivative_fd(form_eval, points, h: float = 1e-3) -> float:
-    """Max component of the finite-difference exterior derivative d(omega)."""
-    grad = _central_differences(form_eval, np.asarray(points, dtype=float), h)  # d/dx_i of M[k,l]
-    k, l, n = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T  # k < l < n
-    res = grad[..., k, l, n] - grad[..., l, k, n] + grad[..., n, k, l]
-    return float(np.max(np.abs(res)))
 
 
 def blockwise(fn, points):

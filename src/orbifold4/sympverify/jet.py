@@ -2,13 +2,17 @@
 
 A Jet in n variables holds value (...), grad (n, ...) and hess (n, n, ...);
 plain numbers and arrays act as constants.  A jet of one float variable
-(`Jet.float_variable`) holds three floats: the value and the first and
-second derivative, with no variable axis, and takes the arithmetic
-operators only; it never imports numpy.  `log`, `log1p` and `clip` take a
-plain array or an array Jet, so one definition of a function evaluates
-either way.  At the kinks of `clip` a jet carries the right derivative.
-Variables may take complex values: a holomorphic function's jet then
-carries its complex derivatives.
+(`Jet.float_variable`) holds three Python floats, or complex numbers: the
+value and the first and second derivative, with no variable axis, and takes
+the arithmetic operators only; it never imports numpy.  `log`, `log1p` and
+`clip` take a plain array or an array Jet, so one definition of a function
+evaluates either way.  At the kinks of `clip` a jet carries the right
+derivative.  Variables may take complex values: a holomorphic function's jet
+then carries its complex derivatives.
+
+Each function's first and second derivative are written once, as a rule
+(`power_rule`, `log_rule`, `log1p_rule`) that the jets apply and that a
+closed-form evaluation over plain floats calls directly.
 """
 
 from __future__ import annotations
@@ -50,11 +54,12 @@ class Jet:
         return cls(value, grad, np.zeros((n, n) + value.shape, dtype=value.dtype))
 
     @classmethod
-    def float_variable(cls, value: float) -> "Jet":
-        """The one variable at a real value, as a jet of Python floats.  Float
-        arithmetic raises where numpy's warns: ZeroDivisionError for 0.0 ** -p
-        and OverflowError for an overflowing power."""
-        return cls(float(value), 1.0, 0.0)
+    def float_variable(cls, value) -> "Jet":
+        """The one variable at a real or complex value, as a jet of Python
+        floats or complex numbers.  Float arithmetic raises where numpy's
+        warns: ZeroDivisionError for 0.0 ** -p and OverflowError for an
+        overflowing power."""
+        return cls(value if isinstance(value, complex) else float(value), 1.0, 0.0)
 
     def apply(self, f0, f1, f2) -> "Jet":
         """f(self), given f, f' and f'' at self.value (the chain rule)."""
@@ -95,28 +100,44 @@ class Jet:
         return self ** -1 * o
 
     def __pow__(self, p):
-        """self**p for a constant p.  A zero coefficient p or p(p-1) gives an
-        exactly zero derivative, so x**1 and x**2 are exact at x = 0."""
+        """self**p for a constant p (see power_rule)."""
         v = self.value
-        d1 = p * v ** (p - 1) if p != 0 else _zero_like(v)
-        d2 = p * (p - 1) * v ** (p - 2) if p * (p - 1) != 0 else _zero_like(v)
-        return self.apply(v ** p, d1, d2)
+        return self.apply(v ** p, *power_rule(v, p))
+
+
+def power_rule(v, p):
+    """The first and second derivative of x**p at v, for a constant p.  A
+    zero coefficient p or p(p-1) gives an exactly zero derivative, so x**1
+    and x**2 are exact at x = 0."""
+    d1 = p * v ** (p - 1) if p != 0 else _zero_like(v)
+    d2 = p * (p - 1) * v ** (p - 2) if p * (p - 1) != 0 else _zero_like(v)
+    return d1, d2
+
+
+def log_rule(v):
+    """log' and log'' at v: r and -r^2, with r = 1/v."""
+    r = 1.0 / v
+    return r, -r * r
+
+
+def log1p_rule(v):
+    """log1p' and log1p'' at v: r and -r^2, with r = 1/(1 + v)."""
+    r = 1.0 / (1.0 + v)
+    return r, -r * r
 
 
 def log(x):
     import numpy as np
     if not isinstance(x, Jet):
         return np.log(x)
-    r = 1.0 / x.value
-    return x.apply(np.log(x.value), r, -r * r)
+    return x.apply(np.log(x.value), *log_rule(x.value))
 
 
 def log1p(x):
     import numpy as np
     if not isinstance(x, Jet):
         return np.log1p(x)
-    r = 1.0 / (1.0 + x.value)
-    return x.apply(np.log1p(x.value), r, -r * r)
+    return x.apply(np.log1p(x.value), *log1p_rule(x.value))
 
 
 def clip(x, lo: float, hi: float):

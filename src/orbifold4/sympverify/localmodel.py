@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 
 from .profiles import f_smoothing, f_resolved, identity_profile
-from .taming import linspace, quotient
+from .taming import circles, linspace, quotient
 
 
 class OutOfDomainError(ValueError):
@@ -88,16 +88,6 @@ def eval_omega_a(model: LocalModel, points, resolved: bool = False):
                          -vert * x2 * n2, -vert * y2 * n2, vert)
 
 
-def _circles(axis) -> dict:
-    """The circles x = x2^2 + y2^2 of the plane grid axis^2, each with its
-    first grid point (x2, y2), in grid order."""
-    first = {}
-    for x2 in axis:
-        for y2 in axis:
-            first.setdefault(x2 * x2 + y2 * y2, (x2, y2))
-    return first
-
-
 def _derivatives(profile, x: float):
     """f'(x) and f''(x) off one float jet of the profile's definition; NaN
     where Python's float arithmetic cannot compute them (0.0 ** -p, an
@@ -133,7 +123,7 @@ def cube_samples(model: LocalModel, n: int, resolved: bool = False):
     profile = _profile(model, resolved)
     scale = float(model.m) if resolved else 1.0
     fibre = []
-    for x, (x2, y2) in _circles(axis).items():
+    for x, (x2, y2) in circles(axis).items():
         d1, d2 = _derivatives(profile, x)
         vert = x * d2 + d1
         base = 1.0 + 0.5 * x * d1 * (scale * model.kappa)

@@ -1,8 +1,8 @@
 """Tameness certificates in Python floats: the record and its tolerances,
 the taming quotient of one sample from its 2x2 Hermitian block, the
-reduction of a grid's quotients to a certificate, and np.linspace's grid
-axis.  Imports no numpy; `forms.tameness_min` is the same certificate over
-arrays of 4x4 forms.
+reduction of a grid's quotients to a certificate, np.linspace's grid axis
+and the circles of a plane grid.  Imports no numpy; `forms.tameness_min` is
+the same certificate over arrays of 4x4 forms.
 """
 
 from __future__ import annotations
@@ -40,30 +40,39 @@ class TamenessCertificate(namedtuple("TamenessCertificate",
         }
 
 
-def _hypot(x: float, y: float) -> float:
-    """C's hypot, as np.hypot computes it (math.hypot rounds its own way)."""
-    return abs(complex(x, y))
+# a, d and b whose magnitudes all lie in [2^-100, 2^100] keep every product,
+# sum, hypot and quotient of quotient's formula a normal double, whether or
+# not they are first divided by a power of two; the division then changes no
+# rounding, and quotient skips it
+_UNSCALED_LO, _UNSCALED_HI = 2.0 ** -100, 2.0 ** 100
 
 
 def quotient(a: float, d: float, b: float) -> float:
     """The smaller eigenvalue of the Hermitian block [[a, beta], [conj(beta),
     d]] with |beta| = b >= 0: the taming quotient of a sample for J0, as
-    `forms.taming_quotients` derives it.  a, d and b are divided by the
-    power of two just above their largest magnitude; the larger eigenvalue
-    then has no cancellation when a + d > 0, and the smaller is the
-    determinant over it.  A non-finite input gives NaN, which is never tame.
+    `forms.taming_quotients` derives it, bit for bit.  a, d and b are
+    divided by the power of two just above their largest magnitude, unless
+    all three magnitudes lie in [2^-100, 2^100], where that division would
+    change no rounding.  The larger eigenvalue then has no cancellation when
+    a + d > 0, and the smaller is the determinant over it; the hypot is C's,
+    as np.hypot computes it (math.hypot rounds its own way).  A non-finite
+    input gives NaN, which is never tame.
     """
-    if not (math.isfinite(a) and math.isfinite(d) and math.isfinite(b)):
+    if (_UNSCALED_LO <= abs(a) <= _UNSCALED_HI and _UNSCALED_LO <= abs(d) <= _UNSCALED_HI
+            and _UNSCALED_LO <= b <= _UNSCALED_HI):
+        exp = 0
+    elif not (math.isfinite(a) and math.isfinite(d) and math.isfinite(b)):
         return math.nan
-    exp = math.frexp(max(abs(a), abs(d), b))[1]
-    a, d, b = math.ldexp(a, -exp), math.ldexp(d, -exp), math.ldexp(b, -exp)
-    half_sum, radius = 0.5 * a + 0.5 * d, _hypot(0.5 * a - 0.5 * d, b)
+    else:
+        exp = math.frexp(max(abs(a), abs(d), b))[1]
+        a, d, b = math.ldexp(a, -exp), math.ldexp(d, -exp), math.ldexp(b, -exp)
+    half_sum, radius = 0.5 * a + 0.5 * d, abs(complex(0.5 * a - 0.5 * d, b))
     if half_sum > 0:
         low = (a * d - b * b) / (half_sum + radius)
     else:
         low = half_sum - radius
     try:
-        return math.ldexp(low, exp)
+        return math.ldexp(low, exp) if exp else low
     except OverflowError:  # an eigenvalue below -DBL_MAX
         return -math.inf
 
@@ -110,3 +119,13 @@ def linspace(start: float, stop: float, n: int) -> list:
         out = [i * step + start for i in range(n)]
     out[-1] = stop
     return out
+
+
+def circles(axis) -> dict:
+    """The circles x^2 + y^2 of the plane grid axis^2, each with its first
+    grid point (x, y), in grid order: the torus orbits of one plane."""
+    first = {}
+    for x in axis:
+        for y in axis:
+            first.setdefault(x * x + y * y, (x, y))
+    return first

@@ -1,14 +1,44 @@
 """Reference implementations for the tests, the independent cross-checks
 of orbifold4.sympverify: the complex Hessian of a potential and its Kähler
-form (i/2) ddbar F by central differences; the primitive beta of the flat
-form and d(rho(r) beta) from their explicit formulas; and the full 4-D ball
-grid whose orbits ball_orbits samples."""
+form (i/2) ddbar F by central differences, and the exterior derivative of a
+form by central differences; the exact taming quotient of a form's entries;
+the primitive beta of the flat form and d(rho(r) beta) from their explicit
+formulas; the full 4-D ball grid whose orbits ball_orbits samples; and the
+blow-up chart model over numpy arrays (its potential written over array
+jets, its 4-D chart grid and its chart transition through
+linear.holomorphic_map), the reference for blowup's float arithmetic."""
+
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
-from orbifold4.sympverify.forms import (_central_differences, _in_ball, _shift, cube_grid,
-                                        form_from_hermitian)
-from orbifold4.sympverify.linear import OMEGA0, antisymmetric
+from orbifold4.sympverify.forms import (_in_ball, cube_grid, form_from_hermitian,
+                                        invariant_potential_form)
+from orbifold4.sympverify.jet import log1p
+from orbifold4.sympverify.linear import OMEGA0, antisymmetric, holomorphic_map
+
+
+def _shift(points, i, h):
+    p = np.array(points, dtype=float)
+    p[..., i] += h
+    return p
+
+
+def _central_differences(fn, p, h):
+    """(fn(p + h e_i) - fn(p - h e_i)) / 2h for the four axes i, stacked on a
+    new axis after the point axes of p."""
+    return np.stack([(np.asarray(fn(_shift(p, i, h)), float)
+                      - np.asarray(fn(_shift(p, i, -h)), float)) / (2.0 * h)
+                     for i in range(4)], axis=p.ndim - 1)
+
+
+def exterior_derivative_fd(form_eval, points, h: float = 1e-3) -> float:
+    """Max component of the finite-difference exterior derivative d(omega)."""
+    grad = _central_differences(form_eval, np.asarray(points, dtype=float), h)  # d/dx_i of M[k,l]
+    k, l, n = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T  # k < l < n
+    res = grad[..., k, l, n] - grad[..., l, k, n] + grad[..., n, k, l]
+    return float(np.max(np.abs(res)))
 
 
 def complex_hessian_fd(F, points, h: float = 1e-3):
@@ -33,6 +63,19 @@ def complex_hessian_fd(F, points, h: float = 1e-3):
 def ddbar_fd(F, points, h: float = 1e-3):
     """(i/2) ddbar F assembled from mixed complex second differences."""
     return form_from_hermitian(complex_hessian_fd(F, points, h))
+
+
+def exact_taming_quotient(w) -> Decimal:
+    """The smaller eigenvalue of [[alpha, beta], [conj(beta), delta]] for J0,
+    from the entries of the 4x4 form w read as exact rationals, to 40 digits."""
+    e = {(i, j): Fraction(float(w[i, j])) for i in range(4) for j in range(i + 1, 4)}
+    trace = e[0, 1] + e[2, 3]
+    det = e[0, 1] * e[2, 3] - ((e[0, 2] + e[1, 3]) ** 2 + (e[0, 3] - e[1, 2]) ** 2) / 4
+    with localcontext() as ctx:
+        ctx.prec = 40
+        dec = [Decimal(q.numerator) / Decimal(q.denominator) for q in (trace, det)]
+        root = (dec[0] * dec[0] - 4 * dec[1]).sqrt()
+        return 2 * dec[1] / (dec[0] + root) if dec[0] > 0 else (dec[0] - root) / 2
 
 
 def ball_grid(radius: float, n: int, inner: float = 0.0):
@@ -79,3 +122,41 @@ def d_rho_beta(rho, points):
     p = np.asarray(points, dtype=float)
     r = np.linalg.norm(p, axis=-1)
     return dr_beta(rho, p) + rho.value(r)[..., None, None] * OMEGA0
+
+
+def _chart_phi(m: int, lam: float):
+    """The blow-up chart potential as a function of s = |u|^2 and t = |v|^2,
+    over arrays or array jets."""
+    return lambda s, t: t ** (1.0 / m) * (1.0 + s) + lam * log1p(s)
+
+
+def numpy_chart_form(m: int, lam: float):
+    """(i/2) ddbar of the chart potential, as (..., 4, 4) forms; valid for v != 0."""
+    return invariant_potential_form(_chart_phi(m, lam))
+
+
+def chart_potential(m: int, lam: float):
+    return numpy_chart_form(m, lam).potential
+
+
+def zero_section_density(m: int, lam: float, rho):
+    """The du^dubar coefficient of the form of the potential restricted to
+    v = 0, at the points (rho, 0, 0, 0): t = 0.0 enters as a plain float."""
+    phi = _chart_phi(m, lam)
+    pts = np.zeros((len(rho), 4))
+    pts[:, 0] = rho
+    return invariant_potential_form(lambda s, t: phi(s, 0.0))(pts)[:, 0, 1]
+
+
+def numpy_transition(points, m: int):
+    """Chart-1 -> chart-2 coordinates and the real Jacobian of the map, over arrays."""
+    return holomorphic_map(lambda u, v: (1 / u, u ** m * v), points)
+
+
+def chart_grid(n: int, u_max: float = 1.2, v_min: float = 0.05, v_max: float = 0.8):
+    """The n^4 chart grid with |v| >= v_min, as (N, 4) points in grid order."""
+    ax_u = np.linspace(-u_max, u_max, n)
+    ax_v = np.linspace(-v_max, v_max, n)
+    pts = cube_grid(ax_u, ax_u, ax_v, ax_v)
+    t = pts[:, 2] ** 2 + pts[:, 3] ** 2
+    return pts[t >= v_min ** 2]

@@ -1,34 +1,124 @@
-"""Two-chart model of the resolved cyclic singularity and its candidate form."""
+"""Two-chart model of the resolved cyclic singularity and its candidate
+form, in Python floats, against the numpy path of tests/fd_oracles.py and
+against finite differences."""
+
+import math
+import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from fd_oracles import ddbar_fd
-from orbifold4.sympverify import (blowup_model_check, chart_form, chart_grid,
-                                  chart_potential, exceptional_area, transition)
+from fd_oracles import (chart_grid, chart_potential, ddbar_fd, exact_taming_quotient,
+                        numpy_chart_form, numpy_transition, zero_section_density)
 from orbifold4.sympverify import blowup, jet
-from orbifold4.sympverify.blowup import closedness_residual, overlap_probe
-from orbifold4.sympverify.linear import holomorphic_map
+from orbifold4.sympverify.blowup import (PAIRS, _realified_jacobian, area_density,
+                                         blowup_model_check, chart_form, chart_orbits,
+                                         closedness_residual, exceptional_area, overlap_probe,
+                                         taming_data, transition)
+from orbifold4.sympverify.forms import taming_quotients
+from orbifold4.sympverify.linear import J0
 from orbifold4.sympverify.pushforward import _fiber_power
+from orbifold4.sympverify.taming import quotient
 
-# holomorphic maps of C^2 with their real Jacobians
-MAPS = {"transition": lambda p: transition(p, 2), "fiber-power": lambda p: _fiber_power(p, 3)}
+MODELS = [(m, lam) for m in (2, 3, 5) for lam in (0.1, 1e8, 1e16)]
+
+
+def _upper(forms):
+    """The entries above the diagonal of (N, 4, 4) forms, as (N, 6), in PAIRS order."""
+    return np.stack([forms[:, k, l] for k, l in PAIRS], axis=1)
+
+
+def _float_forms(m, lam, pts):
+    form = chart_form(m, lam)
+    return np.array([form(p) for p in pts.tolist()])
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_chart_form_matches_potential_fd(m):
-    omega = chart_form(m, 0.1)
-    F = chart_potential(m, 0.1)
     pts = np.random.default_rng(0).uniform(0.1, 0.8, (30, 4))
-    fd = ddbar_fd(F, pts, h=1e-4)
-    assert np.max(np.abs(fd - omega(pts))) < 1e-6
+    fd = ddbar_fd(chart_potential(m, 0.1), pts, h=1e-4)
+    assert np.max(np.abs(_upper(fd) - _float_forms(m, 0.1, pts))) < 1e-6
+
+
+@pytest.mark.parametrize("m,lam", MODELS)
+def test_float_entries_match_the_numpy_form(m, lam):
+    # the float and the numpy power round t^p apart in the last bit, and
+    # the complex product conj(u) v cancels: c00 agrees to its own size, c11
+    # = (1 + s) p^2 t^(p - 1) to m times that (its two terms cancel by 1/m),
+    # and the c01 entries to the largest entry of their form
+    pts = np.concatenate([chart_grid(7), np.random.default_rng(m).uniform(-1.2, 1.2, (40, 4))])
+    want, got = _upper(numpy_chart_form(m, lam)(pts)), _float_forms(m, lam, pts)
+    assert np.all(np.abs(got[:, 0] - want[:, 0]) <= 1e-15 * np.abs(want[:, 0]))
+    assert np.all(np.abs(got[:, 5] - want[:, 5]) <= m * 1e-15 * np.abs(want[:, 5]))
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got[:, 1:5] - want[:, 1:5]) <= 1e-15 * scale)
+
+
+def _data(m, lam, n):
+    data = list(taming_data(m, lam, *chart_orbits(n)))
+    return np.array([p for p, *_ in data]), np.array([abd for _, *abd in data])
+
+
+@pytest.mark.parametrize("m,lam", MODELS)
+def test_float_taming_data_match_the_numpy_form(m, lam):
+    # a = c00 and d = c11 read off the 4x4 form, |b| = hypot(w02, w03)
+    pts, abd = _data(m, lam, 9)
+    forms = numpy_chart_form(m, lam)(pts)
+    a, d, b = abd.T
+    assert np.all(np.abs(a - forms[:, 0, 1]) <= 1e-15 * forms[:, 0, 1])
+    assert np.all(np.abs(d - forms[:, 2, 3]) <= m * 1e-15 * forms[:, 2, 3])
+    assert np.all(np.abs(b - np.hypot(forms[:, 0, 2], forms[:, 0, 3])) <= 1e-15 * b)
+    got = np.array([quotient(*row) for row in abd.tolist()])
+    want = taming_quotients(forms, J0)
+    assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_float_quotients_match_an_exact_reference_at_a_large_lambda(m):
+    # lambda = 1e16 scales the u-direction only: a quotient of order 1 next
+    # to an eigenvalue of order 1e16, against the exact smaller eigenvalue of
+    # the numpy form's entries
+    pts, abd = _data(m, 1e16, 8)
+    want = [exact_taming_quotient(w) for w in numpy_chart_form(m, 1e16)(pts)]
+    got = [quotient(*row) for row in abd.tolist()]
+    assert max(abs(Decimal(g) - x) / abs(x) for g, x in zip(got, want)) <= Decimal("8e-16")
+
+
+@pytest.mark.parametrize("m,lam", MODELS)
+def test_area_density_matches_the_numpy_zero_section(m, lam):
+    rho = np.tan(np.linspace(0.0, np.pi / 2.0, 400)[:-1])
+    got = [area_density(m, lam, r * r) for r in rho.tolist()]
+    assert np.array_equal(got, zero_section_density(m, lam, rho))
+
+
+@pytest.mark.parametrize("lam", [0.1, 2.0])
+@pytest.mark.parametrize("m", [2, 3])
+def test_exceptional_area_matches_the_numpy_trapezoid(m, lam):
+    theta = np.linspace(0.0, np.pi / 2.0, 20000)
+    rho = np.tan(theta[:-1])
+    integrand = np.append(2.0 * np.pi * rho * zero_section_density(m, lam, rho) * (1.0 + rho ** 2),
+                          0.0)
+    want = float(np.trapezoid(integrand, theta))
+    assert abs(exceptional_area(m, lam) - want) <= 1e-14 * want
 
 
 def test_transition_is_an_involution_on_the_overlap():
-    pts = np.array([[1.0, 0.5, 0.3, -0.2], [0.8, -0.4, 0.1, 0.6]])
-    image, _ = transition(pts, 3)
-    back, _ = transition(image, 3)
-    assert np.allclose(back, pts, atol=1e-12)
+    for u, v in ((complex(1.0, 0.5), complex(0.3, -0.2)), (complex(0.8, -0.4), complex(0.1, 0.6))):
+        back = transition(*transition(u, v, 3), 3)
+        assert abs(back[0] - u) < 1e-12 and abs(back[1] - v) < 1e-12
+
+
+def _float_transition(points, m):
+    """The image points and real Jacobians of transition, one point at a time."""
+    out = [_realified_jacobian(transition, complex(*p[:2]), complex(*p[2:]), m)
+           for p in np.asarray(points, dtype=float).tolist()]
+    return np.array([image for image, _ in out]), np.array([jac for _, jac in out])
+
+
+# holomorphic maps of C^2 with their real Jacobians
+MAPS = {"transition": lambda p: _float_transition(p, 2),
+        "fiber-power": lambda p: _fiber_power(p, 3)}
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
@@ -46,19 +136,27 @@ def test_transition_jacobian_against_fd(name):
         assert np.allclose(jac[0, :, i], col[0], atol=1e-6)
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_float_transition_matches_the_numpy_map(m):
+    pts = np.array(overlap_probe())
+    image, jac = _float_transition(pts, m)
+    want_image, want_jac = numpy_transition(pts, m)
+    assert np.allclose(image, want_image, rtol=1e-14, atol=0)
+    assert np.allclose(jac, want_jac, rtol=1e-14, atol=1e-14 * np.max(np.abs(want_jac)))
+
+
 def test_the_overlap_probe_spans_the_overlap_annulus():
     # at least 200 points, the same whatever the grid, reaching both ends of
     # |u| in [0.5, 2] and |v| in [0.05, 0.5], and no two alike
-    pts = overlap_probe()
+    pts = np.array(overlap_probe())
     ru, rv = np.hypot(pts[:, 0], pts[:, 1]), np.hypot(pts[:, 2], pts[:, 3])
     assert len(pts) >= 200 and len(np.unique(pts.round(12), axis=0)) == len(pts)
     assert np.allclose([ru.min(), ru.max(), rv.min(), rv.max()], [0.5, 2.0, 0.05, 0.5])
 
 
-def test_chart_grid_avoids_fiber_origin():
-    pts = chart_grid(8, v_min=0.05)
-    t = pts[:, 2] ** 2 + pts[:, 3] ** 2
-    assert np.all(t >= 0.05 ** 2 - 1e-15)
+def test_chart_orbits_avoid_the_fiber_origin():
+    _, tails = chart_orbits(8, v_min=0.05)
+    assert min(tails) >= 0.05 ** 2 and all(x * x + y * y == t for t, (x, y) in tails.items())
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 2.0])
@@ -84,17 +182,17 @@ def test_blowup_gates_are_relative_to_lambda(m, lam):
 
 
 def test_a_wrong_chart_transition_fails_the_report(monkeypatch):
-    monkeypatch.setattr(blowup, "transition", lambda points, m: holomorphic_map(
-        lambda u, v: (1 / u, u ** (m + 1) * v), points))
+    monkeypatch.setattr(blowup, "transition", lambda u, v, m: (1 / u, u ** (m + 1) * v))
     report = blowup_model_check(2, 0.1, grid_n=6)
     assert report.ok is False and report.overlap_max_diff > 1e-8
     assert report.certificate.tame and report.closedness_residual <= 1e-5
 
 
 def test_the_area_is_read_off_the_chart_potential(monkeypatch):
-    # 2 lambda log(1+|u|^2) gives the zero section the area 2 lambda pi, so
-    # the report, which expects lambda pi, must fail
-    monkeypatch.setattr(blowup, "log1p", lambda x: 2 * jet.log1p(x))
+    # the rule of 2 log1p gives the potential 2 lambda log(1+|u|^2) and the
+    # zero section the area 2 lambda pi, so the report, which expects
+    # lambda pi, must fail
+    monkeypatch.setattr(blowup, "log1p_rule", lambda x: tuple(2.0 * d for d in jet.log1p_rule(x)))
     report = blowup_model_check(2, 0.1, grid_n=8)
     assert abs(report.area - 2 * 0.1 * np.pi) < 1e-8
     assert report.ok is False
@@ -107,6 +205,18 @@ def test_blowup_model_check_rejects_bad_parameters():
         blowup_model_check(2, 0.0)
 
 
+@pytest.mark.parametrize("m,lam", [(300, 0.1), (2, 1e307), (2, 1e308)])
+def test_an_overflowing_model_is_refused_naming_m_and_lambda(m, lam):
+    # m = 300 overflows T'' on the overlap, lambda = 1e307 the potential on
+    # the zero section and lambda = 1e308 the expected area lambda pi
+    with pytest.raises(ValueError, match=re.escape(f"m={m}, lambda={lam}")):
+        blowup_model_check(m, lam, grid_n=4)
+
+
+def test_a_lambda_just_below_overflow_is_certified():
+    assert blowup_model_check(2, 5e306, grid_n=4).ok
+
+
 @pytest.mark.parametrize("n", range(18, 25))
 @pytest.mark.parametrize("m", [2, 3])
 def test_blowup_closedness_check_does_not_depend_on_the_grid(m, n):
@@ -115,14 +225,26 @@ def test_blowup_closedness_check_does_not_depend_on_the_grid(m, n):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_closedness_residual_rejects_a_non_closed_form(m):
-    omega = chart_form(m, 0.1)
+    form = chart_form(m, 0.1)
 
-    def perturbed(points):
+    def perturbed(point):
         # the dy1 ^ dx2 coefficient scaled by (1 + 0.001 x1): d(omega) != 0
-        w = omega(points).copy()
-        f = 1.0 + 0.001 * np.asarray(points)[..., 0]
-        w[..., 1, 2] *= f
-        w[..., 2, 1] *= f
+        w = list(form(point))
+        w[PAIRS.index((1, 2))] *= 1.0 + 0.001 * point[0]
         return w
 
-    assert closedness_residual(omega) <= 1e-5 < closedness_residual(perturbed)
+    assert closedness_residual(form) <= 1e-5 < closedness_residual(perturbed)
+
+
+def test_closedness_residual_matches_the_numpy_finite_differences():
+    # the same 800 probes and step as exterior_derivative_fd over arrays
+    from fd_oracles import exterior_derivative_fd
+    heads = np.linspace(-1.2, 1.2, 5)
+    theta = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    ring = [(x, y, 0.05 * math.cos(a), 0.05 * math.sin(a))
+            for x in heads for y in heads for a in theta]
+    probes = np.concatenate([chart_grid(5), np.array(ring)])
+    assert len(probes) == 800
+    for m in (2, 3, 5):
+        want = exterior_derivative_fd(numpy_chart_form(m, 0.1), probes, h=1e-5)
+        assert abs(closedness_residual(chart_form(m, 0.1)) - want) <= 1e-4 * want

@@ -206,9 +206,7 @@ def test_verify_blowup(capsys):
 
 def test_verify_blowup_failure_prints_the_full_report(capsys, monkeypatch):
     from orbifold4.sympverify import blowup
-    from orbifold4.sympverify.linear import holomorphic_map
-    monkeypatch.setattr(blowup, "transition", lambda points, m: holomorphic_map(
-        lambda u, v: (1 / u, u ** (m + 1) * v), points))
+    monkeypatch.setattr(blowup, "transition", lambda u, v, m: (1 / u, u ** (m + 1) * v))
     code, out, err = run(capsys, "verify", "blowup", "--grid", "6", "--json")
     assert code == 4 and err == ""
     payload = json.loads(out)
@@ -301,6 +299,12 @@ def test_spec_file_round_trip(capsys, tmp_path):
     ("verify", "gluing", "--a", "1e-150", "--grid", "15"),
     ("verify", "gluing", "--a", "1e-150", "--grid", "16"),
     ("verify", "gluing", "--a", "1e-300"),
+    # refused before any grid is built: a list or an array of 10^8 points
+    # would not fit in memory
+    ("verify", "blowup", "--grid", "100000000"),
+    ("verify", "gluing", "--grid", "100000000"),
+    ("verify", "tameness", "--model", "flat", "--grid", "100000000"),
+    ("verify", "blowup", "--grid", "101"),
 ])
 def test_invalid_input_exits_2_with_error_line(capsys, argv):
     code, out, err = run(capsys, *argv, "--json")
@@ -552,7 +556,21 @@ def test_a_lambda_that_overflows_the_blowup_model_is_refused(capsys):
         warnings.simplefilter("always")
         code, out, err = run(capsys, "verify", "blowup", "--lam", "1e308", "--grid", "4", "--json")
     assert code == 2 and out == "" and not caught
-    assert err.startswith("error: lambda=1e+308 overflows the blow-up model") and err.count("\n") == 1
+    assert err.startswith("error: the blow-up model overflows a double at m=2, lambda=1e+308")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,m,lam", [
+    (("--m", "300"), 300, "0.1"),
+    (("--lam", "1e307"), 2, "1e+307"),
+], ids=["m", "lambda"])
+def test_an_overflow_refusal_names_m_and_lambda(capsys, argv, m, lam):
+    # m = 300 overflows T'' = p(p - 1) t^(p - 2) at the overlap's tiny
+    # |u^m v|^2, lambda = 1e307 the potential lambda log1p(s) on the zero
+    # section; the refusal cannot tell which parameter to blame
+    code, out, err = run(capsys, "verify", "blowup", *argv, "--grid", "4", "--json")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: the blow-up model overflows a double at m={m}, lambda={lam}:")
 
 
 def test_a_large_lambda_below_overflow_is_certified(capsys):

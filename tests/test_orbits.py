@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fd_oracles import ball_grid, dr_beta
+from fd_oracles import ball_grid, chart_grid, dr_beta, numpy_chart_form
 from orbifold4.cli import main
 from orbifold4.sympverify import LocalModel, eval_omega_a
-from orbifold4.sympverify.blowup import blowup_model_check, chart_form, chart_grid, chart_orbits
+from orbifold4.sympverify.blowup import blowup_model_check, chart_orbits
 from orbifold4.sympverify.fixtures import pipeline_problem
 from orbifold4.sympverify.forms import ball_orbits, cube_grid, glue_forms, tameness_min
 from orbifold4.sympverify.linear import J0
@@ -25,6 +25,12 @@ def _cube(n):
     return samples, cube_grid(ax, ax, ax, ax)
 
 
+def _chart(n):
+    heads, tails = chart_orbits(n)
+    samples = np.array([u + v for u in heads.values() for v in tails.values()])
+    return samples, chart_grid(n)
+
+
 def _ball(radius, inner):
     return lambda n: (ball_orbits(radius, n, inner), ball_grid(radius, n, inner))
 
@@ -33,7 +39,7 @@ def _ball(radius, inner):
 # which glue_forms checks omega1, sizes delta and certifies the glued form
 REGIONS = {
     "cube": _cube,
-    "chart": lambda n: (chart_orbits(n), chart_grid(n)),
+    "chart": _chart,
     "inner-ball": _ball(PROBLEM.eps1 * 0.999, 0.0),
     "middle-annulus": _ball(PROBLEM.eps2, PROBLEM.eps1),
     "outer-annulus": _ball(PROBLEM.eps3, PROBLEM.eps2 * (1 + 1e-9)),
@@ -75,8 +81,8 @@ CERTIFICATES = {
     "flat": (_model(), _cube),
     "connection": (_model(**CONNECTION), _cube),
     "connection-resolved": (_model(resolved=True, **CONNECTION), _cube),
-    "blowup-m2": (chart_form(2, 0.1), REGIONS["chart"]),
-    "blowup-m3": (chart_form(3, 0.4322), REGIONS["chart"]),
+    "blowup-m2": (numpy_chart_form(2, 0.1), REGIONS["chart"]),
+    "blowup-m3": (numpy_chart_form(3, 0.4322), REGIONS["chart"]),
 }
 
 
@@ -93,6 +99,19 @@ def test_orbit_certificate_matches_the_whole_grid(kind, n):
     got = tameness_min(form, J0, samples)
     assert got.orbits == len(samples) < len(grid)
     _assert_same_certificate(got, tameness_min(form, J0, grid))
+
+
+@pytest.mark.parametrize("n", [6, 9, 12, 20])
+@pytest.mark.parametrize("m,lam", [(2, 0.1), (3, 0.4322), (5, 1e8), (3, 1e16)])
+def test_float_blowup_certificate_matches_the_numpy_forms_on_the_whole_grid(m, lam, n):
+    # the float certificate over the orbits against the numpy path's 4x4
+    # forms over every point of the chart grid
+    got = blowup_model_check(m, lam, grid_n=n).certificate
+    grid = chart_grid(n)
+    want = tameness_min(numpy_chart_form(m, lam), J0, grid)
+    assert got.orbits == len(REGIONS["chart"](n)[0]) < len(grid)
+    assert got.tame == want.tame
+    _assert_same_certificate(got, want)
 
 
 @pytest.mark.parametrize("n", range(6, 13))

@@ -1,19 +1,18 @@
 """Finite-difference Kähler calculus and tameness certification."""
 
 import tracemalloc
-from decimal import Decimal, localcontext
-from fractions import Fraction
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from fd_oracles import ball_grid, complex_hessian_fd, ddbar_fd
+from fd_oracles import (ball_grid, chart_grid, complex_hessian_fd, ddbar_fd,
+                        exact_taming_quotient, exterior_derivative_fd, numpy_chart_form)
 from orbifold4.sympverify import (LocalModel, NotAlmostComplexError,
-                                  exterior_derivative_fd, form_from_hermitian,
+                                  form_from_hermitian,
                                   eval_omega_a, glue_forms, h_ramp,
                                   rho_bump, taming_quotients, tameness_min)
-from orbifold4.sympverify.blowup import (blowup_model_check, chart_form, chart_grid,
-                                        exceptional_area)
+from orbifold4.sympverify.blowup import blowup_model_check, exceptional_area
 from orbifold4.sympverify.fixtures import pipeline_problem
 from orbifold4.sympverify.forms import CHUNK, blockwise, cube_grid, invariant_potential_form
 from orbifold4.sympverify.linear import OMEGA0, J0
@@ -336,27 +335,14 @@ def test_taming_quotients_match_eigvalsh(structure, kind, scale):
     assert np.all(np.abs(closed - reference) <= bound)
 
 
-def _exact_taming_quotient(w) -> Decimal:
-    """The smaller eigenvalue of [[alpha, beta], [conj(beta), delta]] for J0,
-    from the entries of w read as exact rationals, to 40 digits."""
-    e = {(i, j): Fraction(float(w[i, j])) for i in range(4) for j in range(i + 1, 4)}
-    trace = e[0, 1] + e[2, 3]
-    det = e[0, 1] * e[2, 3] - ((e[0, 2] + e[1, 3]) ** 2 + (e[0, 3] - e[1, 2]) ** 2) / 4
-    with localcontext() as ctx:
-        ctx.prec = 40
-        dec = [Decimal(q.numerator) / Decimal(q.denominator) for q in (trace, det)]
-        root = (dec[0] * dec[0] - 4 * dec[1]).sqrt()
-        return 2 * dec[1] / (dec[0] + root) if dec[0] > 0 else (dec[0] - root) / 2
-
-
 @pytest.mark.parametrize("lam", [1.0, 1e8, 1e12, 1e16])
 @pytest.mark.parametrize("m", [2, 3])
 def test_taming_quotients_match_an_exact_reference(m, lam):
     # lambda scales the u-direction only: a quotient of order 1 next to an
     # eigenvalue of order lambda, which (alpha + delta)/2 - hypot(...) loses
-    forms = chart_form(m, lam)(chart_grid(8))
+    forms = numpy_chart_form(m, lam)(chart_grid(8))
     got = taming_quotients(forms, J0)
-    want = [_exact_taming_quotient(w) for w in forms]
+    want = [exact_taming_quotient(w) for w in forms]
     assert max(abs(Decimal(float(g)) - x) / abs(x) for g, x in zip(got, want)) <= Decimal("1e-14")
     assert blowup_model_check(m, lam, grid_n=8).certificate.tame
 
@@ -387,7 +373,7 @@ def test_tameness_min_takes_no_eigendecomposition(monkeypatch):
 
     for name in ("eigvalsh", "eigh", "eig", "eigvals", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    blowup = tameness_min(chart_form(2, 1.0), J0, chart_grid(6))
+    blowup = tameness_min(numpy_chart_form(2, 1.0), J0, chart_grid(6))
     model = LocalModel(m=2, a=0.1)
     ax = np.linspace(-model.delta2, model.delta2, 6)
     flat = tameness_min(lambda q: eval_omega_a(model, q), J0, cube_grid(ax, ax, ax, ax))
@@ -406,7 +392,7 @@ def _form_outputs():
         "eval_omega_a": eval_omega_a(model, pts),
         "eval_omega_a-resolved": eval_omega_a(model, pts, resolved=True),
         "form_from_hermitian": form_from_hermitian(coeff + np.conj(np.swapaxes(coeff, -1, -2))),
-        "chart_form": chart_form(2, 0.7)(chart_grid(5)),
+        "chart_form": numpy_chart_form(2, 0.7)(chart_grid(5)),
         "glued": glued(ball_grid(1.0, 8, inner=1e-6)),
     }
 

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from fd_oracles import exterior_derivative_fd
 from orbifold4.sympverify import (LocalModel, OutOfDomainError,
-                                  eval_omega_a, exterior_derivative_fd,
+                                  eval_omega_a,
                                   pushforward_check, sample_points,
                                   tameness_min)
 from orbifold4.sympverify.forms import cube_grid

@@ -23,14 +23,14 @@ def _form(a, d, b):
     return antisymmetric(a, 0.0, b, -b, 0.0, d)
 
 
-def _triples(rng, n):
-    """Random (a, d, b) with magnitudes from 1e-300 to 1e300, each sign of a
+def _triples(rng, n, top=300.0):
+    """Random (a, d, b) with magnitudes from 10^-top to 10^top, each sign of a
     and d, and a + d <= 0 for about half of them."""
     def magnitude():
-        return 10.0 ** rng.uniform(-300.0, 300.0) * rng.choice((-1.0, 1.0))
+        return 10.0 ** rng.uniform(-top, top) * rng.choice((-1.0, 1.0))
     out = []
     for _ in range(n):
-        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        scale = 10.0 ** rng.uniform(-top, top)
         a, d = scale * rng.uniform(-1.0, 1.0), scale * rng.uniform(-1.0, 1.0)
         b = abs(scale * rng.uniform(0.0, 1.0))
         out.append((a, d, b) if rng.random() < 0.7 else (magnitude(), magnitude(), b))
@@ -48,9 +48,16 @@ SPECIAL = [
 ]
 
 
+# the ends of quotient's unscaled range [2^-100, 2^100], and a step outside
+EDGES = [2.0 ** -100, np.nextafter(2.0 ** -100, 0.0), 2.0 ** 100, np.nextafter(2.0 ** 100, 3.0)]
+
+
 def test_quotient_matches_taming_quotients():
-    # bit for bit, but where taming_quotients rounds half a subnormal d
-    triples = SPECIAL + _triples(random.Random(7), 20000)
+    # bit for bit, but where taming_quotients rounds half a subnormal d; the
+    # second draw lies mostly in the range where quotient does not rescale
+    rng = random.Random(7)
+    edges = [(x, y, z) for x in EDGES for y in (1.0, -1.0, 2.0 ** -100) for z in EDGES]
+    triples = SPECIAL + edges + _triples(rng, 20000) + _triples(rng, 20000, top=31.0)
     with np.errstate(all="ignore"):  # the non-finite inputs
         want = taming_quotients(np.array([_form(*t) for t in triples]), J0).tolist()
     for (a, d, b), w in zip(triples, want):

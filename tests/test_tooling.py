@@ -90,7 +90,7 @@ def test_verify_commands_load_none_of_the_exact_half(argv):
 
 
 TAMENESS_MODULES = {"taming", "localmodel", "profiles", "jet"}
-ARRAY_MODULES = {"forms", "taming", "jet", "linear"}
+GLUING_MODULES = {"forms", "taming", "jet", "linear", "fixtures", "profiles"}
 
 
 @pytest.mark.parametrize("argv,modules", [
@@ -100,20 +100,21 @@ ARRAY_MODULES = {"forms", "taming", "jet", "linear"}
     (("verify", "tameness", "--model", str(ROOT / "docs" / "examples" / "model.json")),
      TAMENESS_MODULES),
     (("verify", "tameness", "--model", "degenerate-fixture"), {"taming"}),
-    (("verify", "gluing", "--grid", "8"), ARRAY_MODULES | {"fixtures", "profiles"}),
-    (("verify", "blowup", "--grid", "4"), ARRAY_MODULES | {"blowup"}),
+    (("verify", "gluing", "--grid", "8"), GLUING_MODULES),
+    (("verify", "blowup", "--grid", "4"), {"taming", "jet", "blowup"}),
 ], ids=["tameness-flat", "tameness-resolved", "tameness-model", "tameness-degenerate",
         "gluing", "blowup"])
 def test_verify_commands_load_only_what_they_run(argv, modules):
     # sympverify resolves its names lazily: a verify job compiles only the
     # submodules it runs (never pushforward, which no command calls), draws
     # no random points and builds its records without the dataclass
-    # generator; the local model's certificate runs in floats, without numpy
+    # generator; the local model's and the blow-up model's certificates run
+    # in floats, without numpy
     loaded = _loaded_modules(argv)
     assert {m for m in loaded if m.startswith("orbifold4.sympverify.")} == {
         f"orbifold4.sympverify.{name}" for name in modules}
     assert loaded & {"numpy.random", "dataclasses", "orbifold4.sympverify.pushforward"} == set()
-    assert ("numpy" in loaded) == ("tameness" not in argv)
+    assert ("numpy" in loaded) == ("gluing" in argv)
 
 
 def test_singularity_resolve_loads_only_integer_code():
@@ -145,16 +146,16 @@ def test_every_public_name_still_imports_from_the_package():
 
 # the names `orbifold4.sympverify` exported when its __init__ imported them
 # eagerly, but for the references that moved to the tests (the
-# finite-difference oracles and ball_grid), radial_potential_form, which
-# only tests called, and eval_omega0, which was eval_omega_a at a = 0
+# finite-difference oracles, exterior_derivative_fd, ball_grid, and the
+# blow-up's numpy chart_potential and chart_grid), radial_potential_form,
+# which only tests called, and eval_omega0, which was eval_omega_a at a = 0
 SYMPVERIFY_NAMES = """
     RadialProfile f_smoothing f_resolved h_ramp rho_bump H_cutoff identity_profile
     LocalModel OutOfDomainError eval_omega_a
     TamenessCertificate GluingProblem NotAlmostComplexError PreconditionFailure
-    exterior_derivative_fd form_from_hermitian glue_forms taming_quotients tameness_min
+    form_from_hermitian glue_forms taming_quotients tameness_min
     PushforwardReport pushforward_check sample_points
-    BlowupReport blowup_model_check chart_form chart_potential chart_grid
-    exceptional_area transition
+    BlowupReport blowup_model_check chart_form exceptional_area transition
 """.split()
 
 
@@ -222,22 +223,29 @@ def test_tracer_counts_scalars_on_exact_commands(tmp_path):
 
 
 def test_tracer_counts_every_point_of_a_blockwise_grid(tmp_path, capsys):
-    # the blow-up certificate evaluates one sample per orbit of its two 16^4
-    # chart grids, in CHUNK-point blocks; the benchmark's point counter must
-    # add up to exactly the samples the certificate counts
+    # the gluing, the one command that still calls tameness_min, certifies
+    # one sample per orbit of its middle annulus, its outer annulus and its
+    # ball on the 20^4 grid, in CHUNK-point blocks; the benchmark's point
+    # counter must add up to exactly the samples of the three certificates
     from orbifold4.cli import main
-    from orbifold4.sympverify.forms import CHUNK
-    argv = ("verify", "blowup", "--grid", "16")
+    from orbifold4.sympverify.fixtures import pipeline_problem
+    from orbifold4.sympverify.forms import CHUNK, ball_orbits
+    argv = ("verify", "gluing", "--grid", "20")
     counts = _trace(tmp_path, argv)["counts"]
     assert main([*argv, "--json"]) == 0
     orbits = json.loads(capsys.readouterr().out)["results"]["certificate"]["orbits"]
-    assert 2 * CHUNK < orbits < 2 * 16 ** 4
-    assert counts["points.tameness_min"] == orbits
+    e1, e2, e3 = pipeline_problem()[:3]
+    annuli = len(ball_orbits(e2, 20, inner=e1)) + len(ball_orbits(e3, 20, inner=e2 * (1 + 1e-9)))
+    assert 2 * CHUNK < orbits < 20 ** 4
+    assert counts["points.tameness_min"] == annuli + orbits
 
 
 @pytest.mark.parametrize("argv,code", [
     (("verify", "blowup", "--grid", "4"), 0),
     (("verify", "blowup", "--m", "3", "--lam", "0.4322", "--grid", "6"), 0),
+    (("verify", "blowup", "--lam", "5e306", "--grid", "4"), 0),
+    # T'' overflows on the overlap: refused, naming m and lambda
+    (("verify", "blowup", "--m", "300", "--grid", "4"), 2),
     (("verify", "tameness", "--model", "flat", "--grid", "4"), 0),
     (("verify", "tameness", "--model", "flat", "--grid", "4", "--resolved"), 0),
     (("verify", "tameness", "--model", "flat", "--grid", "4", "--a", "0"), 0),
@@ -252,12 +260,17 @@ def test_tracer_counts_every_point_of_a_blockwise_grid(tmp_path, capsys):
 ])
 def test_verify_commands_write_no_warnings(argv, code, tmp_path):
     # under -W error a numpy or Python warning becomes a traceback on stderr;
-    # a sample whose taming data float arithmetic cannot compute reads NaN
+    # a sample whose taming data float arithmetic cannot compute reads NaN,
+    # and a refusal writes one error line and no report
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"m": 8, "a": 0.1, "delta0": 1e60, "delta2": 1e50}))
     argv = [str(huge) if arg == "{huge}" else arg for arg in argv]
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "orbifold4.cli", *argv, "--json"],
                           env=env, capture_output=True, text=True)
+    if code == 2:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        return
     assert (proc.returncode, proc.stderr) == (code, "")
     assert json.loads(proc.stdout)["exit_status"] == code
