@@ -14,16 +14,19 @@ form, scaled by lambda.  In s = |u|^2 and t = |v|^2 the potential is
 phi = T(t) (1 + s) + lambda L(s), with the 1-D pieces T(t) = t^(1/m) and
 L = log1p, and its complex Hessian (see forms.invariant_potential_form) is
 
-    c00 = phi_s + s phi_ss = T + lambda L' + s lambda L'',
+    c00 = phi_s + s phi_ss = T + (lambda L' + s lambda L''),
     c11 = phi_t + t phi_tt = T' (1 + s) + t T'' (1 + s),
     c01 = conj(u) v phi_st = conj(u) v T'.
 
-T' and T'' come from `jet.power_rule`, L' and L'' from `jet.log1p_rule`,
-each evaluated once per distinct t or s.  The taming data of an orbit are
-a = c00, d = c11 and |b| = sqrt(s t) |T'|; the closedness and overlap
-cross-checks read the form's six entries above the diagonal.  Grids avoid
-v = 0, where the pulled-back quotient form is continuous but not smooth for
-m >= 2; the area of the zero section integrates c00 at t = 0, where T = 0.
+`_fibre` evaluates T, T' and T'' at one t (`jet.power_rule`), `_base`
+lambda L' + s lambda L'' at one s (`jet.log1p_rule`), and `_entries`
+combines them into c00 and c11, so the certificate and the closedness and
+overlap cross-checks read one formula.  The taming data of an orbit are
+a = c00, d = c11 and |b| = sqrt(s t) |T'|, each piece evaluated once per
+distinct t or s; the cross-checks read the form's six entries above the
+diagonal.  Grids avoid v = 0, where the pulled-back quotient form is
+continuous but not smooth for m >= 2; the area of the zero section
+integrates c00 at t = 0, where T = 0, so c00 is _base alone.
 """
 
 from __future__ import annotations
@@ -35,10 +38,31 @@ from .jet import Jet, log1p_rule, power_rule
 from .taming import certify, circles, linspace, quotient
 
 # the entries (k, l), k < l, of a 2-form above the diagonal, in the order of
-# the tuples chart_form returns; d(omega) has one component per k < l < n
+# the tuples chart_form returns
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_ENTRY = {pair: i for i, pair in enumerate(PAIRS)}
-_TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+# d(omega) has one component per k < l < n, d_k omega_ln - d_l omega_kn +
+# d_n omega_kl: each term as (direction, entry)
+_TERMS = tuple(((k, PAIRS.index((l, n))), (l, PAIRS.index((k, n))), (n, PAIRS.index((k, l))))
+               for k, l, n in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+
+
+def _fibre(t: float, p: float):
+    """T, T' and T'' at t = |v|^2, with T(t) = t^p."""
+    d1, d2 = power_rule(t, p)
+    return t ** p, d1, d2
+
+
+def _base(s: float, lam: float) -> float:
+    """lambda L' + s lambda L'' at s = |u|^2, with L = log1p: the part of
+    c00 that depends on s alone, and all of c00 at t = 0, where T = 0."""
+    l1, l2 = log1p_rule(s)
+    return lam * l1 + s * (lam * l2)
+
+
+def _entries(one_s: float, t: float, base: float, fibre):
+    """(c00, c11) at one (s, t), from 1 + s, t, _base(s) and _fibre(t)."""
+    tp, d1, d2 = fibre
+    return tp + base, d1 * one_s + t * (d2 * one_s)
 
 
 def chart_form(m: int, lam: float):
@@ -51,12 +75,10 @@ def chart_form(m: int, lam: float):
     def form(point):
         x1, y1, x2, y2 = point
         s, t = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
-        d1, d2 = power_rule(t, p)
-        l1, l2 = log1p_rule(s)
-        one_s = 1.0 + s
-        re, im = (x1 * x2 + y1 * y2) * d1, (x1 * y2 - y1 * x2) * d1
-        return ((t ** p + lam * l1) + s * (lam * l2), -im, re, -re, -im,
-                d1 * one_s + t * (d2 * one_s))
+        fibre = _fibre(t, p)
+        c00, c11 = _entries(1.0 + s, t, _base(s, lam), fibre)
+        re, im = (x1 * x2 + y1 * y2) * fibre[1], (x1 * y2 - y1 * x2) * fibre[1]
+        return c00, -im, re, -re, -im, c11
     return form
 
 
@@ -65,12 +87,12 @@ def transition(u, v, m: int):
     return 1 / u, u ** m * v
 
 
-def _realified_jacobian(f, z: complex, w: complex, m: int):
-    """f(z, w, m) as a point (x1, y1, x2, y2) and the real 4x4 Jacobian of
-    the holomorphic map (z, w) -> f(z, w, m), from one complex float jet per
-    variable: a complex derivative a + ib is the block [[a, -b], [b, a]]."""
-    by_z = f(Jet.float_variable(z), w, m)
-    by_w = f(z, Jet.float_variable(w), m)
+def _realified_jacobian(z: complex, w: complex, m: int):
+    """transition(z, w, m) as a point (x1, y1, x2, y2) and its real 4x4
+    Jacobian, from one complex float jet per variable: a complex derivative
+    a + ib is the block [[a, -b], [b, a]]."""
+    by_z = transition(Jet.float_variable(z), w, m)
+    by_w = transition(z, Jet.float_variable(w), m)
     values = [c.value if isinstance(c, Jet) else c for c in by_z]
     grad = [[c.grad if isinstance(c, Jet) else 0.0 for c in col] for col in (by_z, by_w)]
     jac = [[0.0] * 4 for _ in range(4)]
@@ -113,22 +135,21 @@ def chart_orbits(n: int, u_max: float = 1.2, v_min: float = 0.05, v_max: float =
 
 def taming_data(m: int, lam: float, heads: dict, tails: dict):
     """(point, a, d, |b|) of the chart form per orbit, head-major over the
-    circles of chart_orbits: T's pieces once per v circle, L's once per u
+    circles of chart_orbits: _fibre once per v circle, _base once per u
     circle."""
-    p = 1.0 / m
-    fibre = []
+    p, fibres = 1.0 / m, []
     for t, v in tails.items():
-        d1, d2 = power_rule(t, p)
-        fibre.append((v, t, t ** p, d1, d2, math.sqrt(t) * abs(d1)))
+        fibre = _fibre(t, p)
+        fibres.append((v, t, fibre, math.sqrt(t) * abs(fibre[1])))
     for s, u in heads.items():
-        l1, l2 = log1p_rule(s)
-        base, curve, one_s, root = lam * l1, s * (lam * l2), 1.0 + s, math.sqrt(s)
-        for v, t, tp, d1, d2, b in fibre:
-            yield u + v, (tp + base) + curve, d1 * one_s + t * (d2 * one_s), root * b
+        one_s, base, root = 1.0 + s, _base(s, lam), math.sqrt(s)
+        for v, t, fibre, b in fibres:
+            a, d = _entries(one_s, t, base, fibre)
+            yield u + v, a, d, root * b
 
 
-def closedness_residual(form, h: float = 1e-5) -> float:
-    """Max component of d(omega) by central differences with step h at probe
+def closedness_residual(form) -> float:
+    """Max component of d(omega) by central differences with step 1e-5 at probe
     points fixed whatever the certification grid: the 5^4 chart grid with
     |v| >= 0.05 plus 8 points on |v| = 0.05, where derivatives peak, above
     each of its u.  form maps a point to the six entries above the diagonal."""
@@ -138,7 +159,7 @@ def closedness_residual(form, h: float = 1e-5) -> float:
     step = 2.0 * math.pi / 8
     ring = [(x1, y1, 0.05 * math.cos(k * step), 0.05 * math.sin(k * step))
             for x1 in heads for y1 in heads for k in range(8)]
-    two_h, residuals = 2.0 * h, []
+    h, two_h, residuals = 1e-5, 2e-5, []
     for point in grid + ring:
         grad = []
         for i in range(4):
@@ -146,9 +167,8 @@ def closedness_residual(form, h: float = 1e-5) -> float:
             plus[i] += h
             minus[i] -= h
             grad.append([(a - b) / two_h for a, b in zip(form(plus), form(minus))])
-        # d(omega)_kln = d_k omega_ln - d_l omega_kn + d_n omega_kl
-        residuals += [grad[k][_ENTRY[l, n]] - grad[l][_ENTRY[k, n]] + grad[n][_ENTRY[k, l]]
-                      for k, l, n in _TRIPLES]
+        residuals += [grad[i][a] - grad[j][b] + grad[k][c]
+                      for (i, a), (j, b), (k, c) in _TERMS]
     return _largest(residuals)
 
 
@@ -168,23 +188,16 @@ def overlap_max_diff(form, m: int) -> float:
     the chart form, over overlap_probe: the two charts' forms agree."""
     diffs = []
     for point in overlap_probe():
-        image, jac = _realified_jacobian(transition, complex(*point[:2]), complex(*point[2:]), m)
+        image, jac = _realified_jacobian(complex(*point[:2]), complex(*point[2:]), m)
         diffs += [a - b for a, b in zip(_pullback(jac, form(image)), form(point))]
     return _largest(diffs)
 
 
-def area_density(m: int, lam: float, s: float) -> float:
-    """c00 on the zero section, at s = |u|^2: T(0) + lambda L'(s) +
-    s lambda L''(s), with T(0) = 0^(1/m) = 0."""
-    l1, l2 = log1p_rule(s)
-    return (0.0 ** (1.0 / m) + lam * l1) + s * (lam * l2)
-
-
-def exceptional_area(m: int, lam: float, n: int = 20000) -> float:
+def exceptional_area(lam: float, n: int = 20000) -> float:
     """Area of the form restricted to the zero section, by radial quadrature.
 
-    The density is area_density at s = rho^2, the zero section's point
-    (rho, 0, 0, 0).  The radial integral is compactified by rho = tan(theta)
+    The density is c00 at the zero section's point (rho, 0, 0, 0), where
+    T = 0: _base at s = rho^2.  The radial integral is compactified by rho = tan(theta)
     and summed by the trapezoid rule in theta: math.fsum of np.trapezoid's
     terms.  The potential grows with s, and of the points a report samples
     it is largest here, at the last radius, where it is lambda log1p(s); an
@@ -194,7 +207,7 @@ def exceptional_area(m: int, lam: float, n: int = 20000) -> float:
     for th in theta[:-1]:
         rho = math.tan(th)
         s = rho * rho
-        y.append(two_pi * rho * area_density(m, lam, s) * (1.0 + s))
+        y.append(two_pi * rho * _base(s, lam) * (1.0 + s))
     if not math.isfinite(lam * math.log1p(s)):
         raise OverflowError("the potential overflows on the zero section")
     y.append(0.0)  # rho -> inf limit
@@ -248,7 +261,7 @@ def blowup_model_check(m: int, lam: float, grid_n: int = 12) -> BlowupReport:
                        region=f"two charts, |u|<=1.2, 0.05<=|v|<=0.8 (m={m}, lambda={lam})",
                        grid=f"{grid_n}^4 per chart, v=0 excluded")
         report = BlowupReport(cert, closedness_residual(form), overlap_max_diff(form, m),
-                              exceptional_area(m, lam), lam)
+                              exceptional_area(lam), lam)
     except ArithmeticError as exc:  # a power's OverflowError carries (errno, message)
         raise ValueError(f"{refusal}: {exc.args[-1]}") from None
     numbers = (cert.min_quotient, report.closedness_residual, report.overlap_max_diff,

@@ -12,10 +12,10 @@ import pytest
 from fd_oracles import (chart_grid, chart_potential, ddbar_fd, exact_taming_quotient,
                         numpy_chart_form, numpy_transition, zero_section_density)
 from orbifold4.sympverify import blowup, jet
-from orbifold4.sympverify.blowup import (PAIRS, _realified_jacobian, area_density,
-                                         blowup_model_check, chart_form, chart_orbits,
-                                         closedness_residual, exceptional_area, overlap_probe,
-                                         taming_data, transition)
+from orbifold4.sympverify.blowup import (PAIRS, _base, _realified_jacobian, blowup_model_check,
+                                         chart_form, chart_orbits, closedness_residual,
+                                         exceptional_area, overlap_probe, taming_data,
+                                         transition)
 from orbifold4.sympverify.forms import taming_quotients
 from orbifold4.sympverify.linear import J0
 from orbifold4.sympverify.pushforward import _fiber_power
@@ -87,8 +87,9 @@ def test_float_quotients_match_an_exact_reference_at_a_large_lambda(m):
 
 @pytest.mark.parametrize("m,lam", MODELS)
 def test_area_density_matches_the_numpy_zero_section(m, lam):
+    # the density is c00 at t = 0, where T = 0: the base piece alone
     rho = np.tan(np.linspace(0.0, np.pi / 2.0, 400)[:-1])
-    got = [area_density(m, lam, r * r) for r in rho.tolist()]
+    got = [_base(r * r, lam) for r in rho.tolist()]
     assert np.array_equal(got, zero_section_density(m, lam, rho))
 
 
@@ -100,7 +101,7 @@ def test_exceptional_area_matches_the_numpy_trapezoid(m, lam):
     integrand = np.append(2.0 * np.pi * rho * zero_section_density(m, lam, rho) * (1.0 + rho ** 2),
                           0.0)
     want = float(np.trapezoid(integrand, theta))
-    assert abs(exceptional_area(m, lam) - want) <= 1e-14 * want
+    assert abs(exceptional_area(lam) - want) <= 1e-14 * want
 
 
 def test_transition_is_an_involution_on_the_overlap():
@@ -111,7 +112,7 @@ def test_transition_is_an_involution_on_the_overlap():
 
 def _float_transition(points, m):
     """The image points and real Jacobians of transition, one point at a time."""
-    out = [_realified_jacobian(transition, complex(*p[:2]), complex(*p[2:]), m)
+    out = [_realified_jacobian(complex(*p[:2]), complex(*p[2:]), m)
            for p in np.asarray(points, dtype=float).tolist()]
     return np.array([image for image, _ in out]), np.array([jac for _, jac in out])
 
@@ -161,7 +162,7 @@ def test_chart_orbits_avoid_the_fiber_origin():
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 2.0])
 def test_exceptional_area_is_lambda_pi(lam):
-    assert abs(exceptional_area(2, lam) - lam * np.pi) < 1e-8 * max(1.0, lam)
+    assert abs(exceptional_area(lam) - lam * np.pi) < 1e-8 * max(1.0, lam)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -186,6 +187,18 @@ def test_a_wrong_chart_transition_fails_the_report(monkeypatch):
     report = blowup_model_check(2, 0.1, grid_n=6)
     assert report.ok is False and report.overlap_max_diff > 1e-8
     assert report.certificate.tame and report.closedness_residual <= 1e-5
+
+
+def test_the_certificate_and_the_cross_checks_read_one_formula(monkeypatch):
+    # c11 doubled without c01 is no longer closed: the closedness check sees
+    # the slip, and the certificate, which reads the same entries, moves
+    good = blowup_model_check(2, 0.1, grid_n=6)
+    monkeypatch.setattr(blowup, "_entries",
+                        lambda one_s, t, base, fibre: (fibre[0] + base,
+                                                       2.0 * one_s * (fibre[1] + t * fibre[2])))
+    report = blowup_model_check(2, 0.1, grid_n=6)
+    assert report.ok is False and report.closedness_residual > 1e-5
+    assert report.certificate.min_quotient != good.certificate.min_quotient
 
 
 def test_the_area_is_read_off_the_chart_potential(monkeypatch):

@@ -262,7 +262,7 @@ def test_blockwise_drops_each_block_result_before_the_next():
 
 @pytest.mark.parametrize("call,limit_mb", [
     (lambda: blowup_model_check(3, 0.4322, 24), 2.5),
-    (lambda: exceptional_area(3, 0.4322), 2.0),
+    (lambda: exceptional_area(0.4322), 2.0),
     (lambda: glue_forms(pipeline_problem(), grid_n=24), 2.5),
 ], ids=["blowup-24", "exceptional-area", "gluing-24"])
 def test_certification_peak_memory(call, limit_mb):
