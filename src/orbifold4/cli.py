@@ -233,9 +233,10 @@ def cmd_orbifold_resolve(args) -> dict:
 
 # the largest --grid a verify command accepts.  At 100 points per axis the
 # blow-up certificate has 6.2 million orbits, seconds of float arithmetic,
-# and the gluing's table of first samples per (head, circle) of a region
-# takes about 50 MB.  The cost grows as the fourth power of the grid, and
-# a grid of 10^8 would ask numpy or a list for more memory than there is
+# and the gluing's ball 4.3 million, whose samples and blocks take the job
+# to about 0.5 GB of peak RSS.  The cost grows as the fourth power of the
+# grid, and a grid of 10^8 would ask numpy or a list for more memory than
+# there is
 MAX_GRID = 100
 
 

@@ -6,9 +6,9 @@ plain numbers and arrays act as constants.  A jet of one float variable
 value and the first and second derivative, with no variable axis, and takes
 the arithmetic operators only; it never imports numpy.  `log`, `log1p` and
 `clip` take a plain array or an array Jet, so one definition of a function
-evaluates either way.  At the kinks of `clip` a jet carries the right
-derivative.  Variables may take complex values: a holomorphic function's jet
-then carries its complex derivatives.
+evaluates either way; `clip` also takes a float jet.  At the kinks of
+`clip` a jet carries the right derivative.  Variables may take complex
+values: a holomorphic function's jet then carries its complex derivatives.
 
 Each function's first and second derivative are written once, as a rule
 (`power_rule`, `log_rule`, `log1p_rule`) that the jets apply and that a
@@ -141,7 +141,12 @@ def log1p(x):
 
 
 def clip(x, lo: float, hi: float):
-    """x clipped to [lo, hi]; use np.inf for a missing bound."""
+    """x clipped to [lo, hi]; use math.inf for a missing bound.  A float jet
+    is clipped in Python floats, as np.clip would clip it."""
+    if isinstance(x, Jet) and isinstance(x.value, float):
+        v = x.value
+        inside = lo <= v < hi
+        return Jet(min(max(v, lo), hi), x.grad * inside, x.hess * inside)
     import numpy as np
     if not isinstance(x, Jet):
         return np.clip(x, lo, hi)

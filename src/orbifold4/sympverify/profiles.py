@@ -42,8 +42,12 @@ class RadialProfile:
         return self.jet(x).hess[0, 0]
 
     def __call__(self, x):
-        """The profile at x; at a jet x, its own jet at x.value composed with x."""
+        """The profile at x; at a jet x, its own jet at x.value composed with x,
+        in Python floats for a float jet."""
         if isinstance(x, Jet):
+            if isinstance(x.value, (float, complex)):
+                f = self.float_jet(x.value)
+                return x.apply(f.value, f.grad, f.hess)
             f = self.jet(x.value)
             return x.apply(f.value, f.grad[0], f.hess[0, 0])
         return self.value(x)

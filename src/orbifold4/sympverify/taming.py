@@ -1,8 +1,9 @@
 """Tameness certificates in Python floats: the record and its tolerances,
 the taming quotient of one sample from its 2x2 Hermitian block, the
 reduction of a grid's quotients to a certificate, np.linspace's grid axis
-and the circles of a plane grid.  Imports no numpy; `forms.tameness_min` is
-the same certificate over arrays of 4x4 forms.
+and the circles of a plane grid.  Imports no numpy; `forms.quotients` is
+the same quotient over arrays, and every certificate, `forms`' included,
+is reduced by `certify`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class TamenessCertificate(namedtuple("TamenessCertificate",
     the first sample in grid order whose quotient is within WORST_SAMPLE_RTOL
     * max(1, |min_quotient|) of the minimum, stored as Python floats.  grid
     names the grid whose points are covered and orbits counts the samples
-    evaluated, one per torus orbit of its points (see forms.orbit_grid)."""
+    evaluated, one per torus orbit of its points (see circles)."""
 
     __slots__ = ()
 
@@ -50,7 +51,7 @@ _UNSCALED_LO, _UNSCALED_HI = 2.0 ** -100, 2.0 ** 100
 def quotient(a: float, d: float, b: float) -> float:
     """The smaller eigenvalue of the Hermitian block [[a, beta], [conj(beta),
     d]] with |beta| = b >= 0: the taming quotient of a sample for J0, as
-    `forms.taming_quotients` derives it, bit for bit.  a, d and b are
+    `forms.quotients` computes it over arrays, bit for bit.  a, d and b are
     divided by the power of two just above their largest magnitude, unless
     all three magnitudes lie in [2^-100, 2^100], where that division would
     change no rounding.  The larger eigenvalue then has no cancellation when

@@ -3,8 +3,8 @@ of orbifold4.sympverify: the complex Hessian of a potential and its Kähler
 form (i/2) ddbar F by central differences, and the exterior derivative of a
 form by central differences; the exact taming quotient of a form's entries;
 the primitive beta of the flat form and d(rho(r) beta) from their explicit
-formulas; the full 4-D ball grid whose orbits ball_orbits samples; and the
-blow-up chart model over numpy arrays (its potential written over array
+formulas; the product grid of axes and the full 4-D ball grid whose orbits
+forms.orbit_samples samples; and the blow-up chart model over numpy arrays (its potential written over array
 jets, its 4-D chart grid and its chart transition through
 linear.holomorphic_map), the reference for blowup's float arithmetic."""
 
@@ -13,8 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from orbifold4.sympverify.forms import (_in_ball, cube_grid, form_from_hermitian,
-                                        invariant_potential_form)
+from orbifold4.sympverify.forms import form_from_hermitian, invariant_potential_form
 from orbifold4.sympverify.jet import log1p
 from orbifold4.sympverify.linear import OMEGA0, antisymmetric, holomorphic_map
 
@@ -78,14 +77,25 @@ def exact_taming_quotient(w) -> Decimal:
         return 2 * dec[1] / (dec[0] + root) if dec[0] > 0 else (dec[0] - root) / 2
 
 
+def cube_grid(*axes):
+    """The product grid of the axes as an (N, len(axes)) array of points, in
+    the order of np.meshgrid(*axes, indexing="ij"), filled in place."""
+    out = np.empty(tuple(len(a) for a in axes) + (len(axes),))
+    for i, a in enumerate(axes):
+        out[..., i] = np.reshape(a, (-1,) + (1,) * (len(axes) - 1 - i))
+    return out.reshape(-1, len(axes))
+
+
 def ball_grid(radius: float, n: int, inner: float = 0.0):
-    """The points of the n^4 cubic grid of [-radius, radius]^4 with
-    inner <= r <= radius, as (N, 4) points in grid order."""
+    """The points of the n^4 cubic grid of [-radius, radius]^4 whose torus
+    orbit (s, t) = (|z|^2, |w|^2) has inner <= sqrt(s + t) <= radius, as
+    (N, 4) points in grid order."""
     axis = np.linspace(-radius, radius, n)
     pts = cube_grid(axis, axis, axis, axis)
     # without np.linalg.norm's (N, 4) array of squares
     x = pts.T
-    return pts[_in_ball(radius, inner)(x[0] * x[0] + x[1] * x[1], x[2], x[3])]
+    r = np.sqrt((x[0] * x[0] + x[1] * x[1]) + (x[2] * x[2] + x[3] * x[3]))
+    return pts[(inner <= r) & (r <= radius)]
 
 
 def standard_primitive(points):

@@ -2,6 +2,7 @@
 form, in Python floats, against the numpy path of tests/fd_oracles.py and
 against finite differences."""
 
+import json
 import math
 import re
 from decimal import Decimal
@@ -11,6 +12,7 @@ import pytest
 
 from fd_oracles import (chart_grid, chart_potential, ddbar_fd, exact_taming_quotient,
                         numpy_chart_form, numpy_transition, zero_section_density)
+from orbifold4.cli import main
 from orbifold4.sympverify import blowup, jet
 from orbifold4.sympverify.blowup import (PAIRS, _base, _realified_jacobian, blowup_model_check,
                                          chart_form, chart_orbits, closedness_residual,
@@ -209,6 +211,26 @@ def test_the_area_is_read_off_the_chart_potential(monkeypatch):
     report = blowup_model_check(2, 0.1, grid_n=8)
     assert abs(report.area - 2 * 0.1 * np.pi) < 1e-8
     assert report.ok is False
+
+
+def test_the_area_gate_is_relative_to_lambda_pi(monkeypatch):
+    # at lambda = 1e-8 the expected area lambda pi is far below 1: twice the
+    # area must fail, as it does at lambda = 0.1
+    lam = 1e-8
+    good = blowup_model_check(2, lam, grid_n=4)
+    assert good.ok and abs(good.area - lam * np.pi) <= 1e-8 * lam * np.pi
+    monkeypatch.setattr(blowup, "log1p_rule", lambda x: tuple(2.0 * d for d in jet.log1p_rule(x)))
+    report = blowup_model_check(2, lam, grid_n=4)
+    assert abs(report.area - 2 * lam * np.pi) <= 1e-8 * lam * np.pi
+    assert report.ok is False
+
+
+def test_a_subnormal_lambda_fails_its_area_check(capsys):
+    # at lambda = 1e-310 the quadrature works in subnormals, and its area
+    # 1.74e-309 is not lambda pi = 3.14e-310
+    assert main(["verify", "blowup", "--lam", "1e-310", "--grid", "4", "--json"]) == 4
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert abs(results["exceptional_area"] - 1e-310 * np.pi) > 1e-310
 
 
 def test_blowup_model_check_rejects_bad_parameters():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from orbifold4.sympverify.jet import Jet, clip, log, log1p
-from orbifold4.sympverify.profiles import f_smoothing, h_ramp
+from orbifold4.sympverify.profiles import H_cutoff, f_smoothing, h_ramp, rho_bump
 
 # functions written once, evaluated on arrays or jets; arguments stay in (0.2, 1.4)
 ONE = {
@@ -105,13 +105,23 @@ def test_numpy_operands_defer_to_the_jet():
         assert isinstance(out, Jet) and np.array_equal(out.grad[0], [2.0, 2.0])
 
 
-@pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "neg", "pow", "smoothing"])
+# profiles evaluated on float jets; the clipped ones have kinks at 0.5 and 1.1
+FLOAT_PROFILES = {
+    "smoothing": f_smoothing(3, 0.2),
+    "ramp": h_ramp(0.5, 1.1),
+    "bump": rho_bump(0.5, 1.1),
+    "cutoff": H_cutoff(2, 0.1, 0.5, 1.1, resolved=True),
+}
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "neg", "pow", *FLOAT_PROFILES])
 def test_float_jet_matches_the_array_jet(name):
-    # the arithmetic operators on a jet of Python floats give the array
-    # jet's value and derivatives, up to numpy's own rounding of powers (the
-    # smoothing profile's f'' cancels, and shows it)
-    fn = {**ONE, "smoothing": lambda x: f_smoothing(3, 0.2).fn(x)}[name]
-    xs = np.linspace(0.2, 1.4, 13)
+    # the arithmetic operators and clip on a jet of Python floats give the
+    # array jet's value and derivatives, up to numpy's own rounding of powers
+    # (the smoothing profile's f'' cancels, and shows it), on both sides of
+    # the kinks and at them, where both carry the right derivative
+    fn = ONE[name] if name in ONE else FLOAT_PROFILES[name].fn
+    xs = np.union1d(np.linspace(0.2, 1.4, 13), [0.5, 1.1])
     want = fn(Jet.variable(xs))
     for i, x in enumerate(xs.tolist()):
         got = fn(Jet.float_variable(x))

@@ -7,12 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fd_oracles import ball_grid, chart_grid, dr_beta, numpy_chart_form
+from fd_oracles import ball_grid, chart_grid, cube_grid, dr_beta, numpy_chart_form
 from orbifold4.cli import main
 from orbifold4.sympverify import LocalModel, eval_omega_a
 from orbifold4.sympverify.blowup import blowup_model_check, chart_orbits
 from orbifold4.sympverify.fixtures import pipeline_problem
-from orbifold4.sympverify.forms import ball_orbits, cube_grid, glue_forms, tameness_min
+from orbifold4.sympverify.forms import glue_forms, orbit_samples, tameness_min
 from orbifold4.sympverify.linear import J0
 from orbifold4.sympverify.localmodel import cube_samples
 
@@ -32,7 +32,7 @@ def _chart(n):
 
 
 def _ball(radius, inner):
-    return lambda n: (ball_orbits(radius, n, inner), ball_grid(radius, n, inner))
+    return lambda n: (orbit_samples(radius, n, inner), ball_grid(radius, n, inner))
 
 
 # the tameness cube, the blow-up chart grid, and the balls and annuli on
@@ -114,16 +114,47 @@ def test_float_blowup_certificate_matches_the_numpy_forms_on_the_whole_grid(m, l
     _assert_same_certificate(got, want)
 
 
-@pytest.mark.parametrize("n", range(6, 13))
-def test_glue_forms_on_orbits_matches_the_whole_grid(n):
-    e2, e3 = PROBLEM.eps2, PROBLEM.eps3
-    delta, glued, cert = glue_forms(PROBLEM, grid_n=n)
+# the default problem and the gluing problems of the benchmark's seeds 7 and 11
+GLUING = {
+    "default": PROBLEM,
+    "seed-7": pipeline_problem(2, 0.0524, 0.4585, 0.8404, 1.0),
+    "seed-11": pipeline_problem(2, 0.1142, 0.4982, 0.8061, 1.0),
+}
+
+
+@pytest.mark.parametrize("n", [*range(6, 13), 22])
+@pytest.mark.parametrize("name", sorted(GLUING))
+def test_glue_forms_on_orbits_matches_the_whole_grid(name, n):
+    # the certificate and delta from the taming data on the orbits against
+    # tameness_min's 4x4 forms over every point of the orbit-rule region
+    problem = GLUING[name]
+    e2, e3 = problem.eps2, problem.eps3
+    delta, glued, cert = glue_forms(problem, grid_n=n)
     ball = ball_grid(e3, n, inner=1e-6)
-    _assert_same_certificate(cert, tameness_min(glued, J0, ball))
-    C = tameness_min(PROBLEM.omega1, J0, ball_grid(e3, n, inner=e2 * (1 + 1e-9))).min_quotient
-    norm = float(np.max(np.linalg.norm(dr_beta(PROBLEM.rho, ball), ord=2, axis=(-2, -1))))
+    want = tameness_min(glued, J0, ball)
+    assert cert.orbits == len(orbit_samples(e3, n, 1e-6)) < len(ball)
+    assert cert.tame == want.tame
+    _assert_same_certificate(cert, want)
+    C = tameness_min(problem.omega1, J0, ball_grid(e3, n, inner=e2 * (1 + 1e-9))).min_quotient
+    norm = float(np.max(np.linalg.norm(dr_beta(problem.rho, ball), ord=2, axis=(-2, -1))))
     want = C / (2.0 * (norm + 1.0))
     assert abs(delta - want) <= 1e-13 * want
+
+
+def test_no_gluing_certificate_builds_a_4x4_form(monkeypatch):
+    # every check of glue_forms reads the taming data of a potential; the
+    # glued evaluator it returns builds forms only when called
+    from orbifold4.sympverify import forms
+
+    def refuse(coeff):
+        raise AssertionError("a 4x4 form built on the gluing's certificate path")
+
+    want = glue_forms(PROBLEM, grid_n=12)
+    monkeypatch.setattr(forms, "form_from_hermitian", refuse)
+    delta, glued, cert = glue_forms(PROBLEM, grid_n=12)
+    assert (delta, cert) == (want[0], want[2])
+    with pytest.raises(AssertionError, match="4x4 form"):
+        glued(np.zeros((1, 4)))
 
 
 def _peak(fn) -> int:

@@ -1,12 +1,13 @@
 """Finite-difference Kähler calculus and tameness certification."""
 
+import math
 import tracemalloc
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from fd_oracles import (ball_grid, chart_grid, complex_hessian_fd, ddbar_fd,
+from fd_oracles import (ball_grid, chart_grid, complex_hessian_fd, cube_grid, ddbar_fd,
                         exact_taming_quotient, exterior_derivative_fd, numpy_chart_form)
 from orbifold4.sympverify import (LocalModel, NotAlmostComplexError,
                                   form_from_hermitian,
@@ -14,7 +15,7 @@ from orbifold4.sympverify import (LocalModel, NotAlmostComplexError,
                                   rho_bump, taming_quotients, tameness_min)
 from orbifold4.sympverify.blowup import blowup_model_check, exceptional_area
 from orbifold4.sympverify.fixtures import pipeline_problem
-from orbifold4.sympverify.forms import CHUNK, blockwise, cube_grid, invariant_potential_form
+from orbifold4.sympverify.forms import CHUNK, blockwise, invariant_potential_form
 from orbifold4.sympverify.linear import OMEGA0, J0
 from orbifold4.sympverify.profiles import f_smoothing
 
@@ -132,11 +133,14 @@ def test_ball_grid_geometry():
 
 @pytest.mark.parametrize("radius,n,inner", [(1.0, 22, 1e-6), (0.8061, 22, 0.4982),
                                             (1.0, 7, 1e-3), (0.25, 15, 0.0)])
-def test_ball_grid_keeps_the_points_np_linalg_norm_keeps(radius, n, inner):
+def test_ball_grid_keeps_the_points_whose_orbit_lies_in_the_region(radius, n, inner):
+    # the orbit rule: inner <= sqrt(s + t) <= radius, with s = x1^2 + y1^2 and
+    # t = x2^2 + y2^2, so a torus orbit is kept or dropped as a whole
     axis = np.linspace(-radius, radius, n)
     pts = cube_grid(axis, axis, axis, axis)
-    r = np.linalg.norm(pts, axis=-1)
-    assert np.array_equal(ball_grid(radius, n, inner), pts[(r <= radius) & (r >= inner)])
+    keep = [inner <= math.sqrt((x1 * x1 + y1 * y1) + (x2 * x2 + y2 * y2)) <= radius
+            for x1, y1, x2, y2 in pts.tolist()]
+    assert np.array_equal(ball_grid(radius, n, inner), pts[keep])
 
 
 def test_ball_grid_makes_no_array_of_squares():
@@ -202,12 +206,20 @@ def _j0_with_nan(entry):
     return acs
 
 
+def _random_orthogonal_acs(rng, n):
+    """P J0 P^T for orthogonal P from the QR factorisation of Gaussian matrices."""
+    p, _ = np.linalg.qr(rng.normal(size=(n, 4, 4)))
+    return p @ J0 @ np.swapaxes(p, -1, -2)
+
+
+ROTATED_J0 = _random_orthogonal_acs(np.random.default_rng(29), 1)[0]
+
+
 @pytest.mark.parametrize("acs", [np.eye(4), _j0_with_nan((slice(None), slice(None))),
-                                 _j0_with_nan((0, 1))],
-                         ids=["identity", "all-nan", "one-nan-entry"])
+                                 _j0_with_nan((0, 1)), ROTATED_J0],
+                         ids=["identity", "all-nan", "one-nan-entry", "rotated-orthogonal"])
 def test_tameness_min_checks_the_acs_before_any_form_is_evaluated(acs):
-    # J is checked once, up front; max|J^2 + I| > tol is False for NaN, so a
-    # non-finite J is refused only by a check written as not(err <= tol)
+    # J is checked once, up front, against J0, which no NaN entry equals
     evaluated = []
 
     def form_eval(q):
@@ -289,14 +301,7 @@ def _frobenius(s):
     return scale * np.linalg.norm(s / scale[..., None, None], axis=(-2, -1))
 
 
-def _random_orthogonal_acs(rng, n):
-    """P J0 P^T for orthogonal P from the QR factorisation of Gaussian matrices."""
-    p, _ = np.linalg.qr(rng.normal(size=(n, 4, 4)))
-    return p @ J0 @ np.swapaxes(p, -1, -2)
-
-
-def _random_forms(rng, kind, acs):
-    n = len(acs)
+def _random_forms(rng, kind, n):
     if kind == "rank-2":
         a, b = rng.normal(size=(2, n, 4))
         return a[:, :, None] * b[:, None, :] - b[:, :, None] * a[:, None, :]
@@ -304,25 +309,18 @@ def _random_forms(rng, kind, acs):
     g -= np.swapaxes(g, -1, -2)
     if kind == "pure-(2,0)+(0,2)":
         # the part with J^T Omega J = -Omega, whose taming quotient is 0
-        g = 0.5 * (g - np.swapaxes(acs, -1, -2) @ g @ acs)
+        g = 0.5 * (g - J0.T @ g @ J0)
     return g
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8, 1e300])
 @pytest.mark.parametrize("kind", ["generic", "pure-(2,0)+(0,2)", "rank-2"])
-@pytest.mark.parametrize("structure", ["J0", "orthogonal"])
-def test_taming_quotients_match_eigvalsh(structure, kind, scale):
+def test_taming_quotients_match_eigvalsh(kind, scale):
     rng = np.random.default_rng(23)
-    n = 500
-    acs = (np.broadcast_to(J0, (n, 4, 4)) if structure == "J0"
-           else _random_orthogonal_acs(rng, n))
-    forms = scale * _random_forms(rng, kind, acs)
-    # taming_quotients takes one constant J: J0 for the whole batch, and a
-    # call of its own for each form with its own P J0 P^T
+    forms = scale * _random_forms(rng, kind, 500)
     with np.errstate(all="raise"):
-        closed = (taming_quotients(forms, J0) if structure == "J0"
-                  else np.array([taming_quotients(f, j) for f, j in zip(forms, acs)]))
-    oj = forms @ acs
+        closed = taming_quotients(forms, J0)
+    oj = forms @ J0
     sym = 0.5 * oj + 0.5 * np.swapaxes(oj, -1, -2)
     reference = np.linalg.eigvalsh(sym)[:, 0]
     assert np.all(np.isfinite(closed))
@@ -333,6 +331,15 @@ def test_taming_quotients_match_eigvalsh(structure, kind, scale):
     else:
         bound = 1e-14 * np.maximum(1.0, _frobenius(sym))
     assert np.all(np.abs(closed - reference) <= bound)
+
+
+def test_taming_quotients_refuse_a_rotated_orthogonal_acs():
+    # P J0 P^T is an orthogonal almost-complex structure, but the closed form
+    # reads J0's block, so any J but J0 is refused
+    acs = ROTATED_J0
+    assert np.allclose(acs @ acs, -np.eye(4)) and np.allclose(acs, -acs.T)
+    with pytest.raises(NotAlmostComplexError, match="J0"):
+        taming_quotients(np.broadcast_to(OMEGA0, (3, 4, 4)), acs)
 
 
 @pytest.mark.parametrize("lam", [1.0, 1e8, 1e12, 1e16])
@@ -362,7 +369,7 @@ def test_tameness_rejects_a_non_orthogonal_acs():
     a[0, 2], a[1, 0] = 0.5, 0.3
     acs = a @ J0 @ np.linalg.inv(a)
     assert np.allclose(acs @ acs, -np.eye(4)) and not np.allclose(acs, -acs.T)
-    with pytest.raises(NotAlmostComplexError, match="J\\^T"):
+    with pytest.raises(NotAlmostComplexError, match="J0"):
         tameness_min(lambda p: np.broadcast_to(OMEGA0, np.asarray(p).shape[:-1] + (4, 4)),
                      acs, _sample_points())
 

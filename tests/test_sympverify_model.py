@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from fd_oracles import exterior_derivative_fd
+from fd_oracles import cube_grid, exterior_derivative_fd
 from orbifold4.sympverify import (LocalModel, OutOfDomainError,
                                   eval_omega_a,
                                   pushforward_check, sample_points,
                                   tameness_min)
-from orbifold4.sympverify.forms import cube_grid
 from orbifold4.sympverify.linear import J0, OMEGA0, antisymmetric
 from orbifold4.sympverify.localmodel import _derivatives, cube_samples
 from orbifold4.sympverify.profiles import H_cutoff, RadialProfile, f_resolved, f_smoothing

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from orbifold4.sympverify.forms import taming_quotients
+from orbifold4.sympverify.forms import quotients, taming_quotients
 from orbifold4.sympverify.linear import J0, antisymmetric
 from orbifold4.sympverify.taming import (TAMENESS_TOL, WORST_SAMPLE_RTOL, certify, linspace,
                                           quotient)
@@ -19,7 +19,7 @@ TINY = 5e-324  # the least subnormal
 
 def _form(a, d, b):
     """A 4x4 form whose J0 block is [[a, b], [b, d]]: its reading by
-    taming_quotients is exact (up to a subnormal d, whose half rounds)."""
+    taming_quotients is exact (up to a subnormal b, whose halves round)."""
     return antisymmetric(a, 0.0, b, -b, 0.0, d)
 
 
@@ -53,18 +53,22 @@ EDGES = [2.0 ** -100, np.nextafter(2.0 ** -100, 0.0), 2.0 ** 100, np.nextafter(2
 
 
 def test_quotient_matches_taming_quotients():
-    # bit for bit, but where taming_quotients rounds half a subnormal d; the
+    # bit for bit against the array core, and against the reading of a 4x4
+    # form but where taming_quotients rounds the halves of a subnormal b; the
     # second draw lies mostly in the range where quotient does not rescale
     rng = random.Random(7)
     edges = [(x, y, z) for x in EDGES for y in (1.0, -1.0, 2.0 ** -100) for z in EDGES]
     triples = SPECIAL + edges + _triples(rng, 20000) + _triples(rng, 20000, top=31.0)
     with np.errstate(all="ignore"):  # the non-finite inputs
+        core = quotients(*np.array(triples).T).tolist()
         want = taming_quotients(np.array([_form(*t) for t in triples]), J0).tolist()
-    for (a, d, b), w in zip(triples, want):
+    for (a, d, b), c, w in zip(triples, core, want):
         got = quotient(a, d, b)
         if math.isnan(w):
-            assert math.isnan(got), (a, d, b)
-        elif 0 < abs(d) < sys.float_info.min:
+            assert math.isnan(got) and math.isnan(c), (a, d, b)
+            continue
+        assert got == c, (a, d, b, got, c)
+        if b < 2 * sys.float_info.min:
             assert abs(got - w) <= 2 * math.ulp(w), (a, d, b, got, w)
         else:
             assert got == w, (a, d, b, got, w)
@@ -81,7 +85,7 @@ def test_quotient_is_nan_exactly_for_a_non_finite_input():
 
 
 def _reference(quot):
-    """forms.tameness_min's reduction: the argmin, then the first quotient
+    """The whole-array reduction: the argmin, then the first quotient
     within the tie tolerance of a finite minimum."""
     q = np.array(quot)
     idx = int(np.argmin(q))

@@ -90,7 +90,7 @@ def test_verify_commands_load_none_of_the_exact_half(argv):
 
 
 TAMENESS_MODULES = {"taming", "localmodel", "profiles", "jet"}
-GLUING_MODULES = {"forms", "taming", "jet", "linear", "fixtures", "profiles"}
+GLUING_MODULES = {"forms", "taming", "jet", "fixtures", "profiles"}
 
 
 @pytest.mark.parametrize("argv,modules", [
@@ -222,22 +222,14 @@ def test_tracer_counts_scalars_on_exact_commands(tmp_path):
     assert calls.get("cyclotomic.CyclotomicScalar.__init__", 0) > 0
 
 
-def test_tracer_counts_every_point_of_a_blockwise_grid(tmp_path, capsys):
-    # the gluing, the one command that still calls tameness_min, certifies
-    # one sample per orbit of its middle annulus, its outer annulus and its
-    # ball on the 20^4 grid, in CHUNK-point blocks; the benchmark's point
-    # counter must add up to exactly the samples of the three certificates
-    from orbifold4.cli import main
-    from orbifold4.sympverify.fixtures import pipeline_problem
-    from orbifold4.sympverify.forms import CHUNK, ball_orbits
-    argv = ("verify", "gluing", "--grid", "20")
-    counts = _trace(tmp_path, argv)["counts"]
-    assert main([*argv, "--json"]) == 0
-    orbits = json.loads(capsys.readouterr().out)["results"]["certificate"]["orbits"]
-    e1, e2, e3 = pipeline_problem()[:3]
-    annuli = len(ball_orbits(e2, 20, inner=e1)) + len(ball_orbits(e3, 20, inner=e2 * (1 + 1e-9)))
-    assert 2 * CHUNK < orbits < 20 ** 4
-    assert counts["points.tameness_min"] == annuli + orbits
+def test_traced_gluing_counts_no_tameness_min_points(tmp_path):
+    # the gluing certifies from the taming data of its potentials on
+    # (|z|^2, |w|^2) orbits, so no command calls tameness_min any more and
+    # the benchmark's point counter of forms reads 0 on every workload
+    trace = _trace(tmp_path, ("verify", "gluing", "--grid", "20"))
+    assert trace["calls"]["sympverify.forms.glue_forms"] == 1
+    assert "sympverify.forms.tameness_min" not in trace["calls"]
+    assert "points.tameness_min" not in trace["counts"]
 
 
 @pytest.mark.parametrize("argv,code", [
