@@ -10,10 +10,9 @@ import importlib
 _EXPORTS = {
     "cyclotomic": ("CyclotomicScalar", "cyclotomic_polynomial", "root_of_unity_log"),
     "unitary": ("UMat2", "NotUnitaryError"),
-    "groups": ("GroupElement", "UnitaryGroup", "CosetGroup", "Unsupported",
-               "NotFiniteWithinBound", "builtin_group", "classify_element",
-               "generate_group", "group_from_json", "induced_cyclic_data",
-               "stratum_class"),
+    "groups": ("UnitaryGroup", "CosetGroup", "Unsupported", "NotFiniteWithinBound",
+               "builtin_group", "classify_element", "generate_group", "group_from_json",
+               "induced_cyclic_data", "stratum_class"),
     "invariants": ("InvariantBasis", "MolienSeries", "NotReflectionGroup", "Poly2",
                    "embedding_basis", "fundamental_invariants", "h_map_eval",
                    "molien", "reynolds"),

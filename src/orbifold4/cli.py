@@ -79,8 +79,7 @@ def _report(command: str, results: dict, checks) -> dict:
 
 
 def _load_group(args):
-    from .groups import NotFiniteWithinBound, builtin_group, group_from_json
-    from .unitary import NotUnitaryError
+    from .groups import builtin_group, group_from_json
 
     if getattr(args, "builtin", None):
         try:
@@ -91,10 +90,9 @@ def _load_group(args):
         try:
             with open(args.file) as fh:
                 return group_from_json(json.load(fh))
-        except (OSError, KeyError, TypeError, ValueError, NotUnitaryError) as exc:
+        # NotUnitaryError and NotFiniteWithinBound are ValueErrors
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise CliError(f"invalid group file: {exc}", EXIT_INVALID)
-        except NotFiniteWithinBound as exc:
-            raise CliError(str(exc), EXIT_INVALID)
     raise CliError("need --builtin or --file", EXIT_INVALID)
 
 

@@ -27,22 +27,6 @@ class Unsupported(Exception):
         super().__init__(reason)
 
 
-class GroupElement(namedtuple("GroupElement", "matrix order canonical_key")):
-    """An element of a UnitaryGroup, equal to another exactly when their
-    canonical keys agree."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(self.canonical_key)
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.canonical_key == other.canonical_key
-
-    def __ne__(self, other):  # tuple.__ne__ would compare the fields
-        return not self == other
-
-
 # kind is "identity" | "reflection" | "free"; fixed_line keys a reflection's
 # fixed line in the group's field (`_normalize_line`)
 ElementClass = namedtuple("ElementClass", "kind fixed_line", defaults=(None,))
@@ -131,8 +115,8 @@ class CosetGroup:
 
 class UnitaryGroup(CosetGroup):
     """A finite subgroup of U(2): a multiplication table whose index i stands
-    for the exact matrix elements[i].matrix.  Indices follow the order in
-    which the closure discovered the elements, and iteration follows it too.
+    for the exact matrix matrices[i].  Indices follow the order in which the
+    closure discovered the elements, and iteration yields the matrices in it.
 
     classes[i] is the ElementClass of element i.  gamma_star is the set of
     indices of the subgroup generated by the complex reflections, normal
@@ -144,17 +128,16 @@ class UnitaryGroup(CosetGroup):
                  generators: list[int]):
         super().__init__(table)
         self.conductor = conductor
-        self.elements = [GroupElement(m, self.element_order(i), m.canonical_key(conductor))
-                         for i, m in enumerate(matrices)]
-        self.generators = [self.elements[i] for i in generators]
-        self.classes = [classify_element(g) for g in self.elements]
+        self.matrices = matrices
+        self.generators = [matrices[i] for i in generators]
+        self.classes = [classify_element(m) for m in matrices]
         reflections = [i for i, c in enumerate(self.classes) if c.kind == "reflection"]
-        self.reflections = [self.elements[i] for i in reflections]
+        self.reflections = [matrices[i] for i in reflections]
         self.gamma_star = frozenset(self.subgroup_generated(reflections))
         self.gamma_prime = self.quotient_by(self.gamma_star)
 
     def __iter__(self):
-        return iter(self.elements)
+        return iter(self.matrices)
 
 
 def generate_group(gens: list[UMat2], max_order: int = 512) -> UnitaryGroup:
@@ -212,9 +195,8 @@ def generate_group(gens: list[UMat2], max_order: int = 512) -> UnitaryGroup:
     return UnitaryGroup(conductor, table, matrices, gen_indices)
 
 
-def classify_element(g: GroupElement) -> ElementClass:
+def classify_element(m: UMat2) -> ElementClass:
     """Identity / complex reflection (eigenvalue 1 of multiplicity 1) / free."""
-    m = g.matrix
     e = m.entries
     one = CyclotomicScalar.one()
     a = e[0][0] - one
@@ -291,18 +273,18 @@ def _eigen_split(m: UMat2, conductor: int):
 def _diagonalize(G: UnitaryGroup):
     """Simultaneous diagonal entries (alpha, beta) for every element of an
     abelian G, over the declared field only.  Raises Unsupported otherwise."""
-    els = list(G)
+    els = G.matrices
 
     def diag_of(m: UMat2):
         if m.entries[0][1].is_zero() and m.entries[1][0].is_zero():
             return (m.entries[0][0], m.entries[1][1])
         return None
 
-    if all(diag_of(g.matrix) is not None for g in els):
-        return [diag_of(g.matrix) for g in els]
+    if all(diag_of(g) is not None for g in els):
+        return [diag_of(g) for g in els]
 
-    pivot = next((g for g in els if diag_of(g.matrix) is None), None)
-    split = _eigen_split(pivot.matrix, G.conductor)
+    pivot = next((g for g in els if diag_of(g) is None), None)
+    split = _eigen_split(pivot, G.conductor)
     if split is None:
         raise Unsupported("eigenvalues fall outside the declared cyclotomic field")
     _, (v1, v2) = split
@@ -317,7 +299,7 @@ def _diagonalize(G: UnitaryGroup):
                  check=False)
     out = []
     for g in els:
-        res = (pinv @ g.matrix @ p).entries
+        res = (pinv @ g @ p).entries
         if not (res[0][1].is_zero() and res[1][0].is_zero()):
             raise Unsupported("group is not simultaneously diagonalizable in the eigenbasis")
         out.append((res[0][0], res[1][1]))

@@ -142,7 +142,7 @@ def reynolds_matrix(G: UnitaryGroup, d: int) -> list[Poly2]:
     """R_d = (1/|G|) sum_g Sym^d(g); row k is the group average of z^(d-k) w^k."""
     rows = [Poly2.zero()] * (d + 1)
     for g in G:
-        rows = [r + s for r, s in zip(rows, sym_power(g.matrix, d))]
+        rows = [r + s for r, s in zip(rows, sym_power(g, d))]
     return [r.scale(Fraction(1, G.order)) for r in rows]
 
 
@@ -152,7 +152,7 @@ def reynolds(G: UnitaryGroup, p: Poly2) -> Poly2:
 
 
 def is_invariant(G: UnitaryGroup, p: Poly2) -> bool:
-    return all(p.compose_linear(g.matrix) == p for g in G.generators)
+    return all(p.compose_linear(g) == p for g in G.generators)
 
 
 MolienSeries = namedtuple("MolienSeries", "coefficients")
@@ -167,7 +167,7 @@ def molien(G: UnitaryGroup, D: int) -> MolienSeries:
     """
     totals = [CyclotomicScalar.zero() for _ in range(D + 1)]
     for g in G:
-        tr, det = g.matrix.trace(), g.matrix.det()
+        tr, det = g.trace(), g.det()
         h_prev2 = CyclotomicScalar.one()
         h_prev1 = tr
         totals[0] = totals[0] + h_prev2

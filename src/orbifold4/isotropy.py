@@ -220,7 +220,7 @@ BUILTIN_SPECS = {
 def _group_to_json(g: UnitaryGroup) -> dict:
     return {
         "conductor": g.conductor,
-        "generators": [gen.matrix.to_json() for gen in g.generators],
+        "generators": [gen.to_json() for gen in g.generators],
     }
 
 

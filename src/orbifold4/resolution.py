@@ -85,7 +85,7 @@ def exceptional_betti(G) -> tuple[int, int, int]:
             return (1, 0, 0)
         return (1, 0, hj_resolve(data.m, data.q).curve_count)
     for g in G:
-        d = g.matrix.det()
+        d = g.det()
         if not (d.is_rational() and d.rational_value() == 1):
             raise Unsupported(
                 "non-abelian group with determinants outside {1}",

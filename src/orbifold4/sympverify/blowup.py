@@ -44,6 +44,10 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # d_n omega_kl: each term as (direction, entry)
 _TERMS = tuple(((k, PAIRS.index((l, n))), (l, PAIRS.index((k, n))), (n, PAIRS.index((k, l))))
                for k, l, n in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+# the certified region of each chart: |u| <= U_MAX, V_MIN <= |v| <= V_MAX
+U_MAX, V_MIN, V_MAX = 1.2, 0.05, 0.8
+# trapezoid nodes of exceptional_area
+AREA_NODES = 20000
 
 
 def _fibre(t: float, p: float):
@@ -121,15 +125,15 @@ def _largest(values) -> float:
     return max(map(abs, values))
 
 
-def chart_orbits(n: int, u_max: float = 1.2, v_min: float = 0.05, v_max: float = 0.8):
+def chart_orbits(n: int):
     """The circles of the u plane's grid and of the v plane's grid with
-    |v| >= v_min, each {squared radius: first grid point} (taming.circles).
+    |v| >= V_MIN, each {squared radius: first grid point} (taming.circles).
     The chart form is invariant under the torus that rotates u and v, so a
     u circle and a v circle, each at its first point, make the first grid
     point of one orbit of the n^4 chart grid; head-major, the pairs are in
     grid order."""
-    heads = circles(linspace(-u_max, u_max, n))
-    tails = {t: v for t, v in circles(linspace(-v_max, v_max, n)).items() if t >= v_min ** 2}
+    heads = circles(linspace(-U_MAX, U_MAX, n))
+    tails = {t: v for t, v in circles(linspace(-V_MAX, V_MAX, n)).items() if t >= V_MIN ** 2}
     return heads, tails
 
 
@@ -151,13 +155,13 @@ def taming_data(m: int, lam: float, heads: dict, tails: dict):
 def closedness_residual(form) -> float:
     """Max component of d(omega) by central differences with step 1e-5 at probe
     points fixed whatever the certification grid: the 5^4 chart grid with
-    |v| >= 0.05 plus 8 points on |v| = 0.05, where derivatives peak, above
+    |v| >= V_MIN plus 8 points on |v| = V_MIN, where derivatives peak, above
     each of its u.  form maps a point to the six entries above the diagonal."""
-    heads, tails = linspace(-1.2, 1.2, 5), linspace(-0.8, 0.8, 5)
+    heads, tails = linspace(-U_MAX, U_MAX, 5), linspace(-V_MAX, V_MAX, 5)
     grid = [(x1, y1, x2, y2) for x1 in heads for y1 in heads for x2 in tails for y2 in tails
-            if x2 * x2 + y2 * y2 >= 0.05 ** 2]
+            if x2 * x2 + y2 * y2 >= V_MIN ** 2]
     step = 2.0 * math.pi / 8
-    ring = [(x1, y1, 0.05 * math.cos(k * step), 0.05 * math.sin(k * step))
+    ring = [(x1, y1, V_MIN * math.cos(k * step), V_MIN * math.sin(k * step))
             for x1 in heads for y1 in heads for k in range(8)]
     h, two_h, residuals = 1e-5, 2e-5, []
     for point in grid + ring:
@@ -193,7 +197,7 @@ def overlap_max_diff(form, m: int) -> float:
     return _largest(diffs)
 
 
-def exceptional_area(lam: float, n: int = 20000) -> float:
+def exceptional_area(lam: float) -> float:
     """Area of the form restricted to the zero section, by radial quadrature.
 
     The density is c00 at the zero section's point (rho, 0, 0, 0), where
@@ -202,7 +206,7 @@ def exceptional_area(lam: float, n: int = 20000) -> float:
     terms.  The potential grows with s, and of the points a report samples
     it is largest here, at the last radius, where it is lambda log1p(s); an
     OverflowError refuses a lambda for which that is no double."""
-    theta = linspace(0.0, math.pi / 2.0, n)
+    theta = linspace(0.0, math.pi / 2.0, AREA_NODES)
     two_pi, y = 2.0 * math.pi, []
     for th in theta[:-1]:
         rho = math.tan(th)
@@ -261,7 +265,8 @@ def blowup_model_check(m: int, lam: float, grid_n: int = 12) -> BlowupReport:
         samples = ((point, quotient(a, d, b))
                    for point, a, d, b in taming_data(m, lam, *chart_orbits(grid_n)))
         cert = certify(samples,
-                       region=f"two charts, |u|<=1.2, 0.05<=|v|<=0.8 (m={m}, lambda={lam})",
+                       region=f"two charts, |u|<={U_MAX}, {V_MIN}<=|v|<={V_MAX} "
+                              f"(m={m}, lambda={lam})",
                        grid=f"{grid_n}^4 per chart, v=0 excluded")
         report = BlowupReport(cert, closedness_residual(form), overlap_max_diff(form, m),
                               exceptional_area(lam), lam)

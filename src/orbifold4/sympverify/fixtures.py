@@ -4,8 +4,9 @@ The pipeline fixture glues omega1 = (i/2) ddbar (h o F_a) — which vanishes on
 the inner ball because the ramp h is flat below the potential's maximum
 there — to a small multiple of the flat form near the origin.  The ramp
 window is derived from the radii: its foot sits above max F_a on the
-eps1-ball and its shoulder below eps2^2, so omega1 is strictly positive
-where the cutoff decays.
+eps1-ball and its shoulder below eps2^2.  Radii for which s + g(t) falls to
+the foot somewhere on the outer annulus are refused, so omega1 is strictly
+positive where the cutoff decays.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ import numpy as np
 
 from .forms import GluingProblem
 from .profiles import H_cutoff, RadialProfile, f_resolved, h_ramp, rho_bump
+
+# the ramp's foot sits this far above max F_a on the eps1-ball, and its
+# shoulder this far below eps2^2
+MARGIN = 0.01
 
 
 def smoothing_excess_max(m: int, a: float, x_max: float) -> float:
@@ -24,8 +29,7 @@ def smoothing_excess_max(m: int, a: float, x_max: float) -> float:
 
 
 def pipeline_problem(m: int = 2, a: float = 0.1,
-                     eps1: float = 0.5, eps2: float = 0.8, eps3: float = 1.0,
-                     margin: float = 0.01) -> GluingProblem:
+                     eps1: float = 0.5, eps2: float = 0.8, eps3: float = 1.0) -> GluingProblem:
     """Gluing fixture: smoothed-potential form against the flat form."""
     if isinstance(m, bool) or not isinstance(m, int):
         raise ValueError("m must be an integer")
@@ -41,15 +45,24 @@ def pipeline_problem(m: int = 2, a: float = 0.1,
         f_resolved(m, a).float_jet(0.0)
     except ArithmeticError:
         raise ValueError(f"a={a} is too small: fhat''(0) overflows") from None
-    t0 = eps1 ** 2 + smoothing_excess_max(m, a, eps1 ** 2) + margin
-    t1 = eps2 ** 2 - margin
+    t0 = eps1 ** 2 + smoothing_excess_max(m, a, eps1 ** 2) + MARGIN
+    t1 = eps2 ** 2 - MARGIN
     if not t0 < t1:
         raise ValueError(f"radii leave no ramp window: t0={t0:.4f} >= t1={t1:.4f}")
     # cutoff of the smoothing correction beyond the certified ball
     H = H_cutoff(m, a, lo=1.5 * eps3 ** 2, hi=3.0 * eps3 ** 2, resolved=True)
-    g = RadialProfile("g_smoothed", {"m": m, "a": a}, lambda x: x + H(x))
+    g = RadialProfile(lambda x: x + H(x))
     h = h_ramp(t0, t1)
-    return GluingProblem(
+    problem = GluingProblem(
         eps1, eps2, eps3, lambda s, t: h(s + g(t)), rho_bump(eps2, eps3),
         description=f"pipeline m={m} a={a} ramp=({t0:.4f},{t1:.4f})",
     )
+    # g(t) falls below t once t > 1, so on the outer annulus s + g(t) may
+    # reach down to the foot, where h and omega1 vanish: the least s + g(t)
+    # at each t of the annulus is max(0, eps2^2 - t) + g(t)
+    t = np.linspace(0.0, eps3 ** 2, 4001)
+    lowest = float(np.min(np.maximum(0.0, eps2 ** 2 - t) + g.value(t)))
+    if not lowest > t0:
+        raise ValueError(f"radii leave omega1 degenerate on the outer annulus: "
+                         f"min s + g(t) = {lowest:.4f} <= t0={t0:.4f}")
+    return problem

@@ -57,6 +57,13 @@ def _profile(model: LocalModel, resolved: bool):
     return (f_resolved if resolved else f_smoothing)(model.m, model.a)
 
 
+def _coefficients(x, d1, d2, kappa):
+    """(base, vert) = (1 + (1/2) x f' kappa, x f'' + f') at x = r^2, from
+    f'(x), f''(x) and the connection's kappa (scaled on the resolved side);
+    written with operators only, so over floats and arrays alike."""
+    return 1.0 + 0.5 * x * d1 * kappa, x * d2 + d1
+
+
 def eval_omega_a(model: LocalModel, points, resolved: bool = False):
     """The smoothed form built from f(x) = (x^m + a^2)^(1/m) at x = r^2:
 
@@ -80,9 +87,7 @@ def eval_omega_a(model: LocalModel, points, resolved: bool = False):
     n1 = np.full(p.shape[:-1], scale * model.nu[0])
     n2 = scale * (model.nu[1] + model.kappa * p[..., 0])
     f = _profile(model, resolved).jet(x)
-    d1 = f.grad[0]
-    vert = x * f.hess[0, 0] + d1
-    base = 1.0 + 0.5 * x * d1 * (scale * model.kappa)
+    base, vert = _coefficients(x, f.grad[0], f.hess[0, 0], scale * model.kappa)
     x2, y2 = p[..., 2], p[..., 3]
     return antisymmetric(base, -vert * x2 * n1, -vert * y2 * n1,
                          -vert * x2 * n2, -vert * y2 * n2, vert)
@@ -124,9 +129,7 @@ def cube_samples(model: LocalModel, n: int, resolved: bool = False):
     scale = float(model.m) if resolved else 1.0
     fibre = []
     for x, (x2, y2) in circles(axis).items():
-        d1, d2 = _derivatives(profile, x)
-        vert = x * d2 + d1
-        base = 1.0 + 0.5 * x * d1 * (scale * model.kappa)
+        base, vert = _coefficients(x, *_derivatives(profile, x), scale * model.kappa)
         fibre.append((x2, y2, base, vert, 0.5 * abs(vert) * math.sqrt(x)))
     nu1 = scale * model.nu[0]
     for x1 in axis:

@@ -16,12 +16,12 @@ from .jet import Jet, clip
 
 
 class RadialProfile:
-    """A profile named by its tag and params; fn is its one definition, over
-    arrays or jets.  A plain class: its instances take attributes, as the
-    benchmark tracer rebinds value, d1 and d2 on each."""
+    """A profile given by fn, its one definition over arrays or jets.  A plain
+    class: its instances take attributes, as the benchmark tracer rebinds
+    value, d1 and d2 on each."""
 
-    def __init__(self, tag: str, params: dict, fn):
-        self.tag, self.params, self.fn = tag, params, fn
+    def __init__(self, fn):
+        self.fn = fn
 
     def jet(self, x) -> Jet:
         """Value, first and second derivative at x as a one-variable jet."""
@@ -55,17 +55,16 @@ class RadialProfile:
 
 def f_smoothing(m: int, a: float) -> RadialProfile:
     """f(x) = (x^m + a^2)^(1/m): smooths x -> x near 0 for a > 0."""
-    return RadialProfile("f_smoothing", {"m": m, "a": a},
-                         lambda x: (x ** m + a * a) ** (1.0 / m))
+    return RadialProfile(lambda x: (x ** m + a * a) ** (1.0 / m))
 
 
 def f_resolved(m: int, a: float) -> RadialProfile:
     """fhat(x) = (x + a^2)^(1/m): the same smoothing seen through x -> x^m."""
-    return RadialProfile("f_resolved", {"m": m, "a": a}, lambda x: (x + a * a) ** (1.0 / m))
+    return RadialProfile(lambda x: (x + a * a) ** (1.0 / m))
 
 
 def identity_profile() -> RadialProfile:
-    return RadialProfile("identity", {}, lambda x: x + 0.0)
+    return RadialProfile(lambda x: x + 0.0)
 
 
 def _smoothstep(s):
@@ -86,8 +85,7 @@ def h_ramp(t0: float, t1: float) -> RadialProfile:
     if not t0 < t1:
         raise ValueError("ramp requires t0 < t1")
     w = t1 - t0
-    return RadialProfile("h_ramp", {"t0": t0, "t1": t1},
-                         lambda t: w * _smoothstep_integral((t - t0) / w))
+    return RadialProfile(lambda t: w * _smoothstep_integral((t - t0) / w))
 
 
 def rho_bump(lo: float, hi: float) -> RadialProfile:
@@ -95,8 +93,7 @@ def rho_bump(lo: float, hi: float) -> RadialProfile:
     if not 0 <= lo < hi:
         raise ValueError("bump requires 0 <= lo < hi")
     w = hi - lo
-    return RadialProfile("rho_bump", {"lo": lo, "hi": hi},
-                         lambda x: 1.0 - _smoothstep((x - lo) / w))
+    return RadialProfile(lambda x: 1.0 - _smoothstep((x - lo) / w))
 
 
 def H_cutoff(m: int, a: float, lo: float, hi: float,
@@ -108,5 +105,4 @@ def H_cutoff(m: int, a: float, lo: float, hi: float,
     used, which keeps the fiber coefficient positive at x = 0."""
     f = f_resolved(m, a) if resolved else f_smoothing(m, a)
     rho = rho_bump(lo, hi)
-    return RadialProfile("H_cutoff", {"m": m, "a": a, "lo": lo, "hi": hi},
-                         lambda x: rho(x) * (f(x) - x))
+    return RadialProfile(lambda x: rho(x) * (f(x) - x))

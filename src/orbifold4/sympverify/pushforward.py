@@ -30,14 +30,16 @@ def _fiber_power(points, m: int):
     return holomorphic_map(lambda z, w: (z, w ** m), points)
 
 
-def sample_points(model: LocalModel, count: int, seed: int = 0,
-                  r_min: float = 0.05):
-    """Deterministic samples with fiber radius in [r_min, delta2]."""
+R_MIN = 0.05
+
+
+def sample_points(model: LocalModel, count: int, seed: int = 0):
+    """Deterministic samples with fiber radius in [R_MIN, delta2]."""
     rng = np.random.default_rng(seed)
     pts = np.zeros((count, 4))
     pts[:, 0] = rng.uniform(-0.3, 0.3, count)
     pts[:, 1] = rng.uniform(-0.3, 0.3, count)
-    r = rng.uniform(r_min, model.delta2, count)
+    r = rng.uniform(R_MIN, model.delta2, count)
     th = rng.uniform(0.0, 2 * np.pi, count)
     pts[:, 2], pts[:, 3] = r * np.cos(th), r * np.sin(th)
     return pts

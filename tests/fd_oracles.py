@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from orbifold4.sympverify.blowup import U_MAX, V_MAX, V_MIN
 from orbifold4.sympverify.forms import form_from_hermitian, invariant_potential_form
 from orbifold4.sympverify.jet import log1p
 from orbifold4.sympverify.linear import OMEGA0, antisymmetric, holomorphic_map
@@ -163,10 +164,10 @@ def numpy_transition(points, m: int):
     return holomorphic_map(lambda u, v: (1 / u, u ** m * v), points)
 
 
-def chart_grid(n: int, u_max: float = 1.2, v_min: float = 0.05, v_max: float = 0.8):
-    """The n^4 chart grid with |v| >= v_min, as (N, 4) points in grid order."""
-    ax_u = np.linspace(-u_max, u_max, n)
-    ax_v = np.linspace(-v_max, v_max, n)
+def chart_grid(n: int):
+    """The n^4 chart grid with |v| >= V_MIN, as (N, 4) points in grid order."""
+    ax_u = np.linspace(-U_MAX, U_MAX, n)
+    ax_v = np.linspace(-V_MAX, V_MAX, n)
     pts = cube_grid(ax_u, ax_u, ax_v, ax_v)
     t = pts[:, 2] ** 2 + pts[:, 3] ** 2
-    return pts[t >= v_min ** 2]
+    return pts[t >= V_MIN ** 2]

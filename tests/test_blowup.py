@@ -158,7 +158,7 @@ def test_the_overlap_probe_spans_the_overlap_annulus():
 
 
 def test_chart_orbits_avoid_the_fiber_origin():
-    _, tails = chart_orbits(8, v_min=0.05)
+    _, tails = chart_orbits(8)
     assert min(tails) >= 0.05 ** 2 and all(x * x + y * y == t for t, (x, y) in tails.items())
 
 

@@ -299,6 +299,10 @@ def test_spec_file_round_trip(capsys, tmp_path):
     ("verify", "gluing", "--a", "1e-150", "--grid", "15"),
     ("verify", "gluing", "--a", "1e-150", "--grid", "16"),
     ("verify", "gluing", "--a", "1e-300"),
+    # omega1 would vanish on the outer annulus
+    ("verify", "gluing", "--eps1", "1.5", "--eps2", "2.4", "--eps3", "3"),
+    ("verify", "gluing", "--eps1", "1.75", "--eps2", "2.8", "--eps3", "3.5"),
+    ("verify", "gluing", "--eps1", "5", "--eps2", "8", "--eps3", "10"),
     # refused before any grid is built: a list or an array of 10^8 points
     # would not fit in memory
     ("verify", "blowup", "--grid", "100000000"),
@@ -371,6 +375,19 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content):
     code, out, err = run(capsys, *argv, str(path), "--json")
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+def test_a_group_file_past_its_max_order_exits_2(capsys, tmp_path):
+    from orbifold4.cyclotomic import CyclotomicScalar
+    from orbifold4.unitary import UMat2
+
+    # diag(zeta_17, 1) generates a group of order 17
+    gen = UMat2.diagonal(CyclotomicScalar.zeta(17, 1), CyclotomicScalar.one())
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"generators": [gen.to_json()], "max_order": 16}))
+    code, out, err = run(capsys, "group", "classify", "--file", str(path), "--json")
+    assert code == 2 and out == ""
+    assert err == "error: invalid group file: closure exceeds max_order=16\n"
 
 
 # the named choices of the options that take a name rather than a file

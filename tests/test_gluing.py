@@ -47,6 +47,26 @@ def test_pipeline_problem_rejects_radii_without_ramp_window():
         pipeline_problem(m=2, a=0.5, eps1=0.7, eps2=0.75)
 
 
+@pytest.mark.parametrize("radii,lowest,t0", [
+    ((1.5, 2.4, 3.0), "2.4021", "2.5200"),
+    ((1.75, 2.8, 3.5), "2.8018", "3.3325"),
+    ((5.0, 8.0, 10.0), "8.0006", "25.2700"),
+])
+def test_pipeline_problem_refuses_radii_that_flatten_omega1_on_the_annulus(radii, lowest, t0):
+    # g(t) < t once t > 1, so s + g(t) falls to the ramp's foot t0 on the
+    # outer annulus and omega1 vanishes there; grid 12 of (1.5, 2.4, 3.0)
+    # missed those orbits and certified
+    with pytest.raises(ValueError, match=f"min s \\+ g\\(t\\) = {lowest} <= t0={t0}"):
+        pipeline_problem(2, 0.1, *radii)
+
+
+@pytest.mark.parametrize("e", [1.2, 2.0, 2.5])
+@pytest.mark.parametrize("n", [12, 24])
+def test_scaled_radii_with_a_positive_annulus_margin_certify(e, n):
+    _, _, cert = glue_forms(pipeline_problem(2, 0.1, 0.5 * e, 0.8 * e, e), grid_n=n)
+    assert cert.tame
+
+
 @pytest.mark.parametrize("m,a_min", [(2, 1.8e-103), (3, 3.4e-93), (5, 2.4e-86)])
 def test_pipeline_problem_refuses_an_a_whose_fhat_second_derivative_overflows(m, a_min):
     # fhat''(0) = (1/m)(1/m - 1) a^(2/m - 4); below a_min (docs/file-formats.md)

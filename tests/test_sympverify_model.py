@@ -11,6 +11,7 @@ from orbifold4.sympverify import (LocalModel, OutOfDomainError,
                                   eval_omega_a,
                                   pushforward_check, sample_points,
                                   tameness_min)
+from orbifold4.sympverify import localmodel
 from orbifold4.sympverify.linear import J0, OMEGA0, antisymmetric
 from orbifold4.sympverify.localmodel import _derivatives, cube_samples
 from orbifold4.sympverify.profiles import H_cutoff, RadialProfile, f_resolved, f_smoothing
@@ -163,6 +164,23 @@ def test_taming_data_that_floats_cannot_compute_read_nan(model, n, resolved, wor
 
 
 def test_a_profile_that_leaves_the_reals_reads_nan():
-    sqrt_below_one = RadialProfile("test", {}, lambda x: (x - 1.0) ** 0.5)
+    sqrt_below_one = RadialProfile(lambda x: (x - 1.0) ** 0.5)
     assert all(map(math.isnan, _derivatives(sqrt_below_one, 0.5)))
     assert _derivatives(sqrt_below_one, 2.0) == (0.5, -0.25)
+
+
+@pytest.mark.parametrize("resolved", [False, True], ids=["orbifold", "resolved"])
+def test_the_certificate_and_the_4x4_form_read_one_formula(monkeypatch, resolved):
+    # vert doubled in the one helper: the float certificate and the form
+    # the cross-checks evaluate both see it (an even grid skips r = 0, where
+    # the orbifold side's vert is 0 either way)
+    model = LocalModel(m=2, a=0.1, nu=(0.3, 0.2), kappa=0.5)
+    axis = np.linspace(-model.delta2, model.delta2, 6)
+    pts = cube_grid(axis, axis, axis, axis)
+    good = certify(cube_samples(model, 6, resolved=resolved)).min_quotient
+    form = eval_omega_a(model, pts, resolved=resolved)
+    coefficients = localmodel._coefficients
+    monkeypatch.setattr(localmodel, "_coefficients",
+                        lambda *args: (coefficients(*args)[0], 2.0 * coefficients(*args)[1]))
+    assert certify(cube_samples(model, 6, resolved=resolved)).min_quotient != good
+    assert not np.allclose(eval_omega_a(model, pts, resolved=resolved), form)

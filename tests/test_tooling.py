@@ -48,10 +48,11 @@ def test_exact_commands_start_without_numpy():
 EXACT_HALF = {"orbifold4." + name for name in
               ("cyclotomic", "unitary", "groups", "invariants", "isotropy", "resolution")}
 
-# the names `orbifold4` exported when its __init__ imported them eagerly
+# the names `orbifold4` exported when its __init__ imported them eagerly,
+# but GroupElement, since removed: a group's elements are its UMat2s
 PUBLIC_NAMES = """
     CyclotomicScalar cyclotomic_polynomial root_of_unity_log UMat2 NotUnitaryError
-    GroupElement UnitaryGroup CosetGroup Unsupported NotFiniteWithinBound builtin_group
+    UnitaryGroup CosetGroup Unsupported NotFiniteWithinBound builtin_group
     classify_element generate_group group_from_json induced_cyclic_data stratum_class
     InvariantBasis MolienSeries NotReflectionGroup Poly2 embedding_basis
     fundamental_invariants h_map_eval molien reynolds
@@ -142,6 +143,8 @@ def test_every_public_name_still_imports_from_the_package():
     assert set(PUBLIC_NAMES) - {"__version__"} <= set(orbifold4.__all__)
     with pytest.raises(AttributeError):
         orbifold4.no_such_name
+    with pytest.raises(AttributeError):
+        orbifold4.GroupElement
 
 
 # the names `orbifold4.sympverify` exported when its __init__ imported them
