@@ -6,8 +6,9 @@ Subcommands: `group classify|invariants`, `singularity resolve`,
 a non-finite float as null) and `--quiet`.  Exit codes: 0 success, 2 invalid
 input, 3 unsupported math, 4 a failed check (every report check passes on
 exit 0).  Each command imports the modules it uses, so a `verify` command
-loads the sympverify modules it runs and none of the exact half, and only
-`verify gluing` loads numpy.  A `verify` grid lies in [2, MAX_GRID].
+loads the sympverify modules it runs and none of the exact half, and no
+command loads numpy: every certificate runs in Python floats.  A `verify`
+grid lies in [2, MAX_GRID].
 `run` is the process entry point: `main`, then the exit path.
 """
 
@@ -230,11 +231,11 @@ def cmd_orbifold_resolve(args) -> dict:
 
 
 # the largest --grid a verify command accepts.  At 100 points per axis the
-# blow-up certificate has 6.2 million orbits, seconds of float arithmetic,
-# and the gluing's ball 4.3 million, whose samples and blocks take the job
-# to about 0.5 GB of peak RSS.  The cost grows as the fourth power of the
-# grid, and a grid of 10^8 would ask numpy or a list for more memory than
-# there is
+# blow-up certificate has 6.2 million orbits and the gluing's ball 4.3
+# million, seconds of float arithmetic each; their samples stream, so peak
+# RSS stays near start-up's.  The time grows as the fourth power of the
+# grid, and the circles of one plane of a grid of 10^8 points per axis
+# would take more memory than there is
 MAX_GRID = 100
 
 

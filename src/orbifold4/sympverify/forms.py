@@ -1,30 +1,31 @@
 """Kähler forms of invariant potentials, the taming quotient of arrays of
-4x4 forms for J0, and the gluing, certified on its torus orbits.
+4x4 forms for J0, and the gluing, certified on its torus orbits in Python
+floats.
 
 Potentials F are scalar fields on R^4 = C^2, vectorized over point arrays of
 shape (..., 4).  2-forms are antisymmetric 4x4 coefficient matrices in the
 real coordinates (x1, y1, x2, y2), with complex coordinates z = x1 + i y1,
-w = x2 + i y2.  The gluing's checks read the taming data of its potentials
-on (|z|^2, |w|^2) orbits and build no 4x4 form.
+w = x2 + i y2.  These array APIs import numpy when called.  The gluing's
+checks read the taming data of its potentials on (|z|^2, |w|^2) orbits as
+Python floats and build no 4x4 form; they import no numpy.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
-import numpy as np
-
 from .jet import Jet
-from .taming import TamenessCertificate, certify, circles, linspace
+from .profiles import rho_bump
+from .taming import TamenessCertificate, certify, circles, linspace, quotient
 
 # glue_forms' bound on omega1's norm on the inner ball and on how far below
 # 0 its taming quotient may reach on the middle annulus
 GLUING_TOL = 1e-7
 
-# points per block of a grid evaluation: the per-sample 4x4 arrays of one
-# block are alive at a time, whatever the size of the grid.  A block's forms
-# take 256 KiB; larger blocks lift a verify job's peak RSS above what its
-# imports need (README.md, design notes)
+# points per block of an array evaluation: the per-sample 4x4 arrays of one
+# block are alive at a time, whatever the number of points.  A block's forms
+# take 256 KiB
 CHUNK = 2 ** 11
 
 
@@ -41,6 +42,7 @@ class PreconditionFailure(ValueError):
 
 def form_from_hermitian(coeff):
     """Real matrix of (i/2) sum coeff_ij dz_i ^ dzbar_j, from Re and Im of coeff."""
+    import numpy as np
     from .linear import antisymmetric
 
     c = np.asarray(coeff, dtype=complex)
@@ -55,6 +57,7 @@ def blockwise(fn, points):
     its one float per row written into one preallocated array of length N.
     No block's result outlives its block: a result that is a view into a
     block's buffer (a form entry, say) would otherwise pin that buffer."""
+    import numpy as np
     out = np.empty(len(points))
     for i in range(0, len(points), CHUNK):
         out[i:i + CHUNK] = fn(points[i:i + CHUNK])
@@ -74,6 +77,7 @@ def quotients(a, d, b):
     a + d <= 0 the difference itself has no cancellation.  A sample with a
     non-finite input gives NaN, which is never tame.
     """
+    import numpy as np
     top = np.maximum(np.maximum(np.abs(a), np.abs(d)), b)
     finite, exp = np.isfinite(top), np.frexp(top)[1]
     a, d, b = (np.where(finite, np.ldexp(x, -exp), 0.0) for x in (a, d, b))
@@ -85,6 +89,7 @@ def quotients(a, d, b):
 
 
 def _require_j0(acs) -> None:
+    import numpy as np
     from .linear import J0
 
     acs = np.asarray(acs, dtype=float)
@@ -110,6 +115,7 @@ def taming_quotients(forms, acs):
     holomorphic coordinates, so every caller passes J0; any other J, or one
     that is not a single 4x4 matrix, is refused (NotAlmostComplexError).
     """
+    import numpy as np
     _require_j0(acs)
     f = np.asarray(forms, dtype=float)
     b = np.hypot(0.5 * f[..., 2, 1] + 0.5 * f[..., 0, 3], 0.5 * f[..., 3, 1] - 0.5 * f[..., 0, 2])
@@ -131,6 +137,7 @@ def tameness_min(form_eval, acs, points, region: str = "", grid: str = "") -> Ta
     CHUNK samples at a time.  J is checked once, before any form is
     evaluated.  The commands certify from their taming data; this is their
     reference over 4x4 forms."""
+    import numpy as np
     _require_j0(acs)
     p = np.asarray(points, dtype=float).reshape(-1, 4)
     return _certify(p, blockwise(lambda q: taming_quotients(form_eval(q), acs), p), region, grid)
@@ -148,10 +155,10 @@ def invariant_potential_form(phi):
     """(i/2) ddbar of phi(s, t), s = |z|^2, t = |w|^2, phi written over arrays
     or jets, as (..., 4, 4) forms (see _complex_hessian).  The evaluator's
     `potential` attribute evaluates phi itself, for finite-difference
-    cross-checks.
+    cross-checks.  Building the evaluator imports no numpy; calling it does.
     """
-
     def omega(points):
+        import numpy as np
         p = np.asarray(points, dtype=float)
         c00, c11, phi_st = _complex_hessian(phi, *_radii(p))
         c = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
@@ -161,6 +168,7 @@ def invariant_potential_form(phi):
         return form_from_hermitian(c)
 
     def potential(points):
+        import numpy as np
         return phi(*_radii(np.asarray(points, dtype=float)))
 
     omega.potential = potential
@@ -171,49 +179,17 @@ def _radii(p):
     return p[..., 0] ** 2 + p[..., 1] ** 2, p[..., 2] ** 2 + p[..., 3] ** 2
 
 
-def _taming_data(phi, points):
-    """(a, d, |b|) of the form of phi at an (N, 4) array of samples: c00,
-    c11 and |c01| = sqrt(s) sqrt(t) |phi_st|, each a function of the sample's
-    torus orbit (s, t) alone."""
-    s, t = _radii(points)
-    a, d, phi_st = _complex_hessian(phi, s, t)
-    return a, d, np.sqrt(s) * np.sqrt(t) * np.abs(phi_st)
-
-
 # -- gluing -----------------------------------------------------------------
 
 
-def orbit_samples(radius: float, n: int, inner: float = 0.0):
-    """One sample per torus orbit (s, t) = (|z|^2, |w|^2) of the n^4 cubic
-    grid of [-radius, radius]^4 with inner <= sqrt(s + t) <= radius, each the
-    first grid point of its orbit, in grid order, as an (N, 4) array.
-
-    An orbit is a pair of circles of the plane grid (taming.circles), each
-    at its first point; the pairs run head-major, which is grid order.  The
-    region is decided per orbit, so an orbit lies in it or outside it as a
-    whole.
-    """
-    plane = circles(linspace(-radius, radius, n))
-    r2, first = np.array(list(plane)), np.array(list(plane.values()))
-    r = np.sqrt(r2[:, None] + r2)
-    heads, tails = np.nonzero((inner <= r) & (r <= radius))
-    out = np.empty((len(heads), 4))
-    out[:, :2], out[:, 2:] = first[heads], first[tails]
-    return out
-
-
-def _certificate(phi, samples, region: str = "", grid: str = "") -> TamenessCertificate:
-    """The certificate of the form of phi over orbit samples, from its
-    taming data."""
-    quot = blockwise(lambda q: quotients(*_taming_data(phi, q)), samples)
-    return _certify(samples, quot, region, grid)
-
-
-class GluingProblem(namedtuple("GluingProblem", "eps1 eps2 eps3 phi1 rho description",
+class GluingProblem(namedtuple("GluingProblem", "eps1 eps2 eps3 h g description",
                                defaults=("",))):
-    """Radii 0 < eps1 < eps2 < eps3; phi1 the potential of omega1 as a
-    function of (s, t) = (|z|^2, |w|^2), written over arrays or jets; rho a
-    RadialProfile, the cutoff in r: 1 below eps2, 0 above eps3."""
+    """Radii 0 < eps1 < eps2 < eps3, and omega1 the form of the potential
+    phi1(s, t) = h(s + g(t)) of (s, t) = (|z|^2, |w|^2): h a profile defined
+    by its rule (RadialProfile.of_rule), g a RadialProfile.  The cutoff rho
+    is rho_bump(eps2, eps3): 1 below eps2, 0 above eps3.  phi1, omega1 and
+    rho are array APIs for cross-checks; glue_forms reads h's rule and g's
+    float jets."""
 
     __slots__ = ()
 
@@ -224,18 +200,28 @@ class GluingProblem(namedtuple("GluingProblem", "eps1 eps2 eps3 phi1 rho descrip
         return self
 
     @property
+    def phi1(self):
+        h, g = self.h, self.g
+        return lambda s, t: h(s + g(t))
+
+    @property
     def omega1(self):
         return invariant_potential_form(self.phi1)
 
+    @property
+    def rho(self):
+        return rho_bump(self.eps2, self.eps3)
+
 
 def _cutoff_potential(rho):
-    """G(R) with G'(R) = rho(sqrt R), over a jet R: (i/2) ddbar G(|p|^2) is
-    d(rho(r) beta) for the primitive beta = (1/4) d^c |p|^2 of the flat form.
-    G'' = rho'(r) / 2r is formed directly, not by the chain rule through
-    sqrt R, whose two rho / 2R terms would cancel; it is 0 where rho' is,
-    so r = 0 gives no 0/0.  No form reads G's value, which is NaN, as it is
-    over arrays: the glued potential has no plausible wrong value."""
+    """G(R) with G'(R) = rho(sqrt R), over an array jet R: (i/2) ddbar
+    G(|p|^2) is d(rho(r) beta) for the primitive beta = (1/4) d^c |p|^2 of
+    the flat form.  G'' = rho'(r) / 2r is formed directly, not by the chain
+    rule through sqrt R, whose two rho / 2R terms would cancel; it is 0 where
+    rho' is, so r = 0 gives no 0/0.  No form reads G's value, which is NaN,
+    as it is over arrays: the glued potential has no plausible wrong value."""
     def G(R):
+        import numpy as np
         if not isinstance(R, Jet):
             return np.full(np.shape(R), np.nan)
         r = np.sqrt(R.value)
@@ -246,6 +232,63 @@ def _cutoff_potential(rho):
     return G
 
 
+def _plane(g, radius: float, n: int):
+    """The circles of the plane grid of [-radius, radius]^2 (taming.circles)
+    with sqrt(s) <= radius, in grid order, as (s, first point, sqrt s, g(s),
+    g'(s), g'(s)^2, g''(s)): g off one float jet per circle.  A circle
+    beyond the radius is in no orbit of the ball, as sqrt(s + t) >= sqrt(s)
+    for t >= 0 in floats too."""
+    out = []
+    for s, z in circles(linspace(-radius, radius, n)).items():
+        root = math.sqrt(s)
+        if root <= radius:
+            j = g.float_jet(s)
+            out.append((s, z, root, j.value, j.grad, j.grad * j.grad, j.hess))
+    return out
+
+
+def _samples(h, plane, inner: float, radius: float, reduce, cutoff=None):
+    """(point, reduce(a, d, |b|)) per torus orbit (s, t) of a plane's n^4
+    grid with inner <= sqrt(s + t) <= radius, each at its first grid point:
+    the pairs of circles head-major, which is grid order, an orbit in the
+    region or out of it as a whole.
+
+    (a, d, |b|) are the taming data of the potential phi = h(s + g(t)), plus
+    delta G(s + t) for cutoff = (delta, rho's rule) (see _cutoff_potential):
+
+        a = phi_s + s phi_ss,   d = phi_t + t phi_tt,   |b| = sqrt(s) sqrt(t) |phi_st|,
+
+    with phi_s = h', phi_t = h' g', phi_ss = h'', phi_st = h'' g' and
+    phi_tt = h'' g'^2 + h' g'', and the cutoff adding delta rho to phi_s and
+    phi_t and delta G'' = delta rho'(r) / 2r to each second derivative, at
+    r = sqrt(s + t).  h is the rule of omega1's ramp, evaluated once per
+    orbit, as is rho's; g was read once per circle (_plane).
+    """
+    delta, rho = cutoff if cutoff is not None else (0.0, None)
+    sqrt = math.sqrt
+    for s, z, root_s, *_ in plane:
+        for t, w, root_t, g0, g1, g11, g2 in plane:
+            r = sqrt(s + t)
+            if not inner <= r <= radius:
+                continue
+            _, h1, h2 = h(s + g0)
+            phi_s, phi_t = h1, h1 * g1
+            phi_ss, phi_st, phi_tt = h2, h2 * g1, h2 * g11 + h1 * g2
+            if rho is not None:
+                rho0, rho1, _ = rho(r)
+                flat = (rho1 / (2.0 * r) if rho1 != 0 else 0.0) * delta
+                phi_s, phi_t = phi_s + rho0 * delta, phi_t + rho0 * delta
+                phi_ss, phi_st, phi_tt = phi_ss + flat, phi_st + flat, phi_tt + flat
+            yield z + w, reduce(phi_s + s * phi_ss, phi_t + t * phi_tt,
+                                root_s * root_t * abs(phi_st))
+
+
+def _frobenius(a: float, d: float, b: float) -> float:
+    """The Frobenius norm of a form from its taming data: constant on
+    orbits, as is the taming quotient; the largest entry of a form is not."""
+    return math.sqrt(2.0 * (a * a + d * d + 2.0 * (b * b)))
+
+
 def glue_forms(problem: GluingProblem, grid_n: int = 15):
     """Glue omega1 (vanishing near 0) to a multiple of the flat form near 0:
     omega_delta = omega1 + delta * d(rho beta), the form of the potential
@@ -254,56 +297,58 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15):
     and the sampled sup-norm |rho'(r)| r / 2 of d(rho) ^ beta: beta is
     normal to the radius, with |beta| = r / 2.
 
-    Every check runs on one sample per torus orbit of its ball or annulus
-    (orbit_samples), from the taming data of its potential: every form here
-    is a potential form in (s, t), and r = sqrt(s + t).
+    Every check runs on one sample per torus orbit of its ball or annulus,
+    from the taming data of its potential in Python floats (_samples): every
+    form here is a potential form in (s, t), and r = sqrt(s + t).  The
+    samples stream, so memory grows with the circles of a plane, not with
+    the orbits.
 
-    Returns (delta, glued evaluator, certificate over the eps3-ball).
+    Returns (delta, glued evaluator over arrays, certificate over the
+    eps3-ball).
     """
     e1, e2, e3 = problem.eps1, problem.eps2, problem.eps3
-    phi1, rho = problem.phi1, problem.rho
-
-    def frobenius(q):
-        # the Frobenius norm of omega1 is constant on orbits, as is the
-        # taming quotient; the largest entry of a form is not
-        a, d, b = _taming_data(phi1, q)
-        return np.sqrt(2.0 * (a * a + d * d + 2.0 * (b * b)))
-
-    inner = orbit_samples(e1 * 0.999, grid_n)
-    norm = blockwise(frobenius, inner)
-    if norm.size and not float(np.max(norm)) <= GLUING_TOL:
-        idx = int(np.argmax(norm))
-        raise PreconditionFailure(
-            "omega1 does not vanish on the inner ball",
-            worst_sample=tuple(inner[idx].tolist()), value=float(norm[idx]),
-        )
-    mid_pts = orbit_samples(e2, grid_n, inner=e1)
-    outer_pts = orbit_samples(e3, grid_n, inner=e2 * (1 + 1e-9))
-    if not (len(mid_pts) and len(outer_pts)):
+    h, rho = problem.h.rule, problem.rho
+    worst = None
+    inner = (_plane(problem.g, e1 * 0.999, grid_n), 0.0, e1 * 0.999)
+    for point, norm in _samples(h, *inner, _frobenius):
+        # the first largest norm is the worst, a NaN before any number
+        if worst is None or norm > worst[1] or norm != norm:
+            worst = (point, norm)
+            if norm != norm:
+                break
+    if worst is not None and not worst[1] <= GLUING_TOL:
+        raise PreconditionFailure("omega1 does not vanish on the inner ball",
+                                  worst_sample=worst[0], value=worst[1])
+    mid = (_plane(problem.g, e2, grid_n), e1, e2)
+    plane = _plane(problem.g, e3, grid_n)
+    outer = (plane, e2 * (1 + 1e-9), e3)
+    if any(next(_samples(h, *region, _frobenius), None) is None for region in (mid, outer)):
         raise ValueError(f"a {grid_n}^4 grid has no sample on an annulus; use a finer grid")
-    mid = _certificate(phi1, mid_pts)
-    if not mid.min_quotient >= -GLUING_TOL:
+    cert = certify(_samples(h, *mid, quotient))
+    if not cert.min_quotient >= -GLUING_TOL:
         raise PreconditionFailure("omega1 not semipositive on the middle annulus",
-                                  worst_sample=mid.worst_sample, value=mid.min_quotient)
-    outer = _certificate(phi1, outer_pts)
-    del inner, mid_pts, outer_pts  # one region's samples alive at a time from here
-    C = outer.min_quotient
+                                  worst_sample=cert.worst_sample, value=cert.min_quotient)
+    cert = certify(_samples(h, *outer, quotient))
+    C = cert.min_quotient
     if not C > 0:
         raise PreconditionFailure("omega1 not positive outside eps2",
-                                  worst_sample=outer.worst_sample, value=C)
+                                  worst_sample=cert.worst_sample, value=C)
 
-    def dr_beta_norm(q):
-        r = np.sqrt(np.add(*_radii(q)))
-        return np.abs(rho.jet(r).grad[0]) * r / 2.0
+    sup, rule, squares = 0.0, rho.rule, [circle[0] for circle in plane]
+    for s in squares:
+        for t in squares:
+            r = math.sqrt(s + t)
+            if 1e-6 <= r <= e3:
+                norm = abs(rule(r)[1]) * r / 2.0
+                if norm > sup:
+                    sup = norm
+    delta = C / (2.0 * (sup + 1.0))
+    cert = certify(_samples(h, plane, 1e-6, e3, quotient, (delta, rho.rule)),
+                   region=f"ball radius {e3}", grid=f"{grid_n}^4 cubic grid")
 
-    ball = orbit_samples(e3, grid_n, inner=1e-6)
-    delta = C / (2.0 * (float(np.max(blockwise(dr_beta_norm, ball))) + 1.0))
-
-    G = _cutoff_potential(rho)
+    phi1, G = problem.phi1, _cutoff_potential(rho)
 
     def glued_phi(s, t):
         return phi1(s, t) + delta * G(s + t)
 
-    cert = _certificate(glued_phi, ball, region=f"ball radius {e3}",
-                        grid=f"{grid_n}^4 cubic grid")
     return delta, invariant_potential_form(glued_phi), cert

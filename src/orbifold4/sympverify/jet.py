@@ -4,15 +4,14 @@ A Jet in n variables holds value (...), grad (n, ...) and hess (n, n, ...);
 plain numbers and arrays act as constants.  A jet of one float variable
 (`Jet.float_variable`) holds three Python floats, or complex numbers: the
 value and the first and second derivative, with no variable axis, and takes
-the arithmetic operators only; it never imports numpy.  `log`, `log1p` and
-`clip` take a plain array or an array Jet, so one definition of a function
-evaluates either way; `clip` also takes a float jet.  At the kinks of
-`clip` a jet carries the right derivative.  Variables may take complex
-values: a holomorphic function's jet then carries its complex derivatives.
+the arithmetic operators only; it never imports numpy.  `log` and `log1p`
+take a plain array or an array Jet, so one definition of a function
+evaluates either way.  Variables may take complex values: a holomorphic
+function's jet then carries its complex derivatives.
 
 Each function's first and second derivative are written once, as a rule
-(`power_rule`, `log_rule`, `log1p_rule`) that the jets apply and that a
-closed-form evaluation over plain floats calls directly.
+(`power_rule`, `log_rule`, `log1p_rule`, `smoothstep_rule`) that the jets
+apply and that a closed-form evaluation over plain floats calls directly.
 """
 
 from __future__ import annotations
@@ -114,6 +113,32 @@ def power_rule(v, p):
     return d1, d2
 
 
+def smoothstep_rule(v):
+    """The quintic smoothstep S, its antiderivative I (zero at 0) and their
+    derivatives at v, as (I, S, S', S''): the integral's value and first two
+    derivatives are the first three, the smoothstep's the last three.
+
+    On [0, 1] each is a polynomial, by Horner's method:
+    S(c) = c^3 (10 + c (-15 + 6c)) and I(c) = c^4 (2.5 + c (-3 + c)).  S is
+    0 below 0 and 1 above 1, where I(v) = I(1) + (v - 1) = v - 1/2.
+    S' = 30 c^2 (c - 1)^2 and S'' = 60 c (c - 1)(2c - 1) vanish at both
+    ends, so the pieces join C^2, and the polynomials at v clamped to [0, 1]
+    give the outer pieces too, bit for bit: a float off [0, 1] takes them
+    as constants, an array is clamped.  A NaN stays NaN."""
+    if not isinstance(v, float):
+        import numpy as np
+        c, excess = np.clip(v, 0.0, 1.0), np.maximum(v, 1.0) - 1.0
+    elif v < 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    elif v > 1.0:
+        return 0.5 + (v - 1.0), 1.0, 0.0, 0.0
+    else:
+        c, excess = v, 0.0
+    c2 = c * c
+    return (c2 * c2 * (2.5 + c * (-3.0 + c)) + excess, c2 * c * (10.0 + c * (-15.0 + 6.0 * c)),
+            c2 * (30.0 + c * (-60.0 + 30.0 * c)), c * (60.0 + c * (-180.0 + 120.0 * c)))
+
+
 def log_rule(v):
     """log' and log'' at v: r and -r^2, with r = 1/v."""
     r = 1.0 / v
@@ -138,17 +163,3 @@ def log1p(x):
     if not isinstance(x, Jet):
         return np.log1p(x)
     return x.apply(np.log1p(x.value), *log1p_rule(x.value))
-
-
-def clip(x, lo: float, hi: float):
-    """x clipped to [lo, hi]; use math.inf for a missing bound.  A float jet
-    is clipped in Python floats, as np.clip would clip it."""
-    if isinstance(x, Jet) and isinstance(x.value, float):
-        v = x.value
-        inside = lo <= v < hi
-        return Jet(min(max(v, lo), hi), x.grad * inside, x.hess * inside)
-    import numpy as np
-    if not isinstance(x, Jet):
-        return np.clip(x, lo, hi)
-    inside = (x.value >= lo) & (x.value < hi)
-    return Jet(np.clip(x.value, lo, hi), x.grad * inside, x.hess * inside)

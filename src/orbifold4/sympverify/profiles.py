@@ -5,14 +5,15 @@ values are read off a plain evaluation, and the first two derivatives off
 one evaluation on a one-variable jet.  Finite differences are reserved for
 independent cross-checks.  All callables are vectorized over numpy arrays;
 `float_jet` evaluates one float without numpy, for the profiles written
-with arithmetic operators only.
+with arithmetic operators only.  The ramp and the bump are defined by a
+rule (`RadialProfile.of_rule`) from the smoothstep's rule in `jet`: their
+jets apply it, and a float path reads value and derivatives off `rule`
+without building a jet.
 """
 
 from __future__ import annotations
 
-import math
-
-from .jet import Jet, clip
+from .jet import Jet, smoothstep_rule
 
 
 class RadialProfile:
@@ -22,6 +23,16 @@ class RadialProfile:
 
     def __init__(self, fn):
         self.fn = fn
+
+    @classmethod
+    def of_rule(cls, rule) -> "RadialProfile":
+        """The profile whose value, first and second derivative at a float
+        or an array x are rule(x): its fn applies the rule to a jet and
+        reads the value off it at a plain x, and its `rule` is the float
+        path's evaluation, which builds no jet."""
+        profile = cls(lambda x: x.apply(*rule(x.value)) if isinstance(x, Jet) else rule(x)[0])
+        profile.rule = rule
+        return profile
 
     def jet(self, x) -> Jet:
         """Value, first and second derivative at x as a one-variable jet."""
@@ -67,33 +78,33 @@ def identity_profile() -> RadialProfile:
     return RadialProfile(lambda x: x + 0.0)
 
 
-def _smoothstep(s):
-    """Quintic smoothstep: 0 below 0, 1 above 1, C^2 across both ends."""
-    s = clip(s, 0.0, 1.0)
-    return s ** 3 * (6.0 * s * s - 15.0 * s + 10.0)
-
-
-def _smoothstep_integral(s):
-    """Antiderivative of the quintic smoothstep, zero at 0; equals s - 1/2 above 1."""
-    s_c = clip(s, 0.0, 1.0)
-    return s_c ** 4 * (s_c * s_c - 3.0 * s_c + 2.5) + (clip(s, 1.0, math.inf) - 1.0)
-
-
 def h_ramp(t0: float, t1: float) -> RadialProfile:
     """C^2 convex ramp: 0 below t0, slope rising to 1, equal to t - t1 + (t1-t0)/2
-    above t1.  h' and h'' are >= 0 everywhere."""
+    above t1.  h' and h'' are >= 0 everywhere.  h(t) = w I((t - t0)/w) with
+    w = t1 - t0 and I the smoothstep's antiderivative, so h' = I' and
+    h'' = I''/w."""
     if not t0 < t1:
         raise ValueError("ramp requires t0 < t1")
     w = t1 - t0
-    return RadialProfile(lambda t: w * _smoothstep_integral((t - t0) / w))
+
+    def rule(t):
+        i, s, s1, _ = smoothstep_rule((t - t0) / w)
+        return w * i, s, s1 / w
+    return RadialProfile.of_rule(rule)
 
 
 def rho_bump(lo: float, hi: float) -> RadialProfile:
-    """C^2 decreasing cutoff: 1 below lo, 0 above hi."""
+    """C^2 decreasing cutoff: 1 below lo, 0 above hi.  rho(x) = 1 - S((x - lo)/w)
+    with w = hi - lo and S the smoothstep, so rho' = -S'/w and
+    rho'' = -S''/w^2."""
     if not 0 <= lo < hi:
         raise ValueError("bump requires 0 <= lo < hi")
     w = hi - lo
-    return RadialProfile(lambda x: 1.0 - _smoothstep((x - lo) / w))
+
+    def rule(x):
+        _, s, s1, s2 = smoothstep_rule((x - lo) / w)
+        return 1.0 - s, -s1 / w, -s2 / (w * w)
+    return RadialProfile.of_rule(rule)
 
 
 def H_cutoff(m: int, a: float, lo: float, hi: float,

@@ -3,19 +3,27 @@ of orbifold4.sympverify: the complex Hessian of a potential and its Kähler
 form (i/2) ddbar F by central differences, and the exterior derivative of a
 form by central differences; the exact taming quotient of a form's entries;
 the primitive beta of the flat form and d(rho(r) beta) from their explicit
-formulas; the product grid of axes and the full 4-D ball grid whose orbits
-forms.orbit_samples samples; and the blow-up chart model over numpy arrays (its potential written over array
-jets, its 4-D chart grid and its chart transition through
-linear.holomorphic_map), the reference for blowup's float arithmetic."""
+formulas; the product grid of axes and the full 4-D ball grid; the gluing
+over numpy arrays (its orbit samples, the taming data of its potentials off
+array jets, and delta and the certificate from them), the reference for
+forms.glue_forms' float arithmetic; the smoothstep profiles composed from
+clip, the reference for jet.smoothstep_rule; and the blow-up chart model
+over numpy arrays (its potential written over array jets, its 4-D chart
+grid and its chart transition through linear.holomorphic_map), the
+reference for blowup's float arithmetic."""
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
 from orbifold4.sympverify.blowup import U_MAX, V_MAX, V_MIN
-from orbifold4.sympverify.forms import form_from_hermitian, invariant_potential_form
-from orbifold4.sympverify.jet import log1p
+from orbifold4.sympverify.forms import (GLUING_TOL, PreconditionFailure, form_from_hermitian,
+                                        invariant_potential_form, quotients)
+from orbifold4.sympverify.jet import Jet, log1p
+from orbifold4.sympverify.profiles import RadialProfile
+from orbifold4.sympverify.taming import certify, circles, linspace
 from orbifold4.sympverify.linear import OMEGA0, antisymmetric, holomorphic_map
 
 
@@ -171,3 +179,109 @@ def chart_grid(n: int):
     pts = cube_grid(ax_u, ax_u, ax_v, ax_v)
     t = pts[:, 2] ** 2 + pts[:, 3] ** 2
     return pts[t >= V_MIN ** 2]
+
+
+def clip(x, lo: float, hi: float):
+    """x clipped to [lo, hi], over arrays, array jets and float jets; use
+    math.inf for a missing bound.  At the kinks a jet carries the right
+    derivative."""
+    if isinstance(x, Jet) and isinstance(x.value, float):
+        v = x.value
+        inside = lo <= v < hi
+        return Jet(min(max(v, lo), hi), x.grad * inside, x.hess * inside)
+    if not isinstance(x, Jet):
+        return np.clip(x, lo, hi)
+    inside = (x.value >= lo) & (x.value < hi)
+    return Jet(np.clip(x.value, lo, hi), x.grad * inside, x.hess * inside)
+
+
+def composed_ramp(t0: float, t1: float) -> RadialProfile:
+    """profiles.h_ramp composed from clip and the smoothstep's antiderivative
+    s^4 (s^2 - 3s + 2.5), plus s - 1 above 1, on jets."""
+    w = t1 - t0
+
+    def integral(s):
+        s_c = clip(s, 0.0, 1.0)
+        return s_c ** 4 * (s_c * s_c - 3.0 * s_c + 2.5) + (clip(s, 1.0, math.inf) - 1.0)
+    return RadialProfile(lambda t: w * integral((t - t0) / w))
+
+
+def composed_bump(lo: float, hi: float) -> RadialProfile:
+    """profiles.rho_bump composed from clip and the quintic smoothstep
+    s^3 (6s^2 - 15s + 10), on jets."""
+    w = hi - lo
+
+    def smoothstep(s):
+        s = clip(s, 0.0, 1.0)
+        return s ** 3 * (6.0 * s * s - 15.0 * s + 10.0)
+    return RadialProfile(lambda x: 1.0 - smoothstep((x - lo) / w))
+
+
+def orbit_samples(radius: float, n: int, inner: float = 0.0):
+    """One sample per torus orbit (s, t) = (|z|^2, |w|^2) of the n^4 cubic
+    grid of [-radius, radius]^4 with inner <= sqrt(s + t) <= radius, each the
+    first grid point of its orbit, in grid order, as an (N, 4) array: the
+    pairs of circles of the plane grid (taming.circles), head-major."""
+    plane = circles(linspace(-radius, radius, n))
+    r2, first = np.array(list(plane)), np.array(list(plane.values()))
+    r = np.sqrt(r2[:, None] + r2)
+    heads, tails = np.nonzero((inner <= r) & (r <= radius))
+    out = np.empty((len(heads), 4))
+    out[:, :2], out[:, 2:] = first[heads], first[tails]
+    return out
+
+
+def orbit_taming_data(phi, points, delta: float = 0.0, rho=None):
+    """(a, d, |b|) of the form of phi(s, t) at an (N, 4) array of samples,
+    off one array jet of phi in (s, t): c00, c11 and |c01| = sqrt(s) sqrt(t)
+    |phi_st|.  With a cutoff rho, those of phi + delta G(s + t), G'(R) =
+    rho(sqrt R), from G's Hessian in closed form: delta (rho + s G'',
+    rho + t G'', G'') added, with G'' = rho'(r) / 2r, 0 where rho' is."""
+    s = points[:, 0] ** 2 + points[:, 1] ** 2
+    t = points[:, 2] ** 2 + points[:, 3] ** 2
+    j = phi(Jet.variable(s, 0, 2), Jet.variable(t, 1, 2))
+    a, d, st = j.grad[0] + s * j.hess[0, 0], j.grad[1] + t * j.hess[1, 1], j.hess[0, 1]
+    if rho is not None:
+        r = np.sqrt(s + t)
+        cut = rho.jet(r)
+        g2 = np.divide(cut.grad[0], 2.0 * r, out=np.zeros_like(r), where=cut.grad[0] != 0)
+        a = a + delta * (cut.value + s * g2)
+        d = d + delta * (cut.value + t * g2)
+        st = st + delta * g2
+    return a, d, np.sqrt(s) * np.sqrt(t) * np.abs(st)
+
+
+def _orbit_certificate(phi, samples, delta=0.0, rho=None, **labels):
+    quot = quotients(*orbit_taming_data(phi, samples, delta, rho))
+    return certify(zip(samples.tolist(), quot.tolist()), **labels)
+
+
+def glue_forms_oracle(problem, n: int):
+    """(delta, certificate) of forms.glue_forms over numpy arrays, every
+    region's orbit samples at once, raising where it raises."""
+    e1, e2, e3 = problem.eps1, problem.eps2, problem.eps3
+    phi1, rho = problem.phi1, problem.rho
+    inner = orbit_samples(e1 * 0.999, n)
+    a, d, b = orbit_taming_data(phi1, inner)
+    norm = np.sqrt(2.0 * (a * a + d * d + 2.0 * (b * b)))
+    if norm.size and not float(np.max(norm)) <= GLUING_TOL:
+        idx = int(np.argmax(norm))
+        raise PreconditionFailure("omega1 does not vanish on the inner ball",
+                                  worst_sample=tuple(inner[idx].tolist()), value=float(norm[idx]))
+    mid, outer = orbit_samples(e2, n, inner=e1), orbit_samples(e3, n, inner=e2 * (1 + 1e-9))
+    if not (len(mid) and len(outer)):
+        raise ValueError(f"a {n}^4 grid has no sample on an annulus; use a finer grid")
+    cert = _orbit_certificate(phi1, mid)
+    if not cert.min_quotient >= -GLUING_TOL:
+        raise PreconditionFailure("omega1 not semipositive on the middle annulus",
+                                  worst_sample=cert.worst_sample, value=cert.min_quotient)
+    cert = _orbit_certificate(phi1, outer)
+    C = cert.min_quotient
+    if not C > 0:
+        raise PreconditionFailure("omega1 not positive outside eps2",
+                                  worst_sample=cert.worst_sample, value=C)
+    ball = orbit_samples(e3, n, inner=1e-6)
+    r = np.sqrt(ball[:, 0] ** 2 + ball[:, 1] ** 2 + (ball[:, 2] ** 2 + ball[:, 3] ** 2))
+    delta = C / (2.0 * (float(np.max(np.abs(rho.jet(r).grad[0]) * r / 2.0)) + 1.0))
+    return delta, _orbit_certificate(phi1, ball, delta, rho, region=f"ball radius {e3}",
+                                     grid=f"{n}^4 cubic grid")

@@ -377,6 +377,32 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,content,key", [
+    (("verify", "gluing", "--problem"), '{"eps1": true, "eps2": 1.5, "eps3": 2}', "eps1"),
+    (("verify", "gluing", "--problem"), '{"a": true}', "a"),
+    (("verify", "gluing", "--problem"), '{"a": "0.1"}', "a"),
+    (("verify", "gluing", "--problem"), '{"eps2": false}', "eps2"),
+    (("verify", "gluing", "--problem"), '{"eps3": [1.0]}', "eps3"),
+    (("verify", "gluing", "--problem"), '{"eps1": null}', "eps1"),
+    (("verify", "tameness", "--model"), '{"m": 2, "a": true}', "a"),
+    (("verify", "tameness", "--model"), '{"m": 2, "a": "0.1"}', "a"),
+    (("verify", "tameness", "--model"), '{"delta0": true}', "delta0"),
+    (("verify", "tameness", "--model"), '{"delta2": "0.25"}', "delta2"),
+    (("verify", "tameness", "--model"), '{"kappa": false}', "kappa"),
+    (("verify", "tameness", "--model"), '{"nu": [true, 0.0]}', "nu"),
+])
+def test_a_boolean_or_non_number_parameter_exits_2_naming_its_key(capsys, tmp_path, argv,
+                                                                  content, key):
+    # a JSON true is not 1, and a string is not a number: refused like m,
+    # with one error line that names the key
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    code, out, err = run(capsys, *argv, str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"{key} must be a real number" in err
+    assert err.count("\n") == 1
+
+
 def test_a_group_file_past_its_max_order_exits_2(capsys, tmp_path):
     from orbifold4.cyclotomic import CyclotomicScalar
     from orbifold4.unitary import UMat2

@@ -1,19 +1,27 @@
 """Gluing of a form vanishing near the origin to a multiple of the flat form."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fd_oracles import (ball_grid, d_rho_beta, dbeta_residual, flat_form,
+from fd_oracles import (ball_grid, d_rho_beta, dbeta_residual, flat_form, glue_forms_oracle,
                         standard_primitive)
-from orbifold4.sympverify import GluingProblem, glue_forms, rho_bump
-from orbifold4.sympverify.fixtures import pipeline_problem, smoothing_excess_max
+from orbifold4.sympverify import GluingProblem, RadialProfile, glue_forms, identity_profile
+from orbifold4.sympverify.fixtures import annulus_floor, pipeline_problem, smoothing_excess_max
 from orbifold4.sympverify.forms import PreconditionFailure, taming_quotients
 from orbifold4.sympverify.linear import J0, OMEGA0
+from orbifold4.sympverify.profiles import H_cutoff
+
+# h(u) = u: with g the identity, the potential s + t = |p|^2 of the flat form
+_IDENTITY = RadialProfile.of_rule(lambda u: (u, 1.0, 0.0))
 
 
-def _flat(s, t):
-    """The potential s + t = |p|^2 of the flat form."""
-    return s + t
+def _negated(problem):
+    """The problem whose potential is -h(s + g(t))."""
+    rule = problem.h.rule
+    return problem._replace(h=RadialProfile.of_rule(lambda u: tuple(-v for v in rule(u))))
 
 
 def test_standard_primitive_differentiates_to_flat_form():
@@ -23,7 +31,7 @@ def test_standard_primitive_differentiates_to_flat_form():
 
 def test_problem_radius_validation():
     with pytest.raises(ValueError):
-        GluingProblem(0.8, 0.5, 1.0, _flat, rho_bump(0.5, 1.0))
+        GluingProblem(0.8, 0.5, 1.0, _IDENTITY, identity_profile())
 
 
 def test_smoothing_excess_max():
@@ -40,6 +48,33 @@ def test_pipeline_problem_geometry():
     # and is nondegenerate on the outer annulus
     outer = ball_grid(prob.eps3, 9, inner=prob.eps2 * 1.001)
     assert float(np.min(taming_quotients(prob.omega1(outer), J0))) > 0
+
+
+def test_smoothing_excess_max_matches_numpy_at_m_2():
+    # np.power takes the square root for m = 2; libm's pow agrees at the max
+    # for the default and the benchmark's problems, so t0 is unchanged
+    for a, x_max in ((0.1, 0.25), (0.0524, 0.4585 ** 2), (0.1142, 0.4982 ** 2)):
+        x = np.linspace(0.0, x_max, 4001)
+        assert smoothing_excess_max(2, a, x_max) == float(np.max(np.sqrt(x + a * a) - x))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_annulus_floor_is_the_least_value_on_the_whole_annulus(m):
+    # min over t in [0, eps3^2] of max(0, eps2^2 - t) + g(t), exactly, against
+    # a dense sample through both ends of [0, eps2^2], where the least value
+    # lies; each float sample may round an ulp or two below the true value
+    rng = np.random.default_rng(17 + m)
+    for _ in range(20):
+        a, eps2 = rng.uniform(0.01, 0.5), rng.uniform(0.2, 3.0)
+        eps3 = eps2 * rng.uniform(1.05, 1.5)
+        # pipeline_problem's g(t) = t + H(t), H cut off from 1.5 eps3^2 on
+        H = H_cutoff(m, a, lo=1.5 * eps3 ** 2, hi=3.0 * eps3 ** 2, resolved=True)
+        t = np.concatenate([np.linspace(0.0, eps2 ** 2, 20001),
+                            np.linspace(eps2 ** 2, eps3 ** 2, 2001)])
+        sample = float(np.min(np.maximum(0.0, eps2 ** 2 - t) + (t + H.value(t))))
+        exact = annulus_floor(m, a, eps2)
+        assert exact <= sample + 4 * math.ulp(sample)
+        assert sample - exact <= 1e-9
 
 
 def test_pipeline_problem_rejects_radii_without_ramp_window():
@@ -103,7 +138,7 @@ def test_glue_forms_determinism():
 
 def test_glue_forms_rejects_nonvanishing_omega1():
     # gluing the flat form to itself violates the inner-ball precondition
-    prob = GluingProblem(0.3, 0.6, 0.9, _flat, rho_bump(0.6, 0.9))
+    prob = GluingProblem(0.3, 0.6, 0.9, _IDENTITY, identity_profile())
     with pytest.raises(PreconditionFailure):
         glue_forms(prob, grid_n=7)
 
@@ -111,18 +146,17 @@ def test_glue_forms_rejects_nonvanishing_omega1():
 def test_glue_forms_reports_the_worst_annulus_sample():
     base = pipeline_problem(m=2, a=0.1)
 
-    def problem(phi1):
-        return GluingProblem(base.eps1, base.eps2, base.eps3, phi1, base.rho)
-
     mid = ball_grid(base.eps2, 9, inner=base.eps1)
     q = taming_quotients(-base.omega1(mid), J0)
     with pytest.raises(PreconditionFailure, match="middle annulus") as exc:
-        glue_forms(problem(lambda s, t: -base.phi1(s, t)), grid_n=9)
+        glue_forms(_negated(base), grid_n=9)
     assert exc.value.value == q.min() and exc.value.worst_sample == tuple(mid[np.argmin(q)])
 
+    # the zero potential
     outer = ball_grid(base.eps3, 9, inner=base.eps2 * (1 + 1e-9))
+    zero = base._replace(h=RadialProfile.of_rule(lambda u: (0.0 * u, 0.0 * u, 0.0 * u)))
     with pytest.raises(PreconditionFailure, match="outside eps2") as exc:
-        glue_forms(problem(lambda s, t: 0.0 * s), grid_n=9)
+        glue_forms(zero, grid_n=9)
     assert exc.value.value == 0.0 and exc.value.worst_sample == tuple(outer[0])
 
 
@@ -143,3 +177,64 @@ def test_the_glued_potential_has_no_value():
     assert np.all(np.isnan(glued.potential(pts)))
     assert np.all(np.isfinite(glued(pts)))
 
+
+# the default problem, the gluing problems of the benchmark's seeds 7 and 11,
+# problems at m = 1 and m = 3, and two that fail a precondition: the flat
+# form, which does not vanish on the inner ball, and the negated default
+ORACLE_PROBLEMS = {
+    "default": pipeline_problem(),
+    "seed-7": pipeline_problem(2, 0.0524, 0.4585, 0.8404, 1.0),
+    "seed-11": pipeline_problem(2, 0.1142, 0.4982, 0.8061, 1.0),
+    "m1": pipeline_problem(1, 0.1, 0.5, 0.8, 1.0),
+    "m3": pipeline_problem(3, 0.15, 0.25, 0.8, 1.0),
+    "flat": GluingProblem(0.3, 0.6, 0.9, _IDENTITY, identity_profile()),
+    "negated": _negated(pipeline_problem()),
+}
+
+
+def _outcome(fn):
+    """(delta, certificate) of fn(), or the error it raises, as comparable fields."""
+    try:
+        delta, cert = fn()
+    except PreconditionFailure as exc:
+        return "precondition", str(exc), exc.worst_sample, exc.value
+    except ValueError as exc:
+        return "invalid", str(exc)
+    return "ok", delta, cert
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 22])
+@pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
+def test_float_gluing_matches_the_numpy_oracle(name, n):
+    problem = ORACLE_PROBLEMS[name]
+    got = _outcome(lambda: glue_forms(problem, grid_n=n)[::2])
+    want = _outcome(lambda: glue_forms_oracle(problem, n))
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1:3] == want[1:3]
+        if got[0] == "precondition":
+            assert abs(got[3] - want[3]) <= 1e-13 * max(1.0, abs(want[3]))
+        return
+    (delta, cert), (want_delta, want_cert) = got[1:], want[1:]
+    assert abs(delta - want_delta) <= 1e-13 * want_delta
+    assert abs(cert.min_quotient - want_cert.min_quotient) <= 1e-13 * abs(want_cert.min_quotient)
+    assert cert._replace(min_quotient=0.0) == want_cert._replace(min_quotient=0.0)
+
+
+def test_glue_forms_peak_memory_does_not_grow_with_the_grid():
+    # the orbits stream through the certificates: nine times as many at grid
+    # 40 as at 20, none of them kept.  Only the circles of a plane grid and
+    # g's float jets on them are, which grow as the square of the grid, by
+    # about 0.1 MB from grid 20 to 40
+    problem = pipeline_problem()
+
+    def peak(n):
+        glue_forms(problem, grid_n=n)
+        tracemalloc.start()
+        try:
+            glue_forms(problem, grid_n=n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) <= peak(20) + 256 * 2 ** 10

@@ -4,7 +4,8 @@ differences of the same definition evaluated on plain arrays."""
 import numpy as np
 import pytest
 
-from orbifold4.sympverify.jet import Jet, clip, log, log1p
+from fd_oracles import clip, composed_bump, composed_ramp
+from orbifold4.sympverify.jet import Jet, log, log1p
 from orbifold4.sympverify.profiles import H_cutoff, f_smoothing, h_ramp, rho_bump
 
 # functions written once, evaluated on arrays or jets; arguments stay in (0.2, 1.4)
@@ -105,7 +106,7 @@ def test_numpy_operands_defer_to_the_jet():
         assert isinstance(out, Jet) and np.array_equal(out.grad[0], [2.0, 2.0])
 
 
-# profiles evaluated on float jets; the clipped ones have kinks at 0.5 and 1.1
+# profiles evaluated on float jets; the ramp and the bump have kinks at 0.5 and 1.1
 FLOAT_PROFILES = {
     "smoothing": f_smoothing(3, 0.2),
     "ramp": h_ramp(0.5, 1.1),
@@ -116,7 +117,7 @@ FLOAT_PROFILES = {
 
 @pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "neg", "pow", *FLOAT_PROFILES])
 def test_float_jet_matches_the_array_jet(name):
-    # the arithmetic operators and clip on a jet of Python floats give the
+    # the arithmetic operators and the rules on a jet of Python floats give the
     # array jet's value and derivatives, up to numpy's own rounding of powers
     # (the smoothing profile's f'' cancels, and shows it), on both sides of
     # the kinks and at them, where both carry the right derivative
@@ -136,3 +137,37 @@ def test_float_jet_raises_where_numpy_warns():
         Jet.float_variable(0.0) ** 0.5
     with pytest.raises(OverflowError):
         Jet.float_variable(1e100) ** 4
+
+
+# the sums of the absolute coefficients of the smoothstep's Horner
+# polynomials, I: 6.5, S: 31, S': 120 and S'': 360, through the chain rule
+# of each profile on a window of width w: the scale of its rounding
+RULE_SCALES = {
+    "ramp": (h_ramp, composed_ramp, lambda w: (6.5 * w, 31.0, 120.0 / w)),
+    "bump": (rho_bump, composed_bump, lambda w: (31.0, 120.0 / w, 360.0 / (w * w))),
+}
+
+
+@pytest.mark.parametrize("window", [(0.5, 1.1), (0.52, 0.63)], ids=["wide", "default-ramp"])
+@pytest.mark.parametrize("name", sorted(RULE_SCALES))
+def test_smoothstep_rule_matches_the_composed_definition(name, window):
+    # jet.smoothstep_rule against the smoothstep composed from clip, on both
+    # sides of both kinks and at them, on float jets, array jets and the
+    # float path's rule: value, first and second derivative to 1e-15 of the
+    # polynomial's scale (the two round their own ways; near c = 1/2 the
+    # composed second derivative is 6.6e-14 from the exact value at w = 0.6)
+    make, compose, scales = RULE_SCALES[name]
+    lo, hi = window
+    profile, composed, tol = make(lo, hi), compose(lo, hi), scales(hi - lo)
+    xs = sorted({*np.linspace(lo - 0.2, hi + 0.2, 61).tolist(), lo, hi,
+                 *(float(np.nextafter(k, d)) for k in window for d in (0.0, 2.0))})
+    want = composed.jet(np.array(xs))
+    got = profile.jet(np.array(xs))
+    for i, x in enumerate(xs):
+        expected = (want.value[i], want.grad[0, i], want.hess[0, 0, i])
+        fj = profile.float_jet(x)
+        for g in ((fj.value, fj.grad, fj.hess), profile.rule(x),
+                  (got.value[i], got.grad[0, i], got.hess[0, 0, i])):
+            for u, w, scale in zip(g, expected, tol):
+                assert abs(u - w) <= 1e-15 * scale, (x, u, w)
+        assert all(type(v) is float for v in (fj.value, fj.grad, fj.hess, *profile.rule(x)))

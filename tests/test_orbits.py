@@ -7,12 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fd_oracles import ball_grid, chart_grid, cube_grid, dr_beta, numpy_chart_form
+from fd_oracles import (ball_grid, chart_grid, cube_grid, dr_beta, numpy_chart_form,
+                        orbit_samples)
 from orbifold4.cli import main
 from orbifold4.sympverify import LocalModel, eval_omega_a
 from orbifold4.sympverify.blowup import blowup_model_check, chart_orbits
 from orbifold4.sympverify.fixtures import pipeline_problem
-from orbifold4.sympverify.forms import glue_forms, orbit_samples, tameness_min
+from orbifold4.sympverify.forms import glue_forms, tameness_min
 from orbifold4.sympverify.linear import J0
 from orbifold4.sympverify.localmodel import cube_samples
 

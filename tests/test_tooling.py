@@ -84,7 +84,7 @@ def _loaded_modules(argv) -> set:
     ("verify", "blowup", "--grid", "4"),
 ], ids=["tameness", "gluing", "blowup"])
 def test_verify_commands_load_none_of_the_exact_half(argv):
-    # a verify job pays for sympverify (and numpy, but for tameness) only
+    # a verify job pays for sympverify only
     loaded = _loaded_modules(argv)
     assert "orbifold4.sympverify.taming" in loaded
     assert loaded & EXACT_HALF == set()
@@ -109,13 +109,41 @@ def test_verify_commands_load_only_what_they_run(argv, modules):
     # sympverify resolves its names lazily: a verify job compiles only the
     # submodules it runs (never pushforward, which no command calls), draws
     # no random points and builds its records without the dataclass
-    # generator; the local model's and the blow-up model's certificates run
-    # in floats, without numpy
+    # generator; every certificate runs in floats, so no command loads numpy
     loaded = _loaded_modules(argv)
     assert {m for m in loaded if m.startswith("orbifold4.sympverify.")} == {
         f"orbifold4.sympverify.{name}" for name in modules}
-    assert loaded & {"numpy.random", "dataclasses", "orbifold4.sympverify.pushforward"} == set()
-    assert ("numpy" in loaded) == ("gluing" in argv)
+    assert loaded & {"numpy", "dataclasses", "orbifold4.sympverify.pushforward"} == set()
+
+
+def _cli(argv, block_numpy: bool):
+    """(exit code, stdout) of one CLI command in a fresh interpreter; with
+    block_numpy, `import numpy` raises ImportError there."""
+    block = "sys.modules['numpy'] = None; " if block_numpy else ""
+    code = f"import sys; {block}from orbifold4.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--json"], env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "tameness", "--model", "flat", "--grid", "6"),
+    ("verify", "tameness", "--model", "flat", "--grid", "6", "--resolved"),
+    ("verify", "tameness", "--model", str(ROOT / "docs" / "examples" / "model.json")),
+    ("verify", "tameness", "--model", "degenerate-fixture"),
+    ("verify", "gluing", "--grid", "8"),
+    ("verify", "gluing", "--problem", str(ROOT / "docs" / "examples" / "problem.json"),
+     "--grid", "9"),
+    ("verify", "gluing", "--eps1", "1.5", "--eps2", "2.4", "--eps3", "3"),
+    ("verify", "blowup", "--grid", "6"),
+    ("orbifold", "resolve", "--example", "mapping-torus"),
+], ids=["tameness-flat", "tameness-resolved", "tameness-model", "tameness-degenerate",
+        "gluing", "gluing-problem", "gluing-refused", "blowup", "orbifold-resolve"])
+def test_commands_run_without_numpy(argv):
+    # numpy is a test dependency only: every command keeps its exit code and
+    # its report in an interpreter where numpy cannot be imported
+    assert _cli(argv, block_numpy=True) == _cli(argv, block_numpy=False)
 
 
 def test_singularity_resolve_loads_only_integer_code():
