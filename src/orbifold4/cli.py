@@ -248,6 +248,24 @@ def _check_grid(args) -> None:
         raise CliError(f"--grid must be at most {MAX_GRID}", EXIT_INVALID)
 
 
+# the real parameters of a --model or --problem file; a model's nu is a
+# list of them
+REAL_KEYS = ("a", "delta0", "delta2", "kappa", "eps1", "eps2", "eps3")
+
+
+def _require_reals(obj):
+    """obj, a JSON object read from an input file, once every real parameter
+    in it is a number, with the first that is not named: a JSON true is not
+    1, nor a string a number.  Anything but an object is passed on as read."""
+    if isinstance(obj, dict):
+        nu = obj.get("nu")
+        pairs = [(key, obj[key]) for key in REAL_KEYS if key in obj]
+        for key, value in pairs + [("nu", v) for v in (nu if isinstance(nu, list) else ())]:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{key} must be a real number")
+    return obj
+
+
 def cmd_verify_tameness(args) -> dict:
     from .sympverify.taming import TAMENESS_TOL, certify, linspace, quotient
 
@@ -267,7 +285,7 @@ def cmd_verify_tameness(args) -> dict:
                 model = LocalModel(m=args.m, a=args.a, delta0=1.0, delta2=args.delta2)
             else:
                 with open(args.model) as fh:
-                    model = LocalModel(**json.load(fh))
+                    model = LocalModel(**_require_reals(json.load(fh)))
         except (OSError, TypeError, ValueError, OverflowError) as exc:
             raise CliError(f"invalid model: {exc}", EXIT_INVALID)
         cert = certify(cube_samples(model, args.grid, resolved=args.resolved),
@@ -292,6 +310,7 @@ def cmd_verify_gluing(args) -> dict:
             unknown = sorted(set(obj) - set(keys))
             if unknown:
                 raise ValueError(f"unknown keys {unknown}")
+            _require_reals(obj)
         except (OSError, ValueError) as exc:
             raise CliError(f"invalid problem file: {exc}", EXIT_INVALID)
     try:

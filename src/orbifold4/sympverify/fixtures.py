@@ -51,10 +51,6 @@ def pipeline_problem(m: int = 2, a: float = 0.1,
     (annulus_floor)."""
     if isinstance(m, bool) or not isinstance(m, int):
         raise ValueError("m must be an integer")
-    # a JSON true is not 1, nor a string a number
-    for key, value in (("a", a), ("eps1", eps1), ("eps2", eps2), ("eps3", eps3)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{key} must be a real number")
     if m < 1 or not a > 0:
         raise ValueError("need m >= 1 and a > 0")
     # the cutoff window reaches 3*eps3^2; a radius whose square overflows

@@ -283,6 +283,20 @@ def _samples(h, plane, inner: float, radius: float, reduce, cutoff=None):
                                 root_s * root_t * abs(phi_st))
 
 
+def _slope_sup(rule, plane, lo: float, radius: float) -> float:
+    """The sup of |rho'(r)| r / 2 over the orbits (s, t) of a plane with
+    1e-6 <= r = sqrt(s + t) <= radius, for the rule of a cutoff rho that is
+    constant up to lo: rho' is exactly 0 there, so only the orbits with
+    r > lo are read, and (s, t) and (t, s), which share r, once."""
+    sup, squares = 0.0, [circle[0] for circle in plane]
+    for i, s in enumerate(squares):
+        for t in squares[i:]:
+            r = math.sqrt(s + t)
+            if lo < r <= radius and r >= 1e-6:
+                sup = max(sup, abs(rule(r)[1]) * r / 2.0)
+    return sup
+
+
 def _frobenius(a: float, d: float, b: float) -> float:
     """The Frobenius norm of a form from its taming data: constant on
     orbits, as is the taming quotient; the largest entry of a form is not."""
@@ -334,15 +348,7 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15):
         raise PreconditionFailure("omega1 not positive outside eps2",
                                   worst_sample=cert.worst_sample, value=C)
 
-    sup, rule, squares = 0.0, rho.rule, [circle[0] for circle in plane]
-    for s in squares:
-        for t in squares:
-            r = math.sqrt(s + t)
-            if 1e-6 <= r <= e3:
-                norm = abs(rule(r)[1]) * r / 2.0
-                if norm > sup:
-                    sup = norm
-    delta = C / (2.0 * (sup + 1.0))
+    delta = C / (2.0 * (_slope_sup(rho.rule, plane, e2, e3) + 1.0))
     cert = certify(_samples(h, plane, 1e-6, e3, quotient, (delta, rho.rule)),
                    region=f"ball radius {e3}", grid=f"{grid_n}^4 cubic grid")
 

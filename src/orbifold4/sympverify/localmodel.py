@@ -33,12 +33,8 @@ class LocalModel(namedtuple("LocalModel", "m a delta0 delta2 nu kappa",
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        reals = {"a": self.a, "delta0": self.delta0, "delta2": self.delta2, "kappa": self.kappa}
-        # a JSON true is not 1, nor a string a number
-        for key, value in (*reals.items(), *(("nu", v) for v in self.nu)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{key} must be a real number")
-        if len(self.nu) != 2 or not all(map(math.isfinite, (*reals.values(), *self.nu))):
+        reals = (self.a, self.delta0, self.delta2, self.kappa, *self.nu)
+        if len(self.nu) != 2 or not all(map(math.isfinite, reals)):
             raise ValueError("model parameters must be finite reals, nu a pair")
         if isinstance(self.m, bool) or not isinstance(self.m, int):
             raise ValueError("m must be an integer")

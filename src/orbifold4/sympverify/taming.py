@@ -44,8 +44,7 @@ class TamenessCertificate(namedtuple("TamenessCertificate",
 # a, d and b whose magnitudes all lie in [2^-100, 2^100] keep every product,
 # sum, hypot and quotient of quotient's formula a normal double, whether or
 # not they are first divided by a power of two; the division then changes no
-# rounding, and quotient skips it.  So does b = 0, which adds an exact 0 to
-# the determinant and leaves hypot(x, 0) = |x|
+# rounding, and quotient skips it
 _UNSCALED_LO, _UNSCALED_HI = 2.0 ** -100, 2.0 ** 100
 
 
@@ -54,15 +53,14 @@ def quotient(a: float, d: float, b: float) -> float:
     d]] with |beta| = b >= 0: the taming quotient of a sample for J0, as
     `forms.quotients` computes it over arrays, bit for bit.  a, d and b are
     divided by the power of two just above their largest magnitude, unless
-    all three magnitudes lie in [2^-100, 2^100] (or b = 0 and a and d do),
-    where that division would change no rounding.  The larger eigenvalue
-    then has no cancellation when a + d > 0, and the smaller is the
-    determinant over it; the hypot is C's, as np.hypot computes it
-    (math.hypot rounds its own way).  A non-finite input gives NaN, which is
-    never tame.
+    all three magnitudes lie in [2^-100, 2^100], where that division would
+    change no rounding.  The larger eigenvalue then has no cancellation when
+    a + d > 0, and the smaller is the determinant over it; the hypot is C's,
+    as np.hypot computes it (math.hypot rounds its own way).  A non-finite
+    input gives NaN, which is never tame.
     """
     if (_UNSCALED_LO <= abs(a) <= _UNSCALED_HI and _UNSCALED_LO <= abs(d) <= _UNSCALED_HI
-            and (_UNSCALED_LO <= b <= _UNSCALED_HI or b == 0.0)):
+            and _UNSCALED_LO <= b <= _UNSCALED_HI):
         exp = 0
     elif not (math.isfinite(a) and math.isfinite(d) and math.isfinite(b)):
         return math.nan
