@@ -254,9 +254,10 @@ REAL_KEYS = ("a", "delta0", "delta2", "kappa", "eps1", "eps2", "eps3")
 
 
 def _require_reals(obj):
-    """obj, a JSON object read from an input file, once every real parameter
-    in it is a number, with the first that is not named: a JSON true is not
-    1, nor a string a number.  Anything but an object is passed on as read."""
+    """obj as read from an input file, after checking that each real
+    parameter of a JSON object is a number, naming the first that is not: a
+    JSON true is not 1, nor a string a number.  A value that is not an
+    object is returned as it is, for its reader to refuse."""
     if isinstance(obj, dict):
         nu = obj.get("nu")
         pairs = [(key, obj[key]) for key in REAL_KEYS if key in obj]
