@@ -253,17 +253,35 @@ def _check_grid(args) -> None:
 REAL_KEYS = ("a", "delta0", "delta2", "kappa", "eps1", "eps2", "eps3")
 
 
-def _require_reals(obj):
-    """obj as read from an input file, after checking that each real
-    parameter of a JSON object is a number, naming the first that is not: a
-    JSON true is not 1, nor a string a number.  A value that is not an
-    object is returned as it is, for its reader to refuse."""
-    if isinstance(obj, dict):
-        nu = obj.get("nu")
-        pairs = [(key, obj[key]) for key in REAL_KEYS if key in obj]
-        for key, value in pairs + [("nu", v) for v in (nu if isinstance(nu, list) else ())]:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{key} must be a real number")
+def _require_reals(obj: dict) -> None:
+    """Checks that each real parameter of obj, and each of nu's, is a
+    number, naming the first that is not: a JSON true is not 1, nor a
+    string a number."""
+    pairs = [(key, obj[key]) for key in REAL_KEYS if key in obj]
+    for key, value in pairs + [("nu", v) for v in obj.get("nu", ())]:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key} must be a real number")
+
+
+def _read_parameters(path: str, keys, what: str) -> dict:
+    """The JSON object of a --model or --problem file: its top level an
+    object, each key one of keys, nu a list of two and every real parameter
+    a number (_require_reals).  Anything else exits 2 with one line that
+    names the fault."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError("the top level must be a JSON object")
+        unknown = sorted(set(obj) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
+        nu = obj.get("nu", [0.0, 0.0])
+        if not (isinstance(nu, list) and len(nu) == 2):
+            raise ValueError("nu must be a list of two real numbers")
+        _require_reals(obj)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"invalid {what}: {exc}", EXIT_INVALID)
     return obj
 
 
@@ -281,13 +299,13 @@ def cmd_verify_tameness(args) -> dict:
         from .sympverify.localmodel import LocalModel, cube_samples
 
         _check_grid(args)
+        if args.model == "flat":
+            params = {"m": args.m, "a": args.a, "delta0": 1.0, "delta2": args.delta2}
+        else:
+            params = _read_parameters(args.model, LocalModel._fields, "model")
         try:
-            if args.model == "flat":
-                model = LocalModel(m=args.m, a=args.a, delta0=1.0, delta2=args.delta2)
-            else:
-                with open(args.model) as fh:
-                    model = LocalModel(**_require_reals(json.load(fh)))
-        except (OSError, TypeError, ValueError, OverflowError) as exc:
+            model = LocalModel(**params)
+        except (ValueError, OverflowError) as exc:
             raise CliError(f"invalid model: {exc}", EXIT_INVALID)
         cert = certify(cube_samples(model, args.grid, resolved=args.resolved),
                        region=f"cube side 2*{model.delta2}", grid=f"{args.grid}^4")
@@ -301,19 +319,8 @@ def cmd_verify_gluing(args) -> dict:
     from .sympverify.forms import PreconditionFailure, glue_forms
 
     _check_grid(args)
-    keys, obj = ("m", "a", "eps1", "eps2", "eps3"), {}
-    if args.problem:
-        try:
-            with open(args.problem) as fh:
-                obj = json.load(fh)
-            if not isinstance(obj, dict):
-                raise ValueError("the top level must be a JSON object")
-            unknown = sorted(set(obj) - set(keys))
-            if unknown:
-                raise ValueError(f"unknown keys {unknown}")
-            _require_reals(obj)
-        except (OSError, ValueError) as exc:
-            raise CliError(f"invalid problem file: {exc}", EXIT_INVALID)
+    keys = ("m", "a", "eps1", "eps2", "eps3")
+    obj = _read_parameters(args.problem, keys, "problem file") if args.problem else {}
     try:
         problem = pipeline_problem(**{key: obj.get(key, getattr(args, key)) for key in keys})
     except (TypeError, ValueError, OverflowError) as exc:

@@ -16,8 +16,7 @@ _EXPORTS = {
                  "H_cutoff", "identity_profile"),
     "localmodel": ("LocalModel", "OutOfDomainError", "eval_omega_a"),
     "taming": ("TamenessCertificate",),
-    "forms": ("GluingProblem", "NotAlmostComplexError",
-              "PreconditionFailure", "form_from_hermitian",
+    "forms": ("GluingProblem", "PreconditionFailure", "form_from_hermitian",
               "glue_forms", "taming_quotients", "tameness_min"),
     "pushforward": ("PushforwardReport", "pushforward_check", "sample_points"),
     "blowup": ("BlowupReport", "blowup_model_check", "chart_form", "exceptional_area",

@@ -44,7 +44,8 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # d_n omega_kl: each term as (direction, entry)
 _TERMS = tuple(((k, PAIRS.index((l, n))), (l, PAIRS.index((k, n))), (n, PAIRS.index((k, l))))
                for k, l, n in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
-# the certified region of each chart: |u| <= U_MAX, V_MIN <= |v| <= V_MAX
+# the certified region of each chart: u in the square [-U_MAX, U_MAX]^2,
+# v in [-V_MAX, V_MAX]^2 with |v| >= V_MIN
 U_MAX, V_MIN, V_MAX = 1.2, 0.05, 0.8
 # trapezoid nodes of exceptional_area
 AREA_NODES = 20000
@@ -265,7 +266,8 @@ def blowup_model_check(m: int, lam: float, grid_n: int = 12) -> BlowupReport:
         samples = ((point, quotient(a, d, b))
                    for point, a, d, b in taming_data(m, lam, *chart_orbits(grid_n)))
         cert = certify(samples,
-                       region=f"two charts, |u|<={U_MAX}, {V_MIN}<=|v|<={V_MAX} "
+                       region=f"two charts, u in [-{U_MAX}, {U_MAX}]^2, "
+                              f"v in [-{V_MAX}, {V_MAX}]^2 with |v|>={V_MIN} "
                               f"(m={m}, lambda={lam})",
                        grid=f"{grid_n}^4 per chart, v=0 excluded")
         report = BlowupReport(cert, closedness_residual(form), overlap_max_diff(form, m),

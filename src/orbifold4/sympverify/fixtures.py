@@ -68,7 +68,7 @@ def pipeline_problem(m: int = 2, a: float = 0.1,
     if not t0 < t1:
         raise ValueError(f"radii leave no ramp window: t0={t0:.4f} >= t1={t1:.4f}")
     # cutoff of the smoothing correction beyond the certified ball
-    H = H_cutoff(m, a, lo=1.5 * eps3 ** 2, hi=3.0 * eps3 ** 2, resolved=True)
+    H = H_cutoff(m, a, lo=1.5 * eps3 ** 2, hi=3.0 * eps3 ** 2)
     problem = GluingProblem(
         eps1, eps2, eps3, h_ramp(t0, t1), RadialProfile(lambda x: x + H(x)),
         description=f"pipeline m={m} a={a} ramp=({t0:.4f},{t1:.4f})",

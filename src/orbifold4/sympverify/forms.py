@@ -1,13 +1,15 @@
-"""Kähler forms of invariant potentials, the taming quotient of arrays of
+"""Kähler forms of invariant potentials, the taming quotients of arrays of
 4x4 forms for J0, and the gluing, certified on its torus orbits in Python
 floats.
 
 Potentials F are scalar fields on R^4 = C^2, vectorized over point arrays of
 shape (..., 4).  2-forms are antisymmetric 4x4 coefficient matrices in the
 real coordinates (x1, y1, x2, y2), with complex coordinates z = x1 + i y1,
-w = x2 + i y2.  These array APIs import numpy when called.  The gluing's
-checks read the taming data of its potentials on (|z|^2, |w|^2) orbits as
-Python floats and build no 4x4 form; they import no numpy.
+w = x2 + i y2.  These array APIs import numpy when called, and read each
+form's quotient through `taming.quotient`, the one quotient of every
+certificate.  The gluing's checks read the taming data of its potentials on
+(|z|^2, |w|^2) orbits as Python floats and build no 4x4 form; they import
+no numpy.
 """
 
 from __future__ import annotations
@@ -22,15 +24,6 @@ from .taming import TamenessCertificate, certify, circles, linspace, quotient
 # glue_forms' bound on omega1's norm on the inner ball and on how far below
 # 0 its taming quotient may reach on the middle annulus
 GLUING_TOL = 1e-7
-
-# points per block of an array evaluation: the per-sample 4x4 arrays of one
-# block are alive at a time, whatever the number of points.  A block's forms
-# take 256 KiB
-CHUNK = 2 ** 11
-
-
-class NotAlmostComplexError(ValueError):
-    pass
 
 
 class PreconditionFailure(ValueError):
@@ -52,56 +45,9 @@ def form_from_hermitian(coeff):
     return antisymmetric(re[..., 0, 0], w02, w03, -w03, w02, re[..., 1, 1])
 
 
-def blockwise(fn, points):
-    """fn over consecutive CHUNK-row slices of an (N, ...) array of points,
-    its one float per row written into one preallocated array of length N.
-    No block's result outlives its block: a result that is a view into a
-    block's buffer (a form entry, say) would otherwise pin that buffer."""
-    import numpy as np
-    out = np.empty(len(points))
-    for i in range(0, len(points), CHUNK):
-        out[i:i + CHUNK] = fn(points[i:i + CHUNK])
-    return out
-
-
-def quotients(a, d, b):
-    """taming.quotient over arrays: the smaller eigenvalue of the Hermitian
-    block [[a, beta], [conj(beta), d]] per sample, with |beta| = b >= 0.
-
-    a, d and b are divided by the power of two just above their largest
-    magnitude before any product, so that blocks with entries near the
-    largest double give a finite result.  The larger eigenvalue
-    (a + d)/2 + hypot((a - d)/2, b) has no cancellation when a + d > 0, and
-    the smaller is then the determinant over it; (a + d)/2 - hypot(...)
-    would lose the digits of a small eigenvalue next to a large one.  When
-    a + d <= 0 the difference itself has no cancellation.  A sample with a
-    non-finite input gives NaN, which is never tame.
-    """
-    import numpy as np
-    top = np.maximum(np.maximum(np.abs(a), np.abs(d)), b)
-    finite, exp = np.isfinite(top), np.frexp(top)[1]
-    a, d, b = (np.where(finite, np.ldexp(x, -exp), 0.0) for x in (a, d, b))
-    half_sum, radius = 0.5 * a + 0.5 * d, np.hypot(0.5 * a - 0.5 * d, b)
-    positive = half_sum > 0
-    lam_max = np.where(positive, half_sum + radius, 1.0)
-    lam_min = np.where(positive, (a * d - b * b) / lam_max, half_sum - radius)
-    return np.where(finite, np.ldexp(lam_min, exp), np.nan)
-
-
-def _require_j0(acs) -> None:
-    import numpy as np
-    from .linear import J0
-
-    acs = np.asarray(acs, dtype=float)
-    if acs.shape != (4, 4):
-        raise NotAlmostComplexError(f"J must be one 4x4 matrix, not of shape {acs.shape}")
-    if not np.array_equal(acs, J0):
-        raise NotAlmostComplexError("the taming quotient is written for J = J0 only")
-
-
-def taming_quotients(forms, acs):
-    """Smallest eigenvalue of S = (1/2)(Omega J + (Omega J)^T) per sample, in
-    closed form, for an antisymmetric Omega and J = J0.
+def taming_quotients(forms):
+    """Smallest eigenvalue of S = (1/2)(Omega J0 + (Omega J0)^T) per sample
+    of a (..., 4, 4) array of antisymmetric forms Omega, in closed form.
 
     S commutes with J0, so in the unitary frame (e1, J0 e1, e3, J0 e3) it is
     the realification of the Hermitian block [[a, beta], [conj(beta), d]],
@@ -110,37 +56,27 @@ def taming_quotients(forms, acs):
         a = Omega01,   d = Omega23,
         |beta| = hypot((Omega21 + Omega03)/2, (Omega31 - Omega02)/2),
 
-    whose smaller eigenvalue `quotients` takes.  Neither Omega J nor S is
-    formed, and no eigensolver runs.  Every model here is written in
-    holomorphic coordinates, so every caller passes J0; any other J, or one
-    that is not a single 4x4 matrix, is refused (NotAlmostComplexError).
+    whose smaller eigenvalue taming.quotient takes, sample by sample.
+    Neither Omega J0 nor S is formed, and no eigensolver runs.  Every model
+    here is written in holomorphic coordinates, so J0 is the only complex
+    structure read.
     """
     import numpy as np
-    _require_j0(acs)
     f = np.asarray(forms, dtype=float)
     b = np.hypot(0.5 * f[..., 2, 1] + 0.5 * f[..., 0, 3], 0.5 * f[..., 3, 1] - 0.5 * f[..., 0, 2])
-    return quotients(f[..., 0, 1], f[..., 2, 3], b)
+    a, d = f[..., 0, 1], f[..., 2, 3]
+    return np.fromiter(map(quotient, a.ravel().tolist(), d.ravel().tolist(), b.ravel().tolist()),
+                       float, count=b.size).reshape(b.shape)
 
 
-def _certify(points, quot, region: str = "", grid: str = "") -> TamenessCertificate:
-    """taming.certify of the samples of an (N, 4) array and their quotients,
-    read as Python floats CHUNK samples at a time."""
-    def samples():
-        for i in range(0, len(quot), CHUNK):
-            yield from zip(points[i:i + CHUNK].tolist(), quot[i:i + CHUNK].tolist())
-    return certify(samples(), region, grid)
-
-
-def tameness_min(form_eval, acs, points, region: str = "", grid: str = "") -> TamenessCertificate:
+def tameness_min(form_eval, points, region: str = "", grid: str = "") -> TamenessCertificate:
     """The certificate (taming.certify) of the taming quotients of the forms
-    form_eval gives at an (N, 4) array of samples, for J = J0, evaluated
-    CHUNK samples at a time.  J is checked once, before any form is
-    evaluated.  The commands certify from their taming data; this is their
-    reference over 4x4 forms."""
+    form_eval gives at an (N, 4) array of samples, for J0, evaluated once
+    over the whole array.  The commands certify from their taming data; this
+    is their reference over 4x4 forms."""
     import numpy as np
-    _require_j0(acs)
     p = np.asarray(points, dtype=float).reshape(-1, 4)
-    return _certify(p, blockwise(lambda q: taming_quotients(form_eval(q), acs), p), region, grid)
+    return certify(zip(p.tolist(), taming_quotients(form_eval(p)).tolist()), region, grid)
 
 
 def _complex_hessian(phi, s, t):

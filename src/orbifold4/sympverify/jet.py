@@ -4,14 +4,14 @@ A Jet in n variables holds value (...), grad (n, ...) and hess (n, n, ...);
 plain numbers and arrays act as constants.  A jet of one float variable
 (`Jet.float_variable`) holds three Python floats, or complex numbers: the
 value and the first and second derivative, with no variable axis, and takes
-the arithmetic operators only; it never imports numpy.  `log` and `log1p`
-take a plain array or an array Jet, so one definition of a function
-evaluates either way.  Variables may take complex values: a holomorphic
+the arithmetic operators only; it never imports numpy.  `log1p` takes a
+plain array or an array Jet, so one definition of a function evaluates
+either way.  Variables may take complex values: a holomorphic
 function's jet then carries its complex derivatives.
 
 Each function's first and second derivative are written once, as a rule
-(`power_rule`, `log_rule`, `log1p_rule`, `smoothstep_rule`) that the jets
-apply and that a closed-form evaluation over plain floats calls directly.
+(`power_rule`, `log1p_rule`, `smoothstep_rule`) that the jets apply and
+that a closed-form evaluation over plain floats calls directly.
 """
 
 from __future__ import annotations
@@ -139,23 +139,10 @@ def smoothstep_rule(v):
             c2 * (30.0 + c * (-60.0 + 30.0 * c)), c * (60.0 + c * (-180.0 + 120.0 * c)))
 
 
-def log_rule(v):
-    """log' and log'' at v: r and -r^2, with r = 1/v."""
-    r = 1.0 / v
-    return r, -r * r
-
-
 def log1p_rule(v):
     """log1p' and log1p'' at v: r and -r^2, with r = 1/(1 + v)."""
     r = 1.0 / (1.0 + v)
     return r, -r * r
-
-
-def log(x):
-    import numpy as np
-    if not isinstance(x, Jet):
-        return np.log(x)
-    return x.apply(np.log(x.value), *log_rule(x.value))
 
 
 def log1p(x):

@@ -107,13 +107,10 @@ def rho_bump(lo: float, hi: float) -> RadialProfile:
     return RadialProfile.of_rule(rule)
 
 
-def H_cutoff(m: int, a: float, lo: float, hi: float,
-             resolved: bool = False) -> RadialProfile:
-    """H(x) = rho(x) * (f(x) - x): the smoothing correction, cut off to zero
-    above hi so potentials revert to the flat one far out.
-
-    With resolved=True the smooth-model profile fhat(x) = (x + a^2)^(1/m) is
-    used, which keeps the fiber coefficient positive at x = 0."""
-    f = f_resolved(m, a) if resolved else f_smoothing(m, a)
-    rho = rho_bump(lo, hi)
+def H_cutoff(m: int, a: float, lo: float, hi: float) -> RadialProfile:
+    """H(x) = rho(x) * (fhat(x) - x): the smoothing correction, cut off to
+    zero above hi so potentials revert to the flat one far out.  fhat(x) =
+    (x + a^2)^(1/m) is the smooth-model profile, which keeps the fiber
+    coefficient positive at x = 0."""
+    f, rho = f_resolved(m, a), rho_bump(lo, hi)
     return RadialProfile(lambda x: rho(x) * (f(x) - x))

@@ -1,9 +1,9 @@
 """Tameness certificates in Python floats: the record and its tolerances,
 the taming quotient of one sample from its 2x2 Hermitian block, the
 reduction of a grid's quotients to a certificate, np.linspace's grid axis
-and the circles of a plane grid.  Imports no numpy; `forms.quotients` is
-the same quotient over arrays, and every certificate, `forms`' included,
-is reduced by `certify`.
+and the circles of a plane grid.  Imports no numpy.  `quotient` is the one
+taming quotient of every certificate, `forms`' reading of 4x4 forms
+included, and every certificate is reduced by `certify`.
 """
 
 from __future__ import annotations
@@ -50,14 +50,17 @@ _UNSCALED_LO, _UNSCALED_HI = 2.0 ** -100, 2.0 ** 100
 
 def quotient(a: float, d: float, b: float) -> float:
     """The smaller eigenvalue of the Hermitian block [[a, beta], [conj(beta),
-    d]] with |beta| = b >= 0: the taming quotient of a sample for J0, as
-    `forms.quotients` computes it over arrays, bit for bit.  a, d and b are
-    divided by the power of two just above their largest magnitude, unless
-    all three magnitudes lie in [2^-100, 2^100], where that division would
-    change no rounding.  The larger eigenvalue then has no cancellation when
-    a + d > 0, and the smaller is the determinant over it; the hypot is C's,
-    as np.hypot computes it (math.hypot rounds its own way).  A non-finite
-    input gives NaN, which is never tame.
+    d]] with |beta| = b >= 0: the taming quotient of a sample for J0.  a, d
+    and b are divided by the power of two just above their largest
+    magnitude, unless all three magnitudes lie in [2^-100, 2^100], where
+    that division would change no rounding, so that blocks with entries
+    near the largest double give a finite result.  The larger eigenvalue
+    then has no cancellation when a + d > 0, and the smaller is the
+    determinant over it; (a + d)/2 - hypot(...) would lose the digits of a
+    small eigenvalue next to a large one.  When a + d <= 0 the difference
+    itself has no cancellation.  The hypot is C's, as np.hypot computes it
+    (math.hypot rounds its own way).  A non-finite input gives NaN, which
+    is never tame.
     """
     if (_UNSCALED_LO <= abs(a) <= _UNSCALED_HI and _UNSCALED_LO <= abs(d) <= _UNSCALED_HI
             and _UNSCALED_LO <= b <= _UNSCALED_HI):

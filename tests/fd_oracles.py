@@ -20,10 +20,10 @@ import numpy as np
 
 from orbifold4.sympverify.blowup import U_MAX, V_MAX, V_MIN
 from orbifold4.sympverify.forms import (GLUING_TOL, PreconditionFailure, form_from_hermitian,
-                                        invariant_potential_form, quotients)
+                                        invariant_potential_form)
 from orbifold4.sympverify.jet import Jet, log1p
 from orbifold4.sympverify.profiles import RadialProfile
-from orbifold4.sympverify.taming import certify, circles, linspace
+from orbifold4.sympverify.taming import certify, circles, linspace, quotient
 from orbifold4.sympverify.linear import OMEGA0, antisymmetric, holomorphic_map
 
 
@@ -252,8 +252,8 @@ def orbit_taming_data(phi, points, delta: float = 0.0, rho=None):
 
 
 def _orbit_certificate(phi, samples, delta=0.0, rho=None, **labels):
-    quot = quotients(*orbit_taming_data(phi, samples, delta, rho))
-    return certify(zip(samples.tolist(), quot.tolist()), **labels)
+    quot = map(quotient, *(x.tolist() for x in orbit_taming_data(phi, samples, delta, rho)))
+    return certify(zip(samples.tolist(), quot), **labels)
 
 
 def glue_forms_oracle(problem, n: int):

@@ -20,7 +20,6 @@ from orbifold4.sympverify import (LocalModel, eval_omega_a,
                                   blowup_model_check, glue_forms,
                                   pushforward_check, taming_quotients, tameness_min)
 from orbifold4.sympverify.fixtures import pipeline_problem
-from orbifold4.sympverify.linear import J0
 from orbifold4.sympverify.profiles import f_smoothing
 from orbifold4.sympverify.pushforward import sample_points
 
@@ -162,8 +161,7 @@ def test_criterion_08_tameness_certification():
             ax = np.linspace(-model.delta2, model.delta2, 20)
             grid = np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"),
                             axis=-1).reshape(-1, 4)
-            cert = tameness_min(lambda p, _m=model: eval_omega_a(_m, p),
-                                J0, grid)
+            cert = tameness_min(lambda p, _m=model: eval_omega_a(_m, p), grid)
             ok = ok and cert.tame and cert.min_quotient > 0
             details.append(f"m={m},a={a}:{cert.min_quotient:.1e}")
             # vertical coefficient positivity from the closed-form derivatives
@@ -184,7 +182,7 @@ def test_criterion_09_gluing_executor():
         problem = pipeline_problem(m=2, a=0.1, eps1=e1, eps2=e2, eps3=e3)
         delta, _, cert = glue_forms(problem, grid_n=15)
         outer = ball_grid(e3, 15, inner=e2 * (1 + 1e-9))
-        C = float(np.min(taming_quotients(problem.omega1(outer), J0)))
+        C = float(np.min(taming_quotients(problem.omega1(outer))))
         drb = dr_beta(problem.rho, ball_grid(e3, 15, inner=1e-6))
         norm = float(np.max(np.linalg.norm(drb, ord=2, axis=(-2, -1))))
         ok = ok and delta * (norm + 1.0) < C and cert.tame

@@ -19,7 +19,6 @@ from orbifold4.sympverify.blowup import (PAIRS, _base, _realified_jacobian, blow
                                          exceptional_area, overlap_probe, taming_data,
                                          transition)
 from orbifold4.sympverify.forms import taming_quotients
-from orbifold4.sympverify.linear import J0
 from orbifold4.sympverify.pushforward import _fiber_power
 from orbifold4.sympverify.taming import quotient
 
@@ -72,7 +71,7 @@ def test_float_taming_data_match_the_numpy_form(m, lam):
     assert np.all(np.abs(d - forms[:, 2, 3]) <= m * 1e-15 * forms[:, 2, 3])
     assert np.all(np.abs(b - np.hypot(forms[:, 0, 2], forms[:, 0, 3])) <= 1e-15 * b)
     got = np.array([quotient(*row) for row in abd.tolist()])
-    want = taming_quotients(forms, J0)
+    want = taming_quotients(forms)
     assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want))
 
 
@@ -160,6 +159,21 @@ def test_the_overlap_probe_spans_the_overlap_annulus():
 def test_chart_orbits_avoid_the_fiber_origin():
     _, tails = chart_orbits(8)
     assert min(tails) >= 0.05 ** 2 and all(x * x + y * y == t for t, (x, y) in tails.items())
+
+
+@pytest.mark.parametrize("n", [2, 8, 24])
+@pytest.mark.parametrize("m,lam", [(2, 0.1), (3, 0.4322)])
+def test_the_worst_sample_lies_in_the_labelled_region(m, lam, n):
+    # the label names the squares the orbits are drawn from, read back here:
+    # grid 2's one orbit is a corner of both squares, |u| = 1.70 > 1.2
+    cert = blowup_model_check(m, lam, grid_n=n).certificate
+    label = re.fullmatch(r"two charts, u in \[-(\S+), (\S+)\]\^2, v in \[-(\S+), (\S+)\]\^2 "
+                         r"with \|v\|>=(\S+) \(m=(\d+), lambda=(\S+)\)", cert.region)
+    u_lo, u_hi, v_lo, v_hi, v_min, m_read, lam_read = label.groups()
+    assert (u_lo, v_lo, int(m_read), float(lam_read)) == (u_hi, v_hi, m, lam)
+    x1, y1, x2, y2 = cert.worst_sample
+    assert max(abs(x1), abs(y1)) <= float(u_hi) and max(abs(x2), abs(y2)) <= float(v_hi)
+    assert math.hypot(x2, y2) >= float(v_min)
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 2.0])

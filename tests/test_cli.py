@@ -403,6 +403,27 @@ def test_a_boolean_or_non_number_parameter_exits_2_naming_its_key(capsys, tmp_pa
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,content,fault", [
+    (("verify", "tameness", "--model"), '{"nu": 3}', "nu must be a list of two real numbers"),
+    (("verify", "tameness", "--model"), '{"nu": "ab"}', "nu must be a list of two real numbers"),
+    (("verify", "tameness", "--model"), '{"nu": [0.1, 0.2, 0.3]}',
+     "nu must be a list of two real numbers"),
+    (("verify", "tameness", "--model"), '{"bogus": 1}', "unknown keys ['bogus']"),
+    (("verify", "tameness", "--model"), '[1, 2]', "the top level must be a JSON object"),
+    (("verify", "gluing", "--problem"), '[1, 2]', "the top level must be a JSON object"),
+    (("verify", "gluing", "--problem"), '{"nu": [0.0, 0.0]}', "unknown keys ['nu']"),
+])
+def test_a_malformed_parameter_file_exits_2_naming_its_fault(capsys, tmp_path, argv, content,
+                                                             fault):
+    # a --model file is checked as a --problem file is, before any model is
+    # built, so no message is Python's own text about a call's arguments
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    code, out, err = run(capsys, *argv, str(path), "--json")
+    what = "model" if argv[1] == "tameness" else "problem file"
+    assert (code, out, err) == (2, "", f"error: invalid {what}: {fault}\n")
+
+
 def test_a_group_file_past_its_max_order_exits_2(capsys, tmp_path):
     from orbifold4.cyclotomic import CyclotomicScalar
     from orbifold4.unitary import UMat2

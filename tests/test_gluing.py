@@ -11,7 +11,7 @@ from fd_oracles import (ball_grid, d_rho_beta, dbeta_residual, flat_form, glue_f
 from orbifold4.sympverify import GluingProblem, RadialProfile, glue_forms, identity_profile
 from orbifold4.sympverify.fixtures import annulus_floor, pipeline_problem, smoothing_excess_max
 from orbifold4.sympverify.forms import PreconditionFailure, taming_quotients
-from orbifold4.sympverify.linear import J0, OMEGA0
+from orbifold4.sympverify.linear import OMEGA0
 from orbifold4.sympverify.profiles import H_cutoff
 
 # h(u) = u: with g the identity, the potential s + t = |p|^2 of the flat form
@@ -47,7 +47,7 @@ def test_pipeline_problem_geometry():
     assert float(np.max(np.abs(prob.omega1(pts)))) < 1e-12
     # and is nondegenerate on the outer annulus
     outer = ball_grid(prob.eps3, 9, inner=prob.eps2 * 1.001)
-    assert float(np.min(taming_quotients(prob.omega1(outer), J0))) > 0
+    assert float(np.min(taming_quotients(prob.omega1(outer)))) > 0
 
 
 def test_smoothing_excess_max_matches_numpy_at_m_2():
@@ -68,7 +68,7 @@ def test_annulus_floor_is_the_least_value_on_the_whole_annulus(m):
         a, eps2 = rng.uniform(0.01, 0.5), rng.uniform(0.2, 3.0)
         eps3 = eps2 * rng.uniform(1.05, 1.5)
         # pipeline_problem's g(t) = t + H(t), H cut off from 1.5 eps3^2 on
-        H = H_cutoff(m, a, lo=1.5 * eps3 ** 2, hi=3.0 * eps3 ** 2, resolved=True)
+        H = H_cutoff(m, a, lo=1.5 * eps3 ** 2, hi=3.0 * eps3 ** 2)
         t = np.concatenate([np.linspace(0.0, eps2 ** 2, 20001),
                             np.linspace(eps2 ** 2, eps3 ** 2, 2001)])
         sample = float(np.min(np.maximum(0.0, eps2 ** 2 - t) + (t + H.value(t))))
@@ -147,7 +147,7 @@ def test_glue_forms_reports_the_worst_annulus_sample():
     base = pipeline_problem(m=2, a=0.1)
 
     mid = ball_grid(base.eps2, 9, inner=base.eps1)
-    q = taming_quotients(-base.omega1(mid), J0)
+    q = taming_quotients(-base.omega1(mid))
     with pytest.raises(PreconditionFailure, match="middle annulus") as exc:
         glue_forms(_negated(base), grid_n=9)
     assert exc.value.value == q.min() and exc.value.worst_sample == tuple(mid[np.argmin(q)])

@@ -14,7 +14,6 @@ from orbifold4.sympverify import LocalModel, eval_omega_a
 from orbifold4.sympverify.blowup import blowup_model_check, chart_orbits
 from orbifold4.sympverify.fixtures import pipeline_problem
 from orbifold4.sympverify.forms import glue_forms, tameness_min
-from orbifold4.sympverify.linear import J0
 from orbifold4.sympverify.localmodel import cube_samples
 
 PROBLEM = pipeline_problem()
@@ -97,9 +96,9 @@ def _assert_same_certificate(got, want):
 def test_orbit_certificate_matches_the_whole_grid(kind, n):
     form, region = CERTIFICATES[kind]
     samples, grid = region(n)
-    got = tameness_min(form, J0, samples)
+    got = tameness_min(form, samples)
     assert got.orbits == len(samples) < len(grid)
-    _assert_same_certificate(got, tameness_min(form, J0, grid))
+    _assert_same_certificate(got, tameness_min(form, grid))
 
 
 @pytest.mark.parametrize("n", [6, 9, 12, 20])
@@ -109,7 +108,7 @@ def test_float_blowup_certificate_matches_the_numpy_forms_on_the_whole_grid(m, l
     # forms over every point of the chart grid
     got = blowup_model_check(m, lam, grid_n=n).certificate
     grid = chart_grid(n)
-    want = tameness_min(numpy_chart_form(m, lam), J0, grid)
+    want = tameness_min(numpy_chart_form(m, lam), grid)
     assert got.orbits == len(REGIONS["chart"](n)[0]) < len(grid)
     assert got.tame == want.tame
     _assert_same_certificate(got, want)
@@ -132,11 +131,11 @@ def test_glue_forms_on_orbits_matches_the_whole_grid(name, n):
     e2, e3 = problem.eps2, problem.eps3
     delta, glued, cert = glue_forms(problem, grid_n=n)
     ball = ball_grid(e3, n, inner=1e-6)
-    want = tameness_min(glued, J0, ball)
+    want = tameness_min(glued, ball)
     assert cert.orbits == len(orbit_samples(e3, n, 1e-6)) < len(ball)
     assert cert.tame == want.tame
     _assert_same_certificate(cert, want)
-    C = tameness_min(problem.omega1, J0, ball_grid(e3, n, inner=e2 * (1 + 1e-9))).min_quotient
+    C = tameness_min(problem.omega1, ball_grid(e3, n, inner=e2 * (1 + 1e-9))).min_quotient
     norm = float(np.max(np.linalg.norm(dr_beta(problem.rho, ball), ord=2, axis=(-2, -1))))
     want = C / (2.0 * (norm + 1.0))
     assert abs(delta - want) <= 1e-13 * want

@@ -12,7 +12,7 @@ from orbifold4.sympverify import (LocalModel, OutOfDomainError,
                                   pushforward_check, sample_points,
                                   tameness_min)
 from orbifold4.sympverify import localmodel
-from orbifold4.sympverify.linear import J0, OMEGA0, antisymmetric
+from orbifold4.sympverify.linear import OMEGA0, antisymmetric
 from orbifold4.sympverify.localmodel import _derivatives, cube_samples
 from orbifold4.sympverify.profiles import H_cutoff, RadialProfile, f_resolved, f_smoothing
 from orbifold4.sympverify.taming import certify
@@ -56,7 +56,7 @@ def test_omega_a_is_closed_and_tame():
     model = LocalModel(m=2, a=0.1, kappa=0.5, nu=(0.1, 0.0))
     pts = np.random.default_rng(2).uniform(-0.2, 0.2, (30, 4))
     assert exterior_derivative_fd(lambda p: eval_omega_a(model, p), pts[:10], h=1e-4) < 1e-6
-    cert = tameness_min(lambda p: eval_omega_a(model, p), J0, pts)
+    cert = tameness_min(lambda p: eval_omega_a(model, p), pts)
     assert cert.tame
 
 
@@ -86,7 +86,7 @@ def test_resolved_profile_is_positive_at_fiber_origin():
 
 
 def test_cutoff_profile_reverts_to_identity_far_out():
-    H = H_cutoff(2, 0.1, lo=0.5, hi=0.9, resolved=True)
+    H = H_cutoff(2, 0.1, lo=0.5, hi=0.9)
     f = f_resolved(2, 0.1)
     x = np.array([0.0, 0.2, 0.4])
     assert np.allclose(H.value(x), f.value(x) - x)
@@ -143,7 +143,7 @@ def test_float_certificate_matches_the_4x4_forms_on_the_whole_grid(m, a, connect
     got = certify(cube_samples(model, n, resolved=resolved))
     ax = np.linspace(-model.delta2, model.delta2, n)
     grid = cube_grid(ax, ax, ax, ax)
-    want = tameness_min(lambda q: eval_omega_a(model, q, resolved=resolved), J0, grid)
+    want = tameness_min(lambda q: eval_omega_a(model, q, resolved=resolved), grid)
     assert abs(got.min_quotient - want.min_quotient) <= 1e-13 * abs(want.min_quotient)
     assert (got.worst_sample, got.tame) == (want.worst_sample, want.tame)
     orbits = set(zip(grid[:, 0].tolist(), (grid[:, 2] ** 2 + grid[:, 3] ** 2).tolist()))

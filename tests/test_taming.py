@@ -1,16 +1,19 @@
 """Tameness certificates in Python floats: the scalar taming quotient against
-the array path over 4x4 forms, the one-pass reduction against a whole-array
-argmin, and the grid axis against np.linspace."""
+an exact reference and against its reading of 4x4 forms, the one-pass
+reduction against a whole-array argmin, and the grid axis against
+np.linspace."""
 
 import math
 import random
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from orbifold4.sympverify.forms import quotients, taming_quotients
-from orbifold4.sympverify.linear import J0, antisymmetric
+from fd_oracles import exact_taming_quotient
+from orbifold4.sympverify.forms import taming_quotients
+from orbifold4.sympverify.linear import antisymmetric
 from orbifold4.sympverify.taming import (TAMENESS_TOL, WORST_SAMPLE_RTOL, certify, linspace,
                                           quotient)
 
@@ -19,7 +22,8 @@ TINY = 5e-324  # the least subnormal
 
 def _form(a, d, b):
     """A 4x4 form whose J0 block is [[a, b], [b, d]]: its reading by
-    taming_quotients is exact (up to a subnormal b, whose halves round)."""
+    taming_quotients is exact (up to a subnormal b, whose halves round), as
+    is exact_taming_quotient's."""
     return antisymmetric(a, 0.0, b, -b, 0.0, d)
 
 
@@ -52,23 +56,46 @@ SPECIAL = [
 EDGES = [2.0 ** -100, np.nextafter(2.0 ** -100, 0.0), 2.0 ** 100, np.nextafter(2.0 ** 100, 3.0)]
 
 
-def test_quotient_matches_taming_quotients():
-    # bit for bit against the array core, and against the reading of a 4x4
-    # form but where taming_quotients rounds the halves of a subnormal b; the
-    # second draw lies mostly in the range where quotient does not rescale
+def _all_triples():
+    """SPECIAL, the EDGES crossed with three values of d, and 40,000 random
+    triples, the second half mostly in the range where quotient does not
+    rescale."""
     rng = random.Random(7)
     edges = [(x, y, z) for x in EDGES for y in (1.0, -1.0, 2.0 ** -100) for z in EDGES]
-    triples = SPECIAL + edges + _triples(rng, 20000) + _triples(rng, 20000, top=31.0)
+    return SPECIAL + edges + _triples(rng, 20000) + _triples(rng, 20000, top=31.0)
+
+
+TRIPLES = _all_triples()
+
+
+def test_quotient_matches_an_exact_reference():
+    # within 4 ulp of the block's largest entry, against the smaller
+    # eigenvalue from the form's entries as exact rationals; NaN exactly for
+    # a non-finite input, and -inf for an eigenvalue below -DBL_MAX
+    for (a, d, b), form in zip(TRIPLES, _form(*np.array(TRIPLES).T)):
+        got = quotient(a, d, b)
+        if not (math.isfinite(a) and math.isfinite(d) and math.isfinite(b)):
+            assert math.isnan(got), (a, d, b)
+            continue
+        assert not math.isnan(got), (a, d, b)
+        want = exact_taming_quotient(form)
+        if want < -Decimal(sys.float_info.max):
+            assert got == -math.inf, (a, d, b, got)
+            continue
+        bound = 4 * Decimal(math.ulp(max(abs(a), abs(d), b)))
+        assert abs(Decimal(got) - want) <= bound, (a, d, b, got, want)
+
+
+def test_quotient_matches_its_reading_of_a_4x4_form():
+    # bit for bit, but where taming_quotients rounds the halves of a
+    # subnormal b
     with np.errstate(all="ignore"):  # the non-finite inputs
-        core = quotients(*np.array(triples).T).tolist()
-        want = taming_quotients(np.array([_form(*t) for t in triples]), J0).tolist()
-    for (a, d, b), c, w in zip(triples, core, want):
+        want = taming_quotients(_form(*np.array(TRIPLES).T)).tolist()
+    for (a, d, b), w in zip(TRIPLES, want):
         got = quotient(a, d, b)
         if math.isnan(w):
-            assert math.isnan(got) and math.isnan(c), (a, d, b)
-            continue
-        assert got == c, (a, d, b, got, c)
-        if b < 2 * sys.float_info.min:
+            assert math.isnan(got), (a, d, b)
+        elif b < 2 * sys.float_info.min:
             assert abs(got - w) <= 2 * math.ulp(w), (a, d, b, got, w)
         else:
             assert got == w, (a, d, b, got, w)

@@ -179,11 +179,12 @@ def test_every_public_name_still_imports_from_the_package():
 # eagerly, but for the references that moved to the tests (the
 # finite-difference oracles, exterior_derivative_fd, ball_grid, and the
 # blow-up's numpy chart_potential and chart_grid), radial_potential_form,
-# which only tests called, and eval_omega0, which was eval_omega_a at a = 0
+# which only tests called, eval_omega0, which was eval_omega_a at a = 0, and
+# NotAlmostComplexError, since J0 is the quotient's constant, not an argument
 SYMPVERIFY_NAMES = """
     RadialProfile f_smoothing f_resolved h_ramp rho_bump H_cutoff identity_profile
     LocalModel OutOfDomainError eval_omega_a
-    TamenessCertificate GluingProblem NotAlmostComplexError PreconditionFailure
+    TamenessCertificate GluingProblem PreconditionFailure
     form_from_hermitian glue_forms taming_quotients tameness_min
     PushforwardReport pushforward_check sample_points
     BlowupReport blowup_model_check chart_form exceptional_area transition
