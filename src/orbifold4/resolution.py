@@ -43,13 +43,17 @@ class HJChain(namedtuple("HJChain", "m q coeffs")):
         return True
 
 
-def hj_resolve(m: int, q: int) -> HJChain:
-    """Continued-fraction chain m/q = a1 - 1/(a2 - 1/(...)), all a_i >= 2."""
+def hj_resolve(m: int, q: int, max_curves: int | None = None) -> HJChain:
+    """Continued-fraction chain m/q = a1 - 1/(a2 - 1/(...)), all a_i >= 2.
+    Refuses (ValueError) a chain longer than max_curves as it reaches that."""
     if not (m >= 2 and 1 <= q < m and math.gcd(m, q) == 1):
         raise ValueError(f"invalid cyclic data (m, q) = ({m}, {q})")
     coeffs = []
     mm, qq = m, q
     while qq > 0:
+        if len(coeffs) == max_curves:
+            raise ValueError(f"the resolution of (m, q) = ({m}, {q}) has more than "
+                             f"{max_curves} curves; longer chains are refused")
         a = -(-mm // qq)  # ceil
         coeffs.append(a)
         mm, qq = qq, a * qq - mm

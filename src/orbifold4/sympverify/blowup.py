@@ -18,15 +18,11 @@ L = log1p, and its complex Hessian (see forms.invariant_potential_form) is
     c11 = phi_t + t phi_tt = T' (1 + s) + t T'' (1 + s),
     c01 = conj(u) v phi_st = conj(u) v T'.
 
-`_fibre` evaluates T, T' and T'' at one t (`jet.power_rule`), `_base`
-lambda L' + s lambda L'' at one s (`jet.log1p_rule`), and `_entries`
-combines them into c00 and c11, so the certificate and the closedness and
-overlap cross-checks read one formula.  The taming data of an orbit are
-a = c00, d = c11 and |b| = sqrt(s t) |T'|, each piece evaluated once per
-distinct t or s; the cross-checks read the form's six entries above the
-diagonal.  Grids avoid v = 0, where the pulled-back quotient form is
-continuous but not smooth for m >= 2; the area of the zero section
-integrates c00 at t = 0, where T = 0, so c00 is _base alone.
+`_entries` combines `_fibre` (T, T', T'') and `_base` (lambda L' + s
+lambda L'') into c00 and c11, so the certificate (taming_data) and the
+closedness and overlap cross-checks (chart_form) read one formula.  Grids
+avoid v = 0, where the pulled-back quotient form is continuous but not
+smooth for m >= 2.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ import math
 from collections import namedtuple
 
 from .jet import Jet, log1p_rule, power_rule
-from .taming import certify, circles, linspace, quotient
+from .taming import OrbitRegion, certify, linspace, quotient
 
 # the entries (k, l), k < l, of a 2-form above the diagonal, in the order of
 # the tuples chart_form returns
@@ -44,9 +40,9 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # d_n omega_kl: each term as (direction, entry)
 _TERMS = tuple(((k, PAIRS.index((l, n))), (l, PAIRS.index((k, n))), (n, PAIRS.index((k, l))))
                for k, l, n in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
-# the certified region of each chart: u in the square [-U_MAX, U_MAX]^2,
-# v in [-V_MAX, V_MAX]^2 with |v| >= V_MIN
-U_MAX, V_MIN, V_MAX = 1.2, 0.05, 0.8
+# the certified region of each chart: u in the square [-1.2, 1.2]^2, v in
+# [-0.8, 0.8]^2 with |v| >= 0.05
+CHART = OrbitRegion(1.2, 0.8, tail_min=0.05)
 # trapezoid nodes of exceptional_area
 AREA_NODES = 20000
 
@@ -126,43 +122,35 @@ def _largest(values) -> float:
     return max(map(abs, values))
 
 
-def chart_orbits(n: int):
-    """The circles of the u plane's grid and of the v plane's grid with
-    |v| >= V_MIN, each {squared radius: first grid point} (taming.circles).
-    The chart form is invariant under the torus that rotates u and v, so a
-    u circle and a v circle, each at its first point, make the first grid
-    point of one orbit of the n^4 chart grid; head-major, the pairs are in
-    grid order."""
-    heads = circles(linspace(-U_MAX, U_MAX, n))
-    tails = {t: v for t, v in circles(linspace(-V_MAX, V_MAX, n)).items() if t >= V_MIN ** 2}
-    return heads, tails
+def taming_data(m: int, lam: float, n: int, reduce):
+    """(point, reduce(a, d, |b|)) of the chart form per orbit of CHART on
+    its n^4 grid, in grid order (OrbitRegion.walk): _fibre once per v
+    circle, _base once per u circle."""
+    p = 1.0 / m
 
-
-def taming_data(m: int, lam: float, heads: dict, tails: dict):
-    """(point, a, d, |b|) of the chart form per orbit, head-major over the
-    circles of chart_orbits: _fibre once per v circle, _base once per u
-    circle."""
-    p, fibres = 1.0 / m, []
-    for t, v in tails.items():
+    def fibre(t):
         fibre = _fibre(t, p)
-        fibres.append((v, t, fibre, math.sqrt(t) * abs(fibre[1])))
-    for s, u in heads.items():
-        one_s, base, root = 1.0 + s, _base(s, lam), math.sqrt(s)
-        for v, t, fibre, b in fibres:
-            a, d = _entries(one_s, t, base, fibre)
-            yield u + v, a, d, root * b
+        return fibre, math.sqrt(t) * abs(fibre[1])
+
+    def combine(s, t, head, tail):
+        (one_s, base, root), (fibre, b) = head, tail
+        a, d = _entries(one_s, t, base, fibre)
+        return reduce(a, d, root * b)
+
+    return CHART.walk(n, lambda s: (1.0 + s, _base(s, lam), math.sqrt(s)), fibre, combine)
 
 
 def closedness_residual(form) -> float:
     """Max component of d(omega) by central differences with step 1e-5 at probe
-    points fixed whatever the certification grid: the 5^4 chart grid with
-    |v| >= V_MIN plus 8 points on |v| = V_MIN, where derivatives peak, above
+    points fixed whatever the certification grid: the 5^4 grid of CHART, |v|
+    >= v_min, plus 8 points on |v| = v_min, where derivatives peak, above
     each of its u.  form maps a point to the six entries above the diagonal."""
-    heads, tails = linspace(-U_MAX, U_MAX, 5), linspace(-V_MAX, V_MAX, 5)
+    heads, tails = linspace(-CHART.head, CHART.head, 5), linspace(-CHART.tail, CHART.tail, 5)
+    v_min = CHART.tail_min
     grid = [(x1, y1, x2, y2) for x1 in heads for y1 in heads for x2 in tails for y2 in tails
-            if x2 * x2 + y2 * y2 >= V_MIN ** 2]
+            if x2 * x2 + y2 * y2 >= v_min ** 2]
     step = 2.0 * math.pi / 8
-    ring = [(x1, y1, V_MIN * math.cos(k * step), V_MIN * math.sin(k * step))
+    ring = [(x1, y1, v_min * math.cos(k * step), v_min * math.sin(k * step))
             for x1 in heads for y1 in heads for k in range(8)]
     h, two_h, residuals = 1e-5, 2e-5, []
     for point in grid + ring:
@@ -222,7 +210,7 @@ def exceptional_area(lam: float) -> float:
 
 class BlowupReport(namedtuple("BlowupReport",
                               "certificate closedness_residual overlap_max_diff area lam")):
-    """certificate is a TamenessCertificate over chart_orbits."""
+    """certificate is a TamenessCertificate over the orbits of CHART."""
 
     __slots__ = ()
 
@@ -247,8 +235,8 @@ class BlowupReport(namedtuple("BlowupReport",
 
 
 def blowup_model_check(m: int, lam: float, grid_n: int = 12) -> BlowupReport:
-    """The certificate over chart_orbits(grid_n), the closedness and overlap
-    cross-checks and the exceptional area, in Python floats.
+    """The certificate over the orbits of CHART on its grid_n^4 grid, the
+    closedness and overlap cross-checks and the exceptional area, in floats.
 
     Refuses (ValueError) an m and a lambda for which a float of the model
     overflows, naming both, since either may be the cause: from
@@ -263,13 +251,9 @@ def blowup_model_check(m: int, lam: float, grid_n: int = 12) -> BlowupReport:
     refusal = f"the blow-up model overflows a double at m={m}, lambda={lam}"
     try:
         form = chart_form(m, lam)
-        samples = ((point, quotient(a, d, b))
-                   for point, a, d, b in taming_data(m, lam, *chart_orbits(grid_n)))
-        cert = certify(samples,
-                       region=f"two charts, u in [-{U_MAX}, {U_MAX}]^2, "
-                              f"v in [-{V_MAX}, {V_MAX}]^2 with |v|>={V_MIN} "
-                              f"(m={m}, lambda={lam})",
-                       grid=f"{grid_n}^4 per chart, v=0 excluded")
+        cert = certify(taming_data(m, lam, grid_n, quotient),
+                       f"two charts, {CHART.label} (m={m}, lambda={lam})",
+                       f"{grid_n}^4 per chart, v=0 excluded")
         report = BlowupReport(cert, closedness_residual(form), overlap_max_diff(form, m),
                               exceptional_area(lam), lam)
     except ArithmeticError as exc:  # a power's OverflowError carries (errno, message)

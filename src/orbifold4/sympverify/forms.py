@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from .jet import Jet
 from .profiles import rho_bump
-from .taming import TamenessCertificate, certify, circles, linspace, quotient
+from .taming import OrbitRegion, TamenessCertificate, certify, quotient
 
 # glue_forms' bound on omega1's norm on the inner ball and on how far below
 # 0 its taming quotient may reach on the middle annulus
@@ -168,29 +168,12 @@ def _cutoff_potential(rho):
     return G
 
 
-def _plane(g, radius: float, n: int):
-    """The circles of the plane grid of [-radius, radius]^2 (taming.circles)
-    with sqrt(s) <= radius, in grid order, as (s, first point, sqrt s, g(s),
-    g'(s), g'(s)^2, g''(s)): g off one float jet per circle.  A circle
-    beyond the radius is in no orbit of the ball, as sqrt(s + t) >= sqrt(s)
-    for t >= 0 in floats too."""
-    out = []
-    for s, z in circles(linspace(-radius, radius, n)).items():
-        root = math.sqrt(s)
-        if root <= radius:
-            j = g.float_jet(s)
-            out.append((s, z, root, j.value, j.grad, j.grad * j.grad, j.hess))
-    return out
+def _samples(problem: GluingProblem, region, n: int, reduce, cutoff=(0.0, None)):
+    """(point, reduce(a, d, |b|)) per torus orbit (s, t) of a region on its
+    n^4 grid, in grid order (OrbitRegion.walk).
 
-
-def _samples(h, plane, inner: float, radius: float, reduce, cutoff=None):
-    """(point, reduce(a, d, |b|)) per torus orbit (s, t) of a plane's n^4
-    grid with inner <= sqrt(s + t) <= radius, each at its first grid point:
-    the pairs of circles head-major, which is grid order, an orbit in the
-    region or out of it as a whole.
-
-    (a, d, |b|) are the taming data of the potential phi = h(s + g(t)), plus
-    delta G(s + t) for cutoff = (delta, rho's rule) (see _cutoff_potential):
+    (a, d, |b|) are the taming data of omega1's potential phi = h(s + g(t)),
+    plus delta G(s + t) for cutoff = (delta, rho's rule) (see _cutoff_potential):
 
         a = phi_s + s phi_ss,   d = phi_t + t phi_tt,   |b| = sqrt(s) sqrt(t) |phi_st|,
 
@@ -198,37 +181,40 @@ def _samples(h, plane, inner: float, radius: float, reduce, cutoff=None):
     phi_tt = h'' g'^2 + h' g'', and the cutoff adding delta rho to phi_s and
     phi_t and delta G'' = delta rho'(r) / 2r to each second derivative, at
     r = sqrt(s + t).  h is the rule of omega1's ramp, evaluated once per
-    orbit, as is rho's; g was read once per circle (_plane).
+    orbit, as is rho's; g is read off one float jet per tail circle.
     """
-    delta, rho = cutoff if cutoff is not None else (0.0, None)
-    sqrt = math.sqrt
-    for s, z, root_s, *_ in plane:
-        for t, w, root_t, g0, g1, g11, g2 in plane:
+    h, g, sqrt, (delta, rho) = problem.h.rule, problem.g, math.sqrt, cutoff
+
+    def tail(t):
+        j = g.float_jet(t)
+        return sqrt(t), j.value, j.grad, j.grad * j.grad, j.hess
+
+    def combine(s, t, root_s, tail):
+        root_t, g0, g1, g11, g2 = tail
+        _, h1, h2 = h(s + g0)
+        phi_s, phi_t = h1, h1 * g1
+        phi_ss, phi_st, phi_tt = h2, h2 * g1, h2 * g11 + h1 * g2
+        if rho is not None:
             r = sqrt(s + t)
-            if not inner <= r <= radius:
-                continue
-            _, h1, h2 = h(s + g0)
-            phi_s, phi_t = h1, h1 * g1
-            phi_ss, phi_st, phi_tt = h2, h2 * g1, h2 * g11 + h1 * g2
-            if rho is not None:
-                rho0, rho1, _ = rho(r)
-                flat = (rho1 / (2.0 * r) if rho1 != 0 else 0.0) * delta
-                phi_s, phi_t = phi_s + rho0 * delta, phi_t + rho0 * delta
-                phi_ss, phi_st, phi_tt = phi_ss + flat, phi_st + flat, phi_tt + flat
-            yield z + w, reduce(phi_s + s * phi_ss, phi_t + t * phi_tt,
-                                root_s * root_t * abs(phi_st))
+            rho0, rho1, _ = rho(r)
+            flat = (rho1 / (2.0 * r) if rho1 != 0 else 0.0) * delta
+            phi_s, phi_t = phi_s + rho0 * delta, phi_t + rho0 * delta
+            phi_ss, phi_st, phi_tt = phi_ss + flat, phi_st + flat, phi_tt + flat
+        return reduce(phi_s + s * phi_ss, phi_t + t * phi_tt, root_s * root_t * abs(phi_st))
+
+    return region.walk(n, sqrt, tail, combine)
 
 
-def _slope_sup(rule, plane, lo: float, radius: float) -> float:
-    """The sup of |rho'(r)| r / 2 over the orbits (s, t) of a plane with
-    1e-6 <= r = sqrt(s + t) <= radius, for the rule of a cutoff rho that is
-    constant up to lo: rho' is exactly 0 there, so only the orbits with
-    r > lo are read, and (s, t) and (t, s), which share r, once."""
-    sup, squares = 0.0, [circle[0] for circle in plane]
+def _slope_sup(rule, ball, n: int, lo: float) -> float:
+    """The sup of |rho'(r)| r / 2 over the orbits (s, t) of a ball on its
+    n^4 grid, for the rule of a cutoff rho that is constant up to lo: rho'
+    is exactly 0 there, so only the orbits with r = sqrt(s + t) > lo are
+    read, and (s, t) and (t, s), which share r, once."""
+    sup, squares = 0.0, [t for t, _ in ball.factors(n)[1]]
     for i, s in enumerate(squares):
         for t in squares[i:]:
             r = math.sqrt(s + t)
-            if lo < r <= radius and r >= 1e-6:
+            if lo < r and ball.inner <= r <= ball.outer:
                 sup = max(sup, abs(rule(r)[1]) * r / 2.0)
     return sup
 
@@ -247,20 +233,18 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15):
     and the sampled sup-norm |rho'(r)| r / 2 of d(rho) ^ beta: beta is
     normal to the radius, with |beta| = r / 2.
 
-    Every check runs on one sample per torus orbit of its ball or annulus,
-    from the taming data of its potential in Python floats (_samples): every
-    form here is a potential form in (s, t), and r = sqrt(s + t).  The
-    samples stream, so memory grows with the circles of a plane, not with
-    the orbits.
+    Every check runs on one sample per torus orbit of its ball or annulus
+    (OrbitRegion.ball), from the taming data of its potential in (s, t) in
+    Python floats (_samples), with r = sqrt(s + t).
 
     Returns (delta, glued evaluator over arrays, certificate over the
     eps3-ball).
     """
     e1, e2, e3 = problem.eps1, problem.eps2, problem.eps3
-    h, rho = problem.h.rule, problem.rho
-    worst = None
-    inner = (_plane(problem.g, e1 * 0.999, grid_n), 0.0, e1 * 0.999)
-    for point, norm in _samples(h, *inner, _frobenius):
+    rho, worst = problem.rho, None
+    inner, mid = OrbitRegion.ball(0.0, e1 * 0.999), OrbitRegion.ball(e1, e2)
+    outer, ball = OrbitRegion.ball(e2 * (1 + 1e-9), e3), OrbitRegion.ball(1e-6, e3)
+    for point, norm in _samples(problem, inner, grid_n, _frobenius):
         # the first largest norm is the worst, a NaN before any number
         if worst is None or norm > worst[1] or norm != norm:
             worst = (point, norm)
@@ -269,24 +253,21 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15):
     if worst is not None and not worst[1] <= GLUING_TOL:
         raise PreconditionFailure("omega1 does not vanish on the inner ball",
                                   worst_sample=worst[0], value=worst[1])
-    mid = (_plane(problem.g, e2, grid_n), e1, e2)
-    plane = _plane(problem.g, e3, grid_n)
-    outer = (plane, e2 * (1 + 1e-9), e3)
-    if any(next(_samples(h, *region, _frobenius), None) is None for region in (mid, outer)):
+    if not (any(mid.samples(grid_n)) and any(outer.samples(grid_n))):
         raise ValueError(f"a {grid_n}^4 grid has no sample on an annulus; use a finer grid")
-    cert = certify(_samples(h, *mid, quotient))
+    cert = certify(_samples(problem, mid, grid_n, quotient))
     if not cert.min_quotient >= -GLUING_TOL:
         raise PreconditionFailure("omega1 not semipositive on the middle annulus",
                                   worst_sample=cert.worst_sample, value=cert.min_quotient)
-    cert = certify(_samples(h, *outer, quotient))
+    cert = certify(_samples(problem, outer, grid_n, quotient))
     C = cert.min_quotient
     if not C > 0:
         raise PreconditionFailure("omega1 not positive outside eps2",
                                   worst_sample=cert.worst_sample, value=C)
 
-    delta = C / (2.0 * (_slope_sup(rho.rule, plane, e2, e3) + 1.0))
-    cert = certify(_samples(h, plane, 1e-6, e3, quotient, (delta, rho.rule)),
-                   region=f"ball radius {e3}", grid=f"{grid_n}^4 cubic grid")
+    delta = C / (2.0 * (_slope_sup(rho.rule, ball, grid_n, e2) + 1.0))
+    cert = certify(_samples(problem, ball, grid_n, quotient, (delta, rho.rule)),
+                   ball.label, f"{grid_n}^4 cubic grid")
 
     phi1, G = problem.phi1, _cutoff_potential(rho)
 

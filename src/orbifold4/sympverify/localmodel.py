@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 
 from .profiles import f_smoothing, f_resolved, identity_profile
-from .taming import circles, linspace, quotient
+from .taming import quotient
 
 
 class OutOfDomainError(ValueError):
@@ -106,33 +106,28 @@ def _derivatives(profile, x: float):
     return f.grad, f.hess
 
 
-def cube_samples(model: LocalModel, n: int, resolved: bool = False):
-    """(point, taming quotient) of the smoothed form for one point per
-    (x1, r^2) orbit of the n^4 grid of the cube [-delta2, delta2]^4, in grid
-    order.  The form does not depend on y1 and its taming quotient is
-    invariant under rotations of the fiber plane, so each orbit is sampled
-    at its first grid point: y1 = axis[0], the first fiber point of its
-    circle.
-
-    The quotient is that of the form's 2x2 Hermitian block for J0, whose
-    entries are the form's taming data at x = r^2, with s = m on the
-    resolved side and 1 otherwise:
+def cube_samples(model: LocalModel, region, n: int, resolved: bool = False):
+    """(point, taming quotient) of the smoothed form per (x1, r^2) orbit of
+    a cube region (OrbitRegion.cube) on its n^4 grid, in grid order: the
+    form does not depend on y1, and its quotient is invariant under
+    rotations of the fiber plane.  The quotient is that of the form's 2x2
+    Hermitian block for J0, with s = m on the resolved side and 1 otherwise:
 
         a = 1 + (1/2) x f'(x) s kappa,   d = x f''(x) + f'(x),
-        |b| = (1/2) |d| sqrt(x) hypot(s nu1, s (nu2 + kappa x1)).
+        |b| = (1/2) |d| sqrt(x) hypot(s nu1, s (nu2 + kappa x1)),
 
-    f' and f'' are read off one float jet per circle; the cube lies inside
-    the model radius, as delta0 > 3*delta2.
-    """
-    axis = linspace(-model.delta2, model.delta2, n)
+    f' and f'' off one float jet per circle x = r^2.  The cube of side
+    2*delta2 lies inside the model radius, as delta0 > 3*delta2."""
     profile = _profile(model, resolved)
     scale = float(model.m) if resolved else 1.0
-    fibre = []
-    for x, (x2, y2) in circles(axis).items():
-        base, vert = _coefficients(x, *_derivatives(profile, x), scale * model.kappa)
-        fibre.append((x2, y2, base, vert, 0.5 * abs(vert) * math.sqrt(x)))
-    nu1 = scale * model.nu[0]
-    for x1 in axis:
-        nu = math.hypot(nu1, scale * (model.nu[1] + model.kappa * x1))
-        for x2, y2, base, vert, half in fibre:
-            yield (x1, axis[0], x2, y2), quotient(base, vert, half * nu)
+    nu1, nu2, kappa = scale * model.nu[0], model.nu[1], model.kappa
+
+    def fibre(x):
+        base, vert = _coefficients(x, *_derivatives(profile, x), scale * kappa)
+        return base, vert, 0.5 * abs(vert) * math.sqrt(x)
+
+    def combine(x1, x, nu, fibre):
+        base, vert, half = fibre
+        return quotient(base, vert, half * nu)
+
+    return region.walk(n, lambda x1: math.hypot(nu1, scale * (nu2 + kappa * x1)), fibre, combine)

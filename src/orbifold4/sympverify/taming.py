@@ -1,9 +1,9 @@
 """Tameness certificates in Python floats: the record and its tolerances,
 the taming quotient of one sample from its 2x2 Hermitian block, the
 reduction of a grid's quotients to a certificate, np.linspace's grid axis
-and the circles of a plane grid.  Imports no numpy.  `quotient` is the one
-taming quotient of every certificate, `forms`' reading of 4x4 forms
-included, and every certificate is reduced by `certify`.
+and the orbit region every certificate samples and labels.  Imports no
+numpy.  `quotient` is the one taming quotient of every certificate, `forms`'
+reading of 4x4 forms included, and every certificate is reduced by `certify`.
 """
 
 from __future__ import annotations
@@ -21,24 +21,17 @@ WORST_SAMPLE_RTOL = 1e-13
 
 
 class TamenessCertificate(namedtuple("TamenessCertificate",
-                                     "region grid min_quotient tame worst_sample orbits")):
+                                     "region grid min_quotient orbits tame worst_sample")):
     """Minimum taming quotient over the samples of a grid.  worst_sample is
     the first sample in grid order whose quotient is within WORST_SAMPLE_RTOL
     * max(1, |min_quotient|) of the minimum, stored as Python floats.  grid
     names the grid whose points are covered and orbits counts the samples
-    evaluated, one per torus orbit of its points (see circles)."""
+    evaluated, one per torus orbit of its points (see OrbitRegion)."""
 
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "region": self.region,
-            "grid": self.grid,
-            "min_quotient": self.min_quotient,
-            "orbits": self.orbits,
-            "tame": self.tame,
-            "worst_sample": list(self.worst_sample),
-        }
+        return dict(self._asdict(), worst_sample=list(self.worst_sample))
 
 
 # a, d and b whose magnitudes all lie in [2^-100, 2^100] keep every product,
@@ -109,7 +102,7 @@ def certify(samples, region: str = "", grid: str = "") -> TamenessCertificate:
     else:
         low = lows[-1][0]
         worst = lows[0 if math.isfinite(low) else -1][1]
-    return TamenessCertificate(region, grid, low, low > TAMENESS_TOL, tuple(worst), orbits)
+    return TamenessCertificate(region, grid, low, orbits, low > TAMENESS_TOL, tuple(worst))
 
 
 def linspace(start: float, stop: float, n: int) -> list:
@@ -125,11 +118,69 @@ def linspace(start: float, stop: float, n: int) -> list:
     return out
 
 
-def circles(axis) -> dict:
+def circles(axis) -> list:
     """The circles x^2 + y^2 of the plane grid axis^2, each with its first
     grid point (x, y), in grid order: the torus orbits of one plane."""
     first = {}
     for x in axis:
         for y in axis:
             first.setdefault(x * x + y * y, (x, y))
-    return first
+    return list(first.items())
+
+
+class OrbitRegion(namedtuple("OrbitRegion", "head tail line tail_min inner outer",
+                             defaults=(False, 0.0, None, None))):
+    """A torus-invariant region of R^4 and its orbits (s, t) on an n^4 grid
+    of linspace axes, named by label.  The head's orbits are the circles
+    s = x1^2 + y1^2 of [-head, head]^2 or, with line=True, for a form that
+    does not depend on y1, the points s = x1 of [-head, head] at y1 =
+    axis[0].  The tail's orbits are the circles t = x2^2 + y2^2 of [-tail,
+    tail]^2 with sqrt(t) >= tail_min.  With outer set, the region keeps the
+    orbits with inner <= sqrt(s + t) <= outer, so it holds whole orbits."""
+
+    __slots__ = ()
+
+    @classmethod
+    def cube(cls, half: float) -> "OrbitRegion":
+        return cls(half, half, line=True)
+
+    @classmethod
+    def ball(cls, inner: float, outer: float) -> "OrbitRegion":
+        return cls(outer, outer, inner=inner, outer=outer)
+
+    @property
+    def label(self) -> str:
+        if self.line:
+            return f"cube side 2*{self.head}"
+        if self.outer is not None:
+            return f"ball {self.inner} <= |p| <= {self.outer}"
+        return (f"u in [-{self.head}, {self.head}]^2, v in [-{self.tail}, {self.tail}]^2 "
+                f"with |v|>={self.tail_min}")
+
+    def factors(self, n: int):
+        """The head's and the tail's (orbit coordinate, first grid point) that
+        meet the region, in grid order."""
+        axis = linspace(-self.head, self.head, n)
+        heads = [(x, (x, axis[0])) for x in axis] if self.line else circles(axis)
+        floor, tail_axis = self.tail_min ** 2, linspace(-self.tail, self.tail, n)
+        tails = [c for c in circles(tail_axis) if c[0] >= floor]
+        if self.outer is not None:
+            heads, tails = ([c for c in f if math.sqrt(c[0]) <= self.outer] for f in (heads, tails))
+        return heads, tails
+
+    def walk(self, n: int, at_head, at_tail, combine):
+        """(first grid point, combine(s, t, at_head(s), at_tail(t))) per orbit
+        (s, t), head-major, which is grid order: at_head runs once per head
+        and at_tail once per tail, and the orbits stream."""
+        heads, tails = self.factors(n)
+        tails = [(t, w, at_tail(t)) for t, w in tails]
+        ruled, inner, outer, sqrt = self.outer is not None, self.inner, self.outer, math.sqrt
+        for s, z in heads:
+            head = at_head(s)
+            for t, w, tail in tails:
+                if not ruled or inner <= sqrt(s + t) <= outer:
+                    yield z + w, combine(s, t, head, tail)
+
+    def samples(self, n: int):
+        """The first grid point of each orbit, in grid order."""
+        return (point for point, _ in self.walk(n, *(lambda *_: None,) * 3))

@@ -18,12 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from orbifold4.sympverify.blowup import U_MAX, V_MAX, V_MIN
+from orbifold4.sympverify.blowup import CHART
 from orbifold4.sympverify.forms import (GLUING_TOL, PreconditionFailure, form_from_hermitian,
                                         invariant_potential_form)
 from orbifold4.sympverify.jet import Jet, log1p
 from orbifold4.sympverify.profiles import RadialProfile
-from orbifold4.sympverify.taming import certify, circles, linspace, quotient
+from orbifold4.sympverify.taming import certify, quotient
 from orbifold4.sympverify.linear import OMEGA0, antisymmetric, holomorphic_map
 
 
@@ -173,12 +173,13 @@ def numpy_transition(points, m: int):
 
 
 def chart_grid(n: int):
-    """The n^4 chart grid with |v| >= V_MIN, as (N, 4) points in grid order."""
-    ax_u = np.linspace(-U_MAX, U_MAX, n)
-    ax_v = np.linspace(-V_MAX, V_MAX, n)
+    """The n^4 grid of blowup.CHART's squares with |v| >= its floor, as (N, 4)
+    points in grid order."""
+    ax_u = np.linspace(-CHART.head, CHART.head, n)
+    ax_v = np.linspace(-CHART.tail, CHART.tail, n)
     pts = cube_grid(ax_u, ax_u, ax_v, ax_v)
     t = pts[:, 2] ** 2 + pts[:, 3] ** 2
-    return pts[t >= V_MIN ** 2]
+    return pts[t >= CHART.tail_min ** 2]
 
 
 def clip(x, lo: float, hi: float):
@@ -221,9 +222,13 @@ def orbit_samples(radius: float, n: int, inner: float = 0.0):
     """One sample per torus orbit (s, t) = (|z|^2, |w|^2) of the n^4 cubic
     grid of [-radius, radius]^4 with inner <= sqrt(s + t) <= radius, each the
     first grid point of its orbit, in grid order, as an (N, 4) array: the
-    pairs of circles of the plane grid (taming.circles), head-major."""
-    plane = circles(linspace(-radius, radius, n))
-    r2, first = np.array(list(plane)), np.array(list(plane.values()))
+    pairs of circles of the plane grid, head-major, each circle x^2 + y^2 at
+    the first point of the plane grid on it."""
+    axis = np.linspace(-radius, radius, n)
+    plane = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    _, at = np.unique(plane[:, 0] * plane[:, 0] + plane[:, 1] * plane[:, 1], return_index=True)
+    first = plane[np.sort(at)]
+    r2 = first[:, 0] * first[:, 0] + first[:, 1] * first[:, 1]
     r = np.sqrt(r2[:, None] + r2)
     heads, tails = np.nonzero((inner <= r) & (r <= radius))
     out = np.empty((len(heads), 4))
@@ -283,5 +288,6 @@ def glue_forms_oracle(problem, n: int):
     ball = orbit_samples(e3, n, inner=1e-6)
     r = np.sqrt(ball[:, 0] ** 2 + ball[:, 1] ** 2 + (ball[:, 2] ** 2 + ball[:, 3] ** 2))
     delta = C / (2.0 * (float(np.max(np.abs(rho.jet(r).grad[0]) * r / 2.0)) + 1.0))
-    return delta, _orbit_certificate(phi1, ball, delta, rho, region=f"ball radius {e3}",
+    return delta, _orbit_certificate(phi1, ball, delta, rho,
+                                     region=f"ball {1e-6} <= |p| <= {e3}",
                                      grid=f"{n}^4 cubic grid")

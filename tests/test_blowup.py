@@ -14,8 +14,8 @@ from fd_oracles import (chart_grid, chart_potential, ddbar_fd, exact_taming_quot
                         numpy_chart_form, numpy_transition, zero_section_density)
 from orbifold4.cli import main
 from orbifold4.sympverify import blowup, jet
-from orbifold4.sympverify.blowup import (PAIRS, _base, _realified_jacobian, blowup_model_check,
-                                         chart_form, chart_orbits, closedness_residual,
+from orbifold4.sympverify.blowup import (CHART, PAIRS, _base, _realified_jacobian,
+                                         blowup_model_check, chart_form, closedness_residual,
                                          exceptional_area, overlap_probe, taming_data,
                                          transition)
 from orbifold4.sympverify.forms import taming_quotients
@@ -57,8 +57,8 @@ def test_float_entries_match_the_numpy_form(m, lam):
 
 
 def _data(m, lam, n):
-    data = list(taming_data(m, lam, *chart_orbits(n)))
-    return np.array([p for p, *_ in data]), np.array([abd for _, *abd in data])
+    data = list(taming_data(m, lam, n, lambda *abd: abd))
+    return np.array([p for p, _ in data]), np.array([abd for _, abd in data])
 
 
 @pytest.mark.parametrize("m,lam", MODELS)
@@ -157,23 +157,9 @@ def test_the_overlap_probe_spans_the_overlap_annulus():
 
 
 def test_chart_orbits_avoid_the_fiber_origin():
-    _, tails = chart_orbits(8)
-    assert min(tails) >= 0.05 ** 2 and all(x * x + y * y == t for t, (x, y) in tails.items())
-
-
-@pytest.mark.parametrize("n", [2, 8, 24])
-@pytest.mark.parametrize("m,lam", [(2, 0.1), (3, 0.4322)])
-def test_the_worst_sample_lies_in_the_labelled_region(m, lam, n):
-    # the label names the squares the orbits are drawn from, read back here:
-    # grid 2's one orbit is a corner of both squares, |u| = 1.70 > 1.2
-    cert = blowup_model_check(m, lam, grid_n=n).certificate
-    label = re.fullmatch(r"two charts, u in \[-(\S+), (\S+)\]\^2, v in \[-(\S+), (\S+)\]\^2 "
-                         r"with \|v\|>=(\S+) \(m=(\d+), lambda=(\S+)\)", cert.region)
-    u_lo, u_hi, v_lo, v_hi, v_min, m_read, lam_read = label.groups()
-    assert (u_lo, v_lo, int(m_read), float(lam_read)) == (u_hi, v_hi, m, lam)
-    x1, y1, x2, y2 = cert.worst_sample
-    assert max(abs(x1), abs(y1)) <= float(u_hi) and max(abs(x2), abs(y2)) <= float(v_hi)
-    assert math.hypot(x2, y2) >= float(v_min)
+    _, tails = CHART.factors(8)
+    assert min(t for t, _ in tails) >= 0.05 ** 2
+    assert all(x * x + y * y == t for t, (x, y) in tails)
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 2.0])

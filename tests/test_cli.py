@@ -77,7 +77,8 @@ def test_singularity_resolve_checks_the_round_trip(capsys, monkeypatch):
 
     code, out, _ = run(capsys, "singularity", "resolve", "--m", "12", "--q", "7", "--json")
     assert code == 0 and _statuses(out)["continued fraction round trip"] == "pass"
-    monkeypatch.setattr(resolution, "hj_resolve", lambda m, q: resolution.HJChain(m, q, [2]))
+    monkeypatch.setattr(resolution, "hj_resolve",
+                        lambda m, q, max_curves: resolution.HJChain(m, q, [2]))
     code, out, _ = run(capsys, "singularity", "resolve", "--m", "12", "--q", "7", "--json")
     statuses = _statuses(out)
     assert statuses["continued fraction round trip"] == "fail"
@@ -110,6 +111,35 @@ def test_group_invariants_of_a_non_reflection_group_reports_integrality(capsys):
 def test_singularity_resolve_invalid_input(capsys):
     code, _, err = run(capsys, "singularity", "resolve", "--m", "4", "--q", "2")
     assert code == 2 and "invalid" in err
+
+
+@pytest.mark.parametrize("m", [100000, 10 ** 18])
+def test_singularity_resolve_refuses_a_chain_past_max_curves(capsys, monkeypatch, m):
+    # the chain of (m, m - 1) has m - 1 curves: m = 100000 would print a
+    # matrix of 10^10 entries, and m = 10^18 would never end its loop.  The
+    # refusal comes before any matrix is built
+    from orbifold4 import resolution
+
+    monkeypatch.setattr(resolution.HJChain, "intersection_matrix", None)
+    code, out, err = run(capsys, "singularity", "resolve", "--m", str(m), "--q", str(m - 1),
+                         "--json")
+    assert (code, out) == (2, "")
+    assert err == (f"error: the resolution of (m, q) = ({m}, {m - 1}) has more than 1000 "
+                   f"curves; longer chains are refused\n")
+
+
+def test_singularity_resolve_builds_a_chain_of_max_curves(capsys):
+    from orbifold4.cli import MAX_CURVES
+
+    code, out, _ = run(capsys, "singularity", "resolve", "--m", str(MAX_CURVES + 1), "--q",
+                       str(MAX_CURVES), "--json")
+    assert code == 0 and json.loads(out)["results"]["curve_count"] == MAX_CURVES == 1000
+
+
+@pytest.mark.parametrize("action", ["classify", "invariants"])
+def test_an_unknown_builtin_group_exits_2_with_its_message(capsys, action):
+    code, out, err = run(capsys, "group", action, "--builtin", "nope")
+    assert (code, out, err) == (2, "", "error: unknown built-in group 'nope'\n")
 
 
 def test_orbifold_resolve_mapping_torus(capsys):

@@ -2,6 +2,10 @@
 grid point per torus orbit of its region, and reaches the minimum, the
 worst sample and the gluing constant of the whole 4-D grid."""
 
+import json
+import math
+import pathlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,32 +15,34 @@ from fd_oracles import (ball_grid, chart_grid, cube_grid, dr_beta, numpy_chart_f
                         orbit_samples)
 from orbifold4.cli import main
 from orbifold4.sympverify import LocalModel, eval_omega_a
-from orbifold4.sympverify.blowup import blowup_model_check, chart_orbits
+from orbifold4.sympverify.blowup import CHART, blowup_model_check
 from orbifold4.sympverify.fixtures import pipeline_problem
 from orbifold4.sympverify.forms import glue_forms, tameness_min
-from orbifold4.sympverify.localmodel import cube_samples
+from orbifold4.sympverify.taming import OrbitRegion
 
 PROBLEM = pipeline_problem()
 
 
+def _samples(region, n):
+    return np.array(list(region.samples(n)))
+
+
 def _cube(n):
     ax = np.linspace(-0.25, 0.25, n)
-    samples = np.array([p for p, _ in cube_samples(LocalModel(delta2=0.25), n)])
-    return samples, cube_grid(ax, ax, ax, ax)
+    return _samples(OrbitRegion.cube(0.25), n), cube_grid(ax, ax, ax, ax)
 
 
 def _chart(n):
-    heads, tails = chart_orbits(n)
-    samples = np.array([u + v for u in heads.values() for v in tails.values()])
-    return samples, chart_grid(n)
+    return _samples(CHART, n), chart_grid(n)
 
 
 def _ball(radius, inner):
-    return lambda n: (orbit_samples(radius, n, inner), ball_grid(radius, n, inner))
+    return lambda n: (_samples(OrbitRegion.ball(inner, radius), n), ball_grid(radius, n, inner))
 
 
-# the tameness cube, the blow-up chart grid, and the balls and annuli on
-# which glue_forms checks omega1, sizes delta and certifies the glued form
+# the regions the commands build: the tameness cube, the blow-up chart grid,
+# and the balls and annuli on which glue_forms checks omega1, sizes delta
+# and certifies the glued form; each against its whole 4-D grid
 REGIONS = {
     "cube": _cube,
     "chart": _chart,
@@ -69,6 +75,51 @@ def test_orbit_samples_are_the_first_point_of_each_orbit_of_the_region(kind, n):
     assert len(set(keys)) == len(keys)  # one per orbit
     assert set(keys) == set(first)  # and every orbit of the region
     assert at == sorted(first.values())  # each the first grid point of its orbit
+
+
+MODEL_FILE = str(pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
+                 / "model.json")
+# every certificate a command reports: gluing grid 2 has no orbit on an
+# annulus and exits 2
+LABELLED = {
+    "tameness-flat": ("tameness", "--model", "flat"),
+    "tameness-resolved": ("tameness", "--model", "flat", "--resolved"),
+    "tameness-model": ("tameness", "--model", MODEL_FILE),
+    "blowup": ("blowup", "--m", "2", "--lam", "0.1"),
+    "blowup-m3": ("blowup", "--m", "3", "--lam", "0.4322"),
+    "gluing": ("gluing",),
+}
+CHARTS = (r"two charts, u in \[(\S+), (\S+)\]\^2, v in \[(\S+), (\S+)\]\^2 "
+          r"with \|v\|>=(\S+) \(m=(\d+), lambda=(\S+)\)")
+
+
+def _in_labelled_region(label, argv, p):
+    """Whether the point p lies in the region the label names, its bounds
+    read back from the label: the cube [-h, h]^4, the ball inner <= |p| <=
+    outer, or a chart's squares with |v| >= v_min, the chart label naming
+    the command's (m, lambda)."""
+    x1, y1, x2, y2 = p
+    if match := re.fullmatch(r"cube side 2\*(\S+)", label):
+        return max(map(abs, p)) <= float(match[1])
+    if match := re.fullmatch(r"ball (\S+) <= \|p\| <= (\S+)", label):
+        r = math.sqrt((x1 * x1 + y1 * y1) + (x2 * x2 + y2 * y2))
+        return float(match[1]) <= r <= float(match[2])
+    u_lo, u_hi, v_lo, v_hi, v_min, m, lam = re.fullmatch(CHARTS, label).groups()
+    assert (m, lam) == (argv[argv.index("--m") + 1], argv[argv.index("--lam") + 1])
+    u_lo, u_hi, v_lo, v_hi, v_min = map(float, (u_lo, u_hi, v_lo, v_hi, v_min))
+    return (u_lo <= min(x1, y1) and max(x1, y1) <= u_hi and v_lo <= min(x2, y2)
+            and max(x2, y2) <= v_hi and math.hypot(x2, y2) >= v_min)
+
+
+@pytest.mark.parametrize("command,n", [(c, n) for c in sorted(LABELLED) if c != "gluing"
+                                       for n in (2, 8, 24)] + [("gluing", 8), ("gluing", 24)])
+def test_the_worst_sample_lies_in_the_labelled_region(capsys, command, n):
+    # each label is computed from its region's bounds; grid 2's one chart
+    # orbit is a corner of both squares, |u| = 1.70 > 1.2
+    argv = ("verify", *LABELLED[command], "--grid", str(n), "--json")
+    main(list(argv))
+    cert = json.loads(capsys.readouterr().out)["results"]["certificate"]
+    assert _in_labelled_region(cert["region"], argv, cert["worst_sample"])
 
 
 def _model(resolved=False, **connection):

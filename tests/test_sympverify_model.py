@@ -15,7 +15,7 @@ from orbifold4.sympverify import localmodel
 from orbifold4.sympverify.linear import OMEGA0, antisymmetric
 from orbifold4.sympverify.localmodel import _derivatives, cube_samples
 from orbifold4.sympverify.profiles import H_cutoff, RadialProfile, f_resolved, f_smoothing
-from orbifold4.sympverify.taming import certify
+from orbifold4.sympverify.taming import OrbitRegion, certify
 
 
 def _omega0(model, pts):
@@ -130,6 +130,11 @@ CONNECTIONS = {"flat": {}, "connection": {"nu": (0.05, -0.08), "kappa": 0.4},
                "strong-connection": {"nu": (0.3, -0.7), "kappa": -1.9}}
 
 
+def _cube_certificate(model, n, resolved):
+    """The certificate `verify tameness` computes: the cube of side 2*delta2."""
+    return certify(cube_samples(model, OrbitRegion.cube(model.delta2), n, resolved=resolved))
+
+
 @pytest.mark.parametrize("n", [7, 8])
 @pytest.mark.parametrize("resolved", [False, True], ids=["orbifold", "resolved"])
 @pytest.mark.parametrize("connection", sorted(CONNECTIONS))
@@ -140,7 +145,7 @@ def test_float_certificate_matches_the_4x4_forms_on_the_whole_grid(m, a, connect
     # the taming data in floats against eval_omega_a + tameness_min on every
     # point of the n^4 cube; odd grids meet r = 0, where the quotient is 0
     model = LocalModel(m=m, a=a, **CONNECTIONS[connection])
-    got = certify(cube_samples(model, n, resolved=resolved))
+    got = _cube_certificate(model, n, resolved)
     ax = np.linspace(-model.delta2, model.delta2, n)
     grid = cube_grid(ax, ax, ax, ax)
     want = tameness_min(lambda q: eval_omega_a(model, q, resolved=resolved), grid)
@@ -158,7 +163,7 @@ def test_float_certificate_matches_the_4x4_forms_on_the_whole_grid(m, a, connect
 def test_taming_data_that_floats_cannot_compute_read_nan(model, n, resolved, worst):
     # a^2 underflows, so the grid's r = 0 meets 0.0 ** -p; or x ** m
     # overflows: numpy read NaN there, with a warning, and so do the floats
-    cert = certify(cube_samples(model, n, resolved=resolved))
+    cert = _cube_certificate(model, n, resolved)
     assert math.isnan(cert.min_quotient) and not cert.tame
     assert cert.worst_sample == worst
 
@@ -177,10 +182,10 @@ def test_the_certificate_and_the_4x4_form_read_one_formula(monkeypatch, resolved
     model = LocalModel(m=2, a=0.1, nu=(0.3, 0.2), kappa=0.5)
     axis = np.linspace(-model.delta2, model.delta2, 6)
     pts = cube_grid(axis, axis, axis, axis)
-    good = certify(cube_samples(model, 6, resolved=resolved)).min_quotient
+    good = _cube_certificate(model, 6, resolved).min_quotient
     form = eval_omega_a(model, pts, resolved=resolved)
     coefficients = localmodel._coefficients
     monkeypatch.setattr(localmodel, "_coefficients",
                         lambda *args: (coefficients(*args)[0], 2.0 * coefficients(*args)[1]))
-    assert certify(cube_samples(model, 6, resolved=resolved)).min_quotient != good
+    assert _cube_certificate(model, 6, resolved).min_quotient != good
     assert not np.allclose(eval_omega_a(model, pts, resolved=resolved), form)

@@ -36,6 +36,22 @@ def test_no_assert_gates_in_library():
     assert found == []
 
 
+def _uses(path, name):
+    """Lines of path that name `name`: a call, a reference or an import."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if (getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+                or isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)):
+            yield node.lineno
+
+
+def test_only_taming_calls_circles():
+    # every certificate reads its orbits from one taming.OrbitRegion
+    found = [f"{path.relative_to(SRC)}:{line}" for path in sorted(SRC.rglob("*.py"))
+             if path.name != "taming.py" for line in _uses(path, "circles")]
+    assert found == []
+
+
 def test_exact_commands_start_without_numpy():
     # only orbifold4.sympverify imports numpy at module level
     code = "import sys, orbifold4.cli; print('numpy' in sys.modules)"
