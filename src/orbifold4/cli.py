@@ -8,7 +8,8 @@ input, 3 unsupported math, 4 a failed check (every report check passes on
 exit 0).  Each command imports the modules it uses, so a `verify` command
 loads the sympverify modules it runs and none of the exact half, and no
 command loads numpy: every certificate runs in Python floats.  A `verify`
-grid lies in [2, MAX_GRID].
+grid lies in [2, MAX_GRID], and a `group invariants` degree in
+[0, MAX_DEGREE].
 `run` is the process entry point: `main`, then the exit path.
 """
 
@@ -93,8 +94,15 @@ def _load_group(args):
                 return group_from_json(json.load(fh))
         # NotUnitaryError and NotFiniteWithinBound are ValueErrors
         except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"invalid group file: {exc}", EXIT_INVALID)
+            raise _invalid_file("group file", exc)
     raise CliError("need --builtin or --file", EXIT_INVALID)
+
+
+def _invalid_file(what: str, exc: Exception) -> CliError:
+    """The exit-2 error of a group or spec file its loader refused; a
+    KeyError there is the lookup of a key the file lacks."""
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    return CliError(f"invalid {what}: {detail}", EXIT_INVALID)
 
 
 def cmd_group_classify(args) -> dict:
@@ -122,11 +130,21 @@ def cmd_group_classify(args) -> dict:
     return _report("group classify", results, [("group finite and closed", closed)])
 
 
+# the largest --degree `group invariants` accepts.  The Molien series
+# through degree D and its check grow faster than D: at D = 1000 a job takes
+# 0.1-0.4 s (klein_four, a C6 x C6 and a binary dihedral group of order 24),
+# at D = 10,000 2.6 s on klein_four, and D = 10^8 did not finish in a
+# minute.  The benchmark's jobs read degree 24
+MAX_DEGREE = 1000
+
+
 def cmd_group_invariants(args) -> dict:
     from .invariants import NotReflectionGroup, fundamental_invariants, molien
 
     if args.degree < 0:
         raise CliError("--degree must be nonnegative", EXIT_INVALID)
+    if args.degree > MAX_DEGREE:
+        raise CliError(f"--degree must be at most {MAX_DEGREE}", EXIT_INVALID)
     G = _load_group(args)
     D = args.degree
     series = molien(G, D)
@@ -207,7 +225,7 @@ def _load_spec(args):
         try:
             return load_spec(args.spec)
         except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"invalid spec file: {exc}", EXIT_INVALID)
+            raise _invalid_file("spec file", exc)
     raise CliError("need --example or --spec", EXIT_INVALID)
 
 

@@ -225,8 +225,13 @@ def _group_to_json(g: UnitaryGroup) -> dict:
 
 
 def _group_from_json(obj) -> UnitaryGroup:
+    """A spec's group: a built-in name or a group object.  An unknown name
+    is a ValueError, so a KeyError from a spec always names a missing key."""
     if isinstance(obj, str):
-        return builtin_group(obj)
+        try:
+            return builtin_group(obj)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
     return group_from_json(obj)
 
 

@@ -1,10 +1,9 @@
 """Numerical verification of symplectic-form constructions on local models:
-the numerical half of orbifold4, and its only package that imports numpy.
-Only the array APIs import it, when called (`linear` and `pushforward` on
-import); `taming`, `jet`, `profiles`, `localmodel`, `forms`, `fixtures` and
-`blowup` import without it, and the certificates of the local model, of the
-gluing and of the blow-up model run in Python floats, so no command needs
-numpy.
+the numerical half of orbifold4, and its only package that uses numpy.
+Only its array APIs import it, when called: no submodule imports numpy on
+import.  The certificates of the local model, of the gluing and of the
+blow-up model and the pushforward check run in Python floats, so no
+command needs numpy.
 
 The public names below are resolved on first use (PEP 562), so a command
 loads only the submodules it runs."""

@@ -3,8 +3,8 @@ Python floats.
 
 The resolution is the total space of the degree -m line bundle over the
 projective line, covered by charts with coordinates (u, v) and transition
-(u, v) -> (1/u, u^m v), written once over complex jets so that its Jacobian
-comes from jets of one variable each.  The candidate symplectic form is
+(u, v) -> (1/u, u^m v), written once over complex jets so that its real
+Jacobian comes from jet.realified_jacobian.  The candidate symplectic form is
 
     omega_lambda = (i/2) ddbar [ |v|^(2/m) (1+|u|^2) + lambda log(1+|u|^2) ]
 
@@ -30,12 +30,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .jet import Jet, log1p_rule, power_rule
+from .jet import PAIRS, largest, log1p_rule, power_rule, pullback_discrepancy
 from .taming import OrbitRegion, certify, linspace, quotient
 
-# the entries (k, l), k < l, of a 2-form above the diagonal, in the order of
-# the tuples chart_form returns
-PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # d(omega) has one component per k < l < n, d_k omega_ln - d_l omega_kn +
 # d_n omega_kl: each term as (direction, entry)
 _TERMS = tuple(((k, PAIRS.index((l, n))), (l, PAIRS.index((k, n))), (n, PAIRS.index((k, l))))
@@ -88,40 +85,6 @@ def transition(u, v, m: int):
     return 1 / u, u ** m * v
 
 
-def _realified_jacobian(z: complex, w: complex, m: int):
-    """transition(z, w, m) as a point (x1, y1, x2, y2) and its real 4x4
-    Jacobian, from one complex float jet per variable: a complex derivative
-    a + ib is the block [[a, -b], [b, a]]."""
-    by_z = transition(Jet.float_variable(z), w, m)
-    by_w = transition(z, Jet.float_variable(w), m)
-    values = [c.value if isinstance(c, Jet) else c for c in by_z]
-    grad = [[c.grad if isinstance(c, Jet) else 0.0 for c in col] for col in (by_z, by_w)]
-    jac = [[0.0] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            g = complex(grad[j][i])
-            jac[2 * i][2 * j], jac[2 * i][2 * j + 1] = g.real, -g.imag
-            jac[2 * i + 1][2 * j], jac[2 * i + 1][2 * j + 1] = g.imag, g.real
-    point = (values[0].real, values[0].imag, values[1].real, values[1].imag)
-    return point, jac
-
-
-def _pullback(jac, w):
-    """The entries above the diagonal of jac^T omega jac, omega given by its
-    entries above the diagonal: sum over a < b of
-    omega_ab (jac_ak jac_bl - jac_bk jac_al) for each k < l."""
-    return [sum(w_ab * (jac[a][k] * jac[b][l] - jac[b][k] * jac[a][l])
-                for (a, b), w_ab in zip(PAIRS, w)) for k, l in PAIRS]
-
-
-def _largest(values) -> float:
-    """max |x| over a list of floats, or inf when one of them is not finite:
-    max() alone may pass over a NaN."""
-    if not all(map(math.isfinite, values)):
-        return math.inf
-    return max(map(abs, values))
-
-
 def taming_data(m: int, lam: float, n: int, reduce):
     """(point, reduce(a, d, |b|)) of the chart form per orbit of CHART on
     its n^4 grid, in grid order (OrbitRegion.walk): _fibre once per v
@@ -162,7 +125,7 @@ def closedness_residual(form) -> float:
             grad.append([(a - b) / two_h for a, b in zip(form(plus), form(minus))])
         residuals += [grad[i][a] - grad[j][b] + grad[k][c]
                       for (i, a), (j, b), (k, c) in _TERMS]
-    return _largest(residuals)
+    return largest(residuals)
 
 
 def overlap_probe() -> list:
@@ -179,11 +142,7 @@ def overlap_probe() -> list:
 def overlap_max_diff(form, m: int) -> float:
     """Max entry of the chart form pulled back along the transition minus
     the chart form, over overlap_probe: the two charts' forms agree."""
-    diffs = []
-    for point in overlap_probe():
-        image, jac = _realified_jacobian(complex(*point[:2]), complex(*point[2:]), m)
-        diffs += [a - b for a, b in zip(_pullback(jac, form(image)), form(point))]
-    return _largest(diffs)
+    return pullback_discrepancy(lambda u, v: transition(u, v, m), overlap_probe(), form, form)[0]
 
 
 def exceptional_area(lam: float) -> float:

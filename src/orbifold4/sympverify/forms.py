@@ -33,10 +33,25 @@ class PreconditionFailure(ValueError):
         super().__init__(message)
 
 
+def antisymmetric(w01, w02, w03, w12, w13, w23):
+    """The antisymmetric (..., 4, 4) matrix with the given entries above the
+    diagonal, which broadcast to the point shape.  Component-major: the view
+    of a (4, 4, ...) buffer, so each entry is one contiguous array, written
+    once, as is its negative below the diagonal and the zero diagonal."""
+    import numpy as np
+    upper = {(0, 1): w01, (0, 2): w02, (0, 3): w03, (1, 2): w12, (1, 3): w13, (2, 3): w23}
+    buf = np.empty((4, 4) + np.broadcast_shapes(*(np.shape(w) for w in upper.values())))
+    for (i, j), w in upper.items():
+        buf[i, j] = w
+        np.negative(buf[i, j], out=buf[j, i, ...])
+    for i in range(4):
+        buf[i, i] = 0.0
+    return np.moveaxis(buf, (0, 1), (-2, -1))
+
+
 def form_from_hermitian(coeff):
     """Real matrix of (i/2) sum coeff_ij dz_i ^ dzbar_j, from Re and Im of coeff."""
     import numpy as np
-    from .linear import antisymmetric
 
     c = np.asarray(coeff, dtype=complex)
     re, im = c.real, c.imag

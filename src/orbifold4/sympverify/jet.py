@@ -6,8 +6,11 @@ plain numbers and arrays act as constants.  A jet of one float variable
 value and the first and second derivative, with no variable axis, and takes
 the arithmetic operators only; it never imports numpy.  `log1p` takes a
 plain array or an array Jet, so one definition of a function evaluates
-either way.  Variables may take complex values: a holomorphic
-function's jet then carries its complex derivatives.
+either way.  A float variable may take a complex value: a holomorphic
+function's jet then carries its complex derivative.  A holomorphic map of
+C^2 written over them gives its real Jacobian (`realified_jacobian`),
+along which `pullback_discrepancy` compares two 2-forms, each given by its
+six entries above the diagonal (PAIRS).
 
 Each function's first and second derivative are written once, as a rule
 (`power_rule`, `log1p_rule`, `smoothstep_rule`) that the jets apply and
@@ -15,6 +18,8 @@ that a closed-form evaluation over plain floats calls directly.
 """
 
 from __future__ import annotations
+
+import math
 
 # the values of a float jet: complex once a power leaves the reals
 _SCALARS = (float, complex)
@@ -45,12 +50,12 @@ class Jet:
 
     @classmethod
     def variable(cls, value, i: int = 0, n: int = 1) -> "Jet":
-        """The i-th of n independent variables, at the given real or complex values."""
+        """The i-th of n independent variables, at the given real values."""
         import numpy as np
-        value = np.asarray(value, dtype=complex if np.iscomplexobj(value) else float)
-        grad = np.zeros((n,) + value.shape, dtype=value.dtype)
+        value = np.asarray(value, dtype=float)
+        grad = np.zeros((n,) + value.shape)
         grad[i] = 1.0
-        return cls(value, grad, np.zeros((n, n) + value.shape, dtype=value.dtype))
+        return cls(value, grad, np.zeros((n, n) + value.shape))
 
     @classmethod
     def float_variable(cls, value) -> "Jet":
@@ -150,3 +155,56 @@ def log1p(x):
     if not isinstance(x, Jet):
         return np.log1p(x)
     return x.apply(np.log1p(x.value), *log1p_rule(x.value))
+
+
+# the entries (k, l), k < l, of a 2-form on R^4 above the diagonal, in the
+# order of a form's six entries (w01, w02, w03, w12, w13, w23)
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def realified_jacobian(f, z: complex, w: complex):
+    """f(z, w) as a point (x1, y1, x2, y2) and its real 4x4 Jacobian, for a
+    holomorphic map f of C^2 written over complex float jets: one jet per
+    variable, and a complex derivative a + ib is the block [[a, -b], [b, a]]."""
+    by_z = f(Jet.float_variable(z), w)
+    by_w = f(z, Jet.float_variable(w))
+    values = [c.value if isinstance(c, Jet) else c for c in by_z]
+    grad = [[c.grad if isinstance(c, Jet) else 0.0 for c in col] for col in (by_z, by_w)]
+    jac = [[0.0] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(2):
+            g = complex(grad[j][i])
+            jac[2 * i][2 * j], jac[2 * i][2 * j + 1] = g.real, -g.imag
+            jac[2 * i + 1][2 * j], jac[2 * i + 1][2 * j + 1] = g.imag, g.real
+    point = (values[0].real, values[0].imag, values[1].real, values[1].imag)
+    return point, jac
+
+
+def pullback(jac, w):
+    """The entries above the diagonal of jac^T omega jac, omega given by its
+    entries above the diagonal: sum over a < b of
+    omega_ab (jac_ak jac_bl - jac_bk jac_al) for each k < l."""
+    return [sum(w_ab * (jac[a][k] * jac[b][l] - jac[b][k] * jac[a][l])
+                for (a, b), w_ab in zip(PAIRS, w)) for k, l in PAIRS]
+
+
+def largest(values) -> float:
+    """max |x| over a list of floats, or inf when one of them is not finite:
+    max() alone may pass over a NaN."""
+    if not all(map(math.isfinite, values)):
+        return math.inf
+    return max(map(abs, values))
+
+
+def pullback_discrepancy(f, points, form, image_form):
+    """The largest entry of image_form pulled back along the holomorphic map
+    f minus form, over a list of points (x1, y1, x2, y2), and the first point
+    where it is reached; inf at a point where an entry is not finite.  Both
+    forms map a point to its six entries above the diagonal."""
+    diffs = []
+    for point in points:
+        image, jac = realified_jacobian(f, complex(*point[:2]), complex(*point[2:]))
+        diffs.append(largest([a - b for a, b in zip(pullback(jac, image_form(image)),
+                                                     form(point))]))
+    worst = max(diffs)
+    return worst, points[diffs.index(worst)]

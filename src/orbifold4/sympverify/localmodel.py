@@ -6,8 +6,9 @@ on the fiber, r^2 = x2^2 + y2^2.  The connection 1-form is
 eta = dtheta + pi*nu with nu = nu1 dx1 + (nu2 + kappa*x1) dy1, so
 d(eta) = kappa dx1^dy1.  `eval_omega_a` returns forms as antisymmetric 4x4
 coefficient matrices, vectorized over numpy arrays of points of shape
-(..., 4), and imports numpy when called; the taming data and the cube's
-certificate are Python floats.
+(..., 4), and imports numpy when called; `model_form` gives the same form
+at one point, and the taming data and the cube's certificate, in Python
+floats.
 """
 
 from __future__ import annotations
@@ -64,6 +65,26 @@ def _coefficients(x, d1, d2, kappa):
     return 1.0 + 0.5 * x * d1 * kappa, x * d2 + d1
 
 
+def model_form(model: LocalModel, resolved: bool = False):
+    """eval_omega_a at one point (x1, y1, x2, y2) in Python floats, as its
+    entries above the diagonal, (w01, w02, w03, w12, w13, w23), as
+    blowup.chart_form gives the chart form: f' and f'' off one float jet of
+    the profile, NaN where float arithmetic cannot compute them."""
+    profile = _profile(model, resolved)
+    scale = float(model.m) if resolved else 1.0
+    n1, nu2, kappa = scale * model.nu[0], model.nu[1], model.kappa
+
+    def form(point):
+        x1, _, x2, y2 = point
+        x = x2 * x2 + y2 * y2
+        if math.sqrt(x) > model.delta0 + 1e-12:
+            raise OutOfDomainError("fiber radius exceeds the model radius delta0")
+        base, vert = _coefficients(x, *_derivatives(profile, x), scale * kappa)
+        n2 = scale * (nu2 + kappa * x1)
+        return base, -vert * x2 * n1, -vert * y2 * n1, -vert * x2 * n2, -vert * y2 * n2, vert
+    return form
+
+
 def eval_omega_a(model: LocalModel, points, resolved: bool = False):
     """The smoothed form built from f(x) = (x^m + a^2)^(1/m) at x = r^2:
 
@@ -75,7 +96,7 @@ def eval_omega_a(model: LocalModel, points, resolved: bool = False):
     smooth model: profile fhat(x) = (x + a^2)^(1/m) and connection scaled by m.
     """
     import numpy as np
-    from .linear import antisymmetric
+    from .forms import antisymmetric
 
     p = np.asarray(points, dtype=float)
     if p.shape[-1] != 4:

@@ -1,7 +1,4 @@
-"""2x2 unitary matrices with exact cyclotomic entries.
-
-Their real 4x4 avatars live in `orbifold4.sympverify.linear`.
-"""
+"""2x2 unitary matrices with exact cyclotomic entries."""
 
 from __future__ import annotations
 

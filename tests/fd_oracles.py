@@ -8,9 +8,10 @@ over numpy arrays (its orbit samples, the taming data of its potentials off
 array jets, and delta and the certificate from them), the reference for
 forms.glue_forms' float arithmetic; the smoothstep profiles composed from
 clip, the reference for jet.smoothstep_rule; and the blow-up chart model
-over numpy arrays (its potential written over array jets, its 4-D chart
-grid and its chart transition through linear.holomorphic_map), the
-reference for blowup's float arithmetic."""
+over numpy arrays (its potential written over array jets and its 4-D chart
+grid), the reference for blowup's float arithmetic; and the standard
+symplectic form OMEGA0, complex structure J0 and realification of R^4 =
+C^2."""
 
 import math
 from decimal import Decimal, localcontext
@@ -19,12 +20,29 @@ from fractions import Fraction
 import numpy as np
 
 from orbifold4.sympverify.blowup import CHART
-from orbifold4.sympverify.forms import (GLUING_TOL, PreconditionFailure, form_from_hermitian,
-                                        invariant_potential_form)
+from orbifold4.sympverify.forms import (GLUING_TOL, PreconditionFailure, antisymmetric,
+                                        form_from_hermitian, invariant_potential_form)
 from orbifold4.sympverify.jet import Jet, log1p
 from orbifold4.sympverify.profiles import RadialProfile
 from orbifold4.sympverify.taming import certify, quotient
-from orbifold4.sympverify.linear import OMEGA0, antisymmetric, holomorphic_map
+
+# complex coordinates (z, w) are real coordinates (x1, y1, x2, y2): OMEGA0 is
+# the matrix of the standard symplectic form dx1^dy1 + dx2^dy2, and J0 that
+# of multiplication by i
+OMEGA0 = np.array([
+    [0.0, 1.0, 0.0, 0.0],
+    [-1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+    [0.0, 0.0, -1.0, 0.0],
+])
+J0 = -OMEGA0
+
+
+def realify(c):
+    """The real 4x4 matrix acting on (x1, y1, x2, y2) of a 2x2 complex
+    matrix: entry a + ib becomes the block [[a, -b], [b, a]]."""
+    return np.block([[np.array([[z.real, -z.imag], [z.imag, z.real]]) for z in row]
+                     for row in np.asarray(c, dtype=complex)])
 
 
 def _shift(points, i, h):
@@ -165,11 +183,6 @@ def zero_section_density(m: int, lam: float, rho):
     pts = np.zeros((len(rho), 4))
     pts[:, 0] = rho
     return invariant_potential_form(lambda s, t: phi(s, 0.0))(pts)[:, 0, 1]
-
-
-def numpy_transition(points, m: int):
-    """Chart-1 -> chart-2 coordinates and the real Jacobian of the map, over arrays."""
-    return holomorphic_map(lambda u, v: (1 / u, u ** m * v), points)
 
 
 def chart_grid(n: int):

@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 from fd_oracles import (chart_grid, chart_potential, ddbar_fd, exact_taming_quotient,
-                        numpy_chart_form, numpy_transition, zero_section_density)
+                        numpy_chart_form, realify, zero_section_density)
 from orbifold4.cli import main
 from orbifold4.sympverify import blowup, jet
-from orbifold4.sympverify.blowup import (CHART, PAIRS, _base, _realified_jacobian,
-                                         blowup_model_check, chart_form, closedness_residual,
-                                         exceptional_area, overlap_probe, taming_data,
-                                         transition)
+from orbifold4.sympverify.blowup import (CHART, PAIRS, _base, blowup_model_check, chart_form,
+                                         closedness_residual, exceptional_area, overlap_probe,
+                                         taming_data, transition)
 from orbifold4.sympverify.forms import taming_quotients
-from orbifold4.sympverify.pushforward import _fiber_power
+from orbifold4.sympverify.jet import realified_jacobian
 from orbifold4.sympverify.taming import quotient
 
 MODELS = [(m, lam) for m in (2, 3, 5) for lam in (0.1, 1e8, 1e16)]
@@ -111,40 +110,54 @@ def test_transition_is_an_involution_on_the_overlap():
         assert abs(back[0] - u) < 1e-12 and abs(back[1] - v) < 1e-12
 
 
-def _float_transition(points, m):
-    """The image points and real Jacobians of transition, one point at a time."""
-    out = [_realified_jacobian(complex(*p[:2]), complex(*p[2:]), m)
+def _float_map(f, points):
+    """The image points and real Jacobians of the holomorphic map f, one
+    point at a time."""
+    out = [realified_jacobian(f, complex(*p[:2]), complex(*p[2:]))
            for p in np.asarray(points, dtype=float).tolist()]
     return np.array([image for image, _ in out]), np.array([jac for _, jac in out])
 
 
-# holomorphic maps of C^2 with their real Jacobians
-MAPS = {"transition": lambda p: _float_transition(p, 2),
-        "fiber-power": lambda p: _fiber_power(p, 3)}
+# holomorphic maps of C^2, over complex numbers or jets, and their complex
+# Jacobians [[df1/dz, df1/dw], [df2/dz, df2/dw]] in closed form, at m
+MAPS = {
+    "transition": (lambda m: lambda u, v: transition(u, v, m),
+                   lambda m, u, v: [[-1 / u ** 2, 0], [m * u ** (m - 1) * v, u ** m]]),
+    "fiber-power": (lambda m: lambda z, w: (z, w ** m),
+                    lambda m, z, w: [[1, 0], [0, m * w ** (m - 1)]]),
+}
 
 
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_transition_jacobian_against_fd(name):
-    fmap = MAPS[name]
+    f = MAPS[name][0](2 if name == "transition" else 3)
     pts = np.array([[0.9, 0.4, 0.3, -0.1]])
-    _, jac = fmap(pts)
+    _, jac = _float_map(f, pts)
     h = 1e-6
     for i in range(4):
         dp = pts.copy()
         dp[0, i] += h
         dm = pts.copy()
         dm[0, i] -= h
-        col = (fmap(dp)[0] - fmap(dm)[0]) / (2 * h)
+        col = (_float_map(f, dp)[0] - _float_map(f, dm)[0]) / (2 * h)
         assert np.allclose(jac[0, :, i], col[0], atol=1e-6)
 
 
-@pytest.mark.parametrize("m", [2, 3, 5])
-def test_float_transition_matches_the_numpy_map(m):
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_float_jacobian_matches_its_closed_form(name, m):
+    # the jets' derivatives against -1/u^2, m u^(m-1) v and u^m of the
+    # transition and m w^(m-1) of the fiber power, realified, and the image
+    # against the map over complex numbers, on the overlap probe
+    f, derivative = MAPS[name][0](m), MAPS[name][1]
     pts = np.array(overlap_probe())
-    image, jac = _float_transition(pts, m)
-    want_image, want_jac = numpy_transition(pts, m)
-    assert np.allclose(image, want_image, rtol=1e-14, atol=0)
-    assert np.allclose(jac, want_jac, rtol=1e-14, atol=1e-14 * np.max(np.abs(want_jac)))
+    image, jac = _float_map(f, pts)
+    for p, got_image, got in zip(pts.tolist(), image, jac):
+        z, w = complex(*p[:2]), complex(*p[2:])
+        want = realify(derivative(m, z, w))
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+        fz, fw = f(z, w)
+        assert np.allclose(got_image, [fz.real, fz.imag, fw.real, fw.imag], rtol=1e-14, atol=0)
 
 
 def test_the_overlap_probe_spans_the_overlap_annulus():

@@ -467,6 +467,41 @@ def test_a_group_file_past_its_max_order_exits_2(capsys, tmp_path):
     assert err == "error: invalid group file: closure exceeds max_order=16\n"
 
 
+@pytest.mark.parametrize("argv,content,fault", [
+    (("group", "classify", "--file"), {"gens": []}, "invalid group file: missing key 'generators'"),
+    (("orbifold", "resolve", "--spec"), {"name": "x"},
+     "invalid spec file: missing key 'base_betti'"),
+    (("orbifold", "resolve", "--spec"),
+     {"base_betti": [1, 0, 2, 0, 1], "isolated_points": [{"label": "P", "group": "nope"}]},
+     "invalid spec file: unknown built-in group 'nope'"),
+], ids=["group-generators", "spec-base-betti", "spec-unknown-group"])
+def test_a_file_without_a_required_key_exits_2_naming_the_key(capsys, tmp_path, argv, content,
+                                                              fault):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, *argv, str(path), "--json")
+    assert (code, out, err) == (2, "", f"error: {fault}\n")
+
+
+@pytest.mark.parametrize("degree", [1001, 10 ** 8])
+def test_group_invariants_refuses_a_degree_past_max_degree(capsys, monkeypatch, degree):
+    # the refusal comes before any group is built
+    from orbifold4 import groups
+
+    monkeypatch.setattr(groups, "builtin_group", None)
+    code, out, err = run(capsys, "group", "invariants", "--builtin", "klein_four", "--degree",
+                         str(degree), "--json")
+    assert (code, out, err) == (2, "", "error: --degree must be at most 1000\n")
+
+
+def test_group_invariants_reads_a_series_of_max_degree(capsys):
+    from orbifold4.cli import MAX_DEGREE
+
+    code, out, _ = run(capsys, "group", "invariants", "--builtin", "klein_four", "--degree",
+                       str(MAX_DEGREE), "--json")
+    assert code == 0 and len(json.loads(out)["results"]["molien"]) == MAX_DEGREE + 1 == 1001
+
+
 # the named choices of the options that take a name rather than a file
 NAMES = {"--model": ["flat", "degenerate-fixture"],
          "--builtin": ["klein_four", "minus_identity", "dihedral"],

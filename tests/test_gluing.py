@@ -6,12 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fd_oracles import (ball_grid, d_rho_beta, dbeta_residual, flat_form, glue_forms_oracle,
-                        standard_primitive)
+from fd_oracles import (OMEGA0, ball_grid, d_rho_beta, dbeta_residual, flat_form,
+                        glue_forms_oracle, standard_primitive)
 from orbifold4.sympverify import GluingProblem, RadialProfile, glue_forms, identity_profile
 from orbifold4.sympverify.fixtures import annulus_floor, pipeline_problem, smoothing_excess_max
 from orbifold4.sympverify.forms import PreconditionFailure, taming_quotients
-from orbifold4.sympverify.linear import OMEGA0
 from orbifold4.sympverify.profiles import H_cutoff
 
 # h(u) = u: with g the identity, the potential s + t = |p|^2 of the flat form

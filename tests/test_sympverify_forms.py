@@ -7,14 +7,14 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from fd_oracles import (ball_grid, chart_grid, complex_hessian_fd, cube_grid, ddbar_fd,
-                        exact_taming_quotient, exterior_derivative_fd, numpy_chart_form)
+from fd_oracles import (J0, OMEGA0, ball_grid, chart_grid, complex_hessian_fd, cube_grid,
+                        ddbar_fd, exact_taming_quotient, exterior_derivative_fd,
+                        numpy_chart_form)
 from orbifold4.sympverify import (LocalModel, form_from_hermitian, eval_omega_a, glue_forms,
                                   h_ramp, rho_bump, taming_quotients, tameness_min)
 from orbifold4.sympverify.blowup import blowup_model_check, exceptional_area
 from orbifold4.sympverify.fixtures import pipeline_problem
 from orbifold4.sympverify.forms import invariant_potential_form
-from orbifold4.sympverify.linear import OMEGA0, J0
 from orbifold4.sympverify.profiles import f_smoothing
 
 

@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from fd_oracles import cube_grid, exterior_derivative_fd
+from fd_oracles import OMEGA0, cube_grid, exterior_derivative_fd
 from orbifold4.sympverify import (LocalModel, OutOfDomainError,
                                   eval_omega_a,
                                   pushforward_check, sample_points,
                                   tameness_min)
 from orbifold4.sympverify import localmodel
-from orbifold4.sympverify.linear import OMEGA0, antisymmetric
-from orbifold4.sympverify.localmodel import _derivatives, cube_samples
+from orbifold4.sympverify.forms import antisymmetric
+from orbifold4.sympverify.jet import PAIRS
+from orbifold4.sympverify.localmodel import _derivatives, cube_samples, model_form
 from orbifold4.sympverify.profiles import H_cutoff, RadialProfile, f_resolved, f_smoothing
 from orbifold4.sympverify.taming import OrbitRegion, certify
 
@@ -96,8 +97,8 @@ def test_cutoff_profile_reverts_to_identity_far_out():
 
 def test_sample_points_deterministic_and_in_annulus():
     model = LocalModel(m=2, a=0.1)
-    a = sample_points(model, 100, seed=4)
-    b = sample_points(model, 100, seed=4)
+    a = np.array(sample_points(model, 100, seed=4))
+    b = np.array(sample_points(model, 100, seed=4))
     assert np.array_equal(a, b)
     r = np.hypot(a[:, 2], a[:, 3])
     assert np.all((r >= 0.05) & (r <= model.delta2 + 1e-12))
@@ -115,6 +116,35 @@ def test_pushforward_exactness(m):
 def test_pushforward_rejects_mismatched_m():
     with pytest.raises(ValueError):
         pushforward_check(3, LocalModel(m=2, a=0.1))
+
+
+@pytest.mark.parametrize("resolved", [False, True], ids=["orbifold", "resolved"])
+@pytest.mark.parametrize("params", [{}, {"m": 2, "a": 0.1, "kappa": 0.3, "nu": (0.1, -0.2)},
+                                    {"m": 3, "a": 0.05, "kappa": -1.9, "nu": (0.3, -0.7)}])
+def test_model_form_matches_eval_omega_a(params, resolved):
+    # one point in floats against the array path, the fiber origin included:
+    # the float and the numpy power round f' and f'' apart in the last bit,
+    # so the entries agree to round-off of each form's largest entry
+    model = LocalModel(**params)
+    pts = np.array(sample_points(model, 200, seed=2) + [(0.1, -0.2, 0.0, 0.0)])
+    want = eval_omega_a(model, pts, resolved=resolved)
+    form = model_form(model, resolved=resolved)
+    for point, w in zip(pts.tolist(), want):
+        got = form(point)
+        scale = np.max(np.abs(w))
+        assert all(abs(g - w[k, l]) <= 2e-15 * scale for g, (k, l) in zip(got, PAIRS))
+
+
+def test_model_form_refuses_a_point_beyond_the_model_radius():
+    with pytest.raises(OutOfDomainError):
+        model_form(LocalModel(m=2, a=0.0))((0.0, 0.0, 2.0, 0.0))
+
+
+def test_an_overflowing_model_fails_the_pushforward():
+    # the resolved side scales nu1 = 1e308 by m = 2 past the largest double,
+    # so its form and the pullback's entries are not finite
+    report = pushforward_check(2, LocalModel(m=2, a=0.1, nu=(1e308, 0.0)), samples=50)
+    assert report.max_discrepancy == math.inf and report.ok is False
 
 
 def test_smoothing_profiles_asymptotics():

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from fd_oracles import exact_taming_quotient
-from orbifold4.sympverify.forms import taming_quotients
-from orbifold4.sympverify.linear import antisymmetric
+from orbifold4.sympverify.forms import antisymmetric, taming_quotients
 from orbifold4.sympverify.taming import (TAMENESS_TOL, WORST_SAMPLE_RTOL, certify, linspace,
                                           quotient)
 

@@ -52,6 +52,28 @@ def test_only_taming_calls_circles():
     assert found == []
 
 
+def _module_level_imports(path):
+    """The modules that path's import statements outside any function body
+    name: those it imports when it is imported."""
+    nodes = list(ast.parse(path.read_text(), filename=str(path)).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        nodes.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_numpy_at_module_level():
+    # numpy is a test dependency only: an array API imports it when called
+    found = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+             if any(name.split(".")[0] == "numpy" for name in _module_level_imports(path))]
+    assert found == []
+
+
 def test_exact_commands_start_without_numpy():
     # only orbifold4.sympverify imports numpy at module level
     code = "import sys, orbifold4.cli; print('numpy' in sys.modules)"
@@ -160,6 +182,19 @@ def test_commands_run_without_numpy(argv):
     # numpy is a test dependency only: every command keeps its exit code and
     # its report in an interpreter where numpy cannot be imported
     assert _cli(argv, block_numpy=True) == _cli(argv, block_numpy=False)
+
+
+def test_pushforward_check_runs_without_numpy():
+    # the fiber-power check runs in floats: the same report in an interpreter
+    # where `import numpy` fails
+    code = ("import sys; {block}from orbifold4.sympverify import LocalModel, pushforward_check; "
+            "model = LocalModel(m=3, a=0.1, kappa=0.3, nu=(0.1, -0.2)); "
+            "print(repr(pushforward_check(3, model, samples=200, seed=5)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = [subprocess.run([sys.executable, "-c", code.format(block=block)], env=env,
+                          capture_output=True, text=True, check=True).stdout
+           for block in ("sys.modules['numpy'] = None; ", "")]
+    assert out[0] == out[1] and "radial_exact=True" in out[0]
 
 
 def test_singularity_resolve_loads_only_integer_code():

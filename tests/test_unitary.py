@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from fd_oracles import J0, OMEGA0, realify
 from orbifold4 import CyclotomicScalar, NotUnitaryError, UMat2
-from orbifold4.sympverify.linear import OMEGA0, J0, realify
 
 
 def _hadamard():
@@ -41,16 +41,6 @@ def test_realify_is_a_homomorphism():
     ra, rb = realify(a.to_complex()), realify(b.to_complex())
     assert np.allclose(realify((a @ b).to_complex()), ra @ rb, atol=1e-12)
     assert np.allclose(ra @ J0, J0 @ ra, atol=1e-12)
-
-
-def test_realify_of_a_complex_array_matches_each_exact_matrix():
-    z8 = CyclotomicScalar.zeta(8)
-    mats = [_hadamard(), UMat2.diagonal(z8, z8 ** 7),
-            UMat2.diagonal(CyclotomicScalar.zeta(4), CyclotomicScalar.from_rational(-1))]
-    stacked = realify(np.array([u.to_complex() for u in mats]))
-    assert stacked.shape == (3, 4, 4)
-    for r, u in zip(stacked, mats):
-        assert np.array_equal(r, realify(u.to_complex()))
 
 
 def test_group_ops_exact():
