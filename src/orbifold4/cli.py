@@ -354,7 +354,7 @@ def cmd_verify_gluing(args) -> dict:
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(str(exc), EXIT_INVALID)
     try:
-        delta, _, cert = glue_forms(problem, grid_n=args.grid)
+        delta, cert = glue_forms(problem, grid_n=args.grid)
     except PreconditionFailure as exc:
         raise CliError(f"precondition failed: {exc}", EXIT_FAILED_CERT)
     except ValueError as exc:

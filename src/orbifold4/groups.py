@@ -7,6 +7,7 @@ the cyclic action data (m, q) induced on the invariant coordinates.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import namedtuple
 
@@ -208,13 +209,16 @@ def classify_element(m: UMat2) -> ElementClass:
     det = a * d - b * c
     if not det.is_zero():
         return ElementClass("free")
-    # rank-1 kernel of (g - I): read the fixed line off a nonzero row
-    if not (a.is_zero() and b.is_zero()):
-        row = (a, b)
-    else:
-        row = (c, d)
-    v = (-row[1], row[0])
-    return ElementClass("reflection", fixed_line=_normalize_line(v))
+    # the fixed line is the kernel of the rank-1 matrix g - I
+    return ElementClass("reflection", fixed_line=_normalize_line(_null_vector(a, b, c, d)))
+
+
+def _null_vector(a, b, c, d) -> tuple:
+    """A nonzero vector of the kernel of the rank-1 matrix [[a, b], [c, d]],
+    read off its first nonzero row: (-b, a), or (-d, c) when a = b = 0."""
+    if a.is_zero() and b.is_zero():
+        return -d, c
+    return -b, a
 
 
 def _normalize_line(v) -> tuple:
@@ -257,17 +261,8 @@ def _eigen_split(m: UMat2, conductor: int):
             break
     if len(roots) < 2:
         return None
-    vecs = []
-    for lam in roots:
-        a = m.entries[0][0] - lam
-        b = m.entries[0][1]
-        c = m.entries[1][0]
-        d = m.entries[1][1] - lam
-        if not (a.is_zero() and b.is_zero()):
-            vecs.append((-b, a))
-        else:
-            vecs.append((-d, c))
-    return roots, vecs
+    (a, b), (c, d) = m.entries
+    return roots, [_null_vector(a - lam, b, c, d - lam) for lam in roots]
 
 
 def _diagonalize(G: UnitaryGroup):
@@ -357,11 +352,47 @@ def induced_cyclic_data(G: UnitaryGroup) -> CyclicActionData:
     return CyclicActionData(m, q)
 
 
+# the largest conductor a group file or a spec's group may name, for each
+# scalar and for the lcm of all of them, the field its closure runs in.  In
+# a 2-core container `group classify` on an order-2 group takes 0.1 s at
+# conductor 256 and 5 s at 16,000, and on the cyclic group of order 256 at
+# conductor 256 1.1 s (of order 500 at 1000, 15 s).  The benchmark's and the
+# tests' groups read conductor 64 or less
+MAX_CONDUCTOR = 256
+
+# the largest max_order a group file or a spec's group may set.  The
+# multiplication table grows as the square of the order: `group classify`
+# closes C48 x C48 (order 2304) in 1.9 s and 106 MB, and `group invariants`
+# on C128 x C16 (order 2048) takes 24 s.  The default is 512
+MAX_ORDER = 2304
+
+
+def _bounded(value, bound: int, what: str) -> int:
+    """value, an integer in [1, bound]; anything else, a JSON true, 4.5, "4"
+    or null included, is a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= bound:
+        raise ValueError(f"{what} {json.dumps(value)} is not an integer in [1, {bound}]")
+    return value
+
+
 def group_from_json(obj: dict) -> UnitaryGroup:
     """The group of a JSON object {"generators": [...], "max_order": n}, the
-    format of group files and of spec groups."""
-    gens = [UMat2.from_json(g) for g in obj["generators"]]
-    return generate_group(gens, max_order=obj.get("max_order", 512))
+    format of group files and of spec groups.  Each generator is 2x2, each
+    scalar's conductor and their lcm lie in [1, MAX_CONDUCTOR], and
+    max_order in [1, MAX_ORDER]: checked before any scalar is built."""
+    generators = obj["generators"]
+    max_order = _bounded(obj.get("max_order", 512), MAX_ORDER, "max_order")
+    field = 1
+    for g in generators:
+        if not (isinstance(g, list) and len(g) == 2
+                and all(isinstance(row, list) and len(row) == 2 for row in g)):
+            raise ValueError("each generator must be a 2x2 array of scalars")
+        for entry in g[0] + g[1]:
+            field = math.lcm(field, _bounded(entry["conductor"], MAX_CONDUCTOR, "conductor"))
+    if field > MAX_CONDUCTOR:
+        raise ValueError(f"the generators' conductors have lcm {field}, "
+                         f"above {MAX_CONDUCTOR}")
+    return generate_group([UMat2.from_json(g) for g in generators], max_order=max_order)
 
 
 # named built-in groups for specs and the CLI

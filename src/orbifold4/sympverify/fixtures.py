@@ -15,7 +15,6 @@ import math
 
 from .forms import GluingProblem
 from .profiles import H_cutoff, RadialProfile, f_resolved, h_ramp
-from .taming import linspace
 
 # the ramp's foot sits this far above max F_a on the eps1-ball, and its
 # shoulder this far below eps2^2
@@ -24,9 +23,14 @@ MARGIN = 0.01
 
 def smoothing_excess_max(m: int, a: float, x_max: float) -> float:
     """max over [0, x_max] of fhat(x) - x, the height of the smoothing bump,
-    from 4001 samples."""
-    fhat = f_resolved(m, a).fn
-    return max(fhat(x) - x for x in linspace(0.0, x_max, 4001))
+    in closed form.  For m = 1 it is a^2 everywhere.  For m >= 2 it is
+    concave, with derivative (1/m) (x + a^2)^(1/m - 1) - 1, which vanishes
+    at x* = m^(-m/(m-1)) - a^2: the maximum lies at x* clamped into
+    [0, x_max]."""
+    if m == 1:
+        return a * a
+    x = min(max(m ** (-m / (m - 1)) - a * a, 0.0), x_max)
+    return f_resolved(m, a).fn(x) - x
 
 
 def annulus_floor(m: int, a: float, eps2: float) -> float:

@@ -104,30 +104,20 @@ def _complex_hessian(phi, s, t):
 
 def invariant_potential_form(phi):
     """(i/2) ddbar of phi(s, t), s = |z|^2, t = |w|^2, phi written over arrays
-    or jets, as (..., 4, 4) forms (see _complex_hessian).  The evaluator's
-    `potential` attribute evaluates phi itself, for finite-difference
-    cross-checks.  Building the evaluator imports no numpy; calling it does.
+    or jets, as (..., 4, 4) forms (see _complex_hessian).  Building the
+    evaluator imports no numpy; calling it does.
     """
     def omega(points):
         import numpy as np
         p = np.asarray(points, dtype=float)
-        c00, c11, phi_st = _complex_hessian(phi, *_radii(p))
+        s, t = p[..., 0] ** 2 + p[..., 1] ** 2, p[..., 2] ** 2 + p[..., 3] ** 2
+        c00, c11, phi_st = _complex_hessian(phi, s, t)
         c = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
         c[..., 0, 0], c[..., 1, 1] = c00, c11
         c[..., 0, 1] = (p[..., 0] - 1j * p[..., 1]) * (p[..., 2] + 1j * p[..., 3]) * phi_st
         c[..., 1, 0] = np.conj(c[..., 0, 1])
         return form_from_hermitian(c)
-
-    def potential(points):
-        import numpy as np
-        return phi(*_radii(np.asarray(points, dtype=float)))
-
-    omega.potential = potential
     return omega
-
-
-def _radii(p):
-    return p[..., 0] ** 2 + p[..., 1] ** 2, p[..., 2] ** 2 + p[..., 3] ** 2
 
 
 # -- gluing -----------------------------------------------------------------
@@ -164,38 +154,23 @@ class GluingProblem(namedtuple("GluingProblem", "eps1 eps2 eps3 h g description"
         return rho_bump(self.eps2, self.eps3)
 
 
-def _cutoff_potential(rho):
-    """G(R) with G'(R) = rho(sqrt R), over an array jet R: (i/2) ddbar
-    G(|p|^2) is d(rho(r) beta) for the primitive beta = (1/4) d^c |p|^2 of
-    the flat form.  G'' = rho'(r) / 2r is formed directly, not by the chain
-    rule through sqrt R, whose two rho / 2R terms would cancel; it is 0 where
-    rho' is, so r = 0 gives no 0/0.  No form reads G's value, which is NaN,
-    as it is over arrays: the glued potential has no plausible wrong value."""
-    def G(R):
-        import numpy as np
-        if not isinstance(R, Jet):
-            return np.full(np.shape(R), np.nan)
-        r = np.sqrt(R.value)
-        j = rho.jet(r)
-        d1 = j.grad[0]
-        d2 = np.divide(d1, 2.0 * r, out=np.zeros_like(r), where=d1 != 0)
-        return R.apply(np.full_like(r, np.nan), j.value, d2)
-    return G
-
-
 def _samples(problem: GluingProblem, region, n: int, reduce, cutoff=(0.0, None)):
     """(point, reduce(a, d, |b|)) per torus orbit (s, t) of a region on its
     n^4 grid, in grid order (OrbitRegion.walk).
 
     (a, d, |b|) are the taming data of omega1's potential phi = h(s + g(t)),
-    plus delta G(s + t) for cutoff = (delta, rho's rule) (see _cutoff_potential):
+    plus delta G(s + t) for cutoff = (delta, rho's rule), where G'(R) =
+    rho(sqrt R): (i/2) ddbar G(|p|^2) is d(rho(r) beta) for the primitive
+    beta = (1/4) d^c |p|^2 of the flat form.
 
         a = phi_s + s phi_ss,   d = phi_t + t phi_tt,   |b| = sqrt(s) sqrt(t) |phi_st|,
 
     with phi_s = h', phi_t = h' g', phi_ss = h'', phi_st = h'' g' and
     phi_tt = h'' g'^2 + h' g'', and the cutoff adding delta rho to phi_s and
     phi_t and delta G'' = delta rho'(r) / 2r to each second derivative, at
-    r = sqrt(s + t).  h is the rule of omega1's ramp, evaluated once per
+    r = sqrt(s + t).  G'' is formed directly, not by the chain rule through
+    sqrt R, whose two rho / 2R terms would cancel; it is 0 where rho' is, so
+    r = 0 gives no 0/0.  h is the rule of omega1's ramp, evaluated once per
     orbit, as is rho's; g is read off one float jet per tail circle.
     """
     h, g, sqrt, (delta, rho) = problem.h.rule, problem.g, math.sqrt, cutoff
@@ -243,7 +218,7 @@ def _frobenius(a: float, d: float, b: float) -> float:
 def glue_forms(problem: GluingProblem, grid_n: int = 15):
     """Glue omega1 (vanishing near 0) to a multiple of the flat form near 0:
     omega_delta = omega1 + delta * d(rho beta), the form of the potential
-    phi1(s, t) + delta G(s + t) (see _cutoff_potential), with delta chosen
+    phi1(s, t) + delta G(s + t) (see _samples), with delta chosen
     from the sampled positivity constant C of omega1 on the outer annulus
     and the sampled sup-norm |rho'(r)| r / 2 of d(rho) ^ beta: beta is
     normal to the radius, with |beta| = r / 2.
@@ -252,8 +227,7 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15):
     (OrbitRegion.ball), from the taming data of its potential in (s, t) in
     Python floats (_samples), with r = sqrt(s + t).
 
-    Returns (delta, glued evaluator over arrays, certificate over the
-    eps3-ball).
+    Returns (delta, certificate over the eps3-ball).
     """
     e1, e2, e3 = problem.eps1, problem.eps2, problem.eps3
     rho, worst = problem.rho, None
@@ -281,12 +255,5 @@ def glue_forms(problem: GluingProblem, grid_n: int = 15):
                                   worst_sample=cert.worst_sample, value=C)
 
     delta = C / (2.0 * (_slope_sup(rho.rule, ball, grid_n, e2) + 1.0))
-    cert = certify(_samples(problem, ball, grid_n, quotient, (delta, rho.rule)),
-                   ball.label, f"{grid_n}^4 cubic grid")
-
-    phi1, G = problem.phi1, _cutoff_potential(rho)
-
-    def glued_phi(s, t):
-        return phi1(s, t) + delta * G(s + t)
-
-    return delta, invariant_potential_form(glued_phi), cert
+    return delta, certify(_samples(problem, ball, grid_n, quotient, (delta, rho.rule)),
+                          ball.label, f"{grid_n}^4 cubic grid")

@@ -4,11 +4,11 @@ taming data of the smoothed form.
 Coordinates are (x1, y1, x2, y2): (x1, y1) on the base disc/torus, (x2, y2)
 on the fiber, r^2 = x2^2 + y2^2.  The connection 1-form is
 eta = dtheta + pi*nu with nu = nu1 dx1 + (nu2 + kappa*x1) dy1, so
-d(eta) = kappa dx1^dy1.  `eval_omega_a` returns forms as antisymmetric 4x4
-coefficient matrices, vectorized over numpy arrays of points of shape
-(..., 4), and imports numpy when called; `model_form` gives the same form
-at one point, and the taming data and the cube's certificate, in Python
-floats.
+d(eta) = kappa dx1^dy1.  `model_form` writes the smoothed form once, at one
+point in Python floats, as do the taming data and the cube's certificate;
+`eval_omega_a` packs its entries at numpy arrays of points of shape
+(..., 4) as antisymmetric 4x4 coefficient matrices, and imports numpy when
+called.
 """
 
 from __future__ import annotations
@@ -60,13 +60,22 @@ def _profile(model: LocalModel, resolved: bool):
 
 def _coefficients(x, d1, d2, kappa):
     """(base, vert) = (1 + (1/2) x f' kappa, x f'' + f') at x = r^2, from
-    f'(x), f''(x) and the connection's kappa (scaled on the resolved side);
-    written with operators only, so over floats and arrays alike."""
+    the floats f'(x), f''(x) and the connection's kappa (scaled on the
+    resolved side)."""
     return 1.0 + 0.5 * x * d1 * kappa, x * d2 + d1
 
 
 def model_form(model: LocalModel, resolved: bool = False):
-    """eval_omega_a at one point (x1, y1, x2, y2) in Python floats, as its
+    """The smoothed form built from f(x) = (x^m + a^2)^(1/m) at x = r^2:
+
+        base area + (1/2) x f'(x) * kappa dx1^dy1 + (x f''(x) + f'(x)) r dr^eta,
+
+    that is base dx1^dy1 + vert (dx2^dy2 + (x2 dx2 + y2 dy2)^nu).  At a = 0
+    it is the reference form omega0 = base area + r dr^eta + (r^2/2) d(eta).
+    With resolved=True the evaluation is in the coordinates (z, w^m) of the
+    smooth model: profile fhat(x) = (x + a^2)^(1/m) and connection scaled by m.
+
+    Returns the form at one point (x1, y1, x2, y2) in Python floats, as its
     entries above the diagonal, (w01, w02, w03, w12, w13, w23), as
     blowup.chart_form gives the chart form: f' and f'' off one float jet of
     the profile, NaN where float arithmetic cannot compute them."""
@@ -86,32 +95,17 @@ def model_form(model: LocalModel, resolved: bool = False):
 
 
 def eval_omega_a(model: LocalModel, points, resolved: bool = False):
-    """The smoothed form built from f(x) = (x^m + a^2)^(1/m) at x = r^2:
-
-        base area + (1/2) x f'(x) * kappa dx1^dy1 + (x f''(x) + f'(x)) r dr^eta,
-
-    that is base dx1^dy1 + vert (dx2^dy2 + (x2 dx2 + y2 dy2)^nu).  At a = 0
-    it is the reference form omega0 = base area + r dr^eta + (r^2/2) d(eta).
-    With resolved=True the evaluation is in the coordinates (z, w^m) of the
-    smooth model: profile fhat(x) = (x + a^2)^(1/m) and connection scaled by m.
-    """
+    """model_form at each of a numpy array of points of shape (..., 4), as
+    antisymmetric (..., 4, 4) matrices."""
     import numpy as np
     from .forms import antisymmetric
 
     p = np.asarray(points, dtype=float)
     if p.shape[-1] != 4:
         raise ValueError("points must have 4 coordinates")
-    x = p[..., 2] ** 2 + p[..., 3] ** 2
-    if np.any(np.sqrt(x) > model.delta0 + 1e-12):
-        raise OutOfDomainError("fiber radius exceeds the model radius delta0")
-    scale = float(model.m) if resolved else 1.0
-    n1 = np.full(p.shape[:-1], scale * model.nu[0])
-    n2 = scale * (model.nu[1] + model.kappa * p[..., 0])
-    f = _profile(model, resolved).jet(x)
-    base, vert = _coefficients(x, f.grad[0], f.hess[0, 0], scale * model.kappa)
-    x2, y2 = p[..., 2], p[..., 3]
-    return antisymmetric(base, -vert * x2 * n1, -vert * y2 * n1,
-                         -vert * x2 * n2, -vert * y2 * n2, vert)
+    form = model_form(model, resolved)
+    entries = np.array([form(q) for q in p.reshape(-1, 4).tolist()])
+    return antisymmetric(*entries.T.reshape((6,) + p.shape[:-1]))
 
 
 def _derivatives(profile, x: float):

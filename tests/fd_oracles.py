@@ -172,8 +172,17 @@ def numpy_chart_form(m: int, lam: float):
     return invariant_potential_form(_chart_phi(m, lam))
 
 
+def invariant_potential(phi):
+    """The potential phi(|z|^2, |w|^2) as a scalar field over (..., 4) point
+    arrays, the input of ddbar_fd."""
+    def potential(points):
+        p = np.asarray(points, dtype=float)
+        return phi(p[..., 0] ** 2 + p[..., 1] ** 2, p[..., 2] ** 2 + p[..., 3] ** 2)
+    return potential
+
+
 def chart_potential(m: int, lam: float):
-    return numpy_chart_form(m, lam).potential
+    return invariant_potential(_chart_phi(m, lam))
 
 
 def zero_section_density(m: int, lam: float, rho):

@@ -180,7 +180,7 @@ def test_criterion_09_gluing_executor():
     details = []
     for (e1, e2, e3) in [(0.5, 0.8, 1.0), (0.4, 0.7, 0.9), (0.6, 0.9, 1.1)]:
         problem = pipeline_problem(m=2, a=0.1, eps1=e1, eps2=e2, eps3=e3)
-        delta, _, cert = glue_forms(problem, grid_n=15)
+        delta, cert = glue_forms(problem, grid_n=15)
         outer = ball_grid(e3, 15, inner=e2 * (1 + 1e-9))
         C = float(np.min(taming_quotients(problem.omega1(outer))))
         drb = dr_beta(problem.rho, ball_grid(e3, 15, inner=1e-6))

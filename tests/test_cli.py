@@ -375,6 +375,24 @@ EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
 ZERO_DEN = '{"conductor": 1, "coeffs": [[1, 0]]}'
 
 
+def _minus_identity(conductor: str, max_order: str = "512", other: str | None = None) -> str:
+    """The group file of -1 as a diagonal matrix whose entries name a
+    conductor, as JSON text; with other, a second generator, the identity
+    in conductor other."""
+    def diagonal(n, value):
+        entry = '{"conductor": %s, "coeffs": [[%d, 1]]}' % (n, value)
+        zero = '{"conductor": %s, "coeffs": []}' % n
+        return "[[%s, %s], [%s, %s]]" % (entry, zero, zero, entry)
+    gens = [diagonal(conductor, -1)] + ([diagonal(other, 1)] if other else [])
+    return '{"generators": [%s], "max_order": %s}' % (", ".join(gens), max_order)
+
+
+def _spec_of(group: str) -> str:
+    """A spec file whose one isolated point has the given group, as JSON text."""
+    return ('{"base_betti": [1, 0, 0, 0, 1], '
+            '"isolated_points": [{"label": "C1", "group": %s}]}' % group)
+
+
 @pytest.mark.parametrize("argv,content", [
     (("group", "classify", "--file"), "[1, 2]"),
     (("orbifold", "resolve", "--spec"), "[1, 2]"),
@@ -398,6 +416,15 @@ ZERO_DEN = '{"conductor": 1, "coeffs": [[1, 0]]}'
     (("verify", "gluing", "--problem"), (EXAMPLES / "group.json").read_text()),
     (("verify", "gluing", "--problem"), '{"eps3": 1%s}' % ("0" * 400)),
     (("verify", "tameness", "--model"), '{"kappa": 1%s}' % ("0" * 400)),
+    # a conductor that is not an integer in [1, MAX_CONDUCTOR], and a
+    # max_order above MAX_ORDER, on an order-2 group
+    *((("group", "classify", "--file"), _minus_identity(conductor))
+      for conductor in ("4.5", '"4"', "null", "true", "0", "257")),
+    (("orbifold", "resolve", "--spec"), _spec_of(_minus_identity("4.5"))),
+    (("group", "classify", "--file"), _minus_identity("2", max_order="1000000")),
+    (("group", "invariants", "--file"), _minus_identity("2", max_order="2.5")),
+    # a generator that is not 2x2 was an IndexError traceback, exit 1
+    (("group", "classify", "--file"), '{"generators": [[[%s]]]}' % ZERO_DEN),
 ])
 def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content):
     path = tmp_path / "input.json"
@@ -465,6 +492,26 @@ def test_a_group_file_past_its_max_order_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "group", "classify", "--file", str(path), "--json")
     assert code == 2 and out == ""
     assert err == "error: invalid group file: closure exceeds max_order=16\n"
+
+
+@pytest.mark.parametrize("argv,content,fault", [
+    (("group", "classify", "--file"), _minus_identity("999", other="1000"),
+     "invalid group file: conductor 999 is not an integer in [1, 256]"),
+    (("group", "classify", "--file"), _minus_identity("255", other="256"),
+     "invalid group file: the generators' conductors have lcm 65280, above 256"),
+    (("orbifold", "resolve", "--spec"), _spec_of(_minus_identity("255", other="256")),
+     "invalid spec file: the generators' conductors have lcm 65280, above 256"),
+    (("group", "classify", "--file"), _minus_identity("64000"),
+     "invalid group file: conductor 64000 is not an integer in [1, 256]"),
+])
+def test_a_field_past_max_conductor_exits_2_before_it_is_built(tmp_path, argv, content, fault):
+    # Phi_N at the lcm 999,000 of the conductors 999 and 1000 did not finish
+    # in 30 s: a fresh interpreter under a timeout, so a refusal that comes
+    # too late fails instead of hanging the suite
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    proc = _cli_process(*argv, str(path), "--json", timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {fault}\n")
 
 
 @pytest.mark.parametrize("argv,content,fault", [
@@ -732,11 +779,11 @@ def _refused_spec(tmp_path):
     return path
 
 
-def _cli_process(*argv, stdout=subprocess.PIPE):
+def _cli_process(*argv, stdout=subprocess.PIPE, timeout=None):
     """`python -m orbifold4.cli` with argv, the way the script runs."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
     return subprocess.run([sys.executable, "-m", "orbifold4.cli", *argv], env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv,code", [

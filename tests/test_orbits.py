@@ -11,8 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fd_oracles import (ball_grid, chart_grid, cube_grid, dr_beta, numpy_chart_form,
-                        orbit_samples)
+from fd_oracles import (ball_grid, chart_grid, cube_grid, d_rho_beta, dr_beta,
+                        numpy_chart_form, orbit_samples)
 from orbifold4.cli import main
 from orbifold4.sympverify import LocalModel, eval_omega_a
 from orbifold4.sympverify.blowup import CHART, blowup_model_check
@@ -177,12 +177,14 @@ GLUING = {
 @pytest.mark.parametrize("name", sorted(GLUING))
 def test_glue_forms_on_orbits_matches_the_whole_grid(name, n):
     # the certificate and delta from the taming data on the orbits against
-    # tameness_min's 4x4 forms over every point of the orbit-rule region
+    # tameness_min's 4x4 forms over every point of the orbit-rule region:
+    # the glued form read as omega1 + delta d(rho beta), with beta's
+    # explicit formula
     problem = GLUING[name]
     e2, e3 = problem.eps2, problem.eps3
-    delta, glued, cert = glue_forms(problem, grid_n=n)
+    delta, cert = glue_forms(problem, grid_n=n)
     ball = ball_grid(e3, n, inner=1e-6)
-    want = tameness_min(glued, ball)
+    want = tameness_min(lambda q: problem.omega1(q) + delta * d_rho_beta(problem.rho, q), ball)
     assert cert.orbits == len(orbit_samples(e3, n, 1e-6)) < len(ball)
     assert cert.tame == want.tame
     _assert_same_certificate(cert, want)
@@ -193,19 +195,16 @@ def test_glue_forms_on_orbits_matches_the_whole_grid(name, n):
 
 
 def test_no_gluing_certificate_builds_a_4x4_form(monkeypatch):
-    # every check of glue_forms reads the taming data of a potential; the
-    # glued evaluator it returns builds forms only when called
+    # every check of glue_forms reads the taming data of a potential
     from orbifold4.sympverify import forms
 
-    def refuse(coeff):
+    def refuse(*args):
         raise AssertionError("a 4x4 form built on the gluing's certificate path")
 
     want = glue_forms(PROBLEM, grid_n=12)
     monkeypatch.setattr(forms, "form_from_hermitian", refuse)
-    delta, glued, cert = glue_forms(PROBLEM, grid_n=12)
-    assert (delta, cert) == (want[0], want[2])
-    with pytest.raises(AssertionError, match="4x4 form"):
-        glued(np.zeros((1, 4)))
+    monkeypatch.setattr(forms, "antisymmetric", refuse)
+    assert glue_forms(PROBLEM, grid_n=12) == want
 
 
 def _peak(fn) -> int:

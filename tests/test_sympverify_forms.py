@@ -9,7 +9,7 @@ import pytest
 
 from fd_oracles import (J0, OMEGA0, ball_grid, chart_grid, complex_hessian_fd, cube_grid,
                         ddbar_fd, exact_taming_quotient, exterior_derivative_fd,
-                        numpy_chart_form)
+                        invariant_potential, numpy_chart_form)
 from orbifold4.sympverify import (LocalModel, form_from_hermitian, eval_omega_a, glue_forms,
                                   h_ramp, rho_bump, taming_quotients, tameness_min)
 from orbifold4.sympverify.blowup import blowup_model_check, exceptional_area
@@ -98,10 +98,14 @@ def test_exterior_derivative_of_exact_form_vanishes():
 def test_radial_potential_form_matches_fd():
     g = f_smoothing(2, 0.1)
     h = h_ramp(0.05, 0.4)
-    omega = invariant_potential_form(lambda s, t: h(s + g(t)))
+
+    def phi(s, t):
+        return h(s + g(t))
+
+    omega = invariant_potential_form(phi)
     pts = _sample_points(40, seed=13, scale=0.35)
     pts[:, 2:] += 0.15
-    fd = ddbar_fd(omega.potential, pts, h=1e-3)
+    fd = ddbar_fd(invariant_potential(phi), pts, h=1e-3)
     scale = max(1.0, float(np.max(np.abs(fd))))
     assert float(np.max(np.abs(fd - omega(pts)))) / scale < 1e-4
 
@@ -297,14 +301,12 @@ def _form_outputs():
     pts = _sample_points(40, seed=5, scale=0.2)
     g = np.random.default_rng(5).normal(size=(2, 40, 2, 2))
     coeff = g[0] + 1j * g[1]
-    _, glued, _ = glue_forms(pipeline_problem(2), grid_n=8)
     return {
         "eval_omega_a-a0": eval_omega_a(model._replace(a=0.0), pts),
         "eval_omega_a": eval_omega_a(model, pts),
         "eval_omega_a-resolved": eval_omega_a(model, pts, resolved=True),
         "form_from_hermitian": form_from_hermitian(coeff + np.conj(np.swapaxes(coeff, -1, -2))),
         "chart_form": numpy_chart_form(2, 0.7)(chart_grid(5)),
-        "glued": glued(ball_grid(1.0, 8, inner=1e-6)),
     }
 
 

@@ -121,18 +121,19 @@ def test_pushforward_rejects_mismatched_m():
 @pytest.mark.parametrize("resolved", [False, True], ids=["orbifold", "resolved"])
 @pytest.mark.parametrize("params", [{}, {"m": 2, "a": 0.1, "kappa": 0.3, "nu": (0.1, -0.2)},
                                     {"m": 3, "a": 0.05, "kappa": -1.9, "nu": (0.3, -0.7)}])
-def test_model_form_matches_eval_omega_a(params, resolved):
-    # one point in floats against the array path, the fiber origin included:
-    # the float and the numpy power round f' and f'' apart in the last bit,
-    # so the entries agree to round-off of each form's largest entry
+def test_eval_omega_a_packs_model_form_at_each_point(params, resolved):
+    # eval_omega_a is model_form point by point, its six entries above the
+    # diagonal and their negatives below, over any leading shape of points,
+    # the fiber origin included
     model = LocalModel(**params)
-    pts = np.array(sample_points(model, 200, seed=2) + [(0.1, -0.2, 0.0, 0.0)])
-    want = eval_omega_a(model, pts, resolved=resolved)
+    pts = np.array(sample_points(model, 11, seed=2) + [(0.1, -0.2, 0.0, 0.0)]).reshape(3, 4, 4)
+    forms = eval_omega_a(model, pts, resolved=resolved)
+    assert forms.shape == (3, 4, 4, 4)
+    assert np.array_equal(forms, -np.swapaxes(forms, -1, -2))
     form = model_form(model, resolved=resolved)
-    for point, w in zip(pts.tolist(), want):
-        got = form(point)
-        scale = np.max(np.abs(w))
-        assert all(abs(g - w[k, l]) <= 2e-15 * scale for g, (k, l) in zip(got, PAIRS))
+    for point, w in zip(pts.reshape(-1, 4).tolist(), forms.reshape(-1, 4, 4)):
+        assert [w[k, l] for k, l in PAIRS] == list(form(point))
+    assert np.array_equal(eval_omega_a(model, pts[1, 2], resolved=resolved), forms[1, 2])
 
 
 def test_model_form_refuses_a_point_beyond_the_model_radius():

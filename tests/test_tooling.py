@@ -4,6 +4,7 @@ the modules they use, public APIs that resolve lazily, and a benchmark
 tracer that still wraps the program."""
 
 import ast
+import collections
 import json
 import os
 import pathlib
@@ -50,6 +51,60 @@ def test_only_taming_calls_circles():
     found = [f"{path.relative_to(SRC)}:{line}" for path in sorted(SRC.rglob("*.py"))
              if path.name != "taming.py" for line in _uses(path, "circles")]
     assert found == []
+
+
+def _names(tree):
+    """Every name a tree's code gives: a reference, an attribute, an import,
+    or a string that is exactly an identifier, as the lazy export tables,
+    the tracer and monkeypatch.setattr name functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+
+
+def _unreferenced(library: dict, others: dict) -> list:
+    """The `def` and `class` names of the library's trees, by path, that no
+    tree names outside the definition itself; dunder methods are exempt."""
+    uses = collections.Counter(name for tree in (*library.values(), *others.values())
+                               for name in _names(tree))
+    found = []
+    for path, tree in library.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if uses[name] == sum(used == name for used in _names(node)):
+                found.append(f"{path}:{node.lineno} {name}")
+    return found
+
+
+def test_every_library_definition_is_named_outside_itself():
+    # ROADMAP aim 2: every definition has a caller, in the library, the
+    # tests or the benchmark; a callee left behind by a deleted caller fails
+    def trees(root):
+        return {f"{root.name}/{path.relative_to(root)}": ast.parse(path.read_text())
+                for path in sorted(root.rglob("*.py"))}
+
+    others = {**trees(ROOT / "tests"), **trees(ROOT / "perfbench")}
+    assert _unreferenced(trees(SRC), others) == []
+
+
+def test_a_definition_that_only_names_itself_is_unreferenced():
+    library = {"lib.py": ast.parse("def used():\n    return helper()\n\n"
+                                   "def helper():\n    return 1\n\n"
+                                   "def orphan(n):\n    return orphan(n - 1)\n\n"
+                                   "class Unused:\n    def __init__(self):\n        pass\n")}
+    others = {"test_lib.py": ast.parse("from lib import used\nassert used() == 1\n")}
+    assert _unreferenced(library, others) == ["lib.py:7 orphan", "lib.py:10 Unused"]
 
 
 def _module_level_imports(path):
