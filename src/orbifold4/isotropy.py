@@ -14,8 +14,8 @@ from collections import namedtuple
 
 from .cyclotomic import CyclotomicScalar
 from .unitary import UMat2
-from .groups import (UnitaryGroup, builtin_group, generate_group, group_from_json,
-                     stratum_class)
+from .groups import (NotFiniteWithinBound, UnitaryGroup, builtin_group, generate_group,
+                     group_from_json, stratum_class)
 
 PROVENANCE = ("asserted", "computed", "user-asserted", "user-default")
 
@@ -144,15 +144,31 @@ def builtin_mapping_torus() -> OrbifoldSpec:
     )
 
 
+# the closure bound of a product's corner groups, generate_group's default
+CORNER_MAX_ORDER = 512
+
+
+def _refuse_past_max_order(order: int) -> None:
+    """The closure's refusal of a corner group of known order, raised
+    before any of its scalars is built: a scalar of conductor m costs time
+    linear in m."""
+    if order > CORNER_MAX_ORDER:
+        raise NotFiniteWithinBound(f"closure exceeds max_order={CORNER_MAX_ORDER}")
+
+
 def _cyclic_pair_group(m: int, mp: int) -> UnitaryGroup:
+    """C_m x C_m', of order m m'."""
+    _refuse_past_max_order(m * mp)
     one = CyclotomicScalar.one()
     return generate_group([
         UMat2.diagonal(CyclotomicScalar.zeta(m), one),
         UMat2.diagonal(one, CyclotomicScalar.zeta(mp)),
-    ])
+    ], max_order=CORNER_MAX_ORDER)
 
 
 def _swap_corner_group(m: int) -> UnitaryGroup:
+    """(C_m x C_m) extended by the factor swap, of order 2 m^2."""
+    _refuse_past_max_order(2 * m * m)
     one = CyclotomicScalar.one()
     zero = CyclotomicScalar.zero()
     swap = UMat2([[zero, one], [one, zero]])
@@ -160,7 +176,7 @@ def _swap_corner_group(m: int) -> UnitaryGroup:
         UMat2.diagonal(CyclotomicScalar.zeta(m), one),
         UMat2.diagonal(one, CyclotomicScalar.zeta(m)),
         swap,
-    ])
+    ], max_order=CORNER_MAX_ORDER)
 
 
 def builtin_product(cone_points_S: list[int], cone_points_S2: list[int] | None = None,

@@ -12,7 +12,7 @@ whose first term is the pullback of the flat quotient form (via the
 invariant radius) and whose second is the pulled-back Fubini-Study-type
 form, scaled by lambda.  In s = |u|^2 and t = |v|^2 the potential is
 phi = T(t) (1 + s) + lambda L(s), with the 1-D pieces T(t) = t^(1/m) and
-L = log1p, and its complex Hessian (see forms.invariant_potential_form) is
+L = log1p, and its complex Hessian (as forms._hessian writes omega1's) is
 
     c00 = phi_s + s phi_ss = T + (lambda L' + s lambda L''),
     c11 = phi_t + t phi_tt = T' (1 + s) + t T'' (1 + s),
@@ -66,8 +66,9 @@ def _entries(one_s: float, t: float, base: float, fibre):
 def chart_form(m: int, lam: float):
     """The chart form at one point (x1, y1, x2, y2) as its entries above the
     diagonal, (w01, w02, w03, w12, w13, w23): w01 = c00, w23 = c11,
-    w03 = Re c01 = -w12 and w02 = -Im c01 = w13, as
-    forms.form_from_hermitian writes them.  Valid for v != 0."""
+    w03 = Re c01 = -w12 and w02 = -Im c01 = w13, the entries of
+    (i/2) sum c_ij dz_i ^ dzbar_j, as GluingProblem.omega1 packs them.
+    Valid for v != 0."""
     p = 1.0 / m
 
     def form(point):

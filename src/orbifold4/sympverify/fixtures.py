@@ -64,7 +64,7 @@ def pipeline_problem(m: int = 2, a: float = 0.1,
     # fhat''(0) = (1/m)(1/m - 1) a^(2/m - 4) overflows for a tiny a (m = 2:
     # a below about 1e-103), and a grid point with |w| = 0 would read NaN
     try:
-        f_resolved(m, a).float_jet(0.0)
+        f_resolved(m, a).jet(0.0)
     except ArithmeticError:
         raise ValueError(f"a={a} is too small: fhat''(0) overflows") from None
     t0 = eps1 ** 2 + smoothing_excess_max(m, a, eps1 ** 2) + MARGIN

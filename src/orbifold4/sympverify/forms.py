@@ -1,15 +1,14 @@
-"""Kähler forms of invariant potentials, the taming quotients of arrays of
-4x4 forms for J0, and the gluing, certified on its torus orbits in Python
-floats.
+"""The taming quotients of arrays of 4x4 forms for J0, and the gluing,
+certified on its torus orbits in Python floats.
 
-Potentials F are scalar fields on R^4 = C^2, vectorized over point arrays of
-shape (..., 4).  2-forms are antisymmetric 4x4 coefficient matrices in the
-real coordinates (x1, y1, x2, y2), with complex coordinates z = x1 + i y1,
-w = x2 + i y2.  These array APIs import numpy when called, and read each
-form's quotient through `taming.quotient`, the one quotient of every
-certificate.  The gluing's checks read the taming data of its potentials on
-(|z|^2, |w|^2) orbits as Python floats and build no 4x4 form; they import
-no numpy.
+2-forms are antisymmetric 4x4 coefficient matrices in the real coordinates
+(x1, y1, x2, y2), with complex coordinates z = x1 + i y1, w = x2 + i y2.
+The array APIs import numpy when called, and read each form's quotient
+through `taming.quotient`, the one quotient of every certificate.  The
+gluing's potential has its complex Hessian written once, at one torus
+orbit (s, t) = (|z|^2, |w|^2) in Python floats (`_hessian`): the checks
+read its taming data and build no 4x4 form, and import no numpy; omega1's
+array API packs it at each point.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .jet import Jet
 from .profiles import rho_bump
 from .taming import OrbitRegion, TamenessCertificate, certify, quotient
 
@@ -49,15 +47,16 @@ def antisymmetric(w01, w02, w03, w12, w13, w23):
     return np.moveaxis(buf, (0, 1), (-2, -1))
 
 
-def form_from_hermitian(coeff):
-    """Real matrix of (i/2) sum coeff_ij dz_i ^ dzbar_j, from Re and Im of coeff."""
+def pack(form, points):
+    """form at each of a numpy array of points of shape (..., 4), as
+    antisymmetric (..., 4, 4) matrices; form maps a point (x1, y1, x2, y2)
+    of Python floats to its six entries above the diagonal."""
     import numpy as np
-
-    c = np.asarray(coeff, dtype=complex)
-    re, im = c.real, c.imag
-    w03 = 0.5 * (re[..., 0, 1] + re[..., 1, 0])
-    w02 = 0.5 * (im[..., 1, 0] - im[..., 0, 1])
-    return antisymmetric(re[..., 0, 0], w02, w03, -w03, w02, re[..., 1, 1])
+    p = np.asarray(points, dtype=float)
+    if p.shape[-1] != 4:
+        raise ValueError("points must have 4 coordinates")
+    entries = np.array([form(q) for q in p.reshape(-1, 4).tolist()])
+    return antisymmetric(*entries.T.reshape((6,) + p.shape[:-1]))
 
 
 def taming_quotients(forms):
@@ -94,32 +93,6 @@ def tameness_min(form_eval, points, region: str = "", grid: str = "") -> Tamenes
     return certify(zip(p.tolist(), taming_quotients(form_eval(p)).tolist()), region, grid)
 
 
-def _complex_hessian(phi, s, t):
-    """c00 = phi_s + s phi_ss, c11 = phi_t + t phi_tt and phi_st at arrays
-    s = |z|^2 and t = |w|^2, off one jet of phi in (s, t): the complex
-    Hessian of phi(|z|^2, |w|^2) is [[c00, zbar w phi_st], [z wbar phi_st, c11]]."""
-    j = phi(Jet.variable(s, 0, 2), Jet.variable(t, 1, 2))
-    return j.grad[0] + s * j.hess[0, 0], j.grad[1] + t * j.hess[1, 1], j.hess[0, 1]
-
-
-def invariant_potential_form(phi):
-    """(i/2) ddbar of phi(s, t), s = |z|^2, t = |w|^2, phi written over arrays
-    or jets, as (..., 4, 4) forms (see _complex_hessian).  Building the
-    evaluator imports no numpy; calling it does.
-    """
-    def omega(points):
-        import numpy as np
-        p = np.asarray(points, dtype=float)
-        s, t = p[..., 0] ** 2 + p[..., 1] ** 2, p[..., 2] ** 2 + p[..., 3] ** 2
-        c00, c11, phi_st = _complex_hessian(phi, s, t)
-        c = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
-        c[..., 0, 0], c[..., 1, 1] = c00, c11
-        c[..., 0, 1] = (p[..., 0] - 1j * p[..., 1]) * (p[..., 2] + 1j * p[..., 3]) * phi_st
-        c[..., 1, 0] = np.conj(c[..., 0, 1])
-        return form_from_hermitian(c)
-    return omega
-
-
 # -- gluing -----------------------------------------------------------------
 
 
@@ -128,8 +101,8 @@ class GluingProblem(namedtuple("GluingProblem", "eps1 eps2 eps3 h g description"
     """Radii 0 < eps1 < eps2 < eps3, and omega1 the form of the potential
     phi1(s, t) = h(s + g(t)) of (s, t) = (|z|^2, |w|^2): h a profile defined
     by its rule (RadialProfile.of_rule), g a RadialProfile.  The cutoff rho
-    is rho_bump(eps2, eps3): 1 below eps2, 0 above eps3.  phi1, omega1 and
-    rho are array APIs for cross-checks; glue_forms reads h's rule and g's
+    is rho_bump(eps2, eps3): 1 below eps2, 0 above eps3.  omega1 and rho
+    are array APIs for cross-checks; glue_forms reads h's rule and g's
     float jets."""
 
     __slots__ = ()
@@ -141,56 +114,79 @@ class GluingProblem(namedtuple("GluingProblem", "eps1 eps2 eps3 h g description"
         return self
 
     @property
-    def phi1(self):
-        h, g = self.h, self.g
-        return lambda s, t: h(s + g(t))
-
-    @property
     def omega1(self):
-        return invariant_potential_form(self.phi1)
+        """omega1 at a numpy array of points of shape (..., 4), as
+        antisymmetric (..., 4, 4) matrices: at each point, the form
+        (i/2) sum c_ij dz_i ^ dzbar_j of _hessian's complex Hessian, with
+        c01 = conj(z) w phi_st, whose entries above the diagonal are
+        w01 = c00, w23 = c11, w03 = Re c01 = -w12 and w02 = -Im c01 = w13."""
+        h, g = self.h.rule, self.g
+
+        def form(point):
+            x1, y1, x2, y2 = point
+            s, t = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
+            c00, c11, phi_st = _hessian(h, s, t, _tail_jet(g, t))
+            re, im = (x1 * x2 + y1 * y2) * phi_st, (x1 * y2 - y1 * x2) * phi_st
+            return c00, -im, re, -re, -im, c11
+        return lambda points: pack(form, points)
 
     @property
     def rho(self):
         return rho_bump(self.eps2, self.eps3)
 
 
-def _samples(problem: GluingProblem, region, n: int, reduce, cutoff=(0.0, None)):
-    """(point, reduce(a, d, |b|)) per torus orbit (s, t) of a region on its
-    n^4 grid, in grid order (OrbitRegion.walk).
+def _tail_jet(g, t: float):
+    """(g, g', g'^2, g'') at t = |w|^2, off one float jet of g."""
+    j = g.jet(t)
+    return j.value, j.grad, j.grad * j.grad, j.hess
 
-    (a, d, |b|) are the taming data of omega1's potential phi = h(s + g(t)),
-    plus delta G(s + t) for cutoff = (delta, rho's rule), where G'(R) =
+
+def _hessian(h, s: float, t: float, tail, delta: float = 0.0, rho=None):
+    """c00 = phi_s + s phi_ss, c11 = phi_t + t phi_tt and phi_st at one
+    orbit (s, t): the complex Hessian of phi(|z|^2, |w|^2) is [[c00,
+    zbar w phi_st], [z wbar phi_st, c11]].  phi is omega1's potential
+    h(s + g(t)), plus delta G(s + t) for a cutoff rule rho, where G'(R) =
     rho(sqrt R): (i/2) ddbar G(|p|^2) is d(rho(r) beta) for the primitive
     beta = (1/4) d^c |p|^2 of the flat form.
 
-        a = phi_s + s phi_ss,   d = phi_t + t phi_tt,   |b| = sqrt(s) sqrt(t) |phi_st|,
+        phi_s = h',  phi_t = h' g',  phi_ss = h'',  phi_st = h'' g',
+        phi_tt = h'' g'^2 + h' g'',
 
-    with phi_s = h', phi_t = h' g', phi_ss = h'', phi_st = h'' g' and
-    phi_tt = h'' g'^2 + h' g'', and the cutoff adding delta rho to phi_s and
-    phi_t and delta G'' = delta rho'(r) / 2r to each second derivative, at
-    r = sqrt(s + t).  G'' is formed directly, not by the chain rule through
-    sqrt R, whose two rho / 2R terms would cancel; it is 0 where rho' is, so
-    r = 0 gives no 0/0.  h is the rule of omega1's ramp, evaluated once per
-    orbit, as is rho's; g is read off one float jet per tail circle.
+    with h the rule of omega1's ramp and tail = _tail_jet(g, t), and the
+    cutoff adding delta rho to phi_s and phi_t and delta G'' = delta
+    rho'(r) / 2r to each second derivative, at r = sqrt(s + t).  G'' is
+    formed directly, not by the chain rule through sqrt R, whose two
+    rho / 2R terms would cancel; it is 0 where rho' is, so r = 0 gives no
+    0/0."""
+    g0, g1, g11, g2 = tail
+    _, h1, h2 = h(s + g0)
+    phi_s, phi_t = h1, h1 * g1
+    phi_ss, phi_st, phi_tt = h2, h2 * g1, h2 * g11 + h1 * g2
+    if rho is not None:
+        r = math.sqrt(s + t)
+        rho0, rho1, _ = rho(r)
+        flat = (rho1 / (2.0 * r) if rho1 != 0 else 0.0) * delta
+        phi_s, phi_t = phi_s + rho0 * delta, phi_t + rho0 * delta
+        phi_ss, phi_st, phi_tt = phi_ss + flat, phi_st + flat, phi_tt + flat
+    return phi_s + s * phi_ss, phi_t + t * phi_tt, phi_st
+
+
+def _samples(problem: GluingProblem, region, n: int, reduce, cutoff=(0.0, None)):
+    """(point, reduce(a, d, |b|)) per torus orbit (s, t) of a region on its
+    n^4 grid, in grid order (OrbitRegion.walk): a = c00, d = c11 and
+    |b| = sqrt(s) sqrt(t) |phi_st| of omega1's potential, plus delta G for
+    cutoff = (delta, rho's rule) (see _hessian).  h's rule runs once per
+    orbit, as does rho's; g is read off one float jet per tail circle.
     """
     h, g, sqrt, (delta, rho) = problem.h.rule, problem.g, math.sqrt, cutoff
 
     def tail(t):
-        j = g.float_jet(t)
-        return sqrt(t), j.value, j.grad, j.grad * j.grad, j.hess
+        return sqrt(t), _tail_jet(g, t)
 
     def combine(s, t, root_s, tail):
-        root_t, g0, g1, g11, g2 = tail
-        _, h1, h2 = h(s + g0)
-        phi_s, phi_t = h1, h1 * g1
-        phi_ss, phi_st, phi_tt = h2, h2 * g1, h2 * g11 + h1 * g2
-        if rho is not None:
-            r = sqrt(s + t)
-            rho0, rho1, _ = rho(r)
-            flat = (rho1 / (2.0 * r) if rho1 != 0 else 0.0) * delta
-            phi_s, phi_t = phi_s + rho0 * delta, phi_t + rho0 * delta
-            phi_ss, phi_st, phi_tt = phi_ss + flat, phi_st + flat, phi_tt + flat
-        return reduce(phi_s + s * phi_ss, phi_t + t * phi_tt, root_s * root_t * abs(phi_st))
+        root_t, jet = tail
+        c00, c11, phi_st = _hessian(h, s, t, jet, delta, rho)
+        return reduce(c00, c11, root_s * root_t * abs(phi_st))
 
     return region.walk(n, sqrt, tail, combine)
 
@@ -218,7 +214,7 @@ def _frobenius(a: float, d: float, b: float) -> float:
 def glue_forms(problem: GluingProblem, grid_n: int = 15):
     """Glue omega1 (vanishing near 0) to a multiple of the flat form near 0:
     omega_delta = omega1 + delta * d(rho beta), the form of the potential
-    phi1(s, t) + delta G(s + t) (see _samples), with delta chosen
+    phi1(s, t) + delta G(s + t) (see _hessian), with delta chosen
     from the sampled positivity constant C of omega1 on the outer annulus
     and the sampled sup-norm |rho'(r)| r / 2 of d(rho) ^ beta: beta is
     normal to the radius, with |beta| = r / 2.

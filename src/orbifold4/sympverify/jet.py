@@ -1,16 +1,22 @@
-"""Second-order forward-mode jets over numpy arrays or Python floats.
+"""A second-order forward-mode jet of one variable, over any scalar with
++, -, * and /.
 
-A Jet in n variables holds value (...), grad (n, ...) and hess (n, n, ...);
-plain numbers and arrays act as constants.  A jet of one float variable
-(`Jet.float_variable`) holds three Python floats, or complex numbers: the
-value and the first and second derivative, with no variable axis, and takes
-the arithmetic operators only; it never imports numpy.  `log1p` takes a
-plain array or an array Jet, so one definition of a function evaluates
-either way.  A float variable may take a complex value: a holomorphic
-function's jet then carries its complex derivative.  A holomorphic map of
-C^2 written over them gives its real Jacobian (`realified_jacobian`),
-along which `pullback_discrepancy` compares two 2-forms, each given by its
-six entries above the diagonal (PAIRS).
+A Jet holds a value and the first and second derivative along its one
+variable, `Jet(x, 1.0, 0.0)`, and takes the arithmetic operators only: its
+scalars may be Python floats, complex numbers, numpy arrays, or any type
+that defines those operators, and constants are plain numbers.  The
+variable is taken as given, with no float() coercion.  Every command hands
+it Python floats or complex numbers: the orbit coordinates of
+`localmodel.cube_samples` and `forms._samples`, the points of `model_form`
+(an array's are read by `.tolist()`), `fixtures.pipeline_problem`'s 0.0
+and `realified_jacobian`'s complex point.  Their arithmetic raises where a
+numpy scalar's would warn and return inf: ZeroDivisionError for 0.0 ** -p
+and OverflowError for an overflowing power, which
+`localmodel._derivatives` reads as NaN.  A variable may take a complex
+value: a holomorphic function's jet then carries its complex derivative.
+A holomorphic map of C^2 written over them gives its real Jacobian
+(`realified_jacobian`), along which `pullback_discrepancy` compares two
+2-forms, each given by its six entries above the diagonal (PAIRS).
 
 Each function's first and second derivative are written once, as a rule
 (`power_rule`, `log1p_rule`, `smoothstep_rule`) that the jets apply and
@@ -21,26 +27,6 @@ from __future__ import annotations
 
 import math
 
-# the values of a float jet: complex once a power leaves the reals
-_SCALARS = (float, complex)
-
-
-def _outer(g, h):
-    """g_i h_j: the outer product of two gradients, of two floats their product."""
-    return g * h if isinstance(g, _SCALARS) else g[:, None] * h[None]
-
-
-def _symmetrized(cross):
-    """cross_ij + cross_ji."""
-    return cross + (cross if isinstance(cross, _SCALARS) else cross.swapaxes(0, 1))
-
-
-def _zero_like(v):
-    if isinstance(v, _SCALARS):
-        return 0.0
-    import numpy as np
-    return np.zeros_like(v)
-
 
 class Jet:
     __array_ufunc__ = None  # numpy operands defer to the reflected operators
@@ -48,27 +34,10 @@ class Jet:
     def __init__(self, value, grad, hess):
         self.value, self.grad, self.hess = value, grad, hess
 
-    @classmethod
-    def variable(cls, value, i: int = 0, n: int = 1) -> "Jet":
-        """The i-th of n independent variables, at the given real values."""
-        import numpy as np
-        value = np.asarray(value, dtype=float)
-        grad = np.zeros((n,) + value.shape)
-        grad[i] = 1.0
-        return cls(value, grad, np.zeros((n, n) + value.shape))
-
-    @classmethod
-    def float_variable(cls, value) -> "Jet":
-        """The one variable at a real or complex value, as a jet of Python
-        floats or complex numbers.  Float arithmetic raises where numpy's
-        warns: ZeroDivisionError for 0.0 ** -p and OverflowError for an
-        overflowing power."""
-        return cls(value if isinstance(value, complex) else float(value), 1.0, 0.0)
-
     def apply(self, f0, f1, f2) -> "Jet":
         """f(self), given f, f' and f'' at self.value (the chain rule)."""
         g = self.grad
-        return Jet(f0, f1 * g, f2 * _outer(g, g) + f1 * self.hess)
+        return Jet(f0, f1 * g, f2 * (g * g) + f1 * self.hess)
 
     def __add__(self, o):
         if isinstance(o, Jet):
@@ -90,8 +59,9 @@ class Jet:
         if not isinstance(o, Jet):
             return Jet(self.value * o, self.grad * o, self.hess * o)
         g, h = self.grad, o.grad
+        cross = g * h
         return Jet(self.value * o.value, g * o.value + self.value * h,
-                   self.hess * o.value + _symmetrized(_outer(g, h)) + self.value * o.hess)
+                   self.hess * o.value + (cross + cross) + self.value * o.hess)
 
     __rmul__ = __mul__
 
@@ -113,8 +83,8 @@ def power_rule(v, p):
     """The first and second derivative of x**p at v, for a constant p.  A
     zero coefficient p or p(p-1) gives an exactly zero derivative, so x**1
     and x**2 are exact at x = 0."""
-    d1 = p * v ** (p - 1) if p != 0 else _zero_like(v)
-    d2 = p * (p - 1) * v ** (p - 2) if p * (p - 1) != 0 else _zero_like(v)
+    d1 = p * v ** (p - 1) if p != 0 else 0.0
+    d2 = p * (p - 1) * v ** (p - 2) if p * (p - 1) != 0 else 0.0
     return d1, d2
 
 
@@ -129,10 +99,9 @@ def smoothstep_rule(v):
     S' = 30 c^2 (c - 1)^2 and S'' = 60 c (c - 1)(2c - 1) vanish at both
     ends, so the pieces join C^2, and the polynomials at v clamped to [0, 1]
     give the outer pieces too, bit for bit: a float off [0, 1] takes them
-    as constants, an array is clamped.  A NaN stays NaN."""
+    as constants, an array is clamped by its own `clip`.  A NaN stays NaN."""
     if not isinstance(v, float):
-        import numpy as np
-        c, excess = np.clip(v, 0.0, 1.0), np.maximum(v, 1.0) - 1.0
+        c, excess = v.clip(0.0, 1.0), v.clip(1.0, None) - 1.0
     elif v < 0.0:
         return 0.0, 0.0, 0.0, 0.0
     elif v > 1.0:
@@ -150,13 +119,6 @@ def log1p_rule(v):
     return r, -r * r
 
 
-def log1p(x):
-    import numpy as np
-    if not isinstance(x, Jet):
-        return np.log1p(x)
-    return x.apply(np.log1p(x.value), *log1p_rule(x.value))
-
-
 # the entries (k, l), k < l, of a 2-form on R^4 above the diagonal, in the
 # order of a form's six entries (w01, w02, w03, w12, w13, w23)
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -166,8 +128,8 @@ def realified_jacobian(f, z: complex, w: complex):
     """f(z, w) as a point (x1, y1, x2, y2) and its real 4x4 Jacobian, for a
     holomorphic map f of C^2 written over complex float jets: one jet per
     variable, and a complex derivative a + ib is the block [[a, -b], [b, a]]."""
-    by_z = f(Jet.float_variable(z), w)
-    by_w = f(z, Jet.float_variable(w))
+    by_z = f(Jet(z, 1.0, 0.0), w)
+    by_w = f(z, Jet(w, 1.0, 0.0))
     values = [c.value if isinstance(c, Jet) else c for c in by_z]
     grad = [[c.grad if isinstance(c, Jet) else 0.0 for c in col] for col in (by_z, by_w)]
     jac = [[0.0] * 4 for _ in range(4)]

@@ -97,15 +97,8 @@ def model_form(model: LocalModel, resolved: bool = False):
 def eval_omega_a(model: LocalModel, points, resolved: bool = False):
     """model_form at each of a numpy array of points of shape (..., 4), as
     antisymmetric (..., 4, 4) matrices."""
-    import numpy as np
-    from .forms import antisymmetric
-
-    p = np.asarray(points, dtype=float)
-    if p.shape[-1] != 4:
-        raise ValueError("points must have 4 coordinates")
-    form = model_form(model, resolved)
-    entries = np.array([form(q) for q in p.reshape(-1, 4).tolist()])
-    return antisymmetric(*entries.T.reshape((6,) + p.shape[:-1]))
+    from .forms import pack
+    return pack(model_form(model, resolved), points)
 
 
 def _derivatives(profile, x: float):
@@ -113,7 +106,7 @@ def _derivatives(profile, x: float):
     where Python's float arithmetic cannot compute them (0.0 ** -p, an
     overflowing power, or a power that leaves the reals)."""
     try:
-        f = profile.float_jet(x)
+        f = profile.jet(x)
     except ArithmeticError:
         return math.nan, math.nan
     if isinstance(f.grad, complex) or isinstance(f.hess, complex):

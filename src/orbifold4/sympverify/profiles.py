@@ -1,14 +1,14 @@
 """Radial profiles, each defined once as a function of its argument.
 
-A profile's function is written over numpy arrays and jets (`jet.Jet`) alike:
-values are read off a plain evaluation, and the first two derivatives off
-one evaluation on a one-variable jet.  Finite differences are reserved for
-independent cross-checks.  All callables are vectorized over numpy arrays;
-`float_jet` evaluates one float without numpy, for the profiles written
-with arithmetic operators only.  The ramp and the bump are defined by a
-rule (`RadialProfile.of_rule`) from the smoothstep's rule in `jet`: their
-jets apply it, and a float path reads value and derivatives off `rule`
-without building a jet.
+A profile's function is written over plain values and one-variable jets
+(`jet.Jet`) alike: values are read off a plain evaluation, and the first two
+derivatives off one evaluation on a jet, over whatever scalar its argument
+is: a Python float on every command's path, and a numpy array where a test
+reads `value`, `d1` or `d2` over a grid.  Finite differences are reserved
+for independent cross-checks.  The ramp and the bump are defined by a rule
+(`RadialProfile.of_rule`) from the smoothstep's rule in `jet`: their jets
+apply it, and a float path reads value and derivatives off `rule` without
+building a jet.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .jet import Jet, smoothstep_rule
 
 
 class RadialProfile:
-    """A profile given by fn, its one definition over arrays or jets.  A plain
+    """A profile given by fn, its one definition over values or jets.  A plain
     class: its instances take attributes, as the benchmark tracer rebinds
     value, d1 and d2 on each."""
 
@@ -35,32 +35,23 @@ class RadialProfile:
         return profile
 
     def jet(self, x) -> Jet:
-        """Value, first and second derivative at x as a one-variable jet."""
-        return self.fn(Jet.variable(x))
-
-    def float_jet(self, x: float) -> Jet:
-        """Value, first and second derivative at one float, as Python floats."""
-        return self.fn(Jet.float_variable(x))
+        """Value, first and second derivative at x, as a jet over x's scalar."""
+        return self.fn(Jet(x, 1.0, 0.0))
 
     def value(self, x):
-        import numpy as np
-        return self.fn(np.asarray(x, dtype=float))
+        return self.fn(x)
 
     def d1(self, x):
-        return self.jet(x).grad[0]
+        return self.jet(x).grad
 
     def d2(self, x):
-        return self.jet(x).hess[0, 0]
+        return self.jet(x).hess
 
     def __call__(self, x):
-        """The profile at x; at a jet x, its own jet at x.value composed with x,
-        in Python floats for a float jet."""
+        """The profile at x; at a jet x, its own jet at x.value composed with x."""
         if isinstance(x, Jet):
-            if isinstance(x.value, (float, complex)):
-                f = self.float_jet(x.value)
-                return x.apply(f.value, f.grad, f.hess)
             f = self.jet(x.value)
-            return x.apply(f.value, f.grad[0], f.hess[0, 0])
+            return x.apply(f.value, f.grad, f.hess)
         return self.value(x)
 
 

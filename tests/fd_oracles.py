@@ -1,17 +1,21 @@
 """Reference implementations for the tests, the independent cross-checks
-of orbifold4.sympverify: the complex Hessian of a potential and its Kähler
-form (i/2) ddbar F by central differences, and the exterior derivative of a
-form by central differences; the exact taming quotient of a form's entries;
-the primitive beta of the flat form and d(rho(r) beta) from their explicit
-formulas; the product grid of axes and the full 4-D ball grid; the gluing
-over numpy arrays (its orbit samples, the taming data of its potentials off
-array jets, and delta and the certificate from them), the reference for
-forms.glue_forms' float arithmetic; the smoothstep profiles composed from
-clip, the reference for jet.smoothstep_rule; and the blow-up chart model
-over numpy arrays (its potential written over array jets and its 4-D chart
-grid), the reference for blowup's float arithmetic; and the standard
-symplectic form OMEGA0, complex structure J0 and realification of R^4 =
-C^2."""
+of orbifold4.sympverify: the automatic-differentiation oracle, a jet in n
+variables over numpy arrays (`ArrayJet`) and the Kähler forms (i/2) ddbar of
+potentials in (|z|^2, |w|^2) read off it (`invariant_potential_form`,
+`form_from_hermitian`), the reference for the complex Hessians that the
+local model, the gluing and the blow-up write by hand; the complex Hessian
+of a potential and its Kähler form by central differences, and the exterior
+derivative of a form by central differences; the exact taming quotient of a
+form's entries; the primitive beta of the flat form and d(rho(r) beta) from
+their explicit formulas; the product grid of axes and the full 4-D ball
+grid; the gluing over numpy arrays (its orbit samples, the taming data of
+its potentials off array jets, and delta and the certificate from them),
+the reference for forms.glue_forms' float arithmetic; the smoothstep
+profiles composed from clip, the reference for jet.smoothstep_rule; and the
+blow-up chart model over numpy arrays (its potential written over array
+jets and its 4-D chart grid), the reference for blowup's float arithmetic;
+and the standard symplectic form OMEGA0, complex structure J0 and
+realification of R^4 = C^2."""
 
 import math
 from decimal import Decimal, localcontext
@@ -20,9 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from orbifold4.sympverify.blowup import CHART
-from orbifold4.sympverify.forms import (GLUING_TOL, PreconditionFailure, antisymmetric,
-                                        form_from_hermitian, invariant_potential_form)
-from orbifold4.sympverify.jet import Jet, log1p
+from orbifold4.sympverify.forms import GLUING_TOL, PreconditionFailure, antisymmetric
+from orbifold4.sympverify.jet import Jet, log1p_rule
 from orbifold4.sympverify.profiles import RadialProfile
 from orbifold4.sympverify.taming import certify, quotient
 
@@ -36,6 +39,103 @@ OMEGA0 = np.array([
     [0.0, 0.0, -1.0, 0.0],
 ])
 J0 = -OMEGA0
+
+
+class ArrayJet(Jet):
+    """A second-order jet in n variables over numpy arrays: value (...),
+    grad (n, ...) and hess (n, n, ...); plain numbers and arrays act as
+    constants.  A Jet, so a profile called on it composes the profile's own
+    one-variable jet at its value through this apply, which takes the outer
+    product of the gradients."""
+
+    @classmethod
+    def variable(cls, value, i: int = 0, n: int = 1) -> "ArrayJet":
+        """The i-th of n independent variables, at the given real values."""
+        value = np.asarray(value, dtype=float)
+        grad = np.zeros((n,) + value.shape)
+        grad[i] = 1.0
+        return cls(value, grad, np.zeros((n, n) + value.shape))
+
+    def apply(self, f0, f1, f2) -> "ArrayJet":
+        g = self.grad
+        return ArrayJet(f0, f1 * g, f2 * (g[:, None] * g[None]) + f1 * self.hess)
+
+    def __add__(self, o):
+        if isinstance(o, Jet):
+            return ArrayJet(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        return ArrayJet(self.value + o, self.grad, self.hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ArrayJet(-self.value, -self.grad, -self.hess)
+
+    def __mul__(self, o):
+        if not isinstance(o, Jet):
+            return ArrayJet(self.value * o, self.grad * o, self.hess * o)
+        g, h = self.grad, o.grad
+        cross = g[:, None] * h[None]
+        return ArrayJet(self.value * o.value, g * o.value + self.value * h,
+                        self.hess * o.value + cross + cross.swapaxes(0, 1)
+                        + self.value * o.hess)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, Jet):
+            return self * o ** -1
+        return ArrayJet(self.value / o, self.grad / o, self.hess / o)
+
+
+def log1p(x):
+    """log1p over plain arrays or jets, its derivatives by jet.log1p_rule."""
+    if not isinstance(x, Jet):
+        return np.log1p(x)
+    return x.apply(np.log1p(x.value), *log1p_rule(x.value))
+
+
+def form_from_hermitian(coeff):
+    """Real matrix of (i/2) sum coeff_ij dz_i ^ dzbar_j, from Re and Im of coeff."""
+    c = np.asarray(coeff, dtype=complex)
+    re, im = c.real, c.imag
+    w03 = 0.5 * (re[..., 0, 1] + re[..., 1, 0])
+    w02 = 0.5 * (im[..., 1, 0] - im[..., 0, 1])
+    return antisymmetric(re[..., 0, 0], w02, w03, -w03, w02, re[..., 1, 1])
+
+
+def _complex_hessian(phi, s, t):
+    """c00 = phi_s + s phi_ss, c11 = phi_t + t phi_tt and phi_st at arrays
+    s = |z|^2 and t = |w|^2, off one jet of phi in (s, t): the complex
+    Hessian of phi(|z|^2, |w|^2) is [[c00, zbar w phi_st], [z wbar phi_st, c11]]."""
+    j = phi(ArrayJet.variable(s, 0, 2), ArrayJet.variable(t, 1, 2))
+    return j.grad[0] + s * j.hess[0, 0], j.grad[1] + t * j.hess[1, 1], j.hess[0, 1]
+
+
+def invariant_potential_form(phi):
+    """(i/2) ddbar of phi(s, t), s = |z|^2, t = |w|^2, phi written over arrays
+    or jets, as (..., 4, 4) forms (see _complex_hessian)."""
+    def omega(points):
+        p = np.asarray(points, dtype=float)
+        s, t = p[..., 0] ** 2 + p[..., 1] ** 2, p[..., 2] ** 2 + p[..., 3] ** 2
+        c00, c11, phi_st = _complex_hessian(phi, s, t)
+        c = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
+        c[..., 0, 0], c[..., 1, 1] = c00, c11
+        c[..., 0, 1] = (p[..., 0] - 1j * p[..., 1]) * (p[..., 2] + 1j * p[..., 3]) * phi_st
+        c[..., 1, 0] = np.conj(c[..., 0, 1])
+        return form_from_hermitian(c)
+    return omega
+
+
+def phi1(problem):
+    """The potential h(s + g(t)) of a gluing problem's omega1, over arrays or
+    array jets."""
+    h, g = problem.h, problem.g
+    return lambda s, t: h(s + g(t))
+
+
+def omega1(problem):
+    """A gluing problem's omega1 off the array jet of phi1, as (..., 4, 4) forms."""
+    return invariant_potential_form(phi1(problem))
 
 
 def realify(c):
@@ -148,7 +248,7 @@ def dr_beta(rho, points):
     p = np.asarray(points, dtype=float)
     r = np.linalg.norm(p, axis=-1)
     n, b = p / np.maximum(r, 1e-300)[..., None], standard_primitive(p)
-    return rho.jet(r).grad[0][..., None, None] * antisymmetric(
+    return rho.jet(r).grad[..., None, None] * antisymmetric(
         *(n[..., i] * b[..., j] - b[..., i] * n[..., j]
           for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))))
 
@@ -208,14 +308,12 @@ def clip(x, lo: float, hi: float):
     """x clipped to [lo, hi], over arrays, array jets and float jets; use
     math.inf for a missing bound.  At the kinks a jet carries the right
     derivative."""
-    if isinstance(x, Jet) and isinstance(x.value, float):
-        v = x.value
-        inside = lo <= v < hi
-        return Jet(min(max(v, lo), hi), x.grad * inside, x.hess * inside)
     if not isinstance(x, Jet):
         return np.clip(x, lo, hi)
-    inside = (x.value >= lo) & (x.value < hi)
-    return Jet(np.clip(x.value, lo, hi), x.grad * inside, x.hess * inside)
+    v = x.value
+    if isinstance(v, float):
+        return x.apply(min(max(v, lo), hi), float(lo <= v < hi), 0.0)
+    return x.apply(np.clip(v, lo, hi), ((v >= lo) & (v < hi)) * 1.0, 0.0)
 
 
 def composed_ramp(t0: float, t1: float) -> RadialProfile:
@@ -266,12 +364,12 @@ def orbit_taming_data(phi, points, delta: float = 0.0, rho=None):
     rho + t G'', G'') added, with G'' = rho'(r) / 2r, 0 where rho' is."""
     s = points[:, 0] ** 2 + points[:, 1] ** 2
     t = points[:, 2] ** 2 + points[:, 3] ** 2
-    j = phi(Jet.variable(s, 0, 2), Jet.variable(t, 1, 2))
+    j = phi(ArrayJet.variable(s, 0, 2), ArrayJet.variable(t, 1, 2))
     a, d, st = j.grad[0] + s * j.hess[0, 0], j.grad[1] + t * j.hess[1, 1], j.hess[0, 1]
     if rho is not None:
         r = np.sqrt(s + t)
         cut = rho.jet(r)
-        g2 = np.divide(cut.grad[0], 2.0 * r, out=np.zeros_like(r), where=cut.grad[0] != 0)
+        g2 = np.divide(cut.grad, 2.0 * r, out=np.zeros_like(r), where=cut.grad != 0)
         a = a + delta * (cut.value + s * g2)
         d = d + delta * (cut.value + t * g2)
         st = st + delta * g2
@@ -287,9 +385,9 @@ def glue_forms_oracle(problem, n: int):
     """(delta, certificate) of forms.glue_forms over numpy arrays, every
     region's orbit samples at once, raising where it raises."""
     e1, e2, e3 = problem.eps1, problem.eps2, problem.eps3
-    phi1, rho = problem.phi1, problem.rho
+    phi, rho = phi1(problem), problem.rho
     inner = orbit_samples(e1 * 0.999, n)
-    a, d, b = orbit_taming_data(phi1, inner)
+    a, d, b = orbit_taming_data(phi, inner)
     norm = np.sqrt(2.0 * (a * a + d * d + 2.0 * (b * b)))
     if norm.size and not float(np.max(norm)) <= GLUING_TOL:
         idx = int(np.argmax(norm))
@@ -298,18 +396,18 @@ def glue_forms_oracle(problem, n: int):
     mid, outer = orbit_samples(e2, n, inner=e1), orbit_samples(e3, n, inner=e2 * (1 + 1e-9))
     if not (len(mid) and len(outer)):
         raise ValueError(f"a {n}^4 grid has no sample on an annulus; use a finer grid")
-    cert = _orbit_certificate(phi1, mid)
+    cert = _orbit_certificate(phi, mid)
     if not cert.min_quotient >= -GLUING_TOL:
         raise PreconditionFailure("omega1 not semipositive on the middle annulus",
                                   worst_sample=cert.worst_sample, value=cert.min_quotient)
-    cert = _orbit_certificate(phi1, outer)
+    cert = _orbit_certificate(phi, outer)
     C = cert.min_quotient
     if not C > 0:
         raise PreconditionFailure("omega1 not positive outside eps2",
                                   worst_sample=cert.worst_sample, value=C)
     ball = orbit_samples(e3, n, inner=1e-6)
     r = np.sqrt(ball[:, 0] ** 2 + ball[:, 1] ** 2 + (ball[:, 2] ** 2 + ball[:, 3] ** 2))
-    delta = C / (2.0 * (float(np.max(np.abs(rho.jet(r).grad[0]) * r / 2.0)) + 1.0))
-    return delta, _orbit_certificate(phi1, ball, delta, rho,
+    delta = C / (2.0 * (float(np.max(np.abs(rho.jet(r).grad) * r / 2.0)) + 1.0))
+    return delta, _orbit_certificate(phi, ball, delta, rho,
                                      region=f"ball {1e-6} <= |p| <= {e3}",
                                      grid=f"{n}^4 cubic grid")

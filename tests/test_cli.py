@@ -514,6 +514,30 @@ def test_a_field_past_max_conductor_exits_2_before_it_is_built(tmp_path, argv, c
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {fault}\n")
 
 
+@pytest.mark.parametrize("orders", [("--m", "100000", "--m2", "3"),
+                                    ("--m", "256", "--m2", "3"),
+                                    ("--m", "17", "--m2", "17", "--symmetric"),
+                                    ("--m", "100000", "--m2", "100000", "--symmetric")],
+                         ids=["cyclic-pair-huge", "cyclic-pair-768", "swap-578", "swap-huge"])
+def test_a_product_corner_past_max_order_exits_2_before_it_is_built(orders):
+    # a corner group's order is known from its cone points: m m' for a pair
+    # of cone points, 2 m^2 on the symmetric product's diagonal.  Building
+    # the scalars first took time linear in m, 21 s at m = 20,000; a fresh
+    # interpreter under a timeout, so a late refusal fails instead of hanging
+    proc = _cli_process("orbifold", "resolve", "--example", "product", *orders, "--json",
+                        timeout=10)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: closure exceeds max_order=512\n")
+
+
+@pytest.mark.parametrize("orders", [("--m", "128", "--m2", "3"), ("--m", "256", "--m2", "2"),
+                                    ("--m", "16", "--m2", "16", "--symmetric")],
+                         ids=["cyclic-pair-384", "cyclic-pair-512", "swap-512"])
+def test_a_product_corner_at_most_max_order_resolves(capsys, orders):
+    code, out, err = run(capsys, "orbifold", "resolve", "--example", "product", *orders, "--json")
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("argv,content,fault", [
     (("group", "classify", "--file"), {"gens": []}, "invalid group file: missing key 'generators'"),
     (("orbifold", "resolve", "--spec"), {"name": "x"},

@@ -1,12 +1,16 @@
 """Second-order jets: every operation's gradient and Hessian against central
-differences of the same definition evaluated on plain arrays."""
+differences of the same definition evaluated on plain arrays, on the
+oracle's n-variable array jet; the one-variable jet over Python floats,
+complex numbers, arrays and a scalar type that only defines arithmetic
+against it."""
 
 import numpy as np
 import pytest
 
-from fd_oracles import clip, composed_bump, composed_ramp
-from orbifold4.sympverify.jet import Jet, log1p
-from orbifold4.sympverify.profiles import H_cutoff, f_smoothing, h_ramp, rho_bump
+from fd_oracles import ArrayJet, clip, composed_bump, composed_ramp, log1p
+from orbifold4.sympverify.jet import Jet, log1p_rule, power_rule
+from orbifold4.sympverify.profiles import (H_cutoff, f_resolved, f_smoothing, h_ramp,
+                                           identity_profile, rho_bump)
 
 # functions written once, evaluated on arrays or jets; arguments stay in (0.2, 1.4)
 ONE = {
@@ -55,7 +59,7 @@ def _fd(fn, pts, h):
 
 def _check(fn, pts):
     n = len(pts)
-    jet = fn(*[Jet.variable(pts[i], i, n) for i in range(n)])
+    jet = fn(*[ArrayJet.variable(pts[i], i, n) for i in range(n)])
     assert np.allclose(jet.value, fn(*pts), rtol=1e-14, atol=0)
     grad, _ = _fd(fn, pts, 1e-6)
     _, hess = _fd(fn, pts, 1e-4)
@@ -65,7 +69,12 @@ def _check(fn, pts):
 
 @pytest.mark.parametrize("name", sorted(ONE))
 def test_one_variable_jet_matches_central_differences(name):
-    _check(ONE[name], np.linspace(0.2, 1.4, 13)[None])
+    xs = np.linspace(0.2, 1.4, 13)
+    _check(ONE[name], xs[None])
+    # the library's one-variable jet over arrays: the oracle's, bit for bit
+    got, want = ONE[name](Jet(xs, 1.0, 0.0)), ONE[name](ArrayJet.variable(xs))
+    for g, w in ((got.value, want.value), (got.grad, want.grad[0]), (got.hess, want.hess[0, 0])):
+        assert np.array_equal(np.broadcast_to(g, xs.shape), w)
 
 
 @pytest.mark.parametrize("name", sorted(TWO))
@@ -88,7 +97,7 @@ def test_complex_variable_jet_matches_complex_central_differences(name, unit):
     for k, point in enumerate(pts.T.tolist()):
         for i in range(2):
             args = list(point)
-            args[i] = Jet.float_variable(point[i])
+            args[i] = Jet(point[i], 1.0, 0.0)
             jet = fn(*args)
             if not isinstance(jet, Jet):  # fn does not depend on this variable
                 jet = Jet(jet, 0.0, 0.0)
@@ -98,7 +107,7 @@ def test_complex_variable_jet_matches_complex_central_differences(name, unit):
 
 
 def test_clip_passes_derivatives_only_inside_its_bounds():
-    x = Jet.variable(np.array([-1.0, 0.5, 2.0]))
+    x = ArrayJet.variable(np.array([-1.0, 0.5, 2.0]))
     out = clip(x * x, 0.0, 1.0)
     assert np.array_equal(out.value, [1.0, 0.25, 1.0])
     assert np.array_equal(out.grad[0], [0.0, 1.0, 0.0])
@@ -107,18 +116,19 @@ def test_clip_passes_derivatives_only_inside_its_bounds():
 
 def test_integer_powers_are_exact_at_zero():
     # p(p-1) x^(p-2) alone is 0 * inf = NaN at x = 0 for p = 1
-    x = Jet.variable(np.array([0.0, 1.5]))
+    x = Jet(np.array([0.0, 1.5]), 1.0, 0.0)
     one, two = x ** 1, x ** 2
-    assert np.array_equal(one.grad[0], [1.0, 1.0]) and np.array_equal(one.hess[0, 0], [0.0, 0.0])
-    assert np.array_equal(two.grad[0], [0.0, 3.0]) and np.array_equal(two.hess[0, 0], [2.0, 2.0])
+    assert np.array_equal(one.grad, [1.0, 1.0]) and np.array_equal(one.hess, [0.0, 0.0])
+    assert np.array_equal(two.grad, [0.0, 3.0]) and np.array_equal(two.hess, [2.0, 2.0])
     m1 = f_smoothing(1, 0.1).jet(np.array([0.0]))
-    assert m1.grad[0][0] == 1.0 and m1.hess[0, 0][0] == 0.0
+    assert m1.grad[0] == 1.0 and m1.hess[0] == 0.0
+    assert f_smoothing(1, 0.1).jet(0.0).grad == 1.0 and f_smoothing(1, 0.1).jet(0.0).hess == 0.0
 
 
 def test_numpy_operands_defer_to_the_jet():
-    x = Jet.variable(np.array([0.5, 1.0]))
+    x = Jet(np.array([0.5, 1.0]), 1.0, 0.0)
     for out in (np.float64(2.0) * x, np.array([2.0, 2.0]) * x):
-        assert isinstance(out, Jet) and np.array_equal(out.grad[0], [2.0, 2.0])
+        assert isinstance(out, Jet) and np.all(out.grad == 2.0)
 
 
 # profiles evaluated on float jets; the ramp and the bump have kinks at 0.5 and 1.1
@@ -133,14 +143,14 @@ FLOAT_PROFILES = {
 @pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "neg", "pow", *FLOAT_PROFILES])
 def test_float_jet_matches_the_array_jet(name):
     # the arithmetic operators and the rules on a jet of Python floats give the
-    # array jet's value and derivatives, up to numpy's own rounding of powers
-    # (the smoothing profile's f'' cancels, and shows it), on both sides of
-    # the kinks and at them, where both carry the right derivative
+    # oracle's array jet's value and derivatives, up to numpy's own rounding
+    # of powers (the smoothing profile's f'' cancels, and shows it), on both
+    # sides of the kinks and at them, where both carry the right derivative
     fn = ONE[name] if name in ONE else FLOAT_PROFILES[name].fn
     xs = np.union1d(np.linspace(0.2, 1.4, 13), [0.5, 1.1])
-    want = fn(Jet.variable(xs))
+    want = fn(ArrayJet.variable(xs))
     for i, x in enumerate(xs.tolist()):
-        got = fn(Jet.float_variable(x))
+        got = fn(Jet(x, 1.0, 0.0))
         assert all(type(v) is float for v in (got.value, got.grad, got.hess))
         for g, w in ((got.value, want.value[i]), (got.grad, want.grad[0, i]),
                      (got.hess, want.hess[0, 0, i])):
@@ -149,9 +159,9 @@ def test_float_jet_matches_the_array_jet(name):
 
 def test_float_jet_raises_where_numpy_warns():
     with pytest.raises(ZeroDivisionError):
-        Jet.float_variable(0.0) ** 0.5
+        Jet(0.0, 1.0, 0.0) ** 0.5
     with pytest.raises(OverflowError):
-        Jet.float_variable(1e100) ** 4
+        Jet(1e100, 1.0, 0.0) ** 4
 
 
 # the sums of the absolute coefficients of the smoothstep's Horner
@@ -179,10 +189,80 @@ def test_smoothstep_rule_matches_the_composed_definition(name, window):
     want = composed.jet(np.array(xs))
     got = profile.jet(np.array(xs))
     for i, x in enumerate(xs):
-        expected = (want.value[i], want.grad[0, i], want.hess[0, 0, i])
-        fj = profile.float_jet(x)
+        expected = (want.value[i], want.grad[i], want.hess[i])
+        fj = profile.jet(x)
         for g in ((fj.value, fj.grad, fj.hess), profile.rule(x),
-                  (got.value[i], got.grad[0, i], got.hess[0, 0, i])):
+                  (got.value[i], got.grad[i], got.hess[i])):
             for u, w, scale in zip(g, expected, tol):
                 assert abs(u - w) <= 1e-15 * scale, (x, u, w)
         assert all(type(v) is float for v in (fj.value, fj.grad, fj.hess, *profile.rule(x)))
+
+
+class Arithmetic:
+    """A scalar that defines only the arithmetic operators, over the Python
+    float it wraps: a stand-in for an interval type."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def __add__(self, o):
+        return Arithmetic(self.x + _unwrap(o))
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return Arithmetic(self.x - _unwrap(o))
+
+    def __rsub__(self, o):
+        return Arithmetic(_unwrap(o) - self.x)
+
+    def __neg__(self):
+        return Arithmetic(-self.x)
+
+    def __mul__(self, o):
+        return Arithmetic(self.x * _unwrap(o))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        return Arithmetic(self.x / _unwrap(o))
+
+    def __rtruediv__(self, o):
+        return Arithmetic(_unwrap(o) / self.x)
+
+    def __pow__(self, p):
+        return Arithmetic(self.x ** p)
+
+
+def _unwrap(v):
+    return v.x if isinstance(v, Arithmetic) else v
+
+
+STAND_IN_PROFILES = {
+    "smoothing": f_smoothing(3, 0.2),
+    "resolved": f_resolved(2, 0.1),
+    "identity": identity_profile(),
+}
+STAND_IN_POINTS = [0.05, 0.3, 0.7, 1.2]
+
+
+@pytest.mark.parametrize("name", sorted(STAND_IN_PROFILES))
+def test_profile_jets_run_on_a_scalar_that_defines_only_arithmetic(name):
+    # the jet and the profiles need no branch for a new scalar type: the
+    # stand-in's jet is the float jet, bit for bit
+    profile = STAND_IN_PROFILES[name]
+    for x in STAND_IN_POINTS:
+        got, want = profile.jet(Arithmetic(x)), profile.jet(x)
+        assert isinstance(got.value, Arithmetic)
+        assert [_unwrap(v) for v in (got.value, got.grad, got.hess)] == [
+            want.value, want.grad, want.hess]
+
+
+def test_rules_run_on_a_scalar_that_defines_only_arithmetic():
+    for x in STAND_IN_POINTS:
+        for p in (0, 1, 2, 3, 0.5, -1.5, 1.0 / 3.0):
+            assert list(map(_unwrap, power_rule(Arithmetic(x), p))) == list(power_rule(x, p))
+        assert list(map(_unwrap, log1p_rule(Arithmetic(x)))) == list(log1p_rule(x))
+    # the smoothstep's clamp is the one operation beyond arithmetic it takes
+    with pytest.raises(AttributeError, match="clip"):
+        rho_bump(0.5, 1.1).jet(Arithmetic(0.7))

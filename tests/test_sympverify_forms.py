@@ -9,12 +9,12 @@ import pytest
 
 from fd_oracles import (J0, OMEGA0, ball_grid, chart_grid, complex_hessian_fd, cube_grid,
                         ddbar_fd, exact_taming_quotient, exterior_derivative_fd,
-                        invariant_potential, numpy_chart_form)
-from orbifold4.sympverify import (LocalModel, form_from_hermitian, eval_omega_a, glue_forms,
-                                  h_ramp, rho_bump, taming_quotients, tameness_min)
+                        form_from_hermitian, invariant_potential, invariant_potential_form,
+                        numpy_chart_form)
+from orbifold4.sympverify import (LocalModel, eval_omega_a, glue_forms, h_ramp, rho_bump,
+                                  taming_quotients, tameness_min)
 from orbifold4.sympverify.blowup import blowup_model_check, exceptional_area
 from orbifold4.sympverify.fixtures import pipeline_problem
-from orbifold4.sympverify.forms import invariant_potential_form
 from orbifold4.sympverify.profiles import f_smoothing
 
 
@@ -162,10 +162,10 @@ def test_profiles_calculus():
     ramp = h_ramp(0.2, 0.7)
     x = np.linspace(0.0, 2.0, 500)
     assert np.all(ramp.d1(x) >= 0) and np.all(ramp.d2(x) >= 0)
-    assert np.allclose(ramp.value([0.0, 0.1]), 0.0)
+    assert np.allclose(ramp.value(np.array([0.0, 0.1])), 0.0)
     bump = rho_bump(0.3, 0.9)
-    assert np.allclose(bump.value([0.0, 0.3]), 1.0)
-    assert np.allclose(bump.value([0.9, 2.0]), 0.0)
+    assert np.allclose(bump.value(np.array([0.0, 0.3])), 1.0)
+    assert np.allclose(bump.value(np.array([0.9, 2.0])), 0.0)
 
 
 def _scaled_flat(q):

@@ -91,8 +91,8 @@ def test_cutoff_profile_reverts_to_identity_far_out():
     f = f_resolved(2, 0.1)
     x = np.array([0.0, 0.2, 0.4])
     assert np.allclose(H.value(x), f.value(x) - x)
-    assert np.allclose(H.value([1.0, 2.0]), 0.0)
-    assert np.allclose(H.d1([1.0, 2.0]), 0.0)
+    assert np.allclose(H.value(np.array([1.0, 2.0])), 0.0)
+    assert np.allclose(H.d1(np.array([1.0, 2.0])), 0.0)
 
 
 def test_sample_points_deterministic_and_in_annulus():

@@ -122,6 +122,34 @@ def _module_level_imports(path):
         nodes.extend(ast.iter_child_nodes(node))
 
 
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def _type_tests(tree):
+    """(function, class argument) of each isinstance call in a function."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                    yield fn.name, ast.unparse(node.args[1])
+
+
+@pytest.mark.parametrize("name", ["jet.py", "profiles.py"])
+def test_the_jet_takes_any_scalar(name):
+    # one jet over any scalar with the arithmetic operators: no numpy, and
+    # no type test but for a jet, and the smoothstep's test for a float,
+    # whose other scalars it clamps by their own clip
+    tree = ast.parse((SRC / "sympverify" / name).read_text())
+    assert [m for m in _imported_modules(tree) if m.split(".")[0] == "numpy"] == []
+    assert {(fn, cls) for fn, cls in _type_tests(tree) if cls != "Jet"} <= {
+        ("smoothstep_rule", "float")}
+
+
 def test_no_module_imports_numpy_at_module_level():
     # numpy is a test dependency only: an array API imports it when called
     found = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
@@ -286,12 +314,13 @@ def test_every_public_name_still_imports_from_the_package():
 # finite-difference oracles, exterior_derivative_fd, ball_grid, and the
 # blow-up's numpy chart_potential and chart_grid), radial_potential_form,
 # which only tests called, eval_omega0, which was eval_omega_a at a = 0, and
-# NotAlmostComplexError, since J0 is the quotient's constant, not an argument
+# NotAlmostComplexError, since J0 is the quotient's constant, not an argument,
+# and form_from_hermitian, which only the tests' array-jet oracle reads
 SYMPVERIFY_NAMES = """
     RadialProfile f_smoothing f_resolved h_ramp rho_bump H_cutoff identity_profile
     LocalModel OutOfDomainError eval_omega_a
     TamenessCertificate GluingProblem PreconditionFailure
-    form_from_hermitian glue_forms taming_quotients tameness_min
+    glue_forms taming_quotients tameness_min
     PushforwardReport pushforward_check sample_points
     BlowupReport blowup_model_check chart_form exceptional_area transition
 """.split()
