@@ -23,14 +23,22 @@ lambda L'') into c00 and c11, so the certificate (taming_data) and the
 closedness and overlap cross-checks (chart_form) read one formula.  Grids
 avoid v = 0, where the pulled-back quotient form is continuous but not
 smooth for m >= 2.
+
+The cross-checks cost the same whatever the certification grid.  The form
+is invariant under the torus acting on u and v by phases, so the closedness
+and overlap checks sample torus orbits, each at a few angle pairs: the
+closedness residual, exact to rounding from one jet per coordinate, at 72
+points, and the overlap at 64.  The exceptional area is a 16-node
+Gauss-Legendre rule, whose error is rounding.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
-from .jet import PAIRS, largest, log1p_rule, power_rule, pullback_discrepancy
+from .jet import PAIRS, Jet, largest, log1p_rule, power_rule, pullback_discrepancy
 from .taming import OrbitRegion, certify, linspace, quotient
 
 # d(omega) has one component per k < l < n, d_k omega_ln - d_l omega_kn +
@@ -40,8 +48,10 @@ _TERMS = tuple(((k, PAIRS.index((l, n))), (l, PAIRS.index((k, n))), (n, PAIRS.in
 # the certified region of each chart: u in the square [-1.2, 1.2]^2, v in
 # [-0.8, 0.8]^2 with |v| >= 0.05
 CHART = OrbitRegion(1.2, 0.8, tail_min=0.05)
-# trapezoid nodes of exceptional_area
-AREA_NODES = 20000
+# generic angle pairs (alpha, beta) at which the probes meet a torus orbit
+_ANGLES = ((0.4, 1.9), (2.3, 4.1), (3.7, 0.8), (5.2, 3.0))
+# Gauss-Legendre nodes of exceptional_area
+AREA_NODES = 16
 
 
 def _fibre(t: float, p: float):
@@ -105,39 +115,60 @@ def taming_data(m: int, lam: float, n: int, reduce):
 
 
 def closedness_residual(form) -> float:
-    """Max component of d(omega) by central differences with step 1e-5 at probe
-    points fixed whatever the certification grid: the 5^4 grid of CHART, |v|
-    >= v_min, plus 8 points on |v| = v_min, where derivatives peak, above
-    each of its u.  form maps a point to the six entries above the diagonal."""
-    heads, tails = linspace(-CHART.head, CHART.head, 5), linspace(-CHART.tail, CHART.tail, 5)
-    v_min = CHART.tail_min
-    grid = [(x1, y1, x2, y2) for x1 in heads for y1 in heads for x2 in tails for y2 in tails
-            if x2 * x2 + y2 * y2 >= v_min ** 2]
-    step = 2.0 * math.pi / 8
-    ring = [(x1, y1, v_min * math.cos(k * step), v_min * math.sin(k * step))
-            for x1 in heads for y1 in heads for k in range(8)]
-    h, two_h, residuals = 1e-5, 2e-5, []
-    for point in grid + ring:
+    """Max component of d(omega) over closedness_probe, exact to rounding:
+    each partial derivative is the form run on a Jet(x, 1.0, 0.0) along one
+    coordinate, four evaluations per point.  form maps a point to the six
+    entries above the diagonal, over floats and jets.
+
+    chart_form is (i/2) sum c_ij dz_i ^ dzbar_j with c00 and c11 functions
+    of (s, t) and c01 = conj(u) v T', so omega is invariant under the torus
+    (u, v) -> (e^(i alpha) u, e^(i beta) v), d(omega) is too, and d(omega) = 0
+    holds on a whole orbit once it holds at one of its points.  The probe
+    meets each orbit twice, so a form that is not invariant also shows."""
+    residuals = []
+    for point in closedness_probe():
         grad = []
         for i in range(4):
-            plus, minus = list(point), list(point)
-            plus[i] += h
-            minus[i] -= h
-            grad.append([(a - b) / two_h for a, b in zip(form(plus), form(minus))])
+            along = list(point)
+            along[i] = Jet(point[i], 1.0, 0.0)
+            grad.append([c.grad if isinstance(c, Jet) else 0.0 for c in form(along)])
         residuals += [grad[i][a] - grad[j][b] + grad[k][c]
                       for (i, a), (j, b), (k, c) in _TERMS]
     return largest(residuals)
 
 
+def _on_orbits(u_radii, v_radii, pairs: int) -> list:
+    """The points (|u| e^(i alpha), |v| e^(i beta)) of each pair of radii at
+    the first pairs of _ANGLES, as (x1, y1, x2, y2)."""
+    return [(ru * math.cos(a), ru * math.sin(a), rv * math.cos(b), rv * math.sin(b))
+            for ru in u_radii for rv in v_radii for a, b in _ANGLES[:pairs]]
+
+
+def closedness_probe() -> list:
+    """Points of CHART fixed whatever the certification grid: the orbits of
+    its 5^4 grid with |v| >= v_min, and the ring |v| = v_min, where
+    derivatives peak, each at two angle pairs; 72 points.  The grid's
+    circles are taken as the radii hypot(x, y) over its nonnegative axis,
+    each once: x^2 + y^2 over the whole grid, as CHART.factors sums it,
+    splits some circles in two by rounding."""
+    def radii(half):
+        axis = linspace(0.0, half, 3)
+        return [math.hypot(x, y) for i, x in enumerate(axis) for y in axis[i:]]
+    v_min = CHART.tail_min
+    return _on_orbits(radii(CHART.head), [r for r in radii(CHART.tail) if r >= v_min] + [v_min], 2)
+
+
 def overlap_probe() -> list:
     """Points of the chart overlap, |u| in [0.5, 2] and |v| in [0.05, 0.5],
-    fixed whatever the certification grid: 4 radii spanning each range, on 5
-    angles of u and 3 of v, each set offset by half its step; 240 points."""
-    def polar(lo, hi, k):
-        step = 2.0 * math.pi / k
-        return [(r * math.cos((j + 0.5) * step), r * math.sin((j + 0.5) * step))
-                for r in linspace(lo, hi, 4) for j in range(k)]
-    return [u + v for u in polar(0.5, 2.0, 5) for v in polar(0.05, 0.5, 3)]
+    fixed whatever the certification grid: 4 radii spanning each range, each
+    pair of radii at four angle pairs; 64 points.
+
+    The transition maps torus orbits to torus orbits, (e^(i alpha) u,
+    e^(i beta) v) -> (e^(-i alpha)/u, e^(i(m alpha + beta)) u^m v), and both
+    chart forms are torus-invariant, so the two forms agree on a whole
+    orbit once they agree at one of its points: the radii carry the probe,
+    and the further angle pairs cross-check that invariance."""
+    return _on_orbits(linspace(0.5, 2.0, 4), linspace(0.05, 0.5, 4), 4)
 
 
 def overlap_max_diff(form, m: int) -> float:
@@ -146,26 +177,52 @@ def overlap_max_diff(form, m: int) -> float:
     return pullback_discrepancy(lambda u, v: transition(u, v, m), overlap_probe(), form, form)[0]
 
 
+def gauss_legendre(n: int):
+    """The nodes, increasing, and the weights of the n-point Gauss-Legendre
+    rule on [-1, 1], exact for polynomials of degree up to 2n - 1.  Each
+    root of P_n is found by Newton's method from cos(pi (i + 3/4)/(n + 1/2)),
+    with P_n and P_n' from the recurrence (k + 1) P_(k+1) = (2k + 1) x P_k
+    - k P_(k-1); its weight is 2/((1 - x^2) P_n'(x)^2)."""
+    def legendre(x):
+        p0, p1 = 1.0, x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    nodes, weights = [], []
+    for i in reversed(range(n)):
+        x, step = math.cos(math.pi * (i + 0.75) / (n + 0.5)), 1.0
+        while abs(step) > 1e-15:
+            p, dp = legendre(x)
+            step = p / dp
+            x -= step
+        dp = legendre(x)[1]
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return nodes, weights
+
+
 def exceptional_area(lam: float) -> float:
     """Area of the form restricted to the zero section, by radial quadrature.
 
     The density is c00 at the zero section's point (rho, 0, 0, 0), where
-    T = 0: _base at s = rho^2.  The radial integral is compactified by rho = tan(theta)
-    and summed by the trapezoid rule in theta: math.fsum of np.trapezoid's
-    terms.  The potential grows with s, and of the points a report samples
-    it is largest here, at the last radius, where it is lambda log1p(s); an
-    OverflowError refuses a lambda for which that is no double."""
-    theta = linspace(0.0, math.pi / 2.0, AREA_NODES)
-    two_pi, y = 2.0 * math.pi, []
-    for th in theta[:-1]:
-        rho = math.tan(th)
+    T = 0: _base at s = rho^2.  The radial integral is compactified by
+    rho = tan(theta), whose integrand 2 pi rho _base(rho^2) (1 + rho^2) is
+    lambda pi sin(2 theta), smooth on [0, pi/2], and summed by the
+    AREA_NODES-point Gauss-Legendre rule, through math.fsum: its relative
+    error against lambda pi is rounding.  The potential grows with s, and
+    of the points a report samples it is largest here, at the last node,
+    where it is lambda log1p(s); an OverflowError refuses a lambda for
+    which that is no double."""
+    nodes, weights = gauss_legendre(AREA_NODES)
+    half, two_pi, terms = math.pi / 4.0, 2.0 * math.pi, []
+    for x, w in zip(nodes, weights):
+        rho = math.tan(half + half * x)
         s = rho * rho
-        y.append(two_pi * rho * _base(s, lam) * (1.0 + s))
+        terms.append(w * two_pi * rho * _base(s, lam) * (1.0 + s))
     if not math.isfinite(lam * math.log1p(s)):
         raise OverflowError("the potential overflows on the zero section")
-    y.append(0.0)  # rho -> inf limit
-    return math.fsum((t1 - t0) * (y1 + y0) / 2.0
-                     for t0, t1, y0, y1 in zip(theta, theta[1:], y, y[1:]))
+    return half * math.fsum(terms)
 
 
 class BlowupReport(namedtuple("BlowupReport",
@@ -181,14 +238,17 @@ class BlowupReport(namedtuple("BlowupReport",
     @property
     def ok(self) -> bool:
         """The residual gates are relative to max(1, lambda): omega_lambda grows
-        with lambda, and so do its finite-difference and pullback round-off.
-        The area gate is relative to lambda pi itself: the quadrature's
-        relative error is -2.06e-9 from lambda = 1e-12 up, and a bound of
-        1e-6 * max(1, lambda pi) would pass twice the area for a small lambda."""
+        with lambda, and so does the round-off of its derivatives and its
+        pullback.  The closedness residual is exact up to rounding, at most
+        8.2e-14 * max(1, lambda) for m in {2, 3, 5, 12, 252}, so its gate
+        sits at 1e-10.  The area gate is relative to lambda pi itself: the
+        quadrature's relative error is rounding, below 1e-15 from lambda =
+        1e-8 up, and a bound of 1e-6 * max(1, lambda pi) would pass twice the
+        area for a small lambda."""
         scale = max(1.0, self.lam)
         return (
             self.certificate.tame
-            and self.closedness_residual / scale <= 1e-5
+            and self.closedness_residual / scale <= 1e-10
             and self.overlap_max_diff / scale <= 1e-8
             and abs(self.area - self.area_expected) <= 1e-6 * self.area_expected
         )
@@ -198,16 +258,22 @@ def blowup_model_check(m: int, lam: float, grid_n: int = 12) -> BlowupReport:
     """The certificate over the orbits of CHART on its grid_n^4 grid, the
     closedness and overlap cross-checks and the exceptional area, in floats.
 
-    Refuses (ValueError) an m and a lambda for which a float of the model
-    overflows, naming both, since either may be the cause: from
-    lambda = 9.5e306 the potential on the zero section, and from m = 253 the
-    overlap's T'' = p(p - 1) t^(p - 2) at a tiny t = |u^m v|^2.  A power
+    Refuses (ValueError) a lambda below sys.float_info.min, naming it: the
+    model's numbers are subnormal there, and no gate relative to lambda pi
+    means anything.  Refuses an m and a lambda for which a float of the
+    model overflows, naming both, since either may be the cause: from
+    lambda = 1.88e307 the potential lambda log1p(s) at the area's last node,
+    s = 1.44e4, and from m = 253 the overlap's T'' = p(p - 1) t^(p - 2) at a
+    tiny t = |u^m v|^2.  A power
     overflows with an OverflowError (or a ZeroDivisionError, once u^m v
     underflows to 0), a product to inf, which leaves a number of the report
     non-finite: no report holds an area or a quotient computed past the
     largest double."""
     if m < 2 or not 0 < lam < math.inf:
         raise ValueError("need m >= 2 and a finite lambda > 0")
+    if lam < sys.float_info.min:
+        raise ValueError(f"lambda={lam} is subnormal: the blow-up model needs lambda >= "
+                         f"{sys.float_info.min}")
     refusal = f"the blow-up model overflows a double at m={m}, lambda={lam}"
     try:
         form = chart_form(m, lam)

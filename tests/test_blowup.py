@@ -2,21 +2,21 @@
 form, in Python floats, against the numpy path of tests/fd_oracles.py and
 against finite differences."""
 
-import json
 import math
 import re
+import sys
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from fd_oracles import (chart_grid, chart_potential, ddbar_fd, exact_taming_quotient,
-                        numpy_chart_form, realify, zero_section_density)
+                        exterior_derivative_fd, numpy_chart_form, realify, zero_section_density)
 from orbifold4.cli import main
 from orbifold4.sympverify import blowup, jet
 from orbifold4.sympverify.blowup import (CHART, PAIRS, _base, blowup_model_check, chart_form,
-                                         closedness_residual, exceptional_area, overlap_probe,
-                                         taming_data, transition)
+                                         closedness_probe, closedness_residual, exceptional_area,
+                                         gauss_legendre, overlap_probe, taming_data, transition)
 from orbifold4.sympverify.forms import taming_quotients
 from orbifold4.sympverify.jet import realified_jacobian
 from orbifold4.sympverify.taming import quotient
@@ -93,15 +93,35 @@ def test_area_density_matches_the_numpy_zero_section(m, lam):
     assert np.array_equal(got, zero_section_density(m, lam, rho))
 
 
-@pytest.mark.parametrize("lam", [0.1, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_gauss_legendre_matches_numpy(n):
+    # up to the area's 16 nodes; from about 30 nodes numpy's own edge
+    # weights stray past 1e-15 (2.1e-15 at 31, against 40 digits)
+    nodes, weights = gauss_legendre(n)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(np.array(nodes) - want_nodes)) <= 1e-15
+    assert np.max(np.abs(np.array(weights) - want_weights)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 31])
+def test_gauss_legendre_is_exact_up_to_degree_2n_minus_1(n):
+    nodes, weights = gauss_legendre(n)
+    for k in range(2 * n):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(w * x ** k for x, w in zip(nodes, weights)) - want) <= 1e-14
+
+
+@pytest.mark.parametrize("lam", [1e-8, 0.1, 0.5, 2.0, 1e8, 5e306])
 @pytest.mark.parametrize("m", [2, 3])
-def test_exceptional_area_matches_the_numpy_trapezoid(m, lam):
-    theta = np.linspace(0.0, np.pi / 2.0, 20000)
-    rho = np.tan(theta[:-1])
-    integrand = np.append(2.0 * np.pi * rho * zero_section_density(m, lam, rho) * (1.0 + rho ** 2),
-                          0.0)
-    want = float(np.trapezoid(integrand, theta))
-    assert abs(exceptional_area(lam) - want) <= 1e-14 * want
+def test_exceptional_area_is_lambda_pi(m, lam):
+    # the area's Gauss-Legendre rule, and the same rule on the numpy path's
+    # zero-section density, read lambda pi to rounding
+    assert abs(exceptional_area(lam) - lam * math.pi) <= 1e-14 * lam * math.pi
+    x, w = np.polynomial.legendre.leggauss(blowup.AREA_NODES)
+    theta = np.pi / 4.0 * (1.0 + x)
+    rho = np.tan(theta)
+    integrand = 2.0 * np.pi * rho * zero_section_density(m, lam, rho) * (1.0 + rho ** 2)
+    assert abs(math.fsum(np.pi / 4.0 * w * integrand) - lam * math.pi) <= 1e-14 * lam * math.pi
 
 
 def test_transition_is_an_involution_on_the_overlap():
@@ -161,11 +181,11 @@ def test_float_jacobian_matches_its_closed_form(name, m):
 
 
 def test_the_overlap_probe_spans_the_overlap_annulus():
-    # at least 200 points, the same whatever the grid, reaching both ends of
-    # |u| in [0.5, 2] and |v| in [0.05, 0.5], and no two alike
+    # 64 points, the same whatever the grid, reaching both ends of |u| in
+    # [0.5, 2] and |v| in [0.05, 0.5], and no two alike
     pts = np.array(overlap_probe())
     ru, rv = np.hypot(pts[:, 0], pts[:, 1]), np.hypot(pts[:, 2], pts[:, 3])
-    assert len(pts) >= 200 and len(np.unique(pts.round(12), axis=0)) == len(pts)
+    assert len(pts) == 64 and len(np.unique(pts.round(12), axis=0)) == len(pts)
     assert np.allclose([ru.min(), ru.max(), rv.min(), rv.max()], [0.5, 2.0, 0.05, 0.5])
 
 
@@ -173,11 +193,6 @@ def test_chart_orbits_avoid_the_fiber_origin():
     _, tails = CHART.factors(8)
     assert min(t for t, _ in tails) >= 0.05 ** 2
     assert all(x * x + y * y == t for t, (x, y) in tails)
-
-
-@pytest.mark.parametrize("lam", [0.1, 0.5, 2.0])
-def test_exceptional_area_is_lambda_pi(lam):
-    assert abs(exceptional_area(lam) - lam * np.pi) < 1e-8 * max(1.0, lam)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -195,6 +210,16 @@ def test_blowup_gates_are_relative_to_lambda(m, lam):
     # omega_lambda is closed and chart-compatible for every lambda > 0, while
     # its finite-difference and pullback residuals grow with lambda
     assert blowup_model_check(m, lam, grid_n=6).ok
+
+
+@pytest.mark.parametrize("lam", [0.1, 1e8])
+def test_the_closedness_gate_sits_at_1e_10_of_max_1_lambda(lam):
+    # exact derivatives leave rounding alone, so a residual the old
+    # finite-difference gate of 1e-5 passed now fails
+    good = blowup_model_check(2, lam, grid_n=4)
+    scale = max(1.0, lam)
+    assert good.ok and good._replace(closedness_residual=1e-10 * scale).ok
+    assert good._replace(closedness_residual=2e-10 * scale).ok is False
 
 
 def test_a_wrong_chart_transition_fails_the_report(monkeypatch):
@@ -238,12 +263,14 @@ def test_the_area_gate_is_relative_to_lambda_pi(monkeypatch):
     assert report.ok is False
 
 
-def test_a_subnormal_lambda_fails_its_area_check(capsys):
-    # at lambda = 1e-310 the quadrature works in subnormals, and its area
-    # 1.74e-309 is not lambda pi = 3.14e-310
-    assert main(["verify", "blowup", "--lam", "1e-310", "--grid", "4", "--json"]) == 4
-    results = json.loads(capsys.readouterr().out)["results"]
-    assert abs(results["exceptional_area"] - 1e-310 * np.pi) > 1e-310
+def test_a_subnormal_lambda_is_refused_naming_it(capsys):
+    # below the smallest normal double the model's numbers are subnormal,
+    # and no gate relative to lambda pi means anything; the smallest normal
+    # lambda is certified
+    assert main(["verify", "blowup", "--lam", "1e-310", "--grid", "4", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: lambda=1e-310 is subnormal")
+    assert blowup_model_check(2, sys.float_info.min, grid_n=4).ok
 
 
 def test_blowup_model_check_rejects_bad_parameters():
@@ -253,16 +280,18 @@ def test_blowup_model_check_rejects_bad_parameters():
         blowup_model_check(2, 0.0)
 
 
-@pytest.mark.parametrize("m,lam", [(300, 0.1), (2, 1e307), (2, 1e308)])
+@pytest.mark.parametrize("m,lam", [(300, 0.1), (2, 5e307), (2, 1e308)])
 def test_an_overflowing_model_is_refused_naming_m_and_lambda(m, lam):
-    # m = 300 overflows T'' on the overlap, lambda = 1e307 the potential on
-    # the zero section and lambda = 1e308 the expected area lambda pi
+    # m = 300 overflows T'' on the overlap, lambda = 5e307 the potential at
+    # the area's last node and lambda = 1e308 the expected area lambda pi
     with pytest.raises(ValueError, match=re.escape(f"m={m}, lambda={lam}")):
         blowup_model_check(m, lam, grid_n=4)
 
 
-def test_a_lambda_just_below_overflow_is_certified():
-    assert blowup_model_check(2, 5e306, grid_n=4).ok
+@pytest.mark.parametrize("lam", [5e306, 1e307])
+def test_a_lambda_just_below_overflow_is_certified(lam):
+    # the potential at the area's last node overflows from 1.88e307
+    assert blowup_model_check(2, lam, grid_n=4).ok
 
 
 @pytest.mark.parametrize("n", range(18, 25))
@@ -284,15 +313,55 @@ def test_closedness_residual_rejects_a_non_closed_form(m):
     assert closedness_residual(form) <= 1e-5 < closedness_residual(perturbed)
 
 
-def test_closedness_residual_matches_the_numpy_finite_differences():
-    # the same 800 probes and step as exterior_derivative_fd over arrays
-    from fd_oracles import exterior_derivative_fd
-    heads = np.linspace(-1.2, 1.2, 5)
-    theta = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    ring = [(x, y, 0.05 * math.cos(a), 0.05 * math.sin(a))
-            for x in heads for y in heads for a in theta]
-    probes = np.concatenate([chart_grid(5), np.array(ring)])
-    assert len(probes) == 800
-    for m in (2, 3, 5):
-        want = exterior_derivative_fd(numpy_chart_form(m, 0.1), probes, h=1e-5)
-        assert abs(closedness_residual(chart_form(m, 0.1)) - want) <= 1e-4 * want
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_the_numpy_finite_differences_find_the_closedness_probe_closed(m):
+    # the independent oracle, on the arrays' form, at the same 72 points
+    probes = closedness_probe()
+    assert len(probes) == 72 and len(set(probes)) == 72
+    assert exterior_derivative_fd(numpy_chart_form(m, 0.1), probes, h=1e-5) <= 1e-5
+
+
+@pytest.mark.parametrize("lam", [0.1, 1e8, 1e16])
+@pytest.mark.parametrize("m", [2, 3, 5, 12, 252])
+def test_the_jet_closedness_residual_is_rounding(m, lam):
+    # at most 8.2e-14 measured: the report's gate 1e-10 is 1000 times that
+    assert closedness_residual(chart_form(m, lam)) <= 1e-10 * max(1.0, lam)
+
+
+def test_a_packing_slip_in_the_chart_form_fails_the_report(monkeypatch):
+    # Im c01 with the wrong sign in w02 and w13: the certificate, which reads
+    # |b|, cannot see it, the closedness and overlap checks must
+    packed = blowup.chart_form
+
+    def slipped(m, lam):
+        form = packed(m, lam)
+
+        def flipped(point):
+            w01, w02, w03, w12, w13, w23 = form(point)
+            return w01, -w02, w03, w12, -w13, w23
+        return flipped
+
+    monkeypatch.setattr(blowup, "chart_form", slipped)
+    report = blowup_model_check(2, 0.1, grid_n=6)
+    assert report.ok is False and report.certificate.tame
+    assert report.closedness_residual > 1.0 and report.overlap_max_diff > 1.0
+
+
+@pytest.mark.parametrize("n", [6, 24])
+def test_the_cross_checks_cost_a_fixed_number_of_form_evaluations(monkeypatch, n):
+    # closedness: 72 points, one jet per coordinate; overlap: 64 points,
+    # the form and its image; the certificate reads no chart_form
+    calls = []
+    packed = blowup.chart_form
+
+    def counted(m, lam):
+        form = packed(m, lam)
+
+        def evaluate(point):
+            calls.append(None)
+            return form(point)
+        return evaluate
+
+    monkeypatch.setattr(blowup, "chart_form", counted)
+    assert blowup_model_check(3, 0.4322, grid_n=n).ok
+    assert len(calls) == 72 * 4 + 64 * 2

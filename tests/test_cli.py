@@ -762,12 +762,12 @@ def test_a_lambda_that_overflows_the_blowup_model_is_refused(capsys):
 
 @pytest.mark.parametrize("argv,m,lam", [
     (("--m", "300"), 300, "0.1"),
-    (("--lam", "1e307"), 2, "1e+307"),
+    (("--lam", "5e307"), 2, "5e+307"),
 ], ids=["m", "lambda"])
 def test_an_overflow_refusal_names_m_and_lambda(capsys, argv, m, lam):
     # m = 300 overflows T'' = p(p - 1) t^(p - 2) at the overlap's tiny
-    # |u^m v|^2, lambda = 1e307 the potential lambda log1p(s) on the zero
-    # section; the refusal cannot tell which parameter to blame
+    # |u^m v|^2, lambda = 5e307 the potential lambda log1p(s) at the area's
+    # last node; the refusal cannot tell which parameter to blame
     code, out, err = run(capsys, "verify", "blowup", *argv, "--grid", "4", "--json")
     assert code == 2 and out == ""
     assert err.startswith(f"error: the blow-up model overflows a double at m={m}, lambda={lam}:")

@@ -211,12 +211,12 @@ def _traced_peak(fn):
 
 @pytest.mark.parametrize("call,limit_mb", [
     (lambda: blowup_model_check(3, 0.4322, 24), 2.5),
-    (lambda: exceptional_area(0.4322), 2.0),
+    (lambda: exceptional_area(0.4322), 0.01),
     (lambda: glue_forms(pipeline_problem(), grid_n=24), 2.5),
 ], ids=["blowup-24", "exceptional-area", "gluing-24"])
 def test_certification_peak_memory(call, limit_mb):
     # one block of temporaries beyond the samples: the blow-up's 16,704
-    # orbits and the area's 19,999 radii are each a few blocks
+    # orbits are a few blocks, and the area's 16 nodes peak below 1 kB
     assert _traced_peak(call) < limit_mb * 2 ** 20
 
 
