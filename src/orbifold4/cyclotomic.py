@@ -249,23 +249,26 @@ class CyclotomicScalar:
         return CyclotomicScalar._from_fractions(obj["conductor"], coeffs)
 
 
-def root_of_unity_log(u: CyclotomicScalar) -> tuple[int, int]:
-    """Express a root of unity u in Q(zeta_N) as zeta_M^e.
+@lru_cache(maxsize=None)
+def roots_of_unity(n: int) -> tuple[tuple[int, int, CyclotomicScalar], ...]:
+    """The roots of unity of Q(zeta_n) as (M, e, zeta_M^e), M = lcm(2, n):
+    zeta_n^k for k < n, then, for odd n, where -1 is no power of zeta_n,
+    -zeta_n^k.  `groups._eigen_split` keeps the first two eigenvalues met in
+    this order, which fixes its change of basis."""
+    m = math.lcm(2, n)
+    zetas = [CyclotomicScalar.zeta(n, k) for k in range(n)]
+    # zeta_m^(m/n k + n) = -zeta_n^k, reached only when m = 2n
+    return tuple((m, (m // n * k + h) % m, -z if h else z)
+                 for h in range(0, m, n) for k, z in enumerate(zetas))
 
-    M is N for even N and 2N for odd N (the full torsion of the field).
+
+def root_of_unity_log(u: CyclotomicScalar) -> tuple[int, int]:
+    """Express a root of unity u in Q(zeta_N) as zeta_M^e, M = lcm(2, N) the
+    full torsion of the field, by lookup in `roots_of_unity(N)`.
     Raises ValueError if u is not a root of unity of the field.
     """
-    n = u.conductor
-    if n % 2 == 0:
-        for e in range(n):
-            if u == CyclotomicScalar.zeta(n, e):
-                return n, e
-    else:
-        m = 2 * n
-        for e in range(m):
-            # zeta_{2n}^e = (-1)^e * zeta_n^(e*(n+1)/2 mod n)
-            sign = -1 if e % 2 else 1
-            cand = CyclotomicScalar.zeta(n, (e * ((n + 1) // 2)) % n) * sign
-            if u == cand:
+    if u.den == 1:
+        for m, e, z in roots_of_unity(u.conductor):
+            if z.num == u.num:
                 return m, e
     raise ValueError("not a root of unity in this cyclotomic field")

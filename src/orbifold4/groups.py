@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
+from itertools import islice
 
-from .cyclotomic import CyclotomicScalar, SelfCheckFailed, root_of_unity_log
+from .cyclotomic import CyclotomicScalar, SelfCheckFailed, root_of_unity_log, roots_of_unity
 from .unitary import UMat2
 
 
@@ -150,12 +151,7 @@ def generate_group(gens: list[UMat2], max_order: int = 512) -> UnitaryGroup:
     found as.  The Cayley table then follows by integer lookups alone:
     x * y = (x * parent(y)) * gens[k].
     """
-    conductor = 1
-    for g in gens:
-        for i in range(2):
-            for j in range(2):
-                c = g.entries[i][j].conductor
-                conductor = conductor * c // math.gcd(conductor, c)
+    conductor = math.lcm(*(x.conductor for g in gens for row in g.entries for x in row))
     gens_n = [g.to_conductor(conductor) for g in gens]
     ident = UMat2.identity(conductor)
 
@@ -245,20 +241,13 @@ def stratum_class(G: UnitaryGroup) -> str:
 
 
 def _eigen_split(m: UMat2, conductor: int):
-    """Eigenvalues/eigenvectors of a non-scalar diagonalizable matrix,
-    searched among the roots of unity of Q(zeta_N).  None if they fall
-    outside the declared field."""
+    """Eigenvalues/eigenvectors of a non-scalar diagonalizable matrix: the
+    first two roots of the characteristic polynomial in the order of
+    `roots_of_unity(N)`.  None if they fall outside the declared field."""
     tr = m.trace()
     det = m.det()
-    candidates = [CyclotomicScalar.zeta(conductor, k) for k in range(conductor)]
-    if conductor % 2 == 1:
-        candidates += [c * -1 for c in candidates]
-    roots = []
-    for lam in candidates:
-        if (lam * lam - tr * lam + det).is_zero() and all(lam != r for r in roots):
-            roots.append(lam)
-        if len(roots) == 2:
-            break
+    roots = list(islice((lam for _, _, lam in roots_of_unity(conductor)
+                         if (lam * lam - tr * lam + det).is_zero()), 2))
     if len(roots) < 2:
         return None
     (a, b), (c, d) = m.entries
@@ -355,9 +344,10 @@ def induced_cyclic_data(G: UnitaryGroup) -> CyclicActionData:
 # the largest conductor a group file or a spec's group may name, for each
 # scalar and for the lcm of all of them, the field its closure runs in.  In
 # a 2-core container `group classify` on an order-2 group takes 0.1 s at
-# conductor 256 and 5 s at 16,000, and on the cyclic group of order 256 at
-# conductor 256 1.1 s (of order 500 at 1000, 15 s).  The benchmark's and the
-# tests' groups read conductor 64 or less
+# conductor 256 and 5 s at 16,000, and on a cyclic group of order 256 at
+# conductor 256 0.2 s.  An odd conductor N doubles the roots of unity to the
+# 2N of +-zeta_N^k: on Z_255 with weights (1, 7), of order 255 at conductor
+# 255, it takes 0.4 s.  The benchmark's groups read conductor 24 or less
 MAX_CONDUCTOR = 256
 
 # the largest max_order a group file or a spec's group may set.  The

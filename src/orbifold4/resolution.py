@@ -88,7 +88,8 @@ def exceptional_betti(G) -> tuple[int, int, int]:
         if data.m == 1:
             return (1, 0, 0)
         return (1, 0, hj_resolve(data.m, data.q).curve_count)
-    for g in G:
+    # det is multiplicative, so the generators' determinants decide
+    for g in G.generators:
         d = g.det()
         if not (d.is_rational() and d.rational_value() == 1):
             raise Unsupported(

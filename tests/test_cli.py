@@ -10,6 +10,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -492,6 +493,24 @@ def test_a_group_file_past_its_max_order_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "group", "classify", "--file", str(path), "--json")
     assert code == 2 and out == ""
     assert err == "error: invalid group file: closure exceeds max_order=16\n"
+
+
+def test_group_classify_at_an_odd_conductor_logs_by_lookup(capsys, tmp_path):
+    # Z_255 acting with weights (1, 7): conductor 255, order 255 and 510
+    # root-of-unity logs.  Rebuilding and scanning the field's 510 roots in
+    # every log takes about 24 s in all, far past the bound
+    from orbifold4.cyclotomic import CyclotomicScalar
+    from orbifold4.unitary import UMat2
+
+    gen = UMat2.diagonal(CyclotomicScalar.zeta(255, 1), CyclotomicScalar.zeta(255, 7))
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"generators": [gen.to_json()]}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "group", "classify", "--file", str(path), "--json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["results"]["induced_cyclic"] == {"m": 255, "q": 7}
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("argv,content,fault", [

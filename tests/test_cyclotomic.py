@@ -108,6 +108,28 @@ def test_root_of_unity_log_rejects_non_roots():
         root_of_unity_log(CyclotomicScalar.from_rational(Fraction(1, 2)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 15, 255, 256])
+def test_root_of_unity_log_against_the_field_torsion(n):
+    # the roots of unity of Q(zeta_n) are the +-zeta_n^k, lcm(2, n) of them;
+    # each is logged once and zeta_M^e, built in Q(zeta_M), equals it
+    roots = {}
+    for sign in (1, -1):
+        for k in range(n):
+            u = CyclotomicScalar.zeta(n, k) * sign
+            roots[u.num, u.den] = u
+    assert len(roots) == math.lcm(2, n)
+    exponents = []
+    for u in roots.values():
+        m, e = root_of_unity_log(u)
+        assert m == len(roots) and CyclotomicScalar.zeta(m, e) == u
+        exponents.append(e)
+    assert sorted(exponents) == list(range(len(roots)))
+    for non_root in (CyclotomicScalar.from_rational(Fraction(1, 2), n),
+                     CyclotomicScalar.zeta(n) * 2):
+        with pytest.raises(ValueError):
+            root_of_unity_log(non_root)
+
+
 # -- the integer representation, on seeded random elements --------------------
 
 CONDUCTORS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24]

@@ -124,13 +124,40 @@ def test_induced_cyclic_data(build, expected):
     assert (data.m, data.q) == expected
 
 
-def test_induced_cyclic_data_conjugation_invariant():
-    # conjugate a diagonal action by the exact Hadamard matrix
+def _hadamard():
+    """The exact Hadamard matrix, over Q(zeta_8)."""
     s = (_zeta(8) - _zeta(8, 3)) * CyclotomicScalar.from_rational("1/2")
-    h = UMat2([[s, s], [s, -1 * s]])
-    g = h @ UMat2.diagonal(_zeta(4), _zeta(4, 3)) @ h.inverse()
-    data = induced_cyclic_data(generate_group([g]))
-    assert (data.m, data.q) == (4, 3)
+    return UMat2([[s, s], [s, -1 * s]])
+
+
+def _su2_over_q_zeta3():
+    """[[(1 - w)/2, -1/2], [1/2, (1 - conj w)/2]] in SU(2), w = zeta_3: its
+    entries stay in the odd-conductor field Q(zeta_3)."""
+    half = CyclotomicScalar.from_rational("1/2")
+    return UMat2([[(1 - _zeta(3)) * half, -1 * half],
+                  [half, (1 - _zeta(3, 2)) * half]])
+
+
+@pytest.mark.parametrize("basis,diagonal,conductor,expected", [
+    (_hadamard, lambda: UMat2.diagonal(_zeta(4), _zeta(4, 3)), 8, (4, 3)),
+    # over Q(zeta_3), -1 is no power of w = zeta_3: the eigenvalues -w^k
+    # are logged in zeta_6
+    (_su2_over_q_zeta3, lambda: UMat2.diagonal(_zeta(3), _zeta(3, 2)), 3, (3, 2)),
+    (_su2_over_q_zeta3, lambda: UMat2.diagonal(_zeta(3), _zeta(3)), 3, (3, 1)),
+    (_su2_over_q_zeta3, lambda: UMat2.diagonal(-1 * _zeta(3), -1 * _zeta(3, 2)), 3, (6, 5)),
+    (_su2_over_q_zeta3, lambda: UMat2.diagonal(-1 * _zeta(3, 2), -1 * _zeta(3, 2)), 3, (6, 1)),
+    # q = 2 is not its own inverse mod 5: the eigenvalue met first in
+    # `roots_of_unity(15)`, zeta_5 = zeta_15^3, becomes the first axis
+    (_su2_over_q_zeta3, lambda: UMat2.diagonal(_zeta(5, 2), _zeta(5)), 15, (5, 2)),
+], ids=["hadamard-i-i3", "zeta3-w-w2", "zeta3-w-w", "zeta3-minus-w-w2", "zeta3-minus-w2-w2",
+        "zeta15-z5^2-z5"])
+def test_induced_cyclic_data_conjugation_invariant(basis, diagonal, conductor, expected):
+    # conjugating a diagonal action by a unitary change of basis keeps (m, q)
+    h = basis()
+    G = generate_group([h @ diagonal() @ h.inverse()])
+    assert G.conductor == conductor
+    data = induced_cyclic_data(G)
+    assert (data.m, data.q) == expected
 
 
 def test_induced_cyclic_data_unsupported_cases():

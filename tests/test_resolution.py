@@ -95,8 +95,10 @@ def test_exceptional_betti_unsupported():
     swap = UMat2([[zero, one], [one, zero]])
     G = generate_group([UMat2.diagonal(CyclotomicScalar.zeta(4),
                                        CyclotomicScalar.zeta(4, 3)), swap])
-    with pytest.raises(Unsupported):
+    with pytest.raises(Unsupported) as exc:
         exceptional_betti(G)
+    assert exc.value.reason == "non-abelian group with determinants outside {1}"
+    assert exc.value.info == {"order": 8, "abelian": False}
 
 
 def test_resolution_betti_mapping_torus():
