@@ -51,8 +51,16 @@ class CosetGroup:
         return len(self.table)
 
     def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.table[i][j] == self.table[j][i] for i in range(n) for j in range(i))
+        """Whether generators commute pairwise: the generating set is taken
+        greedily in index order, each element not yet in the subgroup the
+        earlier ones generate joining it, so it has at most log2 |G| members."""
+        gens, span = [], {0}
+        for i in range(self.order):
+            if i not in span:
+                gens.append(i)
+                span = self.subgroup_generated(gens)
+        t = self.table
+        return all(t[g][h] == t[h][g] for k, g in enumerate(gens) for h in gens[:k])
 
     def element_order(self, i: int) -> int:
         k, x = 1, i

@@ -146,16 +146,10 @@ def _on_orbits(u_radii, v_radii, pairs: int) -> list:
 
 def closedness_probe() -> list:
     """Points of CHART fixed whatever the certification grid: the orbits of
-    its 5^4 grid with |v| >= v_min, and the ring |v| = v_min, where
-    derivatives peak, each at two angle pairs; 72 points.  The grid's
-    circles are taken as the radii hypot(x, y) over its nonnegative axis,
-    each once: x^2 + y^2 over the whole grid, as CHART.factors sums it,
-    splits some circles in two by rounding."""
-    def radii(half):
-        axis = linspace(0.0, half, 3)
-        return [math.hypot(x, y) for i, x in enumerate(axis) for y in axis[i:]]
-    v_min = CHART.tail_min
-    return _on_orbits(radii(CHART.head), [r for r in radii(CHART.tail) if r >= v_min] + [v_min], 2)
+    its 5^4 grid with |v| >= v_min (CHART.factors), and the ring |v| =
+    v_min, where derivatives peak, each at two angle pairs; 72 points."""
+    heads, tails = ([math.hypot(*point) for _, point in f] for f in CHART.factors(5))
+    return _on_orbits(heads, tails + [CHART.tail_min], 2)
 
 
 def overlap_probe() -> list:

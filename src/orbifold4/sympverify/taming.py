@@ -118,14 +118,17 @@ def linspace(start: float, stop: float, n: int) -> list:
     return out
 
 
-def circles(axis) -> list:
-    """The circles x^2 + y^2 of the plane grid axis^2, each with its first
-    grid point (x, y), in grid order: the torus orbits of one plane."""
-    first = {}
-    for x in axis:
-        for y in axis:
-            first.setdefault(x * x + y * y, (x, y))
-    return list(first.items())
+def circles(half: float, n: int) -> list:
+    """The circles of the plane grid linspace(-half, half, n)^2 as (s, first
+    grid point (x, y)), in grid order, with s = x^2 + y^2 at that point: the
+    torus orbits of one plane.  The axis holds x_i = half (2i - n + 1)/(n - 1),
+    so a circle is told apart by its exact integer radius (2i - n + 1)^2 +
+    (2j - n + 1)^2, and rounding never splits one circle in two."""
+    axis, squares, first = linspace(-half, half, n), [(2 * i - n + 1) ** 2 for i in range(n)], {}
+    for x, kx in zip(axis, squares):
+        for y, ky in zip(axis, squares):
+            first.setdefault(kx + ky, (x, y))
+    return [(x * x + y * y, (x, y)) for x, y in first.values()]
 
 
 class OrbitRegion(namedtuple("OrbitRegion", "head tail line tail_min inner outer",
@@ -136,7 +139,9 @@ class OrbitRegion(namedtuple("OrbitRegion", "head tail line tail_min inner outer
     does not depend on y1, the points s = x1 of [-head, head] at y1 =
     axis[0].  The tail's orbits are the circles t = x2^2 + y2^2 of [-tail,
     tail]^2 with sqrt(t) >= tail_min.  With outer set, the region keeps the
-    orbits with inner <= sqrt(s + t) <= outer, so it holds whole orbits."""
+    orbits with inner <= sqrt(s + t) <= outer.  Each orbit is one (s, t),
+    read at its first grid point (circles), and is kept or dropped once on
+    those floats, so the region holds whole orbits."""
 
     __slots__ = ()
 
@@ -160,10 +165,13 @@ class OrbitRegion(namedtuple("OrbitRegion", "head tail line tail_min inner outer
     def factors(self, n: int):
         """The head's and the tail's (orbit coordinate, first grid point) that
         meet the region, in grid order."""
-        axis = linspace(-self.head, self.head, n)
-        heads = [(x, (x, axis[0])) for x in axis] if self.line else circles(axis)
-        floor, tail_axis = self.tail_min ** 2, linspace(-self.tail, self.tail, n)
-        tails = [c for c in circles(tail_axis) if c[0] >= floor]
+        if self.line:
+            axis = linspace(-self.head, self.head, n)
+            heads = [(x, (x, axis[0])) for x in axis]
+        else:
+            heads = circles(self.head, n)
+        floor = self.tail_min ** 2
+        tails = [c for c in circles(self.tail, n) if c[0] >= floor]
         if self.outer is not None:
             heads, tails = ([c for c in f if math.sqrt(c[0]) <= self.outer] for f in (heads, tails))
         return heads, tails

@@ -213,15 +213,40 @@ def cube_grid(*axes):
     return out.reshape(-1, len(axes))
 
 
+def plane_circles(half: float, n: int):
+    """The plane grid linspace(-half, half, n)^2 as (n^2, 2) points in grid
+    order, and the index into it of the first point of each point's circle.
+    A circle is told apart by its exact integer radius round(x (n - 1)/half)^2
+    + round(y (n - 1)/half)^2, since the axis holds x_i = half (2i - n + 1)/
+    (n - 1), so two copies of one circle whose x^2 + y^2 differ by rounding
+    share their first point."""
+    axis = np.linspace(-half, half, n)
+    plane = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    index = np.rint(plane * ((n - 1) / half)).astype(np.int64)
+    _, at, inverse = np.unique((index * index).sum(axis=1), return_index=True,
+                               return_inverse=True)
+    return plane, at[inverse.ravel()]
+
+
+def _first_squares(half: float, n: int):
+    """x^2 + y^2 at the first point of each point's circle, over the plane
+    grid of plane_circles in grid order: the orbit coordinate the walk reads."""
+    plane, first = plane_circles(half, n)
+    return (plane[:, 0] * plane[:, 0] + plane[:, 1] * plane[:, 1])[first]
+
+
 def ball_grid(radius: float, n: int, inner: float = 0.0):
     """The points of the n^4 cubic grid of [-radius, radius]^4 whose torus
-    orbit (s, t) = (|z|^2, |w|^2) has inner <= sqrt(s + t) <= radius, as
-    (N, 4) points in grid order."""
+    orbit (s, t) = (|z|^2, |w|^2), read at the first grid point of each
+    circle, has inner <= sqrt(s + t) <= radius, as (N, 4) points in grid
+    order: the orbit rule of OrbitRegion.walk, so whole orbits are kept."""
     axis = np.linspace(-radius, radius, n)
     pts = cube_grid(axis, axis, axis, axis)
-    # without np.linalg.norm's (N, 4) array of squares
-    x = pts.T
-    r = np.sqrt((x[0] * x[0] + x[1] * x[1]) + (x[2] * x[2] + x[3] * x[3]))
+    # the point of plane indices (p, q) is pts[p n^2 + q]; no (N, 4) array of
+    # squares is built
+    s = _first_squares(radius, n)
+    r = np.add.outer(s, s).ravel()
+    np.sqrt(r, out=r)
     return pts[(inner <= r) & (r <= radius)]
 
 
@@ -295,12 +320,12 @@ def zero_section_density(m: int, lam: float, rho):
 
 
 def chart_grid(n: int):
-    """The n^4 grid of blowup.CHART's squares with |v| >= its floor, as (N, 4)
-    points in grid order."""
+    """The n^4 grid of blowup.CHART's squares whose v circle, read at its
+    first grid point, has |v| >= its floor, as (N, 4) points in grid order."""
     ax_u = np.linspace(-CHART.head, CHART.head, n)
     ax_v = np.linspace(-CHART.tail, CHART.tail, n)
     pts = cube_grid(ax_u, ax_u, ax_v, ax_v)
-    t = pts[:, 2] ** 2 + pts[:, 3] ** 2
+    t = np.tile(_first_squares(CHART.tail, n), n * n)
     return pts[t >= CHART.tail_min ** 2]
 
 
@@ -343,11 +368,9 @@ def orbit_samples(radius: float, n: int, inner: float = 0.0):
     grid of [-radius, radius]^4 with inner <= sqrt(s + t) <= radius, each the
     first grid point of its orbit, in grid order, as an (N, 4) array: the
     pairs of circles of the plane grid, head-major, each circle x^2 + y^2 at
-    the first point of the plane grid on it."""
-    axis = np.linspace(-radius, radius, n)
-    plane = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    _, at = np.unique(plane[:, 0] * plane[:, 0] + plane[:, 1] * plane[:, 1], return_index=True)
-    first = plane[np.sort(at)]
+    the first point of the plane grid on it (plane_circles)."""
+    plane, at = plane_circles(radius, n)
+    first = plane[np.unique(at)]
     r2 = first[:, 0] * first[:, 0] + first[:, 1] * first[:, 1]
     r = np.sqrt(r2[:, None] + r2)
     heads, tails = np.nonzero((inner <= r) & (r <= radius))

@@ -191,6 +191,31 @@ def _quaternion8_times_zeta3():
                            UMat2.diagonal(_zeta(12, 4), _zeta(12, 4))])
 
 
+def _center_quotient(build):
+    """build()'s group over its elements of order at most 2: the center {+-1}
+    of Q8 and of BD4."""
+    def quotient():
+        G = build()
+        return G.quotient_by({i for i in range(G.order) if G.element_order(i) <= 2})
+    return quotient
+
+
+@pytest.mark.parametrize("build,abelian", [
+    (_c4xc4, True),
+    (_quaternion8, False),
+    (_binary_dihedral4, False),
+    (_quaternion8_times_zeta3, False),
+    (_center_quotient(_quaternion8), True),  # the Klein four
+    (_center_quotient(_binary_dihedral4), False),  # the dihedral group of order 8
+])
+def test_is_abelian_is_the_all_pairs_definition(build, abelian):
+    # a greedy generating set commutes pairwise exactly when every pair does
+    G = build()
+    t = G.table
+    assert all(t[i][j] == t[j][i] for i in range(G.order) for j in range(i)) == abelian
+    assert G.is_abelian() == abelian
+
+
 @pytest.mark.parametrize("build,order,classes", [
     (_c4xc4, 16, 16),
     (_binary_dihedral4, 16, 7),

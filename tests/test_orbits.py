@@ -29,23 +29,19 @@ def _samples(region, n):
 
 def _cube(n):
     ax = np.linspace(-0.25, 0.25, n)
-    return _samples(OrbitRegion.cube(0.25), n), cube_grid(ax, ax, ax, ax)
-
-
-def _chart(n):
-    return _samples(CHART, n), chart_grid(n)
+    return cube_grid(ax, ax, ax, ax)
 
 
 def _ball(radius, inner):
-    return lambda n: (_samples(OrbitRegion.ball(inner, radius), n), ball_grid(radius, n, inner))
+    return OrbitRegion.ball(inner, radius), lambda n: ball_grid(radius, n, inner)
 
 
-# the regions the commands build: the tameness cube, the blow-up chart grid,
-# and the balls and annuli on which glue_forms checks omega1, sizes delta
-# and certifies the glued form; each against its whole 4-D grid
+# the regions the commands build, each with its whole 4-D grid: the
+# tameness cube, the blow-up chart grid, and the balls and annuli on which
+# glue_forms checks omega1, sizes delta and certifies the glued form
 REGIONS = {
-    "cube": _cube,
-    "chart": _chart,
+    "cube": (OrbitRegion.cube(0.25), _cube),
+    "chart": (CHART, chart_grid),
     "inner-ball": _ball(PROBLEM.eps1 * 0.999, 0.0),
     "middle-annulus": _ball(PROBLEM.eps2, PROBLEM.eps1),
     "outer-annulus": _ball(PROBLEM.eps3, PROBLEM.eps2 * (1 + 1e-9)),
@@ -53,28 +49,92 @@ REGIONS = {
 }
 
 
-def _orbit(kind, p):
-    """A point's orbit: (x1, r^2) in the cube, whose forms do not depend on
-    y1, and (|z|^2, |w|^2) elsewhere."""
-    fibre = p[2] * p[2] + p[3] * p[3]
-    return (p[0], fibre) if kind == "cube" else (p[0] * p[0] + p[1] * p[1], fibre)
+def _orbit(region, n, p):
+    """A point's orbit: (x1, t) in the cube, whose forms do not depend on y1,
+    and (s, t) elsewhere, each circle of a plane [-h, h]^2 told by its exact
+    integer radius round(x (n - 1)/h)^2 + round(y (n - 1)/h)^2."""
+    def circle(x, y, half):
+        scale = (n - 1) / half
+        return round(x * scale) ** 2 + round(y * scale) ** 2
+    fibre = circle(p[2], p[3], region.tail)
+    return (p[0], fibre) if region.line else (circle(p[0], p[1], region.head), fibre)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 @pytest.mark.parametrize("kind", sorted(REGIONS))
 def test_orbit_samples_are_the_first_point_of_each_orbit_of_the_region(kind, n):
-    samples, region = REGIONS[kind](n)
+    orbit_region, whole = REGIONS[kind]
+    samples, region = _samples(orbit_region, n), whole(n)
     index = {p: i for i, p in enumerate(map(tuple, region.tolist()))}
     first = {}
     for i, p in enumerate(region.tolist()):
-        first.setdefault(_orbit(kind, p), i)
+        first.setdefault(_orbit(orbit_region, n, p), i)
     at = [index.get(p) for p in map(tuple, samples.tolist())]
-    keys = [_orbit(kind, p) for p in samples.tolist()]
+    keys = [_orbit(orbit_region, n, p) for p in samples.tolist()]
     assert None not in at  # every sample is a point of the region
     assert at == sorted(set(at))  # in grid order, each once
     assert len(set(keys)) == len(keys)  # one per orbit
     assert set(keys) == set(first)  # and every orbit of the region
     assert at == sorted(first.values())  # each the first grid point of its orbit
+
+
+def _radii_apart(factor) -> bool:
+    """Whether no two orbit coordinates of a factor agree to 1e-12 relative."""
+    values = sorted(s for s, _ in factor)
+    return all(b - a > 1e-12 * max(abs(a), abs(b)) for a, b in zip(values, values[1:]))
+
+
+def test_each_circle_is_one_orbit():
+    # a circle is told apart by its exact integer radius, so rounding in x^2
+    # + y^2 splits none: a 24-point axis has 64 circles of distinct x^2 +
+    # y^2, one of them below the chart's |v| floor, where float keys read
+    # 116 x 144; the cube's fibre at grid 21 has 61
+    assert tuple(map(len, CHART.factors(24))) == (64, 63)
+    assert tuple(map(len, CHART.factors(5))) == (6, 5)
+    assert len(OrbitRegion.cube(0.25).factors(21)[1]) == 61
+    for n in range(2, 41):
+        for region in (CHART, OrbitRegion.cube(0.25), OrbitRegion.ball(PROBLEM.eps1, 1.0)):
+            assert all(map(_radii_apart, region.factors(n))), (region, n)
+
+
+@pytest.mark.parametrize("delta2", [0.2246, 0.2351])
+def test_the_cube_orbit_count_does_not_depend_on_its_side(capsys, delta2):
+    # 24 x1 points times 64 fibre circles, whatever delta2 rounds to
+    main(["verify", "tameness", "--model", "flat", "--delta2", str(delta2), "--grid", "24",
+          "--json"])
+    assert json.loads(capsys.readouterr().out)["results"]["certificate"]["orbits"] == 1536
+
+
+def _counting_quotient(monkeypatch, module) -> list:
+    """Count the calls of module's taming quotient."""
+    calls, quotient = [], module.quotient
+
+    def counted(*args):
+        calls.append(None)
+        return quotient(*args)
+    monkeypatch.setattr(module, "quotient", counted)
+    return calls
+
+
+def test_the_blowup_certificate_evaluates_one_quotient_per_orbit(monkeypatch):
+    # 64 x 63 circle pairs at grid 24, where float keys made 16,704
+    from orbifold4.sympverify import blowup
+    calls = _counting_quotient(monkeypatch, blowup)
+    assert blowup_model_check(3, 0.4322, 24).certificate.orbits == len(calls) == 4032
+
+
+def test_the_gluing_evaluates_one_quotient_per_orbit(monkeypatch):
+    # the middle annulus, the outer annulus and the ball at grid 22, each
+    # orbit once: the oracle's exact orbits, and 841 in the ball where float
+    # keys made 7,336
+    from orbifold4.sympverify import forms
+    calls = _counting_quotient(monkeypatch, forms)
+    e1, e2, e3 = PROBLEM.eps1, PROBLEM.eps2, PROBLEM.eps3
+    _, cert = glue_forms(PROBLEM, grid_n=22)
+    regions = [orbit_samples(e2, 22, e1), orbit_samples(e3, 22, e2 * (1 + 1e-9)),
+               orbit_samples(e3, 22, 1e-6)]
+    assert len(calls) == sum(map(len, regions)) == 1974
+    assert cert.orbits == len(regions[-1]) == 841
 
 
 MODEL_FILE = str(pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -129,11 +189,11 @@ def _model(resolved=False, **connection):
 
 CONNECTION = {"nu": (0.05, -0.08), "kappa": 0.4}
 CERTIFICATES = {
-    "flat": (_model(), _cube),
-    "connection": (_model(**CONNECTION), _cube),
-    "connection-resolved": (_model(resolved=True, **CONNECTION), _cube),
-    "blowup-m2": (numpy_chart_form(2, 0.1), REGIONS["chart"]),
-    "blowup-m3": (numpy_chart_form(3, 0.4322), REGIONS["chart"]),
+    "flat": (_model(), "cube"),
+    "connection": (_model(**CONNECTION), "cube"),
+    "connection-resolved": (_model(resolved=True, **CONNECTION), "cube"),
+    "blowup-m2": (numpy_chart_form(2, 0.1), "chart"),
+    "blowup-m3": (numpy_chart_form(3, 0.4322), "chart"),
 }
 
 
@@ -145,8 +205,9 @@ def _assert_same_certificate(got, want):
 @pytest.mark.parametrize("n", range(6, 13))
 @pytest.mark.parametrize("kind", sorted(CERTIFICATES))
 def test_orbit_certificate_matches_the_whole_grid(kind, n):
-    form, region = CERTIFICATES[kind]
-    samples, grid = region(n)
+    form, kind = CERTIFICATES[kind]
+    region, whole = REGIONS[kind]
+    samples, grid = _samples(region, n), whole(n)
     got = tameness_min(form, samples)
     assert got.orbits == len(samples) < len(grid)
     _assert_same_certificate(got, tameness_min(form, grid))
@@ -160,7 +221,7 @@ def test_float_blowup_certificate_matches_the_numpy_forms_on_the_whole_grid(m, l
     got = blowup_model_check(m, lam, grid_n=n).certificate
     grid = chart_grid(n)
     want = tameness_min(numpy_chart_form(m, lam), grid)
-    assert got.orbits == len(REGIONS["chart"](n)[0]) < len(grid)
+    assert got.orbits == len(_samples(CHART, n)) < len(grid)
     assert got.tame == want.tame
     _assert_same_certificate(got, want)
 

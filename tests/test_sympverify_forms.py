@@ -130,10 +130,20 @@ def test_ball_grid_geometry():
                                             (1.0, 7, 1e-3), (0.25, 15, 0.0)])
 def test_ball_grid_keeps_the_points_whose_orbit_lies_in_the_region(radius, n, inner):
     # the orbit rule: inner <= sqrt(s + t) <= radius, with s = x1^2 + y1^2 and
-    # t = x2^2 + y2^2, so a torus orbit is kept or dropped as a whole
+    # t = x2^2 + y2^2 read at the first grid point of each circle, a circle
+    # told by its exact integer radius, so a torus orbit is kept or dropped
+    # as a whole even where its points' own x^2 + y^2 differ by rounding
     axis = np.linspace(-radius, radius, n)
     pts = cube_grid(axis, axis, axis, axis)
-    keep = [inner <= math.sqrt((x1 * x1 + y1 * y1) + (x2 * x2 + y2 * y2)) <= radius
+    first = {}
+    for x in axis.tolist():
+        for y in axis.tolist():
+            key = round(x * (n - 1) / radius) ** 2 + round(y * (n - 1) / radius) ** 2
+            first.setdefault(key, x * x + y * y)
+
+    def square(x, y):
+        return first[round(x * (n - 1) / radius) ** 2 + round(y * (n - 1) / radius) ** 2]
+    keep = [inner <= math.sqrt(square(x1, y1) + square(x2, y2)) <= radius
             for x1, y1, x2, y2 in pts.tolist()]
     assert np.array_equal(ball_grid(radius, n, inner), pts[keep])
 
@@ -215,7 +225,7 @@ def _traced_peak(fn):
     (lambda: glue_forms(pipeline_problem(), grid_n=24), 2.5),
 ], ids=["blowup-24", "exceptional-area", "gluing-24"])
 def test_certification_peak_memory(call, limit_mb):
-    # one block of temporaries beyond the samples: the blow-up's 16,704
+    # one block of temporaries beyond the samples: the blow-up's 4,032
     # orbits are a few blocks, and the area's 16 nodes peak below 1 kB
     assert _traced_peak(call) < limit_mb * 2 ** 20
 

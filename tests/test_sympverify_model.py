@@ -182,7 +182,9 @@ def test_float_certificate_matches_the_4x4_forms_on_the_whole_grid(m, a, connect
     want = tameness_min(lambda q: eval_omega_a(model, q, resolved=resolved), grid)
     assert abs(got.min_quotient - want.min_quotient) <= 1e-13 * abs(want.min_quotient)
     assert (got.worst_sample, got.tame) == (want.worst_sample, want.tame)
-    orbits = set(zip(grid[:, 0].tolist(), (grid[:, 2] ** 2 + grid[:, 3] ** 2).tolist()))
+    # an orbit is x1 and the exact integer radius of the (x2, y2) circle
+    index = np.rint(grid[:, 2:] * ((n - 1) / model.delta2)).astype(np.int64)
+    orbits = set(zip(grid[:, 0].tolist(), (index * index).sum(axis=1).tolist()))
     assert got.orbits == len(orbits)
 
 
