@@ -1,11 +1,10 @@
 """Numerical verification of symplectic-form constructions on local models:
-the numerical half of orbifold4, and its only package that uses numpy.
-Only its array APIs import it, when called: no submodule imports numpy on
-import.  The certificates of the local model, of the gluing and of the
-blow-up model and the pushforward check run in Python floats, so no
-command needs numpy.  Their derivatives come from `jet.Jet`, one variable
-over any scalar; the tests differentiate whole potentials with their own
-n-variable array jet, the reference for the Hessians written here by hand.
+the numerical half of orbifold4, in Python floats.  The certificates of the
+local model, of the gluing and of the blow-up model and the pushforward
+check run on floats, and no module imports numpy.  Their derivatives come
+from `jet.Jet`, one variable over any scalar; the tests differentiate whole
+potentials with their own n-variable array jet, the reference for the
+Hessians written here by hand, and read forms as 4x4 arrays only there.
 
 The public names below are resolved on first use (PEP 562), so a command
 loads only the submodules it runs."""
@@ -15,10 +14,9 @@ import importlib
 _EXPORTS = {
     "profiles": ("RadialProfile", "f_smoothing", "f_resolved", "h_ramp", "rho_bump",
                  "H_cutoff", "identity_profile"),
-    "localmodel": ("LocalModel", "OutOfDomainError", "eval_omega_a"),
+    "localmodel": ("LocalModel", "OutOfDomainError"),
     "taming": ("TamenessCertificate",),
-    "forms": ("GluingProblem", "PreconditionFailure", "glue_forms", "taming_quotients",
-              "tameness_min"),
+    "forms": ("GluingProblem", "PreconditionFailure", "glue_forms"),
     "pushforward": ("PushforwardReport", "pushforward_check", "sample_points"),
     "blowup": ("BlowupReport", "blowup_model_check", "chart_form", "exceptional_area",
                "transition"),

@@ -77,8 +77,7 @@ def chart_form(m: int, lam: float):
     """The chart form at one point (x1, y1, x2, y2) as its entries above the
     diagonal, (w01, w02, w03, w12, w13, w23): w01 = c00, w23 = c11,
     w03 = Re c01 = -w12 and w02 = -Im c01 = w13, the entries of
-    (i/2) sum c_ij dz_i ^ dzbar_j, as GluingProblem.omega1 packs them.
-    Valid for v != 0."""
+    (i/2) sum c_ij dz_i ^ dzbar_j.  Valid for v != 0."""
     p = 1.0 / m
 
     def form(point):

@@ -1,14 +1,10 @@
-"""The taming quotients of arrays of 4x4 forms for J0, and the gluing,
-certified on its torus orbits in Python floats.
+"""The gluing, certified on its torus orbits in Python floats.
 
-2-forms are antisymmetric 4x4 coefficient matrices in the real coordinates
-(x1, y1, x2, y2), with complex coordinates z = x1 + i y1, w = x2 + i y2.
-The array APIs import numpy when called, and read each form's quotient
-through `taming.quotient`, the one quotient of every certificate.  The
-gluing's potential has its complex Hessian written once, at one torus
-orbit (s, t) = (|z|^2, |w|^2) in Python floats (`_hessian`): the checks
-read its taming data and build no 4x4 form, and import no numpy; omega1's
-array API packs it at each point.
+Points are (x1, y1, x2, y2), with complex coordinates z = x1 + i y1 and
+w = x2 + i y2.  The gluing's potential has its complex Hessian written
+once, at one torus orbit (s, t) = (|z|^2, |w|^2) (`_hessian`): every check
+reads its taming data through `taming.quotient`, the one quotient of every
+certificate, and builds no 4x4 form.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ import math
 from collections import namedtuple
 
 from .profiles import rho_bump
-from .taming import OrbitRegion, TamenessCertificate, certify, quotient
+from .taming import OrbitRegion, certify, quotient
 
 # glue_forms' bound on omega1's norm on the inner ball and on how far below
 # 0 its taming quotient may reach on the middle annulus
@@ -31,79 +27,13 @@ class PreconditionFailure(ValueError):
         super().__init__(message)
 
 
-def antisymmetric(w01, w02, w03, w12, w13, w23):
-    """The antisymmetric (..., 4, 4) matrix with the given entries above the
-    diagonal, which broadcast to the point shape.  Component-major: the view
-    of a (4, 4, ...) buffer, so each entry is one contiguous array, written
-    once, as is its negative below the diagonal and the zero diagonal."""
-    import numpy as np
-    upper = {(0, 1): w01, (0, 2): w02, (0, 3): w03, (1, 2): w12, (1, 3): w13, (2, 3): w23}
-    buf = np.empty((4, 4) + np.broadcast_shapes(*(np.shape(w) for w in upper.values())))
-    for (i, j), w in upper.items():
-        buf[i, j] = w
-        np.negative(buf[i, j], out=buf[j, i, ...])
-    for i in range(4):
-        buf[i, i] = 0.0
-    return np.moveaxis(buf, (0, 1), (-2, -1))
-
-
-def pack(form, points):
-    """form at each of a numpy array of points of shape (..., 4), as
-    antisymmetric (..., 4, 4) matrices; form maps a point (x1, y1, x2, y2)
-    of Python floats to its six entries above the diagonal."""
-    import numpy as np
-    p = np.asarray(points, dtype=float)
-    if p.shape[-1] != 4:
-        raise ValueError("points must have 4 coordinates")
-    entries = np.array([form(q) for q in p.reshape(-1, 4).tolist()])
-    return antisymmetric(*entries.T.reshape((6,) + p.shape[:-1]))
-
-
-def taming_quotients(forms):
-    """Smallest eigenvalue of S = (1/2)(Omega J0 + (Omega J0)^T) per sample
-    of a (..., 4, 4) array of antisymmetric forms Omega, in closed form.
-
-    S commutes with J0, so in the unitary frame (e1, J0 e1, e3, J0 e3) it is
-    the realification of the Hermitian block [[a, beta], [conj(beta), d]],
-    and each of its two eigenvalues appears twice:
-
-        a = Omega01,   d = Omega23,
-        |beta| = hypot((Omega21 + Omega03)/2, (Omega31 - Omega02)/2),
-
-    whose smaller eigenvalue taming.quotient takes, sample by sample.
-    Neither Omega J0 nor S is formed, and no eigensolver runs.  Every model
-    here is written in holomorphic coordinates, so J0 is the only complex
-    structure read.
-    """
-    import numpy as np
-    f = np.asarray(forms, dtype=float)
-    b = np.hypot(0.5 * f[..., 2, 1] + 0.5 * f[..., 0, 3], 0.5 * f[..., 3, 1] - 0.5 * f[..., 0, 2])
-    a, d = f[..., 0, 1], f[..., 2, 3]
-    return np.fromiter(map(quotient, a.ravel().tolist(), d.ravel().tolist(), b.ravel().tolist()),
-                       float, count=b.size).reshape(b.shape)
-
-
-def tameness_min(form_eval, points, region: str = "", grid: str = "") -> TamenessCertificate:
-    """The certificate (taming.certify) of the taming quotients of the forms
-    form_eval gives at an (N, 4) array of samples, for J0, evaluated once
-    over the whole array.  The commands certify from their taming data; this
-    is their reference over 4x4 forms."""
-    import numpy as np
-    p = np.asarray(points, dtype=float).reshape(-1, 4)
-    return certify(zip(p.tolist(), taming_quotients(form_eval(p)).tolist()), region, grid)
-
-
-# -- gluing -----------------------------------------------------------------
-
-
 class GluingProblem(namedtuple("GluingProblem", "eps1 eps2 eps3 h g description",
                                defaults=("",))):
     """Radii 0 < eps1 < eps2 < eps3, and omega1 the form of the potential
     phi1(s, t) = h(s + g(t)) of (s, t) = (|z|^2, |w|^2): h a profile defined
     by its rule (RadialProfile.of_rule), g a RadialProfile.  The cutoff rho
-    is rho_bump(eps2, eps3): 1 below eps2, 0 above eps3.  omega1 and rho
-    are array APIs for cross-checks; glue_forms reads h's rule and g's
-    float jets."""
+    is rho_bump(eps2, eps3): 1 below eps2, 0 above eps3.  glue_forms reads
+    h's rule, g's float jets and rho's rule."""
 
     __slots__ = ()
 
@@ -112,23 +42,6 @@ class GluingProblem(namedtuple("GluingProblem", "eps1 eps2 eps3 h g description"
         if not 0 < self.eps1 < self.eps2 < self.eps3:
             raise ValueError("need 0 < eps1 < eps2 < eps3")
         return self
-
-    @property
-    def omega1(self):
-        """omega1 at a numpy array of points of shape (..., 4), as
-        antisymmetric (..., 4, 4) matrices: at each point, the form
-        (i/2) sum c_ij dz_i ^ dzbar_j of _hessian's complex Hessian, with
-        c01 = conj(z) w phi_st, whose entries above the diagonal are
-        w01 = c00, w23 = c11, w03 = Re c01 = -w12 and w02 = -Im c01 = w13."""
-        h, g = self.h.rule, self.g
-
-        def form(point):
-            x1, y1, x2, y2 = point
-            s, t = x1 * x1 + y1 * y1, x2 * x2 + y2 * y2
-            c00, c11, phi_st = _hessian(h, s, t, _tail_jet(g, t))
-            re, im = (x1 * x2 + y1 * y2) * phi_st, (x1 * y2 - y1 * x2) * phi_st
-            return c00, -im, re, -re, -im, c11
-        return lambda points: pack(form, points)
 
     @property
     def rho(self):

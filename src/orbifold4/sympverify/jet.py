@@ -3,13 +3,13 @@
 
 A Jet holds a value and the first and second derivative along its one
 variable, `Jet(x, 1.0, 0.0)`, and takes the arithmetic operators only: its
-scalars may be Python floats, complex numbers, numpy arrays, or any type
-that defines those operators, and constants are plain numbers.  The
-variable is taken as given, with no float() coercion.  Every command hands
-it Python floats or complex numbers: the orbit coordinates of
-`localmodel.cube_samples` and `forms._samples`, the points of `model_form`
-(an array's are read by `.tolist()`), `fixtures.pipeline_problem`'s 0.0
-and `realified_jacobian`'s complex point.  Their arithmetic raises where a
+scalars may be Python floats, complex numbers, or any type that defines
+those operators, as do the numpy arrays of the tests' oracles, and
+constants are plain numbers.  The variable is taken as given, with no
+float() coercion.  The library hands it only Python floats or complex
+numbers: the orbit coordinates of `localmodel.cube_samples` and
+`forms._samples`, the points of `model_form`, `fixtures.pipeline_problem`'s
+0.0 and `realified_jacobian`'s complex point.  Their arithmetic raises where a
 numpy scalar's would warn and return inf: ZeroDivisionError for 0.0 ** -p
 and OverflowError for an overflowing power, which
 `localmodel._derivatives` reads as NaN.  A variable may take a complex

@@ -5,10 +5,8 @@ Coordinates are (x1, y1, x2, y2): (x1, y1) on the base disc/torus, (x2, y2)
 on the fiber, r^2 = x2^2 + y2^2.  The connection 1-form is
 eta = dtheta + pi*nu with nu = nu1 dx1 + (nu2 + kappa*x1) dy1, so
 d(eta) = kappa dx1^dy1.  `model_form` writes the smoothed form once, at one
-point in Python floats, as do the taming data and the cube's certificate;
-`eval_omega_a` packs its entries at numpy arrays of points of shape
-(..., 4) as antisymmetric 4x4 coefficient matrices, and imports numpy when
-called.
+point in Python floats, as its entries above the diagonal, and the taming
+data and the cube's certificate read the same coefficients (`_coefficients`).
 """
 
 from __future__ import annotations
@@ -92,13 +90,6 @@ def model_form(model: LocalModel, resolved: bool = False):
         n2 = scale * (nu2 + kappa * x1)
         return base, -vert * x2 * n1, -vert * y2 * n1, -vert * x2 * n2, -vert * y2 * n2, vert
     return form
-
-
-def eval_omega_a(model: LocalModel, points, resolved: bool = False):
-    """model_form at each of a numpy array of points of shape (..., 4), as
-    antisymmetric (..., 4, 4) matrices."""
-    from .forms import pack
-    return pack(model_form(model, resolved), points)
 
 
 def _derivatives(profile, x: float):

@@ -3,12 +3,12 @@
 A profile's function is written over plain values and one-variable jets
 (`jet.Jet`) alike: values are read off a plain evaluation, and the first two
 derivatives off one evaluation on a jet, over whatever scalar its argument
-is: a Python float on every command's path, and a numpy array where a test
-reads `value`, `d1` or `d2` over a grid.  Finite differences are reserved
-for independent cross-checks.  The ramp and the bump are defined by a rule
-(`RadialProfile.of_rule`) from the smoothstep's rule in `jet`: their jets
-apply it, and a float path reads value and derivatives off `rule` without
-building a jet.
+is: a Python float everywhere in the library, and a numpy array where a
+test's oracle reads `value`, `d1` or `d2` or a jet over a grid.  Finite
+differences are reserved for independent cross-checks.  The ramp and the
+bump are defined by a rule (`RadialProfile.of_rule`) from the smoothstep's
+rule in `jet`: their jets apply it, and a float path reads value and
+derivatives off `rule` without building a jet.
 """
 
 from __future__ import annotations

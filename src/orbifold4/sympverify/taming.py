@@ -1,9 +1,9 @@
 """Tameness certificates in Python floats: the record and its tolerances,
 the taming quotient of one sample from its 2x2 Hermitian block, the
 reduction of a grid's quotients to a certificate, np.linspace's grid axis
-and the orbit region every certificate samples and labels.  Imports no
-numpy.  `quotient` is the one taming quotient of every certificate, `forms`'
-reading of 4x4 forms included, and every certificate is reduced by `certify`.
+and the orbit region every certificate samples and labels.  `quotient` is
+the one taming quotient of every certificate, and every certificate is
+reduced by `certify`.
 """
 
 from __future__ import annotations

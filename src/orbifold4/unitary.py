@@ -78,10 +78,6 @@ class UMat2:
     def __repr__(self) -> str:
         return f"UMat2({self.entries!r})"
 
-    def to_complex(self):
-        import numpy as np
-        return np.array([[self.entries[i][j].to_complex() for j in range(2)] for i in range(2)])
-
     def to_json(self) -> list:
         return [[self.entries[i][j].to_json() for j in range(2)] for i in range(2)]
 

@@ -1,9 +1,13 @@
 """Reference implementations for the tests, the independent cross-checks
-of orbifold4.sympverify: the automatic-differentiation oracle, a jet in n
-variables over numpy arrays (`ArrayJet`) and the Kähler forms (i/2) ddbar of
-potentials in (|z|^2, |w|^2) read off it (`invariant_potential_form`,
-`form_from_hermitian`), the reference for the complex Hessians that the
-local model, the gluing and the blow-up write by hand; the complex Hessian
+of orbifold4.sympverify: forms over numpy arrays as antisymmetric 4x4
+matrices (`antisymmetric`, `pack`, the local model's `eval_omega_a`), their
+taming quotients and certificate (`taming_quotients`, `tameness_min`), the
+reference for the certificates' taming data in floats; the
+automatic-differentiation oracle, a jet in n variables over numpy arrays
+(`ArrayJet`) and the Kähler forms (i/2) ddbar of potentials in (|z|^2,
+|w|^2) read off it (`invariant_potential_form`, `form_from_hermitian`), the
+reference for the complex Hessians that the local model, the gluing and
+the blow-up write by hand; the complex Hessian
 of a potential and its Kähler form by central differences, and the exterior
 derivative of a form by central differences; the exact taming quotient of a
 form's entries; the primitive beta of the flat form and d(rho(r) beta) from
@@ -15,7 +19,7 @@ profiles composed from clip, the reference for jet.smoothstep_rule; and the
 blow-up chart model over numpy arrays (its potential written over array
 jets and its 4-D chart grid), the reference for blowup's float arithmetic;
 and the standard symplectic form OMEGA0, complex structure J0 and
-realification of R^4 = C^2."""
+realification of R^4 = C^2, with the complex matrix of an exact UMat2."""
 
 import math
 from decimal import Decimal, localcontext
@@ -24,8 +28,9 @@ from fractions import Fraction
 import numpy as np
 
 from orbifold4.sympverify.blowup import CHART
-from orbifold4.sympverify.forms import GLUING_TOL, PreconditionFailure, antisymmetric
+from orbifold4.sympverify.forms import GLUING_TOL, PreconditionFailure
 from orbifold4.sympverify.jet import Jet, log1p_rule
+from orbifold4.sympverify.localmodel import model_form
 from orbifold4.sympverify.profiles import RadialProfile
 from orbifold4.sympverify.taming import certify, quotient
 
@@ -39,6 +44,64 @@ OMEGA0 = np.array([
     [0.0, 0.0, -1.0, 0.0],
 ])
 J0 = -OMEGA0
+
+
+def antisymmetric(w01, w02, w03, w12, w13, w23):
+    """The antisymmetric (..., 4, 4) matrix with the given entries above the
+    diagonal, which broadcast to the point shape.  Component-major: the view
+    of a (4, 4, ...) buffer, so each entry is one contiguous array, written
+    once, as is its negative below the diagonal and the zero diagonal."""
+    upper = {(0, 1): w01, (0, 2): w02, (0, 3): w03, (1, 2): w12, (1, 3): w13, (2, 3): w23}
+    buf = np.empty((4, 4) + np.broadcast_shapes(*(np.shape(w) for w in upper.values())))
+    for (i, j), w in upper.items():
+        buf[i, j] = w
+        np.negative(buf[i, j], out=buf[j, i, ...])
+    for i in range(4):
+        buf[i, i] = 0.0
+    return np.moveaxis(buf, (0, 1), (-2, -1))
+
+
+def pack(form, points):
+    """form at each of an array of points of shape (..., 4), as antisymmetric
+    (..., 4, 4) matrices; form maps a point (x1, y1, x2, y2) of Python floats
+    to its six entries above the diagonal, as the library's forms do."""
+    p = np.asarray(points, dtype=float)
+    entries = np.array([form(q) for q in p.reshape(-1, 4).tolist()])
+    return antisymmetric(*entries.T.reshape((6,) + p.shape[:-1]))
+
+
+def eval_omega_a(model, points, resolved: bool = False):
+    """localmodel.model_form at each of an array of points of shape (..., 4)."""
+    return pack(model_form(model, resolved), points)
+
+
+def taming_quotients(forms):
+    """Smallest eigenvalue of S = (1/2)(Omega J0 + (Omega J0)^T) per sample
+    of a (..., 4, 4) array of antisymmetric forms Omega, in closed form.
+
+    S commutes with J0, so in the unitary frame (e1, J0 e1, e3, J0 e3) it is
+    the realification of the Hermitian block [[a, beta], [conj(beta), d]],
+    and each of its two eigenvalues appears twice:
+
+        a = Omega01,   d = Omega23,
+        |beta| = hypot((Omega21 + Omega03)/2, (Omega31 - Omega02)/2),
+
+    whose smaller eigenvalue taming.quotient takes, sample by sample.
+    Neither Omega J0 nor S is formed, and no eigensolver runs."""
+    f = np.asarray(forms, dtype=float)
+    b = np.hypot(0.5 * f[..., 2, 1] + 0.5 * f[..., 0, 3], 0.5 * f[..., 3, 1] - 0.5 * f[..., 0, 2])
+    a, d = f[..., 0, 1], f[..., 2, 3]
+    return np.fromiter(map(quotient, a.ravel().tolist(), d.ravel().tolist(), b.ravel().tolist()),
+                       float, count=b.size).reshape(b.shape)
+
+
+def tameness_min(form_eval, points, region: str = "", grid: str = ""):
+    """The certificate (taming.certify) of the taming quotients of the forms
+    form_eval gives at an (N, 4) array of samples, evaluated once over the
+    whole array: the reference over 4x4 forms for the library's
+    certificates, which read taming data."""
+    p = np.asarray(points, dtype=float).reshape(-1, 4)
+    return certify(zip(p.tolist(), taming_quotients(form_eval(p)).tolist()), region, grid)
 
 
 class ArrayJet(Jet):
@@ -136,6 +199,11 @@ def phi1(problem):
 def omega1(problem):
     """A gluing problem's omega1 off the array jet of phi1, as (..., 4, 4) forms."""
     return invariant_potential_form(phi1(problem))
+
+
+def complex_matrix(g):
+    """The 2x2 complex matrix of an exact UMat2, entry by entry."""
+    return np.array([[e.to_complex() for e in row] for row in g.entries])
 
 
 def realify(c):

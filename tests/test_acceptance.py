@@ -15,10 +15,9 @@ from orbifold4 import (CyclotomicScalar, UMat2, abelianize, builtin_group,
                        generate_group, hj_resolve, induced_cyclic_data,
                        mapping_torus_pi1, molien, resolution_betti, delta_set)
 from orbifold4.invariants import invariant_dimension_bruteforce
-from fd_oracles import ball_grid, ddbar_fd, dr_beta
-from orbifold4.sympverify import (LocalModel, eval_omega_a,
-                                  blowup_model_check, glue_forms,
-                                  pushforward_check, taming_quotients, tameness_min)
+from fd_oracles import (ball_grid, ddbar_fd, dr_beta, eval_omega_a, omega1, taming_quotients,
+                        tameness_min)
+from orbifold4.sympverify import LocalModel, blowup_model_check, glue_forms, pushforward_check
 from orbifold4.sympverify.fixtures import pipeline_problem
 from orbifold4.sympverify.profiles import f_smoothing
 from orbifold4.sympverify.pushforward import sample_points
@@ -182,7 +181,7 @@ def test_criterion_09_gluing_executor():
         problem = pipeline_problem(m=2, a=0.1, eps1=e1, eps2=e2, eps3=e3)
         delta, cert = glue_forms(problem, grid_n=15)
         outer = ball_grid(e3, 15, inner=e2 * (1 + 1e-9))
-        C = float(np.min(taming_quotients(problem.omega1(outer))))
+        C = float(np.min(taming_quotients(omega1(problem)(outer))))
         drb = dr_beta(problem.rho, ball_grid(e3, 15, inner=1e-6))
         norm = float(np.max(np.linalg.norm(drb, ord=2, axis=(-2, -1))))
         ok = ok and delta * (norm + 1.0) < C and cert.tame

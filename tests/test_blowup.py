@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from fd_oracles import (chart_grid, chart_potential, ddbar_fd, exact_taming_quotient,
-                        exterior_derivative_fd, numpy_chart_form, realify, zero_section_density)
+                        exterior_derivative_fd, numpy_chart_form, realify, taming_quotients,
+                        zero_section_density)
 from orbifold4.cli import main
 from orbifold4.sympverify import blowup, jet
 from orbifold4.sympverify.blowup import (CHART, PAIRS, _base, blowup_model_check, chart_form,
                                          closedness_probe, closedness_residual, exceptional_area,
                                          gauss_legendre, overlap_probe, taming_data, transition)
-from orbifold4.sympverify.forms import taming_quotients
 from orbifold4.sympverify.jet import realified_jacobian
 from orbifold4.sympverify.taming import quotient
 

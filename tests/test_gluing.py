@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fd_oracles import (ball_grid, dbeta_residual, flat_form, glue_forms_oracle,
-                        standard_primitive)
+from fd_oracles import (ball_grid, dbeta_residual, flat_form, glue_forms_oracle, omega1,
+                        standard_primitive, taming_quotients)
 from orbifold4.sympverify import GluingProblem, RadialProfile, glue_forms, identity_profile
 from orbifold4.sympverify.fixtures import annulus_floor, pipeline_problem, smoothing_excess_max
-from orbifold4.sympverify.forms import PreconditionFailure, taming_quotients
+from orbifold4.sympverify.forms import PreconditionFailure
 from orbifold4.sympverify.profiles import H_cutoff
 
 # h(u) = u: with g the identity, the potential s + t = |p|^2 of the flat form
@@ -43,10 +43,10 @@ def test_pipeline_problem_geometry():
     prob = pipeline_problem(m=2, a=0.1)
     # omega1 really vanishes on the inner ball
     pts = ball_grid(prob.eps1 * 0.99, 9)
-    assert float(np.max(np.abs(prob.omega1(pts)))) < 1e-12
+    assert float(np.max(np.abs(omega1(prob)(pts)))) < 1e-12
     # and is nondegenerate on the outer annulus
     outer = ball_grid(prob.eps3, 9, inner=prob.eps2 * 1.001)
-    assert float(np.min(taming_quotients(prob.omega1(outer)))) > 0
+    assert float(np.min(taming_quotients(omega1(prob)(outer)))) > 0
 
 
 @pytest.mark.parametrize("a,x_max", [(0.1, 1.0), (0.1, 0.02), (0.9, 1.0),
@@ -148,7 +148,7 @@ def test_glue_forms_reports_the_worst_annulus_sample():
     base = pipeline_problem(m=2, a=0.1)
 
     mid = ball_grid(base.eps2, 9, inner=base.eps1)
-    q = taming_quotients(-base.omega1(mid))
+    q = taming_quotients(-omega1(base)(mid))
     with pytest.raises(PreconditionFailure, match="middle annulus") as exc:
         glue_forms(_negated(base), grid_n=9)
     assert exc.value.value == q.min() and exc.value.worst_sample == tuple(mid[np.argmin(q)])

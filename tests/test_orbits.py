@@ -11,13 +11,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fd_oracles import (ball_grid, chart_grid, cube_grid, d_rho_beta, dr_beta,
-                        numpy_chart_form, omega1, orbit_samples)
+from fd_oracles import (ball_grid, chart_grid, cube_grid, d_rho_beta, dr_beta, eval_omega_a,
+                        numpy_chart_form, omega1, orbit_samples, orbit_taming_data, phi1,
+                        tameness_min)
 from orbifold4.cli import main
-from orbifold4.sympverify import LocalModel, eval_omega_a
+from orbifold4.sympverify import LocalModel, forms
 from orbifold4.sympverify.blowup import CHART, blowup_model_check
 from orbifold4.sympverify.fixtures import pipeline_problem
-from orbifold4.sympverify.forms import glue_forms, tameness_min
+from orbifold4.sympverify.forms import glue_forms
 from orbifold4.sympverify.taming import OrbitRegion
 
 PROBLEM = pipeline_problem()
@@ -127,7 +128,6 @@ def test_the_gluing_evaluates_one_quotient_per_orbit(monkeypatch):
     # the middle annulus, the outer annulus and the ball at grid 22, each
     # orbit once: the oracle's exact orbits, and 841 in the ball where float
     # keys made 7,336
-    from orbifold4.sympverify import forms
     calls = _counting_quotient(monkeypatch, forms)
     e1, e2, e3 = PROBLEM.eps1, PROBLEM.eps2, PROBLEM.eps3
     _, cert = glue_forms(PROBLEM, grid_n=22)
@@ -255,31 +255,23 @@ def test_glue_forms_on_orbits_matches_the_whole_grid(name, n):
     assert abs(delta - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("n", [11, 22])
+@pytest.mark.parametrize("cutoff", [False, True], ids=["phi1", "glued"])
 @pytest.mark.parametrize("name", sorted(GLUING))
-def test_omega1_is_the_oracle_form_of_phi1(name):
-    # GluingProblem.omega1 packs the hand-written Hessian of the gluing's
-    # potential at each point; the oracle's array jet of phi1 gives every
-    # entry of the same form, the signs of the off-diagonal ones included
+def test_the_gluing_hessian_is_the_oracles_on_every_orbit(name, cutoff, n):
+    # the hand-written Hessian's taming data (a, d, |b|) per orbit of the
+    # certified ball, of phi1 and of phi1 + delta G with the cutoff's rule,
+    # against the oracle's array jet of phi1 and G's Hessian in closed form
     problem = GLUING[name]
-    pts = ball_grid(problem.eps3, 11, inner=1e-6)
-    got, want = problem.omega1(pts), omega1(problem)(pts)
-    assert got.shape == want.shape == (len(pts), 4, 4)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    # each off-diagonal entry is far from 0 somewhere, so a wrong sign shows
-    for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)):
-        assert np.max(np.abs(want[:, i, j])) > 1e-3
-
-
-def test_no_gluing_certificate_builds_a_4x4_form(monkeypatch):
-    # every check of glue_forms reads the taming data of a potential
-    from orbifold4.sympverify import forms
-
-    def refuse(*args):
-        raise AssertionError("a 4x4 form built on the gluing's certificate path")
-
-    want = glue_forms(PROBLEM, grid_n=12)
-    monkeypatch.setattr(forms, "antisymmetric", refuse)
-    assert glue_forms(PROBLEM, grid_n=12) == want
+    e3, rho = problem.eps3, problem.rho
+    delta = glue_forms(problem, grid_n=n)[0] if cutoff else 0.0
+    samples = list(forms._samples(problem, OrbitRegion.ball(1e-6, e3), n,
+                                  lambda a, d, b: (a, d, b), (delta, rho.rule if cutoff else None)))
+    points = orbit_samples(e3, n, 1e-6)
+    assert [p for p, _ in samples] == list(map(tuple, points.tolist()))
+    got = np.array([abd for _, abd in samples]).T
+    want = np.array(orbit_taming_data(phi1(problem), points, delta, rho if cutoff else None))
+    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-13 * np.max(np.abs(want), axis=1))
 
 
 def _peak(fn) -> int:

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from fd_oracles import (J0, OMEGA0, ball_grid, chart_grid, complex_hessian_fd, cube_grid,
-                        ddbar_fd, exact_taming_quotient, exterior_derivative_fd,
+                        ddbar_fd, eval_omega_a, exact_taming_quotient, exterior_derivative_fd,
                         form_from_hermitian, invariant_potential, invariant_potential_form,
-                        numpy_chart_form)
-from orbifold4.sympverify import (LocalModel, eval_omega_a, glue_forms, h_ramp, rho_bump,
-                                  taming_quotients, tameness_min)
+                        numpy_chart_form, taming_quotients, tameness_min)
+from orbifold4.sympverify import LocalModel, glue_forms, h_ramp, rho_bump
 from orbifold4.sympverify.blowup import blowup_model_check, exceptional_area
 from orbifold4.sympverify.fixtures import pipeline_problem
 from orbifold4.sympverify.profiles import f_smoothing

@@ -6,13 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from fd_oracles import OMEGA0, cube_grid, exterior_derivative_fd
-from orbifold4.sympverify import (LocalModel, OutOfDomainError,
-                                  eval_omega_a,
-                                  pushforward_check, sample_points,
-                                  tameness_min)
+from fd_oracles import (OMEGA0, antisymmetric, cube_grid, eval_omega_a, exterior_derivative_fd,
+                        tameness_min)
+from orbifold4.sympverify import LocalModel, OutOfDomainError, pushforward_check, sample_points
 from orbifold4.sympverify import localmodel
-from orbifold4.sympverify.forms import antisymmetric
 from orbifold4.sympverify.jet import PAIRS
 from orbifold4.sympverify.localmodel import _derivatives, cube_samples, model_form
 from orbifold4.sympverify.profiles import H_cutoff, RadialProfile, f_resolved, f_smoothing

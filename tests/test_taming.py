@@ -11,8 +11,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from fd_oracles import exact_taming_quotient
-from orbifold4.sympverify.forms import antisymmetric, taming_quotients
+from fd_oracles import antisymmetric, exact_taming_quotient, taming_quotients
 from orbifold4.sympverify.taming import (TAMENESS_TOL, WORST_SAMPLE_RTOL, certify, linspace,
                                           quotient)
 

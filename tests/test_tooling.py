@@ -107,21 +107,6 @@ def test_a_definition_that_only_names_itself_is_unreferenced():
     assert _unreferenced(library, others) == ["lib.py:7 orphan", "lib.py:10 Unused"]
 
 
-def _module_level_imports(path):
-    """The modules that path's import statements outside any function body
-    name: those it imports when it is imported."""
-    nodes = list(ast.parse(path.read_text(), filename=str(path)).body)
-    while nodes:
-        node = nodes.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module
-        nodes.extend(ast.iter_child_nodes(node))
-
-
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -151,14 +136,17 @@ def test_the_jet_takes_any_scalar(name):
 
 
 def test_no_module_imports_numpy_at_module_level():
-    # numpy is a test dependency only: an array API imports it when called
+    # numpy is a test dependency only: the library computes in Python floats,
+    # and its array references live in the tests, so no import statement of
+    # src/, at module level or inside a function, names numpy
     found = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
-             if any(name.split(".")[0] == "numpy" for name in _module_level_imports(path))]
+             if any(name.split(".")[0] == "numpy"
+                    for name in _imported_modules(ast.parse(path.read_text())))]
     assert found == []
 
 
 def test_exact_commands_start_without_numpy():
-    # only orbifold4.sympverify imports numpy at module level
+    # no module of the library imports numpy, so no command start loads it
     code = "import sys, orbifold4.cli; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -315,12 +303,13 @@ def test_every_public_name_still_imports_from_the_package():
 # blow-up's numpy chart_potential and chart_grid), radial_potential_form,
 # which only tests called, eval_omega0, which was eval_omega_a at a = 0, and
 # NotAlmostComplexError, since J0 is the quotient's constant, not an argument,
-# and form_from_hermitian, which only the tests' array-jet oracle reads
+# form_from_hermitian, which only the tests' array-jet oracle reads, and
+# eval_omega_a, taming_quotients and tameness_min, the 4x4 array references
+# the float certificates are compared against
 SYMPVERIFY_NAMES = """
     RadialProfile f_smoothing f_resolved h_ramp rho_bump H_cutoff identity_profile
-    LocalModel OutOfDomainError eval_omega_a
-    TamenessCertificate GluingProblem PreconditionFailure
-    glue_forms taming_quotients tameness_min
+    LocalModel OutOfDomainError
+    TamenessCertificate GluingProblem PreconditionFailure glue_forms
     PushforwardReport pushforward_check sample_points
     BlowupReport blowup_model_check chart_form exceptional_area transition
 """.split()
@@ -334,6 +323,8 @@ def test_every_sympverify_name_still_imports_from_the_package():
     assert sorted(sympverify.__all__) == sorted(SYMPVERIFY_NAMES)
     with pytest.raises(AttributeError):
         sympverify.ddbar_fd
+    with pytest.raises(AttributeError):
+        sympverify.tameness_min
 
 
 def _trace(tmp_path, argv) -> dict:
@@ -391,8 +382,9 @@ def test_tracer_counts_scalars_on_exact_commands(tmp_path):
 
 def test_traced_gluing_counts_no_tameness_min_points(tmp_path):
     # the gluing certifies from the taming data of its potentials on
-    # (|z|^2, |w|^2) orbits, so no command calls tameness_min any more and
-    # the benchmark's point counter of forms reads 0 on every workload
+    # (|z|^2, |w|^2) orbits, and tameness_min is the tests' reference, not a
+    # library function, so the benchmark's point counter of forms reads 0 on
+    # every workload
     trace = _trace(tmp_path, ("verify", "gluing", "--grid", "20"))
     assert trace["calls"]["sympverify.forms.glue_forms"] == 1
     assert "sympverify.forms.tameness_min" not in trace["calls"]
