@@ -3,9 +3,17 @@ resolution topology, and numerical certification of symplectic forms on
 local models.
 
 The public names below are resolved on first use (PEP 562), so importing
-`orbifold4` or one of its numeric submodules loads none of the exact half."""
+`orbifold4` or one of its numeric submodules loads none of the exact half.
+`SelfCheckFailed` is defined here, so that the integer code of `resolution`
+raises it without loading the cyclotomic field."""
 
 import importlib
+
+
+class SelfCheckFailed(RuntimeError):
+    """An exact internal consistency check failed: a defect of the library,
+    never a property of the input."""
+
 
 _EXPORTS = {
     "cyclotomic": ("CyclotomicScalar", "cyclotomic_polynomial", "root_of_unity_log"),
@@ -18,11 +26,11 @@ _EXPORTS = {
                    "molien", "reynolds"),
     "isotropy": ("CornerPoint", "DeltaSet", "IsolatedPoint", "OrbifoldSpec", "Surface",
                  "builtin_mapping_torus", "builtin_product", "delta_set",
-                 "load_spec", "spec_from_json", "spec_to_json", "validate_spec"),
-    "resolution": ("AbelianInvariants", "CohomologyProfile", "GroupPresentation",
-                   "HJChain", "Incomplete", "abelianize", "euler_characteristic",
-                   "exceptional_betti", "hj_resolve", "mapping_torus_pi1",
-                   "resolution_betti", "smith_normal_form"),
+                 "load_spec", "spec_from_json", "validate_spec"),
+    "resolution": ("CohomologyProfile", "HJChain", "Incomplete", "euler_characteristic",
+                   "exceptional_betti", "hj_resolve", "resolution_betti"),
+    "presentation": ("AbelianInvariants", "GroupPresentation", "abelianize",
+                     "mapping_torus_pi1", "smith_normal_form"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -169,11 +169,17 @@ def cmd_group_invariants(args) -> dict:
 
 
 def _poly_str(p) -> str:
+    """p as text: a rational coefficient n/d (lowest terms, d > 0) reads "n"
+    or "n/d", a coefficient 1 is left out, an irrational one reads "(...)"."""
     bits = []
     for (a, b), c in sorted(p.terms.items(), reverse=True):
         mono = ("z^%d" % a if a else "") + ("w^%d" % b if b else "") or "1"
-        cv = c.rational_value() if c.is_rational() else None
-        coeff = "" if cv == 1 else (str(cv) + "*" if cv is not None else "(...)" )
+        if not c.is_rational():
+            coeff = "(...)"
+        elif c.num[0] == c.den:
+            coeff = ""
+        else:
+            coeff = (f"{c.num[0]}" if c.den == 1 else f"{c.num[0]}/{c.den}") + "*"
         bits.append(coeff + mono)
     return " + ".join(bits) or "0"
 

@@ -7,21 +7,19 @@ coefficients, so reducing modulo it needs no division, and every element has
 exactly one (num, den) in its field.  The Galois automorphisms
 zeta -> zeta^k, gcd(k, N) = 1, permute the powers of zeta: complex
 conjugation is k = -1, and the inverse is the product of the other conjugates
-over the rational norm.  Floats appear only in the complex embedding
-`to_complex`.
+over the rational norm.  No float appears: the complex embedding is the
+tests' reference.  Rationals are integer pairs too, so no command imports
+`fractions`; `from_rational`, `rational_value` and `==` load it only for a
+caller that passes or asks for a `Fraction`.
 """
 
 from __future__ import annotations
 
-import cmath
+import json
 import math
-from fractions import Fraction
 from functools import lru_cache
 
-
-class SelfCheckFailed(RuntimeError):
-    """An exact internal consistency check failed: a defect of the library,
-    never a property of the input."""
+from . import SelfCheckFailed
 
 
 def _divmod_monic(poly, monic) -> tuple[list[int], list[int]]:
@@ -74,13 +72,11 @@ class CyclotomicScalar:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def _from_fractions(conductor: int, coeffs: list[Fraction]) -> "CyclotomicScalar":
-        den = math.lcm(*(c.denominator for c in coeffs))
-        return CyclotomicScalar(conductor, [c.numerator * (den // c.denominator) for c in coeffs],
-                                den)
-
-    @staticmethod
     def from_rational(q, conductor: int = 1) -> "CyclotomicScalar":
+        if type(q) is int:
+            return CyclotomicScalar(conductor, [q])
+        from fractions import Fraction
+
         q = Fraction(q)
         return CyclotomicScalar(conductor, [q.numerator], q.denominator)
 
@@ -204,24 +200,22 @@ class CyclotomicScalar:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self):
+        """The value as a `fractions.Fraction`, for a rational element."""
+        from fractions import Fraction
+
         if not self.is_rational():
             raise ValueError("not a rational number")
         return Fraction(self.num[0], self.den)
 
-    def to_complex(self) -> complex:
-        n = self.conductor
-        z = 0j
-        for k, c in enumerate(self.num):
-            if c:
-                z += (c / self.den) * cmath.exp(2j * cmath.pi * k / n)
-        return z
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicScalar.from_rational(other, self.conductor)
         if not isinstance(other, CyclotomicScalar):
-            return NotImplemented
+            if not isinstance(other, int):
+                from fractions import Fraction
+
+                if not isinstance(other, Fraction):
+                    return NotImplemented
+            other = CyclotomicScalar.from_rational(other, self.conductor)
         a, b = self._pair(other)
         return a.num == b.num and a.den == b.den
 
@@ -234,19 +228,21 @@ class CyclotomicScalar:
 
     # -- serialization ---------------------------------------------------
 
-    def to_json(self) -> dict:
-        gcds = [math.gcd(c, self.den) for c in self.num]
-        return {
-            "conductor": self.conductor,
-            "coeffs": [[c // g, self.den // g] for c, g in zip(self.num, gcds)],
-        }
-
     @staticmethod
     def from_json(obj: dict) -> "CyclotomicScalar":
-        if any(den == 0 for _, den in obj["coeffs"]):
-            raise ValueError("a coefficient [num, den] needs den != 0")
-        coeffs = [Fraction(num, den) for num, den in obj["coeffs"]]
-        return CyclotomicScalar._from_fractions(obj["conductor"], coeffs)
+        """The scalar {"conductor": N, "coeffs": [[num, den], ...]}: each
+        coefficient a pair of JSON integers, den nonzero, else a ValueError
+        naming it."""
+        coeffs = obj["coeffs"]
+        for pair in coeffs:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
+                raise ValueError(f"coefficient {json.dumps(pair)} is not a pair of integers")
+            if pair[1] == 0:
+                raise ValueError("a coefficient [num, den] needs den != 0")
+        # the constructor divides out gcd(den, *num), so den need not be least
+        den = math.lcm(*(d for _, d in coeffs))
+        return CyclotomicScalar(obj["conductor"], [n * (den // d) for n, d in coeffs], den)
 
 
 @lru_cache(maxsize=None)

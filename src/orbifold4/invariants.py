@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .cyclotomic import CyclotomicScalar, SelfCheckFailed
 from .groups import UnitaryGroup
@@ -86,7 +85,14 @@ class Poly2:
         return Poly2({(a, b - 1): c * b for (a, b), c in self.terms.items() if b > 0})
 
     def eval_complex(self, z: complex, w: complex) -> complex:
-        return sum(c.to_complex() * z ** a * w ** b for (a, b), c in self.terms.items())
+        import cmath  # the one float path of the exact half; no command runs it
+
+        def embed(c):
+            # zeta_N = exp(2 pi i / N)
+            return sum((x / c.den) * cmath.exp(2j * cmath.pi * k / c.conductor)
+                       for k, x in enumerate(c.num) if x)
+
+        return sum(embed(c) * z ** a * w ** b for (a, b), c in self.terms.items())
 
     def lex_first(self):
         """The lexicographically first monomial key (z before w)."""
@@ -103,16 +109,6 @@ class Poly2:
             mono = "".join(s for s, e in (("z^%d" % a, a), ("w^%d" % b, b)) if e)
             bits.append(f"({c!r})*{mono or '1'}")
         return " + ".join(bits)
-
-    def to_json(self) -> list:
-        return [
-            {"ze": a, "we": b, "coeff": c.to_json()}
-            for (a, b), c in sorted(self.terms.items(), reverse=True)
-        ]
-
-    @staticmethod
-    def from_json(obj: list) -> "Poly2":
-        return Poly2({(t["ze"], t["we"]): CyclotomicScalar.from_json(t["coeff"]) for t in obj})
 
 
 def sym_power(m, d: int) -> list[Poly2]:
@@ -143,7 +139,8 @@ def reynolds_matrix(G: UnitaryGroup, d: int) -> list[Poly2]:
     rows = [Poly2.zero()] * (d + 1)
     for g in G:
         rows = [r + s for r, s in zip(rows, sym_power(g, d))]
-    return [r.scale(Fraction(1, G.order)) for r in rows]
+    inv_order = CyclotomicScalar(1, [1], G.order)
+    return [r.scale(inv_order) for r in rows]
 
 
 def reynolds(G: UnitaryGroup, p: Poly2) -> Poly2:
@@ -163,7 +160,9 @@ def molien(G: UnitaryGroup, D: int) -> MolienSeries:
 
     Per element, 1/det(I - t*g) = sum h_d t^d with the complete homogeneous
     recurrence h_d = tr(g) h_{d-1} - det(g) h_{d-2}; the group average of h_d
-    is the invariant dimension and must come out a nonnegative integer.
+    is the invariant dimension and must come out a nonnegative integer:
+    each total t = num/den must be rational with num[0] divisible by
+    den |G|.
     """
     totals = [CyclotomicScalar.zero() for _ in range(D + 1)]
     for g in G:
@@ -179,10 +178,10 @@ def molien(G: UnitaryGroup, D: int) -> MolienSeries:
             h_prev2, h_prev1 = h_prev1, h
     coeffs = []
     for t in totals:
-        v = (t * Fraction(1, G.order)).rational_value()
-        if v.denominator != 1 or v < 0:
+        q, r = divmod(t.num[0], t.den * G.order)
+        if not t.is_rational() or r or q < 0:
             raise SelfCheckFailed("Molien average is not a nonnegative integer")
-        coeffs.append(int(v))
+        coeffs.append(q)
     return MolienSeries(coeffs)
 
 

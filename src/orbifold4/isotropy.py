@@ -230,14 +230,7 @@ BUILTIN_SPECS = {
 }
 
 
-# -- JSON serialization ---------------------------------------------------
-
-
-def _group_to_json(g: UnitaryGroup) -> dict:
-    return {
-        "conductor": g.conductor,
-        "generators": [gen.to_json() for gen in g.generators],
-    }
+# -- JSON reading ---------------------------------------------------------
 
 
 def _group_from_json(obj) -> UnitaryGroup:
@@ -249,29 +242,6 @@ def _group_from_json(obj) -> UnitaryGroup:
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
     return group_from_json(obj)
-
-
-def spec_to_json(spec: OrbifoldSpec) -> dict:
-    return {
-        "name": spec.name,
-        "base_betti": list(spec.base_betti),
-        "betti_provenance": list(spec.betti_provenance),
-        "isolated_points": [
-            {"label": p.label, "group": _group_to_json(p.group)} for p in spec.isolated_points
-        ],
-        "surfaces": [
-            {"label": s.label, "genus": s.genus, "m": s.m, "compact": s.compact}
-            for s in spec.surfaces
-        ],
-        "corner_points": [
-            {
-                "label": c.label,
-                "group": _group_to_json(c.group),
-                "incident_surfaces": list(c.incident_surfaces),
-            }
-            for c in spec.corner_points
-        ],
-    }
 
 
 def _labels(value):

@@ -78,9 +78,6 @@ class UMat2:
     def __repr__(self) -> str:
         return f"UMat2({self.entries!r})"
 
-    def to_json(self) -> list:
-        return [[self.entries[i][j].to_json() for j in range(2)] for i in range(2)]
-
     @staticmethod
     def from_json(obj) -> "UMat2":
         return UMat2([[CyclotomicScalar.from_json(obj[i][j]) for j in range(2)] for i in range(2)])

@@ -19,8 +19,12 @@ profiles composed from clip, the reference for jet.smoothstep_rule; and the
 blow-up chart model over numpy arrays (its potential written over array
 jets and its 4-D chart grid), the reference for blowup's float arithmetic;
 and the standard symplectic form OMEGA0, complex structure J0 and
-realification of R^4 = C^2, with the complex matrix of an exact UMat2."""
+realification of R^4 = C^2, with the complex matrix of an exact UMat2.
+Last, the writers no command needs: the complex embedding of a cyclotomic
+scalar (`to_complex`), and the JSON of a scalar, a matrix, a polynomial and
+a spec in the documented file formats, with the polynomial's reader."""
 
+import cmath
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -203,7 +207,7 @@ def omega1(problem):
 
 def complex_matrix(g):
     """The 2x2 complex matrix of an exact UMat2, entry by entry."""
-    return np.array([[e.to_complex() for e in row] for row in g.entries])
+    return np.array([[to_complex(e) for e in row] for row in g.entries])
 
 
 def realify(c):
@@ -502,3 +506,66 @@ def glue_forms_oracle(problem, n: int):
     return delta, _orbit_certificate(phi, ball, delta, rho,
                                      region=f"ball {1e-6} <= |p| <= {e3}",
                                      grid=f"{n}^4 cubic grid")
+
+
+# -- the exact half's complex embedding and JSON writers ---------------------
+
+
+def to_complex(x) -> complex:
+    """The complex value of a CyclotomicScalar, zeta_N = exp(2 pi i / N)."""
+    z = 0j
+    for k, c in enumerate(x.num):
+        if c:
+            z += (c / x.den) * cmath.exp(2j * cmath.pi * k / x.conductor)
+    return z
+
+
+def scalar_to_json(x) -> dict:
+    """A scalar as {"conductor": N, "coeffs": [[num, den], ...]}, each
+    coefficient in lowest terms."""
+    gcds = [math.gcd(c, x.den) for c in x.num]
+    return {"conductor": x.conductor,
+            "coeffs": [[c // g, x.den // g] for c, g in zip(x.num, gcds)]}
+
+
+def matrix_to_json(m) -> list:
+    """A UMat2 as a 2x2 array of scalars, a generator of a group file."""
+    return [[scalar_to_json(e) for e in row] for row in m.entries]
+
+
+def poly_to_json(p) -> list:
+    return [{"ze": a, "we": b, "coeff": scalar_to_json(c)}
+            for (a, b), c in sorted(p.terms.items(), reverse=True)]
+
+
+def poly_from_json(obj: list):
+    from orbifold4.cyclotomic import CyclotomicScalar
+    from orbifold4.invariants import Poly2
+
+    return Poly2({(t["ze"], t["we"]): CyclotomicScalar.from_json(t["coeff"]) for t in obj})
+
+
+def _group_to_json(g) -> dict:
+    return {"conductor": g.conductor,
+            "generators": [matrix_to_json(gen) for gen in g.generators]}
+
+
+def spec_to_json(spec) -> dict:
+    """An OrbifoldSpec in the spec file format, each group written out."""
+    return {
+        "name": spec.name,
+        "base_betti": list(spec.base_betti),
+        "betti_provenance": list(spec.betti_provenance),
+        "isolated_points": [
+            {"label": p.label, "group": _group_to_json(p.group)} for p in spec.isolated_points
+        ],
+        "surfaces": [
+            {"label": s.label, "genus": s.genus, "m": s.m, "compact": s.compact}
+            for s in spec.surfaces
+        ],
+        "corner_points": [
+            {"label": c.label, "group": _group_to_json(c.group),
+             "incident_surfaces": list(c.incident_surfaces)}
+            for c in spec.corner_points
+        ],
+    }

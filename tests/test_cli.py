@@ -15,6 +15,7 @@ import warnings
 
 import pytest
 
+from fd_oracles import matrix_to_json, scalar_to_json, spec_to_json
 from orbifold4.cli import _fmt, build_parser, main
 
 
@@ -285,7 +286,7 @@ def test_quiet_suppresses_output(capsys):
 
 def test_unsupported_math_exit_code(capsys, monkeypatch, tmp_path):
     # the refusal path maps to exit 3
-    from orbifold4 import Unsupported, builtin_mapping_torus, spec_to_json
+    from orbifold4 import Unsupported, builtin_mapping_torus
 
     def refuse(spec):
         raise Unsupported("deliberately refused in test")
@@ -298,7 +299,7 @@ def test_unsupported_math_exit_code(capsys, monkeypatch, tmp_path):
 
 
 def test_spec_file_round_trip(capsys, tmp_path):
-    from orbifold4 import builtin_mapping_torus, spec_to_json
+    from orbifold4 import builtin_mapping_torus
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec_to_json(builtin_mapping_torus())))
     code, out, _ = run(capsys, "orbifold", "resolve", "--spec", str(path), "--json")
@@ -435,6 +436,44 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content):
     assert out == "" and err.startswith("error: ")
 
 
+def _group_with_coefficient(pair: str) -> str:
+    """The group file of diag(s, s), s the rational scalar whose one
+    coefficient is the JSON text pair, as JSON text."""
+    s = '{"conductor": 1, "coeffs": [%s]}' % pair
+    zero = '{"conductor": 1, "coeffs": []}'
+    return '{"generators": [[[%s, %s], [%s, %s]]]}' % (s, zero, zero, s)
+
+
+@pytest.mark.parametrize("where", ["group-file", "spec"])
+@pytest.mark.parametrize("pair", ["[true, 1]", "[1.5, 1]", '["1", 1]', "[null, 1]",
+                                  "[1, true]", "[1, 1.5]", '[1, "1"]', "[1, null]"])
+def test_a_coefficient_that_is_not_a_pair_of_integers_exits_2(capsys, tmp_path, where, pair):
+    # a JSON true is not 1, as for a conductor: one line names the coefficient
+    group = _group_with_coefficient(pair)
+    path = tmp_path / "input.json"
+    if where == "spec":
+        path.write_text(_spec_of(group))
+        argv, what = ("orbifold", "resolve", "--spec"), "spec file"
+    else:
+        path.write_text(group)
+        argv, what = ("group", "classify", "--file"), "group file"
+    code, out, err = run(capsys, *argv, str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid {what}: coefficient {pair} is not a pair of integers\n"
+
+
+def test_poly_str_prints_rationals_as_integers_or_fractions():
+    from orbifold4.cyclotomic import CyclotomicScalar
+    from orbifold4.cli import _poly_str
+    from orbifold4.invariants import Poly2
+
+    p = Poly2({(3, 0): 1, (2, 1): -1, (1, 2): CyclotomicScalar(1, [1], 2),
+               (0, 3): CyclotomicScalar(1, [-3], 4), (0, 0): CyclotomicScalar.zeta(4)})
+    assert _poly_str(p) == "z^3 + -1*z^2w^1 + 1/2*z^1w^2 + -3/4*w^3 + (...)1"
+    assert _poly_str(Poly2({(1, 1): CyclotomicScalar(3, [6, 0], 4)})) == "3/2*z^1w^1"
+    assert _poly_str(Poly2()) == "0"
+
+
 @pytest.mark.parametrize("argv,content,key", [
     (("verify", "gluing", "--problem"), '{"eps1": true, "eps2": 1.5, "eps3": 2}', "eps1"),
     (("verify", "gluing", "--problem"), '{"a": true}', "a"),
@@ -489,7 +528,7 @@ def test_a_group_file_past_its_max_order_exits_2(capsys, tmp_path):
     # diag(zeta_17, 1) generates a group of order 17
     gen = UMat2.diagonal(CyclotomicScalar.zeta(17, 1), CyclotomicScalar.one())
     path = tmp_path / "group.json"
-    path.write_text(json.dumps({"generators": [gen.to_json()], "max_order": 16}))
+    path.write_text(json.dumps({"generators": [matrix_to_json(gen)], "max_order": 16}))
     code, out, err = run(capsys, "group", "classify", "--file", str(path), "--json")
     assert code == 2 and out == ""
     assert err == "error: invalid group file: closure exceeds max_order=16\n"
@@ -504,7 +543,7 @@ def test_group_classify_at_an_odd_conductor_logs_by_lookup(capsys, tmp_path):
 
     gen = UMat2.diagonal(CyclotomicScalar.zeta(255, 1), CyclotomicScalar.zeta(255, 7))
     path = tmp_path / "group.json"
-    path.write_text(json.dumps({"generators": [gen.to_json()]}))
+    path.write_text(json.dumps({"generators": [matrix_to_json(gen)]}))
     start = time.perf_counter()
     code, out, _ = run(capsys, "group", "classify", "--file", str(path), "--json")
     elapsed = time.perf_counter() - start
@@ -676,7 +715,7 @@ def test_orbifold_resolve_validates_the_spec_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 def test_orbifold_resolve_invalid_spec_exits_2(capsys, tmp_path):
-    from orbifold4 import builtin_mapping_torus, spec_to_json
+    from orbifold4 import builtin_mapping_torus
     obj = spec_to_json(builtin_mapping_torus())
     obj["surfaces"][0]["m"] = 1
     path = tmp_path / "spec.json"
@@ -693,7 +732,7 @@ def test_orbifold_resolve_invalid_spec_exits_2(capsys, tmp_path):
     ("m", 2.5),
 ])
 def test_orbifold_resolve_refuses_non_integer_spec_fields(capsys, tmp_path, field, value):
-    from orbifold4 import builtin_mapping_torus, spec_to_json
+    from orbifold4 import builtin_mapping_torus
     obj = spec_to_json(builtin_mapping_torus())
     if field == "m":
         obj["surfaces"][0]["m"] = value
@@ -712,7 +751,7 @@ def test_orbifold_resolve_refuses_non_integer_spec_fields(capsys, tmp_path, fiel
     ("genus", -3, "genus -3 is not a nonnegative integer"),
 ], ids=["compact-string", "genus-string", "genus-negative"])
 def test_orbifold_resolve_refuses_ill_typed_surface_fields(capsys, tmp_path, key, value, message):
-    from orbifold4 import builtin_mapping_torus, spec_to_json
+    from orbifold4 import builtin_mapping_torus
     obj = spec_to_json(builtin_mapping_torus())
     obj["surfaces"][0][key] = value
     path = tmp_path / "spec.json"
@@ -811,7 +850,10 @@ def test_the_degenerate_fixture_ignores_grid(capsys):
 def _refused_spec(tmp_path):
     """A spec whose isolated point has Q8 x <zeta_3>: refused with exit 3."""
     from orbifold4 import CyclotomicScalar
-    z, o = (lambda k: CyclotomicScalar.zeta(12, k).to_json()), CyclotomicScalar.zero(12).to_json()
+    def z(k):
+        return scalar_to_json(CyclotomicScalar.zeta(12, k))
+
+    o = scalar_to_json(CyclotomicScalar.zero(12))
     group = {"generators": [[[o, z(6)], [z(0), o]], [[z(3), o], [o, z(9)]],
                             [[z(4), o], [o, z(4)]]]}
     path = tmp_path / "refused.json"

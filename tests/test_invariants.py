@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fd_oracles import complex_matrix
+from fd_oracles import complex_matrix, poly_from_json, poly_to_json
 from orbifold4 import (CyclotomicScalar, NotReflectionGroup, Poly2, UMat2,
                        builtin_group, embedding_basis, fundamental_invariants,
                        generate_group, h_map_eval, molien, reynolds)
@@ -86,7 +86,22 @@ def test_poly2_derivatives_and_evaluation():
 
 def test_poly2_json_round_trip():
     p = Poly2({(2, 0): _zeta(4), (0, 3): Fraction(-1, 7)})
-    assert Poly2.from_json(p.to_json()) == p
+    assert poly_from_json(poly_to_json(p)) == p
+
+
+def test_molien_refuses_an_average_that_is_not_an_integer():
+    # a stand-in group that lists one element but claims order 2: the degree-0
+    # average 1/2 is no dimension, a defect of the group, not of the input
+    from orbifold4.cyclotomic import SelfCheckFailed
+
+    class Skewed:
+        order = 2
+
+        def __iter__(self):
+            return iter([UMat2.identity()])
+
+    with pytest.raises(SelfCheckFailed, match="^Molien average is not a nonnegative integer$"):
+        molien(Skewed(), 2)
 
 
 def test_reynolds_projects_onto_invariants():

@@ -2,9 +2,10 @@
 
 import pytest
 
+from fd_oracles import spec_to_json
 from orbifold4 import (CornerPoint, IsolatedPoint, OrbifoldSpec, Surface,
                        builtin_group, builtin_mapping_torus, builtin_product,
-                       delta_set, spec_from_json, spec_to_json, validate_spec)
+                       delta_set, spec_from_json, validate_spec)
 from orbifold4.isotropy import _swap_corner_group
 
 

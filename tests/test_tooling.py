@@ -1,7 +1,7 @@
 """Source-tree rules: correctness gates that `python -O` cannot strip, an
-exact half that starts without numpy or dataclasses, commands that load only
-the modules they use, public APIs that resolve lazily, and a benchmark
-tracer that still wraps the program."""
+exact half that starts without numpy, dataclasses or fractions, commands
+that load only the modules they use, public APIs that resolve lazily, and a
+benchmark tracer that still wraps the program."""
 
 import ast
 import collections
@@ -155,10 +155,18 @@ def test_exact_commands_start_without_numpy():
 
 
 EXACT_HALF = {"orbifold4." + name for name in
-              ("cyclotomic", "unitary", "groups", "invariants", "isotropy", "resolution")}
+              ("cyclotomic", "unitary", "groups", "invariants", "isotropy", "resolution",
+               "presentation")}
+
+# what no command loads: a scalar's rationals are its integer num and den,
+# no command embeds a scalar in C, and no command presents a fundamental group
+UNUSED_BY_COMMANDS = {"fractions", "decimal", "_decimal", "numbers", "cmath",
+                      "orbifold4.presentation"}
 
 # the names `orbifold4` exported when its __init__ imported them eagerly,
-# but GroupElement, since removed: a group's elements are its UMat2s
+# but GroupElement, since removed: a group's elements are its UMat2s; and
+# spec_to_json, which moved to the tests' references with the other JSON
+# writers, since no command writes a spec
 PUBLIC_NAMES = """
     CyclotomicScalar cyclotomic_polynomial root_of_unity_log UMat2 NotUnitaryError
     UnitaryGroup CosetGroup Unsupported NotFiniteWithinBound builtin_group
@@ -166,7 +174,7 @@ PUBLIC_NAMES = """
     InvariantBasis MolienSeries NotReflectionGroup Poly2 embedding_basis
     fundamental_invariants h_map_eval molien reynolds
     CornerPoint DeltaSet IsolatedPoint OrbifoldSpec Surface builtin_mapping_torus
-    builtin_product delta_set load_spec spec_from_json spec_to_json validate_spec
+    builtin_product delta_set load_spec spec_from_json validate_spec
     AbelianInvariants CohomologyProfile GroupPresentation HJChain Incomplete abelianize
     euler_characteristic exceptional_betti hj_resolve mapping_torus_pi1 resolution_betti
     smith_normal_form __version__
@@ -223,6 +231,7 @@ def test_verify_commands_load_only_what_they_run(argv, modules):
     assert {m for m in loaded if m.startswith("orbifold4.sympverify.")} == {
         f"orbifold4.sympverify.{name}" for name in modules}
     assert loaded & {"numpy", "dataclasses", "orbifold4.sympverify.pushforward"} == set()
+    assert (loaded - _modules_after("import sys")) & UNUSED_BY_COMMANDS == set()
 
 
 def _cli(argv, block_numpy: bool):
@@ -269,21 +278,26 @@ def test_pushforward_check_runs_without_numpy():
 
 
 def test_singularity_resolve_loads_only_integer_code():
-    # a chain job needs no group, spec or invariant code
+    # a chain job needs no field, group, spec or invariant code; the
+    # package, not cyclotomic, defines the SelfCheckFailed it may raise
     loaded = _loaded_modules(("singularity", "resolve", "--m", "12", "--q", "7"))
     assert {m for m in loaded if m.startswith("orbifold4")} == {
-        "orbifold4", "orbifold4.cli", "orbifold4.cyclotomic", "orbifold4.resolution"}
+        "orbifold4", "orbifold4.cli", "orbifold4.resolution"}
 
 
 @pytest.mark.parametrize("argv", [
     ("group", "classify", "--builtin", "klein_four"),
+    ("group", "classify", "--file", str(ROOT / "docs" / "examples" / "group.json")),
     ("group", "invariants", "--builtin", "klein_four"),
     ("orbifold", "resolve", "--spec", str(ROOT / "docs" / "examples" / "orbifold-spec.json")),
-], ids=["classify", "invariants", "resolve"])
+    ("singularity", "resolve", "--m", "12", "--q", "7"),
+], ids=["classify", "classify-file", "invariants", "resolve", "singularity"])
 def test_exact_commands_import_no_dataclasses(argv):
     # the exact half's records are namedtuples: `dataclasses` and the
     # `inspect` it imports would cost an exact job more than its arithmetic
-    assert "dataclasses" not in _loaded_modules(argv) - _modules_after("import sys")
+    loaded = _loaded_modules(argv) - _modules_after("import sys")
+    assert "dataclasses" not in loaded
+    assert loaded & UNUSED_BY_COMMANDS == set()
 
 
 def test_every_public_name_still_imports_from_the_package():
@@ -295,6 +309,15 @@ def test_every_public_name_still_imports_from_the_package():
         orbifold4.no_such_name
     with pytest.raises(AttributeError):
         orbifold4.GroupElement
+    with pytest.raises(AttributeError):
+        orbifold4.spec_to_json
+    # the mapping-torus code lives in a module no command loads
+    assert {getattr(orbifold4, name).__module__ for name in (
+        "AbelianInvariants", "GroupPresentation", "abelianize", "mapping_torus_pi1",
+        "smith_normal_form")} == {"orbifold4.presentation"}
+    # one exception class, bound in the field's module too
+    from orbifold4.cyclotomic import SelfCheckFailed
+    assert SelfCheckFailed is orbifold4.SelfCheckFailed
 
 
 # the names `orbifold4.sympverify` exported when its __init__ imported them
