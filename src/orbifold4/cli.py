@@ -9,7 +9,8 @@ exit 0).  Each command imports the modules it uses, so a `verify` command
 loads the sympverify modules it runs and none of the exact half, and no
 command loads numpy: every certificate runs in Python floats.  A `verify`
 grid lies in [2, MAX_GRID], and a `group invariants` degree in
-[0, MAX_DEGREE].
+[0, MAX_DEGREE].  A command reads one group or spec source, and a
+`verify tameness` model is `flat` or a file.
 `run` is the process entry point: `main`, then the exit path.
 """
 
@@ -213,26 +214,33 @@ def cmd_singularity_resolve(args) -> dict:
 
 
 def _load_spec(args):
+    """The spec of --example or --spec; --m, --m2 and --symmetric belong to
+    --example product alone, and are refused with any other source."""
     from .isotropy import BUILTIN_SPECS, builtin_product, load_spec
 
-    if getattr(args, "example", None):
-        name = args.example.replace("-", "_")
-        if name == "product":
-            m2 = [args.m2] if args.m2 is not None else []
-            try:
-                return builtin_product([args.m] if args.m is not None else [],
-                                       m2, symmetric=args.symmetric)
-            except ValueError as exc:
-                raise CliError(str(exc), EXIT_INVALID)
-        if name in BUILTIN_SPECS:
-            return BUILTIN_SPECS[name]()
-        raise CliError(f"unknown example {args.example!r}", EXIT_INVALID)
-    if getattr(args, "spec", None):
+    if not (args.example or args.spec):
+        raise CliError("need --example or --spec", EXIT_INVALID)
+    name = args.example and args.example.replace("-", "_")
+    if name == "product":
+        m2 = [args.m2] if args.m2 is not None else []
+        try:
+            return builtin_product([args.m] if args.m is not None else [],
+                                   m2, symmetric=args.symmetric)
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_INVALID)
+    product_only = [flag for flag, given in (("--m", args.m is not None),
+                                             ("--m2", args.m2 is not None),
+                                             ("--symmetric", args.symmetric)) if given]
+    if product_only:
+        raise CliError(f"only --example product reads {', '.join(product_only)}", EXIT_INVALID)
+    if args.spec:
         try:
             return load_spec(args.spec)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise _invalid_file("spec file", exc)
-    raise CliError("need --example or --spec", EXIT_INVALID)
+    if name in BUILTIN_SPECS:
+        return BUILTIN_SPECS[name]()
+    raise CliError(f"unknown example {args.example!r}", EXIT_INVALID)
 
 
 def cmd_orbifold_resolve(args) -> dict:
@@ -320,30 +328,21 @@ def _read_parameters(path: str, keys, what: str) -> dict:
 
 
 def cmd_verify_tameness(args) -> dict:
-    from .sympverify.taming import TAMENESS_TOL, OrbitRegion, certify, linspace, quotient
+    from .sympverify.localmodel import LocalModel, cube_samples
+    from .sympverify.taming import TAMENESS_TOL, OrbitRegion, certify
 
-    if args.model == "degenerate-fixture":
-        from itertools import product
-
-        # the rank-2 form dx1^dy1: taming data a = 1, d = |b| = 0 everywhere
-        q, axis = quotient(1.0, 0.0, 0.0), linspace(-0.3, 0.3, 4)
-        cert = certify(((p, q) for p in product(axis, repeat=4)),
-                       region="degenerate fixture", grid="4^4")
+    _check_grid(args)
+    if args.model == "flat":
+        params = {"m": args.m, "a": args.a, "delta0": 1.0, "delta2": args.delta2}
     else:
-        from .sympverify.localmodel import LocalModel, cube_samples
-
-        _check_grid(args)
-        if args.model == "flat":
-            params = {"m": args.m, "a": args.a, "delta0": 1.0, "delta2": args.delta2}
-        else:
-            params = _read_parameters(args.model, LocalModel._fields, "model")
-        try:
-            model = LocalModel(**params)
-        except (ValueError, OverflowError) as exc:
-            raise CliError(f"invalid model: {exc}", EXIT_INVALID)
-        region = OrbitRegion.cube(model.delta2)
-        cert = certify(cube_samples(model, region, args.grid, resolved=args.resolved),
-                       region.label, f"{args.grid}^4")
+        params = _read_parameters(args.model, LocalModel._fields, "model")
+    try:
+        model = LocalModel(**params)
+    except (ValueError, OverflowError) as exc:
+        raise CliError(f"invalid model: {exc}", EXIT_INVALID)
+    region = OrbitRegion.cube(model.delta2)
+    cert = certify(cube_samples(model, region, args.grid, resolved=args.resolved),
+                   region.label, f"{args.grid}^4")
     return _report("verify tameness",
                    {"certificate": cert.to_json(), "tolerance": TAMENESS_TOL},
                    [("tameness certificate", cert.tame, {"min_quotient": cert.min_quotient})])
@@ -411,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     grp = sub.add_parser("group").add_subparsers(dest="action", required=True)
     for action, fn in (("classify", cmd_group_classify), ("invariants", cmd_group_invariants)):
         p = grp.add_parser(action, parents=[common])
-        p.add_argument("--builtin")
-        p.add_argument("--file")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--builtin")
+        source.add_argument("--file")
         if action == "invariants":
             p.add_argument("--degree", type=int, default=8)
         p.set_defaults(func=fn)
@@ -425,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     orb = sub.add_parser("orbifold").add_subparsers(dest="action", required=True)
     p = orb.add_parser("resolve", parents=[common])
-    p.add_argument("--example")
-    p.add_argument("--spec")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--example")
+    source.add_argument("--spec")
     p.add_argument("--m", type=int)
     p.add_argument("--m2", type=int)
     p.add_argument("--symmetric", action="store_true")
@@ -434,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify").add_subparsers(dest="action", required=True)
     p = ver.add_parser("tameness", parents=[common])
-    p.add_argument("--model", required=True, help="'flat', 'degenerate-fixture', or a JSON file")
+    p.add_argument("--model", required=True, help="'flat' or a JSON file")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--a", type=float, default=0.1)
     p.add_argument("--delta2", type=float, default=0.25)

@@ -8,9 +8,8 @@ exactly one (num, den) in its field.  The Galois automorphisms
 zeta -> zeta^k, gcd(k, N) = 1, permute the powers of zeta: complex
 conjugation is k = -1, and the inverse is the product of the other conjugates
 over the rational norm.  No float appears: the complex embedding is the
-tests' reference.  Rationals are integer pairs too, so no command imports
-`fractions`; `from_rational`, `rational_value` and `==` load it only for a
-caller that passes or asks for a `Fraction`.
+tests' reference.  A rational is the integer pair (num[0], den) too, and an
+`int` is the one other operand the operators and `==` take.
 """
 
 from __future__ import annotations
@@ -72,15 +71,6 @@ class CyclotomicScalar:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def from_rational(q, conductor: int = 1) -> "CyclotomicScalar":
-        if type(q) is int:
-            return CyclotomicScalar(conductor, [q])
-        from fractions import Fraction
-
-        q = Fraction(q)
-        return CyclotomicScalar(conductor, [q.numerator], q.denominator)
-
-    @staticmethod
     def zeta(n: int, k: int = 1) -> "CyclotomicScalar":
         return CyclotomicScalar(n, [0] * (k % n) + [1])
 
@@ -110,7 +100,7 @@ class CyclotomicScalar:
 
     def _pair(self, other):
         if not isinstance(other, CyclotomicScalar):
-            return self, CyclotomicScalar.from_rational(other, self.conductor)
+            return self, CyclotomicScalar(self.conductor, [other])
         n, m = self.conductor, other.conductor
         if n == m:
             return self, other
@@ -177,7 +167,7 @@ class CyclotomicScalar:
 
     def __truediv__(self, other):
         if not isinstance(other, CyclotomicScalar):
-            other = CyclotomicScalar.from_rational(other)
+            other = CyclotomicScalar(1, [other])
         return self * other.inverse()
 
     def __pow__(self, k: int):
@@ -200,22 +190,11 @@ class CyclotomicScalar:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def rational_value(self):
-        """The value as a `fractions.Fraction`, for a rational element."""
-        from fractions import Fraction
-
-        if not self.is_rational():
-            raise ValueError("not a rational number")
-        return Fraction(self.num[0], self.den)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclotomicScalar):
             if not isinstance(other, int):
-                from fractions import Fraction
-
-                if not isinstance(other, Fraction):
-                    return NotImplemented
-            other = CyclotomicScalar.from_rational(other, self.conductor)
+                return NotImplemented
+            other = CyclotomicScalar(self.conductor, [other])
         a, b = self._pair(other)
         return a.num == b.num and a.den == b.den
 

@@ -395,7 +395,7 @@ def group_from_json(obj: dict) -> UnitaryGroup:
 
 # named built-in groups for specs and the CLI
 def builtin_group(name: str) -> UnitaryGroup:
-    minus_one = CyclotomicScalar.from_rational(-1, 2)
+    minus_one = CyclotomicScalar(2, [-1])
     one = CyclotomicScalar.one()
     if name == "minus_identity":
         return generate_group([UMat2.diagonal(minus_one, minus_one)])

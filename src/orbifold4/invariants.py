@@ -29,7 +29,7 @@ class Poly2:
     def __init__(self, terms=None) -> None:
         t = {}
         for key, c in (terms or {}).items():
-            c = c if isinstance(c, CyclotomicScalar) else CyclotomicScalar.from_rational(c)
+            c = c if isinstance(c, CyclotomicScalar) else CyclotomicScalar(1, [c])
             if not c.is_zero():
                 t[key] = c
         self.terms = t
@@ -44,9 +44,6 @@ class Poly2:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        return max((ze + we for ze, we in self.terms), default=0)
 
     def __add__(self, other: "Poly2") -> "Poly2":
         t = dict(self.terms)

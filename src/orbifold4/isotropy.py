@@ -44,16 +44,19 @@ def validate_spec(spec: OrbifoldSpec) -> ValidationReport:
     structural: list[str] = []
     semantic: list[str] = []
 
+    # a label is a string: any other JSON value is refused, and left out of
+    # the duplicate check, where a list would not hash
     seen: set[str] = set()
-    for lbl in (
-        [p.label for p in spec.isolated_points]
-        + [s.label for s in spec.surfaces]
-        + [c.label for c in spec.corner_points]
-    ):
-        if lbl in seen:
-            structural.append(f"duplicate label {lbl!r}")
-        seen.add(lbl)
-    surface_labels = {s.label for s in spec.surfaces}
+    for kind, items in (("isolated point", spec.isolated_points), ("surface", spec.surfaces),
+                        ("corner point", spec.corner_points)):
+        for i, lbl in enumerate(x.label for x in items):
+            if not isinstance(lbl, str):
+                structural.append(f"{kind} {i}: label {json.dumps(lbl)} is not a string")
+                continue
+            if lbl in seen:
+                structural.append(f"duplicate label {lbl!r}")
+            seen.add(lbl)
+    surface_labels = {s.label for s in spec.surfaces if isinstance(s.label, str)}
     for c in spec.corner_points:
         if not _is_labels(c.incident_surfaces):
             structural.append(

@@ -50,9 +50,6 @@ class UMat2:
             check=False,
         )
 
-    def inverse(self) -> "UMat2":
-        return self.conj_transpose()
-
     def det(self) -> CyclotomicScalar:
         e = self.entries
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
@@ -86,5 +83,5 @@ class UMat2:
 def _scalar(x) -> CyclotomicScalar:
     if isinstance(x, CyclotomicScalar):
         return x
-    return CyclotomicScalar.from_rational(x)
+    return CyclotomicScalar(1, [x])
 

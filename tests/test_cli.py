@@ -19,6 +19,10 @@ from fd_oracles import matrix_to_json, scalar_to_json, spec_to_json
 from orbifold4.cli import _fmt, build_parser, main
 
 
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
+UNTAMED = EXAMPLES / "untamed-model.json"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -184,11 +188,15 @@ def test_verify_tameness_flat_passes(capsys, argv, min_quotient):
         assert payload["results"]["certificate"]["min_quotient"] == min_quotient
 
 
-def test_verify_tameness_degenerate_fails_with_exit_4(capsys):
-    code, out, _ = run(capsys, "verify", "tameness", "--model", "degenerate-fixture", "--json")
+@pytest.mark.parametrize("grid", ["2", "4", "12", "24"])
+def test_verify_tameness_untamed_model_fails_with_exit_4(capsys, grid):
+    # |nu| = 10 tilts the form past taming at the cube's corners, which
+    # every grid samples
+    code, out, _ = run(capsys, "verify", "tameness", "--model", str(UNTAMED), "--grid", grid,
+                       "--json")
     assert code == 4
-    payload = json.loads(out)
-    assert payload["results"]["certificate"]["tame"] is False
+    cert = json.loads(out)["results"]["certificate"]
+    assert cert["tame"] is False and cert["min_quotient"] == -0.76776695296636899
 
 
 def test_verify_tameness_model_file(tmp_path, capsys):
@@ -341,6 +349,8 @@ def test_spec_file_round_trip(capsys, tmp_path):
     ("verify", "gluing", "--grid", "100000000"),
     ("verify", "tameness", "--model", "flat", "--grid", "100000000"),
     ("verify", "blowup", "--grid", "101"),
+    # a model is 'flat' or a file: any other name is a missing file
+    ("verify", "tameness", "--model", "degenerate-fixture"),
 ])
 def test_invalid_input_exits_2_with_error_line(capsys, argv):
     code, out, err = run(capsys, *argv, "--json")
@@ -354,7 +364,7 @@ VALID_ARGV = {
     ("group", "invariants"): ("--builtin", "klein_four"),
     ("singularity", "resolve"): ("--m", "4", "--q", "3"),
     ("orbifold", "resolve"): ("--example", "mapping-torus"),
-    ("verify", "tameness"): ("--model", "degenerate-fixture"),
+    ("verify", "tameness"): ("--model", "flat"),
     ("verify", "gluing"): (),
     ("verify", "blowup"): (),
 }
@@ -370,8 +380,6 @@ def test_every_command_refuses_seed(capsys):
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
-
-EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 # a scalar whose only coefficient [num, den] has den = 0
 ZERO_DEN = '{"conductor": 1, "coeffs": [[1, 0]]}'
@@ -632,7 +640,7 @@ def test_group_invariants_reads_a_series_of_max_degree(capsys):
 
 
 # the named choices of the options that take a name rather than a file
-NAMES = {"--model": ["flat", "degenerate-fixture"],
+NAMES = {"--model": ["flat"],
          "--builtin": ["klein_four", "minus_identity", "dihedral"],
          "--example": ["mapping-torus", "product", "klein"]}
 INT_LIMITS = {"--grid": (-1, 6), "--degree": (-2, 8)}
@@ -777,6 +785,60 @@ def test_orbifold_resolve_refuses_incident_surfaces_that_are_not_a_list_of_label
                    " of surface labels\n")
 
 
+@pytest.mark.parametrize("where,kind", [("isolated_points", "isolated point"),
+                                        ("surfaces", "surface"),
+                                        ("corner_points", "corner point")])
+@pytest.mark.parametrize("label,text", [([1], "[1]"), (1, "1"), (None, "null"), (True, "true")],
+                         ids=["list", "int", "null", "true"])
+def test_orbifold_resolve_refuses_a_label_that_is_not_a_string(capsys, tmp_path, where, kind,
+                                                               label, text):
+    # a list label was a TypeError traceback in the duplicate check, and an
+    # int, null or true label was accepted
+    obj = json.loads((EXAMPLES / "orbifold-spec.json").read_text())
+    obj[where][0]["label"] = label
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "orbifold", "resolve", "--spec", str(path), "--json")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: spec invalid: {kind} 0: label {text} is not a string")
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "classify", "--builtin", "klein_four", "--file", "/nonexistent"),
+    ("group", "invariants", "--file", str(EXAMPLES / "group.json"), "--builtin", "klein_four"),
+    ("orbifold", "resolve", "--example", "mapping-torus", "--spec", "/nonexistent"),
+])
+def test_a_second_source_exits_2(capsys, argv):
+    # a command reads one group or one spec: a second source is refused,
+    # not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (("--spec", str(EXAMPLES / "orbifold-spec.json"), "--m", "5", "--symmetric"),
+     "--m, --symmetric"),
+    (("--example", "mapping-torus", "--m2", "0"), "--m2"),
+    (("--example", "mapping_torus", "--m", "3", "--m2", "3"), "--m, --m2"),
+])
+def test_product_flags_with_another_source_exit_2_naming_them(capsys, argv, flags):
+    # --m, --m2 and --symmetric describe --example product alone
+    code, out, err = run(capsys, "orbifold", "resolve", *argv, "--json")
+    assert (code, out, err) == (2, "", f"error: only --example product reads {flags}\n")
+
+
+@pytest.mark.parametrize("argv,source", [
+    (("group", "classify"), "--builtin or --file"),
+    (("group", "invariants", "--degree", "4"), "--builtin or --file"),
+    (("orbifold", "resolve"), "--example or --spec"),
+    (("orbifold", "resolve", "--m", "3"), "--example or --spec"),
+])
+def test_a_command_without_a_source_exits_2_naming_the_choices(capsys, argv, source):
+    assert run(capsys, *argv) == (2, "", f"error: need {source}\n")
+
+
 @pytest.mark.parametrize("value,text", [
     (0.0, "0.0"), (-0.0, "-0.0"), (2.0, "2.0"), (-7.0, "-7.0"), (1e16, "1e+16"),
     (1e200, "9.9999999999999997e+199"), (0.1, "0.10000000000000001"), (1.5e-300, "1.5000000000000001e-300"),
@@ -839,14 +901,6 @@ def test_a_large_lambda_below_overflow_is_certified(capsys):
     assert json.loads(out)["checks"][0]["status"] == "pass"
 
 
-def test_the_degenerate_fixture_ignores_grid(capsys):
-    # it certifies its own fixed 4^4 grid, so --grid 1 is not refused
-    want = run(capsys, "verify", "tameness", "--model", "degenerate-fixture", "--json")
-    got = run(capsys, "verify", "tameness", "--model", "degenerate-fixture", "--grid", "1",
-              "--json")
-    assert got == want and got[0] == 4
-
-
 def _refused_spec(tmp_path):
     """A spec whose isolated point has Q8 x <zeta_3>: refused with exit 3."""
     from orbifold4 import CyclotomicScalar
@@ -875,7 +929,7 @@ def _cli_process(*argv, stdout=subprocess.PIPE, timeout=None):
     (("verify", "tameness", "--model", "flat", "--grid", "4", "--json"), 0),
     (("singularity", "resolve", "--m", "4", "--q", "2", "--json"), 2),
     (("orbifold", "resolve", "--spec", "REFUSED", "--json"), 3),
-    (("verify", "tameness", "--model", "degenerate-fixture", "--json"), 4),
+    (("verify", "tameness", "--model", str(UNTAMED), "--json"), 4),
 ], ids=["exit0", "exit2", "exit3", "exit4"])
 def test_the_process_entry_point_matches_main(capsys, tmp_path, argv, code):
     # run() adds only the exit path to main(): the same output and status,

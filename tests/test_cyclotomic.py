@@ -37,7 +37,7 @@ def test_roots_of_unity_sum_and_order(n):
 
 
 def test_arithmetic_matches_complex_embedding():
-    a = CyclotomicScalar.zeta(12, 5) + CyclotomicScalar.from_rational(Fraction(2, 3))
+    a = CyclotomicScalar.zeta(12, 5) + CyclotomicScalar(1, [2], 3)
     b = CyclotomicScalar.zeta(8, 3) - CyclotomicScalar.zeta(12, 7)
     for expr, ref in [
         (a * b, to_complex(a) * to_complex(b)),
@@ -56,7 +56,7 @@ def test_inverse_and_division():
 
 
 def test_conjugation_is_involutive_and_multiplicative():
-    a = CyclotomicScalar.zeta(5, 2) + CyclotomicScalar.from_rational(Fraction(1, 2))
+    a = CyclotomicScalar.zeta(5, 2) + CyclotomicScalar(1, [1], 2)
     b = CyclotomicScalar.zeta(5, 4) - 1
     assert a.conjugate().conjugate() == a
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
@@ -68,7 +68,7 @@ def test_conjugation_is_involutive_and_multiplicative():
 def test_cross_conductor_equality_and_hash():
     # zeta_6^3 = -1 = zeta_2, recognized across different declared fields
     a = CyclotomicScalar.zeta(6, 3)
-    b = CyclotomicScalar.from_rational(-1, conductor=2)
+    b = CyclotomicScalar(2, [-1])
     assert a == b
     assert CyclotomicScalar.zeta(12, 4) == CyclotomicScalar.zeta(3, 1)
     # no hash can agree with an equality that crosses fields
@@ -78,14 +78,12 @@ def test_cross_conductor_equality_and_hash():
 
 def test_rational_detection():
     a = CyclotomicScalar.zeta(4) * CyclotomicScalar.zeta(4, 3)
-    assert a.is_rational() and a.rational_value() == 1
+    assert a.is_rational() and (a.num[0], a.den) == (1, 1)
     assert not CyclotomicScalar.zeta(4).is_rational()
-    with pytest.raises(ValueError):
-        CyclotomicScalar.zeta(4).rational_value()
 
 
 def test_json_round_trip():
-    a = CyclotomicScalar.zeta(8, 3) + CyclotomicScalar.from_rational(Fraction(-2, 5))
+    a = CyclotomicScalar.zeta(8, 3) + CyclotomicScalar(1, [-2], 5)
     assert CyclotomicScalar.from_json(scalar_to_json(a)) == a
 
 
@@ -119,7 +117,7 @@ def test_root_of_unity_log_odd_conductor_doubles_torsion():
 
 def test_root_of_unity_log_rejects_non_roots():
     with pytest.raises(ValueError):
-        root_of_unity_log(CyclotomicScalar.from_rational(Fraction(1, 2)))
+        root_of_unity_log(CyclotomicScalar(1, [1], 2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 15, 255, 256])
@@ -138,7 +136,7 @@ def test_root_of_unity_log_against_the_field_torsion(n):
         assert m == len(roots) and CyclotomicScalar.zeta(m, e) == u
         exponents.append(e)
     assert sorted(exponents) == list(range(len(roots)))
-    for non_root in (CyclotomicScalar.from_rational(Fraction(1, 2), n),
+    for non_root in (CyclotomicScalar(n, [1], 2),
                      CyclotomicScalar.zeta(n) * 2):
         with pytest.raises(ValueError):
             root_of_unity_log(non_root)
@@ -151,9 +149,9 @@ CONDUCTORS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24]
 
 def _random_element(rng, n, terms=3):
     """A sum of rational multiples of powers of zeta_n, with a denominator."""
-    x = CyclotomicScalar.from_rational(Fraction(rng.randint(-3, 3), rng.randint(2, 6)), n)
+    x = CyclotomicScalar(n, [rng.randint(-3, 3)], rng.randint(2, 6))
     for _ in range(terms):
-        c = Fraction(rng.randint(-3, 3), rng.randint(1, 6))
+        c = CyclotomicScalar(1, [rng.randint(-3, 3)], rng.randint(1, 6))
         x = x + CyclotomicScalar.zeta(n, rng.randrange(n)) * c
     return x
 
@@ -221,7 +219,7 @@ def test_one_representation_per_element(n):
     lifted = a.to_conductor(m)
     rebuilt = CyclotomicScalar.zero(m)
     for k, coeff in enumerate(a.num):
-        rebuilt = rebuilt + CyclotomicScalar.zeta(m, 2 * k) * Fraction(coeff, a.den)
+        rebuilt = rebuilt + CyclotomicScalar.zeta(m, 2 * k) * CyclotomicScalar(1, [coeff], a.den)
     assert (lifted.num, lifted.den) == (rebuilt.num, rebuilt.den)
 
 
@@ -232,7 +230,7 @@ def test_subfield_elements_agree_across_conductors(n):
             y = x.to_conductor(n)
             z = CyclotomicScalar.zero(n)
             for k, coeff in enumerate(x.num):
-                z = z + CyclotomicScalar.zeta(n, k * (n // d)) * Fraction(coeff, x.den)
+                z = z + CyclotomicScalar.zeta(n, k * (n // d)) * CyclotomicScalar(1, [coeff], x.den)
             assert x == y == z and y == x and z == x
 
 
@@ -255,7 +253,7 @@ def test_every_operation_matches_complex_embedding(n, m):
     cases = [
         (a + b, za + zb), (a - b, za - zb), (a * b, za * zb), (a / b, za / zb),
         (-a, -za), (a ** 3, za ** 3), (b ** -2, zb ** -2), (a.inverse(), 1 / za),
-        (a.conjugate(), za.conjugate()), (a * Fraction(2, 7) + 3, za * 2 / 7 + 3),
+        (a.conjugate(), za.conjugate()), (a * CyclotomicScalar(1, [2], 7) + 3, za * 2 / 7 + 3),
         (a.galois(k), sum(coeff / a.den * cmath.exp(2j * cmath.pi * j * k / n)
                           for j, coeff in enumerate(a.num))),
         (a * c + d, za * zc + to_complex(d)),

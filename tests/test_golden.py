@@ -22,6 +22,9 @@ GOLDEN = ROOT / "tests" / "golden"
 
 CASES = {
     "group-classify-file": ("group", "classify", "--file", "docs/examples/group.json"),
+    # a cyclic group whose generator is not diagonal: groups._eigen_split
+    "group-classify-nondiagonal": ("group", "classify", "--file",
+                                   "docs/examples/group-nondiagonal.json"),
     "group-invariants-file": ("group", "invariants", "--file", "docs/examples/group.json"),
     "group-invariants-klein-four-deg8": ("group", "invariants", "--builtin", "klein_four",
                                          "--degree", "8"),
@@ -36,6 +39,9 @@ NUMERIC_CASES = {
     "verify-tameness-flat-8": ("verify", "tameness", "--model", "flat", "--grid", "8"),
     "verify-tameness-flat-8-resolved": ("verify", "tameness", "--model", "flat", "--grid", "8",
                                         "--resolved"),
+    # a = 0: the flat form, profiles.identity_profile
+    "verify-tameness-flat-a0": ("verify", "tameness", "--model", "flat", "--a", "0",
+                                "--grid", "4"),
     "verify-gluing-8": ("verify", "gluing", "--grid", "8"),
     "verify-blowup-8": ("verify", "blowup", "--grid", "8"),
 }

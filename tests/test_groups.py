@@ -126,14 +126,14 @@ def test_induced_cyclic_data(build, expected):
 
 def _hadamard():
     """The exact Hadamard matrix, over Q(zeta_8)."""
-    s = (_zeta(8) - _zeta(8, 3)) * CyclotomicScalar.from_rational("1/2")
+    s = (_zeta(8) - _zeta(8, 3)) * CyclotomicScalar(1, [1], 2)
     return UMat2([[s, s], [s, -1 * s]])
 
 
 def _su2_over_q_zeta3():
     """[[(1 - w)/2, -1/2], [1/2, (1 - conj w)/2]] in SU(2), w = zeta_3: its
     entries stay in the odd-conductor field Q(zeta_3)."""
-    half = CyclotomicScalar.from_rational("1/2")
+    half = CyclotomicScalar(1, [1], 2)
     return UMat2([[(1 - _zeta(3)) * half, -1 * half],
                   [half, (1 - _zeta(3, 2)) * half]])
 
@@ -154,7 +154,7 @@ def _su2_over_q_zeta3():
 def test_induced_cyclic_data_conjugation_invariant(basis, diagonal, conductor, expected):
     # conjugating a diagonal action by a unitary change of basis keeps (m, q)
     h = basis()
-    G = generate_group([h @ diagonal() @ h.inverse()])
+    G = generate_group([h @ diagonal() @ h.conj_transpose()])
     assert G.conductor == conductor
     data = induced_cyclic_data(G)
     assert (data.m, data.q) == expected
@@ -239,9 +239,9 @@ def test_table_agrees_with_matrix_products(build, order, classes):
         while power != ident:
             power, k = power @ a, k + 1
         assert G.element_order(i) == k
-        assert G.inverse(i) == idx(a.inverse())
+        assert G.inverse(i) == idx(a.conj_transpose())
 
-    conjugacy = {frozenset(idx(h @ a @ h.inverse()) for h in mats) for a in mats}
+    conjugacy = {frozenset(idx(h @ a @ h.conj_transpose()) for h in mats) for a in mats}
     assert len(conjugacy) == len(G.conjugacy_classes()) == classes
     assert {frozenset(c) for c in G.conjugacy_classes()} == conjugacy
 
@@ -255,6 +255,6 @@ def test_table_agrees_with_matrix_products(build, order, classes):
                 star.add(idx(y))
                 frontier.append(y)
     assert G.gamma_star == star
-    normal = all(idx(h @ mats[s] @ h.inverse()) in star for h in mats for s in star)
+    normal = all(idx(h @ mats[s] @ h.conj_transpose()) in star for h in mats for s in star)
     assert normal  # conjugation permutes the reflections
     assert G.gamma_prime.order == order // len(star)

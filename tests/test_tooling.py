@@ -5,6 +5,7 @@ benchmark tracer that still wraps the program."""
 
 import ast
 import collections
+import importlib.util
 import json
 import os
 import pathlib
@@ -17,6 +18,7 @@ import orbifold4
 
 SRC = pathlib.Path(orbifold4.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+UNTAMED = ROOT / "docs" / "examples" / "untamed-model.json"
 
 
 def _assertion_gates(path):
@@ -107,6 +109,146 @@ def test_a_definition_that_only_names_itself_is_unreferenced():
     assert _unreferenced(library, others) == ["lib.py:7 orphan", "lib.py:10 Unused"]
 
 
+# the functions of src/ that no golden case, benchmark job or the symmetric
+# product enters, each with why: the ROADMAP item that gives it a command
+# (a criterion is a test of tests/test_acceptance.py that calls it
+# meanwhile), or why no command runs it.  Dunder methods are protocol and
+# exempt: the operators a command never applies (`__pow__`, `__rsub__`,
+# `Jet.__truediv__`), the `__repr__`s, the packages' `__getattr__`
+UNREACHED = {
+    "cli._invalid_file": "error path, covered by test_cli.py",
+    "cli.run": "process entry point",
+    "groups.CosetGroup.abelian_invariants": "ROADMAP item 6",
+    "groups.CosetGroup.element_order": "ROADMAP item 6",
+    "invariants.Poly2.eval_complex": "ROADMAP items 5 and 7",
+    "invariants.Poly2.eval_complex.embed": "ROADMAP items 5 and 7",
+    "invariants.embedding_basis": "ROADMAP items 5 and 7",
+    "invariants.h_map_eval": "ROADMAP items 5 and 7",
+    "invariants.invariant_dimension_bruteforce": "ROADMAP item 19, criterion 5",
+    "invariants.reynolds": "ROADMAP item 19",
+    "presentation.abelianize": "ROADMAP items 11 and 6, criterion 6",
+    "presentation.mapping_torus_pi1": "ROADMAP item 11, criterion 6",
+    "presentation.mapping_torus_pi1.power": "ROADMAP item 11, criterion 6",
+    "presentation.smith_normal_form": "ROADMAP items 11 and 6, criterion 6",
+    "sympverify.localmodel.model_form": "ROADMAP item 7, criteria 7 and 10",
+    "sympverify.localmodel.model_form.form": "ROADMAP item 7, criteria 7 and 10",
+    "sympverify.profiles.RadialProfile.d1": "perfbench/tracer.py rebinds it; criterion 8",
+    "sympverify.profiles.RadialProfile.d2": "perfbench/tracer.py rebinds it; criterion 8",
+    "sympverify.profiles.RadialProfile.value": "perfbench/tracer.py rebinds it",
+    "sympverify.pushforward.PushforwardReport.ok": "ROADMAP item 7, criterion 10",
+    "sympverify.pushforward.pushforward_check": "ROADMAP item 7, criterion 10",
+    "sympverify.pushforward.sample_points": "ROADMAP item 7, criteria 7 and 10",
+}
+
+# runs `main(argv + ["--json"])` of the package's cli for each [argv, exit
+# code or null] of a JSON list on stdin, output captured, and prints the
+# (path, first line) of every code object of the package that it entered
+SCAN = """
+import contextlib, io, json, os, sys
+root, package = sys.argv[1:]
+sys.path.insert(0, root)
+main = __import__(package + ".cli", fromlist=["main"]).main
+prefix = os.path.join(root, package, "")
+entered = set()
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(prefix):
+        entered.add((code.co_filename[len(prefix):], code.co_firstlineno))
+for argv, expect in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        sys.setprofile(profile)
+        code = main(argv + ["--json"])
+        sys.setprofile(None)
+    if expect is not None and code != expect:
+        sys.exit(f"{argv} exited {code}, not {expect}")
+print(json.dumps(sorted(entered)))
+"""
+
+
+def _functions(node, prefix):
+    """(qualified name, first line) of every function under node, nested
+    ones included, dunder methods left out; a decorated function's first
+    line is its first decorator's, as in its code object."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            dunder = child.name.startswith("__") and child.name.endswith("__")
+            if not (isinstance(child, ast.ClassDef) or dunder):
+                yield name, min([child.lineno] + [d.lineno for d in child.decorator_list])
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, prefix)
+
+
+def _unreached_faults(package: pathlib.Path, argvs, allowed: dict) -> list:
+    """Run argvs under SCAN in a fresh interpreter, so that no cache or
+    import of this one hides a call, and list what the allow-list gets
+    wrong: a function no argv entered that it does not name, a name it
+    holds that an argv entered, and a name it holds that is not defined."""
+    proc = subprocess.run([sys.executable, "-c", SCAN, str(package.parent), package.name],
+                          input=json.dumps(argvs), cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    entered = {tuple(key) for key in json.loads(proc.stdout)}
+    defined = {}
+    for path in sorted(package.rglob("*.py")):
+        rel = path.relative_to(package)
+        module = ".".join(rel.with_suffix("").parts)
+        for name, line in _functions(ast.parse(path.read_text()), module):
+            defined[name] = (str(rel), line) not in entered
+    unreached = {name for name, missed in defined.items() if missed}
+    return ([f"unreached, not listed: {name}" for name in sorted(unreached - allowed.keys())]
+            + [f"listed, but reached: {name}" for name in sorted(allowed.keys() & defined.keys()
+                                                                  - unreached)]
+            + [f"listed, but not defined: {name}" for name in sorted(allowed.keys()
+                                                                    - defined.keys())])
+
+
+def test_every_library_function_runs_under_some_command(tmp_path, monkeypatch):
+    # ROADMAP aim 2, with commands as the only callers: every golden case,
+    # every job of the three workloads at seed 7, each exiting as the
+    # benchmark expects, and the symmetric product enter every function of
+    # src/ but those UNREACHED names
+    from test_golden import CASES, NUMERIC_CASES
+
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass reads the module from sys.modules
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    argvs = [[list(argv), None] for argv in (*CASES.values(), *NUMERIC_CASES.values())]
+    for name in ("exact-groups", "resolve-specs", "certify-grids"):
+        (tmp_path / name).mkdir()
+        argvs += [[job.argv, job.expect_exit]
+                  for job in workloads.make_jobs(name, 7, str(tmp_path / name))]
+    argvs.append([["orbifold", "resolve", "--example", "product", "--m", "3", "--m2", "3",
+                   "--symmetric"], 0])
+    assert _unreached_faults(SRC, argvs, UNREACHED) == []
+    reasons = ("ROADMAP item", "error path, covered by test_cli.py", "process entry point",
+               "perfbench/tracer.py rebinds it")
+    assert [name for name, why in UNREACHED.items() if not why.startswith(reasons)] == []
+
+
+def test_the_reachability_scan_names_what_the_list_gets_wrong(tmp_path):
+    package = tmp_path / "lib"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import functools\n\n"
+        "def main(argv):\n    return helper() if argv[0] == 'run' else 2\n\n"
+        "@functools.lru_cache\ndef helper():\n    def inner():\n        return 0\n"
+        "    return inner()\n\n"
+        "def orphan():\n    return 1\n\n"
+        "def waiting():\n    return 1\n\n"
+        "class Record:\n    def __repr__(self):\n        return ''\n\n"
+        "    def method(self):\n        return 1\n")
+    allowed = {"cli.waiting": "an item", "cli.helper": "an item", "cli.gone": "an item"}
+    assert _unreached_faults(package, [[["run"], 0]], allowed) == [
+        "unreached, not listed: cli.Record.method", "unreached, not listed: cli.orphan",
+        "listed, but reached: cli.helper", "listed, but not defined: cli.gone"]
+    assert _unreached_faults(package, [[["run"], 0]], {
+        "cli.waiting": "an item", "cli.orphan": "an item", "cli.Record.method": "an item"}) == []
+
+
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -138,11 +280,24 @@ def test_the_jet_takes_any_scalar(name):
 def test_no_module_imports_numpy_at_module_level():
     # numpy is a test dependency only: the library computes in Python floats,
     # and its array references live in the tests, so no import statement of
-    # src/, at module level or inside a function, names numpy
-    found = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
-             if any(name.split(".")[0] == "numpy"
-                    for name in _imported_modules(ast.parse(path.read_text())))]
+    # src/, at module level or inside a function, names numpy; a scalar's
+    # rationals are its integers num and den, so none names fractions or
+    # decimal either.  cmath is Poly2.eval_complex's alone, the embedding
+    # in C that ROADMAP items 5 and 7 will call
+    trees = {str(path.relative_to(SRC)): ast.parse(path.read_text())
+             for path in sorted(SRC.rglob("*.py"))}
+    found = [f"{path} {name}" for path, tree in trees.items() for name in _imported_modules(tree)
+             if name.split(".")[0] in ("numpy", "fractions", "decimal")]
     assert found == []
+
+    def cmath_imports(tree):
+        return sum(name == "cmath" for name in _imported_modules(tree))
+
+    eval_complex = next(node for node in ast.walk(trees["invariants.py"])
+                        if isinstance(node, ast.FunctionDef) and node.name == "eval_complex")
+    assert {path: n for path, tree in trees.items() if (n := cmath_imports(tree))} == {
+        "invariants.py": 1}
+    assert cmath_imports(eval_complex) == 1
 
 
 def test_exact_commands_start_without_numpy():
@@ -217,10 +372,10 @@ GLUING_MODULES = {"forms", "taming", "jet", "fixtures", "profiles"}
      TAMENESS_MODULES),
     (("verify", "tameness", "--model", str(ROOT / "docs" / "examples" / "model.json")),
      TAMENESS_MODULES),
-    (("verify", "tameness", "--model", "degenerate-fixture"), {"taming"}),
+    (("verify", "tameness", "--model", str(UNTAMED)), TAMENESS_MODULES),
     (("verify", "gluing", "--grid", "8"), GLUING_MODULES),
     (("verify", "blowup", "--grid", "4"), {"taming", "jet", "blowup"}),
-], ids=["tameness-flat", "tameness-resolved", "tameness-model", "tameness-degenerate",
+], ids=["tameness-flat", "tameness-resolved", "tameness-model", "tameness-untamed",
         "gluing", "blowup"])
 def test_verify_commands_load_only_what_they_run(argv, modules):
     # sympverify resolves its names lazily: a verify job compiles only the
@@ -249,14 +404,14 @@ def _cli(argv, block_numpy: bool):
     ("verify", "tameness", "--model", "flat", "--grid", "6"),
     ("verify", "tameness", "--model", "flat", "--grid", "6", "--resolved"),
     ("verify", "tameness", "--model", str(ROOT / "docs" / "examples" / "model.json")),
-    ("verify", "tameness", "--model", "degenerate-fixture"),
+    ("verify", "tameness", "--model", str(UNTAMED)),
     ("verify", "gluing", "--grid", "8"),
     ("verify", "gluing", "--problem", str(ROOT / "docs" / "examples" / "problem.json"),
      "--grid", "9"),
     ("verify", "gluing", "--eps1", "1.5", "--eps2", "2.4", "--eps3", "3"),
     ("verify", "blowup", "--grid", "6"),
     ("orbifold", "resolve", "--example", "mapping-torus"),
-], ids=["tameness-flat", "tameness-resolved", "tameness-model", "tameness-degenerate",
+], ids=["tameness-flat", "tameness-resolved", "tameness-model", "tameness-untamed",
         "gluing", "gluing-problem", "gluing-refused", "blowup", "orbifold-resolve"])
 def test_commands_run_without_numpy(argv):
     # numpy is a test dependency only: every command keeps its exit code and
@@ -424,7 +579,7 @@ def test_traced_gluing_counts_no_tameness_min_points(tmp_path):
     (("verify", "tameness", "--model", "flat", "--grid", "4", "--resolved"), 0),
     (("verify", "tameness", "--model", "flat", "--grid", "4", "--a", "0"), 0),
     (("verify", "gluing", "--grid", "8"), 0),
-    (("verify", "tameness", "--model", "degenerate-fixture"), 4),
+    (("verify", "tameness", "--model", str(UNTAMED)), 4),
     # a^2 underflows, and the grid meets r = 0, where 0.0 ** -p has no float
     (("verify", "tameness", "--model", "flat", "--a", "1e-200", "--grid", "21"), 4),
     (("verify", "tameness", "--model", "flat", "--a", "1e-200", "--grid", "21",

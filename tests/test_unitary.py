@@ -9,7 +9,7 @@ from orbifold4 import CyclotomicScalar, NotUnitaryError, UMat2
 
 def _hadamard():
     # (1/sqrt2) [[1,1],[1,-1]] with 1/sqrt2 = (zeta_8 - zeta_8^3)/2, exact
-    s = (CyclotomicScalar.zeta(8) - CyclotomicScalar.zeta(8, 3)) * CyclotomicScalar.from_rational("1/2")
+    s = (CyclotomicScalar.zeta(8) - CyclotomicScalar.zeta(8, 3)) * CyclotomicScalar(1, [1], 2)
     return UMat2([[s, s], [s, -1 * s]])
 
 
@@ -36,7 +36,7 @@ def test_hadamard_is_unitary_and_realifies_correctly():
 
 
 def test_realify_is_a_homomorphism():
-    a = UMat2.diagonal(CyclotomicScalar.zeta(4), CyclotomicScalar.from_rational(-1))
+    a = UMat2.diagonal(CyclotomicScalar.zeta(4), CyclotomicScalar(1, [-1]))
     b = _hadamard()
     ra, rb = realify(complex_matrix(a)), realify(complex_matrix(b))
     assert np.allclose(realify(complex_matrix(a @ b)), ra @ rb, atol=1e-12)
@@ -45,7 +45,7 @@ def test_realify_is_a_homomorphism():
 
 def test_group_ops_exact():
     a = UMat2.diagonal(CyclotomicScalar.zeta(6), CyclotomicScalar.zeta(6, 5))
-    assert a @ a.inverse() == UMat2.identity()
+    assert a @ a.conj_transpose() == UMat2.identity()
     assert a.det() == 1
     assert (a.trace() - CyclotomicScalar.zeta(6) - CyclotomicScalar.zeta(6, 5)).is_zero()
 
