@@ -5,7 +5,8 @@ local models.
 The public names below are resolved on first use (PEP 562), so importing
 `orbifold4` or one of its numeric submodules loads none of the exact half.
 `SelfCheckFailed` is defined here, so that the integer code of `resolution`
-raises it without loading the cyclotomic field."""
+raises it without loading the cyclotomic field, and so is `is_int`, the one
+rule every reader of an integer input applies."""
 
 import importlib
 
@@ -13,6 +14,12 @@ import importlib
 class SelfCheckFailed(RuntimeError):
     """An exact internal consistency check failed: a defect of the library,
     never a property of the input."""
+
+
+def is_int(value) -> bool:
+    """Whether value is an integer: an int that is not a bool, so that a
+    JSON true is not 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _EXPORTS = {
@@ -26,7 +33,7 @@ _EXPORTS = {
                    "molien", "reynolds"),
     "isotropy": ("CornerPoint", "DeltaSet", "IsolatedPoint", "OrbifoldSpec", "Surface",
                  "builtin_mapping_torus", "builtin_product", "delta_set",
-                 "load_spec", "spec_from_json", "validate_spec"),
+                 "spec_from_json", "validate_spec"),
     "resolution": ("CohomologyProfile", "HJChain", "Incomplete", "euler_characteristic",
                    "exceptional_betti", "hj_resolve", "resolution_betti"),
     "presentation": ("AbelianInvariants", "GroupPresentation", "abelianize",

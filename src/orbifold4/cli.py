@@ -10,8 +10,10 @@ loads the sympverify modules it runs and none of the exact half, and no
 command loads numpy: every certificate runs in Python floats.  A `verify`
 grid lies in [2, MAX_GRID], and a `group invariants` degree in
 [0, MAX_DEGREE].  A command reads one group or spec source, and a
-`verify tameness` model is `flat` or a file.
-`run` is the process entry point: `main`, then the exit path.
+`verify tameness` model is `flat` or a file.  One reader (`_read`) opens
+every input file, a --file, --spec, --model or --problem, and refuses it
+with exit 2 and one line.  `run` is the process entry point: `main`, then
+the exit path.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import json
 import math
 import os
 import sys
+
+from . import is_int
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -81,29 +85,31 @@ def _report(command: str, results: dict, checks) -> dict:
             "exit_status": EXIT_FAILED_CERT if failed else EXIT_OK}
 
 
+def _read(path: str, what: str, build, *args):
+    """build(the JSON value of the file at path, *args): the one reader of
+    an input file.  Every refusal exits 2 with one line naming what was
+    read: NotUnitaryError and NotFiniteWithinBound are ValueErrors, a file
+    nested past the recursion limit is a RecursionError, and a KeyError is
+    the lookup of a key the file lacks."""
+    try:
+        with open(path) as fh:
+            return build(json.load(fh), *args)
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise CliError(f"invalid {what}: {detail}", EXIT_INVALID)
+
+
 def _load_group(args):
     from .groups import builtin_group, group_from_json
 
     if getattr(args, "builtin", None):
         try:
             return builtin_group(args.builtin)
-        except KeyError as exc:
-            raise CliError(exc.args[0], EXIT_INVALID)
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_INVALID)
     if getattr(args, "file", None):
-        try:
-            with open(args.file) as fh:
-                return group_from_json(json.load(fh))
-        # NotUnitaryError and NotFiniteWithinBound are ValueErrors
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise _invalid_file("group file", exc)
+        return _read(args.file, "group file", group_from_json)
     raise CliError("need --builtin or --file", EXIT_INVALID)
-
-
-def _invalid_file(what: str, exc: Exception) -> CliError:
-    """The exit-2 error of a group or spec file its loader refused; a
-    KeyError there is the lookup of a key the file lacks."""
-    detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-    return CliError(f"invalid {what}: {detail}", EXIT_INVALID)
 
 
 def cmd_group_classify(args) -> dict:
@@ -216,7 +222,7 @@ def cmd_singularity_resolve(args) -> dict:
 def _load_spec(args):
     """The spec of --example or --spec; --m, --m2 and --symmetric belong to
     --example product alone, and are refused with any other source."""
-    from .isotropy import BUILTIN_SPECS, builtin_product, load_spec
+    from .isotropy import BUILTIN_SPECS, builtin_product, spec_from_json
 
     if not (args.example or args.spec):
         raise CliError("need --example or --spec", EXIT_INVALID)
@@ -234,10 +240,7 @@ def _load_spec(args):
     if product_only:
         raise CliError(f"only --example product reads {', '.join(product_only)}", EXIT_INVALID)
     if args.spec:
-        try:
-            return load_spec(args.spec)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise _invalid_file("spec file", exc)
+        return _read(args.spec, "spec file", spec_from_json)
     if name in BUILTIN_SPECS:
         return BUILTIN_SPECS[name]()
     raise CliError(f"unknown example {args.example!r}", EXIT_INVALID)
@@ -290,40 +293,25 @@ def _check_grid(args) -> None:
         raise CliError(f"--grid must be at most {MAX_GRID}", EXIT_INVALID)
 
 
-# the real parameters of a --model or --problem file; a model's nu is a
-# list of them
-REAL_KEYS = ("a", "delta0", "delta2", "kappa", "eps1", "eps2", "eps3")
-
-
-def _require_reals(obj: dict) -> None:
-    """Checks that each real parameter of obj, and each of nu's, is a
-    number, naming the first that is not: a JSON true is not 1, nor a
+def _parameters(obj, keys) -> dict:
+    """obj, the JSON value of a --model or --problem file, checked against
+    the keys of its record: the top level an object, each key one of keys,
+    and each but m, which the record checks, a real number, an integer
+    (`is_int`) or a float, nu a list of two of them.  The first fault is
+    named, keys in their order and nu last: a JSON true is not 1, nor a
     string a number."""
-    pairs = [(key, obj[key]) for key in REAL_KEYS if key in obj]
-    for key, value in pairs + [("nu", v) for v in obj.get("nu", ())]:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not isinstance(obj, dict):
+        raise ValueError("the top level must be a JSON object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    nu = obj.get("nu", [0.0, 0.0])
+    if not (isinstance(nu, list) and len(nu) == 2):
+        raise ValueError("nu must be a list of two real numbers")
+    reals = [(key, obj[key]) for key in keys if key in obj and key not in ("m", "nu")]
+    for key, value in reals + [("nu", v) for v in nu]:
+        if not (is_int(value) or isinstance(value, float)):
             raise ValueError(f"{key} must be a real number")
-
-
-def _read_parameters(path: str, keys, what: str) -> dict:
-    """The JSON object of a --model or --problem file: its top level an
-    object, each key one of keys, nu a list of two and every real parameter
-    a number (_require_reals).  Anything else exits 2 with one line that
-    names the fault."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise ValueError("the top level must be a JSON object")
-        unknown = sorted(set(obj) - set(keys))
-        if unknown:
-            raise ValueError(f"unknown keys {unknown}")
-        nu = obj.get("nu", [0.0, 0.0])
-        if not (isinstance(nu, list) and len(nu) == 2):
-            raise ValueError("nu must be a list of two real numbers")
-        _require_reals(obj)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"invalid {what}: {exc}", EXIT_INVALID)
     return obj
 
 
@@ -335,7 +323,7 @@ def cmd_verify_tameness(args) -> dict:
     if args.model == "flat":
         params = {"m": args.m, "a": args.a, "delta0": 1.0, "delta2": args.delta2}
     else:
-        params = _read_parameters(args.model, LocalModel._fields, "model")
+        params = _read(args.model, "model", _parameters, LocalModel._fields)
     try:
         model = LocalModel(**params)
     except (ValueError, OverflowError) as exc:
@@ -354,7 +342,7 @@ def cmd_verify_gluing(args) -> dict:
 
     _check_grid(args)
     keys = ("m", "a", "eps1", "eps2", "eps3")
-    obj = _read_parameters(args.problem, keys, "problem file") if args.problem else {}
+    obj = _read(args.problem, "problem file", _parameters, keys) if args.problem else {}
     try:
         problem = pipeline_problem(**{key: obj.get(key, getattr(args, key)) for key in keys})
     except (TypeError, ValueError, OverflowError) as exc:

@@ -18,7 +18,7 @@ import json
 import math
 from functools import lru_cache
 
-from . import SelfCheckFailed
+from . import SelfCheckFailed, is_int
 
 
 def _divmod_monic(poly, monic) -> tuple[list[int], list[int]]:
@@ -214,8 +214,7 @@ class CyclotomicScalar:
         naming it."""
         coeffs = obj["coeffs"]
         for pair in coeffs:
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(map(is_int, pair))):
                 raise ValueError(f"coefficient {json.dumps(pair)} is not a pair of integers")
             if pair[1] == 0:
                 raise ValueError("a coefficient [num, den] needs den != 0")

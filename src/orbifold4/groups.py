@@ -12,6 +12,7 @@ import math
 from collections import namedtuple
 from itertools import islice
 
+from . import is_int
 from .cyclotomic import CyclotomicScalar, SelfCheckFailed, root_of_unity_log, roots_of_unity
 from .unitary import UMat2
 
@@ -150,7 +151,12 @@ class UnitaryGroup(CosetGroup):
         return iter(self.matrices)
 
 
-def generate_group(gens: list[UMat2], max_order: int = 512) -> UnitaryGroup:
+# the closure bound of a group that sets none: a group file or a spec's
+# group without max_order, a built-in group and a product's corner groups
+DEFAULT_MAX_ORDER = 512
+
+
+def generate_group(gens: list[UMat2], max_order: int = DEFAULT_MAX_ORDER) -> UnitaryGroup:
     """Worklist closure of the subgroup generated by unitary matrices.
 
     The closure multiplies each element once by each generator, recording
@@ -164,7 +170,7 @@ def generate_group(gens: list[UMat2], max_order: int = 512) -> UnitaryGroup:
     ident = UMat2.identity(conductor)
 
     matrices = [ident]
-    index = {ident.canonical_key(conductor): 0}
+    index = {ident.canonical_key(): 0}
     parent = [(0, 0)]
 
     def add(m: UMat2, key, x: int, k: int) -> int:
@@ -175,7 +181,7 @@ def generate_group(gens: list[UMat2], max_order: int = 512) -> UnitaryGroup:
 
     gen_indices = []
     for k, g in enumerate(gens_n):
-        key = g.canonical_key(conductor)
+        key = g.canonical_key()
         if key not in index:
             add(g, key, 0, k)
         gen_indices.append(index[key])
@@ -185,7 +191,7 @@ def generate_group(gens: list[UMat2], max_order: int = 512) -> UnitaryGroup:
         x = frontier.pop()
         for k, g in enumerate(gens_n):
             y = matrices[x] @ g
-            key = y.canonical_key(conductor)
+            key = y.canonical_key()
             if key not in index:
                 if len(matrices) >= max_order:
                     raise NotFiniteWithinBound(f"closure exceeds max_order={max_order}")
@@ -361,14 +367,14 @@ MAX_CONDUCTOR = 256
 # the largest max_order a group file or a spec's group may set.  The
 # multiplication table grows as the square of the order: `group classify`
 # closes C48 x C48 (order 2304) in 1.9 s and 106 MB, and `group invariants`
-# on C128 x C16 (order 2048) takes 24 s.  The default is 512
+# on C128 x C16 (order 2048) takes 24 s.  The default is DEFAULT_MAX_ORDER
 MAX_ORDER = 2304
 
 
 def _bounded(value, bound: int, what: str) -> int:
     """value, an integer in [1, bound]; anything else, a JSON true, 4.5, "4"
     or null included, is a ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= bound:
+    if not (is_int(value) and 1 <= value <= bound):
         raise ValueError(f"{what} {json.dumps(value)} is not an integer in [1, {bound}]")
     return value
 
@@ -379,7 +385,7 @@ def group_from_json(obj: dict) -> UnitaryGroup:
     scalar's conductor and their lcm lie in [1, MAX_CONDUCTOR], and
     max_order in [1, MAX_ORDER]: checked before any scalar is built."""
     generators = obj["generators"]
-    max_order = _bounded(obj.get("max_order", 512), MAX_ORDER, "max_order")
+    max_order = _bounded(obj.get("max_order", DEFAULT_MAX_ORDER), MAX_ORDER, "max_order")
     field = 1
     for g in generators:
         if not (isinstance(g, list) and len(g) == 2
@@ -401,4 +407,4 @@ def builtin_group(name: str) -> UnitaryGroup:
         return generate_group([UMat2.diagonal(minus_one, minus_one)])
     if name == "klein_four":
         return generate_group([UMat2.diagonal(minus_one, one), UMat2.diagonal(one, minus_one)])
-    raise KeyError(f"unknown built-in group {name!r}")
+    raise ValueError(f"unknown built-in group {name!r}")

@@ -15,6 +15,7 @@ from collections import namedtuple
 
 from .cyclotomic import CyclotomicScalar, SelfCheckFailed
 from .groups import UnitaryGroup
+from .unitary import UMat2
 
 
 class NotReflectionGroup(ValueError):
@@ -108,10 +109,10 @@ class Poly2:
         return " + ".join(bits)
 
 
-def sym_power(m, d: int) -> list[Poly2]:
+def sym_power(m: UMat2, d: int) -> list[Poly2]:
     """Sym^d(m): row k is the image of z^(d-k) w^k under `compose_linear(m)`,
     the product (m00 z + m01 w)^(d-k) (m10 z + m11 w)^k."""
-    e = m.entries if hasattr(m, "entries") else m
+    e = m.entries
     zf = Poly2({(1, 0): e[0][0], (0, 1): e[0][1]})
     wf = Poly2({(1, 0): e[1][0], (0, 1): e[1][1]})
     zp, wp = [Poly2.monomial(0, 0)], [Poly2.monomial(0, 0)]

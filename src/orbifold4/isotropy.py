@@ -5,6 +5,8 @@ the isotropy surfaces, and the corner points where surfaces meet, each point
 carrying its finite unitary isotropy group.  Validation enforces the
 stratum trichotomy; `delta_set` extracts the points whose reflection quotient
 is nontrivial (the ones contributing exceptional cohomology beyond surfaces).
+`spec_from_json` builds a spec from the JSON value of a spec file, which the
+CLI reads; a spec's integers follow the package's one rule (`is_int`).
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
+from . import is_int
 from .cyclotomic import CyclotomicScalar
 from .unitary import UMat2
-from .groups import (NotFiniteWithinBound, UnitaryGroup, builtin_group, generate_group,
-                     group_from_json, stratum_class)
+from .groups import (DEFAULT_MAX_ORDER, NotFiniteWithinBound, UnitaryGroup, builtin_group,
+                     generate_group, group_from_json, stratum_class)
 
 PROVENANCE = ("asserted", "computed", "user-asserted", "user-default")
 
@@ -30,10 +33,6 @@ OrbifoldSpec = namedtuple(
     "base_betti isolated_points surfaces corner_points betti_provenance name",
     defaults=((), (), (), ("asserted",) * 5, ""))
 ValidationReport = namedtuple("ValidationReport", "valid structural_errors semantic_errors")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_labels(x) -> bool:
@@ -65,17 +64,17 @@ def validate_spec(spec: OrbifoldSpec) -> ValidationReport:
         for s in c.incident_surfaces:
             if s not in surface_labels:
                 structural.append(f"corner {c.label!r} references unknown surface {s!r}")
-    if len(spec.base_betti) != 5 or not all(_is_int(b) and b >= 0 for b in spec.base_betti):
+    if len(spec.base_betti) != 5 or not all(is_int(b) and b >= 0 for b in spec.base_betti):
         structural.append("base_betti must be five nonnegative integers")
     if len(spec.betti_provenance) != 5 or any(p not in PROVENANCE for p in spec.betti_provenance):
         structural.append("betti_provenance must be five known flags")
 
     for s in spec.surfaces:
-        if not _is_int(s.m):
+        if not is_int(s.m):
             semantic.append(f"surface {s.label!r}: transverse isotropy order {s.m!r} is not an integer")
         elif s.m < 2:
             semantic.append(f"surface {s.label!r}: transverse isotropy order {s.m} < 2")
-        if not (_is_int(s.genus) and s.genus >= 0):
+        if not (is_int(s.genus) and s.genus >= 0):
             semantic.append(f"surface {s.label!r}: genus {s.genus!r} is not a nonnegative integer")
         if not isinstance(s.compact, bool):
             semantic.append(f"surface {s.label!r}: compact {s.compact!r} is not a boolean")
@@ -147,16 +146,12 @@ def builtin_mapping_torus() -> OrbifoldSpec:
     )
 
 
-# the closure bound of a product's corner groups, generate_group's default
-CORNER_MAX_ORDER = 512
-
-
 def _refuse_past_max_order(order: int) -> None:
-    """The closure's refusal of a corner group of known order, raised
-    before any of its scalars is built: a scalar of conductor m costs time
-    linear in m."""
-    if order > CORNER_MAX_ORDER:
-        raise NotFiniteWithinBound(f"closure exceeds max_order={CORNER_MAX_ORDER}")
+    """The closure's refusal of a corner group of known order past
+    DEFAULT_MAX_ORDER, raised before any of its scalars is built: a scalar
+    of conductor m costs time linear in m."""
+    if order > DEFAULT_MAX_ORDER:
+        raise NotFiniteWithinBound(f"closure exceeds max_order={DEFAULT_MAX_ORDER}")
 
 
 def _cyclic_pair_group(m: int, mp: int) -> UnitaryGroup:
@@ -166,7 +161,7 @@ def _cyclic_pair_group(m: int, mp: int) -> UnitaryGroup:
     return generate_group([
         UMat2.diagonal(CyclotomicScalar.zeta(m), one),
         UMat2.diagonal(one, CyclotomicScalar.zeta(mp)),
-    ], max_order=CORNER_MAX_ORDER)
+    ])
 
 
 def _swap_corner_group(m: int) -> UnitaryGroup:
@@ -179,7 +174,7 @@ def _swap_corner_group(m: int) -> UnitaryGroup:
         UMat2.diagonal(CyclotomicScalar.zeta(m), one),
         UMat2.diagonal(one, CyclotomicScalar.zeta(m)),
         swap,
-    ], max_order=CORNER_MAX_ORDER)
+    ])
 
 
 def builtin_product(cone_points_S: list[int], cone_points_S2: list[int] | None = None,
@@ -237,14 +232,8 @@ BUILTIN_SPECS = {
 
 
 def _group_from_json(obj) -> UnitaryGroup:
-    """A spec's group: a built-in name or a group object.  An unknown name
-    is a ValueError, so a KeyError from a spec always names a missing key."""
-    if isinstance(obj, str):
-        try:
-            return builtin_group(obj)
-        except KeyError as exc:
-            raise ValueError(exc.args[0]) from None
-    return group_from_json(obj)
+    """A spec's group: a built-in name or a group object."""
+    return builtin_group(obj) if isinstance(obj, str) else group_from_json(obj)
 
 
 def _labels(value):
@@ -271,8 +260,3 @@ def spec_from_json(obj: dict) -> OrbifoldSpec:
         betti_provenance=tuple(obj.get("betti_provenance", ("asserted",) * 5)),
         name=obj.get("name", ""),
     )
-
-
-def load_spec(path: str) -> OrbifoldSpec:
-    with open(path) as fh:
-        return spec_from_json(json.load(fh))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+from .. import is_int
 from .forms import GluingProblem
 from .profiles import H_cutoff, RadialProfile, f_resolved, h_ramp
 
@@ -53,7 +54,7 @@ def pipeline_problem(m: int = 2, a: float = 0.1,
     """Gluing fixture: smoothed-potential form against the flat form.  Radii
     for which omega1 vanishes somewhere on the outer annulus are refused
     (annulus_floor)."""
-    if isinstance(m, bool) or not isinstance(m, int):
+    if not is_int(m):
         raise ValueError("m must be an integer")
     if m < 1 or not a > 0:
         raise ValueError("need m >= 1 and a > 0")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from .. import is_int
 from .profiles import f_smoothing, f_resolved, identity_profile
 from .taming import quotient
 
@@ -35,7 +36,7 @@ class LocalModel(namedtuple("LocalModel", "m a delta0 delta2 nu kappa",
         reals = (self.a, self.delta0, self.delta2, self.kappa, *self.nu)
         if len(self.nu) != 2 or not all(map(math.isfinite, reals)):
             raise ValueError("model parameters must be finite reals, nu a pair")
-        if isinstance(self.m, bool) or not isinstance(self.m, int):
+        if not is_int(self.m):
             raise ValueError("m must be an integer")
         if self.m < 1 or self.a < 0:
             raise ValueError("need m >= 1 and a >= 0")

@@ -63,9 +63,10 @@ class UMat2:
             check=False,
         )
 
-    def canonical_key(self, conductor: int | None = None):
-        m = self if conductor is None else self.to_conductor(conductor)
-        return tuple(c for row in m.entries for e in row for c in (*e.num, e.den))
+    def canonical_key(self):
+        """The entries' (num, den) as one tuple: equal matrices whose
+        entries share one conductor have equal keys."""
+        return tuple(c for row in self.entries for e in row for c in (*e.num, e.den))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UMat2):

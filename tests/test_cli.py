@@ -444,6 +444,23 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content):
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv,what", [
+    (("group", "classify", "--file"), "group file"),
+    (("orbifold", "resolve", "--spec"), "spec file"),
+    (("verify", "tameness", "--model"), "model"),
+    (("verify", "gluing", "--problem"), "problem file"),
+], ids=["group", "spec", "model", "problem"])
+def test_a_file_nested_past_the_recursion_limit_exits_2(capsys, tmp_path, argv, what):
+    # json.load raises RecursionError on it: every reader refuses the file
+    # with one line, as any other malformed file
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, *argv, str(path), "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid {what}: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+
+
 def _group_with_coefficient(pair: str) -> str:
     """The group file of diag(s, s), s the rational scalar whose one
     coefficient is the JSON text pair, as JSON text."""
@@ -495,6 +512,13 @@ def test_poly_str_prints_rationals_as_integers_or_fractions():
     (("verify", "tameness", "--model"), '{"delta2": "0.25"}', "delta2"),
     (("verify", "tameness", "--model"), '{"kappa": false}', "kappa"),
     (("verify", "tameness", "--model"), '{"nu": [true, 0.0]}', "nu"),
+    # several bad keys: the first in the record's field order is named, m
+    # left to the record and nu last, whatever their order in the file
+    (("verify", "tameness", "--model"), '{"nu": [true, 0.0], "kappa": "x", "a": null}', "a"),
+    (("verify", "tameness", "--model"), '{"nu": [true, 0.0], "kappa": "x", "delta2": true}',
+     "delta2"),
+    (("verify", "tameness", "--model"), '{"nu": [0.0, "x"], "kappa": false}', "kappa"),
+    (("verify", "gluing", "--problem"), '{"eps3": null, "eps1": true, "m": "2"}', "eps1"),
 ])
 def test_a_boolean_or_non_number_parameter_exits_2_naming_its_key(capsys, tmp_path, argv,
                                                                   content, key):
@@ -503,9 +527,8 @@ def test_a_boolean_or_non_number_parameter_exits_2_naming_its_key(capsys, tmp_pa
     path = tmp_path / "input.json"
     path.write_text(content)
     code, out, err = run(capsys, *argv, str(path), "--json")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and f"{key} must be a real number" in err
-    assert err.count("\n") == 1
+    what = "model" if argv[1] == "tameness" else "problem file"
+    assert (code, out, err) == (2, "", f"error: invalid {what}: {key} must be a real number\n")
 
 
 @pytest.mark.parametrize("argv,content,fault", [

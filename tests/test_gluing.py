@@ -1,7 +1,6 @@
 """Gluing of a form vanishing near the origin to a multiple of the flat form."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from orbifold4.sympverify import GluingProblem, RadialProfile, glue_forms, ident
 from orbifold4.sympverify.fixtures import annulus_floor, pipeline_problem, smoothing_excess_max
 from orbifold4.sympverify.forms import PreconditionFailure
 from orbifold4.sympverify.profiles import H_cutoff
+from test_sympverify_forms import traced_peak
 
 # h(u) = u: with g the identity, the potential s + t = |p|^2 of the flat form
 _IDENTITY = RadialProfile.of_rule(lambda u: (u, 1.0, 0.0))
@@ -212,12 +212,6 @@ def test_glue_forms_peak_memory_does_not_grow_with_the_grid():
     problem = pipeline_problem()
 
     def peak(n):
-        glue_forms(problem, grid_n=n)
-        tracemalloc.start()
-        try:
-            glue_forms(problem, grid_n=n)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: glue_forms(problem, grid_n=n))
 
     assert peak(40) <= peak(20) + 256 * 2 ** 10

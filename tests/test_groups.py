@@ -3,10 +3,12 @@ subgroup, quotients, and induced cyclic action data."""
 
 import pytest
 
+from fd_oracles import matrix_to_json
 from orbifold4 import (CyclotomicScalar, NotFiniteWithinBound, UMat2,
                        UnitaryGroup, Unsupported, builtin_group,
-                       classify_element, generate_group, induced_cyclic_data,
-                       stratum_class)
+                       classify_element, generate_group, group_from_json,
+                       induced_cyclic_data, stratum_class)
+from orbifold4.groups import DEFAULT_MAX_ORDER
 
 
 def _zeta(n, k=1):
@@ -42,6 +44,24 @@ def test_closure_orders():
     assert builtin_group("klein_four").order == 4
     assert _cyclic(5, 2).order == 5
     assert _quaternion8().order == 8
+
+
+def test_a_closure_without_a_bound_stops_at_the_one_default():
+    # C24 x C24, of order 576: generate_group without max_order and a group
+    # file without one both refuse it at DEFAULT_MAX_ORDER
+    gens = [UMat2.diagonal(_zeta(24), _one()), UMat2.diagonal(_one(), _zeta(24))]
+    for close in (lambda: generate_group(gens),
+                  lambda: group_from_json({"generators": [matrix_to_json(g) for g in gens]})):
+        with pytest.raises(NotFiniteWithinBound, match="^closure exceeds max_order=512$"):
+            close()
+    assert DEFAULT_MAX_ORDER == 512
+
+
+def test_an_unknown_builtin_group_is_a_value_error():
+    # refused as every other input is, so a KeyError of a reader always
+    # names a missing key
+    with pytest.raises(ValueError, match="^unknown built-in group 'nope'$"):
+        builtin_group("nope")
 
 
 def test_closure_respects_bound():
@@ -226,10 +246,10 @@ def test_table_agrees_with_matrix_products(build, order, classes):
     G = build()
     mats = list(G)
     assert mats == G.matrices and all(isinstance(m, UMat2) for m in mats)
-    key = {m.canonical_key(G.conductor): i for i, m in enumerate(mats)}
+    key = {m.canonical_key(): i for i, m in enumerate(mats)}
 
     def idx(m):
-        return key[m.canonical_key(G.conductor)]
+        return key[m.canonical_key()]
 
     ident = UMat2.identity(G.conductor)
     assert G.order == order and idx(ident) == 0

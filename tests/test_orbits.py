@@ -6,7 +6,6 @@ import json
 import math
 import pathlib
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from orbifold4.sympverify.blowup import CHART, blowup_model_check
 from orbifold4.sympverify.fixtures import pipeline_problem
 from orbifold4.sympverify.forms import glue_forms
 from orbifold4.sympverify.taming import OrbitRegion
+from test_sympverify_forms import traced_peak
 
 PROBLEM = pipeline_problem()
 
@@ -274,21 +274,11 @@ def test_the_gluing_hessian_is_the_oracles_on_every_orbit(name, cutoff, n):
     assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-13 * np.max(np.abs(want), axis=1))
 
 
-def _peak(fn) -> int:
-    fn()  # imports and first-call set-up stay outside the measurement
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_no_certificate_builds_its_4d_grid(capsys):
     # tracemalloc sees numpy's buffers: each command's peak stays below the
     # (N, 4) float array of the 4-D points its region is cut from
     point = 4 * 8
-    assert _peak(lambda: blowup_model_check(3, 0.4322, 24)) < len(chart_grid(24)) * point
+    assert traced_peak(lambda: blowup_model_check(3, 0.4322, 24)) < len(chart_grid(24)) * point
     flat = ["verify", "tameness", "--model", "flat", "--grid", "24", "--json"]
-    assert _peak(lambda: main(flat)) < 24 ** 4 * point
-    assert _peak(lambda: glue_forms(PROBLEM, grid_n=22)) < 22 ** 4 * point
+    assert traced_peak(lambda: main(flat)) < 24 ** 4 * point
+    assert traced_peak(lambda: glue_forms(PROBLEM, grid_n=22)) < 22 ** 4 * point

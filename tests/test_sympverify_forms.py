@@ -206,9 +206,10 @@ def test_tameness_min_across_blocks_matches_whole_array_argmin(ties):
     assert cert.worst_sample == tuple(pts[idx])
 
 
-def _traced_peak(fn):
+def traced_peak(fn):
     """tracemalloc's peak of numpy's and Python's buffers over one call of
-    fn, after one untraced call that leaves any first-call state behind."""
+    fn, after one untraced call that leaves imports and any first-call
+    state behind; the peak helper of every memory test."""
     fn()
     tracemalloc.start()
     try:
@@ -226,7 +227,7 @@ def _traced_peak(fn):
 def test_certification_peak_memory(call, limit_mb):
     # one block of temporaries beyond the samples: the blow-up's 4,032
     # orbits are a few blocks, and the area's 16 nodes peak below 1 kB
-    assert _traced_peak(call) < limit_mb * 2 ** 20
+    assert traced_peak(call) < limit_mb * 2 ** 20
 
 
 def test_worst_sample_is_the_first_sample_tied_with_the_minimum():

@@ -9,6 +9,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -18,7 +19,8 @@ import orbifold4
 
 SRC = pathlib.Path(orbifold4.__file__).parent
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-UNTAMED = ROOT / "docs" / "examples" / "untamed-model.json"
+EXAMPLES = ROOT / "docs" / "examples"
+UNTAMED = EXAMPLES / "untamed-model.json"
 
 
 def _assertion_gates(path):
@@ -46,6 +48,28 @@ def _uses(path, name):
         if (getattr(node, "id", None) == name or getattr(node, "attr", None) == name
                 or isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)):
             yield node.lineno
+
+
+def _integer_rules(tree):
+    """The lines of tree where one boolean expression tests a value's type
+    for both int and bool: the rule "an int that is not a bool" written out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BoolOp):
+            classes = {ast.unparse(call.args[1]) for call in ast.walk(node)
+                       if isinstance(call, ast.Call)
+                       and getattr(call.func, "id", None) == "isinstance"}
+            if "bool" in classes and any(re.search(r"\bint\b", cls) for cls in classes):
+                yield node.lineno
+
+
+def test_the_integer_rule_is_written_once():
+    # every reader of an integer input calls orbifold4.is_int, so a JSON
+    # true is refused as 1 everywhere or nowhere
+    found = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+             for _ in _integer_rules(ast.parse(path.read_text()))]
+    assert found == ["__init__.py"]
+    values = (1, -3, 0, 2 ** 70, True, False, 1.0, "1", None)
+    assert [orbifold4.is_int(v) for v in values] == [True] * 4 + [False] * 5
 
 
 def test_only_taming_calls_circles():
@@ -116,7 +140,6 @@ def test_a_definition_that_only_names_itself_is_unreferenced():
 # exempt: the operators a command never applies (`__pow__`, `__rsub__`,
 # `Jet.__truediv__`), the `__repr__`s, the packages' `__getattr__`
 UNREACHED = {
-    "cli._invalid_file": "error path, covered by test_cli.py",
     "cli.run": "process entry point",
     "groups.CosetGroup.abelian_invariants": "ROADMAP item 6",
     "groups.CosetGroup.element_order": "ROADMAP item 6",
@@ -300,28 +323,11 @@ def test_no_module_imports_numpy_at_module_level():
     assert cmath_imports(eval_complex) == 1
 
 
-def test_exact_commands_start_without_numpy():
-    # no module of the library imports numpy, so no command start loads it
-    code = "import sys, orbifold4.cli; print('numpy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
-
-
-EXACT_HALF = {"orbifold4." + name for name in
-              ("cyclotomic", "unitary", "groups", "invariants", "isotropy", "resolution",
-               "presentation")}
-
-# what no command loads: a scalar's rationals are its integer num and den,
-# no command embeds a scalar in C, and no command presents a fundamental group
-UNUSED_BY_COMMANDS = {"fractions", "decimal", "_decimal", "numbers", "cmath",
-                      "orbifold4.presentation"}
-
 # the names `orbifold4` exported when its __init__ imported them eagerly,
-# but GroupElement, since removed: a group's elements are its UMat2s; and
+# but GroupElement, since removed: a group's elements are its UMat2s;
 # spec_to_json, which moved to the tests' references with the other JSON
-# writers, since no command writes a spec
+# writers, since no command writes a spec; and load_spec, since the CLI's one
+# reader opens a spec file and spec_from_json builds the spec
 PUBLIC_NAMES = """
     CyclotomicScalar cyclotomic_polynomial root_of_unity_log UMat2 NotUnitaryError
     UnitaryGroup CosetGroup Unsupported NotFiniteWithinBound builtin_group
@@ -329,7 +335,7 @@ PUBLIC_NAMES = """
     InvariantBasis MolienSeries NotReflectionGroup Poly2 embedding_basis
     fundamental_invariants h_map_eval molien reynolds
     CornerPoint DeltaSet IsolatedPoint OrbifoldSpec Surface builtin_mapping_torus
-    builtin_product delta_set load_spec spec_from_json validate_spec
+    builtin_product delta_set spec_from_json validate_spec
     AbelianInvariants CohomologyProfile GroupPresentation HJChain Incomplete abelianize
     euler_characteristic exceptional_betti hj_resolve mapping_torus_pi1 resolution_betti
     smith_normal_form __version__
@@ -344,79 +350,65 @@ def _modules_after(code, *argv) -> set:
     return set(proc.stdout.split())
 
 
-def _loaded_modules(argv) -> set:
-    """The modules an interpreter holds after running one CLI command."""
-    return _modules_after("import sys; from orbifold4.cli import main; main(sys.argv[1:])",
-                          *argv, "--quiet")
+@pytest.fixture(scope="module")
+def bare_modules() -> set:
+    """The modules a bare interpreter holds, measured once."""
+    return _modules_after("import sys")
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "tameness", "--model", "flat", "--grid", "4"),
-    ("verify", "gluing", "--grid", "8"),
-    ("verify", "blowup", "--grid", "4"),
-], ids=["tameness", "gluing", "blowup"])
-def test_verify_commands_load_none_of_the_exact_half(argv):
-    # a verify job pays for sympverify only
-    loaded = _loaded_modules(argv)
-    assert "orbifold4.sympverify.taming" in loaded
-    assert loaded & EXACT_HALF == set()
+# what no command loads beyond a bare interpreter: numpy is a test
+# dependency only, the exact half's records are namedtuples and the
+# sympverify ones are built without the dataclass generator (whose
+# `inspect` would cost an exact job more than its arithmetic), a scalar's
+# rationals are its integers num and den, no command embeds a scalar in C,
+# presents a fundamental group or pushes a form forward
+NEVER_LOADED = {"numpy", "dataclasses", "fractions", "decimal", "_decimal", "numbers", "cmath",
+                "orbifold4.presentation", "orbifold4.sympverify.pushforward"}
+
+# the modules of the package each command loads, past orbifold4 and
+# orbifold4.cli: a verify job compiles only the sympverify modules it runs
+# and none of the exact half, a chain job no field, group, spec or invariant
+# code (the package, not cyclotomic, defines the SelfCheckFailed it may
+# raise), and an exact job no sympverify module
+TAMENESS = {"sympverify", "sympverify.taming", "sympverify.localmodel", "sympverify.profiles",
+            "sympverify.jet"}
+GLUING = {"sympverify", "sympverify.forms", "sympverify.taming", "sympverify.jet",
+          "sympverify.fixtures", "sympverify.profiles"}
+GROUP = {"cyclotomic", "unitary", "groups"}
+SPEC = GROUP | {"isotropy", "resolution"}
+COMMAND_MODULES = {
+    "tameness-flat": (("verify", "tameness", "--model", "flat", "--grid", "4"), TAMENESS),
+    "tameness-resolved": (("verify", "tameness", "--model", "flat", "--grid", "4", "--resolved"),
+                          TAMENESS),
+    "tameness-model": (("verify", "tameness", "--model", str(EXAMPLES / "model.json")), TAMENESS),
+    "tameness-untamed": (("verify", "tameness", "--model", str(UNTAMED)), TAMENESS),
+    "gluing": (("verify", "gluing", "--grid", "8"), GLUING),
+    "gluing-problem": (("verify", "gluing", "--problem", str(EXAMPLES / "problem.json"),
+                        "--grid", "9"), GLUING),
+    "gluing-refused": (("verify", "gluing", "--eps1", "1.5", "--eps2", "2.4", "--eps3", "3"),
+                       GLUING),
+    "blowup": (("verify", "blowup", "--grid", "4"),
+               {"sympverify", "sympverify.taming", "sympverify.jet", "sympverify.blowup"}),
+    "singularity": (("singularity", "resolve", "--m", "12", "--q", "7"), {"resolution"}),
+    "classify": (("group", "classify", "--builtin", "klein_four"), GROUP),
+    "classify-file": (("group", "classify", "--file", str(EXAMPLES / "group.json")), GROUP),
+    "invariants": (("group", "invariants", "--builtin", "klein_four"), GROUP | {"invariants"}),
+    "resolve-spec": (("orbifold", "resolve", "--spec", str(EXAMPLES / "orbifold-spec.json")),
+                     SPEC),
+    "resolve-example": (("orbifold", "resolve", "--example", "mapping-torus"), SPEC),
+}
 
 
-TAMENESS_MODULES = {"taming", "localmodel", "profiles", "jet"}
-GLUING_MODULES = {"forms", "taming", "jet", "fixtures", "profiles"}
-
-
-@pytest.mark.parametrize("argv,modules", [
-    (("verify", "tameness", "--model", "flat", "--grid", "4"), TAMENESS_MODULES),
-    (("verify", "tameness", "--model", "flat", "--grid", "4", "--resolved"),
-     TAMENESS_MODULES),
-    (("verify", "tameness", "--model", str(ROOT / "docs" / "examples" / "model.json")),
-     TAMENESS_MODULES),
-    (("verify", "tameness", "--model", str(UNTAMED)), TAMENESS_MODULES),
-    (("verify", "gluing", "--grid", "8"), GLUING_MODULES),
-    (("verify", "blowup", "--grid", "4"), {"taming", "jet", "blowup"}),
-], ids=["tameness-flat", "tameness-resolved", "tameness-model", "tameness-untamed",
-        "gluing", "blowup"])
-def test_verify_commands_load_only_what_they_run(argv, modules):
-    # sympverify resolves its names lazily: a verify job compiles only the
-    # submodules it runs (never pushforward, which no command calls), draws
-    # no random points and builds its records without the dataclass
-    # generator; every certificate runs in floats, so no command loads numpy
-    loaded = _loaded_modules(argv)
-    assert {m for m in loaded if m.startswith("orbifold4.sympverify.")} == {
-        f"orbifold4.sympverify.{name}" for name in modules}
-    assert loaded & {"numpy", "dataclasses", "orbifold4.sympverify.pushforward"} == set()
-    assert (loaded - _modules_after("import sys")) & UNUSED_BY_COMMANDS == set()
-
-
-def _cli(argv, block_numpy: bool):
-    """(exit code, stdout) of one CLI command in a fresh interpreter; with
-    block_numpy, `import numpy` raises ImportError there."""
-    block = "sys.modules['numpy'] = None; " if block_numpy else ""
-    code = f"import sys; {block}from orbifold4.cli import main; sys.exit(main(sys.argv[1:]))"
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    proc = subprocess.run([sys.executable, "-c", code, *argv, "--json"], env=env,
-                          capture_output=True, text=True)
-    return proc.returncode, proc.stdout
-
-
-@pytest.mark.parametrize("argv", [
-    ("verify", "tameness", "--model", "flat", "--grid", "6"),
-    ("verify", "tameness", "--model", "flat", "--grid", "6", "--resolved"),
-    ("verify", "tameness", "--model", str(ROOT / "docs" / "examples" / "model.json")),
-    ("verify", "tameness", "--model", str(UNTAMED)),
-    ("verify", "gluing", "--grid", "8"),
-    ("verify", "gluing", "--problem", str(ROOT / "docs" / "examples" / "problem.json"),
-     "--grid", "9"),
-    ("verify", "gluing", "--eps1", "1.5", "--eps2", "2.4", "--eps3", "3"),
-    ("verify", "blowup", "--grid", "6"),
-    ("orbifold", "resolve", "--example", "mapping-torus"),
-], ids=["tameness-flat", "tameness-resolved", "tameness-model", "tameness-untamed",
-        "gluing", "gluing-problem", "gluing-refused", "blowup", "orbifold-resolve"])
-def test_commands_run_without_numpy(argv):
-    # numpy is a test dependency only: every command keeps its exit code and
-    # its report in an interpreter where numpy cannot be imported
-    assert _cli(argv, block_numpy=True) == _cli(argv, block_numpy=False)
+@pytest.mark.parametrize("argv,modules", COMMAND_MODULES.values(), ids=COMMAND_MODULES.keys())
+def test_each_command_loads_exactly_its_modules(argv, modules, bare_modules):
+    # each command imports the modules it uses and no others; no module of
+    # src/ imports numpy (test_no_module_imports_numpy_at_module_level), and
+    # no command loads it, so every command runs where numpy is missing
+    loaded = _modules_after("import sys; from orbifold4.cli import main; main(sys.argv[1:])",
+                            *argv, "--quiet")
+    assert {m for m in loaded if m.startswith("orbifold4")} == {
+        "orbifold4", "orbifold4.cli", *(f"orbifold4.{name}" for name in modules)}
+    assert (loaded - bare_modules) & NEVER_LOADED == set()
 
 
 def test_pushforward_check_runs_without_numpy():
@@ -432,29 +424,6 @@ def test_pushforward_check_runs_without_numpy():
     assert out[0] == out[1] and "radial_exact=True" in out[0]
 
 
-def test_singularity_resolve_loads_only_integer_code():
-    # a chain job needs no field, group, spec or invariant code; the
-    # package, not cyclotomic, defines the SelfCheckFailed it may raise
-    loaded = _loaded_modules(("singularity", "resolve", "--m", "12", "--q", "7"))
-    assert {m for m in loaded if m.startswith("orbifold4")} == {
-        "orbifold4", "orbifold4.cli", "orbifold4.resolution"}
-
-
-@pytest.mark.parametrize("argv", [
-    ("group", "classify", "--builtin", "klein_four"),
-    ("group", "classify", "--file", str(ROOT / "docs" / "examples" / "group.json")),
-    ("group", "invariants", "--builtin", "klein_four"),
-    ("orbifold", "resolve", "--spec", str(ROOT / "docs" / "examples" / "orbifold-spec.json")),
-    ("singularity", "resolve", "--m", "12", "--q", "7"),
-], ids=["classify", "classify-file", "invariants", "resolve", "singularity"])
-def test_exact_commands_import_no_dataclasses(argv):
-    # the exact half's records are namedtuples: `dataclasses` and the
-    # `inspect` it imports would cost an exact job more than its arithmetic
-    loaded = _loaded_modules(argv) - _modules_after("import sys")
-    assert "dataclasses" not in loaded
-    assert loaded & UNUSED_BY_COMMANDS == set()
-
-
 def test_every_public_name_still_imports_from_the_package():
     namespace = {}
     exec(f"from orbifold4 import {', '.join(PUBLIC_NAMES)}", namespace)
@@ -466,6 +435,8 @@ def test_every_public_name_still_imports_from_the_package():
         orbifold4.GroupElement
     with pytest.raises(AttributeError):
         orbifold4.spec_to_json
+    with pytest.raises(AttributeError):
+        orbifold4.load_spec
     # the mapping-torus code lives in a module no command loads
     assert {getattr(orbifold4, name).__module__ for name in (
         "AbelianInvariants", "GroupPresentation", "abelianize", "mapping_torus_pi1",
@@ -522,7 +493,7 @@ def _traced_calls(tmp_path, argv) -> dict:
 
 @pytest.mark.parametrize("argv", [
     ("verify", "tameness", "--model", "flat", "--grid", "4"),
-    ("verify", "gluing", "--problem", str(ROOT / "docs" / "examples" / "problem.json"),
+    ("verify", "gluing", "--problem", str(EXAMPLES / "problem.json"),
      "--grid", "8"),
     ("verify", "blowup", "--grid", "4"),
 ])
@@ -542,7 +513,7 @@ def test_tracer_counts_the_resolve_commands(tmp_path):
     calls = _traced_calls(tmp_path, ("singularity", "resolve", "--m", "12", "--q", "7"))
     assert calls["resolution.hj_resolve"] == 1
     assert calls["resolution.HJChain.is_negative_definite"] == 2
-    spec = str(ROOT / "docs" / "examples" / "orbifold-spec.json")
+    spec = str(EXAMPLES / "orbifold-spec.json")
     calls = _traced_calls(tmp_path, ("orbifold", "resolve", "--spec", spec))
     assert calls["resolution.resolution_betti"] == 1
     assert calls["isotropy.validate_spec"] == 1
